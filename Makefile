@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench fuzz cover serve serve-durable load
+.PHONY: all build vet lint test benchmark-test race bench fuzz cover serve serve-durable load
 
 all: vet build test
 
@@ -21,6 +21,11 @@ lint: vet
 test:
 	$(GO) test ./...
 
+# The repository benchmark is a nested module (benchmark/go.mod), which
+# ./... does not reach.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 race:
 	$(GO) test -race ./...
 
@@ -31,6 +36,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzJSONRoundTrip -fuzztime=30s ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=30s ./versioning
 	$(GO) test -run='^$$' -fuzz=FuzzTenantName -fuzztime=30s ./tenant
+	$(GO) test -run='^$$' -fuzz=FuzzComputeMatchesReference -fuzztime=30s ./internal/diff
 
 # Coverage for the storage + versioning + tenant core with the CI floor
 # applied.

@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -367,24 +368,42 @@ func BenchmarkFingerprint(b *testing.B) {
 	}
 }
 
-// BenchmarkMyersDiff measures the delta substrate on 1000-line files
-// with scattered edits.
+// BenchmarkMyersDiff is the delta substrate's micro-baseline: Compute and
+// Apply over a lines × edits grid, from the 30-line documents of the
+// synthetic workloads to a history-read-sized manifest. Each edit
+// replaces one line, so the edit distance is twice the edit count.
 func BenchmarkMyersDiff(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	a := make([]string, 1000)
-	for i := range a {
-		a[i] = string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
-	}
-	c := append([]string(nil), a...)
-	for i := 0; i < 50; i++ {
-		c[rng.Intn(len(c))] = "changed"
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := diff.Compute(a, c)
-		if _, err := d.Apply(a); err != nil {
-			b.Fatal(err)
+	for _, cell := range []struct{ lines, edits int }{{30, 3}, {200, 10}, {1000, 50}, {4000, 200}} {
+		rng := rand.New(rand.NewSource(5))
+		a := make([]string, cell.lines)
+		for i := range a {
+			a[i] = fmt.Sprintf("dir%02d/file%05d %016x", i%37, i, rng.Uint64())
 		}
+		c := append([]string(nil), a...)
+		for _, i := range rng.Perm(len(c))[:cell.edits] {
+			c[i] = fmt.Sprintf("changed %d", i)
+		}
+		bytes := int64(diff.ByteSize(a) + diff.ByteSize(c))
+		name := fmt.Sprintf("lines=%d/edits=%d", cell.lines, cell.edits)
+		b.Run("compute/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(bytes)
+			for i := 0; i < b.N; i++ {
+				if d := diff.Compute(a, c); len(d.Cmds) == 0 {
+					b.Fatal("empty script")
+				}
+			}
+		})
+		d := diff.Compute(a, c)
+		b.Run("apply/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(bytes)
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Apply(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

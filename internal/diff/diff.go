@@ -4,11 +4,20 @@
 // the edit script between parent and child commits, which makes the
 // storage and retrieval costs of an edge proportional — the single-weight
 // setting of Section 2.2.
+//
+// For N and M lines at edit distance D, Compute takes O((N+M)·D) time and
+// O(D²) working memory, pooled across calls, so a call allocates only the
+// script it returns. The script is a function of the two inputs alone and
+// is pinned command for command against the reference kernel in
+// diff_test.go: edge costs, stored delta keys and WAL replay depend on it
+// and must not move when the kernel is tuned.
 package diff
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -52,107 +61,122 @@ func (d Delta) StorageCost() graph.Cost {
 	return c
 }
 
+// scratch is Compute's working memory. rows[0] is a zero that stands in
+// for the row before step 0; after it, step d's row holds the furthest x
+// on the d+1 diagonals -d, -d+2, ..., d, at 1+d(d+1)/2.
+type scratch struct {
+	rows []int
+	cmds []Cmd
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{rows: make([]int, 1, 1024)} }}
+
+// maxPooledRows is the largest rows arena (8 MiB) that goes back to the
+// pool: one diff of unrelated files must not pin its D²/2 ints.
+const maxPooledRows = 1 << 20
+
 // Compute produces the minimal edit script from a to b using Myers'
-// greedy O((N+M)·D) algorithm.
+// greedy forward search. Time is O((N+M)·D) and working memory O(D²) for
+// an edit distance of D, taken from a pool: step d reads only the d
+// diagonals of step d-1, so each step writes its own row of a triangular
+// arena, and the backtrack reads the rows as its trace. A call allocates
+// the returned commands and one slice of inserted lines.
 func Compute(a, b []string) Delta {
 	n, m := len(a), len(b)
 	if n == 0 && m == 0 {
 		return Delta{}
 	}
-	max := n + m
-	offset := max
-	v := make([]int, 2*max+1)
-	var trace [][]int
-	var dFinal int
+	s := scratchPool.Get().(*scratch)
+	rows := s.rows
+	dFinal := 0
+	prev, cur := 0, 1
 search:
-	for d := 0; d <= max; d++ {
-		trace = append(trace, append([]int(nil), v...))
-		for k := -d; k <= d; k += 2 {
+	for d := 0; ; d++ {
+		if cur+d+1 > len(rows) {
+			rows = slices.Grow(rows, d+1)
+			rows = rows[:cap(rows)]
+		}
+		p, row := rows[prev:cur], rows[cur:cur+d+1]
+		for i := range row {
+			k := 2*i - d
 			var x int
-			if k == -d || (k != d && v[offset+k-1] < v[offset+k+1]) {
-				x = v[offset+k+1]
+			if i == 0 || (i != d && p[i-1] < p[i]) {
+				x = p[i]
 			} else {
-				x = v[offset+k-1] + 1
+				x = p[i-1] + 1
 			}
 			y := x - k
 			for x < n && y < m && a[x] == b[y] {
 				x++
 				y++
 			}
-			v[offset+k] = x
+			row[i] = x
 			if x >= n && y >= m {
 				dFinal = d
 				break search
 			}
 		}
+		prev, cur = cur, cur+d+1
 	}
-	// Backtrack from (n, m) through the trace, collecting raw edits.
-	type edit struct {
-		del bool
-		ai  int // index into a (delete) or b (insert)
-	}
-	var edits []edit
+	// Backtrack from (n, m) through the rows. Each step yields the snake
+	// that follows edit d and then the edit itself, so the commands come
+	// out last first; the D edits are (D+m-n)/2 inserts and the rest
+	// deletes, which sizes the inserted lines before any is known.
+	rev := s.cmds[:0]
+	ins := make([]string, (dFinal+m-n)/2)
+	at := len(ins) // ins[at:] is filled
 	x, y := n, m
 	for d := dFinal; d > 0; d-- {
-		vd := trace[d]
-		k := x - y
-		var prevK int
-		if k == -d || (k != d && vd[offset+k-1] < vd[offset+k+1]) {
-			prevK = k + 1
+		p := rows[1+(d-1)*d/2:][:d]
+		i := (x - y + d) / 2
+		// As in the search: down from diagonal k+1 inserts a line of b,
+		// right from k-1 deletes one of a. mid is x once edit d is made,
+		// where its snake starts.
+		insert := i == 0 || (i != d && p[i-1] < p[i])
+		var mid int
+		if insert {
+			mid = p[i]
 		} else {
-			prevK = k - 1
+			mid = p[i-1] + 1
 		}
-		prevX := vd[offset+prevK]
-		prevY := prevX - prevK
-		// Walk back the snake.
-		for x > prevX && y > prevY {
-			x--
+		if x > mid {
+			rev = append(rev, Cmd{Op: OpKeep, N: x - mid})
+		}
+		y -= x - mid
+		x = mid
+		last := len(rev) - 1
+		if insert {
 			y--
-		}
-		if prevK == k+1 {
-			// Came from above: insertion of b[prevY].
-			y--
-			edits = append(edits, edit{del: false, ai: y})
+			at--
+			ins[at] = b[y]
+			if last >= 0 && rev[last].Op == OpInsert {
+				end := at + 1 + len(rev[last].Lines)
+				rev[last].Lines = ins[at:end:end]
+			} else {
+				rev = append(rev, Cmd{Op: OpInsert, Lines: ins[at : at+1 : at+1]})
+			}
 		} else {
-			// Came from the left: deletion of a[prevX].
 			x--
-			edits = append(edits, edit{del: true, ai: x})
-		}
-	}
-	// edits are in reverse order; build commands forward.
-	var cmds []Cmd
-	ai, bi := 0, 0
-	emitKeep := func(upTo int) {
-		if upTo > ai {
-			cmds = append(cmds, Cmd{Op: OpKeep, N: upTo - ai})
-			bi += upTo - ai
-			ai = upTo
-		}
-	}
-	for i := len(edits) - 1; i >= 0; i-- {
-		e := edits[i]
-		if e.del {
-			emitKeep(e.ai)
-			if len(cmds) > 0 && cmds[len(cmds)-1].Op == OpDelete {
-				cmds[len(cmds)-1].N++
+			if last >= 0 && rev[last].Op == OpDelete {
+				rev[last].N++
 			} else {
-				cmds = append(cmds, Cmd{Op: OpDelete, N: 1})
+				rev = append(rev, Cmd{Op: OpDelete, N: 1})
 			}
-			ai++
-		} else {
-			// e.ai indexes b; the keeps before it bring bi up to e.ai.
-			emitKeep(ai + (e.ai - bi))
-			if len(cmds) > 0 && cmds[len(cmds)-1].Op == OpInsert {
-				last := &cmds[len(cmds)-1]
-				last.Lines = append(last.Lines, b[e.ai])
-			} else {
-				cmds = append(cmds, Cmd{Op: OpInsert, Lines: []string{b[e.ai]}})
-			}
-			bi++
 		}
 	}
-	emitKeep(n)
-	return Delta{Cmds: cmds}
+	if x > 0 {
+		rev = append(rev, Cmd{Op: OpKeep, N: x}) // the snake of step 0
+	}
+	out := make([]Cmd, len(rev))
+	for j, c := range rev {
+		out[len(rev)-1-j] = c
+	}
+	clear(rev) // the pool must not keep ins alive
+	if len(rows) <= maxPooledRows {
+		s.rows, s.cmds = rows, rev
+		scratchPool.Put(s)
+	}
+	return Delta{Cmds: out}
 }
 
 // ErrBadDelta reports a delta that does not fit the source it is applied
@@ -161,7 +185,24 @@ var ErrBadDelta = errors.New("diff: delta does not match source")
 
 // Apply transforms a by the delta, returning the target lines.
 func (d Delta) Apply(a []string) ([]string, error) {
+	// Size the output once. A keep that overruns a is left out of the
+	// count, so a bad delta cannot ask for more than a and the delta
+	// already hold; the loop below reports it.
+	keep, ins := 0, 0
+	for _, cmd := range d.Cmds {
+		switch cmd.Op {
+		case OpKeep:
+			if cmd.N > 0 && cmd.N <= len(a)-keep {
+				keep += cmd.N
+			}
+		case OpInsert:
+			ins += len(cmd.Lines)
+		}
+	}
 	var out []string
+	if keep+ins > 0 {
+		out = make([]string, 0, keep+ins)
+	}
 	ai := 0
 	for i, cmd := range d.Cmds {
 		switch cmd.Op {

@@ -1,9 +1,15 @@
 package diff
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +152,21 @@ func TestApplyRejectsMismatchedSource(t *testing.T) {
 	if _, err := bad.Apply(a); err == nil {
 		t.Fatal("unknown op accepted")
 	}
+	// Apply sizes its output from the delta before it checks it: a keep
+	// far beyond the source must come back as an error, not an allocation.
+	huge := Delta{Cmds: []Cmd{{Op: OpKeep, N: 2}, {Op: OpKeep, N: 1 << 62}, {Op: OpInsert, Lines: []string{"x"}}}}
+	if _, err := huge.Apply(a); !errors.Is(err, ErrBadDelta) {
+		t.Fatalf("oversized keep: %v, want ErrBadDelta", err)
+	}
+}
+
+func TestApplyEmptyResultIsNil(t *testing.T) {
+	for _, a := range [][]string{nil, {"a", "b"}} {
+		got, err := Compute(a, nil).Apply(a)
+		if err != nil || got != nil {
+			t.Fatalf("apply to empty target = %#v, %v; want nil, nil", got, err)
+		}
+	}
 }
 
 func TestByteSize(t *testing.T) {
@@ -155,4 +176,282 @@ func TestByteSize(t *testing.T) {
 	if ByteSize([]string{"ab", "c"}) != 5 {
 		t.Fatalf("ByteSize = %d, want 5", ByteSize([]string{"ab", "c"}))
 	}
+}
+
+// referenceCompute is the kernel Compute replaced, kept verbatim as the
+// oracle: it snapshots the whole V array before every edit step. Compute
+// must return the same script, command for command.
+func referenceCompute(a, b []string) Delta {
+	n, m := len(a), len(b)
+	if n == 0 && m == 0 {
+		return Delta{}
+	}
+	max := n + m
+	offset := max
+	v := make([]int, 2*max+1)
+	var trace [][]int
+	var dFinal int
+search:
+	for d := 0; d <= max; d++ {
+		trace = append(trace, append([]int(nil), v...))
+		for k := -d; k <= d; k += 2 {
+			var x int
+			if k == -d || (k != d && v[offset+k-1] < v[offset+k+1]) {
+				x = v[offset+k+1]
+			} else {
+				x = v[offset+k-1] + 1
+			}
+			y := x - k
+			for x < n && y < m && a[x] == b[y] {
+				x++
+				y++
+			}
+			v[offset+k] = x
+			if x >= n && y >= m {
+				dFinal = d
+				break search
+			}
+		}
+	}
+	// Backtrack from (n, m) through the trace, collecting raw edits.
+	type edit struct {
+		del bool
+		ai  int // index into a (delete) or b (insert)
+	}
+	var edits []edit
+	x, y := n, m
+	for d := dFinal; d > 0; d-- {
+		vd := trace[d]
+		k := x - y
+		var prevK int
+		if k == -d || (k != d && vd[offset+k-1] < vd[offset+k+1]) {
+			prevK = k + 1
+		} else {
+			prevK = k - 1
+		}
+		prevX := vd[offset+prevK]
+		prevY := prevX - prevK
+		// Walk back the snake.
+		for x > prevX && y > prevY {
+			x--
+			y--
+		}
+		if prevK == k+1 {
+			// Came from above: insertion of b[prevY].
+			y--
+			edits = append(edits, edit{del: false, ai: y})
+		} else {
+			// Came from the left: deletion of a[prevX].
+			x--
+			edits = append(edits, edit{del: true, ai: x})
+		}
+	}
+	// edits are in reverse order; build commands forward.
+	var cmds []Cmd
+	ai, bi := 0, 0
+	emitKeep := func(upTo int) {
+		if upTo > ai {
+			cmds = append(cmds, Cmd{Op: OpKeep, N: upTo - ai})
+			bi += upTo - ai
+			ai = upTo
+		}
+	}
+	for i := len(edits) - 1; i >= 0; i-- {
+		e := edits[i]
+		if e.del {
+			emitKeep(e.ai)
+			if len(cmds) > 0 && cmds[len(cmds)-1].Op == OpDelete {
+				cmds[len(cmds)-1].N++
+			} else {
+				cmds = append(cmds, Cmd{Op: OpDelete, N: 1})
+			}
+			ai++
+		} else {
+			// e.ai indexes b; the keeps before it bring bi up to e.ai.
+			emitKeep(ai + (e.ai - bi))
+			if len(cmds) > 0 && cmds[len(cmds)-1].Op == OpInsert {
+				last := &cmds[len(cmds)-1]
+				last.Lines = append(last.Lines, b[e.ai])
+			} else {
+				cmds = append(cmds, Cmd{Op: OpInsert, Lines: []string{b[e.ai]}})
+			}
+			bi++
+		}
+	}
+	emitKeep(n)
+	return Delta{Cmds: cmds}
+}
+
+// randLines returns n lines drawn from an alphabet of the given size; a
+// small alphabet repeats lines, which is where greedy tie-breaks show.
+func randLines(rng *rand.Rand, n, alphabet int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = "l" + strconv.Itoa(rng.Intn(alphabet))
+	}
+	return out
+}
+
+// mutate applies edits random line replacements, insertions and deletions
+// to a copy of a.
+func mutate(rng *rand.Rand, a []string, edits, alphabet int) []string {
+	b := append([]string(nil), a...)
+	for e := 0; e < edits; e++ {
+		line := "l" + strconv.Itoa(rng.Intn(alphabet))
+		switch op := rng.Intn(3); {
+		case len(b) == 0 || op == 0:
+			at := rng.Intn(len(b) + 1)
+			b = append(b[:at], append([]string{line}, b[at:]...)...)
+		case op == 1:
+			at := rng.Intn(len(b))
+			b = append(b[:at], b[at+1:]...)
+		default:
+			b[rng.Intn(len(b))] = line
+		}
+	}
+	return b
+}
+
+// checkAgainstReference asserts Compute's script equals the oracle's and
+// applies back to b.
+func checkAgainstReference(t testing.TB, a, b []string) {
+	t.Helper()
+	got, want := Compute(a, b), referenceCompute(a, b)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("script differs from reference\n a=%q\n b=%q\n got  %+v\n want %+v", a, b, got.Cmds, want.Cmds)
+	}
+	out, err := got.Apply(a)
+	if err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	if !slices.Equal(out, b) {
+		t.Fatalf("apply(compute(a,b), a) = %q, want %q", out, b)
+	}
+}
+
+func TestComputeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	same := randLines(rng, 40, 1000)
+	fixed := [][2][]string{
+		{nil, nil},
+		{nil, same},
+		{same, nil},
+		{same, same},
+		{same, append([]string(nil), same...)},
+		{randLines(rng, 25, 1), randLines(rng, 31, 1)},          // one repeated line, N≠M
+		{[]string{"a", "b", "c", "d"}, []string{"w", "x", "y"}}, // all different: D = N+M
+		{[]string{"x"}, []string{"x", "x"}},
+		{[]string{"x", "x"}, []string{"x"}},
+	}
+	for _, c := range fixed {
+		checkAgainstReference(t, c[0], c[1])
+	}
+	for it := 0; it < 2000; it++ {
+		alphabet := []int{1, 2, 3, 8, 1000}[rng.Intn(5)]
+		a := randLines(rng, rng.Intn(60), alphabet)
+		var b []string
+		if rng.Intn(2) == 0 {
+			b = randLines(rng, rng.Intn(60), alphabet) // unrelated: D up to N+M
+		} else {
+			b = mutate(rng, a, rng.Intn(12), alphabet)
+		}
+		checkAgainstReference(t, a, b)
+	}
+}
+
+// manifestPair is a history-read-shaped input: lines distinct lines and a
+// copy with edits scattered over it.
+func manifestPair(seed int64, lines, edits int) (a, b []string) {
+	rng := rand.New(rand.NewSource(seed))
+	a = make([]string, lines)
+	for i := range a {
+		a[i] = fmt.Sprintf("dir%02d/file%05d %016x", i%37, i, rng.Uint64())
+	}
+	return a, mutate(rng, a, edits, 1<<30)
+}
+
+func TestComputeMatchesReferenceOnManifest(t *testing.T) {
+	a, b := manifestPair(83, 4000, 200)
+	checkAgainstReference(t, a, b)
+	checkAgainstReference(t, b, a)
+}
+
+func FuzzComputeMatchesReference(f *testing.F) {
+	f.Add("", "")
+	f.Add("a\nb\nc", "a\nx\nc")
+	f.Add("x", "x\nx")
+	f.Add("a\nb\na\nb\na", "b\na\nb\na\nb")
+	f.Add("1\n2\n3\n4\n5", "p\nq")
+	f.Fuzz(func(t *testing.T, sa, sb string) {
+		split := func(s string) []string {
+			if s == "" {
+				return nil
+			}
+			return strings.Split(s, "\n")
+		}
+		checkAgainstReference(t, split(sa), split(sb))
+	})
+}
+
+// TestComputeBytesIndependentOfLength pins the O(D²) memory: at a fixed
+// 50 edits, a call on 16,000 lines allocates what a call on 1,000 does —
+// the script — where the replaced kernel allocated D·(2(N+M)+1) ints.
+func TestComputeBytesIndependentOfLength(t *testing.T) {
+	bytesPerCall := func(lines int) (bytes, allocs uint64) {
+		a, b := manifestPair(89, lines, 0)
+		for i := 0; i < 50; i++ {
+			b[(i*2+1)*lines/100] = "edited " + strconv.Itoa(i)
+		}
+		Compute(a, b) // size the pooled scratch outside the measurement
+		const calls = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			Compute(a, b)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls, (after.Mallocs - before.Mallocs) / calls
+	}
+	small, smallAllocs := bytesPerCall(1000)
+	large, largeAllocs := bytesPerCall(16000)
+	// A GC during the run may empty the pool and charge one regrowth of
+	// the scratch to a few calls; 1.5x is far under the 16x of O(N·D).
+	if large > small+small/2 {
+		t.Fatalf("bytes per call grew with N at fixed D: %d at 1,000 lines, %d at 16,000", small, large)
+	}
+	// The script is two allocations: the commands and the inserted lines.
+	if !raceEnabled && (smallAllocs > 2 || largeAllocs > 2) {
+		t.Fatalf("allocations per call: %d at 1,000 lines, %d at 16,000; want the script's 2", smallAllocs, largeAllocs)
+	}
+}
+
+// TestComputeConcurrent hammers the pooled scratch from 8 goroutines;
+// run with -race.
+func TestComputeConcurrent(t *testing.T) {
+	type pair struct {
+		a, b []string
+		want Delta
+	}
+	rng := rand.New(rand.NewSource(97))
+	pairs := make([]pair, 16)
+	for i := range pairs {
+		a := randLines(rng, 50+rng.Intn(300), 40)
+		b := mutate(rng, a, rng.Intn(40), 40)
+		pairs[i] = pair{a, b, referenceCompute(a, b)}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < 200; it++ {
+				p := pairs[(g+it)%len(pairs)]
+				if got := Compute(p.a, p.b); !reflect.DeepEqual(got, p.want) {
+					t.Errorf("goroutine %d: script differs from reference on pair %d", g, (g+it)%len(pairs))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

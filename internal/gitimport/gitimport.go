@@ -100,7 +100,12 @@ func Load(ctx context.Context, dir string, opt Options) (*History, error) {
 	if opt.MaxBlobBytes <= 0 {
 		opt.MaxBlobBytes = 1 << 20
 	}
-	walk, err := gitOutput(ctx, dir, "rev-list", "--reverse", "--topo-order", "--parents", opt.Ref)
+	if strings.HasPrefix(opt.Ref, "-") {
+		return nil, fmt.Errorf("gitimport: ref %q looks like an option", opt.Ref)
+	}
+	// Unterminated, "rev-list HEAD" is ambiguous to git wherever the
+	// directory holds a file named HEAD, as a bare repository's does.
+	walk, err := gitOutput(ctx, dir, "rev-list", "--reverse", "--topo-order", "--parents", "--end-of-options", opt.Ref, "--")
 	if err != nil {
 		return nil, fmt.Errorf("gitimport: walking %s at %s: %w", dir, opt.Ref, err)
 	}
@@ -159,7 +164,7 @@ func Load(ctx context.Context, dir string, opt Options) (*History, error) {
 // through the shared cat-file process, memoizing blobs across commits
 // (most of a tree is unchanged between neighbors).
 func treeManifest(ctx context.Context, dir, commit string, cf *catFile, blobs map[string][]string, skipped map[string]bool, maxBlob int64) ([]versioning.ManifestEntry, int, error) {
-	out, err := gitOutput(ctx, dir, "ls-tree", "-r", "-z", commit)
+	out, err := gitOutput(ctx, dir, "ls-tree", "-r", "-z", "--end-of-options", commit)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,7 +2,10 @@ package gitimport
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/versioning"
@@ -85,6 +88,55 @@ func TestLoadFixtureWindow(t *testing.T) {
 	// The oldest-prefix window is self-contained: no dangling parents.
 	if h.SkippedParents != 0 {
 		t.Fatalf("oldest-prefix window skipped %d parents", h.SkippedParents)
+	}
+}
+
+// TestLoadBareRepoAtHEAD is the regression test for git ≥ 2.39 refusing
+// "rev-list HEAD" inside a bare repository, whose directory holds a file
+// named HEAD: the ref must reach git terminated, as a revision only.
+func TestLoadBareRepoAtHEAD(t *testing.T) {
+	h := loadFixture(t, Options{Ref: "HEAD"})
+	if len(h.Commits) != fixtureCommits || h.Ref != "HEAD" {
+		t.Fatalf("loaded %d commits at %q, want %d at HEAD", len(h.Commits), h.Ref, fixtureCommits)
+	}
+}
+
+// TestLoadBesideFileNamedHEAD walks a work tree from a directory that
+// holds a file named HEAD, where an unterminated "rev-list HEAD" is
+// ambiguous between the revision and the path.
+func TestLoadBesideFileNamedHEAD(t *testing.T) {
+	if !Available() {
+		t.Skip("git binary not on PATH")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "HEAD"), []byte("a file, not a ref\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"init", "-q"},
+		{"add", "HEAD"},
+		{"-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "one"},
+	} {
+		if _, err := gitOutput(context.Background(), dir, args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := Load(context.Background(), dir, Options{Ref: "HEAD"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Commits) != 1 {
+		t.Fatalf("loaded %d commits, want 1", len(h.Commits))
+	}
+}
+
+// TestLoadRefusesOptionLikeRef: the ref comes from a command-line flag and
+// must never be read by git as an option.
+func TestLoadRefusesOptionLikeRef(t *testing.T) {
+	for _, ref := range []string{"-n1", "--output=/tmp/owned", "-"} {
+		if _, err := Load(context.Background(), fixtureDir, Options{Ref: ref}); err == nil || !strings.Contains(err.Error(), "looks like an option") {
+			t.Fatalf("Load with ref %q: %v, want a refusal", ref, err)
+		}
 	}
 }
 

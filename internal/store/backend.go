@@ -8,6 +8,10 @@ import (
 // ErrNotFound reports a missing object.
 var ErrNotFound = errors.New("store: object not found")
 
+// ErrUnknownVersion reports a read of a version id the store never held.
+// Errors wrap it after their own package prefix, so it carries none.
+var ErrUnknownVersion = errors.New("unknown version")
+
 // BackendStats summarizes a backend's footprint.
 type BackendStats struct {
 	Objects int

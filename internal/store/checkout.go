@@ -122,7 +122,7 @@ type pathSnapshot struct {
 // be held (read or write).
 func (s *Store) snapshotPathLocked(ctx context.Context, v graph.NodeID) (pathSnapshot, error) {
 	if int(v) < 0 || int(v) >= len(s.parentEdge) {
-		return pathSnapshot{}, fmt.Errorf("store: unknown version %d (have %d)", v, len(s.parentEdge))
+		return pathSnapshot{}, fmt.Errorf("store: %w %d (have %d)", ErrUnknownVersion, v, len(s.parentEdge))
 	}
 	var snap pathSnapshot
 	// Walk up until a cached version or a materialized blob terminates

@@ -70,7 +70,6 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -443,7 +442,7 @@ func (s *Server) handleCommit(st *repoState, w http.ResponseWriter, r *http.Requ
 		status := http.StatusInternalServerError
 		if errors.Is(err, versioning.ErrClosed) {
 			status = http.StatusServiceUnavailable
-		} else if strings.Contains(err.Error(), "does not exist") {
+		} else if errors.Is(err, versioning.ErrUnknownParent) {
 			status = http.StatusUnprocessableEntity
 		}
 		writeJSON(w, status, errorResponse{Error: err.Error()})
@@ -591,11 +590,10 @@ func (s *Server) handleCheckoutBatch(st *repoState, w http.ResponseWriter, r *ht
 	writeJSON(w, http.StatusOK, out)
 }
 
-// checkoutErrStatus maps a reconstruction error to its HTTP status —
-// the single place the store's error text is interpreted, shared by
-// the direct handler and the per-item batch statuses.
+// checkoutErrStatus maps a read error to its HTTP status, shared by the
+// direct handlers and the per-item batch statuses.
 func checkoutErrStatus(err error) int {
-	if strings.Contains(err.Error(), "unknown version") {
+	if errors.Is(err, versioning.ErrUnknownVersion) {
 		return http.StatusNotFound
 	}
 	return http.StatusInternalServerError

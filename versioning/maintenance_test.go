@@ -29,18 +29,20 @@ func TestAsyncMaintenanceUnderLoad(t *testing.T) {
 
 	var mu sync.RWMutex
 	contents := map[NodeID][]string{}
+	var known []NodeID // committers may record out of id order
 	record := func(id NodeID, lines []string) {
 		mu.Lock()
 		contents[id] = lines
+		known = append(known, id)
 		mu.Unlock()
 	}
 	randomKnown := func(rng *rand.Rand) (NodeID, []string, bool) {
 		mu.RLock()
 		defer mu.RUnlock()
-		if len(contents) == 0 {
+		if len(known) == 0 {
 			return 0, nil, false
 		}
-		id := NodeID(rng.Intn(len(contents))) // ids are dense
+		id := known[rng.Intn(len(known))]
 		return id, contents[id], true
 	}
 

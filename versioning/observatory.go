@@ -267,7 +267,7 @@ func (r *Repository) Log(v NodeID, limit int) ([]LogEntry, error) {
 	r.stateMu.RLock()
 	defer r.stateMu.RUnlock()
 	if int(v) < 0 || int(v) >= len(r.parents) {
-		return nil, fmt.Errorf("versioning: log: unknown version %d (have %d)", v, len(r.parents))
+		return nil, fmt.Errorf("versioning: log: %w %d (have %d)", ErrUnknownVersion, v, len(r.parents))
 	}
 	if limit <= 0 {
 		limit = len(r.parents)

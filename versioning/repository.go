@@ -27,6 +27,15 @@ const NoParent NodeID = graph.None
 // ErrClosed reports a write against a closed repository.
 var ErrClosed = errors.New("versioning: repository is closed")
 
+// ErrUnknownVersion reports a read of a version the repository never
+// held. It is the store's sentinel, so a checkout error and a log error
+// answer to the same errors.Is.
+var ErrUnknownVersion = store.ErrUnknownVersion
+
+// ErrUnknownParent reports a commit onto a parent the repository never
+// held.
+var ErrUnknownParent = errors.New("unknown parent")
+
 // RepositoryOptions configures a Repository.
 type RepositoryOptions struct {
 	// Problem is the regime re-planning optimizes (default ProblemMSR).
@@ -405,7 +414,7 @@ func (r *Repository) commit(ctx context.Context, parents []NodeID, lines []strin
 		seen := make(map[NodeID]bool, len(parents))
 		for _, p := range parents {
 			if int(p) < 0 || int(p) >= r.Versions() {
-				return 0, fmt.Errorf("versioning: commit parent %d does not exist (have %d versions)", p, r.Versions())
+				return 0, fmt.Errorf("versioning: commit: %w %d (have %d versions)", ErrUnknownParent, p, r.Versions())
 			}
 			if !seen[p] {
 				seen[p] = true
