@@ -241,6 +241,29 @@ func BenchmarkDPMSR_WithStoragePruning(b *testing.B) {
 	}
 }
 
+// BenchmarkDPMSR_Replan is what one MSR re-plan of dsvd waits for: a
+// DP-MSR solve with the daemon's tuning, budget and prune bound at twice
+// the minimum storage, on a content-backed history.
+func BenchmarkDPMSR_Replan(b *testing.B) {
+	for _, versions := range []int{256, 800} {
+		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
+			g := repogen.GenerateRepo("replan", versions, 21).Graph
+			_, minStorage, err := planMinStorage(g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt := dptree.DefaultMSROptions(0, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dptree.MSROnGraph(g, 2*minStorage, 0, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func planMinStorage(g *graph.Graph) (*graph.Graph, graph.Cost, error) {
 	x := graph.Extend(g)
 	_, total, err := graphalg.MinArborescence(x.Graph, x.Aux, graphalg.StorageWeight)

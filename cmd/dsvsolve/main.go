@@ -141,7 +141,7 @@ func solve(g *graph.Graph, problem core.Problem, c graph.Cost, algo string) (cor
 		return core.Solution{Plan: p, Cost: plan.Evaluate(g, p)}, nil
 	}
 	dpMSR := func(s graph.Cost) (core.Solution, error) {
-		r, err := dptree.MSROnGraph(g, s, 0, dptree.MSROptions{Epsilon: 0.05, Geometric: true, MaxStates: 256})
+		r, err := dptree.MSROnGraph(g, s, 0, dptree.DefaultMSROptions(0, 0))
 		if errors.Is(err, dptree.ErrInfeasible) {
 			return core.Solution{}, core.ErrInfeasible
 		}

@@ -5,6 +5,18 @@
 // in Section 6.2 (storage pruning, geometric discretization, dominance
 // pruning). It also provides the tree-extraction heuristics that make
 // both DPs applicable to arbitrary version graphs (Section 6.2).
+//
+// What DP-MSR costs: one merge per tree edge, each walking every pair of
+// (accumulated state of the parent, final state of the child) and offering
+// up to three candidates per pair — so at most 3·MaxStates² candidates per
+// merge once MaxStates caps the state sets, n-1 merges per run. A
+// candidate costs one ρ-bucket lookup and one probe of the run's flat
+// state table; nothing is allocated per candidate, and only the states
+// that survive a merge (at most MaxStates) go to the heap. Geometric
+// buckets come from a table built once per run that equals
+// 1 + int64(math.Log(float64(x))/math.Log1p(ε)) for every x (see
+// bucketer). A run is a pure function of its tree and options: the same
+// states, frontier and plans on every call, whatever else runs beside it.
 package dptree
 
 import (

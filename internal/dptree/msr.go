@@ -1,9 +1,12 @@
 package dptree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -15,6 +18,13 @@ import (
 // force oracle). Setting Epsilon enables the FPTAS-style state bucketing
 // of Section 5.1; Geometric and MaxStates enable the practical speedups
 // of Section 6.2.
+//
+// Run time is the number of candidates: each of the n-1 merges walks
+// |states of the parent| × |states of the child| pairs and offers up to
+// three candidates per pair, so MaxStates bounds a merge by 3·MaxStates²
+// candidates, and Epsilon, Geometric and PruneStorage decide how far
+// below that the state sets stay. The result is deterministic: equal
+// inputs give equal states, in equal order, and equal plans.
 type MSROptions struct {
 	// Epsilon > 0 buckets root-retrieval and total-retrieval values so
 	// that at most poly(n, 1/ε) buckets survive per node; the returned
@@ -32,6 +42,22 @@ type MSROptions struct {
 	// 0 lets the solver pick (the storage constraint when solving, off
 	// when computing a frontier).
 	PruneStorage graph.Cost
+}
+
+// DefaultMSROptions is the tuning DP-MSR runs with wherever a caller has
+// not chosen one — dsvd's re-plans, the portfolio's DP-MSR solver and
+// dsvsolve: ε = 0.05 on geometric ticks, at most 256 states per node (the
+// paper evaluates ε = 0.05 and 0.1, Section 7.1). A non-zero epsilon or
+// maxStates replaces the respective default.
+func DefaultMSROptions(epsilon float64, maxStates int) MSROptions {
+	opt := MSROptions{Epsilon: 0.05, Geometric: true, MaxStates: 256}
+	if epsilon != 0 {
+		opt.Epsilon = epsilon
+	}
+	if maxStates != 0 {
+		opt.MaxStates = maxStates
+	}
+	return opt
 }
 
 type msrOp uint8
@@ -91,13 +117,35 @@ type MSRResult struct {
 	Cost plan.Cost
 }
 
+// bucketer maps γ and ρ values to the discretization buckets of the DP's
+// state key.
 type bucketer struct {
 	linearTick float64
 	geoLog     float64
+
+	// Geometric mode only: a table that answers
+	// 1 + int64(math.Log(float64(x))/geoLog) for 0 < x < geoLimit without
+	// the logarithm. geoStep[b] is the smallest x whose bucket exceeds b;
+	// geoCell holds, for each (bit length of x, next six bits of x), the
+	// bucket of the smallest x of that cell, so a lookup starts at most a
+	// step or two short of the answer.
+	geoLimit graph.Cost
+	geoStep  []graph.Cost
+	geoCell  []int32
 }
 
-func newBucketer(opt MSROptions, t *BiTree) bucketer {
-	var b bucketer
+const (
+	// Below 2^46 neighbouring integers have logarithms more than two ulps
+	// apart, so math.Log (error below one ulp) is strictly increasing on
+	// them, the bucket expression is monotone, and bisecting it finds
+	// every step exactly. Past it the float expression is used as is.
+	geoTableMax graph.Cost = 1 << 46
+	// geoMaxSteps bounds the table for very small ε.
+	geoMaxSteps = 1 << 14
+)
+
+func newBucketer(opt MSROptions, t *BiTree) *bucketer {
+	b := &bucketer{}
 	if opt.Epsilon <= 0 {
 		return b
 	}
@@ -108,6 +156,17 @@ func newBucketer(opt MSROptions, t *BiTree) bucketer {
 		// cost decades instead of n²/ε, which is what makes the DP
 		// practical — the bound of Lemma 9 is traded for speed.
 		b.geoLog = math.Log1p(opt.Epsilon)
+		// No γ exceeds the tree's total edge retrieval and no ρ exceeds n
+		// times that, so the table need not reach further.
+		var pathMax float64
+		for v := range t.up {
+			pathMax += float64(max(t.up[v].retr, t.down[v].retr))
+		}
+		reach := geoTableMax
+		if r := n*pathMax + 1; r < float64(geoTableMax) {
+			reach = graph.Cost(r)
+		}
+		b.buildGeoTable(reach)
 		return b
 	}
 	// FPTAS mode (Section 5.1): linear ticks of width ε·r_max/n².
@@ -120,13 +179,59 @@ func newBucketer(opt MSROptions, t *BiTree) bucketer {
 	return b
 }
 
-func (b bucketer) bucket(x graph.Cost) int64 {
+// geoBucket is the geometric discretization itself; the table reproduces
+// it.
+func (b *bucketer) geoBucket(x graph.Cost) int64 {
+	return 1 + int64(math.Log(float64(x))/b.geoLog)
+}
+
+// buildGeoTable finds the steps of geoBucket from x = 1 until one lies at
+// or past reach (or geoTableMax, or geoMaxSteps have been found); the
+// last step found becomes geoLimit.
+func (b *bucketer) buildGeoTable(reach graph.Cost) {
+	step := graph.Cost(1) // bucket 0 holds x ≤ 0 only
+	b.geoStep = []graph.Cost{step}
+	for step < reach && len(b.geoStep) < geoMaxSteps {
+		// The next step is the smallest x ≥ step whose bucket exceeds bkt,
+		// about a factor 1+ε up: gallop past it from there, then bisect
+		// [lo, hi]. If the table's end stops the gallop, hi stands in for
+		// the step: lookups stay below it.
+		bkt := int64(len(b.geoStep))
+		lo, hi := step, step
+		for stride := graph.Cost(float64(step)*math.Expm1(b.geoLog)) + 1; hi < geoTableMax && b.geoBucket(hi) <= bkt; stride *= 2 {
+			lo, hi = hi+1, min(hi+stride, geoTableMax)
+		}
+		step = lo + graph.Cost(sort.Search(int(hi-lo), func(i int) bool { return b.geoBucket(lo+graph.Cost(i)) > bkt }))
+		b.geoStep = append(b.geoStep, step)
+	}
+	b.geoLimit = step
+
+	b.geoCell = make([]int32, (bits.Len64(uint64(b.geoLimit))+1)<<6)
+	bkt := int32(0)
+	for c := 1 << 6; c < len(b.geoCell); c++ {
+		first := graph.Cost((64 | uint64(c&63)) << (c >> 6) >> 7) // smallest x of cell c
+		for int(bkt) < len(b.geoStep)-1 && b.geoStep[bkt] <= first {
+			bkt++
+		}
+		b.geoCell[c] = bkt
+	}
+}
+
+func (b *bucketer) bucket(x graph.Cost) int64 {
 	switch {
 	case b.geoLog > 0:
 		if x <= 0 {
 			return 0
 		}
-		return 1 + int64(math.Log(float64(x))/b.geoLog)
+		if x >= b.geoLimit {
+			return b.geoBucket(x)
+		}
+		l := bits.Len64(uint64(x))
+		bkt := b.geoCell[l<<6|int(uint64(x)<<7>>l)&63]
+		for x >= b.geoStep[bkt] {
+			bkt++
+		}
+		return int64(bkt)
 	case b.linearTick > 0:
 		return int64(float64(x) / b.linearTick)
 	default:
@@ -137,7 +242,7 @@ func (b bucketer) bucket(x graph.Cost) int64 {
 // kBucket merges dependency counts geometrically in heuristic mode; the
 // count only scales future uprooting costs, so nearby values are
 // interchangeable at ε precision.
-func (b bucketer) kBucket(k int32) int32 {
+func (b *bucketer) kBucket(k int32) int32 {
 	if b.geoLog == 0 || k <= 2 {
 		return k
 	}
@@ -149,6 +254,90 @@ func (b bucketer) kBucket(k int32) int32 {
 	return bkt
 }
 
+// msrTable is the candidate set of one merge step: an open-addressing
+// index over a dense array of states in first-insertion order. A run owns
+// one table and reuses it for every merge, so a merge allocates nothing
+// per candidate; only the survivors are copied out to the heap.
+type msrTable struct {
+	index  []int32 // 0 = empty, else 1 + position in keys and states
+	shift  uint    // 64 - log2(len(index))
+	keys   []msrKey
+	states []msrState
+}
+
+func newMSRTable() msrTable {
+	const logSize = 10
+	return msrTable{index: make([]int32, 1<<logSize), shift: 64 - logSize}
+}
+
+func (k msrKey) hash() uint64 {
+	h := uint64(k.rb)*0x9E3779B97F4A7C15 ^ uint64(k.gb)*0xC2B2AE3D27D4EB4F ^ uint64(uint32(k.k))<<1
+	if k.fromBelow {
+		h ^= 1
+	}
+	return h * 0x9E3779B97F4A7C15
+}
+
+// slot returns the position of key's state, or a fresh zero state for it
+// and true when the key is new.
+func (t *msrTable) slot(key msrKey) (*msrState, bool) {
+	mask := uint64(len(t.index) - 1)
+	i := key.hash() >> t.shift
+	for ; t.index[i] != 0; i = (i + 1) & mask {
+		if e := t.index[i] - 1; t.keys[e] == key {
+			return &t.states[e], false
+		}
+	}
+	if 2*(len(t.keys)+1) > len(t.index) {
+		t.grow()
+		return t.slot(key)
+	}
+	t.keys = append(t.keys, key)
+	t.states = append(t.states, msrState{})
+	t.index[i] = int32(len(t.keys))
+	return &t.states[len(t.states)-1], true
+}
+
+func (t *msrTable) grow() {
+	t.index = make([]int32, 2*len(t.index))
+	t.shift--
+	mask := uint64(len(t.index) - 1)
+	for e, key := range t.keys {
+		i := key.hash() >> t.shift
+		for t.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = int32(e + 1)
+	}
+}
+
+// reset empties the table. The states are zeroed, not just truncated:
+// a prev or child pointer left in the reused array would keep a dead
+// sub-solution reachable for the rest of the run.
+func (t *msrTable) reset() {
+	clear(t.index)
+	clear(t.states)
+	t.keys, t.states = t.keys[:0], t.states[:0]
+}
+
+// msrRun is the state of one MSRFrontier call.
+type msrRun struct {
+	t          *BiTree
+	b          *bucketer
+	pruneBound graph.Cost
+	maxStates  int
+	tab        msrTable
+	source     []msrSource // scratch, one per child state
+	cands      []*msrState // scratch: pointers into tab.states
+}
+
+// msrSource is what the source option takes from a child state alone: the
+// γ that v gets through the delta (c,v), and its bucket.
+type msrSource struct {
+	gamma graph.Cost
+	gb    int64
+}
+
 // MSRFrontier runs DP-MSR over the whole tree and returns the handle to
 // extract solutions for any storage constraint.
 func MSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
@@ -156,10 +345,9 @@ func MSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
 	if n == 0 {
 		return &MSRDP{tree: t}, nil
 	}
-	b := newBucketer(opt, t)
-	pruneBound := opt.PruneStorage
-	if pruneBound == 0 {
-		pruneBound = -1 // frontier mode: no pruning by default
+	r := &msrRun{t: t, b: newBucketer(opt, t), pruneBound: opt.PruneStorage, maxStates: opt.MaxStates, tab: newMSRTable()}
+	if r.pruneBound == 0 {
+		r.pruneBound = -1 // frontier mode: no pruning by default
 	}
 	states := make([][]*msrState, n)
 	// Reverse preorder: children are processed before their parents.
@@ -167,24 +355,19 @@ func MSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
 		v := t.Order[i]
 		cur := []*msrState{{k: 1, sigma: t.G.NodeStorage(v), rho: 0, op: opInit}}
 		for _, c := range t.Children[v] {
-			cur = mergeChild(t, v, c, cur, states[c], b, pruneBound, opt.MaxStates)
+			cur = r.mergeChild(v, c, cur, states[c])
 			if len(cur) == 0 {
 				// Only the PruneStorage bound can empty a state set: no
 				// partial solution fits, so no full solution can either.
-				return nil, fmt.Errorf("%w: storage prune bound %d unreachable at node %d", ErrInfeasible, pruneBound, v)
+				return nil, fmt.Errorf("%w: storage prune bound %d unreachable at node %d", ErrInfeasible, r.pruneBound, v)
 			}
 			states[c] = nil // children states stay reachable via chains
 		}
 		states[v] = cur
 	}
-	root := states[t.Root]
-	sort.Slice(root, func(i, j int) bool {
-		if root[i].sigma != root[j].sigma {
-			return root[i].sigma < root[j].sigma
-		}
-		return root[i].rho < root[j].rho
-	})
-	return &MSRDP{tree: t, states: root}, nil
+	// The root's states are in stateLess order, which is by (σ, ρ) first:
+	// the order Frontier and Best walk them in.
+	return &MSRDP{tree: t, states: states[t.Root]}, nil
 }
 
 // mergeChild combines the accumulated states of v with the final states
@@ -193,39 +376,56 @@ func MSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
 // composition is exactly the 8-case recurrence of Figure 7/14 without
 // vertex splitting (the cases are the 2·2·2 combinations of per-child
 // options on a binary node).
-func mergeChild(t *BiTree, v, c graph.NodeID, xs, ys []*msrState, b bucketer, pruneBound graph.Cost, maxStates int) []*msrState {
+//
+// Every (x, y) pair offers up to three candidates; per key (fromBelow,
+// k-bucket, γ-bucket, ρ-bucket) the candidate with the least (σ, ρ) is
+// kept, the first one seen winning ties. Of a candidate's key only the
+// ρ-bucket depends on the pair: the rest is fixed per x (independent,
+// dependent) or per y (source) and is computed outside the pair loop.
+func (r *msrRun) mergeChild(v, c graph.NodeID, xs, ys []*msrState) []*msrState {
+	t, b := r.t, r.b
 	downID, sDown, rDown := t.DownEdge(c) // delta v → c
 	upID, sUp, rUp := t.UpEdge(c)         // delta c → v
 	sv := t.G.NodeStorage(v)
 	sc := t.G.NodeStorage(c)
 
-	best := make(map[msrKey]*msrState, len(xs)*2)
-	keep := func(fromBelow bool, k int32, gamma, sigma, rho graph.Cost, x, y *msrState, op msrOp) {
-		if pruneBound >= 0 {
+	offer := func(key msrKey, k int32, gamma, sigma, rho graph.Cost, x, y *msrState, op msrOp) {
+		if r.pruneBound >= 0 {
 			refund := graph.Cost(0)
-			if !fromBelow {
+			if !key.fromBelow {
 				refund = sv
 			}
-			if sigma-refund > pruneBound {
+			if sigma-refund > r.pruneBound {
 				return
 			}
 		}
-		key := msrKey{fromBelow: fromBelow, k: b.kBucket(k), gb: b.bucket(gamma), rb: b.bucket(rho)}
-		if old, ok := best[key]; ok {
-			if old.sigma < sigma || (old.sigma == sigma && old.rho <= rho) {
-				return
-			}
+		key.rb = b.bucket(rho)
+		s, fresh := r.tab.slot(key)
+		if !fresh && (s.sigma < sigma || (s.sigma == sigma && s.rho <= rho)) {
+			return
 		}
-		best[key] = &msrState{
-			fromBelow: fromBelow, k: k, gamma: gamma, sigma: sigma, rho: rho,
+		*s = msrState{
+			fromBelow: key.fromBelow, k: k, gamma: gamma, sigma: sigma, rho: rho,
 			prev: x, child: y, childNode: c, op: op,
 		}
 	}
 
-	for _, x := range xs {
+	r.source = r.source[:0]
+	if upID != graph.None {
 		for _, y := range ys {
+			gamma := rUp
+			if y.fromBelow {
+				gamma += y.gamma
+			}
+			r.source = append(r.source, msrSource{gamma, b.bucket(gamma)})
+		}
+	}
+
+	for _, x := range xs {
+		xKey := msrKey{fromBelow: x.fromBelow, k: b.kBucket(x.k), gb: b.bucket(x.gamma)}
+		for j, y := range ys {
 			// Option 1: independent — c's subtree resolves internally.
-			keep(x.fromBelow, x.k, x.gamma, x.sigma+y.sigma, x.rho+y.rho, x, y, opIndep)
+			offer(xKey, x.k, x.gamma, x.sigma+y.sigma, x.rho+y.rho, x, y, opIndep)
 
 			// Option 2: dependent — uproot a rooted child state and
 			// retrieve c (and its k_c dependents) through v via the
@@ -233,15 +433,17 @@ func mergeChild(t *BiTree, v, c graph.NodeID, xs, ys []*msrState, b bucketer, pr
 			// (synthesized direction).
 			if !y.fromBelow && downID != graph.None {
 				gx := graph.Cost(0)
+				key := xKey
 				k := x.k
 				if x.fromBelow {
 					gx = x.gamma
 				} else {
 					k = x.k + y.k
+					key.k = b.kBucket(k)
 				}
 				sigma := x.sigma + y.sigma - sc + sDown
 				rho := x.rho + y.rho + graph.Cost(y.k)*(rDown+gx)
-				keep(x.fromBelow, k, x.gamma, sigma, rho, x, y, opDep)
+				offer(key, k, x.gamma, sigma, rho, x, y, opDep)
 			}
 
 			// Option 3: source — v is retrieved from c's subtree via the
@@ -249,45 +451,60 @@ func mergeChild(t *BiTree, v, c graph.NodeID, xs, ys []*msrState, b bucketer, pr
 			// v's current dependents (x.k nodes, v included) pay gamma.
 			// Skipped when the graph lacks the upward delta.
 			if !x.fromBelow && upID != graph.None {
-				gy := graph.Cost(0)
-				if y.fromBelow {
-					gy = y.gamma
-				}
-				gamma := gy + rUp
+				src := r.source[j]
 				sigma := x.sigma - sv + y.sigma + sUp
-				rho := x.rho + y.rho + graph.Cost(x.k)*gamma
-				keep(true, 0, gamma, sigma, rho, x, y, opSource)
+				rho := x.rho + y.rho + graph.Cost(x.k)*src.gamma
+				offer(msrKey{fromBelow: true, gb: src.gb}, 0, src.gamma, sigma, rho, x, y, opSource)
 			}
 		}
 	}
 
-	out := make([]*msrState, 0, len(best))
-	for _, s := range best {
-		out = append(out, s)
+	// Two states of one table differ in their key, hence in (fromBelow, k,
+	// γ, ρ): stateLess is a strict total order on them, so what survives
+	// the cap and the order it is returned in do not depend on the order
+	// of insertion or on the sort algorithm.
+	out := r.cands[:0]
+	for i := range r.tab.states {
+		out = append(out, &r.tab.states[i])
 	}
-	if maxStates > 0 && len(out) > maxStates {
-		out = capStates(out, maxStates)
+	r.cands = out
+	if r.maxStates > 0 && len(out) > r.maxStates {
+		out = capStates(out, r.maxStates)
 	}
-	// Deterministic order for reproducible runs.
-	sort.Slice(out, func(i, j int) bool { return stateLess(out[i], out[j]) })
-	return out
+	slices.SortFunc(out, stateOrder)
+	// Copied out one by one: a shared slab would stay reachable as a
+	// whole through any single state a later chain keeps.
+	kept := make([]*msrState, len(out))
+	for i, s := range out {
+		cp := *s
+		kept[i] = &cp
+	}
+	r.tab.reset()
+	return kept
 }
 
-func stateLess(a, z *msrState) bool {
-	if a.sigma != z.sigma {
-		return a.sigma < z.sigma
+// stateOrder orders states by (σ, ρ), then rooted before from-below, then
+// by k and γ.
+func stateOrder(a, z *msrState) int {
+	if c := cmp.Compare(a.sigma, z.sigma); c != 0 {
+		return c
 	}
-	if a.rho != z.rho {
-		return a.rho < z.rho
+	if c := cmp.Compare(a.rho, z.rho); c != 0 {
+		return c
 	}
 	if a.fromBelow != z.fromBelow {
-		return !a.fromBelow
+		if z.fromBelow {
+			return -1
+		}
+		return 1
 	}
-	if a.k != z.k {
-		return a.k < z.k
+	if c := cmp.Compare(a.k, z.k); c != 0 {
+		return c
 	}
-	return a.gamma < z.gamma
+	return cmp.Compare(a.gamma, z.gamma)
 }
+
+func stateLess(a, z *msrState) bool { return stateOrder(a, z) < 0 }
 
 // capStates keeps at most maxStates states, stratified across the
 // storage range so the DP's one-run frontier stays informative at both
@@ -308,7 +525,7 @@ func capStates(states []*msrState, maxStates int) []*msrState {
 			}
 		}
 	}
-	sort.Slice(states, func(i, j int) bool { return stateLess(states[i], states[j]) })
+	slices.SortFunc(states, stateOrder)
 	out := make([]*msrState, 0, maxStates)
 	strata := maxStates
 	if strata < 1 {

@@ -1,0 +1,182 @@
+package dptree
+
+import (
+	"fmt"
+	"math"
+	"sort"
+
+	"repro/internal/graph"
+)
+
+// The DP-MSR kernel before the table-driven buckets and the flat state
+// table, kept as the oracle the differential tests in msr_kernel_test.go
+// compare the kernel against: same root states, frontier, plans and
+// errors.
+
+type referenceBucketer struct {
+	linearTick float64
+	geoLog     float64
+}
+
+func newReferenceBucketer(opt MSROptions, t *BiTree) referenceBucketer {
+	var b referenceBucketer
+	if opt.Epsilon <= 0 {
+		return b
+	}
+	n := float64(t.N())
+	if opt.Geometric {
+		b.geoLog = math.Log1p(opt.Epsilon)
+		return b
+	}
+	rmax := float64(t.G.MaxEdgeRetrieval())
+	tick := opt.Epsilon * rmax / (n*n + 1)
+	if tick < 1 {
+		tick = 1
+	}
+	b.linearTick = tick
+	return b
+}
+
+func referenceBucket(b referenceBucketer, x graph.Cost) int64 {
+	switch {
+	case b.geoLog > 0:
+		if x <= 0 {
+			return 0
+		}
+		return 1 + int64(math.Log(float64(x))/b.geoLog)
+	case b.linearTick > 0:
+		return int64(float64(x) / b.linearTick)
+	default:
+		return int64(x)
+	}
+}
+
+func (b referenceBucketer) kBucket(k int32) int32 {
+	if b.geoLog == 0 || k <= 2 {
+		return k
+	}
+	bkt := int32(2)
+	for k > 2 {
+		k >>= 1
+		bkt++
+	}
+	return bkt
+}
+
+// referenceMSRFrontier is MSRFrontier's loop over referenceMergeChild,
+// including the final sort by (σ, ρ) the old kernel ended with.
+func referenceMSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
+	n := t.N()
+	if n == 0 {
+		return &MSRDP{tree: t}, nil
+	}
+	b := newReferenceBucketer(opt, t)
+	pruneBound := opt.PruneStorage
+	if pruneBound == 0 {
+		pruneBound = -1
+	}
+	states := make([][]*msrState, n)
+	for i := len(t.Order) - 1; i >= 0; i-- {
+		v := t.Order[i]
+		cur := []*msrState{{k: 1, sigma: t.G.NodeStorage(v), rho: 0, op: opInit}}
+		for _, c := range t.Children[v] {
+			cur = referenceMergeChild(t, v, c, cur, states[c], b, pruneBound, opt.MaxStates)
+			if len(cur) == 0 {
+				return nil, fmt.Errorf("%w: storage prune bound %d unreachable at node %d", ErrInfeasible, pruneBound, v)
+			}
+			states[c] = nil
+		}
+		states[v] = cur
+	}
+	root := states[t.Root]
+	sort.Slice(root, func(i, j int) bool {
+		if root[i].sigma != root[j].sigma {
+			return root[i].sigma < root[j].sigma
+		}
+		return root[i].rho < root[j].rho
+	})
+	return &MSRDP{tree: t, states: root}, nil
+}
+
+// referenceMergeChild is mergeChild as it stood before the flat-table
+// kernel, verbatim: a Go map from key to a heap state per accepted
+// candidate, two bucket calls and a kBucket per candidate.
+func referenceMergeChild(t *BiTree, v, c graph.NodeID, xs, ys []*msrState, b referenceBucketer, pruneBound graph.Cost, maxStates int) []*msrState {
+	downID, sDown, rDown := t.DownEdge(c) // delta v → c
+	upID, sUp, rUp := t.UpEdge(c)         // delta c → v
+	sv := t.G.NodeStorage(v)
+	sc := t.G.NodeStorage(c)
+
+	best := make(map[msrKey]*msrState, len(xs)*2)
+	keep := func(fromBelow bool, k int32, gamma, sigma, rho graph.Cost, x, y *msrState, op msrOp) {
+		if pruneBound >= 0 {
+			refund := graph.Cost(0)
+			if !fromBelow {
+				refund = sv
+			}
+			if sigma-refund > pruneBound {
+				return
+			}
+		}
+		key := msrKey{fromBelow: fromBelow, k: b.kBucket(k), gb: referenceBucket(b, gamma), rb: referenceBucket(b, rho)}
+		if old, ok := best[key]; ok {
+			if old.sigma < sigma || (old.sigma == sigma && old.rho <= rho) {
+				return
+			}
+		}
+		best[key] = &msrState{
+			fromBelow: fromBelow, k: k, gamma: gamma, sigma: sigma, rho: rho,
+			prev: x, child: y, childNode: c, op: op,
+		}
+	}
+
+	for _, x := range xs {
+		for _, y := range ys {
+			// Option 1: independent — c's subtree resolves internally.
+			keep(x.fromBelow, x.k, x.gamma, x.sigma+y.sigma, x.rho+y.rho, x, y, opIndep)
+
+			// Option 2: dependent — uproot a rooted child state and
+			// retrieve c (and its k_c dependents) through v via the
+			// delta (v,c). Skipped when the graph lacks that delta
+			// (synthesized direction).
+			if !y.fromBelow && downID != graph.None {
+				gx := graph.Cost(0)
+				k := x.k
+				if x.fromBelow {
+					gx = x.gamma
+				} else {
+					k = x.k + y.k
+				}
+				sigma := x.sigma + y.sigma - sc + sDown
+				rho := x.rho + y.rho + graph.Cost(y.k)*(rDown+gx)
+				keep(x.fromBelow, k, x.gamma, sigma, rho, x, y, opDep)
+			}
+
+			// Option 3: source — v is retrieved from c's subtree via the
+			// delta (c,v); allowed once, while v is still rooted. All of
+			// v's current dependents (x.k nodes, v included) pay gamma.
+			// Skipped when the graph lacks the upward delta.
+			if !x.fromBelow && upID != graph.None {
+				gy := graph.Cost(0)
+				if y.fromBelow {
+					gy = y.gamma
+				}
+				gamma := gy + rUp
+				sigma := x.sigma - sv + y.sigma + sUp
+				rho := x.rho + y.rho + graph.Cost(x.k)*gamma
+				keep(true, 0, gamma, sigma, rho, x, y, opSource)
+			}
+		}
+	}
+
+	out := make([]*msrState, 0, len(best))
+	for _, s := range best {
+		out = append(out, s)
+	}
+	if maxStates > 0 && len(out) > maxStates {
+		out = capStates(out, maxStates)
+	}
+	// Deterministic order for reproducible runs.
+	sort.Slice(out, func(i, j int) bool { return stateLess(out[i], out[j]) })
+	return out
+}

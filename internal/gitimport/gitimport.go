@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -103,9 +104,13 @@ func Load(ctx context.Context, dir string, opt Options) (*History, error) {
 	if strings.HasPrefix(opt.Ref, "-") {
 		return nil, fmt.Errorf("gitimport: ref %q looks like an option", opt.Ref)
 	}
+	gitDir, err := resolveGitDir(ctx, dir)
+	if err != nil {
+		return nil, err
+	}
 	// Unterminated, "rev-list HEAD" is ambiguous to git wherever the
 	// directory holds a file named HEAD, as a bare repository's does.
-	walk, err := gitOutput(ctx, dir, "rev-list", "--reverse", "--topo-order", "--parents", "--end-of-options", opt.Ref, "--")
+	walk, err := gitOutput(ctx, gitDir, "rev-list", "--reverse", "--topo-order", "--parents", "--end-of-options", opt.Ref, "--")
 	if err != nil {
 		return nil, fmt.Errorf("gitimport: walking %s at %s: %w", dir, opt.Ref, err)
 	}
@@ -130,7 +135,7 @@ func Load(ctx context.Context, dir string, opt Options) (*History, error) {
 		return nil, fmt.Errorf("gitimport: %s has no commits at %s", dir, opt.Ref)
 	}
 
-	cf, err := startCatFile(ctx, dir)
+	cf, err := startCatFile(ctx, gitDir)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +151,7 @@ func Load(ctx context.Context, dir string, opt Options) (*History, error) {
 				h.SkippedParents++
 			}
 		}
-		entries, nSkipped, err := treeManifest(ctx, dir, rc.hash, cf, blobs, skipped, opt.MaxBlobBytes)
+		entries, nSkipped, err := treeManifest(ctx, gitDir, rc.hash, cf, blobs, skipped, opt.MaxBlobBytes)
 		if err != nil {
 			return nil, fmt.Errorf("gitimport: reading tree of %s: %w", rc.hash, err)
 		}
@@ -163,8 +168,8 @@ func Load(ctx context.Context, dir string, opt Options) (*History, error) {
 // treeManifest lists commit's full tree and resolves every text blob
 // through the shared cat-file process, memoizing blobs across commits
 // (most of a tree is unchanged between neighbors).
-func treeManifest(ctx context.Context, dir, commit string, cf *catFile, blobs map[string][]string, skipped map[string]bool, maxBlob int64) ([]versioning.ManifestEntry, int, error) {
-	out, err := gitOutput(ctx, dir, "ls-tree", "-r", "-z", "--end-of-options", commit)
+func treeManifest(ctx context.Context, gitDir, commit string, cf *catFile, blobs map[string][]string, skipped map[string]bool, maxBlob int64) ([]versioning.ManifestEntry, int, error) {
+	out, err := gitOutput(ctx, gitDir, "ls-tree", "-r", "-z", "--end-of-options", commit)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -217,9 +222,43 @@ func splitLines(b []byte) []string {
 	return strings.Split(s, "\n")
 }
 
-// gitOutput runs one git subcommand in dir and returns its stdout.
-func gitOutput(ctx context.Context, dir string, args ...string) (string, error) {
-	cmd := exec.CommandContext(ctx, "git", append([]string{"-C", dir}, args...)...)
+// resolveGitDir returns the absolute git directory of the repository at
+// dir, and refuses a dir that is not itself a repository: left to its
+// upward discovery, git would silently import whatever checkout encloses
+// dir. Every later command names the directory with --git-dir, so
+// discovery runs this once and nowhere else.
+func resolveGitDir(ctx context.Context, dir string) (string, error) {
+	out, err := runGit(exec.CommandContext(ctx, "git", "-C", dir, "rev-parse", "--absolute-git-dir"), "rev-parse")
+	if err != nil {
+		return "", fmt.Errorf("gitimport: %s is not a git repository: %w", dir, err)
+	}
+	gitDir := strings.TrimSpace(out)
+	// Both sides resolved, so a symlinked dir compares equal to the
+	// physical path git reports.
+	root, err := filepath.Abs(dir)
+	if err == nil {
+		root, err = filepath.EvalSymlinks(root)
+	}
+	if err != nil {
+		return "", fmt.Errorf("gitimport: resolving %s: %w", dir, err)
+	}
+	resolved, err := filepath.EvalSymlinks(gitDir)
+	if err != nil {
+		return "", fmt.Errorf("gitimport: resolving %s: %w", gitDir, err)
+	}
+	if rel, err := filepath.Rel(root, resolved); err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+		return "", fmt.Errorf("gitimport: %s is not a git repository (git found %s, outside it)", dir, gitDir)
+	}
+	return gitDir, nil
+}
+
+// gitOutput runs one git subcommand on the repository at gitDir and
+// returns its stdout.
+func gitOutput(ctx context.Context, gitDir string, args ...string) (string, error) {
+	return runGit(exec.CommandContext(ctx, "git", append([]string{"--git-dir=" + gitDir}, args...)...), args[0])
+}
+
+func runGit(cmd *exec.Cmd, name string) (string, error) {
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -228,7 +267,7 @@ func gitOutput(ctx context.Context, dir string, args ...string) (string, error) 
 		if msg == "" {
 			msg = err.Error()
 		}
-		return "", fmt.Errorf("git %s: %s", args[0], msg)
+		return "", fmt.Errorf("git %s: %s", name, msg)
 	}
 	return string(out), nil
 }
@@ -241,8 +280,8 @@ type catFile struct {
 	out *bufio.Reader
 }
 
-func startCatFile(ctx context.Context, dir string) (*catFile, error) {
-	cmd := exec.CommandContext(ctx, "git", "-C", dir, "cat-file", "--batch")
+func startCatFile(ctx context.Context, gitDir string) (*catFile, error) {
+	cmd := exec.CommandContext(ctx, "git", "--git-dir="+gitDir, "cat-file", "--batch")
 	in, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, err

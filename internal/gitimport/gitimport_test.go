@@ -3,6 +3,7 @@ package gitimport
 import (
 	"context"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -112,15 +113,7 @@ func TestLoadBesideFileNamedHEAD(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "HEAD"), []byte("a file, not a ref\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{
-		{"init", "-q"},
-		{"add", "HEAD"},
-		{"-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "one"},
-	} {
-		if _, err := gitOutput(context.Background(), dir, args...); err != nil {
-			t.Fatal(err)
-		}
-	}
+	commitWorkTree(t, dir, "HEAD")
 	h, err := Load(context.Background(), dir, Options{Ref: "HEAD"})
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +121,63 @@ func TestLoadBesideFileNamedHEAD(t *testing.T) {
 	if len(h.Commits) != 1 {
 		t.Fatalf("loaded %d commits, want 1", len(h.Commits))
 	}
+}
+
+// commitWorkTree makes dir a work tree with one commit holding file.
+func commitWorkTree(t *testing.T, dir, file string) {
+	t.Helper()
+	for _, args := range [][]string{
+		{"init", "-q"},
+		{"add", file},
+		{"-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "one"},
+	} {
+		if out, err := exec.Command("git", append([]string{"-C", dir}, args...)...).CombinedOutput(); err != nil {
+			t.Fatalf("git %s: %v: %s", args[0], err, out)
+		}
+	}
+}
+
+// TestLoadRefusesDirectoryInsideRepository: a directory that is not itself
+// a repository must not import the checkout that happens to enclose it,
+// which is what git's upward discovery would do.
+func TestLoadRefusesDirectoryInsideRepository(t *testing.T) {
+	if !Available() {
+		t.Skip("git binary not on PATH")
+	}
+	outer := t.TempDir()
+	if err := os.WriteFile(filepath.Join(outer, "file.txt"), []byte("content\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	commitWorkTree(t, outer, "file.txt")
+	nested := filepath.Join(outer, "not-a-repo")
+	if err := os.Mkdir(nested, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := Load(context.Background(), nested, Options{}); err == nil || !strings.Contains(err.Error(), "not a git repository") {
+		t.Fatalf("Load of an empty directory inside a work tree: %d commits, err %v; want a refusal", commitCount(h), err)
+	}
+	// The enclosing work tree itself, and a path to it through a symlink,
+	// still load.
+	link := filepath.Join(t.TempDir(), "link")
+	if err := os.Symlink(outer, link); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{outer, link} {
+		h, err := Load(context.Background(), dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(h.Commits) != 1 {
+			t.Fatalf("%s: loaded %d commits, want 1", dir, len(h.Commits))
+		}
+	}
+}
+
+func commitCount(h *History) int {
+	if h == nil {
+		return 0
+	}
+	return len(h.Commits)
 }
 
 // TestLoadRefusesOptionLikeRef: the ref comes from a command-line flag and

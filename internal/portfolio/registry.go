@@ -15,9 +15,11 @@ import (
 
 // Tuning parameterizes the default registry's solvers.
 type Tuning struct {
-	// Epsilon is the DP-MSR approximation parameter (default 0.05).
+	// Epsilon is the DP-MSR approximation parameter (0 = the default of
+	// dptree.DefaultMSROptions, 0.05).
 	Epsilon float64
-	// MaxStates caps DP-MSR states per node (default 256).
+	// MaxStates caps DP-MSR states per node (0 = the default of
+	// dptree.DefaultMSROptions, 256).
 	MaxStates int
 	// Root is the spanning-tree root for the tree DPs and SPT (default 0).
 	Root graph.NodeID
@@ -30,12 +32,6 @@ type Tuning struct {
 }
 
 func (t Tuning) withDefaults() Tuning {
-	if t.Epsilon == 0 {
-		t.Epsilon = 0.05
-	}
-	if t.MaxStates == 0 {
-		t.MaxStates = 256
-	}
 	if t.MaxILPNodes == 0 {
 		t.MaxILPNodes = 20000
 	}
@@ -62,7 +58,7 @@ func wrap(p *plan.Plan, c plan.Cost, err, infeasible error) (core.Solution, erro
 // for the unconstrained problems.
 func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 	t = t.withDefaults()
-	dpOpts := dptree.MSROptions{Epsilon: t.Epsilon, Geometric: true, MaxStates: t.MaxStates}
+	dpOpts := dptree.DefaultMSROptions(t.Epsilon, t.MaxStates)
 
 	lmgS := Solver{Name: "LMG", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
 		r, err := lmg.LMG(g, s)

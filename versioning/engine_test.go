@@ -3,10 +3,12 @@ package versioning
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/portfolio"
 )
 
 func engineTestGraph() *Graph {
@@ -137,5 +139,41 @@ func TestEngineInfeasible(t *testing.T) {
 	e := NewEngine(EngineOptions{})
 	if _, err := e.SolveMSR(context.Background(), engineTestGraph(), 1); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+}
+
+// TestDPMSRTuningSharedWithPortfolio checks that the one-shot solver and
+// the portfolio's DP-MSR run the DP with the same tuning: same plan with
+// the defaults and with both knobs overridden.
+func TestDPMSRTuningSharedWithPortfolio(t *testing.T) {
+	g := GenerateRepo("tuning", 120, 5).Graph
+	min, err := MinStoragePlan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := 2 * min.Cost.Storage
+	for _, opt := range []Options{
+		{Algorithm: AlgDPTree},
+		{Algorithm: AlgDPTree, Epsilon: 0.3, MaxStates: 16},
+	} {
+		want, err := SolveMSR(g, budget, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Solution
+		solvers := portfolio.DefaultRegistry(portfolio.Tuning{Epsilon: opt.Epsilon, MaxStates: opt.MaxStates})(ProblemMSR)
+		for _, s := range solvers {
+			if s.Name == "DP-MSR" {
+				if got, err = s.Solve(context.Background(), g, budget); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got.Plan == nil {
+			t.Fatal("no DP-MSR solver in the MSR portfolio")
+		}
+		if got.Cost != want.Cost || !reflect.DeepEqual(got.Plan, want.Plan) {
+			t.Fatalf("ε=%v states=%d: portfolio DP-MSR cost %+v, SolveMSR(AlgDPTree) %+v", opt.Epsilon, opt.MaxStates, got.Cost, want.Cost)
+		}
 	}
 }

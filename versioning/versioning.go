@@ -119,24 +119,18 @@ const (
 // Options tunes solving.
 type Options struct {
 	Algorithm Algorithm
-	// Epsilon is the DP-MSR approximation parameter (default 0.05).
+	// Epsilon is the DP-MSR approximation parameter (0 = the default of
+	// dptree.DefaultMSROptions, 0.05).
 	Epsilon float64
-	// MaxStates caps DP-MSR states per node (default 256).
+	// MaxStates caps DP-MSR states per node (0 = the default of
+	// dptree.DefaultMSROptions, 256).
 	MaxStates int
 	// Root is the spanning-tree root for the DP heuristics (default 0).
 	Root NodeID
 }
 
 func (o Options) dp() dptree.MSROptions {
-	eps := o.Epsilon
-	if eps == 0 {
-		eps = 0.05
-	}
-	ms := o.MaxStates
-	if ms == 0 {
-		ms = 256
-	}
-	return dptree.MSROptions{Epsilon: eps, Geometric: true, MaxStates: ms}
+	return dptree.DefaultMSROptions(o.Epsilon, o.MaxStates)
 }
 
 // MinStoragePlan solves Problem 1 (Table 1): the cheapest plan keeping
