@@ -25,8 +25,15 @@
 // CommitMerge (multi-parent versions), Checkout / CheckoutPath /
 // CheckoutBatch, Diff (the keep/delete/insert edit script between any
 // two versions), Plan/Replan/Stats, and the observability probes.
-// Tenant(name) returns the same API scoped to one namespace of a
-// dsvd -multi fleet.
+//
+// A *Client is a view of one repository on the daemon. New returns the
+// root view — the repository of a single-repository dsvd, routes at /;
+// Tenant(name) returns the view of one namespace of a dsvd -multi
+// fleet, the same routes under /t/{name}. Every operation is
+// implemented once, against the view's route prefix, and all views of
+// one daemon share its connection pool, retry policy and validator
+// cache; each coalesces its own concurrent Checkouts, since the
+// daemon's batch endpoint is per repository.
 package client
 
 import (
@@ -44,6 +51,7 @@ import (
 	"repro/internal/hotcache"
 	"repro/internal/trace"
 	"repro/serve"
+	"repro/tenant"
 	"repro/versioning"
 )
 
@@ -99,12 +107,20 @@ type Options struct {
 	ValidatorCacheBytes int64
 }
 
-// Client talks to one dsvd daemon. Safe for concurrent use.
+// Client is a view of one repository on a dsvd daemon: the root view
+// New returns, or a tenant's (see Tenant). Safe for concurrent use.
 type Client struct {
+	*conn
+	name   string     // tenant namespace ("" = root view)
+	prefix string     // route prefix: "" or "/t/{name}"
+	co     *coalescer // this view's checkout batching (nil = disabled)
+}
+
+// conn is what every view of one daemon shares.
+type conn struct {
 	base   string
 	hc     *http.Client
 	opt    Options
-	co     *coalescer
 	window time.Duration // resolved coalescing window (<= 0 disabled)
 
 	// vcache is the opt-in ETag validator cache (nil when disabled);
@@ -112,13 +128,13 @@ type Client struct {
 	vcache      *hotcache.Cache
 	revalidated atomic.Int64
 
-	// tenants caches Tenant views so repeated Tenant(name) calls share
-	// one per-tenant coalescer.
-	tenMu   sync.Mutex
-	tenants map[string]*TenantClient
+	// views holds one Client per namespace ("" = root), so repeated
+	// Tenant(name) calls share one coalescer.
+	mu    sync.Mutex
+	views map[string]*Client
 }
 
-// New returns a client for the daemon at baseURL (e.g.
+// New returns the root view of the daemon at baseURL (e.g.
 // "http://localhost:8080").
 func New(baseURL string, opt Options) *Client {
 	if opt.RequestTimeout <= 0 {
@@ -154,24 +170,48 @@ func New(baseURL string, opt Options) *Client {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	c := &Client{
-		base:    strings.TrimRight(baseURL, "/"),
-		hc:      hc,
-		opt:     opt,
-		tenants: make(map[string]*TenantClient),
+	cn := &conn{
+		base:   strings.TrimRight(baseURL, "/"),
+		hc:     hc,
+		opt:    opt,
+		window: opt.CoalesceWindow,
+		views:  make(map[string]*Client),
 	}
-	c.window = opt.CoalesceWindow
-	if c.window == 0 {
-		c.window = 2 * time.Millisecond
-	}
-	if c.window > 0 {
-		c.co = newCoalescer(c, "/checkout", c.window, opt.CoalesceMax)
+	if cn.window == 0 {
+		cn.window = 2 * time.Millisecond
 	}
 	if opt.ValidatorCacheBytes > 0 {
-		c.vcache = hotcache.New(opt.ValidatorCacheBytes, 0)
+		cn.vcache = hotcache.New(opt.ValidatorCacheBytes, 0)
 	}
-	return c
+	return cn.view("")
 }
+
+// Tenant returns the view of tenant name on a multi-tenant daemon
+// (dsvd -multi), creating it on first use; Tenant("") is the root view.
+// Repeated calls with the same name return the same view (and therefore
+// share one coalescing window). Views are closed by Close.
+func (c *Client) Tenant(name string) *Client { return c.conn.view(name) }
+
+func (cn *conn) view(name string) *Client {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	if v, ok := cn.views[name]; ok {
+		return v
+	}
+	v := &Client{conn: cn, name: name}
+	if name != "" {
+		v.prefix = "/t/" + url.PathEscape(name)
+	}
+	if cn.window > 0 {
+		v.co = newCoalescer(v, cn.window, cn.opt.CoalesceMax)
+	}
+	cn.views[name] = v
+	return v
+}
+
+// Name reports the tenant namespace this view is scoped to ("" for the
+// root view).
+func (c *Client) Name() string { return c.name }
 
 // observeResponse feeds the OnResponse hook, if installed.
 func (c *Client) observeResponse(path string, bodyBytes int64) {
@@ -180,22 +220,18 @@ func (c *Client) observeResponse(path string, bodyBytes int64) {
 	}
 }
 
-// Close flushes any pending coalesced batches (the root view's and
-// every tenant view's) and releases idle pooled connections. The client
-// and its tenant views must not be used afterwards.
+// Close flushes every view's pending coalesced batch and releases idle
+// pooled connections. No view of the daemon may be used afterwards.
 func (c *Client) Close() {
-	if c.co != nil {
-		c.co.flushPending()
+	c.mu.Lock()
+	views := make([]*Client, 0, len(c.views))
+	for _, v := range c.views {
+		views = append(views, v)
 	}
-	c.tenMu.Lock()
-	views := make([]*TenantClient, 0, len(c.tenants))
-	for _, tc := range c.tenants {
-		views = append(views, tc)
-	}
-	c.tenMu.Unlock()
-	for _, tc := range views {
-		if tc.co != nil {
-			tc.co.flushPending()
+	c.mu.Unlock()
+	for _, v := range views {
+		if v.co != nil {
+			v.co.flushPending()
 		}
 	}
 	c.hc.CloseIdleConnections()
@@ -218,18 +254,15 @@ type CommitResult struct {
 }
 
 // Commit appends a version deriving from parent (versioning.NoParent
-// for a root) with the given full content.
+// for a root) with the given full content. On a tenant view a quota
+// violation surfaces as *APIError with status 429.
 func (c *Client) Commit(ctx context.Context, parent versioning.NodeID, lines []string) (CommitResult, error) {
-	return c.commitPath(ctx, "", parent, lines)
-}
-
-func (c *Client) commitPath(ctx context.Context, prefix string, parent versioning.NodeID, lines []string) (CommitResult, error) {
 	var out CommitResult
 	req := struct {
 		Parent versioning.NodeID `json:"parent"`
 		Lines  []string          `json:"lines"`
 	}{Parent: parent, Lines: lines}
-	err := c.doJSON(ctx, http.MethodPost, prefix+"/commit", req, &out, false)
+	err := c.doJSON(ctx, http.MethodPost, c.prefix+"/commit", req, &out, false)
 	return out, err
 }
 
@@ -237,26 +270,22 @@ func (c *Client) commitPath(ctx context.Context, prefix string, parent versionin
 // primary parent, each further parent adds a candidate delta edge.
 // Real-history importers use this to preserve git merge topology.
 func (c *Client) CommitMerge(ctx context.Context, parents []versioning.NodeID, lines []string) (CommitResult, error) {
-	return c.commitMergePath(ctx, "", parents, lines)
-}
-
-func (c *Client) commitMergePath(ctx context.Context, prefix string, parents []versioning.NodeID, lines []string) (CommitResult, error) {
 	var out CommitResult
 	req := struct {
 		Parents []versioning.NodeID `json:"parents"`
 		Lines   []string            `json:"lines"`
 	}{Parents: parents, Lines: lines}
-	err := c.doJSON(ctx, http.MethodPost, prefix+"/commit", req, &out, false)
+	err := c.doJSON(ctx, http.MethodPost, c.prefix+"/commit", req, &out, false)
 	return out, err
 }
 
-// Checkout reconstructs version id's full content. Concurrent calls
-// within the coalescing window ride one batch request.
+// Checkout reconstructs version id's full content. Concurrent calls on
+// the same view within the coalescing window ride one batch request.
 func (c *Client) Checkout(ctx context.Context, id versioning.NodeID) ([]string, error) {
 	if c.co != nil {
 		return c.co.checkout(ctx, id)
 	}
-	return c.checkoutDirect(ctx, "", id)
+	return c.CheckoutPath(ctx, id, "")
 }
 
 // validatorEntry is one validator-cache slot: checkout content plus the
@@ -277,27 +306,15 @@ func validatorSize(e *validatorEntry) int64 {
 }
 
 // CheckoutPath reconstructs version id narrowed to one manifest path
-// scope (a file or directory prefix; see versioning.FilterManifest).
-// Scoped checkouts always go direct — the batch endpoint has no scope —
-// but share the validator cache keyed by (id, scope).
+// scope (a file or directory prefix; see versioning.FilterManifest; ""
+// is the whole version). It always goes direct, never through the
+// coalescer — the batch endpoint has no scope — as one GET through the
+// validator cache, keyed by the exact URL path.
 func (c *Client) CheckoutPath(ctx context.Context, id versioning.NodeID, scope string) ([]string, error) {
-	return c.checkoutScoped(ctx, "", id, scope)
-}
-
-func (c *Client) checkoutScoped(ctx context.Context, prefix string, id versioning.NodeID, scope string) ([]string, error) {
-	if scope == "" {
-		return c.checkoutDirect(ctx, prefix, id)
+	path := fmt.Sprintf("%s/checkout/%d", c.prefix, id)
+	if scope != "" {
+		path += "?path=" + url.QueryEscape(scope)
 	}
-	return c.checkoutGet(ctx, fmt.Sprintf("%s/checkout/%d?path=%s", prefix, id, url.QueryEscape(scope)))
-}
-
-func (c *Client) checkoutDirect(ctx context.Context, prefix string, id versioning.NodeID) ([]string, error) {
-	return c.checkoutGet(ctx, fmt.Sprintf("%s/checkout/%d", prefix, id))
-}
-
-// checkoutGet is the shared direct-GET checkout path (full or scoped):
-// one request through the validator cache, keyed by the exact URL path.
-func (c *Client) checkoutGet(ctx context.Context, path string) ([]string, error) {
 	var out struct {
 		Lines []string `json:"lines"`
 	}
@@ -339,11 +356,7 @@ type CheckoutResult struct {
 // CheckoutBatch reconstructs many versions in one request; results are
 // positional.
 func (c *Client) CheckoutBatch(ctx context.Context, ids []versioning.NodeID) ([]CheckoutResult, error) {
-	return c.checkoutBatchPath(ctx, "", ids)
-}
-
-func (c *Client) checkoutBatchPath(ctx context.Context, prefix string, ids []versioning.NodeID) ([]CheckoutResult, error) {
-	raw, err := c.checkoutBatchRaw(ctx, prefix+"/checkout", ids)
+	raw, err := c.checkoutBatchRaw(ctx, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -375,12 +388,12 @@ func (it batchItem) apiError() *APIError {
 	return &APIError{Status: status, Message: it.Error}
 }
 
-func (c *Client) checkoutBatchRaw(ctx context.Context, path string, ids []versioning.NodeID) ([]batchItem, error) {
+func (c *Client) checkoutBatchRaw(ctx context.Context, ids []versioning.NodeID) ([]batchItem, error) {
 	req := struct {
 		IDs []versioning.NodeID `json:"ids"`
 	}{IDs: ids}
 	var out []batchItem
-	if err := c.doJSON(ctx, http.MethodPost, path, req, &out, true); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, c.prefix+"/checkout", req, &out, true); err != nil {
 		return nil, err
 	}
 	if len(out) != len(ids) {
@@ -410,23 +423,15 @@ type DiffResult struct {
 // Diff fetches the edit script between two versions. The server caches
 // encoded diffs with a strong ETag, so hot pairs are cheap.
 func (c *Client) Diff(ctx context.Context, a, b versioning.NodeID) (DiffResult, error) {
-	return c.diffPath(ctx, "", a, b)
-}
-
-func (c *Client) diffPath(ctx context.Context, prefix string, a, b versioning.NodeID) (DiffResult, error) {
 	var out DiffResult
-	err := c.doJSON(ctx, http.MethodGet, fmt.Sprintf("%s/diff/%d/%d", prefix, a, b), nil, &out, true)
+	err := c.doJSON(ctx, http.MethodGet, fmt.Sprintf("%s/diff/%d/%d", c.prefix, a, b), nil, &out, true)
 	return out, err
 }
 
 // Plan fetches the currently installed plan summary.
 func (c *Client) Plan(ctx context.Context) (versioning.PlanSummary, error) {
-	return c.planPath(ctx, "")
-}
-
-func (c *Client) planPath(ctx context.Context, prefix string) (versioning.PlanSummary, error) {
 	var out versioning.PlanSummary
-	err := c.doJSON(ctx, http.MethodGet, prefix+"/plan", nil, &out, true)
+	err := c.doJSON(ctx, http.MethodGet, c.prefix+"/plan", nil, &out, true)
 	return out, err
 }
 
@@ -435,13 +440,9 @@ func (c *Client) planPath(ctx context.Context, prefix string) (versioning.PlanSu
 // explanation, and the read-heat top-k. topK bounds the heat list; 0
 // uses the server default.
 func (c *Client) Planz(ctx context.Context, topK int) (serve.Planz, error) {
-	return c.planzPath(ctx, "", topK)
-}
-
-func (c *Client) planzPath(ctx context.Context, prefix string, topK int) (serve.Planz, error) {
-	path := prefix + "/planz"
+	path := c.prefix + "/planz"
 	if topK > 0 {
-		path = fmt.Sprintf("%s/planz?topk=%d", prefix, topK)
+		path = fmt.Sprintf("%s?topk=%d", path, topK)
 	}
 	var out serve.Planz
 	err := c.doJSON(ctx, http.MethodGet, path, nil, &out, true)
@@ -452,11 +453,7 @@ func (c *Client) planzPath(ctx context.Context, prefix string, topK int) (serve.
 // the walk; 0 walks all the way to a root. An unknown version surfaces
 // as *APIError with status 404.
 func (c *Client) Log(ctx context.Context, id versioning.NodeID, limit int) (serve.LogResponse, error) {
-	return c.logPath(ctx, "", id, limit)
-}
-
-func (c *Client) logPath(ctx context.Context, prefix string, id versioning.NodeID, limit int) (serve.LogResponse, error) {
-	path := fmt.Sprintf("%s/log/%d", prefix, id)
+	path := fmt.Sprintf("%s/log/%d", c.prefix, id)
 	if limit > 0 {
 		path = fmt.Sprintf("%s?limit=%d", path, limit)
 	}
@@ -467,27 +464,21 @@ func (c *Client) logPath(ctx context.Context, prefix string, id versioning.NodeI
 
 // Replan forces a portfolio re-solve and store migration now.
 func (c *Client) Replan(ctx context.Context) (versioning.PlanSummary, error) {
-	return c.replanPath(ctx, "")
-}
-
-func (c *Client) replanPath(ctx context.Context, prefix string) (versioning.PlanSummary, error) {
 	var out versioning.PlanSummary
-	err := c.doJSON(ctx, http.MethodPost, prefix+"/replan", struct{}{}, &out, true)
+	err := c.doJSON(ctx, http.MethodPost, c.prefix+"/replan", struct{}{}, &out, true)
 	return out, err
 }
 
-// Stats fetches the repository's serving statistics.
+// Stats fetches the repository's serving statistics (on a tenant view,
+// lazily opening the tenant on the daemon if it is not already open).
 func (c *Client) Stats(ctx context.Context) (versioning.RepositoryStats, error) {
-	return c.statsPath(ctx, "")
-}
-
-func (c *Client) statsPath(ctx context.Context, prefix string) (versioning.RepositoryStats, error) {
 	var out versioning.RepositoryStats
-	err := c.doJSON(ctx, http.MethodGet, prefix+"/stats", nil, &out, true)
+	err := c.doJSON(ctx, http.MethodGet, c.prefix+"/stats", nil, &out, true)
 	return out, err
 }
 
-// Statsz fetches the server's per-endpoint traffic counters.
+// Statsz fetches the server's per-endpoint traffic counters. Like the
+// other probes below it is daemon-wide: every view reaches the same one.
 func (c *Client) Statsz(ctx context.Context) (serve.Statsz, error) {
 	var out serve.Statsz
 	err := c.doJSON(ctx, http.MethodGet, "/statsz", nil, &out, true)
@@ -500,6 +491,19 @@ func (c *Client) Statsz(ctx context.Context) (serve.Statsz, error) {
 func (c *Client) Tracez(ctx context.Context) (trace.Snapshot, error) {
 	var out trace.Snapshot
 	err := c.doJSON(ctx, http.MethodGet, "/tracez", nil, &out, true)
+	return out, err
+}
+
+// Fleetz fetches the daemon's aggregate fleet statistics (multi-tenant
+// daemons only). topK bounds the per-dimension tenant lists; 0 uses the
+// server default.
+func (c *Client) Fleetz(ctx context.Context, topK int) (tenant.FleetStats, error) {
+	path := "/fleetz"
+	if topK > 0 {
+		path = fmt.Sprintf("/fleetz?topk=%d", topK)
+	}
+	var out tenant.FleetStats
+	err := c.doJSON(ctx, http.MethodGet, path, nil, &out, true)
 	return out, err
 }
 

@@ -8,16 +8,15 @@ import (
 	"repro/versioning"
 )
 
-// coalescer merges concurrent Checkout calls into batch POST /checkout
-// requests. The first checkout of a quiet period opens a batch and arms
-// a window timer; calls landing inside the window append to the batch;
+// coalescer merges one view's concurrent Checkout calls into batch POST
+// /checkout requests. The first checkout of a quiet period opens a batch
+// and arms a window timer; calls landing inside the window append to it;
 // when the window closes (or the batch hits maxIDs) one HTTP request
 // carries every id and the positional results fan back out to the
 // waiting callers. A caller whose context expires abandons its slot
 // without disturbing the batch (result channels are buffered).
 type coalescer struct {
-	c      *Client
-	path   string // batch endpoint ("/checkout", or "/t/{name}/checkout")
+	c      *Client // the view whose batch endpoint carries the ids
 	window time.Duration
 	maxIDs int
 
@@ -40,8 +39,8 @@ type coResult struct {
 	err   error
 }
 
-func newCoalescer(c *Client, path string, window time.Duration, maxIDs int) *coalescer {
-	return &coalescer{c: c, path: path, window: window, maxIDs: maxIDs}
+func newCoalescer(c *Client, window time.Duration, maxIDs int) *coalescer {
+	return &coalescer{c: c, window: window, maxIDs: maxIDs}
 }
 
 // checkout joins (or opens) the pending batch and waits for its share
@@ -110,7 +109,7 @@ func (co *coalescer) flushPending() {
 // The batch runs under its own context: the member contexts belong to
 // individual callers, any of whom may bail without canceling the rest.
 func (co *coalescer) run(b *coBatch) {
-	items, err := co.c.checkoutBatchRaw(context.Background(), co.path, b.ids)
+	items, err := co.c.checkoutBatchRaw(context.Background(), b.ids)
 	if err != nil {
 		for _, ch := range b.waiters {
 			ch <- coResult{err: err}

@@ -44,6 +44,9 @@ func TestClientTenantRoundTrip(t *testing.T) {
 	if c.Tenant("alice") != alice {
 		t.Fatal("repeated Tenant(alice) returned a different view")
 	}
+	if c.Tenant("") != c || alice.Tenant("") != c || alice.Tenant("bob") != bob {
+		t.Fatal(`views of one daemon disagree: Tenant("") must be the root view from every view`)
+	}
 
 	cr, err := alice.Commit(ctx, versioning.NoParent, []string{"alice v0"})
 	if err != nil || cr.ID != 0 || cr.Versions != 1 {

@@ -18,7 +18,7 @@ import (
 // TestTracePropagationThroughMulti pins the end-to-end tracing
 // contract: a client-side sampled Checkout through the full
 // multi-tenant serve stack produces ONE connected trace containing
-// the admission, tenant-acquire, singleflight, and store-read spans;
+// the admission, tenant-acquire, store-checkout and store-read spans;
 // the client learns the trace ID from the response header (OnTrace)
 // and can fetch the trace back from /tracez.
 func TestTracePropagationThroughMulti(t *testing.T) {
@@ -85,7 +85,7 @@ func TestTracePropagationThroughMulti(t *testing.T) {
 		ids[sp.ID] = true
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"admission", "tenant.acquire", "singleflight.leader", "store.checkout", "store.read"} {
+	for _, want := range []string{"admission", "tenant.acquire", "store.checkout", "store.read"} {
 		if !names[want] {
 			t.Errorf("checkout trace missing span %q (have %v)", want, names)
 		}

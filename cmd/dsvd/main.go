@@ -14,7 +14,7 @@
 //	curl -s localhost:8080/plan
 //	curl -s localhost:8080/statsz
 //
-// Multi-tenant fleet (-multi): every repository route moves under
+// Multi-tenant fleet (-multi): the same route table is registered under
 // /t/{tenant}/..., tenants open lazily on first touch with their own
 // data dir under -tenants-dir, an LRU (-max-open) bounds open
 // repositories (evicted tenants flush cleanly and reopen transparently
@@ -44,8 +44,10 @@
 // Serving is hardened for real traffic: admission control bounds
 // concurrent requests (-max-inflight, -max-queue, -queue-wait) and
 // sheds overload with 429 + Retry-After; concurrent checkouts of the
-// same version are singleflighted per tenant; per-endpoint
-// latency/throughput counters are served at /statsz. Drive it with
+// same version share one reconstruction, deduplicated once, in each
+// repository's store (/statsz reports the followers as
+// endpoints.checkout.coalesced); per-endpoint latency/throughput
+// counters are served at /statsz. Drive it with
 // cmd/dsvload (which speaks both modes; see -tenants).
 //
 // Observability: -trace-sample samples that fraction of requests into
@@ -295,7 +297,6 @@ func run() error {
 		}
 	}()
 	closeStorage := func(deadline context.Context) error {
-		handler.Close()
 		if mgr != nil {
 			// Close every open tenant repository (journal + backend flush per
 			// tenant), bounded by the drain deadline: a hung flush must not

@@ -148,26 +148,18 @@ func run(cfg config) error {
 // importHTTP replays the history into a live daemon through the typed
 // client — the same wire path real tooling would use.
 func importHTTP(ctx context.Context, cfg config, h *gitimport.History, sum *summary) error {
-	c := client.New(cfg.addr, client.Options{})
+	c := client.New(cfg.addr, client.Options{}).Tenant(cfg.tenant) // "" = the root repository
 	defer c.Close()
-	commit := c.Commit
-	commitMerge := c.CommitMerge
-	replan := c.Replan
-	stats := c.Stats
-	if cfg.tenant != "" {
-		tc := c.Tenant(cfg.tenant)
-		commit, commitMerge, replan, stats = tc.Commit, tc.CommitMerge, tc.Replan, tc.Stats
-	}
 	ids, err := h.Replay(ctx, func(ctx context.Context, parents []versioning.NodeID, lines []string) (versioning.NodeID, error) {
 		var cr client.CommitResult
 		var err error
 		switch len(parents) {
 		case 0:
-			cr, err = commit(ctx, versioning.NoParent, lines)
+			cr, err = c.Commit(ctx, versioning.NoParent, lines)
 		case 1:
-			cr, err = commit(ctx, parents[0], lines)
+			cr, err = c.Commit(ctx, parents[0], lines)
 		default:
-			cr, err = commitMerge(ctx, parents, lines)
+			cr, err = c.CommitMerge(ctx, parents, lines)
 		}
 		return cr.ID, err
 	})
@@ -176,11 +168,11 @@ func importHTTP(ctx context.Context, cfg config, h *gitimport.History, sum *summ
 	}
 	recordIDs(sum, ids)
 	if cfg.replan {
-		if _, err := replan(ctx); err != nil {
+		if _, err := c.Replan(ctx); err != nil {
 			return fmt.Errorf("re-plan after import: %w", err)
 		}
 	}
-	st, err := stats(ctx)
+	st, err := c.Stats(ctx)
 	if err != nil {
 		return err
 	}

@@ -71,7 +71,6 @@ import (
 	"repro/client"
 	"repro/internal/gitimport"
 	"repro/internal/metrics"
-	"repro/serve"
 	"repro/versioning"
 )
 
@@ -191,21 +190,10 @@ func main() {
 	}
 }
 
-// api is the slice of the typed client both the root Client and a
-// TenantClient satisfy — one target the workers drive.
-type api interface {
-	Commit(ctx context.Context, parent versioning.NodeID, lines []string) (client.CommitResult, error)
-	CommitMerge(ctx context.Context, parents []versioning.NodeID, lines []string) (client.CommitResult, error)
-	Checkout(ctx context.Context, id versioning.NodeID) ([]string, error)
-	Diff(ctx context.Context, a, b versioning.NodeID) (client.DiffResult, error)
-	Planz(ctx context.Context, topK int) (serve.Planz, error)
-}
-
-// target is one namespace under load: its API view and the live count
-// of committed versions (the checkout id space).
+// target is one namespace under load: its client view and the live
+// count of committed versions (the checkout id space).
 type target struct {
-	api      api
-	name     string
+	api      *client.Client
 	versions atomic.Int64
 }
 
@@ -308,42 +296,31 @@ func runLoad(cfg config) (Report, error) {
 	return rep, nil
 }
 
-// buildTargets resolves the namespaces under load and preloads each to
-// its share of -preload committed versions: the single repository, or
-// one target per tenant (every tenant gets at least one version, so
+// buildTargets resolves the namespaces under load — the root view, or
+// one view per tenant — and preloads each to its share of -preload
+// committed versions (every tenant gets at least one version, so
 // checkouts always have something to hit).
 func buildTargets(ctx context.Context, c *client.Client, cfg config, rng *rand.Rand, hist *gitimport.History) ([]*target, error) {
-	if cfg.tenants == 0 {
-		versions, err := c.Healthz(ctx)
+	names, share := []string{""}, cfg.preload
+	if cfg.tenants > 0 {
+		names = make([]string, cfg.tenants)
+		for i := range names {
+			names[i] = tenantName(i)
+		}
+		share = max(cfg.preload/cfg.tenants, 1)
+	}
+	targets := make([]*target, len(names))
+	for i, name := range names {
+		t := &target{api: c.Tenant(name)}
+		st, err := t.api.Stats(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("probing repository %q: %w", name, err)
+		}
+		versions, err := importTarget(ctx, t, hist, st.Versions)
 		if err != nil {
 			return nil, err
 		}
-		t := &target{api: c, name: ""}
-		if versions, err = importTarget(ctx, t, hist, versions); err != nil {
-			return nil, err
-		}
-		if err := preloadTarget(ctx, t, versions, cfg.preload, rng); err != nil {
-			return nil, err
-		}
-		return []*target{t}, nil
-	}
-	perTenant := cfg.preload / cfg.tenants
-	if perTenant < 1 {
-		perTenant = 1
-	}
-	targets := make([]*target, cfg.tenants)
-	for i := range targets {
-		tc := c.Tenant(tenantName(i))
-		t := &target{api: tc, name: tc.Name()}
-		st, err := tc.Stats(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("probing tenant %s: %w", t.name, err)
-		}
-		versions := st.Versions
-		if versions, err = importTarget(ctx, t, hist, versions); err != nil {
-			return nil, err
-		}
-		if err := preloadTarget(ctx, t, versions, perTenant, rng); err != nil {
+		if err := preloadTarget(ctx, t, versions, share, rng); err != nil {
 			return nil, err
 		}
 		targets[i] = t
@@ -378,7 +355,7 @@ func importTarget(ctx context.Context, t *target, hist *gitimport.History, have 
 		return cr.ID, nil
 	})
 	if err != nil {
-		return have, fmt.Errorf("importing history into %q: %w", t.name, err)
+		return have, fmt.Errorf("importing history into %q: %w", t.api.Name(), err)
 	}
 	return have, nil
 }
@@ -392,7 +369,7 @@ func preloadTarget(ctx context.Context, t *target, have, want int, rng *rand.Ran
 		}
 		cr, err := t.api.Commit(ctx, parent, synthLines(rng, have))
 		if err != nil {
-			return fmt.Errorf("preloading %s version %d: %w", t.name, have, err)
+			return fmt.Errorf("preloading %s version %d: %w", t.api.Name(), have, err)
 		}
 		have = cr.Versions
 	}
@@ -442,7 +419,7 @@ func runMix(c *client.Client, tc *traceCollector, active *atomic.Pointer[loadSta
 	ctx := context.Background()
 	for _, t := range targets {
 		if t.versions.Load() == 0 {
-			return MixReport{}, fmt.Errorf("target %q has no versions (use -preload)", t.name)
+			return MixReport{}, fmt.Errorf("target %q has no versions (use -preload)", t.api.Name())
 		}
 	}
 	st := &loadState{targets: targets, diffMode: mix == "diff"}

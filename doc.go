@@ -15,11 +15,14 @@
 // history.
 //
 // The serving stack around the Repository is production-shaped: the
-// serve package adds admission control, checkout singleflight, an
-// encoded-response cache with strong ETags and If-None-Match
-// revalidation, multi-tenant routing, and /statsz + /metricsz +
-// /tracez observability; repro/client is the typed HTTP client
-// (pooling, retries, batch coalescing, validator cache). Real git
+// serve package adds admission control, an encoded-response cache with
+// strong ETags and If-None-Match revalidation, one route table served
+// at / or per tenant under /t/{tenant}, and /statsz + /metricsz +
+// /tracez observability; concurrent identical checkouts are
+// deduplicated once, in the store (internal/flight, which the solver
+// portfolio shares). repro/client is the typed HTTP client (pooling,
+// retries, batch coalescing, validator cache): one method set over
+// per-repository views. Real git
 // histories import end to end — internal/gitimport and cmd/dsvimport
 // map commits (merges included) to versions with true parent edges
 // and manifest-per-version content, which GET /diff/{a}/{b}, GET

@@ -63,13 +63,21 @@ func (h *Histogram) Observe(d time.Duration) {
 	if v < 0 {
 		v = 0
 	}
+	// max is published before the bucket and Snapshot reads it after the
+	// buckets, so a snapshot never counts an observation above its Max
+	// (Quantile clamps to Max: a stale 0 would zero every quantile).
+	h.raiseMax(v)
 	h.counts[bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+}
+
+// raiseMax lifts max to at least v.
+func (h *Histogram) raiseMax(v int64) {
 	for {
 		old := h.max.Load()
 		if v <= old || h.max.CompareAndSwap(old, v) {
-			break
+			return
 		}
 	}
 }
@@ -80,6 +88,7 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Merge folds src's observations into h (bucket-exact; src keeps its
 // samples). Safe against concurrent Observes on either histogram.
 func (h *Histogram) Merge(src *Histogram) {
+	h.raiseMax(src.max.Load()) // first, as in Observe
 	for i := range src.counts {
 		if c := src.counts[i].Load(); c > 0 {
 			h.counts[i].Add(c)
@@ -87,13 +96,6 @@ func (h *Histogram) Merge(src *Histogram) {
 	}
 	h.count.Add(src.count.Load())
 	h.sum.Add(src.sum.Load())
-	v := src.max.Load()
-	for {
-		old := h.max.Load()
-		if v <= old || h.max.CompareAndSwap(old, v) {
-			break
-		}
-	}
 }
 
 // Snapshot captures a point-in-time copy for quantile queries. The
@@ -101,7 +103,6 @@ func (h *Histogram) Merge(src *Histogram) {
 // worst smear a handful of in-flight samples — harmless for monitoring.
 func (h *Histogram) Snapshot() Snapshot {
 	var s Snapshot
-	s.Max = time.Duration(h.max.Load())
 	s.Sum = time.Duration(h.sum.Load())
 	for i := range h.counts {
 		c := h.counts[i].Load()
@@ -110,6 +111,7 @@ func (h *Histogram) Snapshot() Snapshot {
 			s.Count += c
 		}
 	}
+	s.Max = time.Duration(h.max.Load()) // last: see Observe
 	return s
 }
 

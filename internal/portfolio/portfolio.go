@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/graph"
 	"repro/internal/plan"
 )
@@ -85,10 +86,11 @@ type Engine struct {
 	registry func(p core.Problem) []Solver
 	cacheCap int
 
-	mu       sync.Mutex
-	cache    map[cacheKey]cacheEntry
-	order    []cacheKey // FIFO eviction order
-	inflight map[cacheKey]*call
+	mu    sync.Mutex
+	cache map[cacheKey]cacheEntry
+	order []cacheKey // FIFO eviction order
+
+	flights flight.Group[cacheKey, Result] // concurrent identical solves race once
 }
 
 type cacheKey struct {
@@ -105,13 +107,6 @@ type cacheEntry struct {
 	err error
 }
 
-// call is an in-flight solve other goroutines can join (singleflight).
-type call struct {
-	done chan struct{}
-	res  Result
-	err  error
-}
-
 // New returns an Engine with the given options.
 func New(opts Options) *Engine {
 	e := &Engine{opts: opts, registry: opts.Registry, cacheCap: opts.CacheSize}
@@ -123,7 +118,6 @@ func New(opts Options) *Engine {
 	}
 	if e.cacheCap > 0 {
 		e.cache = make(map[cacheKey]cacheEntry)
-		e.inflight = make(map[cacheKey]*call)
 	}
 	return e
 }
@@ -146,47 +140,33 @@ func (e *Engine) Solve(ctx context.Context, g *graph.Graph, problem core.Problem
 		return e.race(ctx, solvers, g, problem, constraint)
 	}
 	k := cacheKey{fp: g.Fingerprint(), problem: problem, constraint: constraint}
-	for {
-		e.mu.Lock()
-		if ent, ok := e.cache[k]; ok {
-			e.mu.Unlock()
+	if ent, ok := e.lookup(k); ok {
+		return cachedCopy(ent.res), ent.err
+	}
+	res, shared, err := e.flights.Do(ctx, k, func() (Result, error) {
+		// A solve that finished between the lookup above and this call
+		// becoming leader has already stored its outcome.
+		if ent, ok := e.lookup(k); ok {
 			return cachedCopy(ent.res), ent.err
 		}
-		c, ok := e.inflight[k]
-		if !ok {
-			break // e.mu still held
+		res, err := e.race(ctx, solvers, g, problem, constraint)
+		if err == nil || errors.Is(err, core.ErrInfeasible) {
+			e.store(k, res, err)
 		}
-		e.mu.Unlock()
-		select {
-		case <-c.done:
-			if errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded) {
-				// The leader died of its own deadline or cancellation —
-				// a transient, caller-specific outcome. Retry as leader
-				// rather than propagating a foreign cancellation.
-				if ctx.Err() != nil {
-					return Result{}, ctx.Err()
-				}
-				continue
-			}
-			return cachedCopy(c.res), c.err
-		case <-ctx.Done():
-			return Result{}, ctx.Err()
-		}
+		return res, err
+	})
+	if shared {
+		res = cachedCopy(res)
 	}
-	c := &call{done: make(chan struct{})}
-	e.inflight[k] = c
-	e.mu.Unlock()
-
-	res, err := e.race(ctx, solvers, g, problem, constraint)
-	c.res, c.err = res, err
-	e.mu.Lock()
-	delete(e.inflight, k)
-	if err == nil || errors.Is(err, core.ErrInfeasible) {
-		e.store(k, res, err)
-	}
-	e.mu.Unlock()
-	close(c.done)
 	return res, err
+}
+
+// lookup returns the memoized outcome for k, if any.
+func (e *Engine) lookup(k cacheKey) (cacheEntry, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent, ok := e.cache[k]
+	return ent, ok
 }
 
 // cachedCopy marks a memoized result as a hit and hands the caller its
@@ -200,9 +180,10 @@ func cachedCopy(r Result) Result {
 }
 
 // store inserts a solve outcome (success or deterministic
-// infeasibility), evicting the oldest entry at capacity. The caller
-// holds e.mu.
+// infeasibility), evicting the oldest entry at capacity.
 func (e *Engine) store(k cacheKey, r Result, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if _, ok := e.cache[k]; !ok {
 		if len(e.order) >= e.cacheCap {
 			delete(e.cache, e.order[0])

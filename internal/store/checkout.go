@@ -11,19 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
-// flightCall is an in-flight reconstruction other goroutines can join.
-type flightCall struct {
-	done  chan struct{}
-	lines []string
-	err   error
-}
-
 // Checkout reconstructs version v under the installed plan: it walks the
 // retrieval forest from v up to the nearest materialized (or cached)
 // ancestor and applies the stored edit scripts forward — the retrieval
 // process the paper's R(v) models. Concurrent checkouts of the same
-// version are deduplicated (singleflight) and results land in the LRU
-// cache. No store lock is held while waiting on a flight or fetching
+// version share one reconstruction (flight.Group: a follower whose
+// leader was cancelled reconstructs for itself) and results land in the
+// LRU cache. No store lock is held while waiting on a flight or fetching
 // objects from the backend, so slow (e.g. disk) reconstructions never
 // block commits, migrations, or checkouts of other versions. The
 // returned slice is shared with the cache: do not modify it.
@@ -40,41 +34,17 @@ func (s *Store) Checkout(ctx context.Context, v graph.NodeID) ([]string, error) 
 		return lines, nil
 	}
 	span.SetAttr("cache", "miss")
-	for {
-		s.flightMu.Lock()
-		if c, ok := s.flight[v]; ok {
-			s.flightMu.Unlock()
-			span.SetAttr("flight", "follower")
-			select {
-			case <-c.done:
-				if errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded) {
-					// The leader died of its own cancellation — a
-					// caller-specific outcome. Retry as leader.
-					if ctx.Err() != nil {
-						return nil, ctx.Err()
-					}
-					continue
-				}
-				return c.lines, c.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		c := &flightCall{done: make(chan struct{})}
-		s.flight[v] = c
-		s.flightMu.Unlock()
-
+	lines, shared, err := s.flights.Do(ctx, v, func() ([]string, error) {
 		lines, err := s.reconstruct(ctx, v)
 		if err == nil {
 			s.cache.put(v, lines)
 		}
-		c.lines, c.err = lines, err
-		s.flightMu.Lock()
-		delete(s.flight, v)
-		s.flightMu.Unlock()
-		close(c.done)
 		return lines, err
+	})
+	if shared {
+		span.SetAttr("flight", "follower")
 	}
+	return lines, err
 }
 
 // maxPlanRetries bounds how often one checkout re-snapshots after losing

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/diff"
+	"repro/internal/flight"
 	"repro/internal/graph"
 	"repro/internal/graphalg"
 	"repro/internal/plan"
@@ -35,8 +36,8 @@ type Options struct {
 // the retrieval path under the read lock and fetch objects lock-free,
 // retrying if a concurrent migration garbage-collects an object from
 // under them; Install and the Add* methods write objects before taking
-// the write lock to publish them. cache.mu and flightMu are leaf locks:
-// nothing is acquired while holding them.
+// the write lock to publish them. cache.mu is a leaf lock: nothing is
+// acquired while holding it.
 //
 // Returned content slices are shared with the cache: callers must not
 // modify them.
@@ -53,8 +54,7 @@ type Store struct {
 	parentEdge []int32 // retrieval forest: edge into v (graph.None for materialized)
 	refs       map[Key]int
 
-	flightMu sync.Mutex
-	flight   map[graph.NodeID]*flightCall
+	flights flight.Group[graph.NodeID, []string] // one reconstruction per version at a time
 
 	checkouts      atomic.Int64
 	cacheHits      atomic.Int64
@@ -77,6 +77,7 @@ type Stats struct {
 	CachedBytes    int64 // byte-accounted footprint of the LRU
 	Checkouts      int64 // Checkout calls served
 	CacheHits      int64 // checkouts answered from the LRU
+	Coalesced      int64 // checkouts answered by a concurrent identical checkout's reconstruction
 	CacheRejected  int64 // cache puts turned away by the admission gate
 	CacheEvicted   int64 // cache entries evicted by the budget
 	DeltaApplies   int64 // edit scripts applied during reconstructions
@@ -108,7 +109,6 @@ func New(opt Options) *Store {
 		deltaKey: make(map[graph.EdgeID]Key),
 		edgeFrom: make(map[graph.EdgeID]graph.NodeID),
 		refs:     make(map[Key]int),
-		flight:   make(map[graph.NodeID]*flightCall),
 	}
 }
 
@@ -132,6 +132,7 @@ func (s *Store) Stats() Stats {
 		CachedBytes:    cs.Bytes,
 		Checkouts:      s.checkouts.Load(),
 		CacheHits:      s.cacheHits.Load(),
+		Coalesced:      s.flights.Shared(),
 		CacheRejected:  cs.Rejected,
 		CacheEvicted:   cs.Evictions,
 		DeltaApplies:   s.deltaApplies.Load(),

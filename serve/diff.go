@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -51,12 +50,12 @@ func buildDiffResponse(a, b versioning.NodeID, d diff.Delta) diffResponse {
 }
 
 // handleDiff serves the edit script between two versions. Both
-// endpoint checkouts ride the shared singleflight (and the store's
-// content cache), the Myers computation runs under a "diff.compute"
+// endpoint checkouts go through the store's content cache and flight,
+// the Myers computation runs under a "diff.compute"
 // span, and the encoded response caches under its own kind with a
 // strong ETag — version content is immutable, so a (a, b) diff never
 // changes.
-func (s *Server) handleDiff(st *repoState, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDiff(tn string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
 	a64, errA := strconv.ParseInt(r.PathValue("a"), 10, 32)
 	b64, errB := strconv.ParseInt(r.PathValue("b"), 10, 32)
 	if errA != nil || errB != nil {
@@ -65,50 +64,46 @@ func (s *Server) handleDiff(st *repoState, w http.ResponseWriter, r *http.Reques
 	}
 	a, b := versioning.NodeID(a64), versioning.NodeID(b64)
 	key := r.PathValue("a") + "\x00" + r.PathValue("b")
-	if e, ok := s.resp.get(respKindDiff, st.name, key); ok {
+	if e, ok := s.resp.get(respKindDiff, tn, key); ok {
 		_, sp := trace.StartSpan(r.Context(), "cache.hit")
 		sp.End()
 		// Cache hits still count toward both endpoints' read heat.
-		st.repo.TouchVersion(a)
+		repo.TouchVersion(a)
 		if b != a {
-			st.repo.TouchVersion(b)
+			repo.TouchVersion(b)
 		}
 		s.writeEncoded(w, r, e)
 		return
 	}
-	aLines, err := s.checkoutShared(st, r.Context(), a)
+	aLines, err := repo.Checkout(r.Context(), a)
 	if err == nil && a != b {
 		var bLines []string
-		bLines, err = s.checkoutShared(st, r.Context(), b)
+		bLines, err = repo.Checkout(r.Context(), b)
 		if err == nil {
 			_, dsp := trace.StartSpan(r.Context(), "diff.compute")
 			d := diff.Compute(aLines, bLines)
 			dsp.End()
 			s.diffComputed.Add(1)
-			s.finishDiff(st, w, r, key, buildDiffResponse(a, b, d))
+			s.finishDiff(tn, w, r, key, buildDiffResponse(a, b, d))
 			return
 		}
 	}
 	if err != nil {
-		status := checkoutErrStatus(err)
-		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
-			status = http.StatusRequestTimeout
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		writeJSON(w, readErrStatus(r, err), errorResponse{Error: err.Error()})
 		return
 	}
 	// a == b: the empty edit script, once a itself checked out (so an
 	// unknown version is still a 404, not a vacuous success).
-	s.finishDiff(st, w, r, key, diffResponse{A: a, B: b, Ops: []diffOp{}})
+	s.finishDiff(tn, w, r, key, diffResponse{A: a, B: b, Ops: []diffOp{}})
 }
 
 // finishDiff encodes, caches, and writes one diff response.
-func (s *Server) finishDiff(st *repoState, w http.ResponseWriter, r *http.Request, key string, resp diffResponse) {
+func (s *Server) finishDiff(tn string, w http.ResponseWriter, r *http.Request, key string, resp diffResponse) {
 	e, err := encodeResponse(resp)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	s.resp.put(respKindDiff, st.name, key, e)
+	s.resp.put(respKindDiff, tn, key, e)
 	s.writeEncoded(w, r, e)
 }

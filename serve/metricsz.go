@@ -81,7 +81,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	for _, row := range rows {
 		e.Histogram("dsv_request_duration_seconds", "Handler latency (admission wait included).", row.latency, metrics.L("endpoint", row.name))
 	}
-	e.Counter("dsv_checkout_coalesced_total", "Checkout requests served by piggybacking on an in-flight identical request.", float64(s.coalesced.Load()))
 	e.Counter("dsv_checkout_path_scoped_total", "Checkout requests narrowed to a path scope (?path=).", float64(s.pathScoped.Load()))
 	e.Counter("dsv_diff_computed_total", "Diff responses computed rather than served from the encoded-response cache.", float64(s.diffComputed.Load()))
 
@@ -117,7 +116,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 			repos = append(repos, repoRow{labels: []metrics.Label{metrics.L("tenant", name)}, st: stats[name]})
 		}
 	} else {
-		repos = append(repos, repoRow{st: s.def.repo.Stats()})
+		repos = append(repos, repoRow{st: s.repo.Stats()})
 	}
 	repoGauge := func(name, help string, get func(versioning.RepositoryStats) float64) {
 		for _, row := range repos {
@@ -143,6 +142,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	repoGauge("dsv_repo_max_retrieval_cost", "Installed plan worst-version retrieval cost.", func(st versioning.RepositoryStats) float64 { return float64(st.MaxRetrieval) })
 	repoCounter("dsv_repo_checkouts_total", "Store checkouts (cache hits included).", func(st versioning.RepositoryStats) float64 { return float64(st.Checkouts) })
 	repoCounter("dsv_repo_cache_hits_total", "Checkouts served from the LRU cache.", func(st versioning.RepositoryStats) float64 { return float64(st.CacheHits) })
+	repoCounter("dsv_checkout_coalesced_total", "Store checkouts answered by a concurrent identical checkout's reconstruction.", func(st versioning.RepositoryStats) float64 { return float64(st.Coalesced) })
 	repoCounter("dsv_repo_cache_rejected_total", "Content-cache fills turned away by the admission gate.", func(st versioning.RepositoryStats) float64 { return float64(st.CacheRejected) })
 	repoCounter("dsv_repo_cache_evicted_total", "Content-cache entries evicted by the byte budget.", func(st versioning.RepositoryStats) float64 { return float64(st.CacheEvicted) })
 	repoGauge("dsv_repo_packs", "Live packfiles in the disk backend.", func(st versioning.RepositoryStats) float64 { return float64(st.Packs) })

@@ -10,73 +10,40 @@ import (
 	"repro/tenant"
 )
 
-// NewMulti returns a Server that routes every repository endpoint
-// through mgr's namespace map:
+// NewMulti returns a Server over mgr's tenant fleet: the route table of
+// New, registered under /t/{tenant} (POST /t/{tenant}/commit, GET
+// /t/{tenant}/checkout/{id}, ... — see the package doc for the list),
+// plus GET /fleetz for the aggregate fleet stats; /statsz then carries
+// the fleet and per-open-tenant stats and /metricsz labels repository
+// series by tenant.
 //
-//	POST /t/{tenant}/commit
-//	GET  /t/{tenant}/checkout/{id}   (?path= narrows a manifest checkout)
-//	GET  /t/{tenant}/diff/{a}/{b}
-//	GET  /t/{tenant}/log/{id}        (?limit= bounds the ancestry walk)
-//	POST /t/{tenant}/checkout        (batch)
-//	POST /t/{tenant}/replan
-//	GET  /t/{tenant}/plan
-//	GET  /t/{tenant}/planz           plan history + heat top-k
-//	GET  /t/{tenant}/stats
-//	GET  /fleetz                     aggregate fleet stats
-//	GET  /statsz                     per-endpoint counters (+ fleet and per-tenant stats)
-//	GET  /metricsz                   Prometheus exposition (per-tenant labeled)
-//	GET  /tracez                     flight recorder snapshot
-//	GET  /healthz                    liveness probe
-//
-// Each request acquires a manager Handle for its tenant — lazily
-// opening (or transparently reopening after an eviction) the tenant's
-// repository — and releases it when the handler returns, so the LRU can
-// never close a repository out from under a live request. Admission
-// control, per-endpoint metrics, and checkout singleflight apply
-// exactly as in single-repository mode, with flight state scoped to the
-// tenant's open generation. Commits pass through the manager's
-// per-tenant quota gate and surface violations as 429 + Retry-After.
+// The only thing that differs from New is how a request reaches its
+// repository: each one leases its tenant's through mgr.Acquire — lazily
+// opening it, or transparently reopening it after an eviction — and
+// releases the lease when the handler returns, so the LRU can never
+// close a repository out from under a live request. The Server keeps no
+// per-tenant state, so an eviction needs no callback into it: checkout
+// deduplication lives in each repository's store and goes away with the
+// repository. Commits pass through the manager's per-tenant quota gate
+// and surface violations as 429 + Retry-After.
 func NewMulti(mgr *tenant.Manager, opt Options) *Server {
 	s := newServer(opt)
 	s.mgr = mgr
-	// Evicted tenants lose their cached serving state immediately; the
-	// generation check in tenantState catches the races the callback
-	// ordering cannot.
-	mgr.OnEvict(s.dropTenant)
-	s.handleTenant("commit", "POST /t/{tenant}/commit", s.handleCommit)
-	s.handleTenant("checkout", "GET /t/{tenant}/checkout/{id}", s.handleCheckout)
-	s.handleTenant("checkout_batch", "POST /t/{tenant}/checkout", s.handleCheckoutBatch)
-	s.handleTenant("diff", "GET /t/{tenant}/diff/{a}/{b}", s.handleDiff)
-	s.handleTenant("log", "GET /t/{tenant}/log/{id}", s.handleLog)
-	s.handleTenant("replan", "POST /t/{tenant}/replan", s.handleReplan)
-	s.handleTenant("plan", "GET /t/{tenant}/plan", s.handlePlan)
-	s.handleTenant("planz", "GET /t/{tenant}/planz", s.handlePlanz)
-	s.handleTenant("stats", "GET /t/{tenant}/stats", s.handleStats)
-	s.handle("fleetz", "GET /fleetz", s.handleFleetz, false)
-	s.handle("statsz", "GET /statsz", s.handleStatsz, false)
-	s.handle("metricsz", "GET /metricsz", s.handleMetricsz, false)
-	s.handle("tracez", "GET /tracez", s.handleTracez, false)
-	s.handle("healthz", "GET /healthz", s.handleHealthz, false)
-	return s
-}
-
-// handleTenant registers a tenant-scoped endpoint: the wrapper resolves
-// {tenant} through the manager, pins the repository open for the
-// request's duration, and binds the per-incarnation serving state.
-func (s *Server) handleTenant(name, pattern string, h func(*repoState, http.ResponseWriter, *http.Request)) {
-	s.handle(name, pattern, func(w http.ResponseWriter, r *http.Request) {
+	s.routes("/t/{tenant}", func(w http.ResponseWriter, r *http.Request, h repoHandler) {
 		tn := r.PathValue("tenant")
 		actx, asp := trace.StartSpan(r.Context(), "tenant.acquire")
 		asp.SetAttr("tenant", tn)
-		hdl, err := s.mgr.Acquire(actx, tn)
+		hdl, err := mgr.Acquire(actx, tn)
 		asp.End()
 		if err != nil {
 			writeJSON(w, acquireErrStatus(err), errorResponse{Error: err.Error()})
 			return
 		}
 		defer hdl.Release()
-		h(s.tenantState(hdl), w, r)
-	}, true)
+		h(tn, hdl.Repo(), w, r)
+	})
+	s.handle("fleetz", "GET /fleetz", s.handleFleetz, false)
+	return s
 }
 
 // acquireErrStatus maps a manager Acquire failure to HTTP: a bad name
@@ -94,29 +61,6 @@ func acquireErrStatus(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-// tenantState returns the cached serving state for hdl's tenant,
-// replacing any state from an older open generation so a reopened
-// tenant never joins a stale singleflight.
-func (s *Server) tenantState(hdl *tenant.Handle) *repoState {
-	s.tenMu.Lock()
-	defer s.tenMu.Unlock()
-	st := s.tenants[hdl.Name()]
-	if st == nil || st.gen != hdl.Gen() {
-		st = newRepoState(hdl.Name(), hdl.Gen(), hdl.Repo())
-		s.tenants[hdl.Name()] = st
-	}
-	return st
-}
-
-// dropTenant is the manager's eviction callback: the tenant's cached
-// serving state (repository pointer, singleflight map) is discarded so
-// nothing can serve through the closed repository.
-func (s *Server) dropTenant(name string) {
-	s.tenMu.Lock()
-	delete(s.tenants, name)
-	s.tenMu.Unlock()
 }
 
 // handleFleetz serves the aggregate fleet snapshot. topk bounds the

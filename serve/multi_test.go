@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,6 +157,88 @@ func TestMultiTenantEvictionTransparentReopen(t *testing.T) {
 	}
 }
 
+// TestCheckoutStampedeMultiTenant is TestCheckoutSingleflight through
+// /t/{tenant}/checkout/{id}: 16 identical concurrent requests cost fewer
+// backend reads than 16 solo checkouts, on a tenant's first open and
+// again after an LRU eviction and reopen — the Server keeps nothing per
+// tenant, so the deduplication has to arrive with the reopened
+// repository's store. The manager opens its own (fast) disk backends,
+// so the version sits at the end of a delta chain long enough that one
+// reconstruction outlasts the spread of the requests' arrivals, and a
+// round that by bad luck overlapped nothing is retried.
+func TestCheckoutStampedeMultiTenant(t *testing.T) {
+	// Page-cache reads never block, so on one P a reconstruction runs to
+	// completion before the next request is even accepted: there is
+	// nothing to share and nothing to observe. Extra Ps let the OS
+	// interleave them even on a single CPU.
+	if runtime.GOMAXPROCS(0) < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	mgr := testManager(t, t.TempDir(), tenant.Options{
+		MaxOpen: 1,
+		Repo:    versioning.RepositoryOptions{CacheEntries: -1}, // every checkout reconstructs or follows
+	})
+	srv := NewMulti(mgr, Options{MaxInFlight: -1, RespCacheBytes: -1}) // ...and none is answered above the store
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	// With re-planning off (testManager) every commit rides one delta on
+	// its parent, so the tip's retrieval path is the whole chain.
+	const depth = 200
+	var cr commitResponse
+	var lines []string
+	for v := 0; v <= depth; v++ {
+		lines = append(lines, fmt.Sprintf("line added by version %d", v))
+		if code := postJSON(t, ts.URL+"/t/alice/commit", map[string]any{"parent": v - 1, "lines": lines}, &cr); code != http.StatusOK {
+			t.Fatalf("alice commit %d = %d", v, code)
+		}
+	}
+	tip := fmt.Sprintf("%s/t/alice/checkout/%d", ts.URL, depth)
+	// reads is alice's backend read count; asking opens her if needed.
+	reads := func() int64 {
+		var st versioning.RepositoryStats
+		if code := getJSON(t, ts.URL+"/t/alice/stats", &st); code != http.StatusOK {
+			t.Fatalf("alice stats = %d", code)
+		}
+		return st.LooseReads + st.PackReads
+	}
+	const n = 16
+	assertShared := func(phase string) {
+		t.Helper()
+		before := reads()
+		stampede(t, tip, 1)
+		solo := reads() - before
+		if solo < depth {
+			t.Fatalf("%s: a solo checkout cost %d backend reads, want the whole %d-delta chain", phase, solo, depth)
+		}
+		for round := 1; ; round++ {
+			before = reads()
+			stampede(t, tip, n)
+			got := reads() - before
+			co := srv.StatszSnapshot().Endpoints["checkout"].Coalesced
+			if got < n*solo && co > 0 {
+				return
+			}
+			if round == 5 {
+				t.Fatalf("%s: %d identical checkouts cost %d backend reads (solo: %d), coalesced = %d", phase, n, got, solo, co)
+			}
+		}
+	}
+	assertShared("first open")
+
+	// Touching bob evicts alice (MaxOpen 1); her next request reopens her.
+	if code := postJSON(t, ts.URL+"/t/bob/commit", map[string]any{"parent": -1, "lines": []string{"bob v0"}}, &cr); code != http.StatusOK {
+		t.Fatalf("bob commit = %d", code)
+	}
+	if fs := mgr.Fleet(1); fs.Evictions != 1 || fs.Reopens != 0 {
+		t.Fatalf("before alice returns: evictions = %d, reopens = %d, want 1 and 0", fs.Evictions, fs.Reopens)
+	}
+	assertShared("after evict + reopen")
+	if fs := mgr.Fleet(1); fs.Reopens != 1 {
+		t.Fatalf("reopens = %d, want 1", fs.Reopens)
+	}
+}
+
 func TestMultiTenantQuota429(t *testing.T) {
 	mgr := testManager(t, "", tenant.Options{
 		Quota: tenant.Quota{CommitsPerSec: 0.001, CommitBurst: 1},
@@ -234,7 +317,7 @@ func TestTwoServersCoexist(t *testing.T) {
 
 // TestMultiTenantConcurrentChurnRace drives concurrent commits and
 // checkouts across more tenants than MaxOpen through the full HTTP
-// stack, so -race covers the acquire/evict/reopen/singleflight paths
+// stack, so -race covers the acquire/evict/reopen paths
 // end to end. Zero failed requests is the acceptance bar: eviction must
 // be invisible to clients.
 func TestMultiTenantConcurrentChurnRace(t *testing.T) {

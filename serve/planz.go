@@ -26,7 +26,7 @@ type Planz struct {
 // handlePlanz renders the plan observatory. topk bounds the heat list
 // (default 10, capped at 100, 0 disables it). Not cached: history and
 // heat change with every pass and read.
-func (s *Server) handlePlanz(st *repoState, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePlanz(tn string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
 	topK := 10
 	if v := r.URL.Query().Get("topk"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
@@ -36,16 +36,16 @@ func (s *Server) handlePlanz(st *repoState, w http.ResponseWriter, r *http.Reque
 			}
 		}
 	}
-	hist, total := st.repo.PlanHistory()
+	hist, total := repo.PlanHistory()
 	if hist == nil {
 		hist = []versioning.PlanRecord{}
 	}
 	writeJSON(w, http.StatusOK, Planz{
-		Tenant:       st.name,
-		Current:      st.repo.Explain(),
+		Tenant:       tn,
+		Current:      repo.Explain(),
 		History:      hist,
 		HistoryTotal: total,
-		Heat:         st.repo.HeatTopK(topK),
+		Heat:         repo.HeatTopK(topK),
 	})
 }
 
@@ -63,7 +63,7 @@ type LogResponse struct {
 // Ancestry is immutable once committed (parents are recorded at commit
 // and never change), so the encoded response caches under its own kind
 // with a strong ETag, exactly like /diff.
-func (s *Server) handleLog(st *repoState, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLog(tn string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
 	id64, err := strconv.ParseInt(r.PathValue("id"), 10, 32)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad version id: %v", err)})
@@ -80,13 +80,13 @@ func (s *Server) handleLog(st *repoState, w http.ResponseWriter, r *http.Request
 		limit = n
 	}
 	key := r.PathValue("id") + "\x00" + strconv.Itoa(limit)
-	if e, ok := s.resp.get(respKindLog, st.name, key); ok {
+	if e, ok := s.resp.get(respKindLog, tn, key); ok {
 		_, sp := trace.StartSpan(r.Context(), "cache.hit")
 		sp.End()
 		s.writeEncoded(w, r, e)
 		return
 	}
-	entries, err := st.repo.Log(id, limit)
+	entries, err := repo.Log(id, limit)
 	if err != nil {
 		writeJSON(w, checkoutErrStatus(err), errorResponse{Error: err.Error()})
 		return
@@ -100,6 +100,6 @@ func (s *Server) handleLog(st *repoState, w http.ResponseWriter, r *http.Request
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	s.resp.put(respKindLog, st.name, key, e)
+	s.resp.put(respKindLog, tn, key, e)
 	s.writeEncoded(w, r, e)
 }

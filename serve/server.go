@@ -1,7 +1,10 @@
 // Package serve is dsvd's HTTP serving layer: it wires one
 // versioning.Repository — or a whole tenant.Manager fleet of them — to
-// HTTP and hardens the hot path for real traffic. Single-repository
-// endpoints (New):
+// HTTP and hardens the hot path for real traffic. There is one route
+// table (routes); New registers it at the root for a fixed repository,
+// NewMulti under /t/{tenant} with each request leasing its tenant's
+// repository from the manager for the request's duration. The
+// repository endpoints:
 //
 //	POST /commit         {"parent": -1, "lines": [...]} -> commitResponse
 //	                     ({"parents": [2, 5], ...} commits a multi-parent merge)
@@ -19,8 +22,7 @@
 //	GET  /tracez         -> flight recorder: recent + outlier traces (JSON)
 //	GET  /healthz        liveness probe (includes build identity)
 //
-// Multi-tenant endpoints (NewMulti, see multi.go) move the repository
-// routes under /t/{tenant}/... and add GET /fleetz.
+// NewMulti (see multi.go) adds GET /fleetz.
 //
 // Hardening beyond the bare handlers:
 //
@@ -29,12 +31,13 @@
 //     429 + Retry-After instead of letting goroutines and latency pile
 //     up unbounded. Probes (/healthz, /statsz, /fleetz) bypass the
 //     limiter so operators can observe an overloaded server.
-//   - Singleflight on GET /checkout/{id}: concurrent requests for the
-//     same version of the same tenant share one reconstruction
-//     (popular-version stampedes cost one store hit). Flight state is
-//     keyed by the tenant's open generation and dropped when the
-//     manager evicts the tenant, so a reopened tenant can never be
-//     served from a stale flight.
+//   - No serving-side checkout state: a stampede on one version is
+//     deduplicated once, in the store (store.Checkout runs one
+//     reconstruction per version at a time through internal/flight and
+//     every concurrent request for it shares the result), so handlers
+//     call Repository.Checkout directly and hold nothing per tenant.
+//     The store's follower count is what /statsz reports as
+//     endpoints.checkout.coalesced.
 //   - Encoded-response cache on the immutable GETs (/checkout/{id},
 //     path-scoped checkouts, /diff/{a}/{b}): the assembled JSON wire
 //     bytes are cached per (kind, tenant, request) under a byte budget
@@ -49,8 +52,8 @@
 //     Prometheus exposition format, by /metricsz.
 //   - Request tracing (Options.Tracer): sampled — or client-forced via
 //     the X-DSV-Trace header — requests record a span tree through
-//     admission, singleflight, tenant acquire/open, commit journaling,
-//     and store reads into a bounded flight recorder served at /tracez;
+//     admission, tenant acquire/open, commit journaling, and store
+//     reads into a bounded flight recorder served at /tracez;
 //     requests slower than Options.SlowRequest additionally emit a
 //     rate-limited log line carrying the trace ID.
 //
@@ -62,7 +65,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -96,11 +98,6 @@ type Options struct {
 	// RetryAfter is the hint sent with 429 responses (0 = 1s; rounded up
 	// to whole seconds for the Retry-After header).
 	RetryAfter time.Duration
-	// CheckoutTimeout bounds a shared checkout flight (0 = 30s). The
-	// flight deliberately outlives its leader's request context, so this
-	// deadline is what stops a hung backend from pinning the flight, its
-	// admission slot, and every piggybacked follower forever.
-	CheckoutTimeout time.Duration
 	// Tracer enables request tracing on the rate-limited endpoints (the
 	// probes are never traced). nil disables tracing entirely; a tracer
 	// with Sample 0 still records requests that arrive with an
@@ -117,36 +114,14 @@ type Options struct {
 	RespCacheBytes int64
 }
 
-// repoState is the serving hot state for one open repository: in
-// single-repository mode the Server has exactly one, in multi-tenant
-// mode one per currently-cached tenant incarnation (keyed by the
-// manager's open generation, so state can never leak across an
-// eviction + reopen).
-type repoState struct {
-	name string // tenant namespace ("" in single-repo mode)
-	gen  uint64 // tenant.Handle.Gen (0 in single-repo mode)
-	repo *versioning.Repository
-
-	// flights deduplicates concurrent GET /checkout/{id} for the same id.
-	flightMu sync.Mutex
-	flights  map[versioning.NodeID]*flight
-}
-
-func newRepoState(name string, gen uint64, repo *versioning.Repository) *repoState {
-	return &repoState{name: name, gen: gen, repo: repo,
-		flights: make(map[versioning.NodeID]*flight)}
-}
-
 // Server is the HTTP serving layer over one Repository (New) or a
 // tenant fleet (NewMulti); it implements http.Handler. Each instance
 // owns its mux and all per-endpoint state, so multiple Servers coexist
 // freely in one process.
 type Server struct {
-	mux             *http.ServeMux
-	adm             *limiter
-	start           time.Time
-	checkoutTimeout time.Duration
-	coalesced       atomic.Int64 // follower requests served by a shared flight
+	mux   *http.ServeMux
+	adm   *limiter
+	start time.Time
 
 	resp         *respCache   // encoded responses for the immutable GETs (nil = disabled)
 	notModified  atomic.Int64 // 304s answered from a client validator
@@ -160,83 +135,78 @@ type Server struct {
 	slowSuppressed atomic.Int64
 	logf           func(format string, args ...any)
 
-	def *repoState      // single-repo mode (nil in multi mode)
-	mgr *tenant.Manager // multi-tenant mode (nil in single mode)
-
-	// tenants caches per-tenant serving state in multi mode. Entries are
-	// replaced when the tenant's generation changes and dropped by the
-	// manager's eviction callback.
-	tenMu   sync.Mutex
-	tenants map[string]*repoState
+	// Exactly one is set: the fixed repository (New) or the fleet
+	// (NewMulti). Only the probes and the commit quota gate look.
+	repo *versioning.Repository
+	mgr  *tenant.Manager
 
 	epMu      sync.Mutex
 	endpoints map[string]*endpointMetrics
 }
 
+// repoHandler serves one repository endpoint against the repository the
+// request resolved to; tenant is its namespace ("" under New).
+type repoHandler func(tenant string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request)
+
 // New returns a Server wired to repo with the given hardening options.
 func New(repo *versioning.Repository, opt Options) *Server {
 	s := newServer(opt)
-	s.def = newRepoState("", 0, repo)
-	s.handleRepo("commit", "POST /commit", s.handleCommit)
-	s.handleRepo("checkout", "GET /checkout/{id}", s.handleCheckout)
-	s.handleRepo("checkout_batch", "POST /checkout", s.handleCheckoutBatch)
-	s.handleRepo("diff", "GET /diff/{a}/{b}", s.handleDiff)
-	s.handleRepo("log", "GET /log/{id}", s.handleLog)
-	s.handleRepo("replan", "POST /replan", s.handleReplan)
-	s.handleRepo("plan", "GET /plan", s.handlePlan)
-	s.handleRepo("planz", "GET /planz", s.handlePlanz)
-	s.handleRepo("stats", "GET /stats", s.handleStats)
+	s.repo = repo
+	s.routes("", func(w http.ResponseWriter, r *http.Request, h repoHandler) {
+		h("", repo, w, r)
+	})
+	return s
+}
+
+// routes registers the whole route table: the repository endpoints
+// under prefix, each reaching its repository through with, and the
+// probes at the root.
+func (s *Server) routes(prefix string, with func(http.ResponseWriter, *http.Request, repoHandler)) {
+	for _, rt := range []struct {
+		name, method, path string
+		h                  repoHandler
+	}{
+		{"commit", "POST", "/commit", s.handleCommit},
+		{"checkout", "GET", "/checkout/{id}", s.handleCheckout},
+		{"checkout_batch", "POST", "/checkout", s.handleCheckoutBatch},
+		{"diff", "GET", "/diff/{a}/{b}", s.handleDiff},
+		{"log", "GET", "/log/{id}", s.handleLog},
+		{"replan", "POST", "/replan", s.handleReplan},
+		{"plan", "GET", "/plan", s.handlePlan},
+		{"planz", "GET", "/planz", s.handlePlanz},
+		{"stats", "GET", "/stats", s.handleStats},
+	} {
+		s.handle(rt.name, rt.method+" "+prefix+rt.path, func(w http.ResponseWriter, r *http.Request) {
+			with(w, r, rt.h)
+		}, true)
+	}
 	// Probes bypass admission control: an overloaded server must still
 	// answer its orchestrator and expose its own counters.
 	s.handle("statsz", "GET /statsz", s.handleStatsz, false)
 	s.handle("metricsz", "GET /metricsz", s.handleMetricsz, false)
 	s.handle("tracez", "GET /tracez", s.handleTracez, false)
 	s.handle("healthz", "GET /healthz", s.handleHealthz, false)
-	return s
 }
 
 // newServer builds the mode-independent core.
 func newServer(opt Options) *Server {
-	if opt.CheckoutTimeout <= 0 {
-		opt.CheckoutTimeout = 30 * time.Second
-	}
 	return &Server{
-		mux:             http.NewServeMux(),
-		adm:             newLimiter(opt),
-		start:           time.Now(),
-		checkoutTimeout: opt.CheckoutTimeout,
-		resp:            newRespCache(opt.RespCacheBytes),
-		tracer:          opt.Tracer,
-		slowReq:         opt.SlowRequest,
-		logf:            log.Printf,
-		tenants:         make(map[string]*repoState),
-		endpoints:       make(map[string]*endpointMetrics),
+		mux:       http.NewServeMux(),
+		adm:       newLimiter(opt),
+		start:     time.Now(),
+		resp:      newRespCache(opt.RespCacheBytes),
+		tracer:    opt.Tracer,
+		slowReq:   opt.SlowRequest,
+		logf:      log.Printf,
+		endpoints: make(map[string]*endpointMetrics),
 	}
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close drops all cached per-tenant serving state (single-repo state
-// included). In-progress flights complete for their own waiters, but no
-// later request can join them. It does not close repositories — the
-// Manager (or the caller, in single-repo mode) owns those lifecycles.
-func (s *Server) Close() {
-	s.tenMu.Lock()
-	s.tenants = make(map[string]*repoState)
-	s.tenMu.Unlock()
-	if s.def != nil {
-		s.def.flightMu.Lock()
-		s.def.flights = make(map[versioning.NodeID]*flight)
-		s.def.flightMu.Unlock()
-	}
-}
-
-// handleRepo registers a single-repo-mode endpoint bound to s.def.
-func (s *Server) handleRepo(name, pattern string, h func(*repoState, http.ResponseWriter, *http.Request)) {
-	s.handle(name, pattern, func(w http.ResponseWriter, r *http.Request) {
-		h(s.def, w, r)
-	}, true)
-}
+// Close releases nothing: a Server holds no per-repository state, and
+// the repositories belong to the caller (New) or the Manager (NewMulti).
+func (s *Server) Close() {}
 
 // handle registers pattern with per-endpoint instrumentation and, when
 // limited, admission control.
@@ -316,8 +286,8 @@ func (s *Server) maybeLogSlow(name string, status int, d time.Duration, span *tr
 	// chain. Multi-tenant servers log the mode instead — the slow
 	// request's tenant is on its trace, not known here.
 	planCtx := "mode=multi"
-	if s.def != nil {
-		planCtx = s.def.repo.PlanContext()
+	if s.repo != nil {
+		planCtx = s.repo.PlanContext()
 	}
 	s.logf("serve: slow request endpoint=%s status=%d duration_us=%d threshold=%s trace_id=%q suppressed=%d plan[%s]",
 		name, status, d.Microseconds(), s.slowReq, span.TraceID(), suppressed, planCtx)
@@ -367,7 +337,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
-		"versions": s.def.repo.Versions(),
+		"versions": s.repo.Versions(),
 		"build":    buildinfo.Get(),
 	})
 }
@@ -407,7 +377,7 @@ type errorResponse struct {
 // memory before JSON decoding even starts.
 const maxBodyBytes = 64 << 20
 
-func (s *Server) handleCommit(st *repoState, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCommit(tn string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
 	var req commitRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad commit request: %v", err)})
@@ -416,7 +386,7 @@ func (s *Server) handleCommit(st *repoState, w http.ResponseWriter, r *http.Requ
 	if s.mgr != nil {
 		// Per-tenant quota gate: the rate bucket and capacity caps are
 		// checked before any diff or store work runs.
-		if err := s.mgr.CheckCommit(st.name, st.repo); err != nil {
+		if err := s.mgr.CheckCommit(tn, repo); err != nil {
 			var qe *tenant.QuotaError
 			if errors.As(err, &qe) {
 				w.Header().Set("Retry-After", retryAfterSeconds(qe.RetryAfter))
@@ -430,13 +400,13 @@ func (s *Server) handleCommit(st *repoState, w http.ResponseWriter, r *http.Requ
 	var id versioning.NodeID
 	var err error
 	if len(req.Parents) > 0 {
-		id, err = st.repo.CommitMerge(r.Context(), req.Parents, req.Lines)
+		id, err = repo.CommitMerge(r.Context(), req.Parents, req.Lines)
 	} else {
 		parent := versioning.NoParent
 		if req.Parent != nil {
 			parent = *req.Parent
 		}
-		id, err = st.repo.Commit(r.Context(), parent, req.Lines)
+		id, err = repo.Commit(r.Context(), parent, req.Lines)
 	}
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -448,7 +418,7 @@ func (s *Server) handleCommit(st *repoState, w http.ResponseWriter, r *http.Requ
 		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, commitResponse{ID: id, Versions: st.repo.Versions()})
+	writeJSON(w, http.StatusOK, commitResponse{ID: id, Versions: repo.Versions()})
 }
 
 // retryAfterSeconds renders d as a whole-seconds Retry-After value
@@ -461,60 +431,7 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// flight is one in-progress shared checkout.
-type flight struct {
-	done  chan struct{}
-	lines []string
-	err   error
-}
-
-// checkoutShared reconstructs version id, deduplicating concurrent
-// requests for the same id of the same repository incarnation into one
-// repo hit. The store performs its own singleflight below its LRU;
-// this handler-level flight additionally spares the repo/cache path for
-// piggybacked requests and is where the serving layer counts coalescing
-// for /statsz. The leader runs detached from its request's cancellation
-// (followers must not inherit the leader's deadline, and a canceled
-// leader must not poison the shared result) but under the server's
-// checkout deadline, so a hung backend fails the flight instead of
-// pinning it forever.
-func (s *Server) checkoutShared(st *repoState, ctx context.Context, id versioning.NodeID) ([]string, error) {
-	st.flightMu.Lock()
-	if f, ok := st.flights[id]; ok {
-		st.flightMu.Unlock()
-		s.coalesced.Add(1)
-		_, fsp := trace.StartSpan(ctx, "singleflight.follower")
-		defer fsp.End()
-		select {
-		case <-f.done:
-			return f.lines, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	st.flights[id] = f
-	st.flightMu.Unlock()
-	// context.WithoutCancel keeps context values — the request's trace
-	// span included — so the store's spans still nest under the leader.
-	lctx, lsp := trace.StartSpan(ctx, "singleflight.leader")
-	fctx, cancel := context.WithTimeout(context.WithoutCancel(lctx), s.checkoutTimeout)
-	f.lines, f.err = st.repo.Checkout(fctx, id)
-	cancel()
-	lsp.End()
-	st.flightMu.Lock()
-	// Guarded delete: Server.Close may have swapped the flight map while
-	// we ran, and a successor flight for the same id must not be evicted
-	// by its predecessor's cleanup.
-	if st.flights[id] == f {
-		delete(st.flights, id)
-	}
-	st.flightMu.Unlock()
-	close(f.done)
-	return f.lines, f.err
-}
-
-func (s *Server) handleCheckout(st *repoState, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCheckout(tn string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
 	id64, err := strconv.ParseInt(r.PathValue("id"), 10, 32)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad version id: %v", err)})
@@ -535,26 +452,22 @@ func (s *Server) handleCheckout(st *repoState, w http.ResponseWriter, r *http.Re
 	// store, or JSON work — one header check and one Write (or a 304).
 	// The read still counts toward the version's heat: the observatory
 	// tracks demand, not store traffic.
-	if e, ok := s.resp.get(kind, st.name, key); ok {
+	if e, ok := s.resp.get(kind, tn, key); ok {
 		_, sp := trace.StartSpan(r.Context(), "cache.hit")
 		sp.End()
-		st.repo.TouchVersion(id)
+		repo.TouchVersion(id)
 		s.writeEncoded(w, r, e)
 		return
 	}
-	lines, err := s.checkoutShared(st, r.Context(), id)
+	lines, err := repo.Checkout(r.Context(), id)
 	if err != nil {
-		status := checkoutErrStatus(err)
-		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
-			status = http.StatusRequestTimeout
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		writeJSON(w, readErrStatus(r, err), errorResponse{Error: err.Error()})
 		return
 	}
 	if scope != "" {
-		// The full checkout rode the shared flight (and the store cache),
-		// so concurrent scopes of one version share a single
-		// reconstruction; only the cheap filter runs per scope.
+		// The full checkout went through the store's cache and flight, so
+		// concurrent scopes of one version share a single reconstruction;
+		// only the cheap filter runs per scope.
 		_, fsp := trace.StartSpan(r.Context(), "checkout.filter")
 		lines = versioning.FilterManifest(lines, scope)
 		fsp.End()
@@ -564,7 +477,7 @@ func (s *Server) handleCheckout(st *repoState, w http.ResponseWriter, r *http.Re
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	s.resp.put(kind, st.name, key, e)
+	s.resp.put(kind, tn, key, e)
 	s.writeEncoded(w, r, e)
 }
 
@@ -572,13 +485,13 @@ type checkoutBatchRequest struct {
 	IDs []versioning.NodeID `json:"ids"`
 }
 
-func (s *Server) handleCheckoutBatch(st *repoState, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCheckoutBatch(_ string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
 	var req checkoutBatchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad batch request: %v", err)})
 		return
 	}
-	results := st.repo.CheckoutBatch(r.Context(), req.IDs)
+	results := repo.CheckoutBatch(r.Context(), req.IDs)
 	out := make([]checkoutResponse, len(results))
 	for i, res := range results {
 		out[i] = checkoutResponse{ID: req.IDs[i], Lines: res.Lines}
@@ -599,8 +512,17 @@ func checkoutErrStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-func (s *Server) handleReplan(st *repoState, w http.ResponseWriter, r *http.Request) {
-	if err := st.repo.Replan(r.Context()); err != nil {
+// readErrStatus is checkoutErrStatus for a read made under the request's
+// own context: the request giving up is a 408, not a server fault.
+func readErrStatus(r *http.Request, err error) int {
+	if cerr := r.Context().Err(); cerr != nil && errors.Is(err, cerr) {
+		return http.StatusRequestTimeout
+	}
+	return checkoutErrStatus(err)
+}
+
+func (s *Server) handleReplan(_ string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
+	if err := repo.Replan(r.Context()); err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, versioning.ErrClosed) {
 			status = http.StatusServiceUnavailable
@@ -608,15 +530,15 @@ func (s *Server) handleReplan(st *repoState, w http.ResponseWriter, r *http.Requ
 		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, st.repo.Summary())
+	writeJSON(w, http.StatusOK, repo.Summary())
 }
 
-func (s *Server) handlePlan(st *repoState, w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, st.repo.Summary())
+func (s *Server) handlePlan(_ string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, repo.Summary())
 }
 
-func (s *Server) handleStats(st *repoState, w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, st.repo.Stats())
+func (s *Server) handleStats(_ string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, repo.Stats())
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -21,8 +21,9 @@ type EndpointStats struct {
 	Errors   int64 `json:"errors"`
 	Rejected int64 `json:"rejected,omitempty"`
 	InFlight int64 `json:"in_flight"`
-	// Coalesced counts requests served by piggybacking on another
-	// in-flight identical request (checkout singleflight).
+	// Coalesced counts store checkouts answered by a concurrent
+	// identical checkout's reconstruction (checkout endpoint only): the
+	// sum of RepositoryStats.Coalesced over Repo or the open Tenants.
 	Coalesced int64 `json:"coalesced,omitempty"`
 	// PathScoped counts checkout requests narrowed by ?path= (checkout
 	// endpoint only).
@@ -98,7 +99,11 @@ func (s *Server) StatszSnapshot() Statsz {
 		out.Fleet = &fleet
 		out.Tenants = s.mgr.OpenStats()
 	} else {
-		out.Repo = s.def.repo.Stats()
+		out.Repo = s.repo.Stats()
+	}
+	coalesced := out.Repo.Coalesced
+	for _, st := range out.Tenants {
+		coalesced += st.Coalesced
 	}
 	if s.resp != nil {
 		cs := s.resp.stats()
@@ -129,7 +134,7 @@ func (s *Server) StatszSnapshot() Statsz {
 			Latency:  ep.latency.Summary(),
 		}
 		if name == "checkout" {
-			es.Coalesced = s.coalesced.Load()
+			es.Coalesced = coalesced
 			es.PathScoped = s.pathScoped.Load()
 		}
 		if name == "diff" {

@@ -59,9 +59,8 @@ type entry struct {
 	name    string
 	state   int
 	repo    *versioning.Repository
-	gen     uint64 // bumps on every (re)open; serving layers key caches by it
-	refs    int    // outstanding Handles; eviction waits for zero
-	lastUse int64  // manager LRU clock tick
+	refs    int   // outstanding Handles; eviction waits for zero
+	lastUse int64 // manager LRU clock tick
 }
 
 // tenantStats survives eviction: quota state and fleet accounting must
@@ -99,8 +98,6 @@ type Manager struct {
 	reopens     int64
 	evictions   int64
 	closeErrors int64
-
-	onEvict []func(name string)
 }
 
 // NewManager returns a Manager serving tenants under opt.
@@ -119,17 +116,6 @@ func NewManager(opt Options) *Manager {
 	return m
 }
 
-// OnEvict registers fn to run (without manager locks held) after a
-// tenant's repository has been flushed and closed by eviction or
-// Manager.Close. The serving layer uses it to drop per-tenant
-// singleflight state so an evicted tenant can never serve a stale
-// checkout.
-func (m *Manager) OnEvict(fn func(name string)) {
-	m.mu.Lock()
-	m.onEvict = append(m.onEvict, fn)
-	m.mu.Unlock()
-}
-
 // Handle is a leased reference to one tenant's open repository. The
 // repository cannot be evicted while the Handle is live; call Release
 // exactly once when done with it.
@@ -143,11 +129,6 @@ func (h *Handle) Name() string { return h.e.name }
 
 // Repo is the tenant's open repository.
 func (h *Handle) Repo() *versioning.Repository { return h.e.repo }
-
-// Gen identifies this open incarnation of the tenant: it changes every
-// time the tenant is reopened after an eviction, so serving caches
-// keyed by (name, gen) can never mix state across a close/reopen.
-func (h *Handle) Gen() uint64 { return h.e.gen }
 
 // Release returns the lease. The Handle must not be used afterwards.
 func (h *Handle) Release() {
@@ -242,7 +223,6 @@ func (m *Manager) openLocked(ctx context.Context, name string) (*Handle, error) 
 		m.reopens++
 	}
 	ts.opened = true
-	e.gen = uint64(m.opens)
 	m.cond.Broadcast()
 	m.evictLocked()
 	return &Handle{m: m, e: e}, nil
@@ -319,10 +299,10 @@ func (m *Manager) lruIdleLocked() *entry {
 }
 
 // closeEntry snapshots the repository's size into the persistent stats,
-// flushes and closes it, and fires the eviction callbacks. A flush
-// failure is recorded per tenant (surfaced by Fleet as CloseError and
-// counted in FleetStats.CloseErrors) and returned to the caller. No
-// manager locks are held.
+// then flushes and closes it. A flush failure is recorded per tenant
+// (surfaced by Fleet as CloseError and counted in
+// FleetStats.CloseErrors) and returned to the caller. No manager locks
+// are held.
 func (m *Manager) closeEntry(e *entry) error {
 	_, sp := m.opt.Tracer.StartRequest(context.Background(), "tenant.evict", "")
 	sp.SetAttr("tenant", e.name)
@@ -344,12 +324,7 @@ func (m *Manager) closeEntry(e *entry) error {
 	} else {
 		ts.closeErr = ""
 	}
-	callbacks := make([]func(string), len(m.onEvict))
-	copy(callbacks, m.onEvict)
 	m.mu.Unlock()
-	for _, fn := range callbacks {
-		fn(e.name)
-	}
 	if cerr != nil {
 		return fmt.Errorf("tenant: closing %s: %w", e.name, cerr)
 	}

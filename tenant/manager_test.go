@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,8 +85,8 @@ func TestManagerLazyOpenAndReuse(t *testing.T) {
 	if h1.Repo() != h2.Repo() {
 		t.Fatal("two acquires of one tenant returned different repositories")
 	}
-	if h1.Gen() != h2.Gen() {
-		t.Fatalf("generations differ: %d vs %d", h1.Gen(), h2.Gen())
+	if fs := m.Fleet(1); fs.Opens != 1 || fs.Reopens != 0 {
+		t.Fatalf("two acquires cost %d opens (%d reopens), want one shared open", fs.Opens, fs.Reopens)
 	}
 	if got := m.OpenCount(); got != 1 {
 		t.Fatalf("OpenCount = %d, want 1", got)
@@ -106,13 +107,16 @@ func TestManagerEvictionAndTransparentReopen(t *testing.T) {
 	defer m.Close()
 	ctx := context.Background()
 
-	var evicted []string
-	var evictMu sync.Mutex
-	m.OnEvict(func(name string) {
-		evictMu.Lock()
-		evicted = append(evicted, name)
-		evictMu.Unlock()
-	})
+	// openNames lists the tenants the manager currently holds open.
+	openNames := func() []string {
+		var open []string
+		for _, info := range m.Infos() {
+			if info.Open {
+				open = append(open, info.Name)
+			}
+		}
+		return open
+	}
 
 	commitTo(t, m, "t1", versioning.NoParent, lines("t1 v0"))
 	commitTo(t, m, "t2", versioning.NoParent, lines("t2 v0"))
@@ -120,7 +124,6 @@ func TestManagerEvictionAndTransparentReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen1 := h1.Gen()
 	h1.Release()
 
 	// Touching a third tenant must evict the LRU one (t1: t2 was used
@@ -130,14 +133,15 @@ func TestManagerEvictionAndTransparentReopen(t *testing.T) {
 	if got := m.OpenCount(); got != 2 {
 		t.Fatalf("OpenCount after third tenant = %d, want 2", got)
 	}
-	evictMu.Lock()
-	if len(evicted) != 1 || evicted[0] != "t2" {
-		t.Fatalf("evicted = %v, want [t2]", evicted)
+	if fs := m.Fleet(10); fs.Evictions != 1 || fs.Reopens != 0 {
+		t.Fatalf("evictions = %d, reopens = %d after the third tenant, want 1 and 0", fs.Evictions, fs.Reopens)
 	}
-	evictMu.Unlock()
+	if open := openNames(); !slices.Equal(open, []string{"t1", "t3"}) {
+		t.Fatalf("open tenants = %v, want [t1 t3] (t2 evicted)", open)
+	}
 
-	// The evicted tenant reopens transparently with its history intact
-	// and a new generation.
+	// The evicted tenant reopens transparently with its history intact,
+	// as a fresh open that in turn evicts the next LRU tenant.
 	h2, err := m.Acquire(ctx, "t2")
 	if err != nil {
 		t.Fatalf("reopening evicted tenant: %v", err)
@@ -150,13 +154,9 @@ func TestManagerEvictionAndTransparentReopen(t *testing.T) {
 	if len(got) != 1 || got[0] != "t2 v0" {
 		t.Fatalf("reopened content = %q", got)
 	}
-	if h2.Gen() == gen1 {
-		t.Fatal("reopened tenant kept its old generation")
-	}
-
 	fs := m.Fleet(10)
-	if fs.Evictions < 1 || fs.Reopens < 1 || fs.Tenants != 3 {
-		t.Fatalf("fleet stats = %+v", fs)
+	if fs.Evictions != 2 || fs.Reopens != 1 || fs.Opens != 4 || fs.Tenants != 3 {
+		t.Fatalf("fleet stats = %+v, want 2 evictions, 1 reopen, 4 opens, 3 tenants", fs)
 	}
 }
 

@@ -764,6 +764,7 @@ type RepositoryStats struct {
 	CachedBytes    int64 `json:"cached_bytes"`
 	Checkouts      int64 `json:"checkouts"`
 	CacheHits      int64 `json:"cache_hits"`
+	Coalesced      int64 `json:"coalesced"` // checkouts that shared a concurrent identical reconstruction
 	CacheRejected  int64 `json:"cache_rejected"`
 	CacheEvicted   int64 `json:"cache_evicted"`
 	DeltaApplies   int64 `json:"delta_applies"`
@@ -804,6 +805,7 @@ func (r *Repository) Stats() RepositoryStats {
 		CachedBytes:    ss.CachedBytes,
 		Checkouts:      ss.Checkouts,
 		CacheHits:      ss.CacheHits,
+		Coalesced:      ss.Coalesced,
 		CacheRejected:  ss.CacheRejected,
 		CacheEvicted:   ss.CacheEvicted,
 		DeltaApplies:   ss.DeltaApplies,
