@@ -10,7 +10,9 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -32,6 +34,7 @@ import (
 	"repro/internal/repogen"
 	"repro/internal/store"
 	"repro/internal/treewidth"
+	"repro/internal/wire"
 	"repro/versioning"
 )
 
@@ -714,5 +717,82 @@ func BenchmarkRepositoryCheckoutBatch(b *testing.B) {
 				b.Fatalf("batch item %d: %v", j, res.Err)
 			}
 		}
+	}
+}
+
+// benchManifest is n 48-byte lines, the repository benchmark's shape.
+func benchManifest(n int) []string {
+	rng := rand.New(rand.NewSource(9))
+	lines := make([]string, n)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("dir%03d/sub%02d/file%06d.dat %016x", i%211, i%13, i, rng.Uint64())
+	}
+	return lines
+}
+
+// BenchmarkWireDecode measures decoding the bodies that carry line
+// arrays — a checkout response, a commit request, and a diff response
+// inserting the lines twenty at a time between keeps and deletes — with
+// internal/wire.Decode and, under encodingjson/, with the decoder both
+// ends of the wire used before it.
+func BenchmarkWireDecode(b *testing.B) {
+	decoders := []struct {
+		name   string
+		decode func([]byte, any) error
+	}{
+		{"wire", wire.Decode},
+		{"encodingjson", func(body []byte, v any) error { return json.NewDecoder(bytes.NewReader(body)).Decode(v) }},
+	}
+	for _, n := range []int{30, 200, 4000} {
+		lines := benchManifest(n)
+		parent := graph.NodeID(n)
+		script := wire.DiffResult{A: 1, B: 2, AddedLines: n}
+		for at := 0; at < n; at += 20 {
+			ins := lines[at:min(at+20, n)]
+			script.Ops = append(script.Ops, wire.DiffOp{Op: "keep", N: 17}, wire.DiffOp{Op: "delete", N: 3}, wire.DiffOp{Op: "insert", Lines: ins})
+		}
+		for _, m := range []struct {
+			name   string
+			msg    any
+			target func() any
+		}{
+			{"checkout", wire.Checkout{ID: 7, Lines: lines}, func() any { return new(wire.Checkout) }},
+			{"commit", wire.CommitRequest{Parent: &parent, Lines: lines}, func() any { return new(wire.CommitRequest) }},
+			{"diff", script, func() any { return new(wire.DiffResult) }},
+		} {
+			body, err := json.Marshal(m.msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, dec := range decoders {
+				b.Run(fmt.Sprintf("%s/%s/lines=%d", dec.name, m.name, n), func(b *testing.B) {
+					b.ReportAllocs()
+					b.SetBytes(int64(len(body)))
+					for i := 0; i < b.N; i++ {
+						if err := dec.decode(body, m.target()); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkStoreDecodeLines measures the store's object codec on the
+// read side: a 32-line chunk, the expected size of the objects a chunked
+// manifest is read through, and a 4,000-line whole blob.
+func BenchmarkStoreDecodeLines(b *testing.B) {
+	for _, n := range []int{32, 4000} {
+		payload := store.EncodeBlob(benchManifest(n))
+		b.Run(fmt.Sprintf("lines=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(payload)))
+			for i := 0; i < b.N; i++ {
+				if lines, err := store.DecodeBlob(payload); err != nil || len(lines) != n {
+					b.Fatal(len(lines), err)
+				}
+			}
+		})
 	}
 }

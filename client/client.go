@@ -20,6 +20,11 @@
 //     turn a repeat checkout into a bodyless 304 round trip (see
 //     Options.ValidatorCacheBytes). Path-scoped checkouts and diffs
 //     revalidate too — the cache keys by exact request path.
+//   - One decoder with the daemon (internal/wire, which also declares
+//     the messages): a response is read in one right-sized read, and the
+//     lines of one version are substrings of one string (never shared
+//     with another version of a batch) when the body is the compact JSON
+//     the daemon writes; any other body is decoded by encoding/json.
 //
 // The full read/write surface mirrors the server: Commit and
 // CommitMerge (multi-parent versions), Checkout / CheckoutPath /
@@ -50,6 +55,7 @@ import (
 
 	"repro/internal/hotcache"
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/serve"
 	"repro/tenant"
 	"repro/versioning"
@@ -248,33 +254,24 @@ func (e *APIError) Error() string {
 }
 
 // CommitResult reports an acknowledged commit.
-type CommitResult struct {
-	ID       versioning.NodeID `json:"id"`
-	Versions int               `json:"versions"`
-}
+type CommitResult = wire.CommitResult
 
 // Commit appends a version deriving from parent (versioning.NoParent
 // for a root) with the given full content. On a tenant view a quota
 // violation surfaces as *APIError with status 429.
 func (c *Client) Commit(ctx context.Context, parent versioning.NodeID, lines []string) (CommitResult, error) {
-	var out CommitResult
-	req := struct {
-		Parent versioning.NodeID `json:"parent"`
-		Lines  []string          `json:"lines"`
-	}{Parent: parent, Lines: lines}
-	err := c.doJSON(ctx, http.MethodPost, c.prefix+"/commit", req, &out, false)
-	return out, err
+	return c.commit(ctx, wire.CommitRequest{Parent: &parent, Lines: lines})
 }
 
 // CommitMerge appends a multi-parent merge version: parents[0] is the
 // primary parent, each further parent adds a candidate delta edge.
 // Real-history importers use this to preserve git merge topology.
 func (c *Client) CommitMerge(ctx context.Context, parents []versioning.NodeID, lines []string) (CommitResult, error) {
+	return c.commit(ctx, wire.CommitRequest{Parents: parents, Lines: lines})
+}
+
+func (c *Client) commit(ctx context.Context, req wire.CommitRequest) (CommitResult, error) {
 	var out CommitResult
-	req := struct {
-		Parents []versioning.NodeID `json:"parents"`
-		Lines   []string            `json:"lines"`
-	}{Parents: parents, Lines: lines}
 	err := c.doJSON(ctx, http.MethodPost, c.prefix+"/commit", req, &out, false)
 	return out, err
 }
@@ -315,9 +312,7 @@ func (c *Client) CheckoutPath(ctx context.Context, id versioning.NodeID, scope s
 	if scope != "" {
 		path += "?path=" + url.QueryEscape(scope)
 	}
-	var out struct {
-		Lines []string `json:"lines"`
-	}
+	var out wire.Checkout
 	cl := &call{method: http.MethodGet, path: path, out: &out, idempotent: true}
 	var cached *validatorEntry
 	if c.vcache != nil {
@@ -364,23 +359,16 @@ func (c *Client) CheckoutBatch(ctx context.Context, ids []versioning.NodeID) ([]
 	for i, item := range raw {
 		out[i] = CheckoutResult{ID: item.ID, Lines: item.Lines}
 		if item.Error != "" {
-			out[i].Err = item.apiError()
+			out[i].Err = itemError(item)
 		}
 	}
 	return out, nil
 }
 
-type batchItem struct {
-	ID     versioning.NodeID `json:"id"`
-	Lines  []string          `json:"lines"`
-	Error  string            `json:"error,omitempty"`
-	Status int               `json:"status,omitempty"`
-}
-
-// apiError turns a failed batch item into the typed error both the
+// itemError turns a failed batch item into the typed error both the
 // coalesced and direct batch paths return. The status comes from the
 // server (older daemons omit it, which maps to a plain 500).
-func (it batchItem) apiError() *APIError {
+func itemError(it wire.Checkout) *APIError {
 	status := it.Status
 	if status == 0 {
 		status = http.StatusInternalServerError
@@ -388,12 +376,9 @@ func (it batchItem) apiError() *APIError {
 	return &APIError{Status: status, Message: it.Error}
 }
 
-func (c *Client) checkoutBatchRaw(ctx context.Context, ids []versioning.NodeID) ([]batchItem, error) {
-	req := struct {
-		IDs []versioning.NodeID `json:"ids"`
-	}{IDs: ids}
-	var out []batchItem
-	if err := c.doJSON(ctx, http.MethodPost, c.prefix+"/checkout", req, &out, true); err != nil {
+func (c *Client) checkoutBatchRaw(ctx context.Context, ids []versioning.NodeID) ([]wire.Checkout, error) {
+	var out []wire.Checkout
+	if err := c.doJSON(ctx, http.MethodPost, c.prefix+"/checkout", wire.BatchRequest{IDs: ids}, &out, true); err != nil {
 		return nil, err
 	}
 	if len(out) != len(ids) {
@@ -404,21 +389,11 @@ func (c *Client) checkoutBatchRaw(ctx context.Context, ids []versioning.NodeID) 
 
 // DiffOp is one edit-script command from GET /diff/{a}/{b}: keep and
 // delete carry a source line count, insert carries the inserted lines.
-type DiffOp struct {
-	Op    string   `json:"op"` // "keep" | "delete" | "insert"
-	N     int      `json:"n,omitempty"`
-	Lines []string `json:"lines,omitempty"`
-}
+type DiffOp = wire.DiffOp
 
 // DiffResult is the edit script transforming version A's lines into
 // version B's, with summary sizes (keeps excluded).
-type DiffResult struct {
-	A            versioning.NodeID `json:"a"`
-	B            versioning.NodeID `json:"b"`
-	Ops          []DiffOp          `json:"ops"`
-	AddedLines   int               `json:"added_lines"`
-	RemovedLines int               `json:"removed_lines"`
-}
+type DiffResult = wire.DiffResult
 
 // Diff fetches the edit script between two versions. The server caches
 // encoded diffs with a strong ETag, so hot pairs are cheap.

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -223,13 +224,15 @@ func TestClientPerRequestTimeout(t *testing.T) {
 	}
 }
 
-func TestClientRetriesTornResponse(t *testing.T) {
+// TestClientTornResponse promises a long body, delivers some of it and
+// drops the connection, so that the client sees a success status with a
+// body shorter than its Content-Length. A read is simply reissued; a
+// commit is not, because the torn answer was to a commit that applied.
+func TestClientTornResponse(t *testing.T) {
 	leakCheck(t)
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
-			// Promise a long body, deliver half, drop the connection: the
-			// client sees a success status with an undecodable body.
 			w.Header().Set("Content-Length", "1000")
 			w.WriteHeader(http.StatusOK)
 			fmt.Fprint(w, `{"id":0,"lin`)
@@ -244,8 +247,34 @@ func TestClientRetriesTornResponse(t *testing.T) {
 	c := New(ts.URL, Options{CoalesceWindow: -1, RetryBaseDelay: time.Millisecond})
 	defer c.Close()
 	lines, err := c.Checkout(context.Background(), 0)
-	if err != nil || !reflect.DeepEqual(lines, []string{"whole"}) {
-		t.Fatalf("Checkout = %v, %v (want retry past torn response)", lines, err)
+	if err != nil || !reflect.DeepEqual(lines, []string{"whole"}) || calls.Load() != 2 {
+		t.Fatalf("Checkout = %v, %v after %d requests (want retry past torn response)", lines, err, calls.Load())
+	}
+	calls.Store(0)
+	if cr, err := c.Commit(context.Background(), versioning.NoParent, []string{"x"}); err == nil || calls.Load() != 1 {
+		t.Fatalf("Commit = %+v, %v after %d requests (want the torn answer reported, nothing resent)", cr, err, calls.Load())
+	}
+}
+
+// TestClientCommitTooLargeNotRetried: a 413 is the server's verdict on
+// the body itself, which a resend would not change.
+func TestClientCommitTooLargeNotRetried(t *testing.T) {
+	leakCheck(t)
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		http.Error(w, `{"error":"bad commit request: http: request body too large"}`, http.StatusRequestEntityTooLarge)
+	}))
+	defer ts.Close()
+	c := New(ts.URL, Options{RetryBaseDelay: time.Millisecond})
+	defer c.Close()
+	_, err := c.Commit(context.Background(), versioning.NoParent, []string{"x"})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusRequestEntityTooLarge || !strings.Contains(apiErr.Message, "too large") {
+		t.Fatalf("Commit = %v, want APIError 413", err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("a 413 commit was sent %d times", calls.Load())
 	}
 }
 

@@ -120,7 +120,7 @@ func (co *coalescer) run(b *coBatch) {
 		res := coResult{lines: items[i].Lines}
 		if items[i].Error != "" {
 			res.lines = nil
-			res.err = items[i].apiError()
+			res.err = itemError(items[i])
 		}
 		ch <- res
 	}

@@ -3,15 +3,14 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // retryable classifies one attempt's outcome.
@@ -23,8 +22,8 @@ type attemptError struct {
 
 // call carries one logical request through the retry loop: the request
 // shape, the conditional-request validator the client-side ETag cache
-// threads in, and the per-response results (validator, wire size) it
-// reads back out after the final attempt.
+// threads in, and the per-response results (validator) it reads back
+// out after the final attempt.
 type call struct {
 	method, path string
 	in           any  // JSON body (nil for none)
@@ -35,7 +34,6 @@ type call struct {
 	// Results of the final attempt.
 	notModified bool   // the server answered 304 Not Modified
 	etag        string // ETag header of the final response, if any
-	bodyBytes   int64  // wire bytes of the final response body
 }
 
 // doJSON performs method path with in as JSON body (nil for none),
@@ -131,7 +129,6 @@ func (c *Client) attempt(ctx context.Context, cl *call, traceHeader string, body
 		// The validator held: no body, the cached content stands.
 		cl.notModified = true
 		cl.etag = resp.Header.Get("ETag")
-		cl.bodyBytes = 0
 		c.observeResponse(cl.path, 0)
 		return attemptError{}
 	}
@@ -149,37 +146,23 @@ func (c *Client) attempt(ctx context.Context, cl *call, traceHeader string, body
 	}
 	cl.notModified = false
 	cl.etag = resp.Header.Get("ETag")
-	cr := &countingReader{r: resp.Body}
-	if cl.out != nil {
-		if err := json.NewDecoder(cr).Decode(cl.out); err != nil {
-			// Torn or malformed response body on a success status: the
-			// request applied but the answer was lost in transit. Reads
-			// can simply be reissued.
-			return attemptError{
-				err:       fmt.Errorf("dsvd: decoding %s %s response: %w", cl.method, cl.path, err),
-				retryable: cl.idempotent,
-			}
+	// The whole body in one read (Content-Length is exact on the big
+	// responses), which also leaves the keep-alive connection reusable.
+	answer, err := wire.ReadBody(resp.Body, resp.ContentLength)
+	if err == nil && cl.out != nil {
+		err = wire.Decode(answer, cl.out)
+	}
+	if err != nil {
+		// Torn or malformed response body on a success status: the
+		// request applied but the answer was lost in transit. Reads
+		// can simply be reissued.
+		return attemptError{
+			err:       fmt.Errorf("dsvd: decoding %s %s response: %w", cl.method, cl.path, err),
+			retryable: cl.idempotent,
 		}
 	}
-	// Drain any remainder (the decoder stops at the end of the JSON
-	// value) so bodyBytes is the true wire size and the keep-alive
-	// connection can be reused.
-	io.Copy(io.Discard, cr)
-	cl.bodyBytes = cr.n
-	c.observeResponse(cl.path, cr.n)
+	c.observeResponse(cl.path, int64(len(answer)))
 	return attemptError{}
-}
-
-// countingReader counts the bytes read through it.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // retryAfterHint parses a whole-seconds Retry-After header (0 if absent).

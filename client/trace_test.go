@@ -85,7 +85,7 @@ func TestTracePropagationThroughMulti(t *testing.T) {
 		ids[sp.ID] = true
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"admission", "tenant.acquire", "store.checkout", "store.read"} {
+	for _, want := range []string{"admission", "tenant.acquire", "store.checkout", "store.read", "response.encode"} {
 		if !names[want] {
 			t.Errorf("checkout trace missing span %q (have %v)", want, names)
 		}
@@ -107,7 +107,7 @@ func TestTracePropagationThroughMulti(t *testing.T) {
 	for _, sp := range ctd.Spans {
 		cnames[sp.Name] = true
 	}
-	for _, want := range []string{"commit.diff", "commit.apply", "tenant.acquire"} {
+	for _, want := range []string{"commit.decode", "commit.diff", "commit.apply", "tenant.acquire"} {
 		if !cnames[want] {
 			t.Errorf("commit trace missing span %q (have %v)", want, cnames)
 		}

@@ -62,8 +62,12 @@ func appendLines(buf []byte, lines []string) []byte {
 	return buf
 }
 
-// decodeLines reverses appendLines, consuming the whole payload.
+// decodeLines reverses appendLines, consuming the whole payload. The
+// lines are substrings of one string, the payload: one allocation per
+// object, not per line, and a line kept alive keeps its object's
+// payload alive, which a cache's linesSize does not count.
 func decodeLines(b []byte) ([]string, error) {
+	all := string(b)
 	n, b, err := readUvarint(b)
 	if err != nil {
 		return nil, err
@@ -84,7 +88,8 @@ func decodeLines(b []byte) ([]string, error) {
 		if uint64(len(b)) < l {
 			return nil, fmt.Errorf("%w: truncated line", ErrBadObject)
 		}
-		lines = append(lines, string(b[:l]))
+		at := len(all) - len(b)
+		lines = append(lines, all[at:at+int(l)])
 		b = b[l:]
 	}
 	if len(b) != 0 {
@@ -232,11 +237,13 @@ func EncodeDelta(d diff.Delta) []byte {
 	return buf
 }
 
-// DecodeDelta reverses EncodeDelta.
+// DecodeDelta reverses EncodeDelta; as in decodeLines, the inserted
+// lines are substrings of one string, the payload.
 func DecodeDelta(b []byte) (diff.Delta, error) {
 	if len(b) == 0 || b[0] != tagDelta {
 		return diff.Delta{}, fmt.Errorf("%w: not a delta", ErrBadObject)
 	}
+	all := string(b)
 	b = b[1:]
 	n, b, err := readUvarint(b)
 	if err != nil {
@@ -267,6 +274,13 @@ func DecodeDelta(b []byte) (diff.Delta, error) {
 		if err != nil {
 			return diff.Delta{}, err
 		}
+		// As with the command count: a line costs at least a byte.
+		if nl > uint64(len(b)) {
+			return diff.Delta{}, fmt.Errorf("%w: line count %d exceeds payload", ErrBadObject, nl)
+		}
+		if nl > 0 {
+			cmd.Lines = make([]string, 0, nl)
+		}
 		for j := uint64(0); j < nl; j++ {
 			var l uint64
 			l, b, err = readUvarint(b)
@@ -276,7 +290,8 @@ func DecodeDelta(b []byte) (diff.Delta, error) {
 			if uint64(len(b)) < l {
 				return diff.Delta{}, fmt.Errorf("%w: truncated line", ErrBadObject)
 			}
-			cmd.Lines = append(cmd.Lines, string(b[:l]))
+			at := len(all) - len(b)
+			cmd.Lines = append(cmd.Lines, all[at:at+int(l)])
 			b = b[l:]
 		}
 		d.Cmds = append(d.Cmds, cmd)

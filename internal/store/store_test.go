@@ -231,6 +231,10 @@ func TestCorruptObjectsRejectedNotPanic(t *testing.T) {
 		"delta-huge-count":    append([]byte{tagDelta}, huge...),
 		"manifest-huge-total": append([]byte{tagManifest}, huge...),
 		"manifest-huge-keys":  append(append([]byte{tagManifest}, 0x01), huge...),
+		"blob-varint-over-64": append([]byte{tagBlob}, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02),
+		"blob-varint-11-long": append([]byte{tagBlob}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01),
+		"blob-varint-cut":     {tagBlob, 0x80},
+		"delta-line-cut":      {tagDelta, 0x01, byte(diff.OpInsert), 0x00, 0x01, 0x05, 'a', 'b'},
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -249,6 +253,36 @@ func TestCorruptObjectsRejectedNotPanic(t *testing.T) {
 				t.Fatalf("corrupt payload decoded to %v, want ErrBadObject", err)
 			}
 		})
+	}
+}
+
+// TestDecodeAllocatesPerObjectNotPerLine pins the codec's read side:
+// an object's lines are substrings of one string, so decoding it
+// allocates the same number of objects whatever its line count.
+func TestDecodeAllocatesPerObjectNotPerLine(t *testing.T) {
+	for _, n := range []int{8, 128, 4000} {
+		lines := bigLines(n, "alloc")
+		blob, chunk := EncodeBlob(lines), encodeChunk(lines)
+		delta := EncodeDelta(diff.Delta{Cmds: []diff.Cmd{{Op: diff.OpKeep, N: 3}, {Op: diff.OpInsert, Lines: lines}}})
+		for name, decode := range map[string]func() error{
+			"blob":  func() error { _, err := DecodeBlob(blob); return err },
+			"chunk": func() error { _, err := decodeChunk(chunk); return err },
+			"delta": func() error { _, err := DecodeDelta(delta); return err },
+		} {
+			got := testing.AllocsPerRun(10, func() {
+				if err := decode(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// The payload's string and the []string, and a delta's commands.
+			want := 2.0
+			if name == "delta" {
+				want = 3
+			}
+			if got > want {
+				t.Errorf("%s of %d lines: %v allocations, want at most %v", name, n, got, want)
+			}
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/store"
+	"repro/internal/wire"
 	"repro/versioning"
 )
 
@@ -193,7 +194,7 @@ func TestStatszShape(t *testing.T) {
 	for v := 0; v < 6; v++ {
 		parent := versioning.NodeID(v - 1)
 		if code := postJSON(t, ts.URL+"/commit",
-			commitRequest{Parent: &parent, Lines: []string{fmt.Sprintf("line %d", v)}}, nil); code != http.StatusOK {
+			wire.CommitRequest{Parent: &parent, Lines: []string{fmt.Sprintf("line %d", v)}}, nil); code != http.StatusOK {
 			t.Fatalf("commit %d: HTTP %d", v, code)
 		}
 	}

@@ -7,42 +7,24 @@ import (
 
 	"repro/internal/diff"
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/versioning"
 )
 
-// diffOp is one edit-script command on the wire. Exactly one of N or
-// Lines is meaningful per op: keep/delete carry a line count, insert
-// carries the inserted lines.
-type diffOp struct {
-	Op    string   `json:"op"` // "keep" | "delete" | "insert"
-	N     int      `json:"n,omitempty"`
-	Lines []string `json:"lines,omitempty"`
-}
-
-// diffResponse is GET /diff/{a}/{b}: the edit script transforming
-// version a's lines into version b's, plus its summary sizes. Applying
-// Ops to a checkout of A reproduces B exactly.
-type diffResponse struct {
-	A   versioning.NodeID `json:"a"`
-	B   versioning.NodeID `json:"b"`
-	Ops []diffOp          `json:"ops"`
-	// AddedLines / RemovedLines summarize the script (keeps excluded),
-	// so a client can size a change without walking Ops.
-	AddedLines   int `json:"added_lines"`
-	RemovedLines int `json:"removed_lines"`
-}
-
-func buildDiffResponse(a, b versioning.NodeID, d diff.Delta) diffResponse {
-	out := diffResponse{A: a, B: b, Ops: []diffOp{}}
+// buildDiffResponse renders d as GET /diff/{a}/{b}'s wire.DiffResult,
+// whose AddedLines / RemovedLines summarize the script (keeps excluded)
+// so a client can size a change without walking Ops.
+func buildDiffResponse(a, b versioning.NodeID, d diff.Delta) wire.DiffResult {
+	out := wire.DiffResult{A: a, B: b, Ops: []wire.DiffOp{}}
 	for _, c := range d.Cmds {
 		switch c.Op {
 		case diff.OpKeep:
-			out.Ops = append(out.Ops, diffOp{Op: "keep", N: c.N})
+			out.Ops = append(out.Ops, wire.DiffOp{Op: "keep", N: c.N})
 		case diff.OpDelete:
-			out.Ops = append(out.Ops, diffOp{Op: "delete", N: c.N})
+			out.Ops = append(out.Ops, wire.DiffOp{Op: "delete", N: c.N})
 			out.RemovedLines += c.N
 		case diff.OpInsert:
-			out.Ops = append(out.Ops, diffOp{Op: "insert", Lines: c.Lines})
+			out.Ops = append(out.Ops, wire.DiffOp{Op: "insert", Lines: c.Lines})
 			out.AddedLines += len(c.Lines)
 		}
 	}
@@ -94,12 +76,12 @@ func (s *Server) handleDiff(tn string, repo *versioning.Repository, w http.Respo
 	}
 	// a == b: the empty edit script, once a itself checked out (so an
 	// unknown version is still a 404, not a vacuous success).
-	s.finishDiff(tn, w, r, key, diffResponse{A: a, B: b, Ops: []diffOp{}})
+	s.finishDiff(tn, w, r, key, wire.DiffResult{A: a, B: b, Ops: []wire.DiffOp{}})
 }
 
 // finishDiff encodes, caches, and writes one diff response.
-func (s *Server) finishDiff(tn string, w http.ResponseWriter, r *http.Request, key string, resp diffResponse) {
-	e, err := encodeResponse(resp)
+func (s *Server) finishDiff(tn string, w http.ResponseWriter, r *http.Request, key string, resp wire.DiffResult) {
+	e, err := encodeResponse(r.Context(), resp)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return

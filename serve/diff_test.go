@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/wire"
 	"repro/versioning"
 )
 
@@ -16,17 +17,17 @@ import (
 func seedDiffServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	ts := testServer(t, versioning.RepositoryOptions{ReplanEvery: -1, MaintenanceWorkers: -1})
-	commit := func(req commitRequest) versioning.NodeID {
-		var cr commitResponse
+	commit := func(req wire.CommitRequest) versioning.NodeID {
+		var cr wire.CommitResult
 		if code := postJSON(t, ts.URL+"/commit", req, &cr); code != http.StatusOK {
 			t.Fatalf("seed commit: HTTP %d", code)
 		}
 		return cr.ID
 	}
-	root := commit(commitRequest{Parent: pid(versioning.NoParent), Lines: []string{"a", "b", "c"}})
-	left := commit(commitRequest{Parent: pid(root), Lines: []string{"a", "b", "c", "left"}})
-	right := commit(commitRequest{Parent: pid(root), Lines: []string{"right", "a", "b", "c"}})
-	merged := commit(commitRequest{Parents: []versioning.NodeID{left, right}, Lines: []string{"right", "a", "b", "c", "left"}})
+	root := commit(wire.CommitRequest{Parent: pid(versioning.NoParent), Lines: []string{"a", "b", "c"}})
+	left := commit(wire.CommitRequest{Parent: pid(root), Lines: []string{"a", "b", "c", "left"}})
+	right := commit(wire.CommitRequest{Parent: pid(root), Lines: []string{"right", "a", "b", "c"}})
+	merged := commit(wire.CommitRequest{Parents: []versioning.NodeID{left, right}, Lines: []string{"right", "a", "b", "c", "left"}})
 	if merged != 3 {
 		t.Fatalf("merge commit assigned id %d", merged)
 	}
@@ -37,7 +38,7 @@ func TestDiffHandler(t *testing.T) {
 	ts := seedDiffServer(t)
 
 	t.Run("edit script round trips", func(t *testing.T) {
-		var dr diffResponse
+		var dr wire.DiffResult
 		if code := getJSON(t, ts.URL+"/diff/0/1", &dr); code != http.StatusOK {
 			t.Fatalf("diff: HTTP %d", code)
 		}
@@ -48,7 +49,7 @@ func TestDiffHandler(t *testing.T) {
 			t.Fatalf("diff summary +%d -%d, want +1 -0", dr.AddedLines, dr.RemovedLines)
 		}
 		// Applying the script to a checkout of A must reproduce B.
-		var a, b checkoutResponse
+		var a, b wire.Checkout
 		getJSON(t, ts.URL+"/checkout/0", &a)
 		getJSON(t, ts.URL+"/checkout/1", &b)
 		got := applyWireOps(t, a.Lines, dr.Ops)
@@ -58,7 +59,7 @@ func TestDiffHandler(t *testing.T) {
 	})
 
 	t.Run("same version is the empty script", func(t *testing.T) {
-		var dr diffResponse
+		var dr wire.DiffResult
 		if code := getJSON(t, ts.URL+"/diff/2/2", &dr); code != http.StatusOK {
 			t.Fatalf("self-diff: HTTP %d", code)
 		}
@@ -109,7 +110,7 @@ func TestDiffHandler(t *testing.T) {
 }
 
 // applyWireOps replays a wire edit script against src.
-func applyWireOps(t *testing.T, src []string, ops []diffOp) []string {
+func applyWireOps(t *testing.T, src []string, ops []wire.DiffOp) []string {
 	t.Helper()
 	var out []string
 	i := 0
@@ -140,14 +141,14 @@ func TestCheckoutPathScope(t *testing.T) {
 		{Path: "cmdx/c.go", Lines: []string{"c"}},
 		{Path: "README.md", Lines: []string{"readme"}},
 	})
-	var cr commitResponse
-	if code := postJSON(t, ts.URL+"/commit", commitRequest{Parent: pid(versioning.NoParent), Lines: lines}, &cr); code != http.StatusOK {
+	var cr wire.CommitResult
+	if code := postJSON(t, ts.URL+"/commit", wire.CommitRequest{Parent: pid(versioning.NoParent), Lines: lines}, &cr); code != http.StatusOK {
 		t.Fatalf("commit: HTTP %d", code)
 	}
 
 	scoped := func(path string) []versioning.ManifestEntry {
 		t.Helper()
-		var co checkoutResponse
+		var co wire.Checkout
 		url := fmt.Sprintf("%s/checkout/%d?path=%s", ts.URL, cr.ID, path)
 		if code := getJSON(t, url, &co); code != http.StatusOK {
 			t.Fatalf("scoped checkout %q: HTTP %d", path, code)
@@ -180,7 +181,7 @@ func TestCheckoutPathScope(t *testing.T) {
 	}
 	// The scoped and full responses cache under different kinds: a full
 	// checkout after a scoped one must return the whole manifest.
-	var full checkoutResponse
+	var full wire.Checkout
 	if code := getJSON(t, fmt.Sprintf("%s/checkout/%d", ts.URL, cr.ID), &full); code != http.StatusOK {
 		t.Fatalf("full checkout: HTTP %d", code)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/tenant"
 	"repro/versioning"
 )
@@ -74,7 +75,7 @@ func TestMultiTenantRoutingAndIsolation(t *testing.T) {
 	mgr := testManager(t, "", tenant.Options{})
 	ts := multiServer(t, mgr, Options{})
 
-	var cr commitResponse
+	var cr wire.CommitResult
 	if code := postJSON(t, ts.URL+"/t/alice/commit", map[string]any{"parent": -1, "lines": []string{"alice v0"}}, &cr); code != http.StatusOK {
 		t.Fatalf("alice commit = %d", code)
 	}
@@ -82,7 +83,7 @@ func TestMultiTenantRoutingAndIsolation(t *testing.T) {
 		t.Fatalf("bob commit = %d", code)
 	}
 
-	var co checkoutResponse
+	var co wire.Checkout
 	if code := getJSON(t, ts.URL+"/t/alice/checkout/0", &co); code != http.StatusOK {
 		t.Fatalf("alice checkout = %d", code)
 	}
@@ -125,7 +126,7 @@ func TestMultiTenantEvictionTransparentReopen(t *testing.T) {
 	mgr := testManager(t, root, tenant.Options{MaxOpen: 1})
 	ts := multiServer(t, mgr, Options{})
 
-	var cr commitResponse
+	var cr wire.CommitResult
 	if code := postJSON(t, ts.URL+"/t/t1/commit", map[string]any{"parent": -1, "lines": []string{"t1 v0"}}, &cr); code != http.StatusOK {
 		t.Fatalf("t1 commit = %d", code)
 	}
@@ -134,7 +135,7 @@ func TestMultiTenantEvictionTransparentReopen(t *testing.T) {
 		t.Fatalf("t2 commit = %d", code)
 	}
 	// t1 must serve transparently from its reopened journal.
-	var co checkoutResponse
+	var co wire.Checkout
 	if code := getJSON(t, ts.URL+"/t/t1/checkout/0", &co); code != http.StatusOK {
 		t.Fatalf("t1 checkout after eviction = %d", code)
 	}
@@ -185,7 +186,7 @@ func TestCheckoutStampedeMultiTenant(t *testing.T) {
 	// With re-planning off (testManager) every commit rides one delta on
 	// its parent, so the tip's retrieval path is the whole chain.
 	const depth = 200
-	var cr commitResponse
+	var cr wire.CommitResult
 	var lines []string
 	for v := 0; v <= depth; v++ {
 		lines = append(lines, fmt.Sprintf("line added by version %d", v))
@@ -245,7 +246,7 @@ func TestMultiTenantQuota429(t *testing.T) {
 	})
 	ts := multiServer(t, mgr, Options{})
 
-	var cr commitResponse
+	var cr wire.CommitResult
 	if code := postJSON(t, ts.URL+"/t/alice/commit", map[string]any{"parent": -1, "lines": []string{"v0"}}, &cr); code != http.StatusOK {
 		t.Fatalf("first commit = %d", code)
 	}
@@ -266,7 +267,7 @@ func TestMultiTenantQuota429(t *testing.T) {
 		t.Fatalf("bob commit = %d", code)
 	}
 	// Checkouts are never rate-limited by the commit bucket.
-	var co checkoutResponse
+	var co wire.Checkout
 	if code := getJSON(t, ts.URL+"/t/alice/checkout/0", &co); code != http.StatusOK {
 		t.Fatalf("checkout under commit quota = %d", code)
 	}
@@ -288,7 +289,7 @@ func TestTwoServersCoexist(t *testing.T) {
 	mgr := testManager(t, "", tenant.Options{})
 	tsM := multiServer(t, mgr, Options{})
 
-	var cr commitResponse
+	var cr wire.CommitResult
 	if code := postJSON(t, tsA.URL+"/commit", map[string]any{"parent": -1, "lines": []string{"A"}}, &cr); code != http.StatusOK {
 		t.Fatalf("server A commit = %d", code)
 	}
@@ -296,7 +297,7 @@ func TestTwoServersCoexist(t *testing.T) {
 		t.Fatalf("multi server commit = %d", code)
 	}
 	// B saw neither commit: its repo is empty and its counters are zero.
-	var co checkoutResponse
+	var co wire.Checkout
 	if code := getJSON(t, tsB.URL+"/checkout/0", &co); code != http.StatusNotFound {
 		t.Fatalf("server B checkout = %d, want 404 (empty repo)", code)
 	}
@@ -326,7 +327,7 @@ func TestMultiTenantConcurrentChurnRace(t *testing.T) {
 	mgr := testManager(t, root, tenant.Options{MaxOpen: 2})
 	ts := multiServer(t, mgr, Options{})
 
-	var cr commitResponse
+	var cr wire.CommitResult
 	for i := 0; i < tenants; i++ {
 		url := fmt.Sprintf("%s/t/t%d/commit", ts.URL, i)
 		if code := postJSON(t, url, map[string]any{"parent": -1, "lines": []string{fmt.Sprintf("t%d v0", i)}}, &cr); code != http.StatusOK {
@@ -343,7 +344,7 @@ func TestMultiTenantConcurrentChurnRace(t *testing.T) {
 				ti := (w + i) % tenants
 				if i%5 == 0 {
 					url := fmt.Sprintf("%s/t/t%d/commit", ts.URL, ti)
-					var r commitResponse
+					var r wire.CommitResult
 					b, code := tryPostJSON(url, map[string]any{"parent": 0, "lines": []string{fmt.Sprintf("t%d w%d i%d", ti, w, i)}}, &r)
 					if !b || code != http.StatusOK {
 						failures.Add(1)

@@ -95,7 +95,7 @@ func (s *Server) handleLog(tn string, repo *versioning.Repository, w http.Respon
 	if n := len(entries); limit > 0 && n == limit && len(entries[n-1].Parents) > 0 {
 		resp.Truncated = true
 	}
-	e, err := encodeResponse(resp)
+	e, err := encodeResponse(r.Context(), resp)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return

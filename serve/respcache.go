@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/hotcache"
+	"repro/internal/trace"
 )
 
 // respCache caches fully assembled GET responses — full checkouts,
@@ -107,8 +109,11 @@ var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // encodeResponse assembles v's wire form once: the JSON body (with
 // json.Encoder's trailing newline, matching what writeJSON produced)
-// and its strong ETag.
-func encodeResponse(v any) (*cachedResp, error) {
+// and its strong ETag, under a "response.encode" span when ctx's request
+// is traced.
+func encodeResponse(ctx context.Context, v any) (*cachedResp, error) {
+	_, sp := trace.StartSpan(ctx, "response.encode")
+	defer sp.End()
 	buf := encBufPool.Get().(*bytes.Buffer)
 	defer encBufPool.Put(buf)
 	buf.Reset()

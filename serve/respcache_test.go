@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/tenant"
 	"repro/versioning"
 )
@@ -28,8 +29,8 @@ func respTestServer(t *testing.T, n int, opt Options) (*httptest.Server, *Server
 	parent := versioning.NoParent
 	lines := []string{"l0"}
 	for i := 0; i < n; i++ {
-		var cr commitResponse
-		if code := postJSON(t, ts.URL+"/commit", commitRequest{Parent: pid(parent), Lines: lines}, &cr); code != http.StatusOK {
+		var cr wire.CommitResult
+		if code := postJSON(t, ts.URL+"/commit", wire.CommitRequest{Parent: pid(parent), Lines: lines}, &cr); code != http.StatusOK {
 			t.Fatalf("commit %d: HTTP %d", i, code)
 		}
 		parent = cr.ID
@@ -66,7 +67,7 @@ func TestCheckoutRespCacheHit(t *testing.T) {
 			t.Fatalf("ETag %d = %q, want stable %q", i, etags[i], etags[0])
 		}
 	}
-	var co checkoutResponse
+	var co wire.Checkout
 	if err := json.Unmarshal(bodies[0], &co); err != nil || co.ID != 2 || len(co.Lines) != 3 {
 		t.Fatalf("cached body did not decode to version 2: %+v, %v", co, err)
 	}
@@ -226,15 +227,15 @@ func TestRespCacheTenantIsolation(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	for _, tn := range []string{"alice", "bob"} {
-		var cr commitResponse
+		var cr wire.CommitResult
 		if code := postJSON(t, fmt.Sprintf("%s/t/%s/commit", ts.URL, tn),
-			commitRequest{Lines: []string{"owned by " + tn}}, &cr); code != http.StatusOK {
+			wire.CommitRequest{Lines: []string{"owned by " + tn}}, &cr); code != http.StatusOK {
 			t.Fatalf("%s commit: HTTP %d", tn, code)
 		}
 	}
 	for _, tn := range []string{"alice", "bob"} {
 		for i := 0; i < 2; i++ { // second round hits the cache
-			var co checkoutResponse
+			var co wire.Checkout
 			if code := getJSON(t, fmt.Sprintf("%s/t/%s/checkout/0", ts.URL, tn), &co); code != http.StatusOK {
 				t.Fatalf("%s checkout: HTTP %d", tn, code)
 			}

@@ -6,13 +6,13 @@
 // repository from the manager for the request's duration. The
 // repository endpoints:
 //
-//	POST /commit         {"parent": -1, "lines": [...]} -> commitResponse
+//	POST /commit         {"parent": -1, "lines": [...]} -> wire.CommitResult
 //	                     ({"parents": [2, 5], ...} commits a multi-parent merge)
-//	GET  /checkout/{id}  -> checkoutResponse
+//	GET  /checkout/{id}  -> wire.Checkout
 //	GET  /checkout/{id}?path=p  manifest checkout narrowed to one path scope
-//	GET  /diff/{a}/{b}   -> diffResponse: the edit script between two versions
+//	GET  /diff/{a}/{b}   -> wire.DiffResult: the edit script between two versions
 //	GET  /log/{id}       -> LogResponse: first-parent ancestry (?limit= bounds the walk)
-//	POST /checkout       {"ids": [0, 3, 7]} -> batch checkoutResponse list
+//	POST /checkout       {"ids": [0, 3, 7]} -> list of wire.Checkout, one per id
 //	POST /replan         force a portfolio re-plan now
 //	GET  /plan           -> versioning.PlanSummary
 //	GET  /planz          -> Planz: plan history, current-plan explanation, heat top-k
@@ -47,13 +47,21 @@
 //     ETag and honors If-None-Match with 304, so a revalidating client
 //     pays no body bytes at all. Version content is immutable, so
 //     entries never invalidate — only eviction removes them.
+//   - Request bodies (commit, batch checkout) are read whole under a
+//     64 MiB cap — 413 beyond it — and decoded by internal/wire, shared
+//     with client: compact JSON makes a commit's lines substrings of one
+//     string, anything else goes through encoding/json, so what is
+//     accepted and what a 400 says are encoding/json's. The store's
+//     content cache keeps all of a commit's lines or none, so nothing
+//     pins a body for a few of them.
 //   - Per-endpoint metrics: request/error counts and log-linear latency
 //     histograms (internal/metrics) surfaced by /statsz and, in
 //     Prometheus exposition format, by /metricsz.
 //   - Request tracing (Options.Tracer): sampled — or client-forced via
 //     the X-DSV-Trace header — requests record a span tree through
-//     admission, tenant acquire/open, commit journaling, and store
-//     reads into a bounded flight recorder served at /tracez;
+//     admission, tenant acquire/open, request decoding, commit
+//     journaling, store reads and response encoding into a bounded
+//     flight recorder served at /tracez;
 //     requests slower than Options.SlowRequest additionally emit a
 //     rate-limited log line carrying the trace ID.
 //
@@ -79,6 +87,7 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/metrics"
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/tenant"
 	"repro/versioning"
 )
@@ -119,9 +128,10 @@ type Options struct {
 // owns its mux and all per-endpoint state, so multiple Servers coexist
 // freely in one process.
 type Server struct {
-	mux   *http.ServeMux
-	adm   *limiter
-	start time.Time
+	mux     *http.ServeMux
+	adm     *limiter
+	start   time.Time
+	maxBody int64 // request body cap: wire.MaxBody, less in tests
 
 	resp         *respCache   // encoded responses for the immutable GETs (nil = disabled)
 	notModified  atomic.Int64 // 304s answered from a client validator
@@ -194,6 +204,7 @@ func newServer(opt Options) *Server {
 		mux:       http.NewServeMux(),
 		adm:       newLimiter(opt),
 		start:     time.Now(),
+		maxBody:   wire.MaxBody,
 		resp:      newRespCache(opt.RespCacheBytes),
 		tracer:    opt.Tracer,
 		slowReq:   opt.SlowRequest,
@@ -342,45 +353,37 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type commitRequest struct {
-	// Parent is the version the commit derives from; -1 or omitted
-	// commits a root.
-	Parent *versioning.NodeID `json:"parent"`
-	// Parents, when non-empty, commits a multi-parent merge instead:
-	// Parents[0] is the primary parent and each further parent adds a
-	// candidate delta edge (Parent is ignored). Real-history importers
-	// use this to preserve git merge topology.
-	Parents []versioning.NodeID `json:"parents,omitempty"`
-	Lines   []string            `json:"lines"`
-}
-
-type commitResponse struct {
-	ID       versioning.NodeID `json:"id"`
-	Versions int               `json:"versions"`
-}
-
-type checkoutResponse struct {
-	ID    versioning.NodeID `json:"id"`
-	Lines []string          `json:"lines"`
-	Error string            `json:"error,omitempty"`
-	// Status carries the per-item HTTP-style status inside a 200 batch
-	// response (omitted on success), so clients fan out typed errors
-	// without re-deriving them from the message text.
-	Status int `json:"status,omitempty"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// maxBodyBytes caps request bodies so a hostile payload cannot exhaust
-// memory before JSON decoding even starts.
-const maxBodyBytes = 64 << 20
+// decodeBody reads r's whole body, at most s.maxBody bytes of it so
+// that a hostile payload cannot exhaust memory, and decodes it into v.
+// On failure it answers the request — 413 for a body over the cap, 400
+// for one that does not decode — and reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	body, err := wire.ReadBody(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
+	if err == nil {
+		err = wire.Decode(body, v)
+	}
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, errorResponse{Error: fmt.Sprintf("bad %s request: %v", what, err)})
+	return false
+}
 
 func (s *Server) handleCommit(tn string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
-	var req commitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad commit request: %v", err)})
+	var req wire.CommitRequest
+	_, dsp := trace.StartSpan(r.Context(), "commit.decode")
+	ok := s.decodeBody(w, r, "commit", &req)
+	dsp.End()
+	if !ok {
 		return
 	}
 	if s.mgr != nil {
@@ -418,7 +421,7 @@ func (s *Server) handleCommit(tn string, repo *versioning.Repository, w http.Res
 		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, commitResponse{ID: id, Versions: repo.Versions()})
+	writeJSON(w, http.StatusOK, wire.CommitResult{ID: id, Versions: repo.Versions()})
 }
 
 // retryAfterSeconds renders d as a whole-seconds Retry-After value
@@ -472,7 +475,7 @@ func (s *Server) handleCheckout(tn string, repo *versioning.Repository, w http.R
 		lines = versioning.FilterManifest(lines, scope)
 		fsp.End()
 	}
-	e, err := encodeResponse(checkoutResponse{ID: id, Lines: lines})
+	e, err := encodeResponse(r.Context(), wire.Checkout{ID: id, Lines: lines})
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
@@ -481,20 +484,15 @@ func (s *Server) handleCheckout(tn string, repo *versioning.Repository, w http.R
 	s.writeEncoded(w, r, e)
 }
 
-type checkoutBatchRequest struct {
-	IDs []versioning.NodeID `json:"ids"`
-}
-
 func (s *Server) handleCheckoutBatch(_ string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
-	var req checkoutBatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad batch request: %v", err)})
+	var req wire.BatchRequest
+	if !s.decodeBody(w, r, "batch", &req) {
 		return
 	}
 	results := repo.CheckoutBatch(r.Context(), req.IDs)
-	out := make([]checkoutResponse, len(results))
+	out := make([]wire.Checkout, len(results))
 	for i, res := range results {
-		out[i] = checkoutResponse{ID: req.IDs[i], Lines: res.Lines}
+		out[i] = wire.Checkout{ID: req.IDs[i], Lines: res.Lines}
 		if res.Err != nil {
 			out[i].Error = res.Err.Error()
 			out[i].Status = checkoutErrStatus(res.Err)

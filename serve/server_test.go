@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/repogen"
+	"repro/internal/wire"
 	"repro/versioning"
 )
 
@@ -65,9 +66,9 @@ func TestServerCommitCheckoutRoundTrip(t *testing.T) {
 	ts := testServer(t, versioning.RepositoryOptions{ReplanEvery: 4, MaintenanceWorkers: -1})
 	src := repogen.GenerateRepo("http", 20, 3)
 	for v := 0; v < src.Graph.N(); v++ {
-		var cr commitResponse
+		var cr wire.CommitResult
 		if code := postJSON(t, ts.URL+"/commit",
-			commitRequest{Parent: pid(src.Parents[v]), Lines: src.Contents[v]}, &cr); code != http.StatusOK {
+			wire.CommitRequest{Parent: pid(src.Parents[v]), Lines: src.Contents[v]}, &cr); code != http.StatusOK {
 			t.Fatalf("commit %d: HTTP %d", v, code)
 		}
 		if cr.ID != versioning.NodeID(v) {
@@ -75,7 +76,7 @@ func TestServerCommitCheckoutRoundTrip(t *testing.T) {
 		}
 	}
 	for v := 0; v < src.Graph.N(); v++ {
-		var co checkoutResponse
+		var co wire.Checkout
 		if code := getJSON(t, fmt.Sprintf("%s/checkout/%d", ts.URL, v), &co); code != http.StatusOK {
 			t.Fatalf("checkout %d: HTTP %d", v, code)
 		}
@@ -83,8 +84,8 @@ func TestServerCommitCheckoutRoundTrip(t *testing.T) {
 			t.Fatalf("checkout %d content mismatch", v)
 		}
 	}
-	var batch []checkoutResponse
-	if code := postJSON(t, ts.URL+"/checkout", checkoutBatchRequest{IDs: []versioning.NodeID{0, 5, 19, 5}}, &batch); code != http.StatusOK {
+	var batch []wire.Checkout
+	if code := postJSON(t, ts.URL+"/checkout", wire.BatchRequest{IDs: []versioning.NodeID{0, 5, 19, 5}}, &batch); code != http.StatusOK {
 		t.Fatalf("batch checkout: HTTP %d", code)
 	}
 	for i, want := range []int{0, 5, 19, 5} {
@@ -115,7 +116,7 @@ func TestServerConcurrentTraffic(t *testing.T) {
 	const prefix = 10
 	for v := 0; v < prefix; v++ {
 		if code := postJSON(t, ts.URL+"/commit",
-			commitRequest{Parent: pid(src.Parents[v]), Lines: src.Contents[v]}, nil); code != http.StatusOK {
+			wire.CommitRequest{Parent: pid(src.Parents[v]), Lines: src.Contents[v]}, nil); code != http.StatusOK {
 			t.Fatalf("commit %d: HTTP %d", v, code)
 		}
 	}
@@ -133,7 +134,7 @@ func TestServerConcurrentTraffic(t *testing.T) {
 				default:
 				}
 				v := (w*3 + i) % prefix
-				var co checkoutResponse
+				var co wire.Checkout
 				if code := getJSON(t, fmt.Sprintf("%s/checkout/%d", ts.URL, v), &co); code != http.StatusOK {
 					errCh <- fmt.Errorf("checkout %d: HTTP %d", v, code)
 					return
@@ -148,7 +149,7 @@ func TestServerConcurrentTraffic(t *testing.T) {
 	// Concurrent commits (each against an already-present parent).
 	for v := prefix; v < src.Graph.N(); v++ {
 		if code := postJSON(t, ts.URL+"/commit",
-			commitRequest{Parent: pid(src.Parents[v]), Lines: src.Contents[v]}, nil); code != http.StatusOK {
+			wire.CommitRequest{Parent: pid(src.Parents[v]), Lines: src.Contents[v]}, nil); code != http.StatusOK {
 			t.Fatalf("commit %d under load: HTTP %d", v, code)
 		}
 	}
@@ -160,7 +161,7 @@ func TestServerConcurrentTraffic(t *testing.T) {
 	}
 	// Full verification after the dust settles.
 	for v := 0; v < src.Graph.N(); v++ {
-		var co checkoutResponse
+		var co wire.Checkout
 		if code := getJSON(t, fmt.Sprintf("%s/checkout/%d", ts.URL, v), &co); code != http.StatusOK {
 			t.Fatalf("final checkout %d: HTTP %d", v, code)
 		}
@@ -172,7 +173,7 @@ func TestServerConcurrentTraffic(t *testing.T) {
 
 func TestServerErrorPaths(t *testing.T) {
 	ts := testServer(t, versioning.RepositoryOptions{})
-	if code := postJSON(t, ts.URL+"/commit", commitRequest{Parent: pid(9), Lines: []string{"x"}}, nil); code != http.StatusUnprocessableEntity {
+	if code := postJSON(t, ts.URL+"/commit", wire.CommitRequest{Parent: pid(9), Lines: []string{"x"}}, nil); code != http.StatusUnprocessableEntity {
 		t.Fatalf("commit onto missing parent: HTTP %d, want 422", code)
 	}
 	if code := getJSON(t, ts.URL+"/checkout/99", nil); code != http.StatusNotFound {
@@ -202,7 +203,7 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 }
 
-// pid makes a commitRequest parent pointer.
+// pid makes a wire.CommitRequest parent pointer.
 func pid(n versioning.NodeID) *versioning.NodeID { return &n }
 
 // TestServerPersistenceRestartRoundTrip is the daemon-level acceptance
@@ -224,7 +225,7 @@ func TestServerPersistenceRestartRoundTrip(t *testing.T) {
 	src := repogen.GenerateRepo("durable-http", 16, 31)
 	for v := 0; v < src.Graph.N(); v++ {
 		if code := postJSON(t, ts.URL+"/commit",
-			commitRequest{Parent: pid(src.Parents[v]), Lines: src.Contents[v]}, nil); code != http.StatusOK {
+			wire.CommitRequest{Parent: pid(src.Parents[v]), Lines: src.Contents[v]}, nil); code != http.StatusOK {
 			t.Fatalf("commit %d: HTTP %d", v, code)
 		}
 	}
@@ -234,7 +235,7 @@ func TestServerPersistenceRestartRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if code := postJSON(t, ts.URL+"/commit",
-		commitRequest{Parent: pid(0), Lines: []string{"late"}}, nil); code != http.StatusServiceUnavailable {
+		wire.CommitRequest{Parent: pid(0), Lines: []string{"late"}}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("commit after close: HTTP %d, want 503", code)
 	}
 	ts.Close()
@@ -258,7 +259,7 @@ func TestServerPersistenceRestartRoundTrip(t *testing.T) {
 		t.Fatalf("/healthz after restart = %+v, want %d versions", hz, src.Graph.N())
 	}
 	for v := 0; v < src.Graph.N(); v++ {
-		var co checkoutResponse
+		var co wire.Checkout
 		if code := getJSON(t, fmt.Sprintf("%s/checkout/%d", ts2.URL, v), &co); code != http.StatusOK {
 			t.Fatalf("checkout %d after restart: HTTP %d", v, code)
 		}
@@ -267,9 +268,9 @@ func TestServerPersistenceRestartRoundTrip(t *testing.T) {
 		}
 	}
 	// The restarted daemon keeps accepting commits.
-	var cr commitResponse
+	var cr wire.CommitResult
 	if code := postJSON(t, ts2.URL+"/commit",
-		commitRequest{Parent: pid(0), Lines: []string{"post-restart"}}, &cr); code != http.StatusOK {
+		wire.CommitRequest{Parent: pid(0), Lines: []string{"post-restart"}}, &cr); code != http.StatusOK {
 		t.Fatalf("commit after restart: HTTP %d", code)
 	}
 	if cr.ID != versioning.NodeID(src.Graph.N()) {
@@ -286,7 +287,7 @@ func TestServerCommitOmittedParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cr commitResponse
+	var cr wire.CommitResult
 	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
 		t.Fatal(err)
 	}
