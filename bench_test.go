@@ -796,3 +796,87 @@ func BenchmarkStoreDecodeLines(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReplanPass measures one maintenance pass on a disk-backed
+// repository whose serving plan already covers everything but the last
+// two commits, the repository benchmark's plan phase: 64 manifests of
+// about 4,000 lines behind a cache a third their size (history-read)
+// and 800 documents of 30 lines with no cache (replan-scale, which is in
+// memory there). Each iteration commits two versions off the clock and
+// times Replan: solver race, preload, migration. contents/pass is how
+// many versions the pass checked out and objects/pass how many objects
+// its migration reports having written.
+func BenchmarkReplanPass(b *testing.B) {
+	for _, c := range []struct {
+		name                   string
+		versions, lines, edits int
+		cacheEntries           int
+	}{
+		{"versions=64/lines=4000", 64, 4000, 40, 16},
+		{"versions=800/lines=30", 800, 30, 2, -1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			repo, err := versioning.Open("replan-pass", versioning.RepositoryOptions{
+				DataDir:       b.TempDir(),
+				Problem:       versioning.ProblemMSR,
+				ReplanEvery:   -1,
+				CacheEntries:  c.cacheEntries,
+				CacheBytes:    4 << 20,
+				EngineOptions: versioning.EngineOptions{SolverTimeout: 5 * time.Second, DisableILP: true},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer repo.Close()
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(17))
+			contents := [][]string{benchManifest(c.lines)}
+			if _, err := repo.Commit(ctx, versioning.NoParent, contents[0]); err != nil {
+				b.Fatal(err)
+			}
+			commit := func() {
+				// One commit in five branches off an older version.
+				n := len(contents)
+				p := n - 1
+				if rng.Intn(5) == 0 {
+					p -= rng.Intn(min(n, 32))
+				}
+				// Edits cluster in three 40-line windows, as a commit that
+				// touches three files of a manifest does.
+				next := append([]string(nil), contents[p]...)
+				at := [3]int{rng.Intn(len(next)), rng.Intn(len(next)), rng.Intn(len(next))}
+				for i := 0; i < c.edits; i++ {
+					next[(at[rng.Intn(3)]+rng.Intn(40))%len(next)] = fmt.Sprintf("edited/by/version%06d.dat %016x", n, rng.Uint64())
+				}
+				contents = append(contents, next)
+				if _, err := repo.Commit(ctx, versioning.NodeID(p), next); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for v := 1; v < c.versions; v++ {
+				commit()
+			}
+			if err := repo.Replan(ctx); err != nil {
+				b.Fatal(err)
+			}
+			before := repo.Stats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				commit()
+				commit()
+				// The commits checked their parents out; the pass must not
+				// be charged for those.
+				before.Checkouts += 2
+				b.StartTimer()
+				if err := repo.Replan(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			after := repo.Stats()
+			b.ReportMetric(float64(after.Checkouts-before.Checkouts)/float64(b.N), "contents/pass")
+			b.ReportMetric(float64(after.MigrationObjects-before.MigrationObjects)/float64(b.N), "objects/pass")
+		})
+	}
+}

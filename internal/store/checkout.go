@@ -102,20 +102,20 @@ func (s *Store) snapshotPathLocked(ctx context.Context, v graph.NodeID) (pathSna
 			snap.base = lines
 			return snap, nil
 		}
-		if k, ok := s.blobKey[x]; ok {
-			snap.baseKey = k
+		if keys, ok := s.blobs[x]; ok {
+			snap.baseKey = keys[len(keys)-1]
 			return snap, nil
 		}
 		e := s.parentEdge[x]
 		if e == graph.None {
 			return pathSnapshot{}, fmt.Errorf("store: version %d not retrievable under installed plan", x)
 		}
-		k, ok := s.deltaKey[graph.EdgeID(e)]
+		d, ok := s.deltas[graph.EdgeID(e)]
 		if !ok {
 			return pathSnapshot{}, fmt.Errorf("store: delta %d not stored", e)
 		}
-		snap.deltas = append(snap.deltas, k)
-		x = s.edgeFrom[graph.EdgeID(e)]
+		snap.deltas = append(snap.deltas, d.key)
+		x = d.from
 		if err := ctx.Err(); err != nil {
 			return pathSnapshot{}, err
 		}

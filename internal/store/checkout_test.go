@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/diff"
 	"repro/internal/graph"
 	"repro/internal/plan"
@@ -186,20 +187,7 @@ func TestCheckoutErrors(t *testing.T) {
 func TestConcurrentInstallAndCheckout(t *testing.T) {
 	// Migrations racing checkouts: every checkout must see a consistent
 	// plan (old or new) and correct bytes. Run with -race.
-	g := graph.New("race")
-	var contents [][]string
-	lines := []string{"base"}
-	contents = append(contents, lines)
-	g.AddNode(diff.ByteSize(lines))
-	for i := 1; i < 24; i++ {
-		next := append(append([]string(nil), contents[i-1]...), "l")
-		contents = append(contents, next)
-		fwd := diff.Compute(contents[i-1], next)
-		rev := diff.Compute(next, contents[i-1])
-		g.AddNode(diff.ByteSize(next))
-		g.AddEdge(graph.NodeID(i-1), graph.NodeID(i), fwd.StorageCost(), fwd.StorageCost())
-		g.AddEdge(graph.NodeID(i), graph.NodeID(i-1), rev.StorageCost(), rev.StorageCost())
-	}
+	g, contents := chainFixture(24, []string{"base"})
 	content := func(v graph.NodeID) ([]string, error) { return contents[v], nil }
 	mst, _, err := plan.MinStorage(g)
 	if err != nil {
@@ -209,7 +197,14 @@ func TestConcurrentInstallAndCheckout(t *testing.T) {
 	if err := s.Install(g, mst, content); err != nil {
 		t.Fatal(err)
 	}
-	plans := []*plan.Plan{plan.MaterializeAll(g), mst}
+	// The shortest-path tree from the middle keeps the chain's upper
+	// half, so migrations to and from it take objects over while the
+	// checkouts read them.
+	spt, err := core.SPT(g, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []*plan.Plan{plan.MaterializeAll(g), mst, spt.Plan}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -235,8 +230,8 @@ func TestConcurrentInstallAndCheckout(t *testing.T) {
 			}
 		}(w)
 	}
-	for i := 0; i < 6; i++ {
-		if err := s.Install(g, plans[i%2], content); err != nil {
+	for i := 0; i < 12; i++ {
+		if err := s.Install(g, plans[i%3], content); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -208,9 +208,9 @@ func chunkLines(lines []string) [][]string {
 	return chunks
 }
 
-// lineHash is inline FNV-1a over the string bytes: Install re-chunks
-// every materialized blob on every migration, so the boundary decision
-// must not allocate (a hash.Hash32 plus a []byte copy per line would).
+// lineHash is inline FNV-1a over the string bytes: it runs on every
+// line of every blob written, so the boundary decision must not
+// allocate (a hash.Hash32 plus a []byte copy per line would).
 func lineHash(l string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(l); i++ {

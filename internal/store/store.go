@@ -48,10 +48,9 @@ type Store struct {
 	// mu guards the installed-plan state below — pure in-memory metadata,
 	// held only for map/slice access, never across backend I/O.
 	mu         sync.RWMutex
-	blobKey    map[graph.NodeID]Key // materialized version -> blob or manifest object
-	deltaKey   map[graph.EdgeID]Key // stored delta -> delta object
-	edgeFrom   map[graph.EdgeID]graph.NodeID
-	parentEdge []int32 // retrieval forest: edge into v (graph.None for materialized)
+	blobs      map[graph.NodeID][]Key       // materialized version -> its objects: chunks in order, root (blob or manifest) last
+	deltas     map[graph.EdgeID]storedDelta // stored delta -> delta object and the edge it sits on
+	parentEdge []int32                      // retrieval forest: edge into v (graph.None for materialized)
 	refs       map[Key]int
 
 	flights flight.Group[graph.NodeID, []string] // one reconstruction per version at a time
@@ -64,6 +63,14 @@ type Store struct {
 	installMicros  atomic.Int64
 	installObjects atomic.Int64
 	installBytes   atomic.Int64
+}
+
+// storedDelta is a stored edit script. Both endpoints are kept, not only
+// the one retrieval walks to, so that a migration can tell a new plan's
+// edge is this very delta and take the object over.
+type storedDelta struct {
+	key      Key
+	from, to graph.NodeID
 }
 
 // Stats summarizes a Store.
@@ -103,12 +110,11 @@ func New(opt Options) *Store {
 		b = NewMemBackend()
 	}
 	return &Store{
-		backend:  b,
-		cache:    newContentCache(opt.CacheEntries, opt.CacheBytes),
-		blobKey:  make(map[graph.NodeID]Key),
-		deltaKey: make(map[graph.EdgeID]Key),
-		edgeFrom: make(map[graph.EdgeID]graph.NodeID),
-		refs:     make(map[Key]int),
+		backend: b,
+		cache:   newContentCache(opt.CacheEntries, opt.CacheBytes),
+		blobs:   make(map[graph.NodeID][]Key),
+		deltas:  make(map[graph.EdgeID]storedDelta),
+		refs:    make(map[Key]int),
 	}
 }
 
@@ -119,7 +125,7 @@ func (s *Store) Backend() Backend { return s.backend }
 func (s *Store) Stats() Stats {
 	bs := s.backend.Stats()
 	s.mu.RLock()
-	blobs, deltas, versions := len(s.blobKey), len(s.deltaKey), len(s.parentEdge)
+	blobs, deltas, versions := len(s.blobs), len(s.deltas), len(s.parentEdge)
 	s.mu.RUnlock()
 	cs := s.cache.stats()
 	st := Stats{
@@ -161,22 +167,30 @@ type ContentFunc func(v graph.NodeID) ([]string, error)
 // putBlobObject persists lines as a materialized version: small contents
 // as one blob object, large contents as content-defined chunks behind a
 // manifest so versions sharing runs of lines share chunk objects. Every
-// object write goes through put; the returned key is the version's root
-// object (blob or manifest).
-func putBlobObject(lines []string, put func([]byte) (Key, error)) (Key, error) {
+// object write goes through put; the returned keys are every object
+// written, in order, the version's root object (blob or manifest) last.
+func putBlobObject(lines []string, put func([]byte) (Key, error)) ([]Key, error) {
 	if len(lines) < chunkThreshold {
-		return put(EncodeBlob(lines))
+		k, err := put(EncodeBlob(lines))
+		if err != nil {
+			return nil, err
+		}
+		return []Key{k}, nil
 	}
 	chunks := chunkLines(lines)
-	keys := make([]Key, len(chunks))
+	keys := make([]Key, len(chunks), len(chunks)+1)
 	for i, c := range chunks {
 		k, err := put(encodeChunk(c))
 		if err != nil {
-			return Key{}, err
+			return nil, err
 		}
 		keys[i] = k
 	}
-	return put(encodeManifest(len(lines), keys))
+	root, err := put(encodeManifest(len(lines), keys))
+	if err != nil {
+		return nil, err
+	}
+	return append(keys, root), nil
 }
 
 // getBlobObject reads a materialized version back: a plain blob decodes
@@ -208,14 +222,102 @@ func getBlobObject(get func(Key) ([]byte, error), k Key) ([]string, error) {
 	return DecodeBlob(payload)
 }
 
-// Install switches the store to plan p for graph g: it persists a blob
-// for every materialized version and an edit script for every stored
-// delta (recomputed deterministically from the endpoint contents), then
-// atomically swaps the serving state and garbage-collects objects the new
-// plan no longer references. content is consulted once per needed version
-// (memoized internally). All object writes and deletions happen outside
-// the store lock: only the final metadata swap blocks checkouts, and only
-// for a map swap.
+// migration is a plan split against the serving one: the objects the
+// serving plan hands over as they are, and what is left to build.
+type migration struct {
+	blobs      map[graph.NodeID][]Key
+	deltas     map[graph.EdgeID]storedDelta
+	refs       map[Key]int
+	needBlobs  []graph.NodeID // materialized by p, no blob under the serving plan
+	needDeltas []graph.EdgeID // stored by p, not stored now with the same endpoints
+	// servingRefs is the serving plan's own map. Install reads it outside
+	// the lock: its callers serialize it with Add*, the only other writers.
+	servingRefs map[Key]int
+}
+
+// planMigration splits p. A version's blob and an edge's edit script are
+// deterministic functions of immutable version contents, so whatever the
+// serving plan holds for a version p materializes, or for an edge p
+// stores between the same two versions, is byte for byte what building
+// it again would produce: it is taken over by key with its references (a
+// manifest's chunks included) and never read, diffed, encoded or hashed.
+func (s *Store) planMigration(g *graph.Graph, p *plan.Plan) migration {
+	m := migration{
+		blobs:  make(map[graph.NodeID][]Key),
+		deltas: make(map[graph.EdgeID]storedDelta),
+		refs:   make(map[Key]int),
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	m.servingRefs = s.refs
+	for i, mat := range p.Materialized {
+		v := graph.NodeID(i)
+		if !mat {
+			continue
+		}
+		if keys, ok := s.blobs[v]; ok {
+			m.blobs[v] = keys
+			for _, k := range keys {
+				m.refs[k]++
+			}
+		} else {
+			m.needBlobs = append(m.needBlobs, v)
+		}
+	}
+	for i, stored := range p.Stored {
+		e := graph.EdgeID(i)
+		if !stored {
+			continue
+		}
+		edge := g.Edge(e)
+		if d, ok := s.deltas[e]; ok && d.from == edge.From && d.to == edge.To {
+			m.deltas[e] = d
+			m.refs[d.key]++
+		} else {
+			m.needDeltas = append(m.needDeltas, e)
+		}
+	}
+	return m
+}
+
+// MigrationNeeds lists, in ascending order, the versions whose content
+// Install(g, p, ...) will ask its ContentFunc for: those p materializes
+// that have no blob yet and both endpoints of every edge p newly stores.
+// Re-installing the serving plan needs none. Add* calls in between only
+// shrink the set.
+func (s *Store) MigrationNeeds(g *graph.Graph, p *plan.Plan) []graph.NodeID {
+	if len(p.Materialized) != g.N() || len(p.Stored) != g.M() {
+		return nil // Install refuses the shape
+	}
+	m := s.planMigration(g, p)
+	need := make([]bool, g.N())
+	for _, v := range m.needBlobs {
+		need[v] = true
+	}
+	for _, e := range m.needDeltas {
+		edge := g.Edge(e)
+		need[edge.From], need[edge.To] = true, true
+	}
+	var out []graph.NodeID
+	for v, n := range need {
+		if n {
+			out = append(out, graph.NodeID(v))
+		}
+	}
+	return out
+}
+
+// Install switches the store to plan p for graph g. What the serving
+// plan already holds is taken over by key (planMigration); for the rest
+// it persists a blob per newly materialized version and an edit script
+// per newly stored delta (computed deterministically from the endpoint
+// contents). It then atomically swaps the serving state and
+// garbage-collects objects the new plan no longer references. content is
+// consulted once per version in MigrationNeeds (memoized internally), so
+// the work is proportional to what the plan changed and the first
+// Install into an empty store is the case with nothing to take over. All
+// object writes and deletions happen outside the store lock: only the
+// final metadata swap blocks checkouts, and only for a map swap.
 //
 // Install validates that p makes every version of g retrievable and
 // refuses to install an infeasible plan, leaving the previous state
@@ -250,43 +352,37 @@ func (s *Store) Install(g *graph.Graph, p *plan.Plan, content ContentFunc) error
 		return l, nil
 	}
 
-	newBlob := make(map[graph.NodeID]Key)
-	newDelta := make(map[graph.EdgeID]Key)
-	newFrom := make(map[graph.EdgeID]graph.NodeID)
-	newRefs := make(map[Key]int)
-	var wroteObjects, wroteBytes int64
+	m := s.planMigration(g, p)
+	var wrote []Key // objects this Install added to the backend
+	var wroteBytes int64
 	put := func(payload []byte) (Key, error) {
 		k := KeyOf(payload)
-		if newRefs[k] == 0 {
+		// An object either plan already references is in the backend,
+		// whichever version or edge it was first written for.
+		if m.refs[k] == 0 && m.servingRefs[k] == 0 {
 			if err := s.backend.Put(k, payload); err != nil {
 				return Key{}, err
 			}
-			wroteObjects++
+			wrote = append(wrote, k)
 			wroteBytes += int64(len(payload))
 		}
-		newRefs[k]++
+		m.refs[k]++
 		return k, nil
 	}
 	build := func() error {
-		for v := 0; v < g.N(); v++ {
-			if !p.Materialized[v] {
-				continue
-			}
-			l, err := lines(graph.NodeID(v))
+		for _, v := range m.needBlobs {
+			l, err := lines(v)
 			if err != nil {
 				return err
 			}
-			k, err := putBlobObject(l, put)
+			keys, err := putBlobObject(l, put)
 			if err != nil {
 				return err
 			}
-			newBlob[graph.NodeID(v)] = k
+			m.blobs[v] = keys
 		}
-		for e := 0; e < g.M(); e++ {
-			if !p.Stored[e] {
-				continue
-			}
-			edge := g.Edge(graph.EdgeID(e))
+		for _, e := range m.needDeltas {
+			edge := g.Edge(e)
 			a, err := lines(edge.From)
 			if err != nil {
 				return err
@@ -299,33 +395,21 @@ func (s *Store) Install(g *graph.Graph, p *plan.Plan, content ContentFunc) error
 			if err != nil {
 				return err
 			}
-			newDelta[graph.EdgeID(e)] = k
-			newFrom[graph.EdgeID(e)] = edge.From
+			m.deltas[e] = storedDelta{key: k, from: edge.From, to: edge.To}
 		}
 		return nil
 	}
 	if err := build(); err != nil {
-		// Roll back objects this Install wrote that the serving plan does
-		// not reference, so a failed migration leaves no orphans.
-		s.mu.RLock()
-		orphans := make([]Key, 0, len(newRefs))
-		for k := range newRefs {
-			if s.refs[k] == 0 {
-				orphans = append(orphans, k)
-			}
-		}
-		s.mu.RUnlock()
-		for _, k := range orphans {
+		// Roll back what this Install wrote, none of which the serving
+		// plan references, so a failed migration leaves no orphans.
+		for _, k := range wrote {
 			_ = s.backend.Delete(k)
 		}
 		return err
 	}
 
 	s.mu.Lock()
-	oldRefs := s.refs
-	s.blobKey, s.deltaKey, s.edgeFrom = newBlob, newDelta, newFrom
-	s.parentEdge = parents
-	s.refs = newRefs
+	s.blobs, s.deltas, s.parentEdge, s.refs = m.blobs, m.deltas, parents, m.refs
 	s.mu.Unlock()
 
 	// Garbage-collect objects only the old plan referenced. New objects
@@ -335,14 +419,14 @@ func (s *Store) Install(g *graph.Graph, p *plan.Plan, content ContentFunc) error
 	// The new plan is serving at this point, so a backend deletion
 	// failure is not an Install failure: at worst an unreferenced object
 	// lingers until the next sweep.
-	for k := range oldRefs {
-		if newRefs[k] == 0 {
+	for k := range m.servingRefs {
+		if m.refs[k] == 0 {
 			_ = s.backend.Delete(k)
 		}
 	}
 	s.installs.Add(1)
 	s.installMicros.Add(time.Since(installStart).Microseconds())
-	s.installObjects.Add(wroteObjects)
+	s.installObjects.Add(int64(len(wrote)))
 	s.installBytes.Add(wroteBytes)
 	return nil
 }
@@ -364,9 +448,9 @@ func (s *Store) InstallTotals() (objects, bytes, micros int64) {
 func (s *Store) RetrievalDepths() []int {
 	s.mu.RLock()
 	parentEdge := append([]int32(nil), s.parentEdge...)
-	edgeFrom := make(map[graph.EdgeID]graph.NodeID, len(s.edgeFrom))
-	for e, v := range s.edgeFrom {
-		edgeFrom[e] = v
+	edgeFrom := make(map[graph.EdgeID]graph.NodeID, len(s.deltas))
+	for e, d := range s.deltas {
+		edgeFrom[e] = d.from
 	}
 	s.mu.RUnlock()
 	depths := make([]int, len(parentEdge))
@@ -413,14 +497,9 @@ func (s *Store) AddMaterialized(v graph.NodeID, lines []string) error {
 	// Object writes happen before publication and outside the lock; a
 	// failure leaves at most content-addressed objects a later sweep
 	// collects, never a published version.
-	var written []Key
-	k, err := putBlobObject(lines, func(payload []byte) (Key, error) {
-		pk := KeyOf(payload)
-		if err := s.backend.Put(pk, payload); err != nil {
-			return Key{}, err
-		}
-		written = append(written, pk)
-		return pk, nil
+	keys, err := putBlobObject(lines, func(payload []byte) (Key, error) {
+		k := KeyOf(payload)
+		return k, s.backend.Put(k, payload)
 	})
 	if err != nil {
 		return err
@@ -431,9 +510,9 @@ func (s *Store) AddMaterialized(v graph.NodeID, lines []string) error {
 		return fmt.Errorf("store: AddMaterialized(%d) raced another writer, next id is %d", v, len(s.parentEdge))
 	}
 	s.parentEdge = append(s.parentEdge, graph.None)
-	s.blobKey[v] = k
-	for _, wk := range written {
-		s.refs[wk]++
+	s.blobs[v] = keys
+	for _, k := range keys {
+		s.refs[k]++
 	}
 	if lines != nil {
 		s.cache.put(v, lines)
@@ -466,8 +545,7 @@ func (s *Store) AddVersion(v, parent graph.NodeID, e graph.EdgeID, d diff.Delta,
 		return fmt.Errorf("store: AddVersion raced another writer: %w", err)
 	}
 	s.parentEdge = append(s.parentEdge, int32(e))
-	s.deltaKey[e] = k
-	s.edgeFrom[e] = parent
+	s.deltas[e] = storedDelta{key: k, from: parent, to: v}
 	s.refs[k]++
 	if lines != nil {
 		s.cache.put(v, lines)
@@ -493,7 +571,7 @@ func (s *Store) validateAdd(v, parent graph.NodeID, e graph.EdgeID) error {
 	if int(parent) >= len(s.parentEdge) {
 		return fmt.Errorf("store: AddVersion(%d) from unknown parent %d", v, parent)
 	}
-	if _, dup := s.deltaKey[e]; dup {
+	if _, dup := s.deltas[e]; dup {
 		return fmt.Errorf("store: delta %d already stored", e)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/diff"
@@ -104,14 +105,14 @@ func testRepo(t *testing.T, commits int, seed int64) (*repogen.Repo, ContentFunc
 }
 
 // checkAll asserts every version reconstructs byte for byte.
-func checkAll(t *testing.T, s *Store, r *repogen.Repo) {
+func checkAll(t *testing.T, s *Store, contents [][]string) {
 	t.Helper()
-	for v := 0; v < r.Graph.N(); v++ {
+	for v, want := range contents {
 		got, err := s.Checkout(t.Context(), graph.NodeID(v))
 		if err != nil {
 			t.Fatalf("Checkout(%d): %v", v, err)
 		}
-		if !reflect.DeepEqual(got, r.Contents[v]) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("Checkout(%d) content mismatch", v)
 		}
 	}
@@ -127,7 +128,7 @@ func TestInstallCheckoutRoundTrip(t *testing.T) {
 	if err := s.Install(r.Graph, p, content); err != nil {
 		t.Fatal(err)
 	}
-	checkAll(t, s, r)
+	checkAll(t, s, r.Contents)
 	st := s.Stats()
 	if st.Blobs == 0 || st.Deltas == 0 || st.Versions != r.Graph.N() {
 		t.Fatalf("Stats = %+v", st)
@@ -168,7 +169,7 @@ func TestMigrationGarbageCollects(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	checkAll(t, s, r)
+	checkAll(t, s, r.Contents)
 	full := s.Stats()
 	if full.Deltas != 0 {
 		t.Fatalf("materialize-all left %d delta objects", full.Deltas)
@@ -195,7 +196,7 @@ func TestMigrationGarbageCollects(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	checkAll(t, s, r)
+	checkAll(t, s, r.Contents)
 	back := s.Stats()
 	if back.Blobs != withDeltas.Blobs || back.Deltas != withDeltas.Deltas {
 		t.Fatalf("after round-trip migration Stats = %+v, want blobs/deltas %d/%d",

@@ -83,9 +83,10 @@ type tenantStats struct {
 // Manager owns a fleet of tenant repositories behind one daemon. All
 // methods are safe for concurrent use.
 type Manager struct {
-	opt   Options
-	start time.Time
-	now   func() time.Time // injected clock (tests)
+	opt       Options
+	start     time.Time
+	now       func() time.Time                   // injected clock (tests)
+	closeRepo func(*versioning.Repository) error // injected flush (tests)
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -106,11 +107,12 @@ func NewManager(opt Options) *Manager {
 		opt.MaxOpen = DefaultMaxOpen
 	}
 	m := &Manager{
-		opt:     opt,
-		start:   time.Now(),
-		now:     time.Now,
-		entries: make(map[string]*entry),
-		stats:   make(map[string]*tenantStats),
+		opt:       opt,
+		start:     time.Now(),
+		now:       time.Now,
+		closeRepo: (*versioning.Repository).Close,
+		entries:   make(map[string]*entry),
+		stats:     make(map[string]*tenantStats),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
@@ -261,14 +263,17 @@ func (m *Manager) statsFor(name string) *tenantStats {
 // repository flush (Close is journal + backend I/O) and re-acquired.
 // Busy tenants (refs > 0) are skipped — the bound is exceeded rather
 // than failing live requests — and retried on the next Release.
+// Entries already closing do not count against the bound: they stay in
+// the map until their flush ends, and a Release or open running
+// meanwhile would otherwise evict a second tenant to make the same room.
 func (m *Manager) evictLocked() {
 	if m.opt.MaxOpen < 0 {
 		return
 	}
 	for len(m.entries) > m.opt.MaxOpen {
-		victim := m.lruIdleLocked()
-		if victim == nil {
-			return // everything open is in use or transitioning
+		victim, open := m.lruIdleLocked()
+		if victim == nil || open <= m.opt.MaxOpen {
+			return // everything open is in use or opening, or only closing entries are over
 		}
 		victim.state = stateClosing
 		m.mu.Unlock()
@@ -284,10 +289,13 @@ func (m *Manager) evictLocked() {
 }
 
 // lruIdleLocked picks the least-recently-used open entry with no
-// outstanding Handles (nil if none).
-func (m *Manager) lruIdleLocked() *entry {
-	var victim *entry
+// outstanding Handles (nil if none), and counts the entries that are
+// open or opening.
+func (m *Manager) lruIdleLocked() (victim *entry, open int) {
 	for _, e := range m.entries {
+		if e.state != stateClosing {
+			open++
+		}
 		if e.state != stateOpen || e.refs != 0 {
 			continue
 		}
@@ -295,7 +303,7 @@ func (m *Manager) lruIdleLocked() *entry {
 			victim = e
 		}
 	}
-	return victim
+	return victim, open
 }
 
 // closeEntry snapshots the repository's size into the persistent stats,
@@ -307,7 +315,7 @@ func (m *Manager) closeEntry(e *entry) error {
 	_, sp := m.opt.Tracer.StartRequest(context.Background(), "tenant.evict", "")
 	sp.SetAttr("tenant", e.name)
 	st := e.repo.Stats()
-	cerr := e.repo.Close()
+	cerr := m.closeRepo(e.repo)
 	if cerr != nil {
 		sp.SetAttr("error", cerr.Error())
 	}

@@ -188,6 +188,56 @@ func TestManagerEvictionSkipsBusyTenants(t *testing.T) {
 	}
 }
 
+// TestManagerEvictionIgnoresClosingEntries holds an eviction's flush
+// open while a second tenant is released. The closing entry stays in the
+// map until its flush ends; counted against MaxOpen it made the second
+// Release evict the only tenant still open, leaving none.
+func TestManagerEvictionIgnoresClosingEntries(t *testing.T) {
+	opt := testOptions(t.TempDir())
+	opt.MaxOpen = 1
+	m := NewManager(opt)
+	defer m.Close()
+	ctx := context.Background()
+	flushing, resume := make(chan struct{}), make(chan struct{})
+	var flushes atomic.Int32
+	m.closeRepo = func(r *versioning.Repository) error {
+		if flushes.Add(1) == 1 {
+			close(flushing)
+			<-resume
+		}
+		return r.Close()
+	}
+
+	hA, err := m.Acquire(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hB, err := m.Acquire(ctx, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		hA.Release() // evicts a: its flush parks in closeRepo
+	}()
+	<-flushing
+	hB.Release() // a is on its way out, so b fits the bound
+	if n := flushes.Load(); n != 1 {
+		t.Errorf("releasing b while a was closing flushed %d repositories, want only a", n)
+	}
+	close(resume)
+	<-released
+	if fs := m.Fleet(1); fs.Evictions != 1 || fs.Open != 1 {
+		t.Fatalf("evictions = %d, open = %d, want 1 and 1", fs.Evictions, fs.Open)
+	}
+	// b is the one still open: touching it again is not a reopen.
+	commitTo(t, m, "b", versioning.NoParent, lines("b v0"))
+	if fs := m.Fleet(1); fs.Reopens != 0 {
+		t.Fatalf("reopens = %d after touching b, want 0", fs.Reopens)
+	}
+}
+
 func TestManagerQuotaCommitRate(t *testing.T) {
 	opt := testOptions("")
 	opt.Quota = Quota{CommitsPerSec: 1, CommitBurst: 2}

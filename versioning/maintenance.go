@@ -12,8 +12,10 @@ package versioning
 //     the live graph;
 //  2. solve — race the portfolio against the snapshot with no
 //     repository locks held;
-//  3. precompute — reconstruct every content the migration will need
-//     (materialized versions and stored-delta endpoints) through the
+//  3. precompute — reconstruct the contents the migration will need
+//     (store.MigrationNeeds: versions the winning plan newly
+//     materializes and the endpoints of deltas it newly stores; what the
+//     serving plan already holds is taken over by key) through the
 //     normal concurrent checkout path;
 //  4. install — under commitMu, graft the incremental entries of the
 //     versions committed during the solve onto the solved plan, migrate
@@ -259,24 +261,30 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 	// fingerprint and may hand the same *Plan to a later call.
 	solved := res.Solution.Plan.Clone()
 
-	// Precompute every content the migration needs through the normal
-	// concurrent checkout path, so the install step under commitMu is
-	// pure object I/O. Contents are immutable, so these stay exact no
-	// matter how many commits land meanwhile.
-	memo := make(map[NodeID][]string)
-	for _, v := range planContentNodes(gSnap, solved) {
+	// Precompute the contents the migration will ask for through the
+	// normal concurrent checkout path, so the install step under commitMu
+	// is pure object I/O. Contents are immutable, so these stay exact no
+	// matter how many commits land meanwhile, and commits only add to
+	// what the store can take over: the versions grafted below keep the
+	// delta objects AddVersion gave them and are not read at all.
+	preloadStart := time.Now()
+	needs := r.st.MigrationNeeds(gSnap, solved)
+	memo := make(map[NodeID][]string, len(needs))
+	for _, v := range needs {
 		l, cerr := r.st.Checkout(ctx, v)
 		if cerr != nil {
 			return fail(fmt.Errorf("versioning: preloading content for migration: %w", cerr))
 		}
 		memo[v] = l
 	}
+	rec.PreloadUS = time.Since(preloadStart).Microseconds()
+	rec.PreloadVersions = len(needs)
 	content := func(v NodeID) ([]string, error) {
 		if l, ok := memo[v]; ok {
 			return l, nil
 		}
-		// A version committed after the snapshot (grafted below): its
-		// incremental chain is intact, so this read-path call is cheap.
+		// Install asks for a subset of needs; should that ever not hold,
+		// reading through the serving plan is still exact.
 		return r.st.Checkout(ctx, v)
 	}
 
@@ -326,32 +334,4 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 	rec.TotalUS = time.Since(passStart).Microseconds()
 	r.history.append(rec)
 	return nil
-}
-
-// planContentNodes lists the versions whose full content a migration to
-// p needs: every materialized version and both endpoints of every
-// stored delta (Install re-derives edit scripts from endpoint
-// contents).
-func planContentNodes(g *Graph, p *Plan) []NodeID {
-	need := make([]bool, g.N())
-	for v, m := range p.Materialized {
-		if m {
-			need[v] = true
-		}
-	}
-	for e, s := range p.Stored {
-		if !s {
-			continue
-		}
-		edge := g.Edge(EdgeID(e))
-		need[edge.From] = true
-		need[edge.To] = true
-	}
-	var out []NodeID
-	for v, n := range need {
-		if n {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
 }

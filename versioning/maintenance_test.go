@@ -248,6 +248,54 @@ func TestAsyncReplanDifferential(t *testing.T) {
 	}
 }
 
+// TestReplanReadsWhatThePlanChanged: a pass over a history that was
+// planned two commits ago checks out the versions its PlanRecord says it
+// preloaded and no others, well short of the whole history, and writes
+// the objects it reports.
+func TestReplanReadsWhatThePlanChanged(t *testing.T) {
+	src := repogen.GenerateRepo("incremental", 42, 23)
+	r := NewRepository("incremental", RepositoryOptions{
+		Problem:       ProblemMSR,
+		ReplanEvery:   -1,
+		CacheEntries:  -1,
+		EngineOptions: testEngineOptions(),
+	})
+	defer r.Close()
+	ctx := context.Background()
+	commitTo := func(n int) {
+		for v := r.Versions(); v < n; v++ {
+			if _, err := r.Commit(ctx, src.Parents[v], src.Contents[v]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	commitTo(40)
+	if err := r.Replan(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if hist, _ := r.PlanHistory(); hist[0].PreloadVersions == 0 || hist[0].MigrationObjects == 0 {
+		t.Fatalf("the first pass moved nothing off the incremental chain: %+v", hist[0])
+	}
+	commitTo(42)
+	before := r.Stats()
+	if err := r.Replan(ctx); err != nil {
+		t.Fatal(err)
+	}
+	after := r.Stats()
+	hist, _ := r.PlanHistory()
+	rec := hist[len(hist)-1]
+	if got := after.Checkouts - before.Checkouts; got != int64(rec.PreloadVersions) {
+		t.Fatalf("the pass checked out %d versions, its record says %d", got, rec.PreloadVersions)
+	}
+	if 2*rec.PreloadVersions >= rec.Versions {
+		t.Fatalf("the pass preloaded %d of %d versions", rec.PreloadVersions, rec.Versions)
+	}
+	if got := after.MigrationObjects - before.MigrationObjects; got != rec.MigrationObjects || got > int64(after.Objects) {
+		t.Fatalf("the pass wrote %d objects, its record says %d, the backend holds %d", got, rec.MigrationObjects, after.Objects)
+	}
+	verifyAll(t, r, src)
+}
+
 // TestReplanFailureSurfacesAndRetries pins the failure contract: a
 // failed background pass surfaces via Stats().ReplanError, does NOT
 // reset the commits-since-plan counter (so the next commit past the

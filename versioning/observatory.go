@@ -93,14 +93,21 @@ type PlanRecord struct {
 	// Grafted counts versions committed during the solve and carried
 	// into the installed plan with their incremental layout.
 	Grafted int `json:"grafted,omitempty"`
-	// Migration totals: objects and bytes newly written to the backend
-	// by the store migration, and its wall time.
+	// Migration totals: objects and bytes the store migration added to
+	// the backend (what the serving plan already held is taken over and
+	// not counted), and the wall time inside Store.Install.
 	MigrationObjects int64 `json:"migration_objects,omitempty"`
 	MigrationBytes   int64 `json:"migration_bytes,omitempty"`
 	MigrationUS      int64 `json:"migration_us,omitempty"`
 
-	SolveUS int64 `json:"solve_us"`
-	TotalUS int64 `json:"total_us"`
+	// SolveUS is the solver race, PreloadUS the checkouts of the
+	// PreloadVersions contents the migration needed, run between the
+	// race and the install step; with MigrationUS they account for
+	// TotalUS up to snapshot, constraint and publication.
+	SolveUS         int64 `json:"solve_us"`
+	PreloadUS       int64 `json:"preload_us"`
+	PreloadVersions int   `json:"preload_versions"`
+	TotalUS         int64 `json:"total_us"`
 
 	Err    string `json:"error,omitempty"`
 	Failed bool   `json:"failed,omitempty"`

@@ -59,6 +59,9 @@ func TestPlanHistoryRecordsPasses(t *testing.T) {
 		if rec.TotalUS <= 0 || rec.SolveUS < 0 || rec.UnixMS <= 0 {
 			t.Fatalf("record %d has bogus timings: %+v", i, rec)
 		}
+		if rec.PreloadUS < 0 || rec.SolveUS+rec.PreloadUS+rec.MigrationUS > rec.TotalUS {
+			t.Fatalf("record %d: solve + preload + migration exceed the pass: %+v", i, rec)
+		}
 		winnerRaced := false
 		for _, rep := range rec.Reports {
 			if rep.Solver == rec.Winner {
@@ -97,6 +100,21 @@ func TestPlanHistoryRecordsPasses(t *testing.T) {
 	}
 	if !strings.Contains(r.PlanContext(), "winner=") {
 		t.Fatalf("PlanContext = %q, want the plan vitals", r.PlanContext())
+	}
+
+	// A pass over an unchanged repository solves to the serving plan: it
+	// reads no content and writes no object, and its record says so.
+	if err := r.Replan(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hist, _ = r.PlanHistory()
+	idle := hist[len(hist)-1]
+	if idle.PreloadVersions != 0 || idle.MigrationObjects != 0 || idle.MigrationBytes != 0 {
+		t.Fatalf("idle re-plan preloaded %d versions and wrote %d objects / %d bytes, want none",
+			idle.PreloadVersions, idle.MigrationObjects, idle.MigrationBytes)
+	}
+	if after := r.Stats(); after.Checkouts != st.Checkouts {
+		t.Fatalf("idle re-plan checked out %d versions", after.Checkouts-st.Checkouts)
 	}
 }
 
