@@ -15,6 +15,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -877,6 +879,87 @@ func BenchmarkReplanPass(b *testing.B) {
 			after := repo.Stats()
 			b.ReportMetric(float64(after.Checkouts-before.Checkouts)/float64(b.N), "contents/pass")
 			b.ReportMetric(float64(after.MigrationObjects-before.MigrationObjects)/float64(b.N), "objects/pass")
+		})
+	}
+}
+
+// BenchmarkInstallPublish measures what a migration pays to make its new
+// objects durable on a disk-backed store. Each iteration installs a plan
+// that adds 25 new objects of about 3 KB (a fleet-write pass of the
+// repository benchmark) or 181 (history-read's first migration) and
+// drops as many. files/op is how many files the Install created.
+func BenchmarkInstallPublish(b *testing.B) {
+	for _, n := range []int{25, 181} {
+		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			backend, err := store.OpenDiskBackendWith(dir, store.DiskOptions{CompactMinLoose: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := store.New(store.Options{Backend: backend, CacheEntries: -1})
+			defer s.Close()
+			// A star: version 0 and n versions that share no line with it,
+			// so a version's delta from 0 is as large as its blob. One plan
+			// stores every version in full, the other the n deltas; going
+			// from either to the other adds n objects.
+			rng := rand.New(rand.NewSource(23))
+			g := graph.New("publish")
+			contents := make([][]string, n+1)
+			for v := range contents {
+				contents[v] = make([]string, 60)
+				for i := range contents[v] {
+					contents[v][i] = fmt.Sprintf("version%04d/line%02d %032x", v, i, rng.Uint64())
+				}
+				size := diff.ByteSize(contents[v])
+				g.AddNode(size)
+				if v > 0 {
+					g.AddEdge(0, graph.NodeID(v), size, size)
+				}
+			}
+			content := func(v graph.NodeID) ([]string, error) { return contents[v], nil }
+			blobs, deltas := plan.MaterializeAll(g), plan.New(g)
+			deltas.Materialized[0] = true
+			for e := range deltas.Stored {
+				deltas.Stored[e] = true
+			}
+			if err := s.Install(g, blobs, content); err != nil {
+				b.Fatal(err)
+			}
+			listFiles := func() map[string]bool {
+				files := make(map[string]bool)
+				err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+					if err == nil && !d.IsDir() {
+						files[path] = true
+					}
+					return err
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return files
+			}
+			files, created := listFiles(), 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := deltas
+				if i%2 == 1 {
+					p = blobs
+				}
+				if err := s.Install(g, p, content); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				now := listFiles()
+				for f := range now {
+					if !files[f] {
+						created++
+					}
+				}
+				files = now
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+			b.ReportMetric(float64(created)/float64(b.N), "files/op")
 		})
 	}
 }

@@ -18,169 +18,149 @@ var ErrNoArborescence = errors.New("graphalg: no spanning arborescence exists")
 // LMG and LMG-All initialize from this arborescence on the extended graph
 // with storage weights (Algorithms 1 and 7, "minimum arborescence of
 // G_aux rooted at v_aux w.r.t. weight function s").
+//
+// It runs several times per re-plan, so the contraction levels share
+// their memory: one edge list contracted in place and one block of
+// scratch, with a level keeping only what its expansion reads. Ties break
+// by edge order, at every level; installed plans depend on which edges
+// come back, not only on the total (see referenceMinArborescence in the
+// tests).
 func MinArborescence(g *graph.Graph, root graph.NodeID, w Weight) (parentEdge []int32, total graph.Cost, err error) {
+	const none = graph.None
 	n := g.N()
 	type arbEdge struct {
-		u, v int
-		w    graph.Cost
+		u, v int32 // endpoints in the current level
 		id   int32 // original edge id
+		w    graph.Cost
 	}
-	edges := make([]arbEdge, 0, g.M())
-	for id := 0; id < g.M(); id++ {
+	edges := make([]arbEdge, g.M())
+	for id := range edges {
 		e := g.Edge(graph.EdgeID(id))
-		edges = append(edges, arbEdge{int(e.From), int(e.To), w(e), int32(id)})
+		edges[id] = arbEdge{int32(e.From), int32(e.To), int32(id), w(e)}
 	}
+	// level is what one contraction leaves for its expansion.
+	type level struct {
+		at      []int32 // original node -> node of this level
+		bestID  []int32 // per node: original id of its cheapest incoming edge
+		cycleID []int32 // per node: the cycle it was contracted into, or none
+		cycles  int
+	}
+	var levels []level
+	scratch := make([]int32, 4*n)
+	best, mark, newID, entered := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:]
+	bestW := make([]graph.Cost, n)
 
-	var solve func(n, root int, edges []arbEdge) ([]int32, error)
-	solve = func(n, root int, edges []arbEdge) ([]int32, error) {
-		const none = -1
+	cn, r := n, int32(root) // node count and root of the current level
+	for {
+		block := make([]int32, n+2*cn)
+		lv := level{at: block[:n], bestID: block[n : n+cn], cycleID: block[n+cn:]}
+		for x := range lv.at {
+			if len(levels) == 0 {
+				lv.at[x] = int32(x)
+			} else {
+				lv.at[x] = newID[levels[len(levels)-1].at[x]]
+			}
+		}
 		// 1. Cheapest incoming edge per node.
-		best := make([]int, n)
-		for i := range best {
-			best[i] = none
+		for v := 0; v < cn; v++ {
+			best[v], mark[v], lv.cycleID[v] = none, none, none
 		}
 		for i, e := range edges {
-			if e.v == root || e.u == e.v {
+			if e.v == r || e.u == e.v {
 				continue
 			}
 			if best[e.v] == none || e.w < edges[best[e.v]].w {
-				best[e.v] = i
+				best[e.v] = int32(i)
 			}
 		}
-		for v := 0; v < n; v++ {
-			if v != root && best[v] == none {
-				return nil, ErrNoArborescence
+		for v := int32(0); v < int32(cn); v++ {
+			if v == r {
+				lv.bestID[v] = none
+				continue
 			}
+			if best[v] == none {
+				return nil, 0, ErrNoArborescence
+			}
+			lv.bestID[v], bestW[v] = edges[best[v]].id, edges[best[v]].w
 		}
 		// 2. Detect cycles among the chosen edges.
-		cycleID := make([]int, n)
-		visitMark := make([]int, n)
-		for i := range cycleID {
-			cycleID[i] = none
-			visitMark[i] = none
-		}
-		cycles := 0
-		for v := 0; v < n; v++ {
+		for v := int32(0); v < int32(cn); v++ {
 			u := v
-			for u != root && visitMark[u] == none && cycleID[u] == none {
-				visitMark[u] = v
+			for u != r && mark[u] == none && lv.cycleID[u] == none {
+				mark[u] = v
 				u = edges[best[u]].u
 			}
-			if u != root && cycleID[u] == none && visitMark[u] == v {
+			if u != r && lv.cycleID[u] == none && mark[u] == v {
 				// New cycle through u.
-				x := u
-				for {
-					cycleID[x] = cycles
-					x = edges[best[x]].u
-					if x == u {
+				for x := u; ; {
+					lv.cycleID[x] = int32(lv.cycles)
+					if x = edges[best[x]].u; x == u {
 						break
 					}
 				}
-				cycles++
+				lv.cycles++
 			}
 		}
-		if cycles == 0 {
-			res := make([]int32, n)
-			for v := 0; v < n; v++ {
-				if v == root {
-					res[v] = graph.None
-				} else {
-					res[v] = edges[best[v]].id
-				}
-			}
-			return res, nil
+		levels = append(levels, lv)
+		if lv.cycles == 0 {
+			break
 		}
-		// 3. Contract cycles. Nodes in cycle c map to new id c;
-		// remaining nodes get fresh ids.
-		newID := make([]int, n)
-		next := cycles
-		for v := 0; v < n; v++ {
-			if cycleID[v] != none {
-				newID[v] = cycleID[v]
+		// 3. Contract cycles. Nodes in cycle c map to new id c; remaining
+		// nodes get fresh ids. Surviving edges keep their order.
+		next := int32(lv.cycles)
+		for v := 0; v < cn; v++ {
+			if lv.cycleID[v] != none {
+				newID[v] = lv.cycleID[v]
 			} else {
 				newID[v] = next
 				next++
 			}
 		}
-		contracted := make([]arbEdge, 0, len(edges))
-		// For expansion we remember which original (sub)edge each
-		// contracted edge came from, via an index into edges.
-		fromIdx := make([]int, 0, len(edges))
-		for i, e := range edges {
+		kept := edges[:0]
+		for _, e := range edges {
 			nu, nv := newID[e.u], newID[e.v]
 			if nu == nv {
 				continue
 			}
-			we := e.w
-			if cycleID[e.v] != none {
-				we -= edges[best[e.v]].w
+			if lv.cycleID[e.v] != none {
+				e.w -= bestW[e.v]
 			}
-			contracted = append(contracted, arbEdge{nu, nv, we, e.id})
-			fromIdx = append(fromIdx, i)
+			kept = append(kept, arbEdge{nu, nv, e.id, e.w})
 		}
-		sub, err := solve(next, newID[root], contracted)
-		if err != nil {
-			return nil, err
-		}
-		// 4. Expand: map chosen contracted edges back; inside each
-		// cycle keep all best edges except the one entering at the
-		// node through which the cycle is entered.
-		res := make([]int32, n)
-		for i := range res {
-			res[i] = graph.None
-		}
-		entered := make([]int, cycles) // node of each cycle whose best edge is dropped
-		for i := range entered {
-			entered[i] = none
-		}
-		// sub[c] is an original edge id; we need the edge's endpoint v
-		// in the *current* level. Build a lookup from original id to
-		// current-level index of contracted edges chosen.
-		// Original edge ids are unique per level, since each current-level
-		// edge descends from a distinct original edge.
-		idToCur := make(map[int32]int, len(contracted))
-		for ci, i := range fromIdx {
-			idToCur[contracted[ci].id] = i
-		}
-		for c := 0; c < next; c++ {
-			se := sub[c]
-			if se == graph.None {
-				continue
-			}
-			i, ok := idToCur[se]
-			if !ok {
-				return nil, errors.New("graphalg: internal expansion error")
-			}
-			e := edges[i]
-			res[e.v] = e.id
-			if cycleID[e.v] != none {
-				entered[cycleID[e.v]] = e.v
-			}
-		}
-		for v := 0; v < n; v++ {
-			if v == root || res[v] != graph.None {
-				continue
-			}
-			if cycleID[v] != none && entered[cycleID[v]] != v {
-				res[v] = edges[best[v]].id
-			}
-		}
-		// Any remaining unset node (shouldn't happen) is an error.
-		for v := 0; v < n; v++ {
-			if v != root && res[v] == graph.None {
-				return nil, errors.New("graphalg: internal expansion left node unattached")
-			}
-		}
-		return res, nil
+		edges, cn, r = kept, int(next), newID[r]
 	}
 
-	parentEdge, err = solve(n, int(root), edges)
-	if err != nil {
-		return nil, 0, err
+	// 4. Expand, deepest level first. A level starts from its cheapest
+	// incoming edges; each edge the level below chose replaces the one at
+	// its head, which for a cycle is the node the cycle is entered
+	// through: that node alone drops its cycle edge.
+	res := levels[len(levels)-1].bestID
+	for li := len(levels) - 2; li >= 0; li-- {
+		lv := levels[li]
+		for c := 0; c < lv.cycles; c++ {
+			entered[c] = none
+		}
+		for _, se := range res {
+			if se == none {
+				continue // the root of the level below
+			}
+			v := lv.at[g.Edge(graph.EdgeID(se)).To]
+			lv.bestID[v] = se
+			if c := lv.cycleID[v]; c != none {
+				entered[c] = v
+			}
+		}
+		for c := 0; c < lv.cycles; c++ {
+			if entered[c] == none {
+				return nil, 0, errors.New("graphalg: internal expansion left a cycle unentered")
+			}
+		}
+		res = lv.bestID
 	}
-	for v := 0; v < n; v++ {
-		if parentEdge[v] != graph.None {
-			total += w(g.Edge(graph.EdgeID(parentEdge[v])))
+	parentEdge = append([]int32(nil), res...)
+	for _, id := range parentEdge {
+		if id != none {
+			total += w(g.Edge(graph.EdgeID(id)))
 		}
 	}
 	return parentEdge, total, nil

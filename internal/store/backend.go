@@ -27,8 +27,8 @@ type BackendStats struct {
 //
 // Three implementations exist: MemBackend (one mutex, the reference
 // semantics and the contention baseline), ShardedMemBackend (per-shard
-// RWMutexes, the serving default), and DiskBackend (durable fan-out
-// directory layout, survives restarts). The conformance suite in
+// RWMutexes, the serving default), and DiskBackend (durable: loose
+// files and packfiles, survives restarts). The conformance suite in
 // backendtest pins the shared contract.
 type Backend interface {
 	Put(k Key, data []byte) error
@@ -48,6 +48,35 @@ type Flusher interface {
 // Closer is implemented by backends holding OS resources.
 type Closer interface {
 	Close() error
+}
+
+// Object is one key and its payload, as a batch carries it.
+type Object struct {
+	Key     Key
+	Payload []byte
+}
+
+// BatchPutter is implemented by backends that can publish many objects
+// at the cost of one (DiskBackend: one pack, one fsync). PutBatch leaves
+// the backend as Put of each object in turn would: keys already held and
+// duplicates within the batch are no-ops. On error any subset of the
+// batch may have landed.
+type BatchPutter interface {
+	PutBatch(objs []Object) error
+}
+
+// putBatch publishes objs through PutBatch where b has it, otherwise one
+// Put at a time.
+func putBatch(b Backend, objs []Object) error {
+	if bp, ok := b.(BatchPutter); ok {
+		return bp.PutBatch(objs)
+	}
+	for _, o := range objs {
+		if err := b.Put(o.Key, o.Payload); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MemBackend is a single-mutex in-memory Backend: the reference

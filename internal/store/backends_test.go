@@ -26,17 +26,18 @@ func TestShardedMemBackendConformance(t *testing.T) {
 }
 
 func TestDiskBackendConformance(t *testing.T) {
-	backendtest.Run(t, func(t *testing.T) store.Backend {
-		b, err := store.OpenDiskBackend(t.TempDir())
+	backendtest.RunDurable(t, func(t *testing.T, dir string) store.Backend {
+		b, err := store.OpenDiskBackend(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { b.Close() })
 		return b
 	})
 }
 
 // TestDiskBackendRecovery pins the crash-recovery contract: a reopened
-// backend rebuilds its index from the fan-out layout, sweeps torn *.tmp
+// backend rebuilds its index from the loose files, sweeps torn *.tmp
 // files from interrupted writes, and serves every completed object.
 func TestDiskBackendRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -96,6 +97,62 @@ func TestDiskBackendRecovery(t *testing.T) {
 	}
 	if got := rb2.Len(); got != len(payloads)-1 {
 		t.Fatalf("Len after delete+reopen = %d, want %d", got, len(payloads)-1)
+	}
+}
+
+// TestDiskBackendReadsFanOutLayout: loose objects written under
+// objects/ab/cdef..., the layout before the loose tier went flat, are
+// served, moved to objects/<hex key> at open, and stay served.
+func TestDiskBackendReadsFanOutLayout(t *testing.T) {
+	dir := t.TempDir()
+	payloads := map[store.Key][]byte{}
+	var bytesTotal int64
+	for _, s := range []string{"alpha", "beta", "gamma", "delta"} {
+		data := []byte(s)
+		k := store.KeyOf(data)
+		payloads[k] = data
+		bytesTotal += int64(len(data))
+		h := k.String()
+		if err := os.MkdirAll(filepath.Join(dir, "objects", h[:2]), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "objects", h[:2], h[2:]), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		b, err := store.OpenDiskBackend(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := b.Stats(); st.Objects != len(payloads) || st.Bytes != bytesTotal {
+			t.Fatalf("open %d: Stats = %+v, want %d objects / %d bytes", round, st, len(payloads), bytesTotal)
+		}
+		for k, data := range payloads {
+			got, err := b.Get(k)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("open %d: Get(%s) = %q, %v", round, k, got, err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "objects", k.String())); err != nil {
+				t.Fatalf("open %d: object not moved to the flat layout: %v", round, err)
+			}
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A new object makes no directory.
+	b, err := store.OpenDiskBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	fresh := []byte("epsilon")
+	if err := b.Put(store.KeyOf(fresh), fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "objects", store.KeyOf(fresh).String())); err != nil {
+		t.Fatalf("Put did not write objects/<hex key>: %v", err)
 	}
 }
 

@@ -4,13 +4,15 @@
 // engine and the refcount GC rely on: content-addressed idempotent puts,
 // ErrNotFound on absent keys, no-op deletes of absent keys, accurate
 // Len/Keys/Stats, and safety under concurrent mixed traffic (run the
-// suite with -race).
+// suite with -race). A backend that implements store.BatchPutter is also
+// pinned to its own Put: a batch must leave what a loop of Puts leaves.
 package backendtest
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -28,6 +30,25 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("LenKeysStats", func(t *testing.T) { testLenKeysStats(t, factory(t)) })
 	t.Run("KeysAbort", func(t *testing.T) { testKeysAbort(t, factory(t)) })
 	t.Run("Concurrent", func(t *testing.T) { testConcurrent(t, factory(t)) })
+	t.Run("Batch", func(t *testing.T) { testBatch(t, factory(t), factory(t), nil) })
+}
+
+// RunDurable is Run for a backend that persists under a directory: open
+// of a directory whose backend was closed must serve what that backend
+// held. The batch contract is checked across such reopens as well.
+func RunDurable(t *testing.T, open func(t *testing.T, dir string) store.Backend) {
+	Run(t, func(t *testing.T) store.Backend { return open(t, t.TempDir()) })
+	t.Run("BatchReopen", func(t *testing.T) {
+		dirs := [2]string{t.TempDir(), t.TempDir()}
+		testBatch(t, open(t, dirs[0]), open(t, dirs[1]), func(i int, b store.Backend) store.Backend {
+			if c, ok := b.(store.Closer); ok {
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return open(t, dirs[i])
+		})
+	})
 }
 
 // payload builds a distinct object payload and its content key.
@@ -191,5 +212,92 @@ func testConcurrent(t *testing.T, b store.Backend) {
 	}
 	if n := b.Len(); n != objects {
 		t.Fatalf("Len after settling = %d, want %d", n, objects)
+	}
+}
+
+// testBatch drives two empty backends through the same script, one by
+// PutBatch and one by a Put per object, and requires the same key set,
+// Len, Stats and Get bytes after every step. With reopen set, both are
+// closed and reopened before every comparison and the script runs twice.
+// A reopened backend may hold a deleted key again (a pack keeps a deleted
+// record until the whole pack dies); like versioning.Open, the test
+// sweeps what it does not reference before it looks.
+func testBatch(t *testing.T, batched, looped store.Backend, reopen func(i int, b store.Backend) store.Backend) {
+	if _, ok := batched.(store.BatchPutter); !ok {
+		t.Skip("backend has no PutBatch")
+	}
+	steps := []struct {
+		name     string
+		put, del []int
+	}{
+		{name: "empty batch"},
+		{name: "batch of one", put: []int{1}},
+		{name: "batch of one, already held", put: []int{1}},
+		{name: "batch of many", put: []int{2, 3, 4, 5, 6, 7}},
+		{name: "held keys and duplicates", put: []int{1, 8, 5, 8, 9, 9, 10}},
+		{name: "held keys only", put: []int{2, 3, 2}},
+		{name: "delete batched keys", del: []int{3, 8}},
+		{name: "batch over deleted keys", put: []int{3, 8, 11}},
+		{name: "delete a whole batch", del: []int{2, 3, 4, 5, 6, 7}},
+		{name: "one new key among held and duplicates", put: []int{1, 9, 12, 12}},
+	}
+	live := make(map[store.Key]bool)
+	for round := 0; round == 0 || (round == 1 && reopen != nil); round++ {
+		for _, step := range steps {
+			objs := make([]store.Object, len(step.put))
+			for i, id := range step.put {
+				k, data := payload(100*round + id)
+				objs[i], live[k] = store.Object{Key: k, Payload: data}, true
+				if err := looped.Put(k, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := batched.(store.BatchPutter).PutBatch(objs); err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+			for _, id := range step.del {
+				k, _ := payload(100*round + id)
+				delete(live, k)
+				for _, b := range []store.Backend{batched, looped} {
+					if err := b.Delete(k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := batched.Get(k); !errors.Is(err, store.ErrNotFound) {
+					t.Fatalf("%s: Get of a deleted batched key: %v, want ErrNotFound", step.name, err)
+				}
+			}
+			if reopen != nil {
+				batched, looped = reopen(0, batched), reopen(1, looped)
+			}
+			var keys [2][]store.Key
+			for i, b := range []store.Backend{batched, looped} {
+				err := b.Keys(func(k store.Key) error {
+					if reopen != nil && !live[k] {
+						return b.Delete(k)
+					}
+					keys[i] = append(keys[i], k)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				slices.SortFunc(keys[i], func(a, b store.Key) int { return bytes.Compare(a[:], b[:]) })
+			}
+			if !slices.Equal(keys[0], keys[1]) || len(keys[0]) != len(live) {
+				t.Fatalf("%s: PutBatch left %d keys, Put %d, of %d live, or other keys", step.name, len(keys[0]), len(keys[1]), len(live))
+			}
+			if batched.Len() != looped.Len() || batched.Stats() != looped.Stats() {
+				t.Fatalf("%s: PutBatch left Len %d, Stats %+v; Put left Len %d, Stats %+v",
+					step.name, batched.Len(), batched.Stats(), looped.Len(), looped.Stats())
+			}
+			for _, k := range keys[0] {
+				got, err := batched.Get(k)
+				want, werr := looped.Get(k)
+				if err != nil || werr != nil || !bytes.Equal(got, want) || store.KeyOf(got) != k {
+					t.Fatalf("%s: Get(%s) = %d bytes, %v after PutBatch; %d bytes, %v after Put", step.name, k, len(got), err, len(want), werr)
+				}
+			}
+		}
 	}
 }

@@ -142,11 +142,11 @@ func (s *Store) fetchSnapshot(ctx context.Context, v graph.NodeID, snap pathSnap
 	_, span := trace.StartSpan(ctx, "store.read")
 	defer span.End()
 	span.SetAttrInt("deltas", int64(len(snap.deltas)))
-	// Attribute the read tier when the backend packs: counter deltas
-	// around this fetch. Concurrent checkouts share the counters, so
-	// under load the split is approximate — still enough to tell a
-	// packed trace from a loose one.
-	if pb, ok := s.backend.(PackStatser); ok {
+	// Attribute the read tier of a traced request when the backend
+	// packs: counter deltas around this fetch. Concurrent checkouts share
+	// the counters, so under load the split is approximate — still enough
+	// to tell a packed trace from a loose one.
+	if pb, ok := s.backend.(PackStatser); ok && span != nil {
 		before := pb.PackStats()
 		defer func() {
 			after := pb.PackStats()

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,30 +15,38 @@ import (
 
 // DiskBackend is a durable Backend with a two-tier layout:
 //
-//   - Loose objects: one file per object under a git-style fan-out
-//     (objects/ab/cdef...), written crash-safe via tmp+fsync+rename.
-//     This is the write path — a commit lands as loose objects, never
-//     blocking on compaction.
-//   - Packfiles: a background compactor folds loose objects (and
-//     sparse older packs) into append-only packs/pack-NNN.pack files,
-//     each mmap'd at open. This is the hot read path — a Get of a
-//     packed object is a bounds-checked slice of the mapping, no
-//     open/read/close syscall triple per object.
+//   - Loose objects: one file per object, objects/<hex key>, written
+//     crash-safe via tmp+fsync+rename. This is where Put lands one
+//     object — a commit's delta — never blocking on compaction. The
+//     directory is flat: batches go to packs and the compactor folds
+//     the rest, so the tier stays small, and a git-style fan-out
+//     (objects/ab/cdef..., the layout until packs took the batches)
+//     put a mkdir, some 0.3 ms of journal, into the fsync of most
+//     commits of a young repository. Open moves such files up.
+//   - Packfiles: append-only packs/pack-NNN.pack files, each mmap'd
+//     while the backend is open. PutBatch publishes a batch as one pack
+//     (what a migration or a root commit adds costs one durable write,
+//     not one per object), and a background compactor folds loose
+//     objects and sparse older packs into one. A Get of a packed object
+//     is a bounds-checked copy out of the mapping, no open/read/close
+//     syscall triple per object.
 //
 // Crash safety spans both tiers. Torn *.tmp files (loose or pack) are
 // swept at open. A crash after a pack is published but before its
 // source loose files are unlinked leaves both copies; open detects the
 // duplicate keys and completes the compaction by removing the loose
 // copies. The in-memory index is always rebuilt from a scan, so no
-// index file can go stale.
+// index file can go stale. The scan also finds the records Delete left
+// behind in packs that are still alive (a pack is only ever unlinked
+// whole); nothing references them, and the store's orphan sweep
+// (versioning.Open) drops them again.
 //
-// Zero-copy contract: slices returned by Get may alias an mmap'd pack.
-// They must not be modified and stay valid for the life of the process:
-// compaction unlinks superseded packs but keeps their mappings live, and
-// Close retains them too, because a closed repository still serves
-// checkouts (see versioning.Repository.Close). The mappings are
-// read-only and file-backed, so the kernel reclaims the pages under
-// pressure; only the address-space reservation persists.
+// Get never returns memory that aliases a mapping, so a mapping lives
+// exactly as long as it is useful: it is released when its pack's last
+// live record dies and, for every pack, at Close. A closed backend still
+// serves reads (a closed repository still serves checkouts, see
+// versioning.Repository.Close): packed records then come from the pack
+// file.
 type DiskBackend struct {
 	root    string // the objects/ directory (loose tier)
 	packDir string // the packs/ directory
@@ -46,10 +55,10 @@ type DiskBackend struct {
 	index map[Key]objRef
 	bytes int64
 	loose int         // index entries in the loose tier
-	packs []*packFile // append-only; refs index into it, dead packs stay
+	packs []*packFile // refs index into it; a publish reuses a dead pack's slot
 
-	packSeq   uint64     // last pack sequence number issued
-	compactMu sync.Mutex // serializes compaction passes
+	compactMu sync.Mutex // serializes pack publishes: PutBatch and Compact
+	packSeq   uint64     // last pack sequence number issued; under compactMu
 
 	packReads   atomic.Int64
 	looseReads  atomic.Int64
@@ -61,7 +70,7 @@ type DiskBackend struct {
 }
 
 // objRef locates an object: in pack b.packs[pack] at [off, off+size),
-// or loose (pack < 0) at the fan-out path.
+// or loose (pack < 0) at path(k).
 type objRef struct {
 	pack int32
 	off  int64
@@ -130,8 +139,7 @@ func OpenDiskBackendWith(dir string, opt DiskOptions) (*DiskBackend, error) {
 	}
 	for _, p := range b.packs {
 		if p.total > 0 && p.live == 0 {
-			p.dead = true
-			os.Remove(p.path) // fully superseded; reclaim now
+			p.kill() // fully superseded; reclaim now
 		}
 	}
 
@@ -153,12 +161,20 @@ func OpenDiskBackendWith(dir string, opt DiskOptions) (*DiskBackend, error) {
 		if err != nil {
 			return err
 		}
+		if flat := b.path(k); path != flat {
+			if err := os.Rename(path, flat); err != nil { // from a fan-out directory
+				return err
+			}
+		}
 		b.index[k] = objRef{pack: looseTier, size: info.Size()}
 		b.loose++
 		b.bytes += info.Size()
 		return nil
 	})
 	if err != nil {
+		for _, p := range b.packs {
+			p.release()
+		}
 		return nil, fmt.Errorf("store: scanning object dir: %w", err)
 	}
 
@@ -178,13 +194,11 @@ func OpenDiskBackendWith(dir string, opt DiskOptions) (*DiskBackend, error) {
 	return b, nil
 }
 
-// path maps k to its fan-out file location.
-func (b *DiskBackend) path(k Key) string {
-	h := k.String()
-	return filepath.Join(b.root, h[:2], h[2:])
-}
+// path maps k to its loose file's location.
+func (b *DiskBackend) path(k Key) string { return filepath.Join(b.root, k.String()) }
 
-// keyFromPath reverses path for index rebuilding.
+// keyFromPath reverses path for index rebuilding, and reads the fan-out
+// layout (objects/ab/cdef...) as well.
 func keyFromPath(root, path string) (Key, bool) {
 	rel, err := filepath.Rel(root, path)
 	if err != nil {
@@ -210,11 +224,7 @@ func (b *DiskBackend) Put(k Key, data []byte) error {
 		return nil
 	}
 	dst := b.path(k)
-	dir := filepath.Dir(dst)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: object dir %s: %w", dir, err)
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(dst)+".tmp*")
+	tmp, err := os.CreateTemp(b.root, filepath.Base(dst)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("store: tmp object: %w", err)
 	}
@@ -249,25 +259,25 @@ func (b *DiskBackend) Put(k Key, data []byte) error {
 	return nil
 }
 
-// Get reads the object stored under k: a zero-copy slice of an mmap'd
-// pack when packed, an os.ReadFile when loose. The returned slice must
-// not be modified; see the type comment for its lifetime.
+// Get reads the object stored under k: a copy out of its pack when
+// packed, an os.ReadFile when loose. The copy is taken under the read
+// lock, which is what lets a dying pack be unmapped under the write lock.
 func (b *DiskBackend) Get(k Key) ([]byte, error) {
 	for {
 		b.mu.RLock()
 		ref, ok := b.index[k]
-		var packed []byte
 		if ok && ref.pack != looseTier {
-			p := b.packs[ref.pack]
-			packed = p.data[ref.off : ref.off+ref.size : ref.off+ref.size]
+			data, err := b.packs[ref.pack].read(ref.off, ref.size)
+			b.mu.RUnlock()
+			if err != nil {
+				return nil, fmt.Errorf("store: reading object %s: %w", k, err)
+			}
+			b.packReads.Add(1)
+			return data, nil
 		}
 		b.mu.RUnlock()
 		if !ok {
 			return nil, ErrNotFound
-		}
-		if packed != nil {
-			b.packReads.Add(1)
-			return packed, nil
 		}
 		data, err := os.ReadFile(b.path(k))
 		if err == nil {
@@ -293,8 +303,7 @@ func (b *DiskBackend) Get(k Key) ([]byte, error) {
 // Delete removes k if present. For loose objects the file removal and
 // index update are atomic against concurrent Puts of the same key (see
 // Put). For packed objects only the index entry is dropped; the pack
-// file itself is unlinked once its last live entry dies, and its
-// mapping is retained until Close for outstanding Get slices.
+// file is unlinked and unmapped once its last live entry dies.
 func (b *DiskBackend) Delete(k Key) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -313,12 +322,7 @@ func (b *DiskBackend) Delete(k Key) error {
 		b.loose--
 		return nil
 	}
-	p := b.packs[ref.pack]
-	p.live--
-	if p.live == 0 && !p.dead {
-		p.dead = true
-		os.Remove(p.path)
-	}
+	b.packs[ref.pack].drop()
 	return nil
 }
 
@@ -371,6 +375,35 @@ func (b *DiskBackend) PackStats() PackStats {
 	return st
 }
 
+// PutBatch stores objs as one pack: a tmp file, one fsync, a rename and a
+// directory fsync, however many objects there are. Keys already held and
+// duplicates within the batch are skipped. A single new object goes
+// through Put: a loose file costs one fsync, a pack two.
+func (b *DiskBackend) PutBatch(objs []Object) error {
+	fresh := make([]Object, 0, len(objs))
+	seen := make(map[Key]struct{}, len(objs))
+	b.mu.RLock()
+	for _, o := range objs {
+		_, held := b.index[o.Key]
+		if _, dup := seen[o.Key]; held || dup {
+			continue
+		}
+		seen[o.Key] = struct{}{}
+		fresh = append(fresh, o)
+	}
+	b.mu.RUnlock()
+	switch len(fresh) {
+	case 0:
+		return nil
+	case 1:
+		return b.Put(fresh[0].Key, fresh[0].Payload)
+	}
+	b.compactMu.Lock()
+	defer b.compactMu.Unlock()
+	_, err := b.publishPack(fresh, true)
+	return err
+}
+
 // Compact folds every loose object and every sparse pack (under half
 // its entries still live) into one new packfile, then removes the
 // superseded loose files and unlinks fully-drained packs. Concurrent
@@ -402,7 +435,7 @@ func (b *DiskBackend) Compact() (int, error) {
 	}
 
 	// Read payloads outside any lock (Get handles concurrent moves).
-	records := make([]packRecord, 0, len(victims))
+	records := make([]Object, 0, len(victims))
 	for _, k := range victims {
 		payload, err := b.Get(k)
 		if err == ErrNotFound {
@@ -411,17 +444,31 @@ func (b *DiskBackend) Compact() (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		records = append(records, packRecord{key: k, payload: payload})
+		records = append(records, Object{Key: k, Payload: payload})
 	}
 	if len(records) == 0 {
 		return 0, nil
 	}
+	moved, err := b.publishPack(records, false)
+	if err != nil {
+		return 0, err
+	}
+	b.compactions.Add(1)
+	return moved, nil
+}
 
-	b.mu.Lock()
+// publishPack writes records as the next pack, maps it and points the
+// index at it; compactMu must be held. The index changes only after the
+// pack is durably published. A record whose key is indexed elsewhere
+// moves to the new pack whatever its tier: content addressing makes any
+// current copy byte-identical to the one packed. A key the index does
+// not hold is inserted when add is set (PutBatch: a new object) and
+// otherwise stays out, its record dead on arrival (Compact: deleted
+// since the snapshot). Returns how many records the index now resolves
+// to the new pack.
+func (b *DiskBackend) publishPack(records []Object, add bool) (int, error) {
 	b.packSeq++
-	seq := b.packSeq
-	b.mu.Unlock()
-	dst, entries, err := writePack(b.packDir, seq, records)
+	dst, entries, err := writePack(b.packDir, b.packSeq, records)
 	if err != nil {
 		return 0, err
 	}
@@ -431,38 +478,33 @@ func (b *DiskBackend) Compact() (int, error) {
 		return 0, err
 	}
 
-	// Retarget the index. Keys deleted since the snapshot stay deleted
-	// (their pack records are dead on arrival); everything else moves
-	// to the new pack regardless of tier — content addressing makes
-	// any current copy byte-identical to what we packed.
 	var freedLoose []Key
 	b.mu.Lock()
-	idx := int32(len(b.packs))
-	b.packs = append(b.packs, pf)
-	moved := 0
+	idx := slices.IndexFunc(b.packs, func(p *packFile) bool { return p.dead })
+	if idx < 0 {
+		idx = len(b.packs)
+		b.packs = append(b.packs, nil)
+	}
+	b.packs[idx] = pf
 	for _, e := range entries {
 		ref, ok := b.index[e.key]
-		if !ok {
+		switch {
+		case !ok && !add:
 			continue
-		}
-		if ref.pack == looseTier {
+		case !ok:
+			b.bytes += e.size
+		case ref.pack == looseTier:
 			b.loose--
 			freedLoose = append(freedLoose, e.key)
-		} else {
-			old := b.packs[ref.pack]
-			old.live--
-			if old.live == 0 && !old.dead {
-				old.dead = true
-				os.Remove(old.path)
-			}
+		default:
+			b.packs[ref.pack].drop()
 		}
-		b.index[e.key] = objRef{pack: idx, off: e.off, size: e.size}
+		b.index[e.key] = objRef{pack: int32(idx), off: e.off, size: e.size}
 		pf.live++
-		moved++
 	}
-	if pf.live == 0 && !pf.dead {
-		pf.dead = true
-		os.Remove(pf.path) // every victim was deleted mid-flight
+	moved := pf.live
+	if moved == 0 {
+		pf.kill() // every victim was deleted mid-flight
 	}
 	b.mu.Unlock()
 
@@ -473,7 +515,6 @@ func (b *DiskBackend) Compact() (int, error) {
 	for _, k := range freedLoose {
 		os.Remove(b.path(k))
 	}
-	b.compactions.Add(1)
 	return moved, nil
 }
 
@@ -515,14 +556,18 @@ func (b *DiskBackend) Flush() error {
 	return nil
 }
 
-// Close stops the background compactor and flushes directory metadata.
-// Pack mappings are deliberately retained (see the type comment): a
-// closed backend still serves reads, and outstanding zero-copy slices
-// stay valid.
+// Close stops the background compactor, releases every pack mapping and
+// flushes directory metadata. A closed backend still serves reads (see
+// the type comment).
 func (b *DiskBackend) Close() error {
 	b.closeOnce.Do(func() { close(b.stop) })
 	<-b.done
-	b.compactMu.Lock() // no compaction in flight past this point
+	b.compactMu.Lock() // no pack publish in flight past this point
 	defer b.compactMu.Unlock()
+	b.mu.Lock()
+	for _, p := range b.packs {
+		p.release()
+	}
+	b.mu.Unlock()
 	return b.Flush()
 }

@@ -1,11 +1,15 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -339,7 +343,8 @@ func TestInstallRepeatedChunkRefcounts(t *testing.T) {
 	}
 }
 
-// failingBackend fails every Put after the first okPuts.
+// failingBackend fails every Put after the first okPuts. It has no
+// PutBatch, so a publish reaches it one Put at a time.
 type failingBackend struct {
 	Backend
 	okPuts int
@@ -355,22 +360,51 @@ func (b *failingBackend) Put(k Key, payload []byte) error {
 	return b.Backend.Put(k, payload)
 }
 
+// failingBatchBackend fails every PutBatch after the first okBatches and
+// counts the objects the others landed.
+type failingBatchBackend struct {
+	Backend
+	okBatches, landed int
+}
+
+func (b *failingBatchBackend) PutBatch(objs []Object) error {
+	if b.okBatches == 0 {
+		return errBackendFull
+	}
+	b.okBatches--
+	b.landed += len(objs)
+	return putBatch(b.Backend, objs)
+}
+
 // TestFailedInstallKeepsServingPlan: a content error or a backend write
-// failure part-way through the build leaves the serving plan as it was —
-// readable, every taken-over object in place, nothing orphaned.
+// failure part-way through the build or the publish leaves the serving
+// plan as it was — readable, every taken-over object in place, nothing
+// orphaned.
 func TestFailedInstallKeepsServingPlan(t *testing.T) {
 	errContent := errors.New("content unavailable")
 	for _, c := range []struct {
-		name               string
-		okPuts, okContents int // -1 = no fault
-		want               error
+		name                        string
+		okContents                  int // contents served before the fault; -1 = no fault
+		okPuts, okBatches, maxStage int // the backend's budget and the stage bound during the failing Install
+		wantLanded                  bool
+		want                        error
 	}{
-		{"content", -1, 2, errContent},
-		{"put", 3, -1, errBackendFull},
+		{name: "content", okContents: 2, okPuts: -1, want: errContent},
+		{name: "put", okContents: -1, okPuts: 3, want: errBackendFull},
+		// The only publish fails: nothing landed.
+		{name: "putbatch", okContents: -1, okBatches: 0, maxStage: stageLimit, want: errBackendFull},
+		// A stage bound of 256 bytes cuts the build into several publishes;
+		// the second fails with the first in the backend.
+		{name: "second-publish", okContents: -1, okBatches: 1, maxStage: 256, wantLanded: true, want: errBackendFull},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			g, contents := chainFixture(10, bigLines(200, "fail"))
-			b := &failingBackend{Backend: NewMemBackend(), okPuts: -1}
+			loop := &failingBackend{Backend: NewMemBackend(), okPuts: -1}
+			batch := &failingBatchBackend{Backend: NewMemBackend(), okBatches: -1}
+			var b Backend = loop
+			if c.maxStage != 0 {
+				b = batch
+			}
 			s := New(Options{Backend: b, CacheEntries: -1})
 			p := forwardChainPlan(g, 10)
 			if err := s.Install(g, p, func(v graph.NodeID) ([]string, error) { return contents[v], nil }); err != nil {
@@ -378,7 +412,10 @@ func TestFailedInstallKeepsServingPlan(t *testing.T) {
 			}
 			before := backendKeys(t, b)
 			refs := s.refs
-			b.okPuts = c.okPuts
+			loop.okPuts, batch.okBatches, batch.landed = c.okPuts, c.okBatches, 0
+			if c.maxStage != 0 {
+				s.maxStage = c.maxStage
+			}
 			// The target keeps version 0's blob and the first deltas, and
 			// needs new blobs for versions 4..9.
 			q := p.Clone()
@@ -407,12 +444,290 @@ func TestFailedInstallKeepsServingPlan(t *testing.T) {
 				t.Fatal("failed Install changed the serving references")
 			}
 			checkAll(t, s, contents)
-			b.okPuts = -1
+			if (batch.landed > 0) != c.wantLanded {
+				t.Fatalf("publishes before the failing one landed %d objects", batch.landed)
+			}
+			loop.okPuts, batch.okBatches = -1, -1
 			if err := s.Install(g, q, func(v graph.NodeID) ([]string, error) { return contents[v], nil }); err != nil {
 				t.Fatalf("retry after the fault cleared: %v", err)
 			}
 			assertMatchesFromScratch(t, s, g, q, contents)
 			checkAll(t, s, contents)
 		})
+	}
+}
+
+// dirFiles counts the regular files under dir.
+func dirFiles(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(dir, func(_ string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// openDiskStore opens dir with no background compactor, so the files a
+// test counts are the ones the store's operations wrote.
+func openDiskStore(t *testing.T, dir string) (*DiskBackend, *Store) {
+	t.Helper()
+	b, err := OpenDiskBackendWith(dir, DiskOptions{CompactMinLoose: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, New(Options{Backend: b, CacheEntries: -1})
+}
+
+// TestDiskInstallPublishesOnePack: on disk, what one store operation adds
+// is one durable write. A root commit or a migration that adds several
+// objects leaves one new pack and no loose file; one that adds a single
+// object leaves one loose file and no pack; one that adds nothing leaves
+// nothing.
+func TestDiskInstallPublishesOnePack(t *testing.T) {
+	dir := t.TempDir()
+	b, s := openDiskStore(t, dir)
+	defer s.Close()
+	files := func() (packs, loose int) {
+		return dirFiles(t, filepath.Join(dir, "packs")), dirFiles(t, filepath.Join(dir, "objects"))
+	}
+	g, contents := chainFixture(10, bigLines(400, "pack"))
+	shortcut, _ := addEdgePair(g, contents, 2, 5)
+	content := func(v graph.NodeID) ([]string, error) { return contents[v], nil }
+
+	if err := s.AddMaterialized(0, contents[0]); err != nil {
+		t.Fatal(err)
+	}
+	if packs, loose := files(); packs != 1 || loose != 0 || b.Len() < 3 {
+		t.Fatalf("a chunked root of %d objects left %d packs and %d loose files, want one pack", b.Len(), packs, loose)
+	}
+	for v := 1; v < 4; v++ {
+		e := graph.EdgeID(2 * (v - 1))
+		if err := s.AddVersion(graph.NodeID(v), graph.NodeID(v-1), e, diff.Compute(contents[v-1], contents[v]), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if packs, loose := files(); packs != 1 || loose != 3 {
+		t.Fatalf("three commits left %d packs and %d loose files, want their three loose deltas", packs, loose)
+	}
+
+	p := forwardChainPlan(g, 10)
+	objBefore, _, _ := s.InstallTotals()
+	if err := s.Install(g, p, content); err != nil {
+		t.Fatal(err)
+	}
+	if obj, _, _ := s.InstallTotals(); obj-objBefore != 6 {
+		t.Fatalf("the migration added %d objects, want the six new deltas", obj-objBefore)
+	}
+	if packs, loose := files(); packs != 2 || loose != 3 {
+		t.Fatalf("a migration adding six objects left %d packs and %d loose files, want one more pack and nothing else", packs, loose)
+	}
+
+	q := p.Clone()
+	q.Stored[2*4], q.Stored[shortcut] = false, true
+	if err := s.Install(g, q, content); err != nil {
+		t.Fatal(err)
+	}
+	if packs, loose := files(); packs != 2 || loose != 4 {
+		t.Fatalf("a migration adding one object left %d packs and %d loose files, want one more loose file", packs, loose)
+	}
+	if err := s.Install(g, q.Clone(), content); err != nil {
+		t.Fatal(err)
+	}
+	if packs, loose := files(); packs != 2 || loose != 4 {
+		t.Fatalf("re-installing the serving plan left %d packs and %d loose files, want no change", packs, loose)
+	}
+	if ps := b.PackStats(); ps.Compactions != 0 {
+		t.Fatalf("publishes counted as %d compactions", ps.Compactions)
+	}
+	assertMatchesFromScratch(t, s, g, q, contents)
+	checkAll(t, s, contents)
+}
+
+// TestInterruptedPublish covers the two crash points of a publish, on a
+// process that dies without Close. A pack still under its tmp name is
+// swept at open. A pack that was published for a plan the store never
+// swapped to holds objects nothing references: the orphan sweep that
+// versioning.Open runs removes them, and the pack file with the last.
+// Either way the serving plan reads back whole.
+func TestInterruptedPublish(t *testing.T) {
+	dir := t.TempDir()
+	b, s := openDiskStore(t, dir)
+	g, contents := chainFixture(10, bigLines(200, "crash"))
+	content := func(v graph.NodeID) ([]string, error) { return contents[v], nil }
+	p := forwardChainPlan(g, 10)
+	if err := s.Install(g, p, content); err != nil {
+		t.Fatal(err)
+	}
+	serving := backendKeys(t, b)
+	packDir := filepath.Join(dir, "packs")
+
+	// The objects a migration to q would add, built beside the store.
+	q := p.Clone()
+	for v := 4; v < 10; v++ {
+		q.Materialized[v], q.Stored[2*(v-1)] = true, false
+	}
+	target := New(Options{})
+	if err := target.Install(g, q, content); err != nil {
+		t.Fatal(err)
+	}
+	var added []Object
+	for _, k := range backendKeys(t, target.backend) {
+		if _, held := slices.BinarySearchFunc(serving, k, func(a, b Key) int { return slices.Compare(a[:], b[:]) }); !held {
+			payload, err := target.backend.Get(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			added = append(added, Object{Key: k, Payload: payload})
+		}
+	}
+	if len(added) < 2 {
+		t.Fatalf("the target plan adds %d objects: not a pack", len(added))
+	}
+
+	// Crash one: the pack never got its name.
+	torn := filepath.Join(packDir, "pack-123456.tmp")
+	if err := os.WriteFile(torn, []byte(packMagic+"half a record"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Crash two: published and indexed, the process dies before the swap.
+	if err := b.PutBatch(added); err != nil {
+		t.Fatal(err)
+	}
+	if n := dirFiles(t, packDir); n != 3 {
+		t.Fatalf("%d files in the pack directory before the crash, want the serving pack, the torn tmp and the unswapped pack", n)
+	}
+
+	b2, s2 := openDiskStore(t, dir)
+	defer s2.Close()
+	if _, err := os.Stat(torn); !os.IsNotExist(err) {
+		t.Fatalf("torn pack tmp survived reopen: %v", err)
+	}
+	if got := b2.Len(); got != len(serving)+len(added) {
+		t.Fatalf("reopened backend holds %d objects, want %d serving and %d unswapped", got, len(serving), len(added))
+	}
+	// What versioning.Open does: rebuild the serving state, then sweep.
+	objBefore, _, _ := s2.InstallTotals()
+	if err := s2.Install(g, p, content); err != nil {
+		t.Fatal(err)
+	}
+	if obj, _, _ := s2.InstallTotals(); obj-objBefore != int64(len(serving)) {
+		t.Fatalf("rebuilding the serving state staged %d objects, want all %d", obj-objBefore, len(serving))
+	}
+	removed, err := s2.SweepOrphans()
+	if err != nil || removed != len(added) {
+		t.Fatalf("SweepOrphans = %d, %v; want the %d unswapped objects", removed, err, len(added))
+	}
+	if got := backendKeys(t, b2); !slices.Equal(got, serving) {
+		t.Fatalf("after the sweep the backend holds %d objects, the serving plan %d, or other keys", len(got), len(serving))
+	}
+	if n := dirFiles(t, packDir); n != 1 {
+		t.Fatalf("%d files in the pack directory after recovery, want the serving plan's one pack", n)
+	}
+	if n := dirFiles(t, filepath.Join(dir, "objects")); n != 0 {
+		t.Fatalf("rebuilding a plan the backend already held wrote %d loose files", n)
+	}
+	checkAll(t, s2, contents)
+}
+
+// TestPackMappingsAreReleased: a pack's mapping ends with the pack or at
+// Close, whichever is first, so a tenant that is opened, migrated and
+// evicted again and again leaks none; and a closed store still serves a
+// plan that lives in packs.
+func TestPackMappingsAreReleased(t *testing.T) {
+	dir := t.TempDir()
+	g, contents := chainFixture(10, bigLines(200, "mmap"))
+	content := func(v graph.NodeID) ([]string, error) { return contents[v], nil }
+	p := forwardChainPlan(g, 10)
+	all := plan.MaterializeAll(g)
+	start := mappedPacks.Load()
+	for round := 0; round < 100; round++ {
+		// What a tenant's life between two evictions does to the backend:
+		// open, rebuild the chain (every object already held), sweep what
+		// the chain does not reference (the last round's pack dies),
+		// re-plan (a new pack), close.
+		b, s := openDiskStore(t, dir)
+		if err := s.Install(g, p, content); err != nil {
+			t.Fatal(err)
+		}
+		if removed, err := s.SweepOrphans(); err != nil || (removed == 0) != (round == 0) {
+			t.Fatalf("round %d: SweepOrphans = %d, %v", round, removed, err)
+		}
+		if err := s.Install(g, all, content); err != nil {
+			t.Fatal(err)
+		}
+		if ps := b.PackStats(); ps.Packs != 2 || mappedPacks.Load()-start != 2 {
+			t.Fatalf("round %d: %d live packs and %d mappings, want the chain's pack and the plan's", round, ps.Packs, mappedPacks.Load()-start)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := mappedPacks.Load() - start; n != 0 {
+			t.Fatalf("round %d: %d pack mappings outlive Close", round, n)
+		}
+		if round%25 == 0 {
+			before := b.PackStats().PackReads
+			checkAll(t, s, contents) // from the pack files
+			if b.PackStats().PackReads == before {
+				t.Fatal("the closed store's plan does not live in packs")
+			}
+			if n := mappedPacks.Load() - start; n != 0 {
+				t.Fatalf("round %d: reads after Close left %d mappings", round, n)
+			}
+		}
+	}
+	if n := dirFiles(t, filepath.Join(dir, "packs")); n != 2 {
+		t.Fatalf("%d pack files after 100 rounds, want 2: dead packs are not unlinked", n)
+	}
+}
+
+// TestReadersWhilePacksDie hammers Get through checkouts while Installs
+// publish packs and their GC kills the older ones: a reader must never
+// touch a mapping that is gone (run with -race).
+func TestReadersWhilePacksDie(t *testing.T) {
+	_, s := openDiskStore(t, t.TempDir())
+	defer s.Close()
+	g, contents := chainFixture(10, bigLines(200, "race"))
+	content := func(v graph.NodeID) ([]string, error) { return contents[v], nil }
+	plans := []*plan.Plan{forwardChainPlan(g, 10), plan.MaterializeAll(g)}
+	if err := s.Install(g, plans[0], content); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := i % len(contents)
+				got, err := s.Checkout(context.Background(), graph.NodeID(v))
+				if err != nil || !slices.Equal(got, contents[v]) {
+					t.Errorf("Checkout(%d) beside a migration: %d lines, %v", v, len(got), err)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 1; i <= 60; i++ {
+		if err := s.Install(g, plans[i%2], content); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	b := s.backend.(*DiskBackend)
+	if ps := b.PackStats(); ps.Packs > 2 || ps.PackReads == 0 || len(b.packs) > 3 {
+		t.Fatalf("after 60 migrations: %+v in %d slots, want reads from packs and the dead packs gone, their slots reused", ps, len(b.packs))
 	}
 }

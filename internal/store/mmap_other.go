@@ -8,8 +8,8 @@ import (
 )
 
 // mmapFile on platforms without syscall.Mmap degrades to reading the
-// file into memory: the packfile read path keeps its semantics (stable
-// zero-copy slices), it just pays RAM for them.
+// file into memory: the packfile read path keeps its semantics, it just
+// pays RAM for them.
 func mmapFile(f *os.File, size int64) ([]byte, func() error, error) {
 	data := make([]byte, size)
 	if _, err := io.ReadFull(f, data); err != nil {

@@ -9,10 +9,7 @@ import (
 
 // mmapFile maps the first size bytes of f read-only, returning the
 // mapped slice and an unmap function. The mapping outlives f's
-// descriptor and even the file's directory entry: an unlinked file's
-// pages stay valid until munmap, which is what lets the disk backend
-// serve zero-copy reads from packs that a later compaction already
-// deleted.
+// descriptor; nothing may touch the slice after unmap.
 func mmapFile(f *os.File, size int64) ([]byte, func() error, error) {
 	if size == 0 {
 		return nil, func() error { return nil }, nil

@@ -9,10 +9,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
-// Packfile layout. A compaction folds the objects/ab/hex fan-out into a
-// single append-only file under dir/packs:
+// Packfile layout. A batch publish (PutBatch) or a compaction of the
+// loose files under objects/ is a single append-only file under
+// dir/packs:
 //
 //	magic "DSVPACK1"
 //	record*: key[32] | uvarint(len(payload)) | payload
@@ -21,9 +23,10 @@ import (
 // rebuild the offset table with one sequential header scan at open,
 // which removes an entire class of index-out-of-sync crash bugs. Packs
 // are immutable once published (tmp + fsync + rename, like loose
-// objects); deletion only ever removes whole files, and a pack's mmap
-// stays live until the backend closes, so Get can hand out zero-copy
-// slices without reference counting.
+// objects) and deletion only ever removes whole files. Reads copy out of
+// the pack's mmap under the backend's lock, so the mapping needs no
+// reference counting: it ends with the pack's last live record, or at
+// Close.
 
 const packMagic = "DSVPACK1"
 
@@ -32,8 +35,8 @@ const packMagic = "DSVPACK1"
 type PackStats struct {
 	Packs         int   // live (non-empty) packfiles
 	PackedObjects int   // live objects resolved from packs
-	PackReads     int64 // Gets served from an mmap'd pack
-	LooseReads    int64 // Gets served from a fan-out file
+	PackReads     int64 // Gets served from a pack
+	LooseReads    int64 // Gets served from a loose file
 	Compactions   int64 // completed compaction passes
 }
 
@@ -42,16 +45,60 @@ type PackStatser interface {
 	PackStats() PackStats
 }
 
-// packFile is one mapped packfile. Fields are guarded by the owning
-// DiskBackend's mutex except data/unmap, which are immutable after
-// construction.
+// packFile is one packfile. Fields are guarded by the owning
+// DiskBackend's mutex.
 type packFile struct {
 	path  string
-	data  []byte       // full mmap'd file contents
-	unmap func() error // releases data at backend Close
+	data  []byte       // full mmap'd file contents; nil once released
+	unmap func() error // releases data
 	live  int          // entries still pointed at by the index
 	total int          // entries in the file, live or dead
-	dead  bool         // unlinked (kept mapped for outstanding slices)
+	dead  bool         // unlinked and unmapped
+}
+
+// mappedPacks counts live pack mappings, for the leak tests.
+var mappedPacks atomic.Int64
+
+// read copies one record's payload out: from the mapping while there is
+// one, from the file once Close has released it. Holding the backend's
+// mutex (read suffices) keeps the mapping and a live record's file in
+// place meanwhile.
+func (p *packFile) read(off, size int64) ([]byte, error) {
+	out := make([]byte, size)
+	if p.data != nil {
+		copy(out, p.data[off:off+size])
+		return out, nil
+	}
+	f, err := os.Open(p.path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	_, err = f.ReadAt(out, off)
+	return out, err
+}
+
+// drop retires one live record; the pack dies with its last.
+func (p *packFile) drop() {
+	if p.live--; p.live == 0 {
+		p.kill()
+	}
+}
+
+// kill unlinks and unmaps a pack no index entry points at.
+func (p *packFile) kill() {
+	p.dead = true
+	os.Remove(p.path)
+	p.release()
+}
+
+// release unmaps the pack; read goes to the file from here on.
+func (p *packFile) release() {
+	if p.data != nil {
+		p.unmap()
+		p.data = nil
+		mappedPacks.Add(-1)
+	}
 }
 
 // packEntry locates one record's payload during parsing/publication.
@@ -128,6 +175,7 @@ func openPack(path string) (*packFile, []packEntry, error) {
 		unmap()
 		return nil, nil, fmt.Errorf("store: pack %s: %w", path, err)
 	}
+	mappedPacks.Add(1)
 	return &packFile{path: path, data: data, unmap: unmap, total: len(entries)}, entries, nil
 }
 
@@ -165,7 +213,7 @@ func scanPacks(packDir string) ([]*packFile, [][]packEntry, uint64, error) {
 		p, ents, err := openPack(filepath.Join(packDir, name))
 		if err != nil {
 			for _, q := range packs {
-				q.unmap()
+				q.release()
 			}
 			return nil, nil, 0, err
 		}
@@ -178,7 +226,7 @@ func scanPacks(packDir string) ([]*packFile, [][]packEntry, uint64, error) {
 // writePack streams records to a tmp file in packDir and atomically
 // publishes it as seq's pack. Returns the final path and the entry
 // locations (offsets are valid for the published file).
-func writePack(packDir string, seq uint64, records []packRecord) (string, []packEntry, error) {
+func writePack(packDir string, seq uint64, records []Object) (string, []packEntry, error) {
 	tmp, err := os.CreateTemp(packDir, "pack-*.tmp")
 	if err != nil {
 		return "", nil, fmt.Errorf("store: tmp pack: %w", err)
@@ -189,7 +237,13 @@ func writePack(packDir string, seq uint64, records []packRecord) (string, []pack
 			os.Remove(tmp.Name())
 		}
 	}()
-	w := bufio.NewWriterSize(tmp, 1<<20)
+	// A buffer the size of the pack, up to 1 MiB: a migration's two dozen
+	// small objects should not cost a megabyte of garbage per publish.
+	size := len(packMagic)
+	for _, r := range records {
+		size += len(Key{}) + binary.MaxVarintLen64 + len(r.Payload)
+	}
+	w := bufio.NewWriterSize(tmp, min(size, 1<<20))
 	if _, err := w.WriteString(packMagic); err != nil {
 		return "", nil, err
 	}
@@ -197,19 +251,19 @@ func writePack(packDir string, seq uint64, records []packRecord) (string, []pack
 	entries := make([]packEntry, 0, len(records))
 	off := int64(len(packMagic))
 	for _, r := range records {
-		if _, err := w.Write(r.key[:]); err != nil {
+		if _, err := w.Write(r.Key[:]); err != nil {
 			return "", nil, err
 		}
-		n := binary.PutUvarint(hdr[:], uint64(len(r.payload)))
+		n := binary.PutUvarint(hdr[:], uint64(len(r.Payload)))
 		if _, err := w.Write(hdr[:n]); err != nil {
 			return "", nil, err
 		}
 		off += int64(len(Key{})) + int64(n)
-		if _, err := w.Write(r.payload); err != nil {
+		if _, err := w.Write(r.Payload); err != nil {
 			return "", nil, err
 		}
-		entries = append(entries, packEntry{key: r.key, off: off, size: int64(len(r.payload))})
-		off += int64(len(r.payload))
+		entries = append(entries, packEntry{key: r.Key, off: off, size: int64(len(r.Payload))})
+		off += int64(len(r.Payload))
 	}
 	if err := w.Flush(); err != nil {
 		return "", nil, err
@@ -234,9 +288,4 @@ func writePack(packDir string, seq uint64, records []packRecord) (string, []pack
 		d.Close()
 	}
 	return dst, entries, nil
-}
-
-type packRecord struct {
-	key     Key
-	payload []byte
 }

@@ -31,8 +31,8 @@ func (c *compactingBackend) Put(k store.Key, data []byte) error {
 // TestDiskBackendPackedConformance pins the packfile read path to the
 // same contract as every other backend.
 func TestDiskBackendPackedConformance(t *testing.T) {
-	backendtest.Run(t, func(t *testing.T) store.Backend {
-		b, err := store.OpenDiskBackendWith(t.TempDir(), store.DiskOptions{CompactMinLoose: -1})
+	backendtest.RunDurable(t, func(t *testing.T, dir string) store.Backend {
+		b, err := store.OpenDiskBackendWith(dir, store.DiskOptions{CompactMinLoose: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,8 +194,9 @@ func TestPackRecoverySpanningCompaction(t *testing.T) {
 }
 
 // TestDeletePackedObjects verifies index-only deletes from packs,
-// whole-pack reclamation when the last entry dies, and that slices
-// handed out before the unlink stay readable (the mmap is retained).
+// whole-pack reclamation when the last entry dies, and that bytes handed
+// out before the pack was unlinked and unmapped stay readable (Get
+// copies).
 func TestDeletePackedObjects(t *testing.T) {
 	dir := t.TempDir()
 	b, err := store.OpenDiskBackendWith(dir, store.DiskOptions{CompactMinLoose: -1})
@@ -214,7 +215,7 @@ func TestDeletePackedObjects(t *testing.T) {
 	if _, err := b.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	held, err := b.Get(keys[0]) // zero-copy slice into the pack's mmap
+	held, err := b.Get(keys[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestDeletePackedObjects(t *testing.T) {
 		t.Fatalf("drained pack file not unlinked: %v", ents)
 	}
 	if !bytes.Equal(held, heldCopy) {
-		t.Fatal("outstanding Get slice corrupted by pack unlink")
+		t.Fatal("outstanding Get result corrupted by the pack's death")
 	}
 }
 

@@ -42,8 +42,9 @@ type Options struct {
 // Returned content slices are shared with the cache: callers must not
 // modify them.
 type Store struct {
-	backend Backend
-	cache   *contentCache
+	backend  Backend
+	cache    *contentCache
+	maxStage int // stageLimit; tests lower it
 
 	// mu guards the installed-plan state below — pure in-memory metadata,
 	// held only for map/slice access, never across backend I/O.
@@ -99,7 +100,7 @@ type Stats struct {
 	Packs         int   // live packfiles
 	PackedObjects int   // objects served from packs
 	PackReads     int64 // Gets resolved via an mmap'd pack slice
-	LooseReads    int64 // Gets resolved via a loose fan-out file
+	LooseReads    int64 // Gets resolved via a loose file
 	Compactions   int64 // completed compaction passes
 }
 
@@ -110,11 +111,12 @@ func New(opt Options) *Store {
 		b = NewMemBackend()
 	}
 	return &Store{
-		backend: b,
-		cache:   newContentCache(opt.CacheEntries, opt.CacheBytes),
-		blobs:   make(map[graph.NodeID][]Key),
-		deltas:  make(map[graph.EdgeID]storedDelta),
-		refs:    make(map[Key]int),
+		backend:  b,
+		cache:    newContentCache(opt.CacheEntries, opt.CacheBytes),
+		maxStage: stageLimit,
+		blobs:    make(map[graph.NodeID][]Key),
+		deltas:   make(map[graph.EdgeID]storedDelta),
+		refs:     make(map[Key]int),
 	}
 }
 
@@ -163,6 +165,35 @@ func (s *Store) Stats() Stats {
 // can produce it (an ingest buffer, or a checkout under the previously
 // installed plan during migration).
 type ContentFunc func(v graph.NodeID) ([]string, error)
+
+// stageLimit bounds the encoded payloads a stage holds: past it the stage
+// publishes, so the first migration of a large repository goes out in
+// several batches instead of sitting in memory whole.
+const stageLimit = 8 << 20
+
+// stage collects the objects one store operation adds and hands them to
+// the backend together: the unit of a durable write is what the
+// operation adds, not one object (see BatchPutter).
+type stage struct {
+	s    *Store
+	objs []Object
+	size int // payload bytes in objs
+}
+
+func (st *stage) add(k Key, payload []byte) error {
+	st.objs = append(st.objs, Object{Key: k, Payload: payload})
+	if st.size += len(payload); st.size >= st.s.maxStage {
+		return st.publish()
+	}
+	return nil
+}
+
+// publish hands what is staged to the backend and lets go of it.
+func (st *stage) publish() error {
+	err := putBatch(st.s.backend, st.objs)
+	st.objs, st.size = nil, 0
+	return err
+}
 
 // putBlobObject persists lines as a materialized version: small contents
 // as one blob object, large contents as content-defined chunks behind a
@@ -309,15 +340,16 @@ func (s *Store) MigrationNeeds(g *graph.Graph, p *plan.Plan) []graph.NodeID {
 
 // Install switches the store to plan p for graph g. What the serving
 // plan already holds is taken over by key (planMigration); for the rest
-// it persists a blob per newly materialized version and an edit script
-// per newly stored delta (computed deterministically from the endpoint
-// contents). It then atomically swaps the serving state and
-// garbage-collects objects the new plan no longer references. content is
-// consulted once per version in MigrationNeeds (memoized internally), so
-// the work is proportional to what the plan changed and the first
-// Install into an empty store is the case with nothing to take over. All
-// object writes and deletions happen outside the store lock: only the
-// final metadata swap blocks checkouts, and only for a map swap.
+// it builds a blob per newly materialized version and an edit script per
+// newly stored delta (computed deterministically from the endpoint
+// contents) and publishes them to the backend together (stage). It then
+// atomically swaps the serving state and garbage-collects objects the
+// new plan no longer references. content is consulted once per version
+// in MigrationNeeds (memoized internally), so the work is proportional to
+// what the plan changed and the first Install into an empty store is the
+// case with nothing to take over. All object writes and deletions happen
+// outside the store lock: only the final metadata swap blocks checkouts,
+// and only for a map swap.
 //
 // Install validates that p makes every version of g retrievable and
 // refuses to install an infeasible plan, leaving the previous state
@@ -353,18 +385,19 @@ func (s *Store) Install(g *graph.Graph, p *plan.Plan, content ContentFunc) error
 	}
 
 	m := s.planMigration(g, p)
-	var wrote []Key // objects this Install added to the backend
+	st := stage{s: s}
+	var wrote []Key // objects this Install adds to the backend
 	var wroteBytes int64
 	put := func(payload []byte) (Key, error) {
 		k := KeyOf(payload)
 		// An object either plan already references is in the backend,
 		// whichever version or edge it was first written for.
 		if m.refs[k] == 0 && m.servingRefs[k] == 0 {
-			if err := s.backend.Put(k, payload); err != nil {
-				return Key{}, err
-			}
 			wrote = append(wrote, k)
 			wroteBytes += int64(len(payload))
+			if err := st.add(k, payload); err != nil {
+				return Key{}, err
+			}
 		}
 		m.refs[k]++
 		return k, nil
@@ -399,9 +432,14 @@ func (s *Store) Install(g *graph.Graph, p *plan.Plan, content ContentFunc) error
 		}
 		return nil
 	}
-	if err := build(); err != nil {
+	err := build()
+	if err == nil {
+		err = st.publish()
+	}
+	if err != nil {
 		// Roll back what this Install wrote, none of which the serving
 		// plan references, so a failed migration leaves no orphans.
+		// Deleting a key no publish landed is a no-op.
 		for _, k := range wrote {
 			_ = s.backend.Delete(k)
 		}
@@ -497,10 +535,14 @@ func (s *Store) AddMaterialized(v graph.NodeID, lines []string) error {
 	// Object writes happen before publication and outside the lock; a
 	// failure leaves at most content-addressed objects a later sweep
 	// collects, never a published version.
+	st := stage{s: s}
 	keys, err := putBlobObject(lines, func(payload []byte) (Key, error) {
 		k := KeyOf(payload)
-		return k, s.backend.Put(k, payload)
+		return k, st.add(k, payload)
 	})
+	if err == nil {
+		err = st.publish()
+	}
 	if err != nil {
 		return err
 	}

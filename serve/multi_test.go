@@ -231,6 +231,12 @@ func TestCheckoutStampedeMultiTenant(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/t/bob/commit", map[string]any{"parent": -1, "lines": []string{"bob v0"}}, &cr); code != http.StatusOK {
 		t.Fatalf("bob commit = %d", code)
 	}
+	// The handler of alice's last request may still hold its lease when
+	// bob opens; her eviction then runs at that Release, beside bob's
+	// commit, and closing her now syncs a directory that holds her files.
+	for deadline := time.Now().Add(5 * time.Second); mgr.Fleet(1).Evictions == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if fs := mgr.Fleet(1); fs.Evictions != 1 || fs.Reopens != 0 {
 		t.Fatalf("before alice returns: evictions = %d, reopens = %d, want 1 and 0", fs.Evictions, fs.Reopens)
 	}

@@ -21,7 +21,7 @@ const DefaultMaxOpen = 64
 // with no quotas and the default LRU bound.
 type Options struct {
 	// RootDir is the fleet's durable root: tenant name → RootDir/name
-	// (objects/ fan-out plus commit journal, exactly the single-repo
+	// (objects/ and packs/ plus commit journal, exactly the single-repo
 	// layout). Empty serves every tenant from memory — eviction then
 	// discards the tenant's history, so durable fleets should always set
 	// it.

@@ -612,3 +612,72 @@ func TestGroupCommitJournalPrefixReplay(t *testing.T) {
 		t.Fatalf("full journal replayed %d records, want %d", prev, n)
 	}
 }
+
+// TestKillAfterReplanReplaysTheChain: a disk repository whose roots and
+// migrations publish packs is killed (no Close) right after a re-plan.
+// Nothing of the installed plan survives the process: Open replays the
+// journal into the incremental chain, taking over the objects the packs
+// and loose files still hold and sweeping the plan's own, and every
+// version reads back byte for byte, before and after the next re-plan
+// and across a clean restart.
+func TestKillAfterReplanReplaysTheChain(t *testing.T) {
+	dir := t.TempDir()
+	src := *repogen.GenerateRepo("kill-replan", 24, 9)
+	// A shared head puts every version over the chunking threshold: the
+	// root is a manifest over chunks, published as one pack.
+	head := make([]string, 150)
+	for i := range head {
+		head[i] = fmt.Sprintf("shared head line %03d", i)
+	}
+	src.Contents = append([][]string(nil), src.Contents...)
+	for v, c := range src.Contents {
+		src.Contents[v] = append(append([]string(nil), head...), c...)
+	}
+	opt := durableOptions(dir)
+	opt.ReplanEvery = -1 // no pass may run under the "dead" instance
+	chain := NewRepository("chain", RepositoryOptions{ReplanEvery: -1, EngineOptions: testEngineOptions()})
+	ingest(t, chain, &src)
+
+	r, err := Open("kill-replan", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, r, &src)
+	ctx := context.Background()
+	if err := r.Replan(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Packs < 2 || st.MigrationObjects < 2 {
+		t.Fatalf("the root and the migration (%d objects) left %d packs, want one each", st.MigrationObjects, st.Packs)
+	}
+	verifyAll(t, r, &src)
+	planned := r.Stats().Objects
+
+	// No Close: the process died.
+	r2, err := Open("kill-replan", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyAll(t, r2, &src)
+	if got, want := r2.Stats().Objects, chain.Stats().Objects; got != want {
+		t.Fatalf("the reopened repository holds %d objects, the replayed chain references %d", got, want)
+	}
+	if err := r2.Replan(ctx); err != nil {
+		t.Fatal(err)
+	}
+	verifyAll(t, r2, &src)
+	if got := r2.Stats().Objects; got != planned {
+		t.Fatalf("the re-plan after the restart holds %d objects, the one before it %d", got, planned)
+	}
+	if err := r2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	verifyAll(t, r2, &src) // a closed repository reads its packs from the files
+
+	r3, err := Open("kill-replan", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r3.Close()
+	verifyAll(t, r3, &src)
+}
