@@ -553,7 +553,7 @@ func BenchmarkRepositoryCheckoutParallel(b *testing.B) {
 }
 
 // BenchmarkRepositoryCheckoutParallel_SingleMutex is the contention
-// baseline: the same traffic on the single-mutex MemBackend.
+// baseline: the same traffic on a one-shard, single-mutex backend.
 func BenchmarkRepositoryCheckoutParallel_SingleMutex(b *testing.B) {
 	benchCheckoutParallel(b, versioning.RepositoryOptions{Backend: store.NewMemBackend()})
 }

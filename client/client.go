@@ -94,14 +94,13 @@ type Options struct {
 	TraceSample float64
 	// OnTrace, when set, is called (on the request goroutine) with the
 	// request path and the server's X-DSV-Trace-Id for every successful
-	// response that carried one — the hook dsvload uses to collect trace
-	// IDs for its per-phase latency breakdown (see Tracez).
+	// response that carried one, so a caller can look its requests up
+	// afterwards (see Tracez).
 	OnTrace func(path, traceID string)
 	// OnResponse, when set, is called (on the request goroutine) with the
 	// request path and the wire size of the response body for every
-	// successful attempt — the hook dsvload uses for its payload
-	// throughput and response-size reports. A 304 revalidation reports 0
-	// bytes: that is the point of sending the validator.
+	// successful attempt. A 304 revalidation reports 0 bytes: that is
+	// the point of sending the validator.
 	OnResponse func(path string, bodyBytes int64)
 	// ValidatorCacheBytes enables the client-side ETag validator cache:
 	// direct (non-coalesced) checkouts remember each path's last response

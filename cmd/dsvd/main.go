@@ -28,8 +28,8 @@
 //	curl -s localhost:8080/t/alice/checkout/0
 //	curl -s localhost:8080/fleetz
 //
-// Storage is pluggable: by default versions live in a sharded in-memory
-// backend (-shards shards); with -data-dir (or -multi -tenants-dir) the
+// Storage is pluggable: by default versions live in a sharded
+// in-memory backend; with -data-dir (or -multi -tenants-dir) the
 // daemon runs on durable disk backends plus write-ahead commit
 // journals, and a restart replays the journals so the full committed
 // history survives a kill. Concurrent commits share journal writes
@@ -47,8 +47,7 @@
 // same version share one reconstruction, deduplicated once, in each
 // repository's store (/statsz reports the followers as
 // endpoints.checkout.coalesced); per-endpoint latency/throughput
-// counters are served at /statsz. Drive it with
-// cmd/dsvload (which speaks both modes; see -tenants).
+// counters are served at /statsz.
 //
 // Observability: -trace-sample samples that fraction of requests into
 // end-to-end traces (clients can force one with an X-DSV-Trace
@@ -87,56 +86,59 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "dsvd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run serves until ctx is cancelled, then drains and flushes storage.
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("dsvd", flag.ExitOnError)
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		problemStr  = flag.String("problem", "MSR", "re-planning regime: MSR|MMR|BSR|BMR (or MST|SPT baselines)")
-		constraint  = flag.Int64("constraint", 0, "regime bound; 0 derives one from the minimum-storage plan")
-		autoFactor  = flag.Float64("auto-factor", 2, "slack multiplier for automatic storage budgets")
-		replanEvery = flag.Int("replan-every", 8, "re-plan and migrate every k commits (negative: only via POST /replan)")
-		cache       = flag.Int("cache", 256, "checkout LRU entries (negative disables)")
-		cacheBytes  = flag.Int64("cache-bytes", 0, "checkout LRU byte budget (0 = 64 MiB)")
-		respCache   = flag.Int64("resp-cache", 0, "encoded checkout-response cache byte budget (0 = 64 MiB, negative disables)")
-		workers     = flag.Int("workers", 0, "batch checkout workers (0 = GOMAXPROCS)")
-		shards      = flag.Int("shards", 0, "in-memory backend shards (0 = default; ignored with -data-dir)")
-		dataDir     = flag.String("data-dir", "", "durable storage root (objects + commit journal); empty serves from memory")
-		fsync       = flag.Bool("fsync", false, "fsync the commit journal on every commit (with -data-dir)")
-		groupCommit = flag.Bool("group-commit", true, "batch concurrent commits into one journal write/fsync (with -data-dir or -tenants-dir)")
-		linger      = flag.Duration("group-commit-linger", 0, "how long a batch leader waits for more commits to join (0 = 200µs with -fsync, none otherwise; negative disables)")
-		maintenance = flag.Int("maintenance", 0, "background plan-maintenance workers per repository (0 = 1; negative re-plans synchronously inside commits)")
-		planHistory = flag.Int("plan-history", 0, "maintenance passes retained in the plan-observatory ring served at GET /planz (0 = 64, negative disables)")
-		heatHL      = flag.Duration("heat-halflife", 0, "per-version read-heat EWMA half-life (0 = 5m default, negative disables heat tracking)")
-		timeout     = flag.Duration("timeout", 5*time.Second, "per-solver deadline inside re-planning races")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests and storage flush")
-		maxInFlight = flag.Int("max-inflight", 0, "admission control: max concurrently executing requests (0 = 4*GOMAXPROCS, negative disables)")
-		maxQueue    = flag.Int("max-queue", 0, "admission control: waiting slots before load shedding (0 = 2*max-inflight)")
-		queueWait   = flag.Duration("queue-wait", 100*time.Millisecond, "admission control: max time a request queues for a slot")
-		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint sent with 429 responses")
-		ilp         = flag.Bool("ilp", false, "include the exact ILP in MSR re-planning races")
-		demo        = flag.Int("demo", 0, "preload a synthetic history of N commits (single-repo mode)")
-		demoSeed    = flag.Int64("demo-seed", 42, "seed for -demo")
+		addr        = fs.String("addr", ":8080", "listen address")
+		problemStr  = fs.String("problem", "MSR", "re-planning regime: MSR|MMR|BSR|BMR (or MST|SPT baselines)")
+		constraint  = fs.Int64("constraint", 0, "regime bound; 0 derives one from the minimum-storage plan")
+		autoFactor  = fs.Float64("auto-factor", 2, "slack multiplier for automatic storage budgets")
+		replanEvery = fs.Int("replan-every", 8, "re-plan and migrate every k commits (negative: only via POST /replan)")
+		cache       = fs.Int("cache", 256, "checkout LRU entries (negative disables)")
+		cacheBytes  = fs.Int64("cache-bytes", 0, "checkout LRU byte budget (0 = 64 MiB)")
+		respCache   = fs.Int64("resp-cache", 0, "encoded checkout-response cache byte budget (0 = 64 MiB, negative disables)")
+		workers     = fs.Int("workers", 0, "batch checkout workers (0 = GOMAXPROCS)")
+		dataDir     = fs.String("data-dir", "", "durable storage root (objects + commit journal); empty serves from memory")
+		fsync       = fs.Bool("fsync", false, "fsync the commit journal on every commit (with -data-dir)")
+		groupCommit = fs.Bool("group-commit", true, "batch concurrent commits into one journal write/fsync (with -data-dir or -tenants-dir)")
+		linger      = fs.Duration("group-commit-linger", 0, "how long a batch leader waits for more commits to join (0 = 200µs with -fsync, none otherwise; negative disables)")
+		maintenance = fs.Int("maintenance", 0, "background plan-maintenance workers per repository (0 = 1; negative re-plans synchronously inside commits)")
+		planHistory = fs.Int("plan-history", 0, "maintenance passes retained in the plan-observatory ring served at GET /planz (0 = 64, negative disables)")
+		heatHL      = fs.Duration("heat-halflife", 0, "per-version read-heat EWMA half-life (0 = 5m default, negative disables heat tracking)")
+		timeout     = fs.Duration("timeout", 5*time.Second, "per-solver deadline inside re-planning races")
+		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests and storage flush")
+		maxInFlight = fs.Int("max-inflight", 0, "admission control: max concurrently executing requests (0 = 4*GOMAXPROCS, negative disables)")
+		maxQueue    = fs.Int("max-queue", 0, "admission control: waiting slots before load shedding (0 = 2*max-inflight)")
+		queueWait   = fs.Duration("queue-wait", 100*time.Millisecond, "admission control: max time a request queues for a slot")
+		retryAfter  = fs.Duration("retry-after", time.Second, "Retry-After hint sent with 429 responses")
+		ilp         = fs.Bool("ilp", false, "include the exact ILP in MSR re-planning races")
+		demo        = fs.Int("demo", 0, "preload a synthetic history of N commits (single-repo mode)")
+		demoSeed    = fs.Int64("demo-seed", 42, "seed for -demo")
 
-		version     = flag.Bool("version", false, "print the embedded build identity and exit")
-		traceSample = flag.Float64("trace-sample", 0, "fraction of requests traced end-to-end (0 traces only client-forced requests; see /tracez)")
-		traceRecent = flag.Int("trace-recent", 0, "completed traces retained by the flight recorder ring (0 = default)")
-		slowLog     = flag.Duration("slow-log", 0, "log requests slower than this with their trace IDs (0 disables)")
-		debugAddr   = flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables)")
+		version     = fs.Bool("version", false, "print the embedded build identity and exit")
+		traceSample = fs.Float64("trace-sample", 0, "fraction of requests traced end-to-end (0 traces only client-forced requests; see /tracez)")
+		traceRecent = fs.Int("trace-recent", 0, "completed traces retained by the flight recorder ring (0 = default)")
+		slowLog     = fs.Duration("slow-log", 0, "log requests slower than this with their trace IDs (0 disables)")
+		debugAddr   = fs.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables)")
 
-		multi      = flag.Bool("multi", false, "serve a multi-tenant fleet under /t/{tenant}/...")
-		tenantsDir = flag.String("tenants-dir", "", "durable root for per-tenant data dirs (with -multi; empty serves tenants from memory)")
-		maxOpen    = flag.Int("max-open", tenant.DefaultMaxOpen, "max concurrently open tenant repositories (LRU-evicted beyond; negative disables eviction)")
-		quotaObj   = flag.Int("quota-max-objects", 0, "per-tenant cap on content-addressed objects (0 = unlimited)")
-		quotaBytes = flag.Int64("quota-max-bytes", 0, "per-tenant cap on logical bytes (0 = unlimited)")
-		quotaRate  = flag.Float64("quota-commit-rate", 0, "per-tenant commit token-bucket refill rate per second (0 = unlimited)")
-		quotaBurst = flag.Int("quota-commit-burst", 0, "per-tenant commit token-bucket capacity (0 = max(1, rate))")
+		multi      = fs.Bool("multi", false, "serve a multi-tenant fleet under /t/{tenant}/...")
+		tenantsDir = fs.String("tenants-dir", "", "durable root for per-tenant data dirs (with -multi; empty serves tenants from memory)")
+		maxOpen    = fs.Int("max-open", tenant.DefaultMaxOpen, "max concurrently open tenant repositories (LRU-evicted beyond; negative disables eviction)")
+		quotaObj   = fs.Int("quota-max-objects", 0, "per-tenant cap on content-addressed objects (0 = unlimited)")
+		quotaBytes = fs.Int64("quota-max-bytes", 0, "per-tenant cap on logical bytes (0 = unlimited)")
+		quotaRate  = fs.Float64("quota-commit-rate", 0, "per-tenant commit token-bucket refill rate per second (0 = unlimited)")
+		quotaBurst = fs.Int("quota-commit-burst", 0, "per-tenant commit token-bucket capacity (0 = max(1, rate))")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 and -h exits 0, as flag.Parse did
 	if *version {
 		fmt.Println(buildinfo.Get().String())
 		return nil
@@ -157,7 +159,6 @@ func run() error {
 		CacheEntries:       *cache,
 		CacheBytes:         *cacheBytes,
 		Workers:            *workers,
-		Shards:             *shards,
 		SyncWrites:         *fsync,
 		GroupCommit:        *groupCommit,
 		GroupCommitLinger:  *linger,
@@ -214,9 +215,9 @@ func run() error {
 		})
 		handler = serve.NewMulti(mgr, sopt)
 		if *tenantsDir != "" {
-			log.Printf("dsvd: multi-tenant fleet rooted at %s (max %d open)", *tenantsDir, *maxOpen)
+			log.Printf("dsvd: multi-tenant fleet rooted at %s (max %d open)", *tenantsDir, mo)
 		} else {
-			log.Printf("dsvd: multi-tenant fleet in memory (max %d open)", *maxOpen)
+			log.Printf("dsvd: multi-tenant fleet in memory (every tenant stays open)")
 		}
 	} else {
 		ropt.DataDir = *dataDir
@@ -240,15 +241,16 @@ func run() error {
 		handler = serve.New(repo, sopt)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	// SIGQUIT dumps the flight recorder — the same snapshot /tracez
 	// serves — plus the plan observatory's vital signs, without
 	// disturbing the process, for the case where the daemon is wedged
 	// enough that HTTP is not answering.
 	quitCh := make(chan os.Signal, 1)
 	signal.Notify(quitCh, syscall.SIGQUIT)
+	defer func() {
+		signal.Stop(quitCh)
+		close(quitCh) // ends the dump goroutine
+	}()
 	go func() {
 		for range quitCh {
 			buf, err := json.Marshal(tracer.Recorder().Snapshot())

@@ -1,0 +1,158 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"log"
+	"net"
+	"os"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/client"
+	"repro/versioning"
+)
+
+// boot starts run on a free loopback port and waits until /healthz
+// answers. stop cancels run's context and returns what run returned;
+// it may be called again.
+func boot(t *testing.T, args ...string) (c *client.Client, stop func() error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var runErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runErr = run(ctx, append([]string{"-addr", addr}, args...))
+	}()
+	stop = func() error {
+		cancel()
+		<-done
+		return runErr
+	}
+	t.Cleanup(func() { stop() })
+
+	c = client.New("http://"+addr, client.Options{})
+	t.Cleanup(c.Close)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, err = c.Healthz(ctx); err == nil {
+			return c, stop
+		}
+		select {
+		case <-done:
+			t.Fatalf("run returned before serving: %v", runErr)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("dsvd did not become healthy: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRunDurableRestart boots the real main with -data-dir -fsync,
+// commits through the client, shuts down by cancelling the context as a
+// signal would, and boots again on the same directory: the history is
+// there, byte for byte.
+func TestRunDurableRestart(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	versions := [][]string{
+		{"alpha"},
+		{"alpha", "beta"},
+		{"gamma", "beta", ""},
+	}
+
+	c, stop := boot(t, "-data-dir", dir, "-fsync")
+	parent := versioning.NoParent
+	for i, lines := range versions {
+		cr, err := c.Commit(ctx, parent, lines)
+		if err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		parent = cr.ID
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("run after cancel: %v, want nil once drained and flushed", err)
+	}
+
+	c, stop = boot(t, "-data-dir", dir, "-fsync")
+	if n, err := c.Healthz(ctx); err != nil || n != len(versions) {
+		t.Fatalf("healthz after restart: %d versions, %v; want %d", n, err, len(versions))
+	}
+	for i, want := range versions {
+		got, err := c.Checkout(ctx, versioning.NodeID(i))
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("checkout %d after restart = %q, %v; want %q", i, got, err, want)
+		}
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunRefusesSingleRepoFlagsWithMulti: flags -multi would drop are
+// errors, not silently ignored.
+func TestRunRefusesSingleRepoFlagsWithMulti(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-multi", "-data-dir", t.TempDir()}, "-data-dir is single-repo only; use -tenants-dir with -multi"},
+		{[]string{"-multi", "-demo", "1"}, "-demo is single-repo only"},
+	} {
+		err := run(context.Background(), tc.args)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("run %v: %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestRunInMemoryFleetLog: an in-memory fleet never evicts, and the
+// start-up log must not announce a -max-open bound it does not apply.
+func TestRunInMemoryFleetLog(t *testing.T) {
+	var buf lockedBuffer
+	log.SetOutput(&buf)
+	defer log.SetOutput(os.Stderr)
+
+	c, stop := boot(t, "-multi", "-max-open", "7")
+	if _, err := c.Tenant("alice").Commit(context.Background(), versioning.NoParent, []string{"hi"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "eviction disabled") || strings.Contains(out, "max 7 open") {
+		t.Fatalf("start-up log contradicts itself:\n%s", out)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer the daemon's goroutines can log into.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/client"
+	"repro/internal/diff"
 	"repro/internal/gitimport"
 	"repro/serve"
 	"repro/versioning"
@@ -47,7 +51,9 @@ func TestRunAnalyze(t *testing.T) {
 }
 
 // TestRunHTTP imports the fixture into a live single-repo daemon over
-// the wire and verifies the server ends up with every version.
+// the wire, then reads the history back through the client: every
+// version, a diff from each parent of both merges, and a path-scoped
+// checkout, each compared with the lines the importer built.
 func TestRunHTTP(t *testing.T) {
 	if !gitimport.Available() {
 		t.Skip("git binary not on PATH")
@@ -76,4 +82,70 @@ func TestRunHTTP(t *testing.T) {
 	if repo.Stats().Versions != 13 {
 		t.Fatalf("server repo has %d versions", repo.Stats().Versions)
 	}
+
+	// The oracle: what run sent. The repository was empty, so commit i
+	// is version i.
+	ctx := context.Background()
+	h, err := gitimport.Load(ctx, fixtureDir, gitimport.Options{Ref: cfg.ref, MaxBlobBytes: cfg.maxBlob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := client.New(ts.URL, client.Options{})
+	defer c.Close()
+	merges := 0
+	for i, commit := range h.Commits {
+		id := versioning.NodeID(i)
+		got, err := c.Checkout(ctx, id)
+		if err != nil {
+			t.Fatalf("checkout %d (%s): %v", i, commit.Hash, err)
+		}
+		if !slices.Equal(got, commit.Lines) {
+			t.Fatalf("checkout %d (%s): %d lines differ from the %d imported", i, commit.Hash, len(got), len(commit.Lines))
+		}
+		if len(commit.Parents) < 2 {
+			continue
+		}
+		merges++
+		for _, pi := range commit.Parents {
+			d, err := c.Diff(ctx, versioning.NodeID(pi), id)
+			if err != nil {
+				t.Fatalf("diff %d -> %d: %v", pi, i, err)
+			}
+			if got := applyOps(t, h.Commits[pi].Lines, d.Ops); !slices.Equal(got, commit.Lines) {
+				t.Fatalf("diff %d -> %d applied to the parent does not give the merge", pi, i)
+			}
+		}
+	}
+	if merges != 2 {
+		t.Fatalf("read back %d merges, want 2", merges)
+	}
+	tip := versioning.NodeID(len(h.Commits) - 1)
+	scoped, err := c.CheckoutPath(ctx, tip, "src/util")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := versioning.FilterManifest(h.Commits[tip].Lines, "src/util")
+	if len(want) < 3 || !slices.Equal(scoped, want) {
+		t.Fatalf("checkout %d?path=src/util = %q, want %q", tip, scoped, want)
+	}
+}
+
+// applyOps applies a /diff edit script to src with the store's applier,
+// which refuses a script that overruns src or leaves some of it unread.
+func applyOps(t *testing.T, src []string, ops []client.DiffOp) []string {
+	t.Helper()
+	kinds := map[string]diff.Op{"keep": diff.OpKeep, "delete": diff.OpDelete, "insert": diff.OpInsert}
+	var d diff.Delta
+	for _, op := range ops {
+		kind, ok := kinds[op.Op]
+		if !ok {
+			t.Fatalf("unknown diff op %q", op.Op)
+		}
+		d.Cmds = append(d.Cmds, diff.Cmd{Op: kind, N: op.N, Lines: op.Lines})
+	}
+	out, err := d.Apply(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

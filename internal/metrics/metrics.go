@@ -1,6 +1,5 @@
-// Package metrics provides the lock-free latency instruments shared by
-// the serving layer (per-endpoint counters behind dsvd's /statsz) and
-// the dsvload workload generator (per-mix latency reports). The core
+// Package metrics provides the lock-free latency instruments of the
+// serving layer (per-endpoint counters behind dsvd's /statsz). The core
 // type is Histogram: an HDR-style log-linear histogram over nanosecond
 // durations with bounded memory (~15KB), constant-time concurrent
 // Observe, and ~3% relative quantile error — cheap enough to sit on
@@ -85,19 +84,6 @@ func (h *Histogram) raiseMax(v int64) {
 // Count reports the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Merge folds src's observations into h (bucket-exact; src keeps its
-// samples). Safe against concurrent Observes on either histogram.
-func (h *Histogram) Merge(src *Histogram) {
-	h.raiseMax(src.max.Load()) // first, as in Observe
-	for i := range src.counts {
-		if c := src.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(src.count.Load())
-	h.sum.Add(src.sum.Load())
-}
-
 // Snapshot captures a point-in-time copy for quantile queries. The
 // copy is not atomic with respect to concurrent Observes, which can at
 // worst smear a handful of in-flight samples — harmless for monitoring.
@@ -166,8 +152,8 @@ func (s Snapshot) Quantile(q float64) time.Duration {
 	return s.Max
 }
 
-// LatencySummary is the JSON shape shared by /statsz and dsvload
-// reports: microsecond floats so dashboards need no unit juggling.
+// LatencySummary is the JSON shape of a histogram in /statsz:
+// microsecond floats so dashboards need no unit juggling.
 type LatencySummary struct {
 	Count  uint64  `json:"count"`
 	MeanUS float64 `json:"mean_us"`
@@ -192,34 +178,3 @@ func (s Snapshot) Summary() LatencySummary {
 
 // Summary is shorthand for h.Snapshot().Summary().
 func (h *Histogram) Summary() LatencySummary { return h.Snapshot().Summary() }
-
-// ObserveValue records one dimensionless non-negative value (e.g. a
-// response size in bytes). The bucket layout is unit-agnostic — only
-// the summary types attach units — so the same Histogram machinery
-// serves sizes as well as durations; don't mix both in one instrument.
-func (h *Histogram) ObserveValue(v int64) { h.Observe(time.Duration(v)) }
-
-// SizeSummary is the byte-denominated sibling of LatencySummary, used
-// for response-size distributions in dsvload reports.
-type SizeSummary struct {
-	Count      uint64  `json:"count"`
-	TotalBytes int64   `json:"total_bytes"`
-	MeanBytes  float64 `json:"mean_bytes"`
-	P50Bytes   float64 `json:"p50_bytes"`
-	P95Bytes   float64 `json:"p95_bytes"`
-	P99Bytes   float64 `json:"p99_bytes"`
-	MaxBytes   float64 `json:"max_bytes"`
-}
-
-// SizeSummary renders a snapshot of ObserveValue byte observations.
-func (s Snapshot) SizeSummary() SizeSummary {
-	return SizeSummary{
-		Count:      s.Count,
-		TotalBytes: int64(s.Sum),
-		MeanBytes:  float64(s.Mean()),
-		P50Bytes:   float64(s.Quantile(0.50)),
-		P95Bytes:   float64(s.Quantile(0.95)),
-		P99Bytes:   float64(s.Quantile(0.99)),
-		MaxBytes:   float64(s.Max),
-	}
-}

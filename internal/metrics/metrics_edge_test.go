@@ -27,12 +27,6 @@ func TestHistogramZeroSamples(t *testing.T) {
 	if sum.Count != 0 || sum.MeanUS != 0 || sum.P50US != 0 || sum.P99US != 0 || sum.MaxUS != 0 {
 		t.Fatalf("empty summary = %+v", sum)
 	}
-	// Merging two empty histograms stays empty.
-	var dst Histogram
-	dst.Merge(&h)
-	if dst.Count() != 0 {
-		t.Fatalf("merged empty count = %d", dst.Count())
-	}
 }
 
 // TestHistogramSingleSample: every quantile of a one-sample histogram

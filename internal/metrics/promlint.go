@@ -1,6 +1,6 @@
 // A pure-Go `promtool check metrics`-equivalent for the text
-// exposition format, used by tests and the benchgate -metrics mode so
-// /metricsz cannot silently drift out of scrapeable shape. It checks:
+// exposition format, used by tests so /metricsz cannot silently drift
+// out of scrapeable shape. It checks:
 //
 //   - every sample belongs to a family declared by a preceding # TYPE
 //     line, and families are contiguous (no interleaving);

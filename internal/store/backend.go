@@ -1,9 +1,6 @@
 package store
 
-import (
-	"errors"
-	"sync"
-)
+import "errors"
 
 // ErrNotFound reports a missing object.
 var ErrNotFound = errors.New("store: object not found")
@@ -25,11 +22,10 @@ type BackendStats struct {
 // iteration then observes some mutations and not others, which is fine
 // for the orphan sweeps it serves).
 //
-// Three implementations exist: MemBackend (one mutex, the reference
-// semantics and the contention baseline), ShardedMemBackend (per-shard
-// RWMutexes, the serving default), and DiskBackend (durable: loose
-// files and packfiles, survives restarts). The conformance suite in
-// backendtest pins the shared contract.
+// Two implementations exist: ShardedMemBackend (per-shard RWMutexes,
+// the serving default; one shard is the contention baseline) and
+// DiskBackend (durable: loose files and packfiles, survives restarts).
+// The conformance suite in backendtest pins the shared contract.
 type Backend interface {
 	Put(k Key, data []byte) error
 	Get(k Key) ([]byte, error)       // ErrNotFound when absent
@@ -77,83 +73,4 @@ func putBatch(b Backend, objs []Object) error {
 		}
 	}
 	return nil
-}
-
-// MemBackend is a single-mutex in-memory Backend: the reference
-// implementation and the contention baseline the sharded backend is
-// benchmarked against.
-type MemBackend struct {
-	mu      sync.RWMutex
-	objects map[Key][]byte
-	bytes   int64
-}
-
-// NewMemBackend returns an empty in-memory backend.
-func NewMemBackend() *MemBackend {
-	return &MemBackend{objects: make(map[Key][]byte)}
-}
-
-// Put stores data under k (idempotent).
-func (m *MemBackend) Put(k Key, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.objects[k]; ok {
-		return nil
-	}
-	m.objects[k] = append([]byte(nil), data...)
-	m.bytes += int64(len(data))
-	return nil
-}
-
-// Get returns the object stored under k.
-func (m *MemBackend) Get(k Key) ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	data, ok := m.objects[k]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return data, nil
-}
-
-// Delete removes k if present.
-func (m *MemBackend) Delete(k Key) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if data, ok := m.objects[k]; ok {
-		m.bytes -= int64(len(data))
-		delete(m.objects, k)
-	}
-	return nil
-}
-
-// Len reports the number of stored objects.
-func (m *MemBackend) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.objects)
-}
-
-// Keys calls fn for every stored key (snapshot taken under the lock, so
-// fn may mutate the backend).
-func (m *MemBackend) Keys(fn func(k Key) error) error {
-	m.mu.RLock()
-	keys := make([]Key, 0, len(m.objects))
-	for k := range m.objects {
-		keys = append(keys, k)
-	}
-	m.mu.RUnlock()
-	for _, k := range keys {
-		if err := fn(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Stats reports object count and byte footprint.
-func (m *MemBackend) Stats() BackendStats {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return BackendStats{Objects: len(m.objects), Bytes: m.bytes}
 }

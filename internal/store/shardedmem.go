@@ -37,6 +37,11 @@ func NewShardedMemBackend(n int) *ShardedMemBackend {
 	return b
 }
 
+// NewMemBackend returns an empty single-mutex in-memory backend: one
+// shard, the contention baseline the sharded default is benchmarked
+// against.
+func NewMemBackend() *ShardedMemBackend { return NewShardedMemBackend(1) }
+
 // shard picks the shard owning k from the hash's leading bytes.
 func (b *ShardedMemBackend) shard(k Key) *memShard {
 	return &b.shards[binary.BigEndian.Uint32(k[:4])%uint32(len(b.shards))]

@@ -45,7 +45,7 @@ func (s *Server) handleDiff(tn string, repo *versioning.Repository, w http.Respo
 		return
 	}
 	a, b := versioning.NodeID(a64), versioning.NodeID(b64)
-	key := r.PathValue("a") + "\x00" + r.PathValue("b")
+	key := strconv.FormatInt(a64, 10) + "\x00" + strconv.FormatInt(b64, 10)
 	if e, ok := s.resp.get(respKindDiff, tn, key); ok {
 		_, sp := trace.StartSpan(r.Context(), "cache.hit")
 		sp.End()

@@ -17,7 +17,7 @@ import (
 // and fleet gauges — in Prometheus text exposition format. Everything
 // here is assembled from the same snapshots /statsz serves; this
 // endpoint only changes the encoding so standard scrapers can ingest
-// it. The format is pinned by metrics.Lint in CI (benchgate -metrics).
+// it. The format is pinned by metrics.Lint (TestMetricszLint).
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	var e metrics.Expo
 

@@ -21,8 +21,7 @@ import (
 // exercised from here without an import cycle.
 
 // TestMetricszLint scrapes /metricsz in both serving modes and runs
-// the exposition through the promtool-equivalent linter — the same
-// check CI's load-smoke applies to a live daemon.
+// the exposition through the promtool-equivalent linter.
 func TestMetricszLint(t *testing.T) {
 	t.Run("single", func(t *testing.T) {
 		repo := versioning.NewRepository("m", versioning.RepositoryOptions{

@@ -79,7 +79,7 @@ func (s *Server) handleLog(tn string, repo *versioning.Repository, w http.Respon
 		}
 		limit = n
 	}
-	key := r.PathValue("id") + "\x00" + strconv.Itoa(limit)
+	key := strconv.FormatInt(id64, 10) + "\x00" + strconv.Itoa(limit)
 	if e, ok := s.resp.get(respKindLog, tn, key); ok {
 		_, sp := trace.StartSpan(r.Context(), "cache.hit")
 		sp.End()

@@ -248,3 +248,43 @@ func TestRespCacheTenantIsolation(t *testing.T) {
 		t.Fatalf("resp cache stats = %+v, want >=2 hits across tenants", cs)
 	}
 }
+
+// TestRespCacheKeyIsParsedID: strconv.ParseInt takes "0", "00", "+0"
+// and "-0" for one version, so the cache key must come from the parsed
+// id, or every spelling holds its own copy of the body.
+func TestRespCacheKeyIsParsedID(t *testing.T) {
+	ts, srv := respTestServer(t, 2, Options{})
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d", path, resp.StatusCode)
+		}
+		return resp.Header.Get("ETag")
+	}
+	// One entry and one miss per line; every later spelling is a hit.
+	for _, spellings := range [][]string{
+		{"/checkout/0", "/checkout/00", "/checkout/+0", "/checkout/-0", "/checkout/0"},
+		{"/diff/0/1", "/diff/00/1", "/diff/+0/01"},
+		{"/log/1", "/log/01?limit=0"},
+		{"/checkout/0?path=a", "/checkout/00?path=a"}, // scoped: not the full body's entry
+	} {
+		before := srv.resp.stats()
+		etag := get(spellings[0])
+		for _, path := range spellings[1:] {
+			if got := get(path); got != etag || got == "" {
+				t.Errorf("GET %s: ETag %q, want %q of %s", path, got, etag, spellings[0])
+			}
+		}
+		after := srv.resp.stats()
+		entries, misses, hits := after.Entries-before.Entries, after.Misses-before.Misses, after.Hits-before.Hits
+		if entries != 1 || misses != 1 || hits != int64(len(spellings)-1) {
+			t.Errorf("%v: %d entries, %d misses, %d hits; want 1, 1, %d", spellings, entries, misses, hits, len(spellings)-1)
+		}
+	}
+}

@@ -65,8 +65,8 @@
 //     requests slower than Options.SlowRequest additionally emit a
 //     rate-limited log line carrying the trace ID.
 //
-// The package is importable so cmd/dsvd, the load generator's tests,
-// and examples can all run the exact production handler stack. Every
+// The package is importable so cmd/dsvd, the repository benchmark,
+// tests and examples can all run the exact production handler stack. Every
 // Server owns its own mux, so any number of Servers (e.g. one per
 // tenant fleet, or parallel tests) coexist in one process without
 // pattern collisions.
@@ -446,7 +446,9 @@ func (s *Server) handleCheckout(tn string, repo *versioning.Repository, w http.R
 	// immutable too, and a hot (version, path) pair skips both the
 	// reconstruction and the filter.
 	scope := r.URL.Query().Get("path")
-	kind, key := respKindCheckout, r.PathValue("id")
+	// The key is the parsed id, not the path segment: ParseInt also takes
+	// "00", "+0" and "-0", and each spelling would be its own entry.
+	kind, key := respKindCheckout, strconv.FormatInt(id64, 10)
 	if scope != "" {
 		s.pathScoped.Add(1)
 		kind, key = respKindPathScoped, key+"\x00"+scope

@@ -49,9 +49,8 @@ type RespCacheStats struct {
 }
 
 // Statsz is the /statsz response: the server-side observability surface
-// the client, dsvload, and the CI load-smoke job read. Repo is
-// populated in single-repository mode; Fleet and Tenants in
-// multi-tenant mode.
+// the client and the repository benchmark read. Repo is populated in
+// single-repository mode; Fleet and Tenants in multi-tenant mode.
 type Statsz struct {
 	// UptimeSeconds is time since the serving layer (not the process)
 	// started.

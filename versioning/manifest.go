@@ -68,7 +68,7 @@ func EncodeManifest(entries []ManifestEntry) []string {
 
 // IsManifest reports whether lines carry the manifest encoding.
 // Plain (non-manifest) versions — e.g. the synthetic bodies repogen
-// and dsvload commit — simply never start with the magic line.
+// generates — simply never start with the magic line.
 func IsManifest(lines []string) bool {
 	return len(lines) > 0 && lines[0] == manifestMagic
 }

@@ -65,13 +65,10 @@ type RepositoryOptions struct {
 	// (0 = runtime.GOMAXPROCS).
 	Workers int
 	// Backend is the object backend the store runs on. nil picks the
-	// default: a sharded in-memory backend with Shards shards, or — when
-	// Open is given a DataDir — a durable disk backend rooted there.
+	// default: a sharded in-memory backend (store.DefaultShards shards),
+	// or — when Open is given a DataDir — a durable disk backend rooted
+	// there.
 	Backend store.Backend
-	// Shards is the shard count of the default in-memory backend
-	// (0 = store.DefaultShards). One shard degenerates to a single-mutex
-	// map, the contention baseline the benchmarks compare against.
-	Shards int
 	// DataDir makes the repository durable (Open only): objects live in
 	// DataDir/objects and every commit is journaled to DataDir/journal.wal
 	// before it is acknowledged, so a killed daemon reopens to the exact
@@ -232,7 +229,7 @@ func NewRepository(name string, opt RepositoryOptions) *Repository {
 	}
 	backend := opt.Backend
 	if backend == nil {
-		backend = store.NewShardedMemBackend(opt.Shards)
+		backend = store.NewShardedMemBackend(0)
 	}
 	histCap := opt.PlanHistory
 	if histCap == 0 {
@@ -771,7 +768,9 @@ type RepositoryStats struct {
 	PlanRetries    int64 `json:"plan_retries"` // checkouts re-snapshotted after racing a migration
 
 	// Packfile read-path counters (non-zero only on disk-backed
-	// repositories once the compactor has run).
+	// repositories: every migration and root commit that adds two or
+	// more objects publishes a pack; Compactions counts compactor passes
+	// only).
 	Packs         int   `json:"packs,omitempty"`
 	PackedObjects int   `json:"packed_objects,omitempty"`
 	PackReads     int64 `json:"pack_reads,omitempty"`
