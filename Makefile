@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test benchmark-test benchmark-smoke race bench fuzz cover serve serve-durable
+.PHONY: all build vet lint size test benchmark-test benchmark-smoke race bench fuzz cover serve serve-durable
 
 all: vet build test
 
@@ -17,6 +17,13 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping"; fi
+
+# Size: the two figures a simplicity PR is accepted on (ROADMAP item 6),
+# non-test Go lines outside benchmark/ and dsvd's flag count. It prints;
+# it gates nothing.
+size:
+	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "dsvd flags: $$($(GO) run ./cmd/dsvd -h 2>&1 | grep -c '^  -')"
 
 test:
 	$(GO) test ./...

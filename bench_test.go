@@ -314,8 +314,7 @@ func BenchmarkPortfolio_MSRRace(b *testing.B) {
 	}
 }
 
-// BenchmarkPortfolio_BMRRace measures one full BMR race (MP, DP-BMR,
-// parallel DP-BMR).
+// BenchmarkPortfolio_BMRRace measures one full BMR race (MP, DP-BMR).
 func BenchmarkPortfolio_BMRRace(b *testing.B) {
 	g := styleguideScaled()
 	r := g.MaxEdgeRetrieval() * 3
@@ -347,29 +346,6 @@ func BenchmarkPortfolio_CacheHit(b *testing.B) {
 		}
 		if !res.CacheHit {
 			b.Fatal("expected a cache hit")
-		}
-	}
-}
-
-// BenchmarkPortfolio_Batch16 measures 16 distinct BMR instances pushed
-// through the bounded worker pool in one SolveBatch call.
-func BenchmarkPortfolio_Batch16(b *testing.B) {
-	var reqs []portfolio.Instance
-	for i := 0; i < 16; i++ {
-		g := repogen.Generate(repogen.Spec{
-			Name: "batch", Commits: 120, ExtraBiEdges: 30,
-			AvgNodeCost: 1_400_000, AvgDeltaCost: 8659, BranchProb: 0.2, Seed: int64(3000 + i),
-		})
-		reqs = append(reqs, portfolio.Instance{Graph: g, Problem: core.ProblemBMR, Constraint: g.MaxEdgeRetrieval() * 3})
-	}
-	e := portfolio.New(portfolio.Options{CacheSize: -1})
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range e.SolveBatch(ctx, reqs) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
 		}
 	}
 }

@@ -95,11 +95,10 @@ func SPT(g *graph.Graph, root graph.NodeID) (Solution, error) {
 	return Solution{Plan: p, Cost: plan.Evaluate(g, p)}, nil
 }
 
-// BMRFunc solves BoundedMax Retrieval for a retrieval bound.
-type BMRFunc func(r graph.Cost) (Solution, error)
-
-// MSRFunc solves MinSum Retrieval for a storage bound.
-type MSRFunc func(s graph.Cost) (Solution, error)
+// BoundedFunc solves the bounded twin of a min problem for one value of
+// the bound Lemma 7 searches over: BMR for a retrieval bound, MSR for a
+// storage budget.
+type BoundedFunc func(bound graph.Cost) (Solution, error)
 
 // MMRViaBMR implements Lemma 7: binary-search the smallest max-retrieval
 // bound R* whose BMR optimum fits in storage s. With an exact BMR solver
@@ -108,72 +107,47 @@ type MSRFunc func(s graph.Cost) (Solution, error)
 //
 // The search space is [0, n·r_max] (any retrieval bound beyond the
 // longest possible path is slack).
-func MMRViaBMR(g *graph.Graph, s graph.Cost, bmr BMRFunc) (Solution, error) {
-	lo, hi := graph.Cost(0), graph.Cost(g.N())*g.MaxEdgeRetrieval()
-	fits := func(r graph.Cost) (Solution, bool, error) {
-		sol, err := bmr(r)
-		if err != nil {
-			if errors.Is(err, ErrInfeasible) {
-				return Solution{}, false, nil
-			}
-			return Solution{}, false, err
-		}
-		return sol, sol.Cost.Storage <= s, nil
-	}
-	best, ok, err := fits(hi)
-	if err != nil {
-		return Solution{}, err
-	}
-	if !ok {
-		return Solution{}, ErrInfeasible
-	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		sol, ok, err := fits(mid)
-		if err != nil {
-			return Solution{}, err
-		}
-		if ok {
-			best = sol
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return best, nil
+func MMRViaBMR(g *graph.Graph, s graph.Cost, bmr BoundedFunc) (Solution, error) {
+	return smallestBound(graph.Cost(g.N())*g.MaxEdgeRetrieval(), bmr, func(c plan.Cost) bool { return c.Storage <= s })
 }
 
 // BSRViaMSR implements the reverse Lemma 7 direction: binary-search the
 // smallest storage budget whose MSR optimum meets the total-retrieval
 // bound r. With an exact MSR solver the result is the exact BSR optimum.
-func BSRViaMSR(g *graph.Graph, r graph.Cost, msr MSRFunc) (Solution, error) {
-	lo, hi := graph.Cost(0), g.TotalNodeStorage()
-	fits := func(s graph.Cost) (Solution, bool, error) {
-		sol, err := msr(s)
+func BSRViaMSR(g *graph.Graph, r graph.Cost, msr BoundedFunc) (Solution, error) {
+	return smallestBound(g.TotalNodeStorage(), msr, func(c plan.Cost) bool { return c.SumRetrieval <= r })
+}
+
+// smallestBound is Lemma 7's search: the solution of solve at the
+// smallest bound in [0, hi] where it is feasible and fits. A bound at
+// which solve reports ErrInfeasible does not fit; hi not fitting makes
+// the lifted problem infeasible.
+func smallestBound(hi graph.Cost, solve BoundedFunc, fits func(plan.Cost) bool) (Solution, error) {
+	try := func(bound graph.Cost) (Solution, bool, error) {
+		sol, err := solve(bound)
+		if errors.Is(err, ErrInfeasible) {
+			return Solution{}, false, nil
+		}
 		if err != nil {
-			if errors.Is(err, ErrInfeasible) {
-				return Solution{}, false, nil
-			}
 			return Solution{}, false, err
 		}
-		return sol, sol.Cost.SumRetrieval <= r, nil
+		return sol, fits(sol.Cost), nil
 	}
-	best, ok, err := fits(hi)
+	best, ok, err := try(hi)
 	if err != nil {
 		return Solution{}, err
 	}
 	if !ok {
 		return Solution{}, ErrInfeasible
 	}
-	for lo < hi {
+	for lo := graph.Cost(0); lo < hi; {
 		mid := lo + (hi-lo)/2
-		sol, ok, err := fits(mid)
+		sol, ok, err := try(mid)
 		if err != nil {
 			return Solution{}, err
 		}
 		if ok {
-			best = sol
-			hi = mid
+			best, hi = sol, mid
 		} else {
 			lo = mid + 1
 		}

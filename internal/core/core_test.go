@@ -54,8 +54,8 @@ func TestMSTAndSPTOnFigure1(t *testing.T) {
 	}
 }
 
-// bruteBMRFunc adapts the brute-force BMR solver to a BMRFunc.
-func bruteBMRFunc(g *graph.Graph) BMRFunc {
+// bruteBMRFunc adapts the brute-force BMR solver to a BoundedFunc.
+func bruteBMRFunc(g *graph.Graph) BoundedFunc {
 	return func(r graph.Cost) (Solution, error) {
 		res, err := bruteforce.SolveBMR(g, r, 0)
 		if err != nil {

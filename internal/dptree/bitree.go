@@ -321,6 +321,21 @@ func (t *BiTree) ChildTowards(v, u graph.NodeID) graph.NodeID {
 	return u
 }
 
+// FromGraph is step 1 of the DP heuristics on an arbitrary version graph
+// (Section 6.2): the BiTree over ExtractSpanningTree's parents, rooted at
+// root. An empty graph gives an empty tree, which both DPs answer with
+// the empty plan.
+func FromGraph(g *graph.Graph, root graph.NodeID) (*BiTree, error) {
+	if g.N() == 0 {
+		return &BiTree{G: g}, nil
+	}
+	parent, err := ExtractSpanningTree(g, root)
+	if err != nil {
+		return nil, err
+	}
+	return FromParents(g, root, parent)
+}
+
 // ExtractSpanningTree computes the spanning-tree parent assignment used
 // by the DP heuristics on general graphs (Section 6.2, step 1): a minimum
 // arborescence of g rooted at root under s+r weights, falling back to an

@@ -174,14 +174,7 @@ func reconstructBMR(t *BiTree, r graph.Cost, dp [][]graph.Cost, optVal []graph.C
 // on it. The result is optimal among plans confined to the extracted
 // tree, hence an upper bound for the graph optimum.
 func BMROnGraph(g *graph.Graph, r graph.Cost, root graph.NodeID) (BMRResult, error) {
-	if g.N() == 0 {
-		return BMRResult{Plan: plan.New(g), Cost: plan.Cost{Feasible: true}}, nil
-	}
-	parent, err := ExtractSpanningTree(g, root)
-	if err != nil {
-		return BMRResult{}, err
-	}
-	t, err := FromParents(g, root, parent)
+	t, err := FromGraph(g, root)
 	if err != nil {
 		return BMRResult{}, err
 	}

@@ -169,6 +169,17 @@ func TestBMRInfeasibleAndTrivial(t *testing.T) {
 	if res.Cost.Storage != g.TotalNodeStorage() {
 		t.Fatalf("BMR(0) = %d, want materialize-all %d", res.Cost.Storage, g.TotalNodeStorage())
 	}
+	// Degenerate inputs: the empty graph and a single version.
+	if res, err := BMROnGraph(graph.New("empty"), 0, 0); err != nil || !res.Cost.Feasible || res.Cost.Storage != 0 {
+		t.Fatalf("empty graph: %+v %v", res.Cost, err)
+	}
+	one, err := FromBiTreeGraph(graph.NewWithNodes("one", 1, 3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := BMR(one, 0); err != nil || res.Cost.Storage != 3 {
+		t.Fatalf("single node: %+v %v", res.Cost, err)
+	}
 }
 
 func TestMSRExactOnRandomTrees(t *testing.T) {
@@ -443,58 +454,5 @@ func TestSynthesizedEdgeNeverChosen(t *testing.T) {
 	}
 	if err := msr.Plan.Validate(g); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBMRParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(111))
-	for it := 0; it < 15; it++ {
-		g := graph.RandomBiTree(3+rng.Intn(40), 200, 30, rng)
-		bt, err := FromBiTreeGraph(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		maxR := g.MaxEdgeRetrieval() * 4
-		for _, r := range []graph.Cost{0, maxR / 2, maxR} {
-			seq, errS := BMR(bt, r)
-			for _, workers := range []int{1, 3, 8} {
-				par, errP := BMRParallel(bt, r, workers)
-				if (errS == nil) != (errP == nil) {
-					t.Fatalf("it %d r=%d w=%d: error mismatch %v vs %v", it, r, workers, errS, errP)
-				}
-				if errS != nil {
-					continue
-				}
-				if seq.Cost != par.Cost {
-					t.Fatalf("it %d r=%d w=%d: %+v vs %+v", it, r, workers, seq.Cost, par.Cost)
-				}
-				for v := range seq.Plan.Materialized {
-					if seq.Plan.Materialized[v] != par.Plan.Materialized[v] {
-						t.Fatalf("it %d r=%d w=%d: plans differ at node %d", it, r, workers, v)
-					}
-				}
-				for e := range seq.Plan.Stored {
-					if seq.Plan.Stored[e] != par.Plan.Stored[e] {
-						t.Fatalf("it %d r=%d w=%d: plans differ at edge %d", it, r, workers, e)
-					}
-				}
-			}
-		}
-	}
-	// Degenerate inputs.
-	if _, err := BMRParallel(&BiTree{G: graph.New("empty")}, 0, 4); err != nil {
-		t.Fatal(err)
-	}
-	one := graph.NewWithNodes("one", 1, 3)
-	bt, err := FromBiTreeGraph(one, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := BMRParallel(bt, 0, 4)
-	if err != nil || res.Cost.Storage != 3 {
-		t.Fatalf("single node: %+v %v", res, err)
-	}
-	if _, err := BMRParallel(bt, -1, 2); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("err = %v", err)
 	}
 }

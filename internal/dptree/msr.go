@@ -683,14 +683,7 @@ func MSROnGraph(g *graph.Graph, s graph.Cost, root graph.NodeID, opt MSROptions)
 // MSRFrontierOnGraph extracts a spanning bidirectional tree and returns
 // the full DP frontier handle.
 func MSRFrontierOnGraph(g *graph.Graph, root graph.NodeID, opt MSROptions) (*MSRDP, error) {
-	if g.N() == 0 {
-		return &MSRDP{tree: &BiTree{G: g}}, nil
-	}
-	parent, err := ExtractSpanningTree(g, root)
-	if err != nil {
-		return nil, err
-	}
-	t, err := FromParents(g, root, parent)
+	t, err := FromGraph(g, root)
 	if err != nil {
 		return nil, err
 	}

@@ -1,24 +1,25 @@
-// Package portfolio implements the concurrent solver-portfolio engine:
-// the runtime counterpart of the paper's Section 7 evaluation, where six
-// solver families (LMG, LMG-All, DP-MSR, DP-BMR, MP, ILP) are compared
-// head-to-head across four problem regimes. Instead of comparing offline,
-// the engine races every applicable solver for a given problem
+// Package portfolio holds the paper's solver line-up and races it. The
+// registry (DefaultRegistry) is the one place that says which solver
+// families (LMG, LMG-All, DP-MSR, DP-BMR, MP, ILP, and their Lemma 7
+// lifts) answer which of the four problem regimes, under which report
+// name and with which tuning; Member picks one of them by family for the
+// one-shot callers (versioning.SolveXXX, cmd/dsvsolve). The Engine is the
+// runtime counterpart of the paper's Section 7 evaluation: instead of
+// comparing offline, it races every member registered for a problem
 // concurrently, with per-solver timeouts and cooperative cancellation,
 // and returns the best feasible solution found plus a per-solver report
 // (cost, wall time, error).
 //
-// On top of the race the engine provides the scale substrate the ROADMAP
-// asks for: batch solving of many (graph, constraint) instances across a
-// bounded worker pool, a result cache keyed by the content fingerprint of
-// the instance (graph.Fingerprint + problem + constraint), and
-// singleflight deduplication so concurrent identical solves compute once.
+// On top of the race the engine keeps a result cache keyed by the content
+// fingerprint of the instance (graph.Fingerprint + problem + constraint),
+// and singleflight deduplication so concurrent identical solves compute
+// once.
 package portfolio
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -34,8 +35,12 @@ import (
 // expires, so a non-cooperative solver delays nothing but its own
 // report).
 type Solver struct {
-	Name  string
-	Solve func(ctx context.Context, g *graph.Graph, constraint graph.Cost) (core.Solution, error)
+	// Name is what reports, /planz and the win counters print.
+	Name string
+	// Family is what dsvsolve -algo and versioning.Algorithm select the
+	// solver by (see Member); a Lemma 7 lift keeps its inner solver's.
+	Family string
+	Solve  func(ctx context.Context, g *graph.Graph, constraint graph.Cost) (core.Solution, error)
 }
 
 // Report is one solver's outcome within a race.
@@ -64,9 +69,6 @@ type Result struct {
 
 // Options configures an Engine.
 type Options struct {
-	// Workers bounds the number of instances solved concurrently by
-	// SolveBatch. 0 means runtime.GOMAXPROCS(0).
-	Workers int
 	// SolverTimeout is the per-solver deadline within a race. 0 means no
 	// deadline (solvers still inherit the caller's ctx).
 	SolverTimeout time.Duration
@@ -354,47 +356,4 @@ func better(p core.Problem, a, b plan.Cost) bool {
 	default:
 		return a.SumRetrieval < b.SumRetrieval
 	}
-}
-
-// Instance is one batch work item.
-type Instance struct {
-	Graph      *graph.Graph
-	Problem    core.Problem
-	Constraint graph.Cost
-}
-
-// BatchResult pairs a batch item's result with its error.
-type BatchResult struct {
-	Result Result
-	Err    error
-}
-
-// SolveBatch solves many instances across a worker pool of at most
-// Options.Workers concurrent solves. Results are positional. A ctx
-// cancellation marks the not-yet-started instances with ctx.Err().
-func (e *Engine) SolveBatch(ctx context.Context, instances []Instance) []BatchResult {
-	out := make([]BatchResult, len(instances))
-	workers := e.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range instances {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				out[i].Err = ctx.Err()
-				return
-			}
-			r, err := e.Solve(ctx, instances[i].Graph, instances[i].Problem, instances[i].Constraint)
-			out[i] = BatchResult{Result: r, Err: err}
-		}(i)
-	}
-	wg.Wait()
-	return out
 }

@@ -47,10 +47,10 @@ func TestRaceRunsFullPortfolio(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		res  Result
-		min  int
-	}{{"MSR", msr, 4}, {"BMR", bmr, 3}} {
-		if len(tc.res.Reports) < tc.min {
-			t.Fatalf("%s: raced %d solvers, want >= %d", tc.name, len(tc.res.Reports), tc.min)
+		want int
+	}{{"MSR", msr, 4}, {"BMR", bmr, 2}} {
+		if len(tc.res.Reports) != tc.want {
+			t.Fatalf("%s: raced %d solvers, want %d", tc.name, len(tc.res.Reports), tc.want)
 		}
 		finished := 0
 		for _, r := range tc.res.Reports {
@@ -297,67 +297,6 @@ func TestConcurrentSolves(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestSolveBatch checks the bounded-pool batch mode: positional results,
-// all solved, duplicates deduplicated through the cache.
-func TestSolveBatch(t *testing.T) {
-	e := New(Options{Workers: 3})
-	var reqs []Instance
-	for i := 0; i < 10; i++ {
-		g := testGraph(int64(20+i%4), 9) // 4 distinct graphs, repeated
-		reqs = append(reqs, Instance{Graph: g, Problem: core.ProblemBMR, Constraint: g.MaxEdgeRetrieval() * 3})
-	}
-	out := e.SolveBatch(context.Background(), reqs)
-	if len(out) != len(reqs) {
-		t.Fatalf("got %d results, want %d", len(out), len(reqs))
-	}
-	hits := 0
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("instance %d: %v", i, r.Err)
-		}
-		if r.Result.Solution.Cost.MaxRetrieval > reqs[i].Constraint {
-			t.Fatalf("instance %d violates constraint", i)
-		}
-		if r.Result.CacheHit {
-			hits++
-		}
-	}
-	if hits < 6 {
-		t.Fatalf("%d cache hits across duplicate instances, want >= 6", hits)
-	}
-}
-
-// TestBatchCancellation checks that cancelling mid-batch marks pending
-// instances instead of hanging.
-func TestBatchCancellation(t *testing.T) {
-	e := New(Options{Workers: 1, Registry: func(core.Problem) []Solver {
-		return []Solver{{Name: "slow", Solve: func(ctx context.Context, g *graph.Graph, _ graph.Cost) (core.Solution, error) {
-			select {
-			case <-time.After(50 * time.Millisecond):
-			case <-ctx.Done():
-				return core.Solution{}, ctx.Err()
-			}
-			return core.MST(g)
-		}}}
-	}})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	var reqs []Instance
-	for i := 0; i < 8; i++ {
-		reqs = append(reqs, Instance{Graph: testGraph(int64(40+i), 6), Problem: core.ProblemMST})
-	}
-	out := e.SolveBatch(ctx, reqs)
-	cancelled := 0
-	for _, r := range out {
-		if errors.Is(r.Err, context.DeadlineExceeded) {
-			cancelled++
-		}
-	}
-	if cancelled == 0 {
-		t.Fatal("no instance observed the cancellation")
 	}
 }
 

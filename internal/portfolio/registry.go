@@ -3,6 +3,8 @@ package portfolio
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dptree"
@@ -51,119 +53,97 @@ func wrap(p *plan.Plan, c plan.Cost, err, infeasible error) (core.Solution, erro
 	return core.Solution{Plan: p, Cost: c}, nil
 }
 
-// DefaultRegistry returns the paper's solver portfolio per problem
-// (Section 7): LMG, LMG-All, DP-MSR and ILP for MSR; MP, DP-BMR and the
-// parallel DP-BMR for BMR; the Lemma 7 binary-search reductions of the
-// BMR/MSR portfolios for MMR/BSR; and the polynomial MST/SPT baselines
-// for the unconstrained problems.
+// DefaultRegistry is the one declaration of the paper's solver line-up
+// (Section 7): LMG, LMG-All, DP-MSR and ILP for MSR; MP and DP-BMR for
+// BMR; the Lemma 7 binary-search lifts of the BMR members for MMR and of
+// DP-MSR and LMG-All for BSR; and the polynomial MST/SPT baselines for
+// the unconstrained problems. The engine races a problem's members in
+// this order; Member picks one of them by family. Each closure applies
+// the tuning and folds its solver's infeasibility sentinel here, so no
+// caller repeats either.
 func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 	t = t.withDefaults()
 	dpOpts := dptree.DefaultMSROptions(t.Epsilon, t.MaxStates)
 
-	lmgS := Solver{Name: "LMG", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
+	lmgS := Solver{Name: "LMG", Family: "lmg", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
 		r, err := lmg.LMG(g, s)
 		return wrap(r.Plan, r.Cost, err, lmg.ErrInfeasible)
 	}}
-	lmgAllS := Solver{Name: "LMG-All", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
+	lmgAllS := Solver{Name: "LMG-All", Family: "lmg-all", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
 		r, err := lmg.LMGAll(g, s, lmg.Options{})
 		return wrap(r.Plan, r.Cost, err, lmg.ErrInfeasible)
 	}}
-	dpMSR := Solver{Name: "DP-MSR", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
+	dpMSR := Solver{Name: "DP-MSR", Family: "dp", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
 		r, err := dptree.MSROnGraph(g, s, t.Root, dpOpts)
 		return wrap(r.Plan, r.Cost, err, dptree.ErrInfeasible)
 	}}
-	ilpS := Solver{Name: "ILP", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
+	ilpS := Solver{Name: "ILP", Family: "ilp", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
 		r, err := ilp.SolveMSR(g, s, ilp.Options{MaxNodes: t.MaxILPNodes})
 		return wrap(r.Plan, r.Cost, err, ilp.ErrInfeasible)
 	}}
-
-	mpS := Solver{Name: "MP", Solve: func(_ context.Context, g *graph.Graph, r graph.Cost) (core.Solution, error) {
-		res, err := mp.Solve(g, r)
-		return wrap(res.Plan, res.Cost, err, nil)
-	}}
-	dpBMR := Solver{Name: "DP-BMR", Solve: func(_ context.Context, g *graph.Graph, r graph.Cost) (core.Solution, error) {
-		res, err := dptree.BMROnGraph(g, r, t.Root)
-		return wrap(res.Plan, res.Cost, err, dptree.ErrInfeasible)
-	}}
-	dpBMRPar := Solver{Name: "DP-BMR-par", Solve: func(_ context.Context, g *graph.Graph, r graph.Cost) (core.Solution, error) {
-		res, err := bmrParallelOnGraph(g, r, t.Root)
-		return wrap(res.Plan, res.Cost, err, dptree.ErrInfeasible)
-	}}
-
 	msr := []Solver{lmgS, lmgAllS, dpMSR}
 	if !t.NoILP {
 		msr = append(msr, ilpS)
 	}
-	bmr := []Solver{mpS, dpBMR, dpBMRPar}
 
-	// The Lemma 7 reductions lift each BMR solver to MMR and each MSR
-	// solver to BSR. The binary-search closures check ctx between probes,
-	// making the lifted solvers cooperatively cancellable even though the
-	// underlying solvers are not.
-	mmr := make([]Solver, 0, len(bmr))
-	for _, s := range bmr {
-		s := s
-		mmr = append(mmr, Solver{Name: s.Name + "+L7", Solve: func(ctx context.Context, g *graph.Graph, budget graph.Cost) (core.Solution, error) {
-			return core.MMRViaBMR(g, budget, func(r graph.Cost) (core.Solution, error) {
+	// MP has no sentinel of its own: its tree grows from the auxiliary
+	// root, whose edges retrieve for 0, so it comes back without a tree
+	// (plan.ErrNotExtendedTree) exactly when the bound is negative.
+	mpS := Solver{Name: "MP", Family: "mp", Solve: func(_ context.Context, g *graph.Graph, r graph.Cost) (core.Solution, error) {
+		res, err := mp.Solve(g, r)
+		return wrap(res.Plan, res.Cost, err, plan.ErrNotExtendedTree)
+	}}
+	dpBMR := Solver{Name: "DP-BMR", Family: "dp", Solve: func(_ context.Context, g *graph.Graph, r graph.Cost) (core.Solution, error) {
+		res, err := dptree.BMROnGraph(g, r, t.Root)
+		return wrap(res.Plan, res.Cost, err, dptree.ErrInfeasible)
+	}}
+
+	// lift is Lemma 7: a bounded solver searched by via answers the min
+	// problem. The probe checks ctx, making the lifted solver cooperatively
+	// cancellable even though the underlying solvers are not.
+	lift := func(s Solver, via func(*graph.Graph, graph.Cost, core.BoundedFunc) (core.Solution, error)) Solver {
+		return Solver{Name: s.Name + "+L7", Family: s.Family, Solve: func(ctx context.Context, g *graph.Graph, c graph.Cost) (core.Solution, error) {
+			return via(g, c, func(bound graph.Cost) (core.Solution, error) {
 				if err := ctx.Err(); err != nil {
 					return core.Solution{}, err
 				}
-				return s.Solve(ctx, g, r)
+				return s.Solve(ctx, g, bound)
 			})
-		}})
-	}
-	bsr := make([]Solver, 0, 2)
-	for _, s := range []Solver{dpMSR, lmgAllS} {
-		s := s
-		bsr = append(bsr, Solver{Name: s.Name + "+L7", Solve: func(ctx context.Context, g *graph.Graph, bound graph.Cost) (core.Solution, error) {
-			return core.BSRViaMSR(g, bound, func(budget graph.Cost) (core.Solution, error) {
-				if err := ctx.Err(); err != nil {
-					return core.Solution{}, err
-				}
-				return s.Solve(ctx, g, budget)
-			})
-		}})
+		}}
 	}
 
-	mst := []Solver{{Name: "MST", Solve: func(_ context.Context, g *graph.Graph, _ graph.Cost) (core.Solution, error) {
-		return core.MST(g)
-	}}}
-	spt := []Solver{{Name: "SPT", Solve: func(_ context.Context, g *graph.Graph, _ graph.Cost) (core.Solution, error) {
-		return core.SPT(g, t.Root)
-	}}}
-
-	return func(p core.Problem) []Solver {
-		switch p {
-		case core.ProblemMST:
-			return mst
-		case core.ProblemSPT:
-			return spt
-		case core.ProblemMSR:
-			return msr
-		case core.ProblemMMR:
-			return mmr
-		case core.ProblemBSR:
-			return bsr
-		case core.ProblemBMR:
-			return bmr
-		default:
-			return nil
-		}
+	table := map[core.Problem][]Solver{
+		core.ProblemMST: {{Name: "MST", Solve: func(_ context.Context, g *graph.Graph, _ graph.Cost) (core.Solution, error) {
+			return core.MST(g)
+		}}},
+		core.ProblemSPT: {{Name: "SPT", Solve: func(_ context.Context, g *graph.Graph, _ graph.Cost) (core.Solution, error) {
+			return core.SPT(g, t.Root)
+		}}},
+		core.ProblemMSR: msr,
+		core.ProblemBMR: {mpS, dpBMR},
+		core.ProblemMMR: {lift(mpS, core.MMRViaBMR), lift(dpBMR, core.MMRViaBMR)},
+		core.ProblemBSR: {lift(dpMSR, core.BSRViaMSR), lift(lmgAllS, core.BSRViaMSR)},
 	}
+	return func(p core.Problem) []Solver { return table[p] }
 }
 
-// bmrParallelOnGraph is BMROnGraph over the worker-pool DP variant.
-func bmrParallelOnGraph(g *graph.Graph, r graph.Cost, root graph.NodeID) (dptree.BMRResult, error) {
-	if g.N() == 0 {
-		return dptree.BMROnGraph(g, r, root)
+// Member returns the member of DefaultRegistry(t) that family names for
+// problem p. "auto" is the Section 7.4 recommendation: LMG-All for MSR,
+// the tree DP for BMR, MMR and BSR. The MST and SPT baselines have no
+// family and answer to every name.
+func Member(t Tuning, p core.Problem, family string) (Solver, error) {
+	if family == "auto" {
+		family = "dp"
+		if p == core.ProblemMSR {
+			family = "lmg-all"
+		}
 	}
-	parent, err := dptree.ExtractSpanningTree(g, root)
-	if err != nil {
-		return dptree.BMRResult{}, err
+	var have []string
+	for _, s := range DefaultRegistry(t)(p) {
+		if s.Family == "" || s.Family == family {
+			return s, nil
+		}
+		have = append(have, s.Family)
 	}
-	t, err := dptree.FromParents(g, root, parent)
-	if err != nil {
-		return dptree.BMRResult{}, err
-	}
-	return dptree.BMRParallel(t, r, 0)
+	return Solver{}, fmt.Errorf("portfolio: no %q solver for %s (have %s)", family, p, strings.Join(have, ", "))
 }

@@ -24,19 +24,14 @@ const (
 
 // Portfolio-engine result types. A PortfolioResult carries the best
 // solution found, the winning solver's name, and one SolverReport per
-// raced solver; BatchRequest/BatchResult are the batch-mode equivalents.
+// raced solver.
 type (
 	PortfolioResult = portfolio.Result
 	SolverReport    = portfolio.Report
-	BatchRequest    = portfolio.Instance
-	BatchResult     = portfolio.BatchResult
 )
 
 // EngineOptions configures a portfolio Engine.
 type EngineOptions struct {
-	// Workers bounds concurrent instances in SolveBatch
-	// (0 = runtime.GOMAXPROCS).
-	Workers int
 	// SolverTimeout is the per-solver deadline within a race (0 = none).
 	// A solver that misses its deadline is abandoned and reported with
 	// context.DeadlineExceeded; the race still returns the best solution
@@ -60,9 +55,8 @@ type EngineOptions struct {
 // Engine is the concurrent solver-portfolio runtime: for each Solve it
 // races every applicable solver (the paper's Section 7 line-up) under
 // per-solver timeouts, returns the best feasible solution plus per-solver
-// reports, memoizes results by graph fingerprint, and batch-solves many
-// instances across a bounded worker pool. An Engine is safe for
-// concurrent use by multiple goroutines.
+// reports, and memoizes results by graph fingerprint. An Engine is safe
+// for concurrent use by multiple goroutines.
 type Engine struct {
 	p *portfolio.Engine
 }
@@ -70,7 +64,6 @@ type Engine struct {
 // NewEngine returns a portfolio engine.
 func NewEngine(opt EngineOptions) *Engine {
 	return &Engine{p: portfolio.New(portfolio.Options{
-		Workers:       opt.Workers,
 		SolverTimeout: opt.SolverTimeout,
 		CacheSize:     opt.CacheSize,
 		Tuning: portfolio.Tuning{
@@ -88,33 +81,6 @@ func NewEngine(opt EngineOptions) *Engine {
 // unsatisfiable the error is ErrInfeasible.
 func (e *Engine) Solve(ctx context.Context, g *Graph, problem Problem, constraint Cost) (PortfolioResult, error) {
 	return e.p.Solve(ctx, g, problem, constraint)
-}
-
-// SolveMSR races the MSR portfolio: minimize total retrieval, storage ≤ s.
-func (e *Engine) SolveMSR(ctx context.Context, g *Graph, s Cost) (PortfolioResult, error) {
-	return e.p.Solve(ctx, g, core.ProblemMSR, s)
-}
-
-// SolveMMR races the MMR portfolio: minimize max retrieval, storage ≤ s.
-func (e *Engine) SolveMMR(ctx context.Context, g *Graph, s Cost) (PortfolioResult, error) {
-	return e.p.Solve(ctx, g, core.ProblemMMR, s)
-}
-
-// SolveBSR races the BSR portfolio: minimize storage, total retrieval ≤ r.
-func (e *Engine) SolveBSR(ctx context.Context, g *Graph, r Cost) (PortfolioResult, error) {
-	return e.p.Solve(ctx, g, core.ProblemBSR, r)
-}
-
-// SolveBMR races the BMR portfolio: minimize storage, max retrieval ≤ r.
-func (e *Engine) SolveBMR(ctx context.Context, g *Graph, r Cost) (PortfolioResult, error) {
-	return e.p.Solve(ctx, g, core.ProblemBMR, r)
-}
-
-// SolveBatch solves many instances across the engine's bounded worker
-// pool, returning positional results. Duplicate instances within a batch
-// are deduplicated through the cache and singleflight layers.
-func (e *Engine) SolveBatch(ctx context.Context, reqs []BatchRequest) []BatchResult {
-	return e.p.SolveBatch(ctx, reqs)
 }
 
 // CachedResults reports how many solve results the engine currently

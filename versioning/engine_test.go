@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/portfolio"
 )
 
@@ -33,11 +32,11 @@ func TestEngineRacesPortfolios(t *testing.T) {
 	e := NewEngine(EngineOptions{})
 	ctx := context.Background()
 
-	msr, err := e.SolveMSR(ctx, g, g.TotalNodeStorage()/2)
+	msr, err := e.Solve(ctx, g, ProblemMSR, g.TotalNodeStorage()/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bmr, err := e.SolveBMR(ctx, g, g.MaxEdgeRetrieval()*2)
+	bmr, err := e.Solve(ctx, g, ProblemBMR, g.MaxEdgeRetrieval()*2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +80,18 @@ func TestEngineGenericSolve(t *testing.T) {
 	}
 }
 
-// TestEngineCacheAndBatch checks fingerprint memoization and the batch
-// pool through the public API.
-func TestEngineCacheAndBatch(t *testing.T) {
+// TestEngineCache checks fingerprint memoization through the public API.
+func TestEngineCache(t *testing.T) {
 	g := engineTestGraph()
-	e := NewEngine(EngineOptions{Workers: 4})
+	e := NewEngine(EngineOptions{})
 	ctx := context.Background()
 	s := g.TotalNodeStorage() / 2
 
-	first, err := e.SolveMSR(ctx, g, s)
+	first, err := e.Solve(ctx, g, ProblemMSR, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.SolveMSR(ctx, g.Clone(), s)
+	second, err := e.Solve(ctx, g.Clone(), ProblemMSR, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,24 +101,6 @@ func TestEngineCacheAndBatch(t *testing.T) {
 	if e.CachedResults() == 0 {
 		t.Fatal("no cached results after a solve")
 	}
-
-	reqs := []BatchRequest{
-		{Graph: g, Problem: ProblemMSR, Constraint: s},
-		{Graph: g, Problem: ProblemBMR, Constraint: g.MaxEdgeRetrieval() * 2},
-		{Graph: graph.Figure1(), Problem: ProblemMSR, Constraint: graph.Figure1().TotalNodeStorage()},
-	}
-	out := e.SolveBatch(ctx, reqs)
-	if len(out) != 3 {
-		t.Fatalf("got %d batch results", len(out))
-	}
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("batch %d: %v", i, r.Err)
-		}
-	}
-	if !out[0].Result.CacheHit {
-		t.Fatal("batch repeat of a solved instance missed the cache")
-	}
 }
 
 // TestEngineCancellation checks a dead context aborts a solve up front.
@@ -128,7 +108,7 @@ func TestEngineCancellation(t *testing.T) {
 	e := NewEngine(EngineOptions{SolverTimeout: time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.SolveMSR(ctx, engineTestGraph(), 1<<40); !errors.Is(err, context.Canceled) {
+	if _, err := e.Solve(ctx, engineTestGraph(), ProblemMSR, 1<<40); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -137,7 +117,7 @@ func TestEngineCancellation(t *testing.T) {
 // sentinel.
 func TestEngineInfeasible(t *testing.T) {
 	e := NewEngine(EngineOptions{})
-	if _, err := e.SolveMSR(context.Background(), engineTestGraph(), 1); !errors.Is(err, ErrInfeasible) {
+	if _, err := e.Solve(context.Background(), engineTestGraph(), ProblemMSR, 1); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }

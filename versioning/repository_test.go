@@ -51,35 +51,67 @@ func verifyAll(t *testing.T, r *Repository, src *repogen.Repo) {
 
 // TestRepositoryRoundTripAllRegimes is the checkout round-trip property
 // of the acceptance criteria: on seeded repogen histories, every version
-// reconstructs byte for byte under plans from each of the four regimes,
-// across both the incremental-commit and the re-plan/migration paths.
+// reconstructs byte for byte under plans from each of the four regimes
+// and the two baselines, in memory and on disk, across both the
+// incremental-commit and the re-plan/migration paths — and a plan
+// installed with nothing committed since costs what Stats says and
+// satisfies the paper's constraint for its regime.
 func TestRepositoryRoundTripAllRegimes(t *testing.T) {
-	regimes := []Problem{ProblemMSR, ProblemMMR, ProblemBSR, ProblemBMR}
+	regimes := []Problem{ProblemMST, ProblemSPT, ProblemMSR, ProblemMMR, ProblemBSR, ProblemBMR}
 	for _, seed := range []int64{1, 42} {
 		src := repogen.GenerateRepo(fmt.Sprintf("prop-%d", seed), 48, seed)
 		for _, problem := range regimes {
-			t.Run(fmt.Sprintf("%s/seed%d", problem, seed), func(t *testing.T) {
-				r := NewRepository(src.Graph.Name, RepositoryOptions{
-					Problem:       problem,
-					ReplanEvery:   7, // hits both mid-cycle commits and migrations
-					EngineOptions: testEngineOptions(),
+			for _, variant := range []string{"", "/durable"} {
+				t.Run(fmt.Sprintf("%s/seed%d%s", problem, seed, variant), func(t *testing.T) {
+					opt := RepositoryOptions{
+						Problem:       problem,
+						ReplanEvery:   7, // hits both mid-cycle commits and migrations
+						EngineOptions: testEngineOptions(),
+					}
+					if variant != "" {
+						opt.DataDir = t.TempDir()
+					}
+					r, err := Open(src.Graph.Name, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer r.Close()
+					ingest(t, r, src)
+					verifyAll(t, r, src) // may race the async migration — checkouts must hold either way
+					if err := r.WaitMaintenance(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+					// The last cadence pass may predate the last commits; this
+					// one installs a plan for exactly what is committed.
+					if err := r.Replan(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+					verifyAll(t, r, src)
+					st := r.Stats()
+					if st.Versions != src.Graph.N() || st.Replans == 0 {
+						t.Fatalf("Stats = %+v, want %d versions and at least one re-plan", st, src.Graph.N())
+					}
+					if st.ReplanError != "" {
+						t.Fatalf("re-plan error: %s", st.ReplanError)
+					}
+					sum := r.Summary()
+					if sum.Problem != problem.String() || !sum.Feasible || len(sum.Materialized) == 0 {
+						t.Fatalf("Summary = %+v", sum)
+					}
+					cost := Evaluate(r.g, r.Plan())
+					if !cost.Feasible || st.Storage != cost.Storage || st.SumRetrieval != cost.SumRetrieval || st.MaxRetrieval != cost.MaxRetrieval {
+						t.Fatalf("Stats report storage %d, Σ R %d, max R %d; the installed plan evaluates to %+v",
+							st.Storage, st.SumRetrieval, st.MaxRetrieval, cost)
+					}
+					bounded := map[Problem]Cost{
+						ProblemMSR: cost.Storage, ProblemMMR: cost.Storage,
+						ProblemBSR: cost.SumRetrieval, ProblemBMR: cost.MaxRetrieval,
+					}
+					if got, ok := bounded[problem]; ok && (sum.Constraint <= 0 || got > sum.Constraint) {
+						t.Fatalf("%s plan has %d against the constraint %d", problem, got, sum.Constraint)
+					}
 				})
-				ingest(t, r, src)
-				verifyAll(t, r, src) // may race the async migration — checkouts must hold either way
-				if err := r.WaitMaintenance(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				st := r.Stats()
-				if st.Versions != src.Graph.N() || st.Replans == 0 {
-					t.Fatalf("Stats = %+v, want %d versions and at least one re-plan", st, src.Graph.N())
-				}
-				if st.ReplanError != "" {
-					t.Fatalf("re-plan error: %s", st.ReplanError)
-				}
-				if sum := r.Summary(); sum.Problem != problem.String() || !sum.Feasible || len(sum.Materialized) == 0 {
-					t.Fatalf("Summary = %+v", sum)
-				}
-			})
+			}
 		}
 	}
 }

@@ -31,8 +31,8 @@
 // The SolveXXX functions run one algorithm serially. The Engine runs the
 // whole portfolio: it races every applicable solver concurrently with
 // per-solver timeouts, returns the best feasible solution plus a
-// per-solver report, memoizes results by graph fingerprint, and batch
-// solves across a bounded worker pool (see NewEngine).
+// per-solver report, and memoizes results by graph fingerprint (see
+// NewEngine). Both read one solver table, internal/portfolio's registry.
 //
 // The Repository executes plans instead of just computing them: a
 // content-addressed storage runtime that commits real version contents
@@ -59,17 +59,15 @@
 package versioning
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/core"
 	"repro/internal/dptree"
 	"repro/internal/graph"
-	"repro/internal/ilp"
-	"repro/internal/lmg"
-	"repro/internal/mp"
 	"repro/internal/plan"
+	"repro/internal/portfolio"
 	"repro/internal/repogen"
 )
 
@@ -101,7 +99,7 @@ func ReadGraph(r io.Reader) (*Graph, error) { return graph.Read(r) }
 // Evaluate computes the cost summary of a plan.
 func Evaluate(g *Graph, p *Plan) PlanCost { return plan.Evaluate(g, p) }
 
-// Algorithm selects a solver.
+// Algorithm selects a solver family from the portfolio registry.
 type Algorithm int
 
 // Available algorithms. Auto follows the paper's Section 7.4
@@ -116,6 +114,15 @@ const (
 	AlgILP
 )
 
+// family is the name the registry knows the algorithm by.
+func (a Algorithm) family() string {
+	names := [...]string{"auto", "lmg", "lmg-all", "dp", "mp", "ilp"}
+	if a < 0 || int(a) >= len(names) {
+		return fmt.Sprintf("Algorithm(%d)", int(a))
+	}
+	return names[a]
+}
+
 // Options tunes solving.
 type Options struct {
 	Algorithm Algorithm
@@ -129,8 +136,15 @@ type Options struct {
 	Root NodeID
 }
 
-func (o Options) dp() dptree.MSROptions {
-	return dptree.DefaultMSROptions(o.Epsilon, o.MaxStates)
+// solve runs the registry member opt.Algorithm names for problem p; an
+// algorithm that does not solve p is an error.
+func solve(g *Graph, p Problem, constraint Cost, opt Options) (Solution, error) {
+	t := portfolio.Tuning{Epsilon: opt.Epsilon, MaxStates: opt.MaxStates, Root: opt.Root}
+	m, err := portfolio.Member(t, p, opt.Algorithm.family())
+	if err != nil {
+		return Solution{}, err
+	}
+	return m.Solve(context.Background(), g, constraint)
 }
 
 // MinStoragePlan solves Problem 1 (Table 1): the cheapest plan keeping
@@ -143,55 +157,25 @@ func ShortestPathPlan(g *Graph, root NodeID) (Solution, error) { return core.SPT
 
 // SolveMSR minimizes total retrieval cost subject to storage ≤ s.
 func SolveMSR(g *Graph, s Cost, opt Options) (Solution, error) {
-	switch opt.Algorithm {
-	case AlgLMG:
-		r, err := lmg.LMG(g, s)
-		return finish(g, r.Plan, mapErr(err, lmg.ErrInfeasible))
-	case Auto, AlgLMGAll:
-		r, err := lmg.LMGAll(g, s, lmg.Options{})
-		return finish(g, r.Plan, mapErr(err, lmg.ErrInfeasible))
-	case AlgDPTree:
-		r, err := dptree.MSROnGraph(g, s, opt.Root, opt.dp())
-		return finish(g, r.Plan, mapErr(err, dptree.ErrInfeasible))
-	case AlgILP:
-		r, err := ilp.SolveMSR(g, s, ilp.Options{})
-		return finish(g, r.Plan, mapErr(err, ilp.ErrInfeasible))
-	default:
-		return Solution{}, fmt.Errorf("versioning: algorithm %d does not solve MSR", opt.Algorithm)
-	}
+	return solve(g, ProblemMSR, s, opt)
 }
 
 // SolveBMR minimizes storage subject to max retrieval ≤ r.
 func SolveBMR(g *Graph, r Cost, opt Options) (Solution, error) {
-	switch opt.Algorithm {
-	case AlgMP:
-		res, err := mp.Solve(g, r)
-		return finish(g, res.Plan, err)
-	case Auto, AlgDPTree:
-		res, err := dptree.BMROnGraph(g, r, opt.Root)
-		return finish(g, res.Plan, mapErr(err, dptree.ErrInfeasible))
-	default:
-		return Solution{}, fmt.Errorf("versioning: algorithm %d does not solve BMR", opt.Algorithm)
-	}
+	return solve(g, ProblemBMR, r, opt)
 }
 
 // SolveMMR minimizes the maximum retrieval cost subject to storage ≤ s,
-// via the Lemma 7 binary search over SolveBMR.
+// via the Lemma 7 binary search over the BMR solver opt names.
 func SolveMMR(g *Graph, s Cost, opt Options) (Solution, error) {
-	return core.MMRViaBMR(g, s, func(r Cost) (Solution, error) {
-		return SolveBMR(g, r, opt)
-	})
+	return solve(g, ProblemMMR, s, opt)
 }
 
 // SolveBSR minimizes storage subject to total retrieval ≤ r, via the
-// Lemma 7 binary search over SolveMSR.
+// Lemma 7 binary search over the MSR solver opt names (Auto: DP-MSR,
+// which is monotone in the budget, unlike the greedies).
 func SolveBSR(g *Graph, r Cost, opt Options) (Solution, error) {
-	if opt.Algorithm == Auto {
-		opt.Algorithm = AlgDPTree // monotone in the budget, unlike the greedies
-	}
-	return core.BSRViaMSR(g, r, func(s Cost) (Solution, error) {
-		return SolveMSR(g, s, opt)
-	})
+	return solve(g, ProblemBSR, r, opt)
 }
 
 // FrontierPoint is one (storage, total retrieval) trade-off sample.
@@ -201,7 +185,7 @@ type FrontierPoint = plan.FrontierPoint
 // single DP-MSR run (Section 7.2: "the DP algorithm returns a whole
 // spectrum of solutions at once").
 func MSRFrontier(g *Graph, opt Options) ([]FrontierPoint, error) {
-	o := opt.dp()
+	o := dptree.DefaultMSROptions(opt.Epsilon, opt.MaxStates)
 	o.PruneStorage = -1
 	dp, err := dptree.MSRFrontierOnGraph(g, opt.Root, o)
 	if err != nil {
@@ -219,18 +203,4 @@ func Dataset(name string) (*Graph, error) { return repogen.Dataset(name) }
 // under a plan.
 func GenerateRepo(name string, commits int, seed int64) *Repo {
 	return repogen.GenerateRepo(name, commits, seed)
-}
-
-func finish(g *Graph, p *Plan, err error) (Solution, error) {
-	if err != nil {
-		return Solution{}, err
-	}
-	return Solution{Plan: p, Cost: plan.Evaluate(g, p)}, nil
-}
-
-func mapErr(err, infeasible error) error {
-	if err != nil && errors.Is(err, infeasible) {
-		return ErrInfeasible
-	}
-	return err
 }
