@@ -298,13 +298,11 @@ func BenchmarkILP_Datasharing(b *testing.B) {
 // --- portfolio-engine benchmarks ---
 
 // BenchmarkPortfolio_MSRRace measures one full MSR race (LMG, LMG-All,
-// DP-MSR concurrently; ILP excluded as it is benchmarked separately) with
-// the result cache disabled, i.e. the cold-path cost of a portfolio
-// solve.
+// DP-MSR concurrently; ILP excluded as it is benchmarked separately).
 func BenchmarkPortfolio_MSRRace(b *testing.B) {
 	g := styleguideScaled()
 	s := g.TotalNodeStorage() / 4
-	e := portfolio.New(portfolio.Options{CacheSize: -1, Tuning: portfolio.Tuning{NoILP: true}})
+	e := portfolio.New(portfolio.Options{Tuning: portfolio.Tuning{NoILP: true}})
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -318,34 +316,12 @@ func BenchmarkPortfolio_MSRRace(b *testing.B) {
 func BenchmarkPortfolio_BMRRace(b *testing.B) {
 	g := styleguideScaled()
 	r := g.MaxEdgeRetrieval() * 3
-	e := portfolio.New(portfolio.Options{CacheSize: -1})
+	e := portfolio.New(portfolio.Options{})
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Solve(ctx, g, core.ProblemBMR, r); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPortfolio_CacheHit measures the memoized path: fingerprint
-// hash plus one map lookup instead of a solver race.
-func BenchmarkPortfolio_CacheHit(b *testing.B) {
-	g := styleguideScaled()
-	s := g.TotalNodeStorage() / 4
-	e := portfolio.New(portfolio.Options{Tuning: portfolio.Tuning{NoILP: true}})
-	ctx := context.Background()
-	if _, err := e.Solve(ctx, g, core.ProblemMSR, s); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e.Solve(ctx, g, core.ProblemMSR, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.CacheHit {
-			b.Fatal("expected a cache hit")
 		}
 	}
 }
@@ -356,18 +332,6 @@ func BenchmarkPortfolio_Comparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if len(experiments.PortfolioComparison(benchConfig())) == 0 {
 			b.Fatal("no panels")
-		}
-	}
-}
-
-// BenchmarkFingerprint measures the cache key: a content hash over the
-// whole graph.
-func BenchmarkFingerprint(b *testing.B) {
-	g := styleguideScaled()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if g.Fingerprint() == (graph.Fingerprint{}) {
-			b.Fatal("zero fingerprint")
 		}
 	}
 }

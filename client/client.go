@@ -11,11 +11,11 @@
 //     have reached the server (a commit is not idempotent), but any
 //     received error status means the commit did not apply, so those
 //     retry safely.
-//   - Transparent batch coalescing: concurrent Checkout calls inside a
-//     small window are merged into one batch POST /checkout and the
-//     results fanned back out, turning N HTTP round trips from a
-//     checkout stampede into one.
-//   - Opt-in ETag validator cache: direct checkouts remember each
+//   - One cancellable GET per checkout: the daemon answers a repeat from
+//     its encoded-response cache and deduplicates a stampede in its
+//     store, so the client adds no batching of its own; CheckoutBatch is
+//     the explicit many-versions request.
+//   - Opt-in ETag validator cache: checkouts remember each
 //     path's last ETag and content, revalidate with If-None-Match, and
 //     turn a repeat checkout into a bodyless 304 round trip (see
 //     Options.ValidatorCacheBytes). Path-scoped checkouts and diffs
@@ -37,8 +37,7 @@
 // fleet, the same routes under /t/{name}. Every operation is
 // implemented once, against the view's route prefix, and all views of
 // one daemon share its connection pool, retry policy and validator
-// cache; each coalesces its own concurrent Checkouts, since the
-// daemon's batch endpoint is per repository.
+// cache.
 package client
 
 import (
@@ -49,7 +48,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -78,19 +76,14 @@ type Options struct {
 	// RetryMaxDelay caps the backoff (0 = 2s). A larger server
 	// Retry-After hint overrides the cap.
 	RetryMaxDelay time.Duration
-	// CoalesceWindow is how long a Checkout waits to merge with
-	// concurrent calls into one batch request (0 = 2ms; negative
-	// disables coalescing so every Checkout is its own GET).
+	// CoalesceWindow has no effect: every Checkout is its own GET. It
+	// stays because benchmark/driver.go sets it (ROADMAP item 7h).
 	CoalesceWindow time.Duration
-	// CoalesceMax flushes a pending batch early once it holds this many
-	// ids (0 = 128).
-	CoalesceMax int
 	// TraceSample sends a fresh X-DSV-Trace header on this fraction of
 	// requests (0 disables), forcing the server to record their traces
 	// regardless of its own sample rate. A request whose context already
 	// carries a trace span always sends the header, joining the server's
-	// spans to the caller's trace. Coalesced batch checkouts are never
-	// sampled: they aggregate many callers, so no single trace owns them.
+	// spans to the caller's trace.
 	TraceSample float64
 	// OnTrace, when set, is called (on the request goroutine) with the
 	// request path and the server's X-DSV-Trace-Id for every successful
@@ -103,7 +96,7 @@ type Options struct {
 	// the point of sending the validator.
 	OnResponse func(path string, bodyBytes int64)
 	// ValidatorCacheBytes enables the client-side ETag validator cache:
-	// direct (non-coalesced) checkouts remember each path's last response
+	// checkouts remember each path's last response
 	// ETag and content within this byte budget, revalidate with
 	// If-None-Match, and a 304 Not Modified serves the cached lines
 	// without shipping the body again. Content is immutable per version,
@@ -116,27 +109,20 @@ type Options struct {
 // New returns, or a tenant's (see Tenant). Safe for concurrent use.
 type Client struct {
 	*conn
-	name   string     // tenant namespace ("" = root view)
-	prefix string     // route prefix: "" or "/t/{name}"
-	co     *coalescer // this view's checkout batching (nil = disabled)
+	name   string // tenant namespace ("" = root view)
+	prefix string // route prefix: "" or "/t/{name}"
 }
 
 // conn is what every view of one daemon shares.
 type conn struct {
-	base   string
-	hc     *http.Client
-	opt    Options
-	window time.Duration // resolved coalescing window (<= 0 disabled)
+	base string
+	hc   *http.Client
+	opt  Options
 
 	// vcache is the opt-in ETag validator cache (nil when disabled);
 	// revalidated counts checkouts served from it via a 304.
 	vcache      *hotcache.Cache
 	revalidated atomic.Int64
-
-	// views holds one Client per namespace ("" = root), so repeated
-	// Tenant(name) calls share one coalescer.
-	mu    sync.Mutex
-	views map[string]*Client
 }
 
 // New returns the root view of the daemon at baseURL (e.g.
@@ -157,9 +143,6 @@ func New(baseURL string, opt Options) *Client {
 	if opt.RetryMaxDelay <= 0 {
 		opt.RetryMaxDelay = 2 * time.Second
 	}
-	if opt.CoalesceMax <= 0 {
-		opt.CoalesceMax = 128
-	}
 	var hc *http.Client
 	if opt.HTTPClient != nil {
 		// Work on a copy with Timeout cleared: per-attempt deadlines come
@@ -175,42 +158,22 @@ func New(baseURL string, opt Options) *Client {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	cn := &conn{
-		base:   strings.TrimRight(baseURL, "/"),
-		hc:     hc,
-		opt:    opt,
-		window: opt.CoalesceWindow,
-		views:  make(map[string]*Client),
-	}
-	if cn.window == 0 {
-		cn.window = 2 * time.Millisecond
-	}
+	cn := &conn{base: strings.TrimRight(baseURL, "/"), hc: hc, opt: opt}
 	if opt.ValidatorCacheBytes > 0 {
 		cn.vcache = hotcache.New(opt.ValidatorCacheBytes, 0)
 	}
-	return cn.view("")
+	return &Client{conn: cn}
 }
 
 // Tenant returns the view of tenant name on a multi-tenant daemon
-// (dsvd -multi), creating it on first use; Tenant("") is the root view.
-// Repeated calls with the same name return the same view (and therefore
-// share one coalescing window). Views are closed by Close.
-func (c *Client) Tenant(name string) *Client { return c.conn.view(name) }
-
-func (cn *conn) view(name string) *Client {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if v, ok := cn.views[name]; ok {
-		return v
-	}
-	v := &Client{conn: cn, name: name}
+// (dsvd -multi); Tenant("") is the root view. A view is a small value:
+// build one per use or keep it, every view shares the daemon's
+// connection pool.
+func (c *Client) Tenant(name string) *Client {
+	v := &Client{conn: c.conn, name: name}
 	if name != "" {
 		v.prefix = "/t/" + url.PathEscape(name)
 	}
-	if cn.window > 0 {
-		v.co = newCoalescer(v, cn.window, cn.opt.CoalesceMax)
-	}
-	cn.views[name] = v
 	return v
 }
 
@@ -225,22 +188,9 @@ func (c *Client) observeResponse(path string, bodyBytes int64) {
 	}
 }
 
-// Close flushes every view's pending coalesced batch and releases idle
-// pooled connections. No view of the daemon may be used afterwards.
-func (c *Client) Close() {
-	c.mu.Lock()
-	views := make([]*Client, 0, len(c.views))
-	for _, v := range c.views {
-		views = append(views, v)
-	}
-	c.mu.Unlock()
-	for _, v := range views {
-		if v.co != nil {
-			v.co.flushPending()
-		}
-	}
-	c.hc.CloseIdleConnections()
-}
+// Close releases idle pooled connections. No view of the daemon may be
+// used afterwards.
+func (c *Client) Close() { c.hc.CloseIdleConnections() }
 
 // APIError is a non-2xx response from the daemon.
 type APIError struct {
@@ -275,12 +225,8 @@ func (c *Client) commit(ctx context.Context, req wire.CommitRequest) (CommitResu
 	return out, err
 }
 
-// Checkout reconstructs version id's full content. Concurrent calls on
-// the same view within the coalescing window ride one batch request.
+// Checkout reconstructs version id's full content.
 func (c *Client) Checkout(ctx context.Context, id versioning.NodeID) ([]string, error) {
-	if c.co != nil {
-		return c.co.checkout(ctx, id)
-	}
 	return c.CheckoutPath(ctx, id, "")
 }
 
@@ -303,9 +249,8 @@ func validatorSize(e *validatorEntry) int64 {
 
 // CheckoutPath reconstructs version id narrowed to one manifest path
 // scope (a file or directory prefix; see versioning.FilterManifest; ""
-// is the whole version). It always goes direct, never through the
-// coalescer — the batch endpoint has no scope — as one GET through the
-// validator cache, keyed by the exact URL path.
+// is the whole version): one GET through the validator cache, keyed by
+// the exact URL path.
 func (c *Client) CheckoutPath(ctx context.Context, id versioning.NodeID, scope string) ([]string, error) {
 	path := fmt.Sprintf("%s/checkout/%d", c.prefix, id)
 	if scope != "" {
@@ -348,40 +293,26 @@ type CheckoutResult struct {
 }
 
 // CheckoutBatch reconstructs many versions in one request; results are
-// positional.
+// positional. A failed item carries an *APIError with the status the
+// server gave it (older daemons omit it, which maps to a plain 500).
 func (c *Client) CheckoutBatch(ctx context.Context, ids []versioning.NodeID) ([]CheckoutResult, error) {
-	raw, err := c.checkoutBatchRaw(ctx, ids)
-	if err != nil {
+	var raw []wire.Checkout
+	if err := c.doJSON(ctx, http.MethodPost, c.prefix+"/checkout", wire.BatchRequest{IDs: ids}, &raw, true); err != nil {
 		return nil, err
+	}
+	if len(raw) != len(ids) {
+		return nil, fmt.Errorf("dsvd: batch checkout returned %d results for %d ids", len(raw), len(ids))
 	}
 	out := make([]CheckoutResult, len(raw))
 	for i, item := range raw {
 		out[i] = CheckoutResult{ID: item.ID, Lines: item.Lines}
 		if item.Error != "" {
-			out[i].Err = itemError(item)
+			status := item.Status
+			if status == 0 {
+				status = http.StatusInternalServerError
+			}
+			out[i].Err = &APIError{Status: status, Message: item.Error}
 		}
-	}
-	return out, nil
-}
-
-// itemError turns a failed batch item into the typed error both the
-// coalesced and direct batch paths return. The status comes from the
-// server (older daemons omit it, which maps to a plain 500).
-func itemError(it wire.Checkout) *APIError {
-	status := it.Status
-	if status == 0 {
-		status = http.StatusInternalServerError
-	}
-	return &APIError{Status: status, Message: it.Error}
-}
-
-func (c *Client) checkoutBatchRaw(ctx context.Context, ids []versioning.NodeID) ([]wire.Checkout, error) {
-	var out []wire.Checkout
-	if err := c.doJSON(ctx, http.MethodPost, c.prefix+"/checkout", wire.BatchRequest{IDs: ids}, &out, true); err != nil {
-		return nil, err
-	}
-	if len(out) != len(ids) {
-		return nil, fmt.Errorf("dsvd: batch checkout returned %d results for %d ids", len(out), len(ids))
 	}
 	return out, nil
 }

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -112,6 +111,12 @@ func TestClientRoundTrip(t *testing.T) {
 			t.Fatalf("batch[%d] = %+v", i, batch[i])
 		}
 	}
+	// A failed item is a typed error on its own slot, not a failed batch.
+	mixed, err := c.CheckoutBatch(ctx, []versioning.NodeID{3, 999})
+	var itemErr *APIError
+	if err != nil || mixed[0].Err != nil || !errors.As(mixed[1].Err, &itemErr) || itemErr.Status != http.StatusNotFound {
+		t.Fatalf("mixed batch = %+v, %v, want [ok, APIError 404]", mixed, err)
+	}
 	if plan, err := c.Plan(ctx); err != nil || plan.Versions != 13 {
 		t.Fatalf("Plan = %+v, %v", plan, err)
 	}
@@ -124,10 +129,8 @@ func TestClientRoundTrip(t *testing.T) {
 	if _, err := c.Replan(ctx); err != nil {
 		t.Fatalf("Replan: %v", err)
 	}
-	// Typed error for a missing version (direct, uncoalesced path).
-	cd := New(ts.URL, Options{CoalesceWindow: -1})
-	defer cd.Close()
-	_, err = cd.Checkout(ctx, 999)
+	// Typed error for a missing version.
+	_, err = c.Checkout(ctx, 999)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("Checkout(999) = %v, want APIError 404", err)
@@ -145,7 +148,7 @@ func TestClientRetries5xxBurst(t *testing.T) {
 		fmt.Fprint(w, `{"id":5,"lines":["ok"]}`)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{CoalesceWindow: -1, RetryBaseDelay: time.Millisecond, MaxRetries: 3})
+	c := New(ts.URL, Options{RetryBaseDelay: time.Millisecond, MaxRetries: 3})
 	defer c.Close()
 	lines, err := c.Checkout(context.Background(), 5)
 	if err != nil || !reflect.DeepEqual(lines, []string{"ok"}) {
@@ -164,7 +167,7 @@ func TestClientRetryBudgetBounded(t *testing.T) {
 		http.Error(w, `{"error":"down"}`, http.StatusInternalServerError)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{CoalesceWindow: -1, RetryBaseDelay: time.Millisecond, MaxRetries: 2})
+	c := New(ts.URL, Options{RetryBaseDelay: time.Millisecond, MaxRetries: 2})
 	defer c.Close()
 	_, err := c.Checkout(context.Background(), 0)
 	var apiErr *APIError
@@ -188,7 +191,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 		fmt.Fprint(w, `{"id":0,"lines":["ok"]}`)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{CoalesceWindow: -1, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond})
+	c := New(ts.URL, Options{RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond})
 	defer c.Close()
 	start := time.Now()
 	if _, err := c.Checkout(context.Background(), 0); err != nil {
@@ -213,7 +216,7 @@ func TestClientPerRequestTimeout(t *testing.T) {
 		fmt.Fprint(w, `{"id":0,"lines":["fast"]}`)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{CoalesceWindow: -1, RequestTimeout: 60 * time.Millisecond, RetryBaseDelay: time.Millisecond})
+	c := New(ts.URL, Options{RequestTimeout: 60 * time.Millisecond, RetryBaseDelay: time.Millisecond})
 	defer c.Close()
 	lines, err := c.Checkout(context.Background(), 0)
 	if err != nil || !reflect.DeepEqual(lines, []string{"fast"}) {
@@ -244,7 +247,7 @@ func TestClientTornResponse(t *testing.T) {
 		fmt.Fprint(w, `{"id":0,"lines":["whole"]}`)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{CoalesceWindow: -1, RetryBaseDelay: time.Millisecond})
+	c := New(ts.URL, Options{RetryBaseDelay: time.Millisecond})
 	defer c.Close()
 	lines, err := c.Checkout(context.Background(), 0)
 	if err != nil || !reflect.DeepEqual(lines, []string{"whole"}) || calls.Load() != 2 {
@@ -320,93 +323,56 @@ func TestClientCommitRetriedOn5xx(t *testing.T) {
 	}
 }
 
-func TestClientCoalescesConcurrentCheckouts(t *testing.T) {
-	leakCheck(t)
-	ts, src, counts := liveServer(t, 10)
-	c := New(ts.URL, Options{CoalesceWindow: 40 * time.Millisecond})
-	defer c.Close()
-	const callers = 24
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v := versioning.NodeID(i % 10)
-			lines, err := c.Checkout(context.Background(), v)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if !reflect.DeepEqual(lines, src.Contents[v]) {
-				errs[i] = fmt.Errorf("caller %d: wrong content for version %d", i, v)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := counts.batch.Load(); got == 0 || got >= callers {
-		t.Fatalf("%d callers produced %d batch requests, want coalescing (0 < batches < callers)", callers, got)
-	}
-	if counts.single.Load() != 0 {
-		t.Fatalf("coalescing client still sent %d single GETs", counts.single.Load())
-	}
-	if _, merged := c.co.counters(); merged == 0 {
-		t.Fatal("no checkout calls were merged into an existing batch")
-	}
-}
-
-func TestClientCoalesceMaxFlushesEarly(t *testing.T) {
-	leakCheck(t)
-	ts, _, counts := liveServer(t, 8)
-	// Window far longer than the test: only the size trigger can flush.
-	c := New(ts.URL, Options{CoalesceWindow: 10 * time.Second, CoalesceMax: 4})
-	defer c.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := c.Checkout(context.Background(), versioning.NodeID(i%8)); err != nil {
-				t.Errorf("checkout %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := counts.batch.Load(); got != 2 {
-		t.Fatalf("8 checkouts with CoalesceMax=4 made %d batch requests, want 2", got)
-	}
-}
-
-func TestClientCoalescedErrorFanOut(t *testing.T) {
+// TestClientDefaultCheckoutIsOneGET pins the path a zero-Options client
+// takes: each Checkout is its own GET /checkout/{id}, so a repeat is
+// answered from the daemon's encoded-response cache and nothing goes
+// through POST /checkout. (TestClientValidatorCache holds the same
+// default to its 304 revalidations.)
+func TestClientDefaultCheckoutIsOneGET(t *testing.T) {
 	leakCheck(t)
 	ts, src, _ := liveServer(t, 6)
-	c := New(ts.URL, Options{CoalesceWindow: 40 * time.Millisecond})
+	c := New(ts.URL, Options{})
 	defer c.Close()
-	var wg sync.WaitGroup
-	var goodErr, badErr error
-	var goodLines []string
-	wg.Add(2)
-	go func() { defer wg.Done(); goodLines, goodErr = c.Checkout(context.Background(), 2) }()
-	go func() { defer wg.Done(); _, badErr = c.Checkout(context.Background(), 500) }()
-	wg.Wait()
-	if goodErr != nil || !reflect.DeepEqual(goodLines, src.Contents[2]) {
-		t.Fatalf("good member of mixed batch: %v, %v", goodLines, goodErr)
+	ctx := context.Background()
+	const n = 5
+	for i := 0; i < n; i++ {
+		lines, err := c.Checkout(ctx, 3)
+		if err != nil || !reflect.DeepEqual(lines, src.Contents[3]) {
+			t.Fatalf("Checkout(3) round %d = %v, %v", i, lines, err)
+		}
 	}
-	var apiErr *APIError
-	if !errors.As(badErr, &apiErr) || apiErr.Status != http.StatusNotFound {
-		t.Fatalf("bad member of mixed batch: %v, want APIError 404", badErr)
+	sz, err := c.Statsz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sz.Endpoints["checkout"].Requests; got != n {
+		t.Fatalf("GET /checkout/{id} requests = %d, want %d", got, n)
+	}
+	if got := sz.Endpoints["checkout_batch"].Requests; got != 0 {
+		t.Fatalf("POST /checkout requests = %d, want 0", got)
+	}
+	if sz.RespCache == nil || sz.RespCache.Hits != n-1 {
+		t.Fatalf("response cache = %+v, want %d hits", sz.RespCache, n-1)
 	}
 }
 
-func TestClientCheckoutContextCancelAbandonsSlot(t *testing.T) {
+// TestClientCheckoutDiesWithItsContext: cancelling the caller's context
+// mid-request returns ctx.Err() and ends the request the server is
+// working on, so the daemon can abandon the reconstruction.
+func TestClientCheckoutDiesWithItsContext(t *testing.T) {
 	leakCheck(t)
-	ts, src, _ := liveServer(t, 4)
-	c := New(ts.URL, Options{CoalesceWindow: 60 * time.Millisecond})
+	entered, ended := make(chan struct{}, 1), make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || !strings.HasPrefix(r.URL.Path, "/checkout/") {
+			http.Error(w, "unexpected "+r.Method+" "+r.URL.Path, http.StatusTeapot)
+			return
+		}
+		entered <- struct{}{}
+		<-r.Context().Done()
+		ended <- struct{}{}
+	}))
+	defer ts.Close()
+	c := New(ts.URL, Options{})
 	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -414,14 +380,18 @@ func TestClientCheckoutContextCancelAbandonsSlot(t *testing.T) {
 		_, err := c.Checkout(ctx, 1)
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let it join the pending batch
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled checkout returned %v", err)
+	await := func(ch <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
-	// The batch still runs and serves other members correctly.
-	lines, err := c.Checkout(context.Background(), 2)
-	if err != nil || !reflect.DeepEqual(lines, src.Contents[2]) {
-		t.Fatalf("checkout after canceled sibling: %v, %v", lines, err)
+	await(entered, "the server to see GET /checkout/1")
+	cancel()
+	await(ended, "the server's request context to end")
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled checkout returned %v, want context.Canceled", err)
 	}
 }

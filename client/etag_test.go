@@ -18,7 +18,6 @@ func TestClientValidatorCache(t *testing.T) {
 	var mu sync.Mutex
 	var sizes []int64
 	c := New(ts.URL, Options{
-		CoalesceWindow:      -1, // direct GETs: the path the cache covers
 		ValidatorCacheBytes: 1 << 20,
 		OnResponse: func(path string, n int64) {
 			if strings.Contains(path, "/checkout") {
@@ -57,7 +56,7 @@ func TestClientValidatorCache(t *testing.T) {
 func TestClientValidatorCacheDisabled(t *testing.T) {
 	leakCheck(t)
 	ts, src, _ := liveServer(t, 4)
-	c := New(ts.URL, Options{CoalesceWindow: -1})
+	c := New(ts.URL, Options{})
 	defer c.Close()
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
@@ -79,7 +78,6 @@ func TestClientOnResponseBytes(t *testing.T) {
 	var mu sync.Mutex
 	got := map[string]int64{}
 	c := New(ts.URL, Options{
-		CoalesceWindow: -1,
 		OnResponse: func(path string, n int64) {
 			mu.Lock()
 			got[path] += n

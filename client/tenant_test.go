@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -41,11 +40,11 @@ func TestClientTenantRoundTrip(t *testing.T) {
 
 	alice := c.Tenant("alice")
 	bob := c.Tenant("bob")
-	if c.Tenant("alice") != alice {
-		t.Fatal("repeated Tenant(alice) returned a different view")
+	if alice.Name() != "alice" || bob.Name() != "bob" || alice.Tenant("").Name() != "" {
+		t.Fatalf("view names = %q, %q, %q", alice.Name(), bob.Name(), alice.Tenant("").Name())
 	}
-	if c.Tenant("") != c || alice.Tenant("") != c || alice.Tenant("bob") != bob {
-		t.Fatal(`views of one daemon disagree: Tenant("") must be the root view from every view`)
+	if got := alice.Tenant("b/ob").prefix; got != "/t/b%2Fob" {
+		t.Fatalf(`Tenant("b/ob") routes under %q, want /t/b%%2Fob`, got)
 	}
 
 	cr, err := alice.Commit(ctx, versioning.NoParent, []string{"alice v0"})
@@ -90,44 +89,6 @@ func TestClientTenantRoundTrip(t *testing.T) {
 	}
 }
 
-func TestClientTenantCoalescing(t *testing.T) {
-	leakCheck(t)
-	ts := liveMultiServer(t, tenant.Options{})
-	c := New(ts.URL, Options{CoalesceWindow: 20 * time.Millisecond})
-	defer c.Close()
-	ctx := context.Background()
-
-	alice := c.Tenant("alice")
-	if _, err := alice.Commit(ctx, versioning.NoParent, []string{"v0"}); err != nil {
-		t.Fatal(err)
-	}
-	const callers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = alice.Checkout(ctx, 0)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
-		}
-	}
-	// All callers rode one (or very few) batch posts on the tenant's own
-	// coalescer.
-	batches, merged := alice.co.counters()
-	if batches == 0 || merged == 0 {
-		t.Fatalf("no coalescing happened: batches=%d merged=%d", batches, merged)
-	}
-	if batches+merged != callers {
-		t.Fatalf("batches %d + merged %d != callers %d", batches, merged, callers)
-	}
-}
-
 func TestClientTenantQuota429(t *testing.T) {
 	leakCheck(t)
 	ts := liveMultiServer(t, tenant.Options{
@@ -160,7 +121,7 @@ func TestClientRetryHonorsContextCancelMidBackoff(t *testing.T) {
 		http.Error(w, `{"error":"overloaded"}`, http.StatusTooManyRequests)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{CoalesceWindow: -1})
+	c := New(ts.URL, Options{})
 	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

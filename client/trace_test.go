@@ -40,8 +40,7 @@ func TestTracePropagationThroughMulti(t *testing.T) {
 	var mu sync.Mutex
 	got := map[string]string{} // path -> trace ID
 	c := New(ts.URL, Options{
-		TraceSample:    1,
-		CoalesceWindow: -1, // direct checkouts; coalesced batches are never traced
+		TraceSample: 1,
 		OnTrace: func(path, id string) {
 			mu.Lock()
 			got[path] = id

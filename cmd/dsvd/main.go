@@ -32,14 +32,15 @@
 // in-memory backend; with -data-dir (or -multi -tenants-dir) the
 // daemon runs on durable disk backends plus write-ahead commit
 // journals, and a restart replays the journals so the full committed
-// history survives a kill. Concurrent commits share journal writes
-// (-group-commit, on by default): one leader writes — and with -fsync,
-// fsyncs — the whole batch, and each commit is acknowledged only after
-// its batch is durable. Plan maintenance (the -replan-every re-solve
-// and store migration) runs in background workers (-maintenance) so it
-// never sits on the commit path. SIGINT and SIGTERM trigger a graceful
-// shutdown: in-flight requests drain, then every open repository's
-// journal and backend are flushed, all within the -drain deadline.
+// history survives a kill. Concurrent commits share journal writes:
+// one leader writes — and with -fsync, fsyncs — the whole batch
+// (-group-commit-linger is how long it waits for more to join), and each
+// commit is acknowledged only after its batch is durable. Plan
+// maintenance (the -replan-every re-solve and store migration) runs in a
+// background worker so it never sits on the commit path. SIGINT and
+// SIGTERM trigger a graceful shutdown: in-flight requests drain, then
+// every open repository's journal and backend are flushed, all within
+// the -drain deadline.
 //
 // Serving is hardened for real traffic: admission control bounds
 // concurrent requests (-max-inflight, -max-queue, -queue-wait) and
@@ -109,9 +110,7 @@ func run(ctx context.Context, args []string) error {
 		workers     = fs.Int("workers", 0, "batch checkout workers (0 = GOMAXPROCS)")
 		dataDir     = fs.String("data-dir", "", "durable storage root (objects + commit journal); empty serves from memory")
 		fsync       = fs.Bool("fsync", false, "fsync the commit journal on every commit (with -data-dir)")
-		groupCommit = fs.Bool("group-commit", true, "batch concurrent commits into one journal write/fsync (with -data-dir or -tenants-dir)")
 		linger      = fs.Duration("group-commit-linger", 0, "how long a batch leader waits for more commits to join (0 = 200µs with -fsync, none otherwise; negative disables)")
-		maintenance = fs.Int("maintenance", 0, "background plan-maintenance workers per repository (0 = 1; negative re-plans synchronously inside commits)")
 		planHistory = fs.Int("plan-history", 0, "maintenance passes retained in the plan-observatory ring served at GET /planz (0 = 64, negative disables)")
 		heatHL      = fs.Duration("heat-halflife", 0, "per-version read-heat EWMA half-life (0 = 5m default, negative disables heat tracking)")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-solver deadline inside re-planning races")
@@ -152,19 +151,17 @@ func run(ctx context.Context, args []string) error {
 	// from /tracez.
 	tracer := trace.New(trace.Options{Sample: *traceSample, Recent: *traceRecent})
 	ropt := versioning.RepositoryOptions{
-		Problem:            problem,
-		Constraint:         *constraint,
-		AutoFactor:         *autoFactor,
-		ReplanEvery:        *replanEvery,
-		CacheEntries:       *cache,
-		CacheBytes:         *cacheBytes,
-		Workers:            *workers,
-		SyncWrites:         *fsync,
-		GroupCommit:        *groupCommit,
-		GroupCommitLinger:  *linger,
-		MaintenanceWorkers: *maintenance,
-		PlanHistory:        *planHistory,
-		HeatHalfLife:       *heatHL,
+		Problem:           problem,
+		Constraint:        *constraint,
+		AutoFactor:        *autoFactor,
+		ReplanEvery:       *replanEvery,
+		CacheEntries:      *cache,
+		CacheBytes:        *cacheBytes,
+		Workers:           *workers,
+		SyncWrites:        *fsync,
+		GroupCommitLinger: *linger,
+		PlanHistory:       *planHistory,
+		HeatHalfLife:      *heatHL,
 		EngineOptions: versioning.EngineOptions{
 			SolverTimeout: *timeout,
 			DisableILP:    !*ilp,

@@ -19,10 +19,9 @@
 // strong ETags and If-None-Match revalidation, one route table served
 // at / or per tenant under /t/{tenant}, and /statsz + /metricsz +
 // /tracez observability; concurrent identical checkouts are
-// deduplicated once, in the store (internal/flight, which the solver
-// portfolio shares). repro/client is the typed HTTP client (pooling,
-// retries, batch coalescing, validator cache): one method set over
-// per-repository views. Real git
+// deduplicated once, in the store (internal/flight). repro/client is
+// the typed HTTP client (pooling, retries, validator cache): one method
+// set over per-repository views. Real git
 // histories import end to end — internal/gitimport and cmd/dsvimport
 // map commits (merges included) to versions with true parent edges
 // and manifest-per-version content, which GET /diff/{a}/{b}, GET

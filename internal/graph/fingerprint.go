@@ -10,8 +10,7 @@ import (
 // graphs have equal fingerprints iff they have the same node count, the
 // same per-node materialization costs, and the same delta sequence
 // (endpoints and costs, in insertion order). The Name is deliberately
-// excluded: a renamed copy of an instance has identical solutions, and
-// the portfolio engine keys its result cache on this identity.
+// excluded: a renamed copy of an instance has identical solutions.
 type Fingerprint [sha256.Size]byte
 
 // String returns the hex form of f.

@@ -66,7 +66,7 @@ func checkReport(t *testing.T, iter int, problem core.Problem, constraint graph.
 // proven ILP matches it exactly.
 func TestDifferentialMSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	e := New(Options{CacheSize: -1})
+	e := New(Options{})
 	ctx := context.Background()
 	for iter := 0; iter < 30; iter++ {
 		g := smallGraph(rng)
@@ -107,7 +107,7 @@ func TestDifferentialMSR(t *testing.T) {
 // BMR optimum.
 func TestDifferentialBMR(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
-	e := New(Options{CacheSize: -1})
+	e := New(Options{})
 	ctx := context.Background()
 	for iter := 0; iter < 30; iter++ {
 		g := smallGraph(rng)
@@ -136,7 +136,7 @@ func TestDifferentialBMR(t *testing.T) {
 // the bruteforce MMR/BSR optima.
 func TestDifferentialMMRAndBSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
-	e := New(Options{CacheSize: -1})
+	e := New(Options{})
 	ctx := context.Background()
 	for iter := 0; iter < 15; iter++ {
 		g := smallGraph(rng)

@@ -41,7 +41,7 @@ func TestAdversarialFixtures(t *testing.T) {
 	oracle := map[core.Problem]func(*graph.Graph, graph.Cost, int64) (bruteforce.Result, error){
 		core.ProblemMSR: bruteforce.SolveMSR, core.ProblemBMR: bruteforce.SolveBMR,
 	}
-	e := New(Options{CacheSize: -1})
+	e := New(Options{})
 	ctx := context.Background()
 	for _, f := range fixtures {
 		t.Run(f.name, func(t *testing.T) {

@@ -8,12 +8,9 @@
 // comparing offline, it races every member registered for a problem
 // concurrently, with per-solver timeouts and cooperative cancellation,
 // and returns the best feasible solution found plus a per-solver report
-// (cost, wall time, error).
-//
-// On top of the race the engine keeps a result cache keyed by the content
-// fingerprint of the instance (graph.Fingerprint + problem + constraint),
-// and singleflight deduplication so concurrent identical solves compute
-// once.
+// (cost, wall time, error). Every Solve is a race: the version graph
+// grows with each commit, so an instance does not come back to be
+// remembered.
 package portfolio
 
 import (
@@ -24,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/flight"
 	"repro/internal/graph"
 	"repro/internal/plan"
 )
@@ -58,13 +54,7 @@ type Result struct {
 	// Winner names the solver that produced Solution.
 	Winner string
 	// Reports has one entry per registered solver, in registry order.
-	// Shared across cache hits: callers must not modify it.
 	Reports []Report
-	// CacheHit reports that the result was served from the engine cache
-	// (or joined an in-flight identical solve) instead of being computed.
-	// Solution.Plan is always the caller's own copy: mutating it never
-	// affects what later cache hits observe.
-	CacheHit bool
 }
 
 // Options configures an Engine.
@@ -72,9 +62,6 @@ type Options struct {
 	// SolverTimeout is the per-solver deadline within a race. 0 means no
 	// deadline (solvers still inherit the caller's ctx).
 	SolverTimeout time.Duration
-	// CacheSize bounds the number of cached results. 0 means 1024;
-	// negative disables caching.
-	CacheSize int
 	// Tuning parameterizes the default registry.
 	Tuning Tuning
 	// Registry overrides the solver registry (nil = DefaultRegistry(Tuning)).
@@ -86,127 +73,29 @@ type Options struct {
 type Engine struct {
 	opts     Options
 	registry func(p core.Problem) []Solver
-	cacheCap int
-
-	mu    sync.Mutex
-	cache map[cacheKey]cacheEntry
-	order []cacheKey // FIFO eviction order
-
-	flights flight.Group[cacheKey, Result] // concurrent identical solves race once
-}
-
-type cacheKey struct {
-	fp         graph.Fingerprint
-	problem    core.Problem
-	constraint graph.Cost
-}
-
-// cacheEntry memoizes a solve outcome. err is non-nil only for
-// deterministic failures (core.ErrInfeasible): an instance proven
-// infeasible once is infeasible forever, so repeat solves skip the race.
-type cacheEntry struct {
-	res Result
-	err error
 }
 
 // New returns an Engine with the given options.
 func New(opts Options) *Engine {
-	e := &Engine{opts: opts, registry: opts.Registry, cacheCap: opts.CacheSize}
+	e := &Engine{opts: opts, registry: opts.Registry}
 	if e.registry == nil {
 		e.registry = DefaultRegistry(opts.Tuning)
-	}
-	if e.cacheCap == 0 {
-		e.cacheCap = 1024
-	}
-	if e.cacheCap > 0 {
-		e.cache = make(map[cacheKey]cacheEntry)
 	}
 	return e
 }
 
 // Solve races every registered solver for problem on g under the given
-// constraint and returns the best feasible solution. Identical instances
-// (same graph content, problem and constraint) are served from the cache;
-// concurrent identical solves compute once and share the result.
+// constraint and returns the best feasible solution; Solution.Plan is
+// the caller's own.
 //
-// If every solver reports infeasibility the error is core.ErrInfeasible —
-// a deterministic outcome that is itself memoized, so repeat solves of a
-// proven-infeasible instance skip the race. Timeouts and cancellations
-// are never cached; if the caller's ctx ends the error is ctx.Err().
+// If every solver reports infeasibility the error is core.ErrInfeasible;
+// if the caller's ctx ends the error is ctx.Err().
 func (e *Engine) Solve(ctx context.Context, g *graph.Graph, problem core.Problem, constraint graph.Cost) (Result, error) {
 	solvers := e.registry(problem)
 	if len(solvers) == 0 {
 		return Result{}, fmt.Errorf("portfolio: no registered solver for %s", problem)
 	}
-	if e.cache == nil {
-		return e.race(ctx, solvers, g, problem, constraint)
-	}
-	k := cacheKey{fp: g.Fingerprint(), problem: problem, constraint: constraint}
-	if ent, ok := e.lookup(k); ok {
-		return cachedCopy(ent.res), ent.err
-	}
-	res, shared, err := e.flights.Do(ctx, k, func() (Result, error) {
-		// A solve that finished between the lookup above and this call
-		// becoming leader has already stored its outcome.
-		if ent, ok := e.lookup(k); ok {
-			return cachedCopy(ent.res), ent.err
-		}
-		res, err := e.race(ctx, solvers, g, problem, constraint)
-		if err == nil || errors.Is(err, core.ErrInfeasible) {
-			e.store(k, res, err)
-		}
-		return res, err
-	})
-	if shared {
-		res = cachedCopy(res)
-	}
-	return res, err
-}
-
-// lookup returns the memoized outcome for k, if any.
-func (e *Engine) lookup(k cacheKey) (cacheEntry, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent, ok := e.cache[k]
-	return ent, ok
-}
-
-// cachedCopy marks a memoized result as a hit and hands the caller its
-// own copy of the plan, so result mutation cannot corrupt the cache.
-func cachedCopy(r Result) Result {
-	r.CacheHit = true
-	if r.Solution.Plan != nil {
-		r.Solution.Plan = r.Solution.Plan.Clone()
-	}
-	return r
-}
-
-// store inserts a solve outcome (success or deterministic
-// infeasibility), evicting the oldest entry at capacity.
-func (e *Engine) store(k cacheKey, r Result, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.cache[k]; !ok {
-		if len(e.order) >= e.cacheCap {
-			delete(e.cache, e.order[0])
-			e.order = e.order[1:]
-		}
-		e.order = append(e.order, k)
-	}
-	r.CacheHit = false
-	// Keep a private copy of the plan: the leader's caller received the
-	// original and may mutate it.
-	if r.Solution.Plan != nil {
-		r.Solution.Plan = r.Solution.Plan.Clone()
-	}
-	e.cache[k] = cacheEntry{res: r, err: err}
-}
-
-// CacheLen reports the number of cached results.
-func (e *Engine) CacheLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.cache)
+	return e.race(ctx, solvers, g, problem, constraint)
 }
 
 func (e *Engine) race(ctx context.Context, solvers []Solver, g *graph.Graph, problem core.Problem, constraint graph.Cost) (Result, error) {

@@ -141,132 +141,6 @@ func TestInfeasibleAggregation(t *testing.T) {
 	}
 }
 
-// TestCacheHitOnIdenticalGraph checks memoization by content fingerprint:
-// a repeat solve — even through a clone with a different name — is served
-// from the cache.
-func TestCacheHitOnIdenticalGraph(t *testing.T) {
-	g := testGraph(6, 10)
-	e := New(Options{})
-	ctx := context.Background()
-	s := msrBudget(t, g)
-
-	first, err := e.Solve(ctx, g, core.ProblemMSR, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.CacheHit {
-		t.Fatal("first solve reported a cache hit")
-	}
-	clone := g.Clone()
-	clone.Name = "renamed"
-	second, err := e.Solve(ctx, clone, core.ProblemMSR, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.CacheHit {
-		t.Fatal("identical instance missed the cache")
-	}
-	if second.Winner != first.Winner || second.Solution.Cost != first.Solution.Cost {
-		t.Fatalf("cached result diverged: %+v vs %+v", second.Solution.Cost, first.Solution.Cost)
-	}
-	// A different constraint is a different instance.
-	third, err := e.Solve(ctx, g, core.ProblemMSR, s+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.CacheHit {
-		t.Fatal("different constraint hit the cache")
-	}
-	if e.CacheLen() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", e.CacheLen())
-	}
-}
-
-// TestCachedPlanIsolation checks that mutating a returned plan — hit or
-// miss — cannot corrupt what later cache hits observe.
-func TestCachedPlanIsolation(t *testing.T) {
-	g := testGraph(14, 10)
-	e := New(Options{})
-	ctx := context.Background()
-	s := msrBudget(t, g)
-
-	first, err := e.Solve(ctx, g, core.ProblemMSR, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Vandalize the leader's copy.
-	for i := range first.Solution.Plan.Stored {
-		first.Solution.Plan.Stored[i] = !first.Solution.Plan.Stored[i]
-	}
-	second, err := e.Solve(ctx, g, core.ProblemMSR, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.CacheHit {
-		t.Fatal("expected a cache hit")
-	}
-	if got := plan.Evaluate(g, second.Solution.Plan); got != second.Solution.Cost {
-		t.Fatalf("cached plan corrupted by caller mutation: evaluates to %+v, reported %+v", got, second.Solution.Cost)
-	}
-	// And the hit's copy is equally isolated.
-	second.Solution.Plan.Materialized[0] = !second.Solution.Plan.Materialized[0]
-	third, err := e.Solve(ctx, g, core.ProblemMSR, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plan.Evaluate(g, third.Solution.Plan); got != third.Solution.Cost {
-		t.Fatalf("cache hit shares plan memory: %+v vs %+v", got, third.Solution.Cost)
-	}
-}
-
-// TestInfeasibleResultCached checks that proven infeasibility is
-// memoized: the repeat solve must not re-run the race.
-func TestInfeasibleResultCached(t *testing.T) {
-	g := testGraph(15, 8)
-	races := 0
-	var mu sync.Mutex
-	counting := Solver{Name: "counting", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
-		mu.Lock()
-		races++
-		mu.Unlock()
-		return core.Solution{}, core.ErrInfeasible
-	}}
-	e := New(Options{Registry: func(core.Problem) []Solver { return []Solver{counting} }})
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, err := e.Solve(ctx, g, core.ProblemMSR, 0); !errors.Is(err, core.ErrInfeasible) {
-			t.Fatalf("solve %d: err = %v, want core.ErrInfeasible", i, err)
-		}
-	}
-	if races != 1 {
-		t.Fatalf("infeasible instance raced %d times, want 1", races)
-	}
-}
-
-// TestCacheEviction checks the FIFO bound.
-func TestCacheEviction(t *testing.T) {
-	g := testGraph(7, 8)
-	e := New(Options{CacheSize: 2})
-	ctx := context.Background()
-	base := msrBudget(t, g)
-	for i := graph.Cost(0); i < 4; i++ {
-		if _, err := e.Solve(ctx, g, core.ProblemMSR, base+i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.CacheLen() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", e.CacheLen())
-	}
-	// The oldest entry was evicted, the newest survives.
-	res, err := e.Solve(ctx, g, core.ProblemMSR, base+3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CacheHit {
-		t.Fatal("newest entry should still be cached")
-	}
-}
-
 // TestConcurrentSolves hammers one engine from many goroutines across
 // problems and instances; run under -race this is the engine's
 // thread-safety certificate.

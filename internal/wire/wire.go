@@ -11,8 +11,8 @@
 //
 // A decoded line array owns one string, its lines as they arrived, and
 // each escape-free line is a substring of it: keeping one line keeps its
-// array's text alive but never another array's (one result of a
-// coalesced batch does not pin the batch). A line with an escape is
+// array's text alive but never another array's (one result of a batch
+// checkout does not pin the batch). A line with an escape is
 // unquoted on its own by encoding/json, at encoding/json's speed.
 package wire
 

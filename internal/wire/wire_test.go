@@ -191,7 +191,7 @@ func TestDecodeAllocs(t *testing.T) {
 
 // TestDecodedArraysOwnTheirText checks that keeping a line of one array
 // does not keep another array of the same body alive: a caller holding
-// one small result of a coalesced batch must not pin the batch.
+// one small result of a batch checkout must not pin the batch.
 func TestDecodedArraysOwnTheirText(t *testing.T) {
 	const bigBytes = 16 << 20
 	keepSmall := func() string {

@@ -44,9 +44,7 @@ func TestMetricszLint(t *testing.T) {
 		}
 	})
 	t.Run("multi", func(t *testing.T) {
-		mgr := testManager(t, t.TempDir(), tenant.Options{
-			Repo: versioning.RepositoryOptions{GroupCommit: true},
-		})
+		mgr := testManager(t, t.TempDir(), tenant.Options{})
 		ts := multiServer(t, mgr, Options{})
 		for _, tn := range []string{"alice", "bob"} {
 			mustPost(t, ts.URL+"/t/"+tn+"/commit", map[string]any{"parent": -1, "lines": []string{"a"}})
@@ -92,9 +90,7 @@ func lintMetricsz(t *testing.T, base string) (families, series int, text string)
 // every open tenant reports full repository stats, WAL batching
 // counters included.
 func TestStatszTenants(t *testing.T) {
-	mgr := testManager(t, t.TempDir(), tenant.Options{
-		Repo: versioning.RepositoryOptions{GroupCommit: true},
-	})
+	mgr := testManager(t, t.TempDir(), tenant.Options{})
 	ts := multiServer(t, mgr, Options{})
 	mustPost(t, ts.URL+"/t/alice/commit", map[string]any{"parent": -1, "lines": []string{"a"}})
 	mustPost(t, ts.URL+"/t/alice/commit", map[string]any{"parent": 0, "lines": []string{"a", "b"}})

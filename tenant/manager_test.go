@@ -597,7 +597,6 @@ func TestManagerEvictionDuringMaintenance(t *testing.T) {
 	opt := testOptions(t.TempDir())
 	opt.MaxOpen = 2 // aggressive eviction: most acquires reopen + evict
 	opt.Repo.ReplanEvery = 2
-	opt.Repo.GroupCommit = true
 	m := NewManager(opt)
 	defer m.Close()
 	ctx := context.Background()

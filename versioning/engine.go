@@ -37,10 +37,8 @@ type EngineOptions struct {
 	// context.DeadlineExceeded; the race still returns the best solution
 	// among the solvers that finished.
 	SolverTimeout time.Duration
-	// CacheSize bounds the result cache (0 = 1024 entries, negative
-	// disables). Results are keyed by graph content fingerprint, problem
-	// and constraint, so a structurally identical graph hits the cache
-	// regardless of its Name or pointer identity.
+	// CacheSize has no effect: the engine keeps no result cache. It stays
+	// because benchmark/traced.go sets it (ROADMAP item 7h).
 	CacheSize int
 	// Epsilon / MaxStates / Root tune the tree DPs as in Options.
 	Epsilon   float64
@@ -54,9 +52,9 @@ type EngineOptions struct {
 
 // Engine is the concurrent solver-portfolio runtime: for each Solve it
 // races every applicable solver (the paper's Section 7 line-up) under
-// per-solver timeouts, returns the best feasible solution plus per-solver
-// reports, and memoizes results by graph fingerprint. An Engine is safe
-// for concurrent use by multiple goroutines.
+// per-solver timeouts and returns the best feasible solution plus
+// per-solver reports. An Engine is safe for concurrent use by multiple
+// goroutines.
 type Engine struct {
 	p *portfolio.Engine
 }
@@ -65,7 +63,6 @@ type Engine struct {
 func NewEngine(opt EngineOptions) *Engine {
 	return &Engine{p: portfolio.New(portfolio.Options{
 		SolverTimeout: opt.SolverTimeout,
-		CacheSize:     opt.CacheSize,
 		Tuning: portfolio.Tuning{
 			Epsilon:     opt.Epsilon,
 			MaxStates:   opt.MaxStates,
@@ -82,7 +79,3 @@ func NewEngine(opt EngineOptions) *Engine {
 func (e *Engine) Solve(ctx context.Context, g *Graph, problem Problem, constraint Cost) (PortfolioResult, error) {
 	return e.p.Solve(ctx, g, problem, constraint)
 }
-
-// CachedResults reports how many solve results the engine currently
-// memoizes.
-func (e *Engine) CachedResults() int { return e.p.CacheLen() }

@@ -80,29 +80,6 @@ func TestEngineGenericSolve(t *testing.T) {
 	}
 }
 
-// TestEngineCache checks fingerprint memoization through the public API.
-func TestEngineCache(t *testing.T) {
-	g := engineTestGraph()
-	e := NewEngine(EngineOptions{})
-	ctx := context.Background()
-	s := g.TotalNodeStorage() / 2
-
-	first, err := e.Solve(ctx, g, ProblemMSR, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := e.Solve(ctx, g.Clone(), ProblemMSR, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.CacheHit || !second.CacheHit {
-		t.Fatalf("cache hits: first=%v second=%v, want false/true", first.CacheHit, second.CacheHit)
-	}
-	if e.CachedResults() == 0 {
-		t.Fatal("no cached results after a solve")
-	}
-}
-
 // TestEngineCancellation checks a dead context aborts a solve up front.
 func TestEngineCancellation(t *testing.T) {
 	e := NewEngine(EngineOptions{SolverTimeout: time.Second})

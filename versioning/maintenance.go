@@ -43,31 +43,36 @@ const (
 	triggerManual  = "manual"  // Replan / POST /replan
 )
 
-// startMaintenance resolves the worker count and starts the background
-// loop(s); called once from NewRepository before the repository is
-// shared.
+// startMaintenance starts the background worker, unless
+// MaintenanceWorkers < 0 asks for passes inline in Commit; called once
+// from NewRepository before the repository is shared.
 func (r *Repository) startMaintenance() {
-	workers := r.opt.MaintenanceWorkers
-	if workers == 0 {
-		workers = 1
-	}
-	if workers < 0 {
-		workers = 0 // synchronous: maybeReplan runs the pass inline
-	}
-	r.maintWorkers = workers
 	r.maintStop = make(chan struct{})
 	r.maintTrigger = make(chan struct{}, 1)
 	r.maintCtx, r.maintCancel = context.WithCancel(context.Background())
 	r.maintCond = sync.NewCond(&r.maintMu)
-	r.maintWG.Add(workers)
-	for i := 0; i < workers; i++ {
+	if r.opt.MaintenanceWorkers >= 0 {
+		r.maintWG.Add(1)
 		go r.maintenanceLoop()
 	}
 }
 
+// stopMaintenance cancels any in-flight solve, stops the worker and
+// waits it out, then unblocks WaitMaintenance callers whose requests will
+// never be served.
+func (r *Repository) stopMaintenance() {
+	r.maintCancel()
+	close(r.maintStop)
+	r.maintWG.Wait()
+	r.maintMu.Lock()
+	r.maintDone = r.maintReq
+	r.maintCond.Broadcast()
+	r.maintMu.Unlock()
+}
+
 // maybeReplan runs after every successful commit, with no locks held:
 // if the repository is due for a re-plan it either schedules one on the
-// background workers or (MaintenanceWorkers < 0) runs the pass inline
+// background worker or (MaintenanceWorkers < 0) runs the pass inline
 // before returning.
 func (r *Repository) maybeReplan(ctx context.Context) {
 	if r.opt.ReplanEvery <= 0 {
@@ -79,7 +84,7 @@ func (r *Repository) maybeReplan(ctx context.Context) {
 	if !due {
 		return
 	}
-	if r.maintWorkers == 0 {
+	if r.opt.MaintenanceWorkers < 0 {
 		r.runPass(ctx, triggerSync)
 		return
 	}
@@ -100,7 +105,7 @@ func (r *Repository) scheduleReplan() {
 	}
 }
 
-// maintenanceLoop is one background worker: wait for a trigger, run a
+// maintenanceLoop is the background worker: wait for a trigger, run a
 // pass, mark every request issued before the pass started as done, and
 // re-trigger if commits landed during the pass kept the repository due.
 func (r *Repository) maintenanceLoop() {
@@ -251,15 +256,12 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 	solveDur := time.Since(solveStart)
 	rec.SolveUS = solveDur.Microseconds()
 	rec.Winner = res.Winner
-	rec.CacheHit = res.CacheHit
 	rec.Reports = raceReports(res.Reports)
 	r.raceHist.Observe(solveDur)
 	if solveErr != nil {
 		return fail(fmt.Errorf("versioning: re-plan %s(%d): %w", r.opt.Problem, constraint, solveErr))
 	}
-	// Clone before grafting below: the engine memoizes solutions by graph
-	// fingerprint and may hand the same *Plan to a later call.
-	solved := res.Solution.Plan.Clone()
+	p := res.Solution.Plan
 
 	// Precompute the contents the migration will ask for through the
 	// normal concurrent checkout path, so the install step under commitMu
@@ -268,7 +270,7 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 	// what the store can take over: the versions grafted below keep the
 	// delta objects AddVersion gave them and are not read at all.
 	preloadStart := time.Now()
-	needs := r.st.MigrationNeeds(gSnap, solved)
+	needs := r.st.MigrationNeeds(gSnap, p)
 	memo := make(map[NodeID][]string, len(needs))
 	for _, v := range needs {
 		l, cerr := r.st.Checkout(ctx, v)
@@ -303,7 +305,6 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 	// full live graph and those versions' storage is untouched.
 	grafted := r.g.N() - gSnap.N()
 	rec.Grafted = grafted
-	p := solved
 	p.Materialized = append(p.Materialized, r.plan.Materialized[gSnap.N():]...)
 	p.Stored = append(p.Stored, r.plan.Stored[gSnap.M():]...)
 	objBefore, bytesBefore, usBefore := r.st.InstallTotals()

@@ -78,8 +78,8 @@ type PlanRecord struct {
 	Constraint Cost   `json:"constraint"`
 
 	Winner string `json:"winner,omitempty"`
-	// CacheHit marks a race answered by the engine's fingerprint cache;
-	// Reports then describe the original race, not new solver work.
+	// CacheHit is always false: the engine keeps no result cache. It
+	// stays because benchmark/traced.go reads it (ROADMAP item 7h).
 	CacheHit bool               `json:"cache_hit,omitempty"`
 	Reports  []SolverRaceReport `json:"reports,omitempty"`
 

@@ -133,8 +133,6 @@ func TestPlanHistoryRingBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < passes; i++ {
-		// Grow the graph each round so the engine's fingerprint cache
-		// cannot collapse the passes into one race.
 		if _, err := r.Commit(ctx, 0, []string{"root", fmt.Sprintf("round %d", i)}); err != nil {
 			t.Fatal(err)
 		}

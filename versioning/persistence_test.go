@@ -1,12 +1,16 @@
 package versioning
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -192,10 +196,10 @@ func (f *flakyBackend) Put(k store.Key, data []byte) error {
 }
 
 // TestRepositoryFailedCommitRollsBackJournal pins the write-ahead
-// rollback: a commit whose apply fails (backend Put error) must not
-// leave its record in the journal — otherwise the next commit reuses
-// the version id, replay sees a duplicate, and the data dir becomes
-// permanently unopenable.
+// rollback: a commit whose apply fails (backend Put error) must unstage
+// its frame before any batch leader writes it — otherwise the next
+// commit reuses the version id, replay sees a duplicate, and the data
+// dir becomes permanently unopenable.
 func TestRepositoryFailedCommitRollsBackJournal(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := store.OpenDiskBackend(dir)
@@ -236,11 +240,95 @@ func TestRepositoryFailedCommitRollsBackJournal(t *testing.T) {
 	}
 	defer r2.Close()
 	if got := r2.Versions(); got != 2 {
-		t.Fatalf("reopened repository has %d versions, want 2", got)
+		t.Fatalf("reopened repository has %d versions, want 2 — the unstaged frame leaked into a batch", got)
 	}
 	got, err := r2.Checkout(ctx, 1)
 	if err != nil || !reflect.DeepEqual(got, []string{"v0", "v1-kept"}) {
 		t.Fatalf("Checkout(1) after reopen = %q, %v", got, err)
+	}
+}
+
+// TestFailedJournalWriteClosesRepository pins what a failed batch write
+// does: the journal cannot tell which bytes reached the disk, so the
+// commit is refused, the repository closes itself for writes, and reads
+// keep serving.
+func TestFailedJournalWriteClosesRepository(t *testing.T) {
+	r, err := Open("poison", durableOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+	if _, err := r.Commit(ctx, NoParent, []string{"v0"}); err != nil {
+		t.Fatal(err)
+	}
+	r.wal.f.Close() // every later journal write fails
+	if _, err := r.Commit(ctx, 0, []string{"v0", "v1"}); err == nil || errors.Is(err, ErrClosed) {
+		t.Fatalf("commit over a failing journal: %v, want the write error", err)
+	}
+	if _, err := r.Commit(ctx, 0, []string{"v0", "v1"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit after a failed journal write: %v, want ErrClosed", err)
+	}
+	if got, err := r.Checkout(ctx, 0); err != nil || !reflect.DeepEqual(got, []string{"v0"}) {
+		t.Fatalf("Checkout(0) after a failed journal write = %q, %v", got, err)
+	}
+}
+
+// TestFailedOpenReleasesWhatItStarted: Open starts a maintenance worker
+// and opens a disk backend (compactor goroutine, pack mappings) before
+// it reads the journal, so an Open the journal refuses must stop both —
+// a fleet retries a damaged tenant on every request.
+func TestFailedOpenReleasesWhatItStarted(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open("damaged", durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, lines := range [][]string{{"v0"}, {"v0", "v1"}} {
+		if _, err := r.Commit(ctx, NodeID(r.Versions()-1), lines); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, "journal.wal")
+	good, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An intact record whose version id is not the next one.
+	outOfOrder := append(append([]byte(nil), walMagic...), frame(walRecord{v: 1, parent: NoParent, lines: []string{"v1"}})...)
+	for name, damaged := range map[string][]byte{"bad magic": []byte("not a journal"), "out-of-order record": outOfOrder} {
+		if err := os.WriteFile(walPath, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		for i := 0; i < 20; i++ {
+			if _, err := Open("damaged", durableOptions(dir)); err == nil {
+				t.Fatalf("%s: Open succeeded", name)
+			}
+		}
+		// Stopped goroutines may take a moment to be gone.
+		deadline := time.Now().Add(3 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("%s: 20 failed Opens took the process from %d to %d goroutines", name, before, after)
+		}
+	}
+	if err := os.WriteFile(walPath, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Open("damaged", durableOptions(dir))
+	if err != nil {
+		t.Fatalf("Open after restoring the journal: %v", err)
+	}
+	defer r2.Close()
+	if got, err := r2.Checkout(ctx, 1); err != nil || !reflect.DeepEqual(got, []string{"v0", "v1"}) {
+		t.Fatalf("Checkout(1) after restoring the journal = %q, %v", got, err)
 	}
 }
 
@@ -342,12 +430,11 @@ func TestWALRecordCodec(t *testing.T) {
 	}
 }
 
-// groupOptions builds durable options with group commit + fsync and no
-// automatic maintenance (crash tests reopen the directory under the
+// groupOptions builds durable options with fsync and no automatic
+// maintenance (crash tests reopen the directory under the
 // "dead" instance, which therefore must stay quiescent).
 func groupOptions(dir string) RepositoryOptions {
 	opt := durableOptions(dir)
-	opt.GroupCommit = true
 	opt.SyncWrites = true
 	opt.ReplanEvery = -1
 	return opt
@@ -487,74 +574,34 @@ func TestGroupCommitBatching(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFailedApplyUnstages is the group-mode twin of
-// TestRepositoryFailedCommitRollsBackJournal: a failed apply must
-// unstage its frame before any leader writes it — no ghost record, the
-// version id is reused, and the journal replays cleanly.
-func TestGroupCommitFailedApplyUnstages(t *testing.T) {
-	dir := t.TempDir()
-	disk, err := store.OpenDiskBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flaky := &flakyBackend{Backend: disk}
-	opt := groupOptions(dir)
-	opt.Backend = flaky
-	r, err := Open("gc-rollback", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := r.Commit(ctx, NoParent, []string{"v0"}); err != nil {
-		t.Fatal(err)
-	}
-	flaky.failPuts = true
-	if _, err := r.Commit(ctx, 0, []string{"v0", "v1-lost"}); err == nil {
-		t.Fatal("commit with failing backend succeeded")
-	}
-	flaky.failPuts = false
-	v, err := r.Commit(ctx, 0, []string{"v0", "v1-kept"})
-	if err != nil {
-		t.Fatalf("commit after transient failure: %v", err)
-	}
-	if v != 1 {
-		t.Fatalf("commit after failure assigned id %d, want 1", v)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Open("gc-rollback", groupOptions(dir))
-	if err != nil {
-		t.Fatalf("reopening after an unstaged commit: %v", err)
-	}
-	defer r2.Close()
-	if got := r2.Versions(); got != 2 {
-		t.Fatalf("reopened repository has %d versions, want 2 — the unstaged frame leaked into a batch", got)
-	}
-	got, err := r2.Checkout(ctx, 1)
-	if err != nil || !reflect.DeepEqual(got, []string{"v0", "v1-kept"}) {
-		t.Fatalf("Checkout(1) after reopen = %q, %v", got, err)
-	}
+// frame is the journal's on-disk framing of one record, written out
+// independently of wal.stage: uvarint payload length, little-endian
+// CRC32C of the payload, payload.
+func frame(rec walRecord) []byte {
+	payload := rec.encode()
+	buf := binary.AppendUvarint(nil, uint64(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(buf, payload...)
 }
 
 // TestGroupCommitJournalPrefixReplay pins the on-disk contract at the
-// journal layer: a batch write is byte-identical to sequential appends,
-// so EVERY byte prefix of a batched journal (a crash can cut a batch
+// journal layer: a batch is the records' frames back to back, so EVERY
+// byte prefix of a batched journal (a crash can cut a batch
 // anywhere) replays to an in-order prefix of the sealed records — never
 // a hole, a reorder, or a half-record.
 func TestGroupCommitJournalPrefixReplay(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "batched.wal")
-	w, recs, _, err := openWAL(path, false)
+	w, recs, _, err := openWAL(path, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 0 {
 		t.Fatalf("fresh journal replayed %d records", len(recs))
 	}
-	w.enableGroup(0)
 	const n = 5
 	want := make([]walRecord, n)
+	frames := append([]byte(nil), walMagic...)
 	for i := range want {
 		want[i] = walRecord{
 			v:           NodeID(i),
@@ -564,6 +611,7 @@ func TestGroupCommitJournalPrefixReplay(t *testing.T) {
 		}
 		w.stage(want[i])
 		w.seal()
+		frames = append(frames, frame(want[i])...)
 	}
 	// One leader writes all five records as a single batch.
 	if err := w.waitDurable(context.Background(), n); err != nil {
@@ -579,6 +627,9 @@ func TestGroupCommitJournalPrefixReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(data, frames) {
+		t.Fatalf("batched journal is %d bytes, not the %d bytes of its records framed one by one", len(data), len(frames))
+	}
 
 	prev := -1
 	for cut := len(walMagic); cut <= len(data); cut++ {
@@ -586,7 +637,7 @@ func TestGroupCommitJournalPrefixReplay(t *testing.T) {
 		if err := os.WriteFile(cutPath, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w2, got, truncated, err := openWAL(cutPath, false)
+		w2, got, truncated, err := openWAL(cutPath, false, 0)
 		if err != nil {
 			t.Fatalf("cut at %d bytes: %v", cut, err)
 		}

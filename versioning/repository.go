@@ -78,29 +78,23 @@ type RepositoryOptions struct {
 	// Close. Off, a process kill loses nothing (the OS has the bytes); a
 	// machine crash may lose the most recent commits.
 	SyncWrites bool
-	// GroupCommit batches concurrent commits' journal writes: committers
-	// stage records into a shared batch and one leader performs a single
-	// write — and, with SyncWrites, a single fsync — for the whole batch,
-	// so N concurrent commits cost one fsync instead of N. A commit is
-	// still only acknowledged after its own record's batch is durable;
-	// the contract per commit is unchanged, only the syscalls are
-	// amortized. Rollback of a failed commit gets cheaper (the staged
-	// record is discarded in memory, never written), while a batch write
-	// failure poisons the journal and closes the repository for writes —
-	// the journal cannot tell which bytes of a torn batch reached the
-	// disk. Only meaningful with DataDir.
+	// GroupCommit has no effect: every durable commit rides a journal
+	// batch. It stays because benchmark/stack.go sets it (ROADMAP item 7h).
 	GroupCommit bool
-	// GroupCommitLinger is how long a batch leader holds the batch open
-	// for more concurrent commits to join before writing. 0 picks a
-	// default: 200µs with SyncWrites (an fsync dwarfs the wait), no
-	// linger otherwise. Negative disables lingering.
+	// GroupCommitLinger is how long a journal batch leader holds the batch
+	// open for more concurrent commits to join before its one write — and,
+	// with SyncWrites, one fsync — covers them all. 0 picks a default:
+	// 200µs with SyncWrites (an fsync dwarfs the wait), no linger
+	// otherwise. Negative disables lingering. A commit is acknowledged
+	// only after its own record's batch is durable; a batch write failure
+	// poisons the journal and closes the repository for writes — the
+	// journal cannot tell which bytes of a torn batch reached the disk.
 	GroupCommitLinger time.Duration
-	// MaintenanceWorkers sets how plan maintenance (the ReplanEvery
-	// re-solve + store migration) runs. 0 or positive starts that many
-	// background workers (0 = 1): Commit only trips a trigger and returns
-	// while a worker solves against a snapshot and installs the winning
-	// plan under a short lock. Negative runs maintenance synchronously
-	// inside Commit (the pre-async behavior: the commit that trips
+	// MaintenanceWorkers sets where plan maintenance (the ReplanEvery
+	// re-solve + store migration) runs. 0 or positive: in one background
+	// worker — Commit only trips a trigger and returns while the worker
+	// solves against a snapshot and installs the winning plan under a
+	// short lock. Negative: inline in Commit (the commit that trips
 	// ReplanEvery blocks until the re-plan finishes) — deterministic, and
 	// the right choice for tests that assert on Replans immediately.
 	MaintenanceWorkers int
@@ -139,8 +133,8 @@ type RepositoryOptions struct {
 // proceeds concurrently with even the longest re-plan. Commit computes
 // its Myers diffs before taking commitMu and waits for journal
 // durability after releasing it, so concurrent commits only serialize
-// on the short id-assign/stage/apply step; re-plans run in background
-// maintenance workers (see maintenance.go) and only take commitMu for
+// on the short id-assign/stage/apply step; re-plans run in a background
+// maintenance worker (see maintenance.go) and only take commitMu for
 // the store migration and publication. Returned and committed line
 // slices are shared with the cache: callers must not modify them.
 type Repository struct {
@@ -167,7 +161,6 @@ type Repository struct {
 	// bookkeeping. Lock order: passMu > commitMu > stateMu; maintMu
 	// nests inside nothing.
 	passMu       sync.Mutex
-	maintWorkers int // resolved worker count (0 = synchronous in Commit)
 	maintCtx     context.Context
 	maintCancel  context.CancelFunc
 	maintStop    chan struct{}
@@ -178,7 +171,7 @@ type Repository struct {
 	maintReq     uint64 // maintenance requests issued
 	maintDone    uint64 // requests satisfied by a completed pass
 
-	asyncReplans      atomic.Int64 // passes run by background workers
+	asyncReplans      atomic.Int64 // passes run by the background worker
 	replanFailures    atomic.Int64 // failed passes (sync or async)
 	lastReplanFailure atomic.Int64 // unix nanos of the last failed pass (0 = never)
 
@@ -271,34 +264,49 @@ func Open(name string, opt RepositoryOptions) (*Repository, error) {
 	if opt.DataDir == "" {
 		return NewRepository(name, opt), nil
 	}
+	// opened is the backend Open itself created and so must close if it
+	// fails; a caller-supplied Backend stays the caller's.
+	var opened *store.DiskBackend
 	if opt.Backend == nil {
 		b, err := store.OpenDiskBackend(opt.DataDir)
 		if err != nil {
 			return nil, err
 		}
-		opt.Backend = b
+		opt.Backend, opened = b, b
 	}
 	r := NewRepository(name, opt)
-	// A torn tail (openWAL truncates it) is not an error: the damaged
-	// record belongs to a commit that was never acknowledged.
-	w, recs, _, err := openWAL(filepath.Join(opt.DataDir, "journal.wal"), opt.SyncWrites)
-	if err != nil {
+	if err := r.replayJournal(); err != nil {
+		r.stopMaintenance()
+		if opened != nil {
+			opened.Close()
+		}
 		return nil, err
 	}
-	if opt.GroupCommit {
-		linger := opt.GroupCommitLinger
-		if linger == 0 && opt.SyncWrites {
-			linger = 200 * time.Microsecond
-		}
-		if linger < 0 {
-			linger = 0
-		}
-		w.enableGroup(linger)
+	return r, nil
+}
+
+// replayJournal opens DataDir/journal.wal, rebuilds every journaled
+// version, sweeps orphaned objects and leaves the journal open for
+// commits; on error the journal is closed again.
+func (r *Repository) replayJournal() (err error) {
+	linger := r.opt.GroupCommitLinger
+	if linger == 0 && r.opt.SyncWrites {
+		linger = 200 * time.Microsecond
 	}
+	// A torn tail (openWAL truncates it) is not an error: the damaged
+	// record belongs to a commit that was never acknowledged.
+	w, recs, _, err := openWAL(filepath.Join(r.opt.DataDir, "journal.wal"), r.opt.SyncWrites, linger)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			w.Close()
+		}
+	}()
 	for _, rec := range recs {
 		if int(rec.v) != r.g.N() {
-			w.Close()
-			return nil, fmt.Errorf("versioning: journal replay: record %d out of order (have %d versions)", rec.v, r.g.N())
+			return fmt.Errorf("versioning: journal replay: record %d out of order (have %d versions)", rec.v, r.g.N())
 		}
 		if rec.parent == NoParent {
 			err = r.applyRoot(rec.v, rec.lines, rec.nodeStorage)
@@ -306,19 +314,17 @@ func Open(name string, opt RepositoryOptions) (*Repository, error) {
 			err = r.applyChild(rec.v, rec.parent, rec.delta, nil, rec)
 		}
 		if err != nil {
-			w.Close()
-			return nil, fmt.Errorf("versioning: journal replay of version %d: %w", rec.v, err)
+			return fmt.Errorf("versioning: journal replay of version %d: %w", rec.v, err)
 		}
 	}
 	if _, err := r.st.SweepOrphans(); err != nil {
-		w.Close()
-		return nil, fmt.Errorf("versioning: sweeping orphaned objects: %w", err)
+		return fmt.Errorf("versioning: sweeping orphaned objects: %w", err)
 	}
 	r.wal = w
-	return r, nil
+	return nil
 }
 
-// Close drains the maintenance workers, flushes the journal and the
+// Close drains the maintenance worker, flushes the journal and the
 // backend, and rejects further writes. Reads keep working (a closed
 // repository still serves checkouts). Closing an already-closed or
 // purely in-memory repository is a no-op.
@@ -327,19 +333,10 @@ func (r *Repository) Close() error {
 		r.commitMu.Lock()
 		r.closed = true
 		r.commitMu.Unlock()
-		// Drain maintenance before touching the journal: cancel any
-		// in-flight solve, stop the workers, and wait them out. commitMu
-		// must not be held here — an in-flight pass needs it for its
-		// install step (where it will observe closed and abort). Then
-		// unblock WaitMaintenance callers whose requests will never be
-		// served.
-		r.maintCancel()
-		close(r.maintStop)
-		r.maintWG.Wait()
-		r.maintMu.Lock()
-		r.maintDone = r.maintReq
-		r.maintCond.Broadcast()
-		r.maintMu.Unlock()
+		// Drain maintenance before touching the journal. commitMu must
+		// not be held here — an in-flight pass needs it for its install
+		// step (where it will observe closed and abort).
+		r.stopMaintenance()
 		r.commitMu.Lock()
 		defer r.commitMu.Unlock()
 		var err error
@@ -375,10 +372,10 @@ func (r *Repository) Versions() int {
 // version contents are immutable and ids only grow, so the parent read
 // here is still exact inside the critical section. Under commitMu the
 // version id is assigned, the journal record staged, and the store and
-// serving state updated. Durability (waiting for the journal write —
-// with GroupCommit, for the record's batch) happens after the lock is
-// released, so concurrent commits overlap their diffs and fsyncs and
-// only serialize on the short middle step.
+// serving state updated. Durability (waiting for the record's journal
+// batch) happens after the lock is released, so concurrent commits
+// overlap their diffs and fsyncs and only serialize on the short middle
+// step.
 func (r *Repository) Commit(ctx context.Context, parent NodeID, lines []string) (NodeID, error) {
 	if parent == NoParent {
 		return r.commit(ctx, nil, lines)
@@ -482,17 +479,13 @@ func (r *Repository) commit(ctx context.Context, parents []NodeID, lines []strin
 }
 
 // commitJournaled runs one commit write-ahead under commitMu: the
-// journal record is staged (group mode) or appended (direct mode)
-// before apply runs, so an acknowledged commit is always recoverable;
-// if apply fails, the record is rolled back so a failed commit leaves
-// no ghost in the journal (a duplicate version id would make replay
-// reject the whole journal). In group mode rollback is an in-memory
-// unstage — the staged frame was never written — and the returned wait
-// function blocks until the record's batch is durable; callers must
-// invoke it after releasing commitMu. In direct mode the append is
-// already durable on return (wait is nil), and if even the rollback
-// truncation fails the repository closes itself rather than let the
-// journal and the live state diverge.
+// journal record is staged before apply runs and sealed after it, so an
+// acknowledged commit is always recoverable; if apply fails the staged
+// frame — never written — is discarded in memory, so a failed commit
+// leaves no ghost in the journal (a duplicate version id would make
+// replay reject the whole journal). The returned wait function blocks
+// until the record's batch is durable; callers must invoke it after
+// releasing commitMu. It is nil for a repository without a journal.
 func (r *Repository) commitJournaled(ctx context.Context, rec walRecord, apply func() error) (wait func() error, err error) {
 	applySpanned := func() error {
 		_, sp := trace.StartSpan(ctx, "commit.apply")
@@ -502,33 +495,13 @@ func (r *Repository) commitJournaled(ctx context.Context, rec walRecord, apply f
 	if r.wal == nil {
 		return nil, applySpanned()
 	}
-	if r.wal.group {
-		frame := r.wal.stage(rec)
-		if err := applySpanned(); err != nil {
-			r.wal.unstage(frame)
-			return nil, err
-		}
-		seq := r.wal.seal()
-		return func() error { return r.wal.waitDurable(ctx, seq) }, nil
-	}
-	off, err := r.wal.offset()
-	if err != nil {
-		return nil, fmt.Errorf("versioning: positioning journal: %w", err)
-	}
-	_, asp := trace.StartSpan(ctx, "wal.append")
-	err = r.wal.append(rec)
-	asp.End()
-	if err != nil {
-		return nil, err
-	}
+	frame := r.wal.stage(rec)
 	if err := applySpanned(); err != nil {
-		if terr := r.wal.truncate(off); terr != nil {
-			r.closed = true
-			return nil, fmt.Errorf("versioning: %v (journal rollback failed: %v; repository closed)", err, terr)
-		}
+		r.wal.unstage(frame)
 		return nil, err
 	}
-	return nil, nil
+	seq := r.wal.seal()
+	return func() error { return r.wal.waitDurable(ctx, seq) }, nil
 }
 
 // applyRoot publishes root version v with the given content; commitMu is
@@ -707,7 +680,7 @@ type RepositoryStats struct {
 	ReplanError    string `json:"replan_error,omitempty"`
 	CommitsPending int    `json:"commits_pending"` // commits since the last re-plan
 	// AsyncReplans counts maintenance passes run by the background
-	// workers (successes and failures); ReplanFailures counts failed
+	// worker (successes and failures); ReplanFailures counts failed
 	// passes on any path, and LastReplanFailureUnix timestamps the most
 	// recent one (unix seconds, 0 = never). Replans above only counts
 	// installed plans.
@@ -715,8 +688,8 @@ type RepositoryStats struct {
 	ReplanFailures        int64   `json:"replan_failures,omitempty"`
 	LastReplanFailureUnix float64 `json:"last_replan_failure_unix,omitempty"`
 	// Migrations counts successful store migrations and MigrationMicros
-	// the cumulative wall time inside them — the work the async workers
-	// keep off the commit path. MigrationObjects/MigrationBytes total
+	// the cumulative wall time inside them — the work the background worker
+	// keeps off the commit path. MigrationObjects/MigrationBytes total
 	// what those migrations newly wrote to the backend.
 	Migrations       int64 `json:"migrations"`
 	MigrationMicros  int64 `json:"migration_us_total"`
@@ -746,8 +719,8 @@ type RepositoryStats struct {
 	HeatReads           int64         `json:"heat_reads,omitempty"`
 	HeatTopK            []VersionHeat `json:"heat_top_k,omitempty"`
 
-	// Group-commit batching (zero unless GroupCommit is on): batches
-	// written, commits that rode them, and the largest batch observed.
+	// Journal batching (zero without DataDir): batches written, commits
+	// that rode them, and the largest batch observed.
 	// batched_commits / batches is the mean fsync amortization.
 	WALBatches        int64 `json:"wal_batches,omitempty"`
 	WALBatchedCommits int64 `json:"wal_batched_commits,omitempty"`
@@ -846,7 +819,7 @@ func (r *Repository) Stats() RepositoryStats {
 	st.HeatTrackedVersions = r.heat.Tracked()
 	st.HeatReads = r.heat.Bumps()
 	st.HeatTopK = r.heat.TopK(10)
-	if r.wal != nil && r.wal.group {
+	if r.wal != nil {
 		st.WALBatches = r.wal.batches.Load()
 		st.WALBatchedCommits = r.wal.batchedRecs.Load()
 		st.WALMaxBatch = r.wal.maxBatch.Load()

@@ -20,7 +20,6 @@ func TestCommitSpanAccounting(t *testing.T) {
 	repo, err := Open("acct", RepositoryOptions{
 		DataDir:           t.TempDir(),
 		SyncWrites:        true,
-		GroupCommit:       true,
 		GroupCommitLinger: 25 * time.Millisecond,
 		ReplanEvery:       -1,
 		EngineOptions:     EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true},

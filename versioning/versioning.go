@@ -30,9 +30,8 @@
 //
 // The SolveXXX functions run one algorithm serially. The Engine runs the
 // whole portfolio: it races every applicable solver concurrently with
-// per-solver timeouts, returns the best feasible solution plus a
-// per-solver report, and memoizes results by graph fingerprint (see
-// NewEngine). Both read one solver table, internal/portfolio's registry.
+// per-solver timeouts and returns the best feasible solution plus a
+// per-solver report (see NewEngine). Both read one solver table, internal/portfolio's registry.
 //
 // The Repository executes plans instead of just computing them: a
 // content-addressed storage runtime that commits real version contents

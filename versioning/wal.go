@@ -171,28 +171,23 @@ func walUvarint(b []byte) (uint64, []byte, error) {
 
 // wal is an append-only commit journal open for writing.
 //
-// Two write modes share the same on-disk framing. The direct mode
-// (append) writes and optionally fsyncs one record per call. The group
-// mode (stage/seal/unstage/waitDurable, enabled by enableGroup) batches
-// concurrent committers: each stages its framed record into a shared
-// in-memory buffer, and the first committer to need durability becomes
-// the batch leader — it writes (and, in fsync mode, syncs) every sealed
-// record in one syscall while later committers ride the next batch. A
-// batch on disk is indistinguishable from the same records appended one
-// by one, so recovery (openWAL) is unchanged: a crash tears at most the
-// final record of the final batch, and replay serves the longest intact
-// prefix.
+// Every write is a batch (stage/seal/unstage/waitDurable): each committer
+// stages its framed record into a shared in-memory buffer, and the first
+// committer to need durability becomes the batch leader — it writes (and,
+// in fsync mode, syncs) every sealed record in one syscall while later
+// committers ride the next batch. A lone committer finds no flush in
+// progress, leads, and writes its one record. A batch on disk is
+// indistinguishable from the same records written one by one, so a crash
+// tears at most the final record of the final batch, and replay
+// (openWAL) serves the longest intact prefix.
 type wal struct {
-	f    *os.File
-	sync bool // fsync every append/batch (otherwise only on Close)
-
-	// Group-commit state (nil/zero unless enableGroup ran). Staging and
-	// sealing are additionally serialized by the repository's commitMu,
-	// so the pending buffer is always a sealed prefix plus at most one
-	// unsealed tail frame (the commit currently applying).
-	group  bool
+	f      *os.File
+	sync   bool          // fsync every batch (otherwise only on Close)
 	linger time.Duration // leader's wait for more sealers before writing
 
+	// Staging and sealing are additionally serialized by the repository's
+	// commitMu, so the pending buffer is always a sealed prefix plus at
+	// most one unsealed tail frame (the commit currently applying).
 	mu         sync.Mutex
 	cond       *sync.Cond
 	pend       []byte // staged frames not yet written
@@ -206,13 +201,6 @@ type wal struct {
 	batches     atomic.Int64 // completed non-empty batch writes
 	batchedRecs atomic.Int64 // records written through batches
 	maxBatch    atomic.Int64 // largest batch (records)
-}
-
-// enableGroup switches w into group-commit mode.
-func (w *wal) enableGroup(linger time.Duration) {
-	w.group = true
-	w.linger = linger
-	w.cond = sync.NewCond(&w.mu)
 }
 
 // stage appends rec's framed bytes to the pending batch without sealing
@@ -243,8 +231,8 @@ func (w *wal) seal() uint64 {
 
 // unstage discards the unsealed tail frame after a failed apply: the
 // bytes never reached the file (leaders only write the sealed prefix),
-// so rolling back a failed commit is purely in-memory — unlike the
-// direct mode's file truncation, it cannot itself fail.
+// so rolling back a failed commit is purely in-memory and cannot itself
+// fail.
 func (w *wal) unstage(frameLen int) {
 	w.mu.Lock()
 	w.pend = w.pend[:len(w.pend)-frameLen]
@@ -326,9 +314,10 @@ func (w *wal) flushLocked(ctx context.Context) {
 
 // openWAL opens (creating if needed) the journal at path, returns every
 // intact record, truncates any torn tail left by a crash, and positions
-// the file for appends. truncated reports how many trailing bytes were
+// the file for appends. linger is how long a batch leader waits for more
+// committers (0 = none). truncated reports how many trailing bytes were
 // discarded.
-func openWAL(path string, syncEvery bool) (w *wal, recs []walRecord, truncated int64, err error) {
+func openWAL(path string, syncEvery bool, linger time.Duration) (w *wal, recs []walRecord, truncated int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("versioning: opening journal: %w", err)
@@ -392,60 +381,28 @@ func openWAL(path string, syncEvery bool) (w *wal, recs []walRecord, truncated i
 		f.Close()
 		return nil, nil, 0, err
 	}
-	return &wal{f: f, sync: syncEvery}, recs, truncated, nil
+	w = &wal{f: f, sync: syncEvery, linger: linger}
+	w.cond = sync.NewCond(&w.mu)
+	return w, recs, truncated, nil
 }
 
-// append frames and writes one record in a single Write call.
-func (w *wal) append(rec walRecord) error {
-	payload := rec.encode()
-	buf := binary.AppendUvarint(nil, uint64(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	buf = append(buf, payload...)
-	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("versioning: journaling commit %d: %w", rec.v, err)
-	}
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("versioning: syncing journal: %w", err)
-		}
-	}
-	return nil
-}
-
-// offset reports the current append position (for rollback).
-func (w *wal) offset() (int64, error) {
-	return w.f.Seek(0, io.SeekCurrent)
-}
-
-// truncate rolls the journal back to off, discarding records appended
-// after it.
-func (w *wal) truncate(off int64) error {
-	if err := w.f.Truncate(off); err != nil {
-		return err
-	}
-	_, err := w.f.Seek(off, io.SeekStart)
-	return err
-}
-
-// Close syncs and closes the journal. In group mode any sealed batch is
-// written out first (commits are already excluded by the repository's
-// closed flag, so nothing new can stage underneath).
+// Close writes out any sealed batch, then syncs and closes the journal
+// (commits are already excluded by the repository's closed flag, so
+// nothing new can stage underneath).
 func (w *wal) Close() error {
-	if w.group {
-		w.mu.Lock()
-		for w.failed == nil && (w.flushing || w.sealedLen > 0) {
-			if w.flushing {
-				w.cond.Wait()
-				continue
-			}
-			w.flushLocked(context.Background())
+	w.mu.Lock()
+	for w.failed == nil && (w.flushing || w.sealedLen > 0) {
+		if w.flushing {
+			w.cond.Wait()
+			continue
 		}
-		ferr := w.failed
-		w.mu.Unlock()
-		if ferr != nil {
-			w.f.Close()
-			return ferr
-		}
+		w.flushLocked(context.Background())
+	}
+	ferr := w.failed
+	w.mu.Unlock()
+	if ferr != nil {
+		w.f.Close()
+		return ferr
 	}
 	err := w.f.Sync()
 	if cerr := w.f.Close(); err == nil {

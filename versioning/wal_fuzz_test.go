@@ -17,84 +17,59 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(walMagic)
 	f.Add(append(append([]byte{}, walMagic...), 0xff, 0xff, 0xff, 0xff, 0xff))
+	// written builds a seed journal the way commits do: every record
+	// staged and sealed, one leader writing them as a single batch.
+	seedDir := f.TempDir()
+	written := func(name string, recs ...walRecord) []byte {
+		path := filepath.Join(seedDir, name)
+		w, _, _, err := openWAL(path, false, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, rec := range recs {
+			w.stage(rec)
+			w.seal()
+		}
+		if err := w.waitDurable(context.Background(), uint64(len(recs))); err != nil {
+			f.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
 	// A genuine two-record journal (root + delta child) as a seed, plus
 	// the same journal with a torn tail.
-	seedDir := f.TempDir()
-	seedPath := filepath.Join(seedDir, "seed.wal")
-	w, _, _, err := openWAL(seedPath, false)
-	if err != nil {
-		f.Fatal(err)
-	}
 	root := walRecord{v: 0, parent: NoParent, nodeStorage: 11, lines: []string{"seed root", "line two"}}
 	child := walRecord{
 		v: 1, parent: 0, nodeStorage: 13,
 		fwdStorage: 5, fwdRetr: 5, revStorage: 4, revRetr: 4,
 		delta: diff.Compute([]string{"seed root", "line two"}, []string{"seed root", "changed"}),
 	}
-	if err := w.append(root); err != nil {
-		f.Fatal(err)
-	}
-	if err := w.append(child); err != nil {
-		f.Fatal(err)
-	}
-	w.Close()
-	seed, err := os.ReadFile(seedPath)
-	if err != nil {
-		f.Fatal(err)
-	}
+	seed := written("seed.wal", root, child)
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])
 	// The same journal extended by a merge record (extra-parent edges
 	// behind the walMergeFlag bit), plus a tear inside the merge payload.
-	mergePath := filepath.Join(seedDir, "merge.wal")
-	mw, _, _, err := openWAL(mergePath, false)
-	if err != nil {
-		f.Fatal(err)
-	}
 	merge := walRecord{
 		v: 2, parent: 1, nodeStorage: 17,
 		fwdStorage: 6, fwdRetr: 6, revStorage: 5, revRetr: 5,
 		extra: []walEdge{{parent: 0, fwdStorage: 8, fwdRetr: 8, revStorage: 7, revRetr: 7}},
 		delta: diff.Compute([]string{"seed root", "changed"}, []string{"seed root", "merged"}),
 	}
-	if err := mw.append(root); err != nil {
-		f.Fatal(err)
-	}
-	if err := mw.append(child); err != nil {
-		f.Fatal(err)
-	}
-	if err := mw.append(merge); err != nil {
-		f.Fatal(err)
-	}
-	mw.Close()
-	merged, err := os.ReadFile(mergePath)
-	if err != nil {
-		f.Fatal(err)
-	}
+	merged := written("merge.wal", root, child, merge)
 	f.Add(merged)
 	f.Add(merged[:len(merged)-4])
-	// A batched journal written through the group-commit path (three
-	// records staged, sealed, and flushed by one leader in a single
-	// write), plus a mid-batch tear: recovery must treat the batch layout
-	// exactly like sequential appends.
-	batchPath := filepath.Join(seedDir, "batched.wal")
-	bw, _, _, err := openWAL(batchPath, false)
-	if err != nil {
-		f.Fatal(err)
-	}
-	bw.enableGroup(0)
+	// Three independent roots, plus a tear in the middle of the batch.
+	var roots []walRecord
 	for i := 0; i < 3; i++ {
-		bw.stage(walRecord{v: NodeID(i), parent: NoParent, nodeStorage: Cost(i + 1), lines: []string{"batched", string(rune('a' + i))}})
-		bw.seal()
+		roots = append(roots, walRecord{v: NodeID(i), parent: NoParent, nodeStorage: Cost(i + 1), lines: []string{"batched", string(rune('a' + i))}})
 	}
-	if err := bw.waitDurable(context.Background(), 3); err != nil {
-		f.Fatal(err)
-	}
-	bw.Close()
-	batched, err := os.ReadFile(batchPath)
-	if err != nil {
-		f.Fatal(err)
-	}
+	batched := written("batched.wal", roots...)
 	f.Add(batched)
 	f.Add(batched[:len(batched)-5])
 
@@ -104,14 +79,14 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w1, recs1, _, err := openWAL(path, false)
+		w1, recs1, _, err := openWAL(path, false, 0)
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
 		if err := w1.Close(); err != nil {
 			t.Fatalf("closing recovered journal: %v", err)
 		}
-		w2, recs2, truncated, err := openWAL(path, false)
+		w2, recs2, truncated, err := openWAL(path, false, 0)
 		if err != nil {
 			t.Fatalf("reopening recovered journal: %v", err)
 		}
