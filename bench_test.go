@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -672,9 +673,34 @@ func benchManifest(n int) []string {
 	return lines
 }
 
-// BenchmarkWireDecode measures decoding the bodies that carry line
-// arrays — a checkout response, a commit request, and a diff response
-// inserting the lines twenty at a time between keeps and deletes — with
+// wireBenchMessages are the bodies that carry line arrays — a checkout
+// response, a commit request, and a diff response inserting the lines
+// twenty at a time between keeps and deletes — with a fresh decoding
+// target for each.
+func wireBenchMessages(lines []string) []struct {
+	name   string
+	msg    any
+	target func() any
+} {
+	n := len(lines)
+	parent := graph.NodeID(n)
+	script := wire.DiffResult{A: 1, B: 2, AddedLines: n}
+	for at := 0; at < n; at += 20 {
+		ins := lines[at:min(at+20, n)]
+		script.Ops = append(script.Ops, wire.DiffOp{Op: "keep", N: 17}, wire.DiffOp{Op: "delete", N: 3}, wire.DiffOp{Op: "insert", Lines: ins})
+	}
+	return []struct {
+		name   string
+		msg    any
+		target func() any
+	}{
+		{"checkout", wire.Checkout{ID: 7, Lines: lines}, func() any { return new(wire.Checkout) }},
+		{"commit", wire.CommitRequest{Parent: &parent, Lines: lines}, func() any { return new(wire.CommitRequest) }},
+		{"diff", script, func() any { return new(wire.DiffResult) }},
+	}
+}
+
+// BenchmarkWireDecode measures decoding wireBenchMessages with
 // internal/wire.Decode and, under encodingjson/, with the decoder both
 // ends of the wire used before it.
 func BenchmarkWireDecode(b *testing.B) {
@@ -686,22 +712,7 @@ func BenchmarkWireDecode(b *testing.B) {
 		{"encodingjson", func(body []byte, v any) error { return json.NewDecoder(bytes.NewReader(body)).Decode(v) }},
 	}
 	for _, n := range []int{30, 200, 4000} {
-		lines := benchManifest(n)
-		parent := graph.NodeID(n)
-		script := wire.DiffResult{A: 1, B: 2, AddedLines: n}
-		for at := 0; at < n; at += 20 {
-			ins := lines[at:min(at+20, n)]
-			script.Ops = append(script.Ops, wire.DiffOp{Op: "keep", N: 17}, wire.DiffOp{Op: "delete", N: 3}, wire.DiffOp{Op: "insert", Lines: ins})
-		}
-		for _, m := range []struct {
-			name   string
-			msg    any
-			target func() any
-		}{
-			{"checkout", wire.Checkout{ID: 7, Lines: lines}, func() any { return new(wire.Checkout) }},
-			{"commit", wire.CommitRequest{Parent: &parent, Lines: lines}, func() any { return new(wire.CommitRequest) }},
-			{"diff", script, func() any { return new(wire.DiffResult) }},
-		} {
+		for _, m := range wireBenchMessages(benchManifest(n)) {
 			body, err := json.Marshal(m.msg)
 			if err != nil {
 				b.Fatal(err)
@@ -716,6 +727,51 @@ func BenchmarkWireDecode(b *testing.B) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// BenchmarkWireEncode is BenchmarkWireDecode's twin: the same bodies
+// through internal/wire.Encode and, under encodingjson/, through
+// json.Marshal, which both ends of the wire used before it — with clean
+// lines, which Encode copies whole, and under escaped/ with one line in
+// sixteen holding a quote, a tab, an ampersand or an é, which it walks
+// byte by byte.
+func BenchmarkWireEncode(b *testing.B) {
+	encoders := []struct {
+		name   string
+		encode func(any) ([]byte, error)
+	}{
+		{"wire", wire.Encode},
+		{"encodingjson", json.Marshal},
+	}
+	for _, n := range []int{30, 200, 4000} {
+		clean := benchManifest(n)
+		escaped := slices.Clone(clean)
+		for i := 0; i < n; i += 16 {
+			escaped[i] = clean[i][:i%40] + []string{`"`, "\t", "&", "é"}[i/16%4] + clean[i][i%40:]
+		}
+		for _, lines := range []struct {
+			name  string
+			lines []string
+		}{{"clean", clean}, {"escaped", escaped}} {
+			for _, m := range wireBenchMessages(lines.lines) {
+				want, err := json.Marshal(m.msg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, enc := range encoders {
+					b.Run(fmt.Sprintf("%s/%s/%s/lines=%d", enc.name, m.name, lines.name, n), func(b *testing.B) {
+						b.ReportAllocs()
+						b.SetBytes(int64(len(want)))
+						for i := 0; i < b.N; i++ {
+							if body, err := enc.encode(m.msg); err != nil || len(body) != len(want) {
+								b.Fatal(len(body), err)
+							}
+						}
+					})
+				}
 			}
 		}
 	}

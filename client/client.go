@@ -20,8 +20,9 @@
 //     turn a repeat checkout into a bodyless 304 round trip (see
 //     Options.ValidatorCacheBytes). Path-scoped checkouts and diffs
 //     revalidate too — the cache keys by exact request path.
-//   - One decoder with the daemon (internal/wire, which also declares
-//     the messages): a response is read in one right-sized read, and the
+//   - One codec with the daemon (internal/wire, which also declares the
+//     messages): a commit's body is appended once into a buffer sized
+//     from its lines, a response is read in one right-sized read, and the
 //     lines of one version are substrings of one string (never shared
 //     with another version of a batch) when the body is the compact JSON
 //     the daemon writes; any other body is decoded by encoding/json.
@@ -437,11 +438,12 @@ func readErrorBody(resp *http.Response) string {
 	return http.StatusText(resp.StatusCode)
 }
 
-// marshalBody renders in as a fresh reader (bodies must be rebuildable
-// per retry attempt).
+// marshalBody renders in once for every attempt of its request, as
+// json.Marshal does: a commit's lines through wire.Encode's sized
+// append, a small body through encoding/json behind it.
 func marshalBody(in any) ([]byte, error) {
 	if in == nil {
 		return nil, nil
 	}
-	return json.Marshal(in)
+	return wire.Encode(in)
 }

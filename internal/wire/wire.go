@@ -1,7 +1,16 @@
 // Package wire declares the dsvd HTTP messages that carry line arrays,
-// once for serve and client, and decodes them without encoding/json on
-// the happy path. The wire format is plain JSON and encoding stays on
-// encoding/json. Decode walks the compact form that encoder writes:
+// once for serve and client, and encodes and decodes them without
+// encoding/json on the happy path. The wire format is plain JSON, byte
+// for byte what encoding/json writes and everything it reads.
+//
+// Encode appends the four messages with line arrays — CommitRequest,
+// Checkout, a batch's []Checkout, DiffResult — into one buffer sized
+// from the lines: a line with nothing to escape, found eight bytes at a
+// step, is copied whole, any other goes byte by byte through
+// encoding/json's escapes (HTML-safe, \u2028 and \u2029, \ufffd for
+// invalid UTF-8). Other values are json.Marshal's.
+//
+// Decode walks the compact form that Encode writes:
 // known keys, each at most once and in any order, integers, strings,
 // whitespace only around the whole value. Whatever else arrives — an
 // unknown, repeated or differently-cased key, null, a fraction, inner
@@ -95,7 +104,8 @@ func ReadBody(r io.Reader, size int64) ([]byte, error) {
 
 // Decode decodes the JSON value at the start of body into v, as
 // json.NewDecoder(body).Decode(v) does; *CommitRequest, *Checkout,
-// *[]Checkout and *DiffResult take the fast path when body allows.
+// *[]Checkout and *DiffResult, the messages Encode writes itself, take
+// the fast path when body allows.
 func Decode(body []byte, v any) error {
 	var ok bool
 	switch v := v.(type) {
@@ -238,12 +248,14 @@ func (d *dec) str() (lo, hi int, plain, ok bool) {
 	return lo, hi, plain, true
 }
 
+// ones and tops spread a byte test over the eight bytes of a word.
+const ones, tops = 0x0101010101010101, 0x8080808080808080
+
 // plainASCII reports whether s is ASCII without a control byte or a
 // backslash, eight bytes at a step: with no byte of x at or above 0x80,
 // x-0x20.. borrows into a byte's top bit exactly where a byte is below
 // 0x20, and (x^0x5c..)-0x01.. exactly where one is a backslash.
 func plainASCII(s []byte) bool {
-	const ones, tops = 0x0101010101010101, 0x8080808080808080
 	for ; len(s) >= 8; s = s[8:] {
 		x := binary.LittleEndian.Uint64(s)
 		if (x|(x-ones*' ')|((x^ones*'\\')-ones))&tops != 0 {

@@ -1,18 +1,16 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/hotcache"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // respCache caches fully assembled GET responses — full checkouts,
@@ -36,7 +34,7 @@ type respCache struct {
 // wire and their strong validator.
 type cachedResp struct {
 	body []byte
-	etag string // strong ETag: quoted hex SHA-256 of body
+	etag string // strong ETag: bodyETag(body)
 }
 
 // defaultRespCacheBytes bounds the encoded-response cache when the
@@ -102,33 +100,43 @@ func (c *respCache) stats() hotcache.Stats {
 	return c.hc.Stats()
 }
 
-// encBufPool recycles encoding buffers for response-cache misses, so a
-// miss costs one buffer reuse plus one right-sized copy instead of the
-// allocation churn of encoding straight into the socket writer.
-var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// encodeBody returns v as json.Encoder writes it, newline included,
+// through wire.Encode: a body that carries line arrays is appended once
+// into its final buffer, without reflection.
+func encodeBody(v any) ([]byte, error) {
+	body, err := wire.Encode(v)
+	return append(body, '\n'), err
+}
 
-// encodeResponse assembles v's wire form once: the JSON body (with
-// json.Encoder's trailing newline, matching what writeJSON produced)
-// and its strong ETag, under a "response.encode" span when ctx's request
-// is traced.
+// encodeResponse assembles v's wire form once: the JSON body and its
+// strong ETag, under a "response.encode" span when ctx's request is
+// traced.
 func encodeResponse(ctx context.Context, v any) (*cachedResp, error) {
 	_, sp := trace.StartSpan(ctx, "response.encode")
 	defer sp.End()
-	buf := encBufPool.Get().(*bytes.Buffer)
-	defer encBufPool.Put(buf)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	body, err := encodeBody(v)
+	if err != nil {
 		return nil, err
 	}
-	body := append([]byte(nil), buf.Bytes()...)
-	sum := sha256.Sum256(body)
-	return &cachedResp{body: body, etag: `"` + hex.EncodeToString(sum[:]) + `"`}, nil
+	return &cachedResp{body: body, etag: bodyETag(body)}, nil
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// bodyETag is a body's validator: its length and its CRC-32C, in hex.
+// Every resource that carries one is immutable per URL — the response
+// cache is keyed on that — so the tag has to tell one repository from
+// another behind the same URL, not resist an adversary; and derived
+// from the bytes alone it is the same after a re-plan, a restart or a
+// tenant's eviction.
+func bodyETag(body []byte) string {
+	return fmt.Sprintf(`"%x-%x"`, len(body), crc32.Checksum(body, castagnoli))
 }
 
 // etagMatch reports whether an If-None-Match header value matches etag.
-// Weak validators compare equal to their strong form: the bytes are
-// generated deterministically from the content hash, so a weak match
-// is as good as a strong one for this resource.
+// Weak validators compare equal to their strong form: the tag is
+// computed from the body's bytes, which are the same every time the
+// resource is encoded, so a weak match is as good as a strong one.
 func etagMatch(header, etag string) bool {
 	for _, cand := range strings.Split(header, ",") {
 		cand = strings.TrimPrefix(strings.TrimSpace(cand), "W/")
@@ -149,8 +157,14 @@ func (s *Server) writeEncoded(w http.ResponseWriter, r *http.Request, e *cachedR
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	writeBody(w, e.body)
+}
+
+// writeBody answers 200 with an encoded body, in a single Write under an
+// exact Content-Length.
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(e.body)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(e.body)
+	_, _ = w.Write(body)
 }

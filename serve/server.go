@@ -43,17 +43,21 @@
 //     bytes are cached per (kind, tenant, request) under a byte budget
 //     (Options.RespCacheBytes) with frequency-gated admission, so a hot
 //     response is served with a single Write — no repository, store, or
-//     encoder work. Every cached response carries a strong content-hash
-//     ETag and honors If-None-Match with 304, so a revalidating client
-//     pays no body bytes at all. Version content is immutable, so
-//     entries never invalidate — only eviction removes them.
-//   - Request bodies (commit, batch checkout) are read whole under a
-//     64 MiB cap — 413 beyond it — and decoded by internal/wire, shared
-//     with client: compact JSON makes a commit's lines substrings of one
-//     string, anything else goes through encoding/json, so what is
-//     accepted and what a 400 says are encoding/json's. The store's
-//     content cache keeps all of a commit's lines or none, so nothing
-//     pins a body for a few of them.
+//     encoder work. Every cached response carries a strong ETag, the
+//     length and CRC-32C of its body, and honors If-None-Match with 304,
+//     so a revalidating client pays no body bytes at all. Version
+//     content is immutable, so entries never invalidate — only eviction
+//     removes them.
+//   - Bodies that carry line arrays are encoded by internal/wire, shared
+//     with client, in one sized append per body and byte for byte as
+//     encoding/json would, which still writes the small ones (errors,
+//     stats, plans). Request bodies (commit, batch checkout) are read
+//     whole under a 64 MiB cap — 413 beyond it — and decoded by it too:
+//     compact JSON makes a commit's lines substrings of one string,
+//     anything else goes through encoding/json, so what is accepted and
+//     what a 400 says are encoding/json's. The store's content cache
+//     keeps all of a commit's lines or none, so nothing pins a body for
+//     a few of them.
 //   - Per-endpoint metrics: request/error counts and log-linear latency
 //     histograms (internal/metrics) surfaced by /statsz and, in
 //     Prometheus exposition format, by /metricsz.
@@ -500,7 +504,14 @@ func (s *Server) handleCheckoutBatch(_ string, repo *versioning.Repository, w ht
 			out[i].Status = checkoutErrStatus(res.Err)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	// One body through the encoder the single checkouts use, failed items
+	// included, written once under its length.
+	body, err := encodeBody(out)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
+	writeBody(w, body)
 }
 
 // checkoutErrStatus maps a read error to its HTTP status, shared by the
