@@ -735,9 +735,10 @@ func BenchmarkWireDecode(b *testing.B) {
 // BenchmarkWireEncode is BenchmarkWireDecode's twin: the same bodies
 // through internal/wire.Encode and, under encodingjson/, through
 // json.Marshal, which both ends of the wire used before it — with clean
-// lines, which Encode copies whole, and under escaped/ with one line in
+// lines, which Encode copies whole, under escaped/ with one line in
 // sixteen holding a quote, a tab, an ampersand or an é, which it walks
-// byte by byte.
+// byte by byte, and under manifest/ with a NUL-led header before every 40
+// lines, a versioning manifest's shape.
 func BenchmarkWireEncode(b *testing.B) {
 	encoders := []struct {
 		name   string
@@ -752,10 +753,14 @@ func BenchmarkWireEncode(b *testing.B) {
 		for i := 0; i < n; i += 16 {
 			escaped[i] = clean[i][:i%40] + []string{`"`, "\t", "&", "é"}[i/16%4] + clean[i][i%40:]
 		}
+		manifest := slices.Clone(clean)
+		for i := 0; i < n; i += 41 {
+			manifest[i] = fmt.Sprintf("\x00dsv:f:40:dir%03d/part%06d.bin", i%211, i)
+		}
 		for _, lines := range []struct {
 			name  string
 			lines []string
-		}{{"clean", clean}, {"escaped", escaped}} {
+		}{{"clean", clean}, {"escaped", escaped}, {"manifest", manifest}} {
 			for _, m := range wireBenchMessages(lines.lines) {
 				want, err := json.Marshal(m.msg)
 				if err != nil {
@@ -793,6 +798,18 @@ func BenchmarkStoreDecodeLines(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchEdit returns prev with edits of its lines rewritten by version.
+// Edits cluster in three 40-line windows, as a commit that touches three
+// files of a manifest does.
+func benchEdit(rng *rand.Rand, prev []string, version, edits int) []string {
+	next := append([]string(nil), prev...)
+	at := [3]int{rng.Intn(len(next)), rng.Intn(len(next)), rng.Intn(len(next))}
+	for i := 0; i < edits; i++ {
+		next[(at[rng.Intn(3)]+rng.Intn(40))%len(next)] = fmt.Sprintf("edited/by/version%06d.dat %016x", version, rng.Uint64())
+	}
+	return next
 }
 
 // BenchmarkReplanPass measures one maintenance pass on a disk-backed
@@ -839,13 +856,7 @@ func BenchmarkReplanPass(b *testing.B) {
 				if rng.Intn(5) == 0 {
 					p -= rng.Intn(min(n, 32))
 				}
-				// Edits cluster in three 40-line windows, as a commit that
-				// touches three files of a manifest does.
-				next := append([]string(nil), contents[p]...)
-				at := [3]int{rng.Intn(len(next)), rng.Intn(len(next)), rng.Intn(len(next))}
-				for i := 0; i < c.edits; i++ {
-					next[(at[rng.Intn(3)]+rng.Intn(40))%len(next)] = fmt.Sprintf("edited/by/version%06d.dat %016x", n, rng.Uint64())
-				}
+				next := benchEdit(rng, contents[p], n, c.edits)
 				contents = append(contents, next)
 				if _, err := repo.Commit(ctx, versioning.NodeID(p), next); err != nil {
 					b.Fatal(err)
@@ -888,7 +899,7 @@ func BenchmarkInstallPublish(b *testing.B) {
 	for _, n := range []int{25, 181} {
 		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
 			dir := b.TempDir()
-			backend, err := store.OpenDiskBackendWith(dir, store.DiskOptions{CompactMinLoose: -1})
+			backend, err := store.OpenDiskBackend(dir)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -921,20 +932,7 @@ func BenchmarkInstallPublish(b *testing.B) {
 			if err := s.Install(g, blobs, content); err != nil {
 				b.Fatal(err)
 			}
-			listFiles := func() map[string]bool {
-				files := make(map[string]bool)
-				err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-					if err == nil && !d.IsDir() {
-						files[path] = true
-					}
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				return files
-			}
-			files, created := listFiles(), 0
+			files, created := dataDirFiles(b, dir), 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := deltas
@@ -945,7 +943,7 @@ func BenchmarkInstallPublish(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				now := listFiles()
+				now := dataDirFiles(b, dir)
 				for f := range now {
 					if !files[f] {
 						created++
@@ -957,5 +955,164 @@ func BenchmarkInstallPublish(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
 			b.ReportMetric(float64(created)/float64(b.N), "files/op")
 		})
+	}
+}
+
+// dataDirFiles lists the regular files under dir by path relative to it.
+func dataDirFiles(b *testing.B, dir string) map[string]bool {
+	files := make(map[string]bool)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, path)
+			files[rel] = true
+		}
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return files
+}
+
+// BenchmarkCommitDurable measures what an acknowledged commit costs a
+// disk repository: child commits that rewrite 40 lines of a 200-line
+// document (a 2 KB delta), with the journal fsynced per commit
+// (dsvd -fsync) and without. files/op is the files the data directory
+// gained per commit and fsyncs/op what making them and the journal
+// durable takes: one per journal batch when it is synced, two per pack
+// (file and directory), one per loose object file.
+func BenchmarkCommitDurable(b *testing.B) {
+	for _, syncWrites := range []bool{true, false} {
+		b.Run(fmt.Sprintf("fsync=%t", syncWrites), func(b *testing.B) {
+			dir := b.TempDir()
+			repo, err := versioning.Open("commit-durable", versioning.RepositoryOptions{
+				DataDir:       dir,
+				SyncWrites:    syncWrites,
+				ReplanEvery:   -1,
+				EngineOptions: versioning.EngineOptions{SolverTimeout: 5 * time.Second, DisableILP: true},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer repo.Close()
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(29))
+			doc := benchManifest(200)
+			if _, err := repo.Commit(ctx, versioning.NoParent, doc); err != nil {
+				b.Fatal(err)
+			}
+			next := make([][]string, b.N)
+			for i := range next {
+				doc = benchEdit(rng, doc, i+1, 40)
+				next[i] = doc
+			}
+			files, batches := dataDirFiles(b, dir), repo.Stats().WALBatches
+			b.ResetTimer()
+			for i, lines := range next {
+				if _, err := repo.Commit(ctx, versioning.NodeID(i), lines); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			created, fsyncs := 0, int64(0)
+			if syncWrites {
+				fsyncs = repo.Stats().WALBatches - batches
+			}
+			for f := range dataDirFiles(b, dir) {
+				if files[f] {
+					continue
+				}
+				created++
+				switch filepath.Dir(f) {
+				case "packs":
+					fsyncs += 2
+				case "objects":
+					fsyncs++
+				}
+			}
+			b.ReportMetric(float64(created)/float64(b.N), "files/op")
+			b.ReportMetric(float64(fsyncs)/float64(b.N), "fsyncs/op")
+		})
+	}
+}
+
+// BenchmarkOpenAfterKill measures versioning.Open on the data directory
+// of a killed daemon, a tenant's reopen at its worst: 64 versions of a
+// 200-line document, re-planned once, abandoned without Close. The
+// migration's GC took the chain deltas the plan does not store, so the
+// replay has them to put again before it sweeps what the plan added.
+func BenchmarkOpenAfterKill(b *testing.B) {
+	opt := versioning.RepositoryOptions{
+		Problem:       versioning.ProblemMSR,
+		SyncWrites:    true,
+		ReplanEvery:   -1,
+		EngineOptions: versioning.EngineOptions{SolverTimeout: 5 * time.Second, DisableILP: true},
+	}
+	ctx := context.Background()
+	killedDir := b.TempDir()
+	opt.DataDir = killedDir
+	killed, err := versioning.Open("open-after-kill", opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	contents := [][]string{benchManifest(200)}
+	if _, err := killed.Commit(ctx, versioning.NoParent, contents[0]); err != nil {
+		b.Fatal(err)
+	}
+	for v := 1; v < 64; v++ {
+		// One commit in five branches off an older version, which is what
+		// gives the plan other edges to store than the chain's.
+		p := v - 1
+		if rng.Intn(5) == 0 {
+			p -= rng.Intn(min(v, 32))
+		}
+		contents = append(contents, benchEdit(rng, contents[p], v, 40))
+		if _, err := killed.Commit(ctx, versioning.NodeID(p), contents[v]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := killed.Replan(ctx); err != nil {
+		b.Fatal(err)
+	}
+	if st := killed.Stats(); st.StoredDeltas == 63 {
+		b.Fatal("the plan stores the whole chain: the reopen has nothing to put again")
+	}
+	// Every iteration opens its own copy of the directory as the kill left
+	// it; only then may the abandoned repository be closed.
+	left := dataDirFiles(b, killedDir)
+	copyTo := func(dir string) {
+		for f := range left {
+			data, err := os.ReadFile(filepath.Join(killedDir, f))
+			if err == nil {
+				err = os.MkdirAll(filepath.Join(dir, filepath.Dir(f)), 0o755)
+			}
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dir, f), data, 0o644)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	dirs := make([]string, b.N)
+	for i := range dirs {
+		dirs[i] = b.TempDir()
+		copyTo(dirs[i])
+	}
+	killed.Close()
+	b.ResetTimer()
+	for _, dir := range dirs {
+		opt.DataDir = dir
+		repo, err := versioning.Open("open-after-kill", opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if repo.Versions() != 64 {
+			b.Fatalf("reopened %d versions", repo.Versions())
+		}
+		repo.Close()
+		b.StartTimer()
 	}
 }

@@ -32,10 +32,12 @@
 // in-memory backend; with -data-dir (or -multi -tenants-dir) the
 // daemon runs on durable disk backends plus write-ahead commit
 // journals, and a restart replays the journals so the full committed
-// history survives a kill. Concurrent commits share journal writes:
-// one leader writes — and with -fsync, fsyncs — the whole batch
-// (-group-commit-linger is how long it waits for more to join), and each
-// commit is acknowledged only after its batch is durable. Plan
+// history survives a kill. A commit's one durable write is its journal
+// record: the backend keeps the delta in memory and packs it with others
+// later. Concurrent commits share journal writes: one leader writes —
+// and with -fsync, fsyncs — the whole batch while later commits gather
+// for the next, and each is acknowledged only after its batch is
+// durable. Plan
 // maintenance (the -replan-every re-solve and store migration) runs in a
 // background worker so it never sits on the commit path. SIGINT and
 // SIGTERM trigger a graceful shutdown: in-flight requests drain, then
@@ -110,7 +112,6 @@ func run(ctx context.Context, args []string) error {
 		workers     = fs.Int("workers", 0, "batch checkout workers (0 = GOMAXPROCS)")
 		dataDir     = fs.String("data-dir", "", "durable storage root (objects + commit journal); empty serves from memory")
 		fsync       = fs.Bool("fsync", false, "fsync the commit journal on every commit (with -data-dir)")
-		linger      = fs.Duration("group-commit-linger", 0, "how long a batch leader waits for more commits to join (0 = 200µs with -fsync, none otherwise; negative disables)")
 		planHistory = fs.Int("plan-history", 0, "maintenance passes retained in the plan-observatory ring served at GET /planz (0 = 64, negative disables)")
 		heatHL      = fs.Duration("heat-halflife", 0, "per-version read-heat EWMA half-life (0 = 5m default, negative disables heat tracking)")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-solver deadline inside re-planning races")
@@ -151,17 +152,16 @@ func run(ctx context.Context, args []string) error {
 	// from /tracez.
 	tracer := trace.New(trace.Options{Sample: *traceSample, Recent: *traceRecent})
 	ropt := versioning.RepositoryOptions{
-		Problem:           problem,
-		Constraint:        *constraint,
-		AutoFactor:        *autoFactor,
-		ReplanEvery:       *replanEvery,
-		CacheEntries:      *cache,
-		CacheBytes:        *cacheBytes,
-		Workers:           *workers,
-		SyncWrites:        *fsync,
-		GroupCommitLinger: *linger,
-		PlanHistory:       *planHistory,
-		HeatHalfLife:      *heatHL,
+		Problem:      problem,
+		Constraint:   *constraint,
+		AutoFactor:   *autoFactor,
+		ReplanEvery:  *replanEvery,
+		CacheEntries: *cache,
+		CacheBytes:   *cacheBytes,
+		Workers:      *workers,
+		SyncWrites:   *fsync,
+		PlanHistory:  *planHistory,
+		HeatHalfLife: *heatHL,
 		EngineOptions: versioning.EngineOptions{
 			SolverTimeout: *timeout,
 			DisableILP:    !*ilp,

@@ -22,10 +22,13 @@ type BackendStats struct {
 // iteration then observes some mutations and not others, which is fine
 // for the orphan sweeps it serves).
 //
+// An object is readable when Put returns; for when it is durable see
+// Flusher.
+//
 // Two implementations exist: ShardedMemBackend (per-shard RWMutexes,
 // the serving default; one shard is the contention baseline) and
-// DiskBackend (durable: loose files and packfiles, survives restarts).
-// The conformance suite in backendtest pins the shared contract.
+// DiskBackend (durable: packfiles, survives restarts). The conformance
+// suite in backendtest pins the shared contract.
 type Backend interface {
 	Put(k Key, data []byte) error
 	Get(k Key) ([]byte, error)       // ErrNotFound when absent
@@ -35,8 +38,10 @@ type Backend interface {
 	Stats() BackendStats
 }
 
-// Flusher is implemented by backends with buffered or journaled state
-// that should reach stable storage on daemon shutdown.
+// Flusher is implemented by backends that buffer what Put hands them
+// (DiskBackend): every object Put before Flush is on stable storage when
+// Flush returns. A caller that needs one to outlive the process sooner
+// keeps its own durable copy, as versioning's journal does.
 type Flusher interface {
 	Flush() error
 }

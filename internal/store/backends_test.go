@@ -36,9 +36,10 @@ func TestDiskBackendConformance(t *testing.T) {
 	})
 }
 
-// TestDiskBackendRecovery pins the crash-recovery contract: a reopened
-// backend rebuilds its index from the loose files, sweeps torn *.tmp
-// files from interrupted writes, and serves every completed object.
+// TestDiskBackendRecovery pins the crash-recovery contract: a backend
+// reopened after a kill (no Close) rebuilds its index from the packs,
+// sweeps torn *.tmp files from interrupted writes, serves every object a
+// publish included whole, and holds no file for one that none did.
 func TestDiskBackendRecovery(t *testing.T) {
 	dir := t.TempDir()
 	b, err := store.OpenDiskBackend(dir)
@@ -54,16 +55,30 @@ func TestDiskBackendRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := b.Stats()
-
-	// Simulate a crash mid-Put: a torn tmp file next to real objects.
-	torn := filepath.Join(dir, "objects", "ab")
-	if err := os.MkdirAll(torn, 0o755); err != nil {
+	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	tornFile := filepath.Join(torn, "deadbeef.tmp123")
-	if err := os.WriteFile(tornFile, []byte("partial"), 0o644); err != nil {
+	want := b.Stats()
+	staged := []byte("put after the last publish")
+	if err := b.Put(store.KeyOf(staged), staged); err != nil {
 		t.Fatal(err)
+	}
+	if got, err := b.Get(store.KeyOf(staged)); err != nil || !bytes.Equal(got, staged) {
+		t.Fatalf("Get of a staged object = %q, %v: readable when Put returns", got, err)
+	}
+
+	// Simulate a crash mid-write: torn tmp files next to real packs.
+	tornFiles := []string{
+		filepath.Join(dir, "objects", "ab", "deadbeef.tmp123"),
+		filepath.Join(dir, "packs", "pack-77.tmp"),
+	}
+	for _, f := range tornFiles {
+		if err := os.MkdirAll(filepath.Dir(f), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(f, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// "Restart": a fresh backend over the same directory.
@@ -80,29 +95,42 @@ func TestDiskBackendRecovery(t *testing.T) {
 			t.Fatalf("reopened Get(%s) = %q, %v", k, got, err)
 		}
 	}
-	if _, err := os.Stat(tornFile); !os.IsNotExist(err) {
-		t.Fatalf("torn tmp file survived reopen: %v", err)
+	if _, err := rb.Get(store.KeyOf(staged)); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("reopened Get of an object no publish included = %v, want ErrNotFound", err)
+	}
+	for _, f := range tornFiles {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Fatalf("torn tmp file %s survived reopen: %v", f, err)
+		}
+	}
+	ents, err := os.ReadDir(filepath.Join(dir, "objects"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !e.IsDir() {
+			t.Fatalf("loose file %s: Put writes none", e.Name())
+		}
 	}
 
-	// Deletes must survive a reopen too.
+	// Deletes survive a reopen once they took the pack with them.
 	for k := range payloads {
 		if err := rb.Delete(k); err != nil {
 			t.Fatal(err)
 		}
-		break
 	}
 	rb2, err := store.OpenDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rb2.Len(); got != len(payloads)-1 {
-		t.Fatalf("Len after delete+reopen = %d, want %d", got, len(payloads)-1)
+	if got := rb2.Len(); got != 0 {
+		t.Fatalf("Len after deleting everything and a reopen = %d, want 0", got)
 	}
 }
 
-// TestDiskBackendReadsFanOutLayout: loose objects written under
-// objects/ab/cdef..., the layout before the loose tier went flat, are
-// served, moved to objects/<hex key> at open, and stay served.
+// TestDiskBackendReadsFanOutLayout: loose objects written by hand under
+// objects/ab/cdef..., the oldest layout, are served, moved to
+// objects/<hex key> at open, and stay served.
 func TestDiskBackendReadsFanOutLayout(t *testing.T) {
 	dir := t.TempDir()
 	payloads := map[store.Key][]byte{}
@@ -141,18 +169,23 @@ func TestDiskBackendReadsFanOutLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A new object makes no directory.
+	// A new object joins them in no form: it is staged, and Close packs it.
 	b, err := store.OpenDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 	fresh := []byte("epsilon")
 	if err := b.Put(store.KeyOf(fresh), fresh); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "objects", store.KeyOf(fresh).String())); err != nil {
-		t.Fatalf("Put did not write objects/<hex key>: %v", err)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "objects", store.KeyOf(fresh).String())); !os.IsNotExist(err) {
+		t.Fatalf("Put wrote objects/<hex key>: %v", err)
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, "packs")); err != nil || len(ents) != 1 {
+		t.Fatalf("Close left %d files under packs/ (%v), want the new object's pack", len(ents), err)
 	}
 }
 

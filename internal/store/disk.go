@@ -10,33 +10,34 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// DiskBackend is a durable Backend with a two-tier layout:
+// DiskBackend is a durable Backend whose unit of a durable write is a
+// pack, never one object:
 //
-//   - Loose objects: one file per object, objects/<hex key>, written
-//     crash-safe via tmp+fsync+rename. This is where Put lands one
-//     object — a commit's delta — never blocking on compaction. The
-//     directory is flat: batches go to packs and the compactor folds
-//     the rest, so the tier stays small, and a git-style fan-out
-//     (objects/ab/cdef..., the layout until packs took the batches)
-//     put a mkdir, some 0.3 ms of journal, into the fsync of most
-//     commits of a young repository. Open moves such files up.
 //   - Packfiles: append-only packs/pack-NNN.pack files, each mmap'd
 //     while the backend is open. PutBatch publishes a batch as one pack
 //     (what a migration or a root commit adds costs one durable write,
-//     not one per object), and a background compactor folds loose
-//     objects and sparse older packs into one. A Get of a packed object
-//     is a bounds-checked copy out of the mapping, no open/read/close
-//     syscall triple per object.
+//     not one per object). A Get of a packed object is a bounds-checked
+//     copy out of the mapping, no open/read/close syscall triple.
+//   - The staged tier: Put lands one object — a commit's delta — in
+//     memory and returns. The tier is written out as one pack when its
+//     payloads pass stagedLimit, at Flush and at Close; an object is
+//     readable when Put returns and durable when one of those does (see
+//     Flusher). versioning keeps every acknowledged commit durable all
+//     the same: its journal holds the same bytes, and replay Puts again
+//     whatever a killed process took with it.
+//   - Loose objects, objects/<hex key>, which older builds wrote per Put.
+//     Nothing writes them any more; Open indexes the ones it finds (moving
+//     files of the still older objects/ab/cdef... fan-out up), Get reads
+//     them and Compact folds them into a pack.
 //
-// Crash safety spans both tiers. Torn *.tmp files (loose or pack) are
-// swept at open. A crash after a pack is published but before its
-// source loose files are unlinked leaves both copies; open detects the
-// duplicate keys and completes the compaction by removing the loose
-// copies. The in-memory index is always rebuilt from a scan, so no
-// index file can go stale. The scan also finds the records Delete left
+// Crash safety: a file appears under its final name only after its fsync,
+// so no name ever has torn content and Open verifies nothing. Torn *.tmp
+// files are swept at open. A crash after a pack is published but before
+// the loose files it folded are unlinked leaves both copies; open removes
+// the loose ones. The in-memory index is always rebuilt from a scan, so
+// no index file can go stale. The scan also finds the records Delete left
 // behind in packs that are still alive (a pack is only ever unlinked
 // whole); nothing references them, and the store's orphan sweep
 // (versioning.Open) drops them again.
@@ -44,62 +45,50 @@ import (
 // Get never returns memory that aliases a mapping, so a mapping lives
 // exactly as long as it is useful: it is released when its pack's last
 // live record dies and, for every pack, at Close. A closed backend still
-// serves reads (a closed repository still serves checkouts, see
-// versioning.Repository.Close): packed records then come from the pack
-// file.
+// serves reads (a closed repository still serves checkouts): packed
+// records then come from the pack file.
 type DiskBackend struct {
-	root    string // the objects/ directory (loose tier)
+	root    string // the objects/ directory (legacy loose tier)
 	packDir string // the packs/ directory
 
-	mu    sync.RWMutex
-	index map[Key]objRef
-	bytes int64
-	loose int         // index entries in the loose tier
-	packs []*packFile // refs index into it; a publish reuses a dead pack's slot
+	mu          sync.RWMutex
+	index       map[Key]objRef
+	bytes       int64
+	packs       []*packFile    // refs index into it; a publish reuses a dead pack's slot
+	staged      map[Key][]byte // the staged tier's payloads, immutable once in
+	stagedBytes int            // payload bytes in staged
 
-	compactMu sync.Mutex // serializes pack publishes: PutBatch and Compact
+	compactMu sync.Mutex // serializes pack publishes: PutBatch, Compact and the staged tier's
 	packSeq   uint64     // last pack sequence number issued; under compactMu
 
 	packReads   atomic.Int64
-	looseReads  atomic.Int64
+	looseReads  atomic.Int64 // reads of objects not yet in a pack: staged or loose
 	compactions atomic.Int64
-
-	stop      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
 }
 
 // objRef locates an object: in pack b.packs[pack] at [off, off+size),
-// or loose (pack < 0) at path(k).
+// loose at path(k), or staged in b.staged[k].
 type objRef struct {
 	pack int32
 	off  int64
 	size int64
 }
 
-const looseTier = int32(-1)
+const (
+	looseTier  = int32(-1)
+	stagedTier = int32(-2)
+)
 
-// DiskOptions tunes the background compactor.
-type DiskOptions struct {
-	// CompactMinLoose is the loose-object count that triggers a
-	// background compaction pass (0 = 1024; negative disables the
-	// background compactor — explicit Compact calls still work).
-	CompactMinLoose int
-	// CompactEvery is the compactor's poll interval (0 = 30s).
-	CompactEvery time.Duration
-}
+// stagedLimit caps the staged tier's payload bytes, and so what a reopen
+// after a kill has to Put again: the Put that passes it publishes the tier.
+const stagedLimit = 1 << 20
 
 // OpenDiskBackend opens (creating if needed) a disk backend rooted at
-// dir with default compaction tuning. Loose objects live under
-// dir/objects, packfiles under dir/packs. Stale temporary files from a
-// previous crash are removed, interrupted compactions are completed,
-// and the in-memory index is rebuilt from the scan.
+// dir. Packfiles live under dir/packs, loose objects an older build left
+// under dir/objects. Stale temporary files from a previous crash are
+// removed, interrupted compactions are completed, and the in-memory
+// index is rebuilt from the scan.
 func OpenDiskBackend(dir string) (*DiskBackend, error) {
-	return OpenDiskBackendWith(dir, DiskOptions{})
-}
-
-// OpenDiskBackendWith is OpenDiskBackend with explicit compactor tuning.
-func OpenDiskBackendWith(dir string, opt DiskOptions) (*DiskBackend, error) {
 	root := filepath.Join(dir, "objects")
 	packDir := filepath.Join(dir, "packs")
 	if err := os.MkdirAll(root, 0o755); err != nil {
@@ -112,8 +101,7 @@ func OpenDiskBackendWith(dir string, opt DiskOptions) (*DiskBackend, error) {
 		root:    root,
 		packDir: packDir,
 		index:   make(map[Key]objRef),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		staged:  make(map[Key][]byte),
 	}
 
 	// Packs first: on a duplicate key the packed copy wins, so the
@@ -167,7 +155,6 @@ func OpenDiskBackendWith(dir string, opt DiskOptions) (*DiskBackend, error) {
 			}
 		}
 		b.index[k] = objRef{pack: looseTier, size: info.Size()}
-		b.loose++
 		b.bytes += info.Size()
 		return nil
 	})
@@ -176,20 +163,6 @@ func OpenDiskBackendWith(dir string, opt DiskOptions) (*DiskBackend, error) {
 			p.release()
 		}
 		return nil, fmt.Errorf("store: scanning object dir: %w", err)
-	}
-
-	if opt.CompactMinLoose >= 0 {
-		minLoose := opt.CompactMinLoose
-		if minLoose == 0 {
-			minLoose = 1024
-		}
-		every := opt.CompactEvery
-		if every <= 0 {
-			every = 30 * time.Second
-		}
-		go b.compactLoop(minLoose, every)
-	} else {
-		close(b.done) // no compactor to wait for at Close
 	}
 	return b, nil
 }
@@ -214,58 +187,40 @@ func keyFromPath(root, path string) (Key, bool) {
 	return k, true
 }
 
-// Put stores data under k (idempotent) with a tmp+rename atomic write
-// into the loose tier. The compactor migrates it to a pack later.
+// Put stages data under k (idempotent), and publishes the staged tier
+// when that takes it past stagedLimit.
 func (b *DiskBackend) Put(k Key, data []byte) error {
-	b.mu.RLock()
-	_, ok := b.index[k]
-	b.mu.RUnlock()
-	if ok {
-		return nil
-	}
-	dst := b.path(k)
-	tmp, err := os.CreateTemp(b.root, filepath.Base(dst)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("store: tmp object: %w", err)
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: writing object %s: %w", k, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: writing object %s: %w", k, err)
-	}
-	// Publish under the lock: the rename and the index insert must be
-	// atomic against a concurrent Delete of the same key, or the index
-	// could claim an object whose file the delete just removed.
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, dup := b.index[k]; dup {
-		os.Remove(tmp.Name()) // another Put won; identical bytes exist
+	if _, ok := b.index[k]; ok {
+		b.mu.Unlock()
 		return nil
 	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: publishing object %s: %w", k, err)
-	}
-	b.index[k] = objRef{pack: looseTier, size: int64(len(data))}
-	b.loose++
+	b.index[k] = objRef{pack: stagedTier, size: int64(len(data))}
+	b.staged[k] = append([]byte(nil), data...)
 	b.bytes += int64(len(data))
+	b.stagedBytes += len(data)
+	full := b.stagedBytes >= stagedLimit
+	b.mu.Unlock()
+	if full {
+		return b.publishStaged()
+	}
 	return nil
 }
 
 // Get reads the object stored under k: a copy out of its pack when
-// packed, an os.ReadFile when loose. The copy is taken under the read
+// packed, the staged payload itself (nothing ever writes to one) when
+// staged, an os.ReadFile when loose. The copy is taken under the read
 // lock, which is what lets a dying pack be unmapped under the write lock.
 func (b *DiskBackend) Get(k Key) ([]byte, error) {
 	for {
 		b.mu.RLock()
 		ref, ok := b.index[k]
+		if ok && ref.pack == stagedTier {
+			data := b.staged[k]
+			b.mu.RUnlock()
+			b.looseReads.Add(1)
+			return data, nil
+		}
 		if ok && ref.pack != looseTier {
 			data, err := b.packs[ref.pack].read(ref.off, ref.size)
 			b.mu.RUnlock()
@@ -300,29 +255,29 @@ func (b *DiskBackend) Get(k Key) ([]byte, error) {
 	}
 }
 
-// Delete removes k if present. For loose objects the file removal and
-// index update are atomic against concurrent Puts of the same key (see
-// Put). For packed objects only the index entry is dropped; the pack
-// file is unlinked and unmapped once its last live entry dies.
+// Delete removes k if present: a staged object is forgotten, a loose one's
+// file removed, a packed one's index entry dropped — its pack is unlinked
+// and unmapped once the last live entry dies.
 func (b *DiskBackend) Delete(k Key) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ref, ok := b.index[k]
-	if !ok || ref.pack == looseTier {
-		if err := os.Remove(b.path(k)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: deleting object %s: %w", k, err)
-		}
-	}
 	if !ok {
 		return nil
 	}
+	switch ref.pack {
+	case stagedTier:
+		delete(b.staged, k)
+		b.stagedBytes -= int(ref.size)
+	case looseTier:
+		if err := os.Remove(b.path(k)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("store: deleting object %s: %w", k, err)
+		}
+	default:
+		b.packs[ref.pack].drop()
+	}
 	delete(b.index, k)
 	b.bytes -= ref.size
-	if ref.pack == looseTier {
-		b.loose--
-		return nil
-	}
-	b.packs[ref.pack].drop()
 	return nil
 }
 
@@ -378,7 +333,7 @@ func (b *DiskBackend) PackStats() PackStats {
 // PutBatch stores objs as one pack: a tmp file, one fsync, a rename and a
 // directory fsync, however many objects there are. Keys already held and
 // duplicates within the batch are skipped. A single new object goes
-// through Put: a loose file costs one fsync, a pack two.
+// through Put and waits in the staged tier for company.
 func (b *DiskBackend) PutBatch(objs []Object) error {
 	fresh := make([]Object, 0, len(objs))
 	seen := make(map[Key]struct{}, len(objs))
@@ -404,18 +359,18 @@ func (b *DiskBackend) PutBatch(objs []Object) error {
 	return err
 }
 
-// Compact folds every loose object and every sparse pack (under half
-// its entries still live) into one new packfile, then removes the
-// superseded loose files and unlinks fully-drained packs. Concurrent
-// Puts, Gets, and Deletes are safe throughout: the index is only
-// retargeted after the new pack is durably published, and Get retries
-// cover the unlink window. Returns the number of objects migrated.
+// Compact folds every staged object, every loose object and every sparse
+// pack (under half its entries still live) into one new packfile, then
+// removes the superseded loose files and unlinks fully-drained packs.
+// Concurrent Puts, Gets, and Deletes are safe throughout: the index is
+// only retargeted after the new pack is durably published, and Get
+// retries cover the unlink window. Returns the number of objects migrated.
 func (b *DiskBackend) Compact() (int, error) {
 	b.compactMu.Lock()
 	defer b.compactMu.Unlock()
 
-	// Snapshot the victims: all loose keys plus live keys of sparse
-	// packs. Deletes that race this snapshot are handled at publish.
+	// Snapshot the victims: all staged and loose keys plus live keys of
+	// sparse packs. Deletes that race this snapshot are handled at publish.
 	b.mu.RLock()
 	sparse := make(map[int32]bool)
 	for i, p := range b.packs {
@@ -425,7 +380,7 @@ func (b *DiskBackend) Compact() (int, error) {
 	}
 	var victims []Key
 	for k, ref := range b.index {
-		if ref.pack == looseTier || sparse[ref.pack] {
+		if ref.pack < 0 || sparse[ref.pack] {
 			victims = append(victims, k)
 		}
 	}
@@ -455,6 +410,24 @@ func (b *DiskBackend) Compact() (int, error) {
 	}
 	b.compactions.Add(1)
 	return moved, nil
+}
+
+// publishStaged writes the staged tier out as one pack. A Put that lands
+// meanwhile waits for the next; a Delete leaves its record dead on arrival.
+func (b *DiskBackend) publishStaged() error {
+	b.compactMu.Lock()
+	defer b.compactMu.Unlock()
+	b.mu.RLock()
+	records := make([]Object, 0, len(b.staged))
+	for k, payload := range b.staged {
+		records = append(records, Object{Key: k, Payload: payload})
+	}
+	b.mu.RUnlock()
+	if len(records) == 0 {
+		return nil
+	}
+	_, err := b.publishPack(records, false)
+	return err
 }
 
 // publishPack writes records as the next pack, maps it and points the
@@ -493,8 +466,10 @@ func (b *DiskBackend) publishPack(records []Object, add bool) (int, error) {
 			continue
 		case !ok:
 			b.bytes += e.size
+		case ref.pack == stagedTier:
+			delete(b.staged, e.key)
+			b.stagedBytes -= int(ref.size)
 		case ref.pack == looseTier:
-			b.loose--
 			freedLoose = append(freedLoose, e.key)
 		default:
 			b.packs[ref.pack].drop()
@@ -518,50 +493,32 @@ func (b *DiskBackend) publishPack(records []Object, add bool) (int, error) {
 	return moved, nil
 }
 
-// compactLoop is the background compactor: every tick, if the loose
-// tier has grown past minLoose objects, fold it into a pack.
-func (b *DiskBackend) compactLoop(minLoose int, every time.Duration) {
-	defer close(b.done)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-b.stop:
-			return
-		case <-t.C:
-			b.mu.RLock()
-			n := b.loose
-			b.mu.RUnlock()
-			if n >= minLoose {
-				b.Compact() // best-effort; next tick retries on error
-			}
-		}
-	}
-}
-
-// Flush syncs the object and pack directories so recent renames survive
-// a machine crash (payloads are already fsynced before publication).
+// Flush publishes the staged tier and syncs the object and pack
+// directories: everything Put so far survives a machine crash.
 func (b *DiskBackend) Flush() error {
-	for _, dir := range []string{b.root, b.packDir} {
-		d, err := os.Open(dir)
-		if err != nil {
-			return err
-		}
-		err = d.Sync()
-		d.Close()
-		if err != nil {
-			return err
-		}
+	if err := b.publishStaged(); err != nil {
+		return err
 	}
-	return nil
+	if err := syncDir(b.root); err != nil {
+		return err
+	}
+	return syncDir(b.packDir)
 }
 
-// Close stops the background compactor, releases every pack mapping and
-// flushes directory metadata. A closed backend still serves reads (see
-// the type comment).
+// syncDir fsyncs a directory, which makes the renames in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// Close flushes and then releases every pack mapping. A closed backend
+// still serves reads (see the type comment).
 func (b *DiskBackend) Close() error {
-	b.closeOnce.Do(func() { close(b.stop) })
-	<-b.done
+	err := b.Flush()
 	b.compactMu.Lock() // no pack publish in flight past this point
 	defer b.compactMu.Unlock()
 	b.mu.Lock()
@@ -569,5 +526,5 @@ func (b *DiskBackend) Close() error {
 		p.release()
 	}
 	b.mu.Unlock()
-	return b.Flush()
+	return err
 }

@@ -473,11 +473,10 @@ func dirFiles(t *testing.T, dir string) int {
 	return n
 }
 
-// openDiskStore opens dir with no background compactor, so the files a
-// test counts are the ones the store's operations wrote.
+// openDiskStore opens a store on a disk backend rooted at dir.
 func openDiskStore(t *testing.T, dir string) (*DiskBackend, *Store) {
 	t.Helper()
-	b, err := OpenDiskBackendWith(dir, DiskOptions{CompactMinLoose: -1})
+	b, err := OpenDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,14 +484,14 @@ func openDiskStore(t *testing.T, dir string) (*DiskBackend, *Store) {
 }
 
 // TestDiskInstallPublishesOnePack: on disk, what one store operation adds
-// is one durable write. A root commit or a migration that adds several
-// objects leaves one new pack and no loose file; one that adds a single
-// object leaves one loose file and no pack; one that adds nothing leaves
-// nothing.
+// is at most one durable write, and never a loose file. A root commit or a
+// migration that adds several objects leaves one new pack; one that adds a
+// single object — a commit's delta — leaves no file at all until Close
+// publishes every such object together; one that adds nothing leaves
+// nothing. A reopen after Close holds everything.
 func TestDiskInstallPublishesOnePack(t *testing.T) {
 	dir := t.TempDir()
 	b, s := openDiskStore(t, dir)
-	defer s.Close()
 	files := func() (packs, loose int) {
 		return dirFiles(t, filepath.Join(dir, "packs")), dirFiles(t, filepath.Join(dir, "objects"))
 	}
@@ -506,14 +505,15 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 	if packs, loose := files(); packs != 1 || loose != 0 || b.Len() < 3 {
 		t.Fatalf("a chunked root of %d objects left %d packs and %d loose files, want one pack", b.Len(), packs, loose)
 	}
+	rootObjects := b.Len()
 	for v := 1; v < 4; v++ {
 		e := graph.EdgeID(2 * (v - 1))
 		if err := s.AddVersion(graph.NodeID(v), graph.NodeID(v-1), e, diff.Compute(contents[v-1], contents[v]), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if packs, loose := files(); packs != 1 || loose != 3 {
-		t.Fatalf("three commits left %d packs and %d loose files, want their three loose deltas", packs, loose)
+	if packs, loose := files(); packs != 1 || loose != 0 || b.Len() != rootObjects+3 {
+		t.Fatalf("three commits left %d packs, %d loose files and %d objects, want their three deltas held and no file", packs, loose, b.Len()-rootObjects)
 	}
 
 	p := forwardChainPlan(g, 10)
@@ -524,7 +524,7 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 	if obj, _, _ := s.InstallTotals(); obj-objBefore != 6 {
 		t.Fatalf("the migration added %d objects, want the six new deltas", obj-objBefore)
 	}
-	if packs, loose := files(); packs != 2 || loose != 3 {
+	if packs, loose := files(); packs != 2 || loose != 0 {
 		t.Fatalf("a migration adding six objects left %d packs and %d loose files, want one more pack and nothing else", packs, loose)
 	}
 
@@ -533,20 +533,38 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 	if err := s.Install(g, q, content); err != nil {
 		t.Fatal(err)
 	}
-	if packs, loose := files(); packs != 2 || loose != 4 {
-		t.Fatalf("a migration adding one object left %d packs and %d loose files, want one more loose file", packs, loose)
-	}
 	if err := s.Install(g, q.Clone(), content); err != nil {
 		t.Fatal(err)
 	}
-	if packs, loose := files(); packs != 2 || loose != 4 {
-		t.Fatalf("re-installing the serving plan left %d packs and %d loose files, want no change", packs, loose)
+	if packs, loose := files(); packs != 2 || loose != 0 {
+		t.Fatalf("a migration adding one object and a re-install of the serving plan left %d packs and %d loose files, want no new file", packs, loose)
 	}
-	if ps := b.PackStats(); ps.Compactions != 0 {
-		t.Fatalf("publishes counted as %d compactions", ps.Compactions)
+	if ps := b.PackStats(); ps.Compactions != 0 || ps.PackedObjects != b.Len()-4 {
+		t.Fatalf("%+v of %d objects, want no compaction and all but the four lone objects in packs", ps, b.Len())
 	}
 	assertMatchesFromScratch(t, s, g, q, contents)
 	checkAll(t, s, contents)
+
+	// Close publishes the four lone objects as one pack.
+	held := backendKeys(t, b)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if packs, loose := files(); packs != 3 || loose != 0 {
+		t.Fatalf("Close left %d packs and %d loose files, want one more pack", packs, loose)
+	}
+	// Every object held at Close is in a pack now (beside the one record
+	// the second migration's GC left dead in a pack that lives on).
+	b2, s2 := openDiskStore(t, dir)
+	defer s2.Close()
+	for _, k := range held {
+		if got, err := b2.Get(k); err != nil || KeyOf(got) != k {
+			t.Fatalf("reopened Get(%s) = %d bytes, %v", k, len(got), err)
+		}
+	}
+	if ps := b2.PackStats(); ps.PackedObjects != b2.Len() || b2.Len() != len(held)+1 {
+		t.Fatalf("reopened backend holds %d objects, %d of them packed; the closed one held %d", b2.Len(), ps.PackedObjects, len(held))
+	}
 }
 
 // TestInterruptedPublish covers the two crash points of a publish, on a

@@ -12,9 +12,8 @@ import (
 	"sync/atomic"
 )
 
-// Packfile layout. A batch publish (PutBatch) or a compaction of the
-// loose files under objects/ is a single append-only file under
-// dir/packs:
+// Packfile layout. A publish — a batch (PutBatch), the staged tier, or a
+// compaction — is a single append-only file under dir/packs:
 //
 //	magic "DSVPACK1"
 //	record*: key[32] | uvarint(len(payload)) | payload
@@ -22,8 +21,8 @@ import (
 // There is no sidecar index: the key and length prefix are enough to
 // rebuild the offset table with one sequential header scan at open,
 // which removes an entire class of index-out-of-sync crash bugs. Packs
-// are immutable once published (tmp + fsync + rename, like loose
-// objects) and deletion only ever removes whole files. Reads copy out of
+// are immutable once published (tmp + fsync + rename) and deletion only
+// ever removes whole files. Reads copy out of
 // the pack's mmap under the backend's lock, so the mapping needs no
 // reference counting: it ends with the pack's last live record, or at
 // Close.
@@ -36,7 +35,7 @@ type PackStats struct {
 	Packs         int   // live (non-empty) packfiles
 	PackedObjects int   // live objects resolved from packs
 	PackReads     int64 // Gets served from a pack
-	LooseReads    int64 // Gets served from a loose file
+	LooseReads    int64 // Gets of objects not yet in a pack (staged, or a legacy loose file)
 	Compactions   int64 // completed compaction passes
 }
 
@@ -283,9 +282,6 @@ func writePack(packDir string, seq uint64, records []Object) (string, []packEntr
 		os.Remove(name)
 		return "", nil, fmt.Errorf("store: publishing pack: %w", err)
 	}
-	if d, err := os.Open(packDir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	_ = syncDir(packDir) // the pack stands without it; Flush syncs again and reports
 	return dst, entries, nil
 }

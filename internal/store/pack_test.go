@@ -2,12 +2,13 @@ package store_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/store"
 	"repro/internal/store/backendtest"
@@ -15,7 +16,7 @@ import (
 
 // compactingBackend forces every object through the packfile tier by
 // compacting after each Put, so the conformance suite exercises packed
-// Get/Delete/Keys/Stats instead of the loose fast path.
+// Get/Delete/Keys/Stats instead of the staged tier.
 type compactingBackend struct {
 	*store.DiskBackend
 }
@@ -32,7 +33,7 @@ func (c *compactingBackend) Put(k store.Key, data []byte) error {
 // same contract as every other backend.
 func TestDiskBackendPackedConformance(t *testing.T) {
 	backendtest.RunDurable(t, func(t *testing.T, dir string) store.Backend {
-		b, err := store.OpenDiskBackendWith(dir, store.DiskOptions{CompactMinLoose: -1})
+		b, err := store.OpenDiskBackend(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,18 +66,42 @@ func countLooseFiles(t *testing.T, dir string) int {
 	return n
 }
 
+// writeLoose writes data the way builds before the staged tier did, as
+// the loose file objects/<hex key>.
+func writeLoose(t *testing.T, dir string, data []byte) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "objects", store.KeyOf(data).String()), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompactFoldsLooseIntoPack: Compact folds the loose files an older
+// build left and what is staged into one pack.
 func TestCompactFoldsLooseIntoPack(t *testing.T) {
 	dir := t.TempDir()
-	b, err := store.OpenDiskBackendWith(dir, store.DiskOptions{CompactMinLoose: -1})
+	payloads := packPayloads(20)
+	legacy := 0
+	for _, data := range payloads {
+		if legacy++; legacy > 10 {
+			break
+		}
+		writeLoose(t, dir, data)
+	}
+	b, err := store.OpenDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	payloads := packPayloads(20)
 	for k, data := range payloads {
 		if err := b.Put(k, data); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if n := countLooseFiles(t, dir); n != 10 {
+		t.Fatalf("%d loose files before compaction, want the 10 written by hand: Put writes none", n)
 	}
 	want := b.Stats()
 	moved, err := b.Compact()
@@ -107,19 +132,21 @@ func TestCompactFoldsLooseIntoPack(t *testing.T) {
 	}
 }
 
-// TestPackRecoverySpanningCompaction kills the backend (no Close) at
-// the nastiest crash point — pack published, source loose files still
-// on disk, a torn pack tmp alongside — and verifies a reopen completes
-// the compaction: duplicates resolve in the pack's favor, the torn tmp
-// is swept, and every object (packed and loose) is served.
+// TestPackRecoverySpanningCompaction kills the backend (no Close) with
+// two packs published — a compaction's and a Flush's — objects staged since
+// and the debris of the nastiest crash point around them: loose files a
+// compaction folded but did not get to unlink, a torn pack tmp alongside.
+// A reopen holds every published object whole and nothing else: the
+// duplicates resolve in the pack's favor, the torn tmp is swept, and what
+// was only staged went with the process.
 func TestPackRecoverySpanningCompaction(t *testing.T) {
 	dir := t.TempDir()
-	b, err := store.OpenDiskBackendWith(dir, store.DiskOptions{CompactMinLoose: -1})
+	b, err := store.OpenDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := packPayloads(10)
-	for k, data := range packed {
+	published := packPayloads(10)
+	for k, data := range published {
 		if err := b.Put(k, data); err != nil {
 			t.Fatal(err)
 		}
@@ -127,22 +154,10 @@ func TestPackRecoverySpanningCompaction(t *testing.T) {
 	if _, err := b.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	// Fresh loose writes after the compaction.
-	loose := map[store.Key][]byte{}
-	for i := 0; i < 5; i++ {
-		data := []byte(fmt.Sprintf("post-compaction-%d", i))
-		loose[store.KeyOf(data)] = data
-		if err := b.Put(store.KeyOf(data), data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := b.Stats()
-	// Crash simulation: re-create loose duplicates of packed keys (as if
-	// the crash hit after the pack rename but before the loose unlink)
-	// and drop a torn tmp from a half-written next pack. No Close: the
-	// process "died".
+	// What the older layout left where a crash hit after the pack's rename
+	// and before the loose unlink: fan-out files of packed keys.
 	ndup := 0
-	for k, data := range packed {
+	for k, data := range published {
 		h := k.String()
 		d := filepath.Join(dir, "objects", h[:2])
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -155,12 +170,32 @@ func TestPackRecoverySpanningCompaction(t *testing.T) {
 			break
 		}
 	}
+	for i := 0; i < 5; i++ {
+		data := []byte(fmt.Sprintf("post-compaction-%d", i))
+		published[store.KeyOf(data)] = data
+		if err := b.Put(store.KeyOf(data), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := b.Stats()
+	var staged []store.Key
+	for i := 0; i < 3; i++ {
+		data := []byte(fmt.Sprintf("never-published-%d", i))
+		staged = append(staged, store.KeyOf(data))
+		if err := b.Put(store.KeyOf(data), data); err != nil {
+			t.Fatal(err)
+		}
+	}
 	tornPack := filepath.Join(dir, "packs", "pack-9.tmp42")
 	if err := os.WriteFile(tornPack, []byte("DSVPACK1garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// No Close: the process "died".
 
-	rb, err := store.OpenDiskBackendWith(dir, store.DiskOptions{CompactMinLoose: -1})
+	rb, err := store.OpenDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,28 +203,26 @@ func TestPackRecoverySpanningCompaction(t *testing.T) {
 	if got := rb.Stats(); got != want {
 		t.Fatalf("reopened Stats = %+v, want %+v", got, want)
 	}
-	for k, data := range packed {
+	for k, data := range published {
 		got, err := rb.Get(k)
 		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("reopened packed Get(%s) = %q, %v", k, got, err)
+			t.Fatalf("reopened Get(%s) = %q, %v", k, got, err)
 		}
 	}
-	for k, data := range loose {
-		got, err := rb.Get(k)
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("reopened loose Get(%s) = %q, %v", k, got, err)
+	for _, k := range staged {
+		if _, err := rb.Get(k); !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("Get of an object no publish included = %v, want ErrNotFound", err)
 		}
 	}
-	// The interrupted compaction finished: duplicates gone, tmp swept.
-	if n := countLooseFiles(t, dir); n != len(loose) {
-		t.Fatalf("%d loose files after recovery, want %d (duplicates removed)", n, len(loose))
+	if n := countLooseFiles(t, dir); n != 0 {
+		t.Fatalf("%d loose files after recovery, want none (duplicates removed, Put writes none)", n)
 	}
 	if _, err := os.Stat(tornPack); !os.IsNotExist(err) {
 		t.Fatalf("torn pack tmp survived reopen: %v", err)
 	}
 	ps := rb.PackStats()
-	if ps.Packs != 1 || ps.PackedObjects != len(packed) {
-		t.Fatalf("reopened PackStats = %+v, want 1 pack with %d objects", ps, len(packed))
+	if ps.Packs != 2 || ps.PackedObjects != len(published) {
+		t.Fatalf("reopened PackStats = %+v, want 2 packs with %d objects", ps, len(published))
 	}
 }
 
@@ -199,7 +232,7 @@ func TestPackRecoverySpanningCompaction(t *testing.T) {
 // copies).
 func TestDeletePackedObjects(t *testing.T) {
 	dir := t.TempDir()
-	b, err := store.OpenDiskBackendWith(dir, store.DiskOptions{CompactMinLoose: -1})
+	b, err := store.OpenDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +281,7 @@ func TestDeletePackedObjects(t *testing.T) {
 // next compaction and its file reclaimed.
 func TestSparsePackRewrite(t *testing.T) {
 	dir := t.TempDir()
-	b, err := store.OpenDiskBackendWith(dir, store.DiskOptions{CompactMinLoose: -1})
+	b, err := store.OpenDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +302,7 @@ func TestSparsePackRewrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fresh := []byte("fresh-loose-object")
+	fresh := []byte("fresh-staged-object")
 	if err := b.Put(store.KeyOf(fresh), fresh); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +310,7 @@ func TestSparsePackRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved != 5 { // 4 pack survivors + 1 loose
+	if moved != 5 { // 4 pack survivors + 1 staged
 		t.Fatalf("Compact moved %d, want 5", moved)
 	}
 	ps := b.PackStats()
@@ -302,34 +335,137 @@ func TestSparsePackRewrite(t *testing.T) {
 	}
 }
 
-// TestBackgroundCompactor verifies the compactor goroutine folds the
-// loose tier on its own once past the threshold.
-func TestBackgroundCompactor(t *testing.T) {
-	b, err := store.OpenDiskBackendWith(t.TempDir(), store.DiskOptions{
-		CompactMinLoose: 4,
-		CompactEvery:    5 * time.Millisecond,
-	})
+// TestStagedTierPublishesAtItsLimit: Puts stay in memory until their
+// payloads pass 1 MiB, and the Put that passes it writes them all out as
+// one pack, so an open backend never holds more than that unpublished.
+func TestStagedTierPublishesAtItsLimit(t *testing.T) {
+	dir := t.TempDir()
+	b, err := store.OpenDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-	payloads := packPayloads(8)
+	put := func(i int) store.Key {
+		data := bytes.Repeat([]byte(fmt.Sprintf("%07d|", i)), 8<<10) // 64 KiB
+		if err := b.Put(store.KeyOf(data), data); err != nil {
+			t.Fatal(err)
+		}
+		return store.KeyOf(data)
+	}
+	var keys []store.Key
+	for i := 0; i < 15; i++ {
+		keys = append(keys, put(i))
+	}
+	if ps := b.PackStats(); ps.Packs != 0 {
+		t.Fatalf("%d packs after 960 KiB of Puts, want none yet", ps.Packs)
+	}
+	keys = append(keys, put(15))
+	if ps := b.PackStats(); ps.Packs != 1 || ps.PackedObjects != 16 {
+		t.Fatalf("PackStats = %+v after 1 MiB of Puts, want one pack of 16", ps)
+	}
+	keys = append(keys, put(16)) // staged again, lost with the process
+	want := b.Stats()
+	want.Objects--
+	want.Bytes -= 64 << 10
+
+	rb, err := store.OpenDiskBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	if got := rb.Stats(); got != want {
+		t.Fatalf("reopened after a kill: Stats = %+v, want the published %+v", got, want)
+	}
+	for _, k := range keys[:16] {
+		if got, err := rb.Get(k); err != nil || store.KeyOf(got) != k {
+			t.Fatalf("reopened Get(%s) = %d bytes, %v", k, len(got), err)
+		}
+	}
+}
+
+// TestStagedTierUnderFire has readers, a Put loop, a Delete loop and a
+// forced publish work the same keys of the staged tier at once: a Get
+// answers the object's bytes or ErrNotFound whichever tier the key is in
+// at that instant, and the counters come out whole (run with -race).
+func TestStagedTierUnderFire(t *testing.T) {
+	dir := t.TempDir()
+	b, err := store.OpenDiskBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := packPayloads(32)
+	var keys []store.Key
+	for k := range payloads {
+		keys = append(keys, k)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	loop := func(step func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := step(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 3; r++ {
+		loop(func(i int) error {
+			k := keys[(i*7+r)%len(keys)]
+			got, err := b.Get(k)
+			if err != nil && !errors.Is(err, store.ErrNotFound) {
+				return fmt.Errorf("Get(%s): %v", k, err)
+			}
+			if err == nil && !bytes.Equal(got, payloads[k]) {
+				return fmt.Errorf("Get(%s) = %q, want %q", k, got, payloads[k])
+			}
+			return nil
+		})
+	}
+	loop(func(i int) error { k := keys[i%len(keys)]; return b.Put(k, payloads[k]) })
+	loop(func(i int) error { return b.Delete(keys[(i*5)%len(keys)]) })
+	for i := 0; i < 40; i++ {
+		if err := b.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	// Settle, and hold the bookkeeping to a reopen's scan of the files.
 	for k, data := range payloads {
 		if err := b.Put(k, data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for b.PackStats().Compactions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background compactor never ran")
-		}
-		time.Sleep(5 * time.Millisecond)
+	var bytesTotal int64
+	for _, data := range payloads {
+		bytesTotal += int64(len(data))
 	}
+	if st := b.Stats(); st.Objects != len(payloads) || st.Bytes != bytesTotal {
+		t.Fatalf("Stats = %+v after settling, want %d objects / %d bytes", st, len(payloads), bytesTotal)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rb, err := store.OpenDiskBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
 	for k, data := range payloads {
-		got, err := b.Get(k)
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("Get(%s) = %q, %v", k, got, err)
+		if got, err := rb.Get(k); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("reopened Get(%s) = %q, %v", k, got, err)
 		}
+	}
+	if n := countLooseFiles(t, dir); n != 0 {
+		t.Fatalf("%d loose files", n)
 	}
 }

@@ -95,12 +95,12 @@ type Stats struct {
 	InstallObjects int64 // objects newly written by successful migrations
 	InstallBytes   int64 // bytes of those objects
 
-	// Packfile read-path counters, populated when the backend compacts
-	// into packs (see DiskBackend).
+	// Packfile read-path counters, populated when the backend publishes
+	// packs (see DiskBackend).
 	Packs         int   // live packfiles
 	PackedObjects int   // objects served from packs
 	PackReads     int64 // Gets resolved via an mmap'd pack slice
-	LooseReads    int64 // Gets resolved via a loose file
+	LooseReads    int64 // Gets of objects not yet in a pack
 	Compactions   int64 // completed compaction passes
 }
 

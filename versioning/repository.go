@@ -70,7 +70,7 @@ type RepositoryOptions struct {
 	// there.
 	Backend store.Backend
 	// DataDir makes the repository durable (Open only): objects live in
-	// DataDir/objects and every commit is journaled to DataDir/journal.wal
+	// DataDir/packs and every commit is journaled to DataDir/journal.wal
 	// before it is acknowledged, so a killed daemon reopens to the exact
 	// committed history.
 	DataDir string
@@ -79,17 +79,10 @@ type RepositoryOptions struct {
 	// machine crash may lose the most recent commits.
 	SyncWrites bool
 	// GroupCommit has no effect: every durable commit rides a journal
-	// batch. It stays because benchmark/stack.go sets it (ROADMAP item 7h).
+	// batch (see wal) and is acknowledged only after its batch is durable;
+	// a batch write failure closes the repository for writes. The field
+	// stays because benchmark/stack.go sets it (ROADMAP item 7h).
 	GroupCommit bool
-	// GroupCommitLinger is how long a journal batch leader holds the batch
-	// open for more concurrent commits to join before its one write — and,
-	// with SyncWrites, one fsync — covers them all. 0 picks a default:
-	// 200µs with SyncWrites (an fsync dwarfs the wait), no linger
-	// otherwise. Negative disables lingering. A commit is acknowledged
-	// only after its own record's batch is durable; a batch write failure
-	// poisons the journal and closes the repository for writes — the
-	// journal cannot tell which bytes of a torn batch reached the disk.
-	GroupCommitLinger time.Duration
 	// MaintenanceWorkers sets where plan maintenance (the ReplanEvery
 	// re-solve + store migration) runs. 0 or positive: in one background
 	// worker — Commit only trips a trigger and returns while the worker
@@ -249,7 +242,7 @@ func NewRepository(name string, opt RepositoryOptions) *Repository {
 }
 
 // Open returns a repository backed by durable storage: objects in
-// opt.DataDir/objects (a disk backend, unless opt.Backend overrides it)
+// opt.DataDir/packs (a disk backend, unless opt.Backend overrides it)
 // and a write-ahead commit journal in opt.DataDir/journal.wal. An
 // existing journal is replayed — every committed version is rebuilt into
 // the version graph and the storage chain, torn tails from a crash are
@@ -289,13 +282,9 @@ func Open(name string, opt RepositoryOptions) (*Repository, error) {
 // version, sweeps orphaned objects and leaves the journal open for
 // commits; on error the journal is closed again.
 func (r *Repository) replayJournal() (err error) {
-	linger := r.opt.GroupCommitLinger
-	if linger == 0 && r.opt.SyncWrites {
-		linger = 200 * time.Microsecond
-	}
 	// A torn tail (openWAL truncates it) is not an error: the damaged
 	// record belongs to a commit that was never acknowledged.
-	w, recs, _, err := openWAL(filepath.Join(r.opt.DataDir, "journal.wal"), r.opt.SyncWrites, linger)
+	w, recs, _, err := openWAL(filepath.Join(r.opt.DataDir, "journal.wal"), r.opt.SyncWrites)
 	if err != nil {
 		return err
 	}
@@ -742,8 +731,8 @@ type RepositoryStats struct {
 
 	// Packfile read-path counters (non-zero only on disk-backed
 	// repositories: every migration and root commit that adds two or
-	// more objects publishes a pack; Compactions counts compactor passes
-	// only).
+	// more objects publishes a pack; LooseReads counts reads of objects
+	// still waiting in memory for one, Compactions Compact calls only).
 	Packs         int   `json:"packs,omitempty"`
 	PackedObjects int   `json:"packed_objects,omitempty"`
 	PackReads     int64 `json:"pack_reads,omitempty"`

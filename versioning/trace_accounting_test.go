@@ -5,24 +5,34 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
+// slowPutBackend takes 25ms over every Put.
+type slowPutBackend struct{ store.Backend }
+
+func (b slowPutBackend) Put(k store.Key, data []byte) error {
+	time.Sleep(25 * time.Millisecond)
+	return b.Backend.Put(k, data)
+}
+
 // TestCommitSpanAccounting pins the tracing acceptance criterion: for
 // a journaled group-commit, the instrumented phase spans (diff, lock,
-// apply, WAL linger/write/fsync, maintenance trigger) account for the
+// apply, WAL write/fsync, maintenance trigger) account for the
 // commit's end-to-end latency — their durations sum to within 20% of
-// the root span's duration. A deliberately long linger dominates the
-// commit, so untraced gaps (scheduling, map updates) stay far inside
-// the tolerance; a hole in the instrumentation — a phase that stopped
-// attaching to the request context — shows up as a large deficit.
+// the root span's duration. A deliberately slow backend makes the apply
+// phase dominate the commit, so untraced gaps (scheduling, map updates)
+// stay far inside the tolerance; a hole in the instrumentation — a phase
+// that stopped attaching to the request context — shows up as a large
+// deficit.
 func TestCommitSpanAccounting(t *testing.T) {
 	repo, err := Open("acct", RepositoryOptions{
-		DataDir:           t.TempDir(),
-		SyncWrites:        true,
-		GroupCommitLinger: 25 * time.Millisecond,
-		ReplanEvery:       -1,
-		EngineOptions:     EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true},
+		DataDir:       t.TempDir(),
+		Backend:       slowPutBackend{store.NewMemBackend()},
+		SyncWrites:    true,
+		ReplanEvery:   -1,
+		EngineOptions: EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,11 +51,10 @@ func TestCommitSpanAccounting(t *testing.T) {
 		t.Fatal("commit trace not recorded")
 	}
 	// Sum the disjoint sequential phases. wal.wait is excluded: it wraps
-	// linger+write+fsync and would double-count them.
+	// write+fsync and would double-count them.
 	phases := map[string]bool{
 		"commit.lock":         true,
 		"commit.apply":        true,
-		"wal.linger":          true,
 		"wal.write":           true,
 		"wal.fsync":           true,
 		"maintenance.trigger": true,
@@ -58,7 +67,7 @@ func TestCommitSpanAccounting(t *testing.T) {
 			seen[sp.Name] = true
 		}
 	}
-	for _, want := range []string{"wal.linger", "wal.write", "wal.fsync", "commit.apply"} {
+	for _, want := range []string{"wal.write", "wal.fsync", "commit.apply"} {
 		if !seen[want] {
 			t.Fatalf("commit trace missing phase span %q: %+v", want, td.Spans)
 		}
@@ -71,15 +80,11 @@ func TestCommitSpanAccounting(t *testing.T) {
 		t.Fatalf("phase spans account for %.0f%% of the %.0fus commit (want within 20%%): %+v",
 			100*ratio, td.DurationUS, td.Spans)
 	}
-	// The linger phase must dominate, proving the spans measure real
-	// wall time, not just that they exist.
-	var linger float64
+	// The apply phase must dominate, proving the spans measure real wall
+	// time, not just that they exist.
 	for _, sp := range td.Spans {
-		if sp.Name == "wal.linger" {
-			linger = sp.DurationUS
+		if sp.Name == "commit.apply" && sp.DurationUS < float64(20*time.Millisecond/time.Microsecond) {
+			t.Fatalf("commit.apply span %.0fus, want >= the backend's 25ms (minus scheduling slack)", sp.DurationUS)
 		}
-	}
-	if linger < float64(20*time.Millisecond/time.Microsecond) {
-		t.Fatalf("wal.linger span %.0fus, want >= the 25ms linger (minus scheduling slack)", linger)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/diff"
 	"repro/internal/store"
@@ -22,7 +21,11 @@ import (
 // one self-contained record per commit — ids, graph costs, and the
 // content (a full blob for roots, the forward edit script otherwise) —
 // so Open can rebuild the version graph and the incremental storage
-// chain without any solver or diff work. The installed *plan* is
+// chain without any solver or diff work. It is also the durable home of
+// every object the backend has not published: a commit's delta goes to
+// store.DiskBackend's memory and to no second file, and replay Puts
+// again, idempotently by key, whatever a killed process took with it.
+// The installed *plan* is
 // deliberately not journaled: it is derived state the engine re-solves
 // after a restart, while the journal only ever grows by appends, which
 // keeps every record independent of migrations and GC.
@@ -181,9 +184,8 @@ func walUvarint(b []byte) (uint64, []byte, error) {
 // tears at most the final record of the final batch, and replay
 // (openWAL) serves the longest intact prefix.
 type wal struct {
-	f      *os.File
-	sync   bool          // fsync every batch (otherwise only on Close)
-	linger time.Duration // leader's wait for more sealers before writing
+	f    *os.File
+	sync bool // fsync every batch (otherwise only on Close)
 
 	// Staging and sealing are additionally serialized by the repository's
 	// commitMu, so the pending buffer is always a sealed prefix plus at
@@ -264,21 +266,11 @@ func (w *wal) waitDurable(ctx context.Context, seq uint64) error {
 }
 
 // flushLocked writes the sealed batch as one syscall. w.mu is held on
-// entry and exit but released across the linger window and the file
-// I/O, so commits keep staging (and sealing into the next batch) while
-// the leader is at the syscall.
+// entry and exit but released across the file I/O, so commits keep
+// staging (and sealing into the next batch) while the leader is at the
+// syscall: that wait, not a timer, is what fills a batch.
 func (w *wal) flushLocked(ctx context.Context) {
 	w.flushing = true
-	if w.linger > 0 {
-		// Hold the batch open briefly so concurrent commits join it: one
-		// fsync then covers all of them. Sleeping without the lock lets
-		// them stage and seal meanwhile.
-		_, lsp := trace.StartSpan(ctx, "wal.linger")
-		w.mu.Unlock()
-		time.Sleep(w.linger)
-		w.mu.Lock()
-		lsp.End()
-	}
 	buf := w.pend[:w.sealedLen:w.sealedLen]
 	recs := w.sealedRecs
 	rest := w.pend[w.sealedLen:]
@@ -314,10 +306,9 @@ func (w *wal) flushLocked(ctx context.Context) {
 
 // openWAL opens (creating if needed) the journal at path, returns every
 // intact record, truncates any torn tail left by a crash, and positions
-// the file for appends. linger is how long a batch leader waits for more
-// committers (0 = none). truncated reports how many trailing bytes were
+// the file for appends. truncated reports how many trailing bytes were
 // discarded.
-func openWAL(path string, syncEvery bool, linger time.Duration) (w *wal, recs []walRecord, truncated int64, err error) {
+func openWAL(path string, syncEvery bool) (w *wal, recs []walRecord, truncated int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("versioning: opening journal: %w", err)
@@ -381,7 +372,7 @@ func openWAL(path string, syncEvery bool, linger time.Duration) (w *wal, recs []
 		f.Close()
 		return nil, nil, 0, err
 	}
-	w = &wal{f: f, sync: syncEvery, linger: linger}
+	w = &wal{f: f, sync: syncEvery}
 	w.cond = sync.NewCond(&w.mu)
 	return w, recs, truncated, nil
 }

@@ -22,7 +22,7 @@ func FuzzWALReplay(f *testing.F) {
 	seedDir := f.TempDir()
 	written := func(name string, recs ...walRecord) []byte {
 		path := filepath.Join(seedDir, name)
-		w, _, _, err := openWAL(path, false, 0)
+		w, _, _, err := openWAL(path, false)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -79,14 +79,14 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w1, recs1, _, err := openWAL(path, false, 0)
+		w1, recs1, _, err := openWAL(path, false)
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
 		if err := w1.Close(); err != nil {
 			t.Fatalf("closing recovered journal: %v", err)
 		}
-		w2, recs2, truncated, err := openWAL(path, false, 0)
+		w2, recs2, truncated, err := openWAL(path, false)
 		if err != nil {
 			t.Fatalf("reopening recovered journal: %v", err)
 		}
