@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=30s ./versioning
 	$(GO) test -run='^$$' -fuzz=FuzzTenantName -fuzztime=30s ./tenant
 	$(GO) test -run='^$$' -fuzz=FuzzComputeMatchesReference -fuzztime=30s ./internal/diff
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeDelta -fuzztime=30s -fuzzminimizetime=2s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesEncodingJSON -fuzztime=30s -fuzzminimizetime=2s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeMatchesEncodingJSON -fuzztime=30s -fuzzminimizetime=2s ./internal/wire
 

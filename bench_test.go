@@ -426,12 +426,75 @@ func benchRepositoryOpt(b *testing.B, opt versioning.RepositoryOptions) (*versio
 	return repo, src
 }
 
-// BenchmarkRepositoryIngest measures Commit throughput end to end,
-// including the Myers diffs and the periodic re-plan/migration cycles.
+// BenchmarkRepositoryIngest measures Commit throughput end to end. The
+// repogen case includes the Myers diffs and the periodic re-plan/
+// migration cycles behind a 64-entry cache. The cold cases are the
+// repository benchmark's replan-scale shape with every cache off and no
+// re-plan, so each commit reads its parent through whatever the
+// incremental layout holds: applies/commit is the delta applies those
+// reads cost, storage/min-storage what the layout stores against the
+// minimum-storage plan of the same graph.
 func BenchmarkRepositoryIngest(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchRepository(b, 64)
+	b.Run("repogen", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchRepository(b, 64)
+		}
+	})
+	for _, n := range []int{200, 800} {
+		b.Run(fmt.Sprintf("cold/versions=%d", n), func(b *testing.B) {
+			parents, contents := benchSmallHistory(n)
+			ctx := context.Background()
+			var applies int64
+			var storage, minStorage versioning.Cost
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				repo := versioning.NewRepository("ingest-cold", versioning.RepositoryOptions{
+					Problem:            versioning.ProblemMST,
+					ReplanEvery:        -1,
+					CacheEntries:       -1,
+					MaintenanceWorkers: -1,
+					EngineOptions:      versioning.EngineOptions{SolverTimeout: 5 * time.Second, DisableILP: true},
+				})
+				for v, lines := range contents {
+					if _, err := repo.Commit(ctx, parents[v], lines); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				st := repo.Stats()
+				applies += st.DeltaApplies
+				storage = st.Storage
+				if err := repo.Replan(ctx); err != nil {
+					b.Fatal(err)
+				}
+				minStorage = repo.Stats().Storage
+				repo.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/commit")
+			b.ReportMetric(float64(applies)/float64(b.N*n), "applies/commit")
+			b.ReportMetric(float64(storage)/float64(minStorage), "storage/min-storage")
+		})
 	}
+}
+
+// benchSmallHistory is n versions shaped like the repository benchmark's
+// replan-scale corpus: 30 lines of 48 bytes, one to three lines
+// rewritten per commit, and one commit in five forking off one of the 32
+// versions before its predecessor.
+func benchSmallHistory(n int) ([]versioning.NodeID, [][]string) {
+	rng := rand.New(rand.NewSource(21))
+	parents := []versioning.NodeID{versioning.NoParent}
+	contents := [][]string{benchManifest(30)}
+	for v := 1; v < n; v++ {
+		p := v - 1
+		if rng.Intn(5) == 0 {
+			p -= rng.Intn(min(v, 32))
+		}
+		parents = append(parents, versioning.NodeID(p))
+		contents = append(contents, benchEdit(rng, contents[p], v, 1+rng.Intn(3)))
+	}
+	return parents, contents
 }
 
 // BenchmarkRepositoryCheckout_Path measures cold checkouts: every call

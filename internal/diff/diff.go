@@ -203,17 +203,19 @@ func (d Delta) Apply(a []string) ([]string, error) {
 	if keep+ins > 0 {
 		out = make([]string, 0, keep+ins)
 	}
+	// Counts are compared with what is left of a, never added to ai: a
+	// count near MaxInt would wrap the sum past the check.
 	ai := 0
 	for i, cmd := range d.Cmds {
 		switch cmd.Op {
 		case OpKeep:
-			if ai+cmd.N > len(a) {
+			if cmd.N < 0 || cmd.N > len(a)-ai {
 				return nil, fmt.Errorf("%w: keep %d at %d beyond %d lines (cmd %d)", ErrBadDelta, cmd.N, ai, len(a), i)
 			}
 			out = append(out, a[ai:ai+cmd.N]...)
 			ai += cmd.N
 		case OpDelete:
-			if ai+cmd.N > len(a) {
+			if cmd.N < 0 || cmd.N > len(a)-ai {
 				return nil, fmt.Errorf("%w: delete %d at %d beyond %d lines (cmd %d)", ErrBadDelta, cmd.N, ai, len(a), i)
 			}
 			ai += cmd.N

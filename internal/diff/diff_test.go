@@ -3,6 +3,7 @@ package diff
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -157,6 +158,19 @@ func TestApplyRejectsMismatchedSource(t *testing.T) {
 	huge := Delta{Cmds: []Cmd{{Op: OpKeep, N: 2}, {Op: OpKeep, N: 1 << 62}, {Op: OpInsert, Lines: []string{"x"}}}}
 	if _, err := huge.Apply(a); !errors.Is(err, ErrBadDelta) {
 		t.Fatalf("oversized keep: %v, want ErrBadDelta", err)
+	}
+	// A negative count, or one that wraps the source position past
+	// MaxInt, must be an error too, not a slice-bounds panic.
+	for _, cmds := range [][]Cmd{
+		{{Op: OpKeep, N: math.MinInt + 5}},
+		{{Op: OpKeep, N: -1}, {Op: OpKeep, N: 4}},
+		{{Op: OpDelete, N: -2}, {Op: OpKeep, N: 5}},
+		{{Op: OpKeep, N: 1}, {Op: OpKeep, N: math.MaxInt}},
+		{{Op: OpKeep, N: 1}, {Op: OpDelete, N: math.MaxInt}},
+	} {
+		if _, err := (Delta{Cmds: cmds}).Apply(a); !errors.Is(err, ErrBadDelta) {
+			t.Fatalf("%+v: %v, want ErrBadDelta", cmds, err)
+		}
 	}
 }
 

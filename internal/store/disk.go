@@ -17,11 +17,11 @@ import (
 //
 //   - Packfiles: append-only packs/pack-NNN.pack files, each mmap'd
 //     while the backend is open. PutBatch publishes a batch as one pack
-//     (what a migration or a root commit adds costs one durable write,
-//     not one per object). A Get of a packed object is a bounds-checked
-//     copy out of the mapping, no open/read/close syscall triple.
-//   - The staged tier: Put lands one object — a commit's delta — in
-//     memory and returns. The tier is written out as one pack when its
+//     (what a migration adds costs one durable write, not one per
+//     object). A Get of a packed object is a bounds-checked copy out of
+//     the mapping, no open/read/close syscall triple.
+//   - The staged tier: Put lands one object — a commit's delta, or a
+//     chunk of a version a commit stores whole — in memory and returns. The tier is written out as one pack when its
 //     payloads pass stagedLimit, at Flush and at Close; an object is
 //     readable when Put returns and durable when one of those does (see
 //     Flusher). versioning keeps every acknowledged commit durable all

@@ -484,11 +484,13 @@ func openDiskStore(t *testing.T, dir string) (*DiskBackend, *Store) {
 }
 
 // TestDiskInstallPublishesOnePack: on disk, what one store operation adds
-// is at most one durable write, and never a loose file. A root commit or a
-// migration that adds several objects leaves one new pack; one that adds a
-// single object — a commit's delta — leaves no file at all until Close
-// publishes every such object together; one that adds nothing leaves
-// nothing. A reopen after Close holds everything.
+// is at most one durable write, and never a loose file. A migration that
+// adds several objects leaves one new pack. What a commit adds — a
+// delta, or a whole version's chunks and manifest, which the caller's
+// journal can rebuild — leaves no file at all until Close publishes
+// every such object together, and so does a migration that adds a single
+// object; one that adds nothing leaves nothing. A reopen after Close
+// holds everything.
 func TestDiskInstallPublishesOnePack(t *testing.T) {
 	dir := t.TempDir()
 	b, s := openDiskStore(t, dir)
@@ -502,8 +504,8 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 	if err := s.AddMaterialized(0, contents[0]); err != nil {
 		t.Fatal(err)
 	}
-	if packs, loose := files(); packs != 1 || loose != 0 || b.Len() < 3 {
-		t.Fatalf("a chunked root of %d objects left %d packs and %d loose files, want one pack", b.Len(), packs, loose)
+	if packs, loose := files(); packs != 0 || loose != 0 || b.Len() < 3 {
+		t.Fatalf("a chunked root of %d objects left %d packs and %d loose files, want its objects held and no file", b.Len(), packs, loose)
 	}
 	rootObjects := b.Len()
 	for v := 1; v < 4; v++ {
@@ -512,7 +514,7 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if packs, loose := files(); packs != 1 || loose != 0 || b.Len() != rootObjects+3 {
+	if packs, loose := files(); packs != 0 || loose != 0 || b.Len() != rootObjects+3 {
 		t.Fatalf("three commits left %d packs, %d loose files and %d objects, want their three deltas held and no file", packs, loose, b.Len()-rootObjects)
 	}
 
@@ -524,8 +526,8 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 	if obj, _, _ := s.InstallTotals(); obj-objBefore != 6 {
 		t.Fatalf("the migration added %d objects, want the six new deltas", obj-objBefore)
 	}
-	if packs, loose := files(); packs != 2 || loose != 0 {
-		t.Fatalf("a migration adding six objects left %d packs and %d loose files, want one more pack and nothing else", packs, loose)
+	if packs, loose := files(); packs != 1 || loose != 0 {
+		t.Fatalf("a migration adding six objects left %d packs and %d loose files, want one pack and nothing else", packs, loose)
 	}
 
 	q := p.Clone()
@@ -536,21 +538,21 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 	if err := s.Install(g, q.Clone(), content); err != nil {
 		t.Fatal(err)
 	}
-	if packs, loose := files(); packs != 2 || loose != 0 {
+	if packs, loose := files(); packs != 1 || loose != 0 {
 		t.Fatalf("a migration adding one object and a re-install of the serving plan left %d packs and %d loose files, want no new file", packs, loose)
 	}
-	if ps := b.PackStats(); ps.Compactions != 0 || ps.PackedObjects != b.Len()-4 {
-		t.Fatalf("%+v of %d objects, want no compaction and all but the four lone objects in packs", ps, b.Len())
+	if ps := b.PackStats(); ps.Compactions != 0 || ps.PackedObjects != b.Len()-rootObjects-4 {
+		t.Fatalf("%+v of %d objects, want no compaction and all but the root's and the four lone objects in packs", ps, b.Len())
 	}
 	assertMatchesFromScratch(t, s, g, q, contents)
 	checkAll(t, s, contents)
 
-	// Close publishes the four lone objects as one pack.
+	// Close publishes the root's objects and the four lone ones as one pack.
 	held := backendKeys(t, b)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if packs, loose := files(); packs != 3 || loose != 0 {
+	if packs, loose := files(); packs != 2 || loose != 0 {
 		t.Fatalf("Close left %d packs and %d loose files, want one more pack", packs, loose)
 	}
 	// Every object held at Close is in a pack now (beside the one record

@@ -26,6 +26,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/diff"
 )
@@ -98,16 +99,19 @@ func decodeLines(b []byte) ([]string, error) {
 	return lines, nil
 }
 
-// EncodeBlob canonically serializes full version content.
-func EncodeBlob(lines []string) []byte {
+// encodeLines serializes lines behind tag into a buffer sized once.
+func encodeLines(tag byte, lines []string) []byte {
 	n := 1 + binary.MaxVarintLen64
 	for _, l := range lines {
 		n += binary.MaxVarintLen64 + len(l)
 	}
 	buf := make([]byte, 0, n)
-	buf = append(buf, tagBlob)
+	buf = append(buf, tag)
 	return appendLines(buf, lines)
 }
+
+// EncodeBlob canonically serializes full version content.
+func EncodeBlob(lines []string) []byte { return encodeLines(tagBlob, lines) }
 
 // DecodeBlob reverses EncodeBlob.
 func DecodeBlob(b []byte) ([]string, error) {
@@ -118,9 +122,7 @@ func DecodeBlob(b []byte) ([]string, error) {
 }
 
 // encodeChunk serializes one run of lines from a chunked blob.
-func encodeChunk(lines []string) []byte {
-	return appendLines([]byte{tagChunk}, lines)
-}
+func encodeChunk(lines []string) []byte { return encodeLines(tagChunk, lines) }
 
 // decodeChunk reverses encodeChunk.
 func decodeChunk(b []byte) ([]string, error) {
@@ -269,6 +271,9 @@ func DecodeDelta(b []byte) (diff.Delta, error) {
 		if err != nil {
 			return diff.Delta{}, err
 		}
+		if cn > math.MaxInt {
+			return diff.Delta{}, fmt.Errorf("%w: command count %d overflows int", ErrBadObject, cn)
+		}
 		cmd.N = int(cn)
 		nl, b, err = readUvarint(b)
 		if err != nil {
@@ -302,10 +307,13 @@ func DecodeDelta(b []byte) (diff.Delta, error) {
 	return d, nil
 }
 
-// readUvarint consumes one uvarint from b.
+// readUvarint consumes one uvarint from b. Only the shortest encoding,
+// the one binary.AppendUvarint writes, is accepted: a padded one (a last
+// byte of zero) would decode to an object that encodes to other bytes,
+// under another key.
 func readUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
 		return 0, nil, fmt.Errorf("%w: bad varint", ErrBadObject)
 	}
 	return v, b[n:], nil

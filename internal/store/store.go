@@ -171,9 +171,9 @@ type ContentFunc func(v graph.NodeID) ([]string, error)
 // several batches instead of sitting in memory whole.
 const stageLimit = 8 << 20
 
-// stage collects the objects one store operation adds and hands them to
-// the backend together: the unit of a durable write is what the
-// operation adds, not one object (see BatchPutter).
+// stage collects the objects a migration adds and hands them to the
+// backend together: the unit of a durable write is what the migration
+// adds, not one object (see BatchPutter). Its objects are in no journal.
 type stage struct {
 	s    *Store
 	objs []Object
@@ -526,8 +526,15 @@ func (s *Store) RetrievalDepths() []int {
 }
 
 // AddMaterialized extends the installed plan with version v stored in
-// full — the incremental form of committing a root (or any version the
-// caller chooses to pin) between re-plans. v must be the next dense id.
+// full — between re-plans, a root commit, or a child commit whose read
+// through its parent would cost more than its own bytes. v must be the
+// next dense id. lines, when non-nil, also seeds the checkout cache.
+//
+// Its objects go to the backend one Put at a time, as AddVersion's delta
+// does, not as a published batch: on disk they wait in the staged tier.
+// A caller that needs the version to outlive the process keeps its own
+// durable copy, as versioning's journal does (a root's lines, a child's
+// delta from a parent it can rebuild).
 func (s *Store) AddMaterialized(v graph.NodeID, lines []string) error {
 	if err := s.nextID(v, "AddMaterialized"); err != nil {
 		return err
@@ -535,14 +542,10 @@ func (s *Store) AddMaterialized(v graph.NodeID, lines []string) error {
 	// Object writes happen before publication and outside the lock; a
 	// failure leaves at most content-addressed objects a later sweep
 	// collects, never a published version.
-	st := stage{s: s}
 	keys, err := putBlobObject(lines, func(payload []byte) (Key, error) {
 		k := KeyOf(payload)
-		return k, st.add(k, payload)
+		return k, s.backend.Put(k, payload)
 	})
-	if err == nil {
-		err = st.publish()
-	}
 	if err != nil {
 		return err
 	}
@@ -564,10 +567,11 @@ func (s *Store) AddMaterialized(v graph.NodeID, lines []string) error {
 
 // AddVersion extends the installed plan with version v reconstructed from
 // parent via the new stored edge e carrying edit script d — the
-// incremental ingest path between re-plans: the new version rides a
-// single appended delta until the next full re-plan rebalances the plan.
-// v must be the next dense id and parent must already be covered. lines,
-// when non-nil, is v's full content and seeds the checkout cache.
+// incremental ingest path between re-plans: v is read as its parent plus
+// d until the next full re-plan rebalances the plan (a caller that would
+// rather store v whole uses AddMaterialized). v must be the next dense id
+// and parent must already be covered. lines, when non-nil, is v's full
+// content and seeds the checkout cache.
 func (s *Store) AddVersion(v, parent graph.NodeID, e graph.EdgeID, d diff.Delta, lines []string) error {
 	// Validate before Put so a rejected call leaves no orphan object.
 	s.mu.RLock()

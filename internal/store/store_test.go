@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -236,6 +237,11 @@ func TestCorruptObjectsRejectedNotPanic(t *testing.T) {
 		"blob-varint-11-long": append([]byte{tagBlob}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01),
 		"blob-varint-cut":     {tagBlob, 0x80},
 		"delta-line-cut":      {tagDelta, 0x01, byte(diff.OpInsert), 0x00, 0x01, 0x05, 'a', 'b'},
+		// A keep count past MaxInt would decode to a negative N.
+		"delta-keep-past-maxint": append(binary.AppendUvarint([]byte{tagDelta, 0x01, byte(diff.OpKeep)}, 1<<63+5), 0x00),
+		// A padded varint decodes to an object that encodes to other bytes.
+		"delta-padded-count": {tagDelta, 0x80, 0x00},
+		"blob-padded-length": {tagBlob, 0x01, 0x81, 0x00, 'a'},
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -184,12 +184,20 @@ func TestCheckoutStampedeMultiTenant(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// With re-planning off (testManager) every commit rides one delta on
-	// its parent, so the tip's retrieval path is the whole chain.
+	// its parent as long as the chain's deltas weigh less than a version:
+	// one-line edits of a 2,000-line document never get there, so the
+	// tip's retrieval path is the whole chain.
 	const depth = 200
 	var cr wire.CommitResult
-	var lines []string
+	lines := make([]string, 2000)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("line %04d as the root has it", i)
+	}
 	for v := 0; v <= depth; v++ {
-		lines = append(lines, fmt.Sprintf("line added by version %d", v))
+		if v > 0 {
+			lines = append([]string(nil), lines...)
+			lines[v*7%len(lines)] = fmt.Sprintf("line edited by version %d", v)
+		}
 		if code := postJSON(t, ts.URL+"/t/alice/commit", map[string]any{"parent": v - 1, "lines": lines}, &cr); code != http.StatusOK {
 			t.Fatalf("alice commit %d = %d", v, code)
 		}

@@ -85,8 +85,10 @@ func TestCrashPoints(t *testing.T) {
 			return acked
 		}},
 		{"published mid-run", func(t *testing.T, r *Repository, dir string) [][]string {
-			// A small root, then 20 deltas of some 70 KB: they pass the
-			// staged tier's 1 MiB once.
+			// A small root, then 20 versions of some 70 KB that share no
+			// line: each one's delta outweighs it, so each is stored whole,
+			// its chunks and manifest staged like a delta. Together they
+			// pass the staged tier's 1 MiB once.
 			acked := chain(t, r, 21, func(v int) []string {
 				if v == 0 {
 					return small(v)
@@ -94,6 +96,9 @@ func TestCrashPoints(t *testing.T) {
 				return crashDoc(v, 400, 400)
 			})
 			st := r.Stats()
+			if st.Blobs != 21 || st.StoredDeltas != 0 {
+				t.Fatalf("%d versions stored whole and %d deltas, want all 21 whole", st.Blobs, st.StoredDeltas)
+			}
 			if _, packs := dataFiles(t, dir); packs != 1 || st.PackedObjects == 0 || st.PackedObjects == st.Objects {
 				t.Fatalf("%d packs holding %d of %d objects, want one publish and a staged rest", packs, st.PackedObjects, st.Objects)
 			}

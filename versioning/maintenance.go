@@ -268,7 +268,8 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 	// is pure object I/O. Contents are immutable, so these stay exact no
 	// matter how many commits land meanwhile, and commits only add to
 	// what the store can take over: the versions grafted below keep the
-	// delta objects AddVersion gave them and are not read at all.
+	// objects AddVersion or AddMaterialized gave them and are not read at
+	// all.
 	preloadStart := time.Now()
 	needs := r.st.MigrationNeeds(gSnap, p)
 	memo := make(map[NodeID][]string, len(needs))
@@ -301,8 +302,9 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 	}
 	// Graft the versions committed while the solver ran: they keep the
 	// exact incremental layout the live plan gave them (materialized
-	// roots, stored forward deltas), so the installed plan covers the
-	// full live graph and those versions' storage is untouched.
+	// roots and whole appends, stored forward deltas), so the installed
+	// plan covers the full live graph and those versions' storage is
+	// untouched.
 	grafted := r.g.N() - gSnap.N()
 	rec.Grafted = grafted
 	p.Materialized = append(p.Materialized, r.plan.Materialized[gSnap.N():]...)

@@ -2,14 +2,29 @@ package versioning
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 )
 
+// mergeDoc is a document of n lines long enough that a one-line edit's
+// delta costs a fraction of the document, prefixed by head and followed
+// by tail.
+func mergeDoc(head []string, n int, tail ...string) []string {
+	lines := append([]string(nil), head...)
+	for i := 0; i < n; i++ {
+		lines = append(lines, fmt.Sprintf("line %02d of the document the merge test edits, long enough to outweigh a delta", i))
+	}
+	return append(lines, tail...)
+}
+
 // TestCommitMergeGraphShape pins the graph/plan bookkeeping of a merge
 // commit: one stored edge pair to the primary parent plus a candidate
 // (unstored) pair per extra parent, with checkout and re-plan both
-// working over the resulting DAG.
+// working over the resulting DAG. The documents are large beside their
+// edits, so every commit is appended as a delta; a merge whose read
+// through its primary parent would cost more than its own bytes is
+// stored whole instead, with the same edges in the graph.
 func TestCommitMergeGraphShape(t *testing.T) {
 	ctx := context.Background()
 	r := NewRepository("merge", RepositoryOptions{
@@ -18,20 +33,20 @@ func TestCommitMergeGraphShape(t *testing.T) {
 		EngineOptions:      testEngineOptions(),
 	})
 	defer r.Close()
-	base := []string{"a", "b", "c"}
+	base := mergeDoc(nil, 20)
 	root, err := r.Commit(ctx, NoParent, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	left, err := r.Commit(ctx, root, []string{"a", "b", "c", "left"})
+	left, err := r.Commit(ctx, root, mergeDoc(nil, 20, "left"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, err := r.Commit(ctx, root, []string{"right", "a", "b", "c"})
+	right, err := r.Commit(ctx, root, mergeDoc([]string{"right"}, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergedLines := []string{"right", "a", "b", "c", "left"}
+	mergedLines := mergeDoc([]string{"right"}, 20, "left")
 	merged, err := r.CommitMerge(ctx, []NodeID{left, right}, mergedLines)
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +64,9 @@ func TestCommitMergeGraphShape(t *testing.T) {
 	}
 	if !p.Stored[4] || p.Stored[5] || p.Stored[6] || p.Stored[7] {
 		t.Fatalf("merge edge storage flags wrong: %v", p.Stored[4:])
+	}
+	if !reflect.DeepEqual(p.Materialized, []bool{true, false, false, false}) {
+		t.Fatalf("materialized %v, want the root alone", p.Materialized)
 	}
 	got, err := r.Checkout(ctx, merged)
 	if err != nil {
@@ -79,6 +97,35 @@ func TestCommitMergeGraphShape(t *testing.T) {
 	}
 	if _, err := r.CommitMerge(ctx, []NodeID{left, 99}, base); err == nil {
 		t.Fatal("merge with unknown parent succeeded")
+	}
+
+	// A merge that rewrites every line: its forward delta alone outweighs
+	// it, so it is stored whole and neither of its pairs is stored.
+	rewrite := make([]string, 20)
+	for i := range rewrite {
+		rewrite[i] = fmt.Sprintf("line %02d rewritten by a merge that keeps nothing of either parent", i)
+	}
+	m := r.Versions()
+	e := r.Stats().Deltas
+	whole, err := r.CommitMerge(ctx, []NodeID{merged, left}, rewrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = r.Plan()
+	if whole != NodeID(m) || !p.Materialized[whole] || len(p.Stored) != e+4 || p.Stored[e] || p.Stored[e+1] || p.Stored[e+2] || p.Stored[e+3] {
+		t.Fatalf("rewriting merge %d: materialized %v, edge flags %v; want it stored whole with four unstored edges", whole, p.Materialized[whole], p.Stored[e:])
+	}
+	if got, want := r.Stats(), Evaluate(r.g, p); got.Storage != want.Storage || got.SumRetrieval != want.SumRetrieval || got.MaxRetrieval != want.MaxRetrieval {
+		t.Fatalf("incremental cost (%d, %d, %d), evaluated (%d, %d, %d)", got.Storage, got.SumRetrieval, got.MaxRetrieval, want.Storage, want.SumRetrieval, want.MaxRetrieval)
+	}
+	if got, err := r.Checkout(ctx, whole); err != nil || !reflect.DeepEqual(got, rewrite) {
+		t.Fatalf("whole merge checkout: %q, %v", got, err)
+	}
+	if err := r.Replan(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.Checkout(ctx, whole); err != nil || !reflect.DeepEqual(got, rewrite) {
+		t.Fatalf("whole merge checkout after a re-plan: %q, %v", got, err)
 	}
 }
 

@@ -51,10 +51,12 @@ type RepositoryOptions struct {
 	AutoFactor float64
 	// ReplanEvery re-plans (and migrates the store) every k commits:
 	// 0 = 8, negative = only on explicit Replan calls. Between re-plans a
-	// new version rides a single appended delta from its parent. The
-	// re-plan runs in a background maintenance worker unless
-	// MaintenanceWorkers is negative; use Repository.WaitMaintenance to
-	// observe its completion.
+	// new version is appended as one delta from its parent, or stored
+	// whole when reading it through the parent would cost more delta
+	// bytes than its own size, so no version costs more to read than to
+	// store until the next re-plan chooses the layout. The re-plan runs
+	// in a background maintenance worker unless MaintenanceWorkers is
+	// negative; use Repository.WaitMaintenance to observe its completion.
 	ReplanEvery int
 	// CacheEntries bounds the LRU cache of reconstructed versions
 	// (0 = 256, negative disables).
@@ -248,8 +250,11 @@ func NewRepository(name string, opt RepositoryOptions) *Repository {
 // the version graph and the storage chain, torn tails from a crash are
 // truncated, and orphaned objects (e.g. from a migration interrupted
 // mid-GC) are swept — so a commit → kill → Open round-trip serves the
-// exact committed history. The replayed layout is the incremental chain;
-// the next re-plan (or Replan call) restores an optimized plan.
+// exact committed history. The replayed layout is the incremental one a
+// commit appends to: every version its parent plus one delta, or stored
+// whole where that read would cost more than the version's own bytes, so
+// a reopened repository reads no version through more delta bytes than
+// it stores. The next re-plan (or Replan call) restores an optimized plan.
 //
 // With an empty DataDir, Open degenerates to NewRepository: a valid,
 // purely in-memory repository.
@@ -374,9 +379,10 @@ func (r *Repository) Commit(ctx context.Context, parent NodeID, lines []string) 
 
 // CommitMerge appends a merge version deriving from several parents
 // (e.g. a git merge commit during import). parents[0] is the primary
-// parent: it carries the stored forward delta exactly as a plain
-// Commit would, so durability, replay, and incremental cost
-// bookkeeping are unchanged. Every further distinct parent adds a
+// parent: it carries the journaled forward delta exactly as a plain
+// Commit would (and the version is appended through it, or stored
+// whole, by the same rule), so durability, replay, and incremental
+// cost bookkeeping are unchanged. Every further distinct parent adds a
 // candidate edge pair (parent ↔ v) weighed by real Myers diffs but not
 // stored — the DAG structure the MSR/BMR/MMR/BSR solvers exploit at
 // the next re-plan, when a merge edge may well become the cheaper
@@ -513,10 +519,16 @@ func (r *Repository) applyRoot(v NodeID, lines []string, nodeStorage Cost) error
 	return nil
 }
 
-// applyChild publishes version v as parent + the forward delta d, with
-// edge costs from rec; commitMu is held. lines (when non-nil) seeds the
-// checkout cache. Extra merge parents in rec add candidate (unstored)
-// edge pairs after the primary pair.
+// applyChild publishes version v as a child of parent with the forward
+// delta d and edge costs from rec; commitMu is held. v is appended as
+// parent + d, so R(v) = R(parent) + r_fwd, unless that would cost more
+// delta bytes to read than v costs to store: then v is materialized and
+// the forward edge left unstored. Every appended version so holds
+// R(v) ≤ s_v, and the graph gains the same edges either way. lines (when
+// non-nil) is v's content and seeds the checkout cache; replay passes
+// nil, and a materialized v is then rebuilt as its parent's checkout
+// plus d. Extra merge parents in rec add candidate (unstored) edge pairs
+// after the primary pair.
 func (r *Repository) applyChild(v, parent NodeID, d diff.Delta, lines []string, rec walRecord) error {
 	// Validate before any store write: a corrupt (or adversarial)
 	// journal record must not half-apply.
@@ -526,7 +538,24 @@ func (r *Repository) applyChild(v, parent NodeID, d diff.Delta, lines []string, 
 		}
 	}
 	fe := EdgeID(r.g.M())
-	if err := r.st.AddVersion(v, parent, fe, d, lines); err != nil {
+	// r.retr only changes under commitMu, which we hold.
+	rv := r.retr[parent] + rec.fwdRetr
+	materialize := rv > rec.nodeStorage
+	if materialize {
+		if lines == nil {
+			pl, err := r.st.Checkout(context.Background(), parent)
+			if err == nil {
+				lines, err = d.Apply(pl)
+			}
+			if err != nil {
+				return fmt.Errorf("versioning: rebuilding version %d from parent %d: %w", v, parent, err)
+			}
+		}
+		if err := r.st.AddMaterialized(v, lines); err != nil {
+			return err
+		}
+		rv = 0
+	} else if err := r.st.AddVersion(v, parent, fe, d, lines); err != nil {
 		return err
 	}
 	r.stateMu.Lock()
@@ -537,8 +566,8 @@ func (r *Repository) applyChild(v, parent NodeID, d diff.Delta, lines []string, 
 	if gfe != fe || gre != fe+1 {
 		return fmt.Errorf("versioning: internal edge id drift (%d, %d)", gfe, gre)
 	}
-	r.plan.Materialized = append(r.plan.Materialized, false)
-	r.plan.Stored = append(r.plan.Stored, true, false)
+	r.plan.Materialized = append(r.plan.Materialized, materialize)
+	r.plan.Stored = append(r.plan.Stored, !materialize, false)
 	ps := make([]NodeID, 1, 1+len(rec.extra))
 	ps[0] = parent
 	for _, x := range rec.extra {
@@ -549,10 +578,14 @@ func (r *Repository) applyChild(v, parent NodeID, d diff.Delta, lines []string, 
 	}
 	r.parents = append(r.parents, ps)
 	// Incremental cost bookkeeping: the only stored path into v is the
-	// appended parent delta, so R(v) = R(parent) + r_fwd exactly.
-	rv := r.retr[parent] + rec.fwdRetr
+	// appended parent delta, so R(v) = R(parent) + r_fwd exactly, or v is
+	// materialized and retrieves for free.
 	r.retr = append(r.retr, rv)
-	r.planCost.Storage += rec.fwdStorage
+	if materialize {
+		r.planCost.Storage += rec.nodeStorage
+	} else {
+		r.planCost.Storage += rec.fwdStorage
+	}
 	r.planCost.SumRetrieval += rv
 	if rv > r.planCost.MaxRetrieval {
 		r.planCost.MaxRetrieval = rv
@@ -730,9 +763,10 @@ type RepositoryStats struct {
 	PlanRetries    int64 `json:"plan_retries"` // checkouts re-snapshotted after racing a migration
 
 	// Packfile read-path counters (non-zero only on disk-backed
-	// repositories: every migration and root commit that adds two or
-	// more objects publishes a pack; LooseReads counts reads of objects
-	// still waiting in memory for one, Compactions Compact calls only).
+	// repositories: every migration that adds two or more objects
+	// publishes a pack, and so does the staged tier past 1 MiB; LooseReads
+	// counts reads of objects still waiting in memory for one, Compactions
+	// Compact calls only).
 	Packs         int   `json:"packs,omitempty"`
 	PackedObjects int   `json:"packed_objects,omitempty"`
 	PackReads     int64 `json:"pack_reads,omitempty"`

@@ -22,9 +22,11 @@ import (
 // content (a full blob for roots, the forward edit script otherwise) —
 // so Open can rebuild the version graph and the incremental storage
 // chain without any solver or diff work. It is also the durable home of
-// every object the backend has not published: a commit's delta goes to
-// store.DiskBackend's memory and to no second file, and replay Puts
-// again, idempotently by key, whatever a killed process took with it.
+// every object the backend has not published: a commit's delta, or the
+// blob of a version a commit stored whole, goes to store.DiskBackend's
+// memory and to no second file, and replay Puts again, idempotently by
+// key, whatever a killed process took with it (a whole version's blob
+// from its parent's checkout plus the journaled delta).
 // The installed *plan* is
 // deliberately not journaled: it is derived state the engine re-solves
 // after a restart, while the journal only ever grows by appends, which
