@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDelta -fuzztime=30s -fuzzminimizetime=2s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesEncodingJSON -fuzztime=30s -fuzzminimizetime=2s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeMatchesEncodingJSON -fuzztime=30s -fuzzminimizetime=2s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzMergeKernelMatchesReference -fuzztime=30s -fuzzminimizetime=2s ./internal/dptree
 
 # Coverage for the storage + versioning + tenant core with the CI floor
 # applied.

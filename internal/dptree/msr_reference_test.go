@@ -1,8 +1,10 @@
 package dptree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -174,9 +176,87 @@ func referenceMergeChild(t *BiTree, v, c graph.NodeID, xs, ys []*msrState, b ref
 		out = append(out, s)
 	}
 	if maxStates > 0 && len(out) > maxStates {
-		out = capStates(out, maxStates)
+		out = referenceCapStates(out, maxStates)
 	}
 	// Deterministic order for reproducible runs.
-	sort.Slice(out, func(i, j int) bool { return stateLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return referenceStateLess(out[i], out[j]) })
+	return out
+}
+
+// referenceStateOrder orders states by (σ, ρ), then rooted before
+// from-below, then by k and γ.
+func referenceStateOrder(a, z *msrState) int {
+	if c := cmp.Compare(a.sigma, z.sigma); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.rho, z.rho); c != 0 {
+		return c
+	}
+	if a.fromBelow != z.fromBelow {
+		if z.fromBelow {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(a.k, z.k); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.gamma, z.gamma)
+}
+
+func referenceStateLess(a, z *msrState) bool { return referenceStateOrder(a, z) < 0 }
+
+// referenceCapStates is the cap as it stood before the pointer-free
+// kernel: keep at most maxStates states, stratified across the storage
+// range — states are sorted by σ, split into equal-rank strata, and each
+// stratum keeps its best-ρ state — and the cheapest rooted and from-below
+// states are always preserved.
+func referenceCapStates(states []*msrState, maxStates int) []*msrState {
+	var bestRooted, bestBelow *msrState
+	for _, s := range states {
+		if s.fromBelow {
+			if bestBelow == nil || referenceStateLess(s, bestBelow) {
+				bestBelow = s
+			}
+		} else {
+			if bestRooted == nil || referenceStateLess(s, bestRooted) {
+				bestRooted = s
+			}
+		}
+	}
+	slices.SortFunc(states, referenceStateOrder)
+	out := make([]*msrState, 0, maxStates)
+	strata := maxStates
+	if strata < 1 {
+		strata = 1
+	}
+	for s := 0; s < strata; s++ {
+		lo := len(states) * s / strata
+		hi := len(states) * (s + 1) / strata
+		var best *msrState
+		for _, st := range states[lo:hi] {
+			if best == nil || st.rho < best.rho || (st.rho == best.rho && referenceStateLess(st, best)) {
+				best = st
+			}
+		}
+		if best != nil {
+			out = append(out, best)
+		}
+	}
+	hasRooted, hasBelow := false, false
+	for _, s := range out {
+		if s == bestRooted {
+			hasRooted = true
+		}
+		if s == bestBelow {
+			hasBelow = true
+		}
+	}
+	if !hasRooted && bestRooted != nil {
+		out[0] = bestRooted
+	}
+	if !hasBelow && bestBelow != nil && len(out) >= 2 {
+		out[1] = bestBelow
+	}
 	return out
 }

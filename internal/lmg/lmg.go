@@ -12,6 +12,7 @@
 package lmg
 
 import (
+	"context"
 	"errors"
 	"math/bits"
 	"runtime"
@@ -115,6 +116,12 @@ func initialTree(x *graph.Extended) (*graphalg.Tree, error) {
 // retrieval-reduction per storage-increase ratio until the storage
 // constraint S would be violated or no move improves the solution.
 func LMG(g *graph.Graph, s graph.Cost) (Result, error) {
+	return LMGContext(context.Background(), g, s)
+}
+
+// LMGContext is LMG under ctx: it checks ctx before every move and
+// returns ctx's error once ctx is done.
+func LMGContext(ctx context.Context, g *graph.Graph, s graph.Cost) (Result, error) {
 	x := graph.Extend(g)
 	t, err := initialTree(x)
 	if err != nil {
@@ -126,6 +133,9 @@ func LMG(g *graph.Graph, s graph.Cost) (Result, error) {
 	}
 	iterations := 0
 	for {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
 		var best move
 		for v := graph.NodeID(0); int(v) < g.N(); v++ {
 			if t.Parent[v] == x.Aux {
@@ -161,6 +171,12 @@ func LMG(g *graph.Graph, s graph.Cost) (Result, error) {
 // (infinite ratio), matching lines 11–12 of Algorithm 7 with a strictness
 // guard that guarantees termination.
 func LMGAll(g *graph.Graph, s graph.Cost, opt Options) (Result, error) {
+	return LMGAllContext(context.Background(), g, s, opt)
+}
+
+// LMGAllContext is LMGAll under ctx: it checks ctx before every move and
+// returns ctx's error once ctx is done.
+func LMGAllContext(ctx context.Context, g *graph.Graph, s graph.Cost, opt Options) (Result, error) {
 	x := graph.Extend(g)
 	t, err := initialTree(x)
 	if err != nil {
@@ -179,6 +195,9 @@ func LMGAll(g *graph.Graph, s graph.Cost, opt Options) (Result, error) {
 	}
 	iterations := 0
 	for {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
 		best := scanMoves(x, t, storage, s, workers)
 		if !best.valid {
 			break

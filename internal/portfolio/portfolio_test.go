@@ -131,6 +131,75 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
+// tripCtx cancels the race it belongs to from inside a solver: its at-th
+// Err call calls cancel. It counts the calls, so a test sees whether the
+// solver went on after the check that cancelled it.
+type tripCtx struct {
+	context.Context
+	at     int
+	cancel context.CancelFunc
+	calls  int
+	err    error // what the solver returned
+}
+
+func (c *tripCtx) Err() error {
+	c.calls++
+	if c.calls == c.at {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestCancelInsideSolver cancels a race from inside its one member and
+// checks that the race returns context.Canceled and that the member stops
+// at the check that saw the cancellation: DP-MSR within the merge, DP-BMR
+// within the node, LMG and LMG-All within the move.
+func TestCancelInsideSolver(t *testing.T) {
+	g := testGraph(12, 60)
+	for _, tc := range []struct {
+		problem    core.Problem
+		family     string
+		constraint graph.Cost
+		at         int
+	}{
+		{core.ProblemMSR, "dp", msrBudget(t, g), 30}, // of 59 merges
+		{core.ProblemBMR, "dp", g.MaxEdgeRetrieval() * 3, 30},
+		{core.ProblemMSR, "lmg", msrBudget(t, g), 2},
+		{core.ProblemMSR, "lmg-all", msrBudget(t, g), 2},
+	} {
+		m, err := Member(Tuning{}, tc.problem, tc.family)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		exited := make(chan *tripCtx, 1)
+		e := New(Options{Registry: func(core.Problem) []Solver {
+			return []Solver{{Name: m.Name, Solve: func(ctx context.Context, g *graph.Graph, c graph.Cost) (core.Solution, error) {
+				trip := &tripCtx{Context: ctx, at: tc.at, cancel: cancel}
+				sol, err := m.Solve(trip, g, c)
+				trip.err = err
+				exited <- trip
+				return sol, err
+			}}}
+		}})
+		if _, err := e.Solve(ctx, g, tc.problem, tc.constraint); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: race err = %v, want context.Canceled", m.Name, err)
+		}
+		select {
+		case trip := <-exited:
+			if !errors.Is(trip.err, context.Canceled) {
+				t.Fatalf("%s: solver returned %v, want context.Canceled", m.Name, trip.err)
+			}
+			if trip.calls != tc.at {
+				t.Fatalf("%s: solver checked its context %d times, cancelled at check %d", m.Name, trip.calls, tc.at)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("%s: solver still running a minute after its race was cancelled", m.Name)
+		}
+		cancel()
+	}
+}
+
 // TestInfeasibleAggregation checks that a constraint no solver can meet
 // comes back as core.ErrInfeasible.
 func TestInfeasibleAggregation(t *testing.T) {

@@ -65,16 +65,16 @@ func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 	t = t.withDefaults()
 	dpOpts := dptree.DefaultMSROptions(t.Epsilon, t.MaxStates)
 
-	lmgS := Solver{Name: "LMG", Family: "lmg", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
-		r, err := lmg.LMG(g, s)
+	lmgS := Solver{Name: "LMG", Family: "lmg", Solve: func(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
+		r, err := lmg.LMGContext(ctx, g, s)
 		return wrap(r.Plan, r.Cost, err, lmg.ErrInfeasible)
 	}}
-	lmgAllS := Solver{Name: "LMG-All", Family: "lmg-all", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
-		r, err := lmg.LMGAll(g, s, lmg.Options{})
+	lmgAllS := Solver{Name: "LMG-All", Family: "lmg-all", Solve: func(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
+		r, err := lmg.LMGAllContext(ctx, g, s, lmg.Options{})
 		return wrap(r.Plan, r.Cost, err, lmg.ErrInfeasible)
 	}}
-	dpMSR := Solver{Name: "DP-MSR", Family: "dp", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
-		r, err := dptree.MSROnGraph(g, s, t.Root, dpOpts)
+	dpMSR := Solver{Name: "DP-MSR", Family: "dp", Solve: func(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
+		r, err := dptree.MSROnGraphContext(ctx, g, s, t.Root, dpOpts)
 		return wrap(r.Plan, r.Cost, err, dptree.ErrInfeasible)
 	}}
 	ilpS := Solver{Name: "ILP", Family: "ilp", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
@@ -93,14 +93,14 @@ func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 		res, err := mp.Solve(g, r)
 		return wrap(res.Plan, res.Cost, err, plan.ErrNotExtendedTree)
 	}}
-	dpBMR := Solver{Name: "DP-BMR", Family: "dp", Solve: func(_ context.Context, g *graph.Graph, r graph.Cost) (core.Solution, error) {
-		res, err := dptree.BMROnGraph(g, r, t.Root)
+	dpBMR := Solver{Name: "DP-BMR", Family: "dp", Solve: func(ctx context.Context, g *graph.Graph, r graph.Cost) (core.Solution, error) {
+		res, err := dptree.BMROnGraphContext(ctx, g, r, t.Root)
 		return wrap(res.Plan, res.Cost, err, dptree.ErrInfeasible)
 	}}
 
 	// lift is Lemma 7: a bounded solver searched by via answers the min
-	// problem. The probe checks ctx, making the lifted solver cooperatively
-	// cancellable even though the underlying solvers are not.
+	// problem. The probe checks ctx, so a lift stops between probes even
+	// around a member that does not check it itself (MP).
 	lift := func(s Solver, via func(*graph.Graph, graph.Cost, core.BoundedFunc) (core.Solution, error)) Solver {
 		return Solver{Name: s.Name + "+L7", Family: s.Family, Solve: func(ctx context.Context, g *graph.Graph, c graph.Cost) (core.Solution, error) {
 			return via(g, c, func(bound graph.Cost) (core.Solution, error) {
