@@ -10,7 +10,6 @@
 package repro_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -763,33 +763,61 @@ func wireBenchMessages(lines []string) []struct {
 	}
 }
 
-// BenchmarkWireDecode measures decoding wireBenchMessages with
-// internal/wire.Decode and, under encodingjson/, with the decoder both
-// ends of the wire used before it.
+// wireBenchShapes are benchManifest(n) as three kinds of body: clean
+// lines, which Encode copies whole and Decode keeps as substrings; under
+// escaped/ one line in sixteen holding a quote, a tab, an ampersand or an
+// é, which both walk byte by byte; and under manifest/ a NUL-led header
+// before every 40 lines, a versioning manifest's shape, which goes over
+// the wire with a \u0000 escape.
+func wireBenchShapes(n int) []struct {
+	name  string
+	lines []string
+} {
+	clean := benchManifest(n)
+	escaped := slices.Clone(clean)
+	for i := 0; i < n; i += 16 {
+		escaped[i] = clean[i][:i%40] + []string{`"`, "\t", "&", "é"}[i/16%4] + clean[i][i%40:]
+	}
+	manifest := slices.Clone(clean)
+	for i := 0; i < n; i += 41 {
+		manifest[i] = fmt.Sprintf("\x00dsv:f:40:dir%03d/part%06d.bin", i%211, i)
+	}
+	return []struct {
+		name  string
+		lines []string
+	}{{"clean", clean}, {"escaped", escaped}, {"manifest", manifest}}
+}
+
+// BenchmarkWireDecode measures decoding wireBenchMessages of each
+// wireBenchShapes shape with internal/wire.Decode and, under
+// encodingjson/, with the decoder both ends of the wire used before it.
 func BenchmarkWireDecode(b *testing.B) {
 	decoders := []struct {
 		name   string
-		decode func([]byte, any) error
+		decode func(string, any) error
 	}{
 		{"wire", wire.Decode},
-		{"encodingjson", func(body []byte, v any) error { return json.NewDecoder(bytes.NewReader(body)).Decode(v) }},
+		{"encodingjson", func(body string, v any) error { return json.NewDecoder(strings.NewReader(body)).Decode(v) }},
 	}
 	for _, n := range []int{30, 200, 4000} {
-		for _, m := range wireBenchMessages(benchManifest(n)) {
-			body, err := json.Marshal(m.msg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, dec := range decoders {
-				b.Run(fmt.Sprintf("%s/%s/lines=%d", dec.name, m.name, n), func(b *testing.B) {
-					b.ReportAllocs()
-					b.SetBytes(int64(len(body)))
-					for i := 0; i < b.N; i++ {
-						if err := dec.decode(body, m.target()); err != nil {
-							b.Fatal(err)
+		for _, lines := range wireBenchShapes(n) {
+			for _, m := range wireBenchMessages(lines.lines) {
+				marshalled, err := json.Marshal(m.msg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				body := string(marshalled)
+				for _, dec := range decoders {
+					b.Run(fmt.Sprintf("%s/%s/%s/lines=%d", dec.name, m.name, lines.name, n), func(b *testing.B) {
+						b.ReportAllocs()
+						b.SetBytes(int64(len(body)))
+						for i := 0; i < b.N; i++ {
+							if err := dec.decode(body, m.target()); err != nil {
+								b.Fatal(err)
+							}
 						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}
@@ -797,11 +825,7 @@ func BenchmarkWireDecode(b *testing.B) {
 
 // BenchmarkWireEncode is BenchmarkWireDecode's twin: the same bodies
 // through internal/wire.Encode and, under encodingjson/, through
-// json.Marshal, which both ends of the wire used before it — with clean
-// lines, which Encode copies whole, under escaped/ with one line in
-// sixteen holding a quote, a tab, an ampersand or an é, which it walks
-// byte by byte, and under manifest/ with a NUL-led header before every 40
-// lines, a versioning manifest's shape.
+// json.Marshal, which both ends of the wire used before it.
 func BenchmarkWireEncode(b *testing.B) {
 	encoders := []struct {
 		name   string
@@ -811,19 +835,7 @@ func BenchmarkWireEncode(b *testing.B) {
 		{"encodingjson", json.Marshal},
 	}
 	for _, n := range []int{30, 200, 4000} {
-		clean := benchManifest(n)
-		escaped := slices.Clone(clean)
-		for i := 0; i < n; i += 16 {
-			escaped[i] = clean[i][:i%40] + []string{`"`, "\t", "&", "é"}[i/16%4] + clean[i][i%40:]
-		}
-		manifest := slices.Clone(clean)
-		for i := 0; i < n; i += 41 {
-			manifest[i] = fmt.Sprintf("\x00dsv:f:40:dir%03d/part%06d.bin", i%211, i)
-		}
-		for _, lines := range []struct {
-			name  string
-			lines []string
-		}{{"clean", clean}, {"escaped", escaped}, {"manifest", manifest}} {
+		for _, lines := range wireBenchShapes(n) {
 			for _, m := range wireBenchMessages(lines.lines) {
 				want, err := json.Marshal(m.msg)
 				if err != nil {

@@ -146,8 +146,9 @@ func (c *Client) attempt(ctx context.Context, cl *call, traceHeader string, body
 	}
 	cl.notModified = false
 	cl.etag = resp.Header.Get("ETag")
-	// The whole body in one read (Content-Length is exact on the big
-	// responses), which also leaves the keep-alive connection reusable.
+	// The whole body into one string sized by its Content-Length (exact
+	// on the big responses), whose lines a checkout keeps without a copy;
+	// reading to the end also leaves the keep-alive connection reusable.
 	answer, err := wire.ReadBody(resp.Body, resp.ContentLength)
 	if err == nil && cl.out != nil {
 		err = wire.Decode(answer, cl.out)

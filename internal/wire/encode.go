@@ -3,140 +3,93 @@ package wire
 import (
 	"encoding/json"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 
 	"repro/internal/graph"
 )
 
 // Encode returns v as json.Marshal does; Checkout, []Checkout,
-// DiffResult and CommitRequest values are appended field by field into a
-// buffer sized beforehand, everything else is json.Marshal's. The buffer
-// of a fast-path body is allocated once — its lines' escapes are counted
-// when it is sized — with room for one more byte, so the caller that adds
-// json.Encoder's newline does not copy the body to do it.
+// DiffResult and CommitRequest values are appended field by field into
+// one buffer, everything else is json.Marshal's. The buffer is sized
+// without reading a line's bytes: every line with its quotes and comma,
+// a 1/64 reserve for the escapes, and one byte more, so the caller that
+// adds json.Encoder's newline does not copy the body to do it. Each line
+// is tested for escapes once, as it is appended; a body whose escapes
+// outgrow the reserve is still encoded right, into a buffer that grows.
 func Encode(v any) ([]byte, error) {
-	var m lineMarks
 	switch v := v.(type) {
 	case Checkout:
-		return appendCheckout(make([]byte, 0, sizeCheckout(&v, &m)+1), &v, &m), nil
+		return appendCheckout(buffer(sizeCheckout(&v)), &v), nil
 	case []Checkout:
 		if v == nil {
 			break // null, json.Marshal's
 		}
 		size := 2
 		for i := range v {
-			size += sizeCheckout(&v[i], &m) + 1
+			size += sizeCheckout(&v[i]) + 1
 		}
-		b := append(make([]byte, 0, size+1), '[')
+		b := append(buffer(size), '[')
 		for i := range v {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendCheckout(b, &v[i], &m)
+			b = appendCheckout(b, &v[i])
 		}
 		return append(b, ']'), nil
 	case DiffResult:
-		return appendDiffResult(make([]byte, 0, sizeDiffResult(&v, &m)+1), &v, &m), nil
+		return appendDiffResult(buffer(sizeDiffResult(&v)), &v), nil
 	case CommitRequest:
-		return appendCommitRequest(make([]byte, 0, sizeCommitRequest(&v, &m)+1), &v, &m), nil
+		return appendCommitRequest(buffer(sizeCommitRequest(&v)), &v), nil
 	}
 	return json.Marshal(v)
 }
 
-// lineMarks carries from the pass that sizes a message to the pass that
-// appends it which lines are not clean, so that a line is tested once: a
-// second test of every line costs more than the second, larger buffer an
-// undersized one grows into. Lines are numbered across the message's
-// arrays in the order both passes visit them; past the 8,192 the marks
-// reach, a line is tested by both.
-type lineMarks struct {
-	dirty         [128]uint64
-	sized, copied int // lines the sizing and the append pass have seen
+// buffer is an empty buffer for a message whose size* bound is size:
+// with the reserve for its escapes, and room for a newline.
+func buffer(size int) []byte {
+	return make([]byte, 0, size+size/64+1)
 }
 
-// mark records, in the sizing pass, that its next line is dirty or not.
-func (m *lineMarks) mark(dirty bool) {
-	if i := m.sized; dirty && i < 64*len(m.dirty) {
-		m.dirty[i/64] |= 1 << (i % 64)
-	}
-	m.sized++
-}
-
-// isDirty answers, in the append pass, for its next line, which is l.
-func (m *lineMarks) isDirty(l string) bool {
-	i := m.copied
-	m.copied++
-	if i < 64*len(m.dirty) {
-		return m.dirty[i/64]&(1<<(i%64)) != 0
-	}
-	return !clean(l)
-}
-
-// The size* functions bound a message's encoding from above: every key
-// and punctuation byte it can have, 20 bytes for an integer, 11 for a
-// version id, and its lines by sizeLines.
+// The size* functions bound a message's encoding from above, but for its
+// escapes: every key and punctuation byte it can have, 20 bytes for an
+// integer, 11 for a version id, and its lines by sizeLines.
 const (
 	sizeInt = 20
 	sizeID  = 11
 )
 
-// sizeLines is exact for a non-empty array: two quotes per line and a
-// comma or the closing bracket after it, behind the opening bracket, and
-// for a line that is not clean the bytes its escapes add (escapeGrowth).
-func sizeLines(lines []string, m *lineMarks) int {
+// sizeLines is exact for a non-empty array without escapes: two quotes
+// per line and a comma or the closing bracket after it, behind the
+// opening bracket.
+func sizeLines(lines []string) int {
 	size := len("null")
 	for _, l := range lines {
 		size += len(l) + 3
-		dirty := !clean(l)
-		if dirty {
-			size += escapeGrowth(l)
-		}
-		m.mark(dirty)
 	}
 	return size
 }
 
-// escapeGrowth counts the bytes appendEscaped adds to s for its ASCII
-// escapes: one for the two-character ones, five for \u00XX. Bytes from
-// 0x80 up count nothing: finding the two runes and the invalid sequences
-// that grow takes a decode of all of them, and a body that has any is
-// still encoded right, into a buffer that grows.
-func escapeGrowth(s string) int {
-	n := 0
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case cleanByte[c] || c >= utf8.RuneSelf:
-		case strings.IndexByte("\"\\\b\f\n\r\t", c) >= 0:
-			n++
-		default:
-			n += 5
-		}
-	}
-	return n
+func sizeCheckout(c *Checkout) int {
+	return len(`{"id":,"lines":,"error":"","status":}`) + sizeID + sizeLines(c.Lines) + len(c.Error) + sizeInt
 }
 
-func sizeCheckout(c *Checkout, m *lineMarks) int {
-	return len(`{"id":,"lines":,"error":"","status":}`) + sizeID + sizeLines(c.Lines, m) + len(c.Error) + sizeInt
-}
-
-func sizeDiffResult(r *DiffResult, m *lineMarks) int {
+func sizeDiffResult(r *DiffResult) int {
 	size := len(`{"a":,"b":,"ops":null,"added_lines":,"removed_lines":}`) + 2*sizeID + 2*sizeInt
 	for i := range r.Ops {
-		size += len(`{"op":"","n":,"lines":},`) + len(r.Ops[i].Op) + sizeInt + sizeLines(r.Ops[i].Lines, m)
+		size += len(`{"op":"","n":,"lines":},`) + len(r.Ops[i].Op) + sizeInt + sizeLines(r.Ops[i].Lines)
 	}
 	return size
 }
 
-func sizeCommitRequest(r *CommitRequest, m *lineMarks) int {
-	return len(`{"parent":,"parents":[],"lines":}`) + sizeID + (sizeID+1)*len(r.Parents) + sizeLines(r.Lines, m)
+func sizeCommitRequest(r *CommitRequest) int {
+	return len(`{"parent":,"parents":[],"lines":}`) + sizeID + (sizeID+1)*len(r.Parents) + sizeLines(r.Lines)
 }
 
-func appendCheckout(b []byte, c *Checkout, m *lineMarks) []byte {
+func appendCheckout(b []byte, c *Checkout) []byte {
 	b = append(b, `{"id":`...)
 	b = strconv.AppendInt(b, int64(c.ID), 10)
 	b = append(b, `,"lines":`...)
-	b = appendLines(b, c.Lines, m)
+	b = appendLines(b, c.Lines)
 	if c.Error != "" {
 		b = append(b, `,"error":`...)
 		b = appendString(b, c.Error)
@@ -148,7 +101,7 @@ func appendCheckout(b []byte, c *Checkout, m *lineMarks) []byte {
 	return append(b, '}')
 }
 
-func appendDiffResult(b []byte, r *DiffResult, m *lineMarks) []byte {
+func appendDiffResult(b []byte, r *DiffResult) []byte {
 	b = append(b, `{"a":`...)
 	b = strconv.AppendInt(b, int64(r.A), 10)
 	b = append(b, `,"b":`...)
@@ -162,7 +115,7 @@ func appendDiffResult(b []byte, r *DiffResult, m *lineMarks) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendDiffOp(b, &r.Ops[i], m)
+			b = appendDiffOp(b, &r.Ops[i])
 		}
 		b = append(b, ']')
 	}
@@ -173,7 +126,7 @@ func appendDiffResult(b []byte, r *DiffResult, m *lineMarks) []byte {
 	return append(b, '}')
 }
 
-func appendDiffOp(b []byte, o *DiffOp, m *lineMarks) []byte {
+func appendDiffOp(b []byte, o *DiffOp) []byte {
 	b = append(b, `{"op":`...)
 	b = appendString(b, o.Op)
 	if o.N != 0 {
@@ -182,12 +135,12 @@ func appendDiffOp(b []byte, o *DiffOp, m *lineMarks) []byte {
 	}
 	if len(o.Lines) > 0 {
 		b = append(b, `,"lines":`...)
-		b = appendLines(b, o.Lines, m)
+		b = appendLines(b, o.Lines)
 	}
 	return append(b, '}')
 }
 
-func appendCommitRequest(b []byte, r *CommitRequest, m *lineMarks) []byte {
+func appendCommitRequest(b []byte, r *CommitRequest) []byte {
 	b = append(b, '{')
 	if r.Parent != nil {
 		b = append(b, `"parent":`...)
@@ -200,7 +153,7 @@ func appendCommitRequest(b []byte, r *CommitRequest, m *lineMarks) []byte {
 		b = append(b, ',')
 	}
 	b = append(b, `"lines":`...)
-	b = appendLines(b, r.Lines, m)
+	b = appendLines(b, r.Lines)
 	return append(b, '}')
 }
 
@@ -217,7 +170,7 @@ func appendIDs(b []byte, ids []graph.NodeID) []byte {
 
 // appendLines appends a string array: null for a nil one, as
 // encoding/json has it.
-func appendLines(b []byte, lines []string, m *lineMarks) []byte {
+func appendLines(b []byte, lines []string) []byte {
 	if lines == nil {
 		return append(b, "null"...)
 	}
@@ -226,13 +179,7 @@ func appendLines(b []byte, lines []string, m *lineMarks) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, '"')
-		if m.isDirty(l) {
-			b = appendEscaped(b, l)
-		} else {
-			b = append(b, l...)
-		}
-		b = append(b, '"')
+		b = appendString(b, l)
 	}
 	return append(b, ']')
 }
@@ -260,9 +207,7 @@ func appendString(b []byte, s string) []byte {
 // match below it, so the word is flagged exactly when a byte of it is.
 func clean(s string) bool {
 	for ; len(s) >= 8; s = s[8:] {
-		x := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-		if (x|(x-ones*' ')|
+		if x := word(s); (x|(x-ones*' ')|
 			(((x|ones*0x04)^ones*'&')-ones)|
 			(((x|ones*0x02)^ones*'>')-ones)|
 			((x^ones*'\\')-ones))&tops != 0 {

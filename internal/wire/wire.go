@@ -18,19 +18,29 @@
 // same bytes go through encoding/json, so the accepted language, the
 // decoded values and the error texts are encoding/json's.
 //
-// A decoded line array owns one string, its lines as they arrived, and
-// each escape-free line is a substring of it: keeping one line keeps its
-// array's text alive but never another array's (one result of a batch
-// checkout does not pin the batch). A line with an escape is
-// unquoted on its own by encoding/json, at encoding/json's speed.
+// Each string is scanned once, eight bytes at a step, for its end and
+// for whether it is its own decoding. Who owns the text of a decoded
+// line array:
+//   - A Checkout or a CommitRequest has one line array, nearly the whole
+//     body, and its escape-free lines are substrings of the body itself:
+//     keeping one line keeps the body alive, and the body is not copied.
+//   - Every array of a batch or a diff owns a copy of its own text, so
+//     that keeping one line keeps its array's text alive but never
+//     another array's (one result of a batch checkout does not pin the
+//     batch).
+//   - A line whose escapes all stand for ASCII (\" \\ \/ \b \f \n \r \t,
+//     \u0000 to \u007f: every escape Encode writes for an ASCII byte)
+//     is unquoted here, into one more string per array. A line with any
+//     other \u escape, or with raw non-ASCII beside an escape, is
+//     unquoted on its own by encoding/json.
 package wire
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math/bits"
 	"strconv"
+	"strings"
 	"sync"
 	"unicode/utf8"
 
@@ -87,62 +97,93 @@ type DiffResult struct {
 	RemovedLines int          `json:"removed_lines"`
 }
 
-// MaxBody caps dsvd request bodies, and the buffer ReadBody allocates on
-// a peer's word.
+// MaxBody caps dsvd request bodies.
 const MaxBody = 64 << 20
 
-// ReadBody reads a whole HTTP body whose Content-Length is size in one
-// right-sized read; an unknown or oversized length grows as bytes arrive.
-func ReadBody(r io.Reader, size int64) ([]byte, error) {
-	if size < 0 || size > MaxBody {
-		return io.ReadAll(r)
+// chunks are ReadBody's read buffers.
+var chunks = sync.Pool{New: func() any { return new([64 << 10]byte) }}
+
+// ReadBody reads a whole HTTP body whose Content-Length is size (-1 when
+// unknown) into a string, a chunk at a time: a strings.Builder's buffer
+// is not zeroed before the bytes arrive, and Decode keeps a single
+// message's lines as substrings of the string it returns. At most 1 MiB
+// is allocated on the peer's word; past that the body grows as its bytes
+// arrive, so a stalled upload holds what it sent, not what it declared.
+// A body shorter than a length up to MaxBody is an error; a longer
+// length is not believed.
+func ReadBody(r io.Reader, size int64) (string, error) {
+	var b strings.Builder
+	b.Grow(int(min(max(size, 0), 1<<20)))
+	chunk := chunks.Get().(*[64 << 10]byte)
+	defer chunks.Put(chunk)
+	for {
+		n, err := r.Read(chunk[:])
+		b.Write(chunk[:n])
+		switch {
+		case err == io.EOF && int64(b.Len()) < size && size <= MaxBody:
+			return "", io.ErrUnexpectedEOF
+		case err == io.EOF:
+			return b.String(), nil
+		case err != nil:
+			return "", err
+		}
 	}
-	b := make([]byte, size)
-	_, err := io.ReadFull(r, b)
-	return b, err
 }
 
 // Decode decodes the JSON value at the start of body into v, as
-// json.NewDecoder(body).Decode(v) does; *CommitRequest, *Checkout,
-// *[]Checkout and *DiffResult, the messages Encode writes itself, take
-// the fast path when body allows.
-func Decode(body []byte, v any) error {
+// json.NewDecoder(strings.NewReader(body)).Decode(v) does;
+// *CommitRequest, *Checkout, *[]Checkout and *DiffResult, the messages
+// Encode writes itself, take the fast path when body allows.
+func Decode(body string, v any) error {
 	var ok bool
 	switch v := v.(type) {
 	case *CommitRequest:
-		ok = fast(body, v, commitRequestFields.parse)
+		ok = fast(body, true, v, commitRequestFields.parse)
 	case *Checkout:
-		ok = fast(body, v, checkoutFields.parse)
+		ok = fast(body, true, v, checkoutFields.parse)
 	case *[]Checkout:
-		ok = fast(body, v, func(d *dec, t *[]Checkout) bool { return array(d, t, checkoutFields.parse) })
+		ok = fast(body, false, v, func(d *dec, t *[]Checkout) bool { return array(d, t, checkoutFields.parse) })
 	case *DiffResult:
-		ok = fast(body, v, diffResultFields.parse)
+		ok = fast(body, false, v, diffResultFields.parse)
 	}
 	if ok {
 		return nil
 	}
-	return json.NewDecoder(bytes.NewReader(body)).Decode(v)
+	return json.NewDecoder(strings.NewReader(body)).Decode(v)
 }
 
 // dec is the fast path's cursor over one body. Every method reports
 // false for "not mine" and leaves the cursor anywhere.
 type dec struct {
-	b    []byte
-	i    int
-	offs []int // lines' scratch: (start, end) per line, start complemented when the line needs unquoting
+	s      string
+	i      int
+	shared bool   // decoded text may be substrings of s: the message has one line array
+	spans  []span // lines' scratch
 }
 
+// span is one string literal's contents, s[lo:hi], and how they decode.
+type span struct {
+	lo, hi int
+	kind   uint8
+}
+
+const (
+	plain   = iota // its own decoding: no escape, no control byte, valid UTF-8
+	escaped        // ASCII, with the escapes unescape decodes
+	foreign        // any other literal, which encoding/json decodes
+)
+
 // decPool recycles cursors for their scratch, except one that a huge
-// body grew past maxPooledOffs.
+// body grew past maxPooledSpans.
 var decPool = sync.Pool{New: func() any { return new(dec) }}
 
-const maxPooledOffs = 1 << 20
+const maxPooledSpans = 1 << 19
 
 // fast runs parse over the whole of body into a zeroed *v, and puts *v
 // back as it was unless all of body parsed.
-func fast[T any](body []byte, v *T, parse func(*dec, *T) bool) bool {
+func fast[T any](body string, shared bool, v *T, parse func(*dec, *T) bool) bool {
 	d := decPool.Get().(*dec)
-	d.b, d.i = body, 0
+	d.s, d.i, d.shared = body, 0, shared
 	old := *v
 	*v = *new(T)
 	d.space()
@@ -151,21 +192,21 @@ func fast[T any](body []byte, v *T, parse func(*dec, *T) bool) bool {
 	if ok = ok && d.i == len(body); !ok {
 		*v = old
 	}
-	d.b = nil
-	if cap(d.offs) <= maxPooledOffs {
+	d.s = ""
+	if cap(d.spans) <= maxPooledSpans {
 		decPool.Put(d)
 	}
 	return ok
 }
 
 func (d *dec) space() {
-	for d.i < len(d.b) && (d.b[d.i] == ' ' || d.b[d.i] == '\n' || d.b[d.i] == '\t' || d.b[d.i] == '\r') {
+	for d.i < len(d.s) && (d.s[d.i] == ' ' || d.s[d.i] == '\n' || d.s[d.i] == '\t' || d.s[d.i] == '\r') {
 		d.i++
 	}
 }
 
 func (d *dec) eat(c byte) bool {
-	if d.i < len(d.b) && d.b[d.i] == c {
+	if d.i < len(d.s) && d.s[d.i] == c {
 		d.i++
 		return true
 	}
@@ -189,12 +230,15 @@ func (fs fields[T]) parse(d *dec, v *T) bool {
 		if seen != 0 && !d.eat(',') {
 			return false
 		}
-		lo, hi, plain, ok := d.str()
+		sp, ok := d.str()
+		if !ok || sp.kind != plain {
+			return false
+		}
 		i := 0
-		for i < len(fs) && fs[i].key != string(d.b[lo:hi]) {
+		for i < len(fs) && fs[i].key != d.s[sp.lo:sp.hi] {
 			i++
 		}
-		if !ok || !plain || i == len(fs) || seen&(1<<i) != 0 || !d.eat(':') || !fs[i].parse(d, v) {
+		if i == len(fs) || seen&(1<<i) != 0 || !d.eat(':') || !fs[i].parse(d, v) {
 			return false
 		}
 		seen |= 1 << i
@@ -220,101 +264,187 @@ func array[T any](d *dec, out *[]T, elem func(*dec, *T) bool) bool {
 	return true
 }
 
-// str scans the string literal at the cursor and returns the span of its
-// contents. plain reports that the contents are their own decoding: no
-// escape, no control byte, valid UTF-8.
-func (d *dec) str() (lo, hi int, plain, ok bool) {
-	b := d.b
+// str scans the string literal at the cursor, in one pass, and returns
+// the span of its contents. A malformed literal — a raw control byte, an
+// unknown escape, no closing quote — is not mine; so the escapes of an
+// escaped span are known good.
+func (d *dec) str() (sp span, ok bool) {
+	s := d.s
 	if !d.eat('"') {
-		return 0, 0, false, false
+		return sp, false
 	}
-	lo = d.i
-	hi = lo + bytes.IndexByte(b[lo:], '"')
-	if hi < lo {
-		return 0, 0, false, false
-	}
-	if plain = plainASCII(b[lo:hi]) || plainUTF8(b[lo:hi]); !plain {
-		// The quote found may be an escaped one: walk the escapes.
-		for hi = lo; hi < len(b) && b[hi] != '"'; hi++ {
-			if b[hi] == '\\' {
-				hi++
+	sp.lo = d.i
+	esc, nonASCII := false, false
+	for i := d.i; ; {
+		i = stop(s, i)
+		if i == len(s) {
+			return sp, false
+		}
+		switch c := s[i]; {
+		case c == '"':
+			switch {
+			case !esc && (!nonASCII || utf8.ValidString(s[sp.lo:i])):
+				sp.kind = plain
+			case esc && !nonASCII:
+				sp.kind = escaped
+			default:
+				sp.kind = foreign
 			}
-		}
-		if hi >= len(b) {
-			return 0, 0, false, false
+			sp.hi, d.i = i, i+1
+			return sp, true
+		case c == '\\':
+			esc = true
+			switch {
+			case i+1 == len(s):
+				return sp, false
+			case unescapes[s[i+1]] != 0:
+				i += 2
+			case s[i+1] != 'u':
+				return sp, false
+			case i+6 <= len(s) && s[i+2] == '0' && s[i+3] == '0' && s[i+4]-'0' < 8 && unhex(s[i+5]) < 16:
+				i += 6
+			default: // a \u escape past ASCII, or a malformed one
+				nonASCII = true
+				i += 2
+			}
+		case c < ' ':
+			return sp, false
+		default:
+			nonASCII = true
+			i++
 		}
 	}
-	d.i = hi + 1
-	return lo, hi, plain, true
+}
+
+// stop returns the index of the first byte from s[i] on that a string
+// scan stops at — a quote, a backslash, a control byte, a byte from 0x80
+// up — or len(s), eight bytes at a step. A byte of x flags itself from
+// 0x80 up; below it, x-0x20.. borrows into a byte's top bit where the
+// byte is below 0x20, and (x^c..)-0x01.. where it is c. None of the three
+// borrows out of a byte that does not stop the scan, so the lowest
+// flagged byte is the first that does.
+func stop(s string, i int) int {
+	for ; i+8 <= len(s); i += 8 {
+		x := word(s[i:])
+		if m := (x | (x - ones*' ') | ((x ^ ones*'"') - ones) | ((x ^ ones*'\\') - ones)) & tops; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for ; i < len(s); i++ {
+		if c := s[i]; c == '"' || c == '\\' || c < ' ' || c >= utf8.RuneSelf {
+			break
+		}
+	}
+	return i
 }
 
 // ones and tops spread a byte test over the eight bytes of a word.
 const ones, tops = 0x0101010101010101, 0x8080808080808080
 
-// plainASCII reports whether s is ASCII without a control byte or a
-// backslash, eight bytes at a step: with no byte of x at or above 0x80,
-// x-0x20.. borrows into a byte's top bit exactly where a byte is below
-// 0x20, and (x^0x5c..)-0x01.. exactly where one is a backslash.
-func plainASCII(s []byte) bool {
-	for ; len(s) >= 8; s = s[8:] {
-		x := binary.LittleEndian.Uint64(s)
-		if (x|(x-ones*' ')|((x^ones*'\\')-ones))&tops != 0 {
-			return false
+// word is s's first eight bytes, the first in the low byte; the compiler
+// makes it one load.
+func word(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// unescapes maps the letter of each two-character escape to its byte.
+var unescapes = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+// unhex is a hex digit's value, 16 for any other byte.
+func unhex(c byte) byte {
+	switch {
+	case c-'0' < 10:
+		return c - '0'
+	case (c|0x20)-'a' < 6:
+		return (c | 0x20) - 'a' + 10
+	}
+	return 16
+}
+
+// unescape sets *out to what sp, an escaped or foreign literal, decodes
+// to: an escaped one is unquoted into u, a foreign one by encoding/json.
+func (d *dec) unescape(sp span, u *strings.Builder, out *string) bool {
+	if sp.kind == foreign {
+		return json.Unmarshal([]byte(d.s[sp.lo-1:sp.hi+1]), out) == nil
+	}
+	lit := d.s[sp.lo:sp.hi]
+	u.Grow(len(lit))
+	at := u.Len()
+	for {
+		i := strings.IndexByte(lit, '\\')
+		if i < 0 {
+			break
+		}
+		u.WriteString(lit[:i])
+		if lit[i+1] == 'u' {
+			u.WriteByte(unhex(lit[i+4])<<4 | unhex(lit[i+5]))
+			lit = lit[i+6:]
+		} else {
+			u.WriteByte(unescapes[lit[i+1]])
+			lit = lit[i+2:]
 		}
 	}
-	for _, c := range s {
-		if c < ' ' || c == '\\' || c >= utf8.RuneSelf {
-			return false
-		}
+	u.WriteString(lit)
+	*out = u.String()[at:]
+	return true
+}
+
+// text decodes one string.
+func (d *dec) text(out *string) bool {
+	sp, ok := d.str()
+	switch {
+	case !ok:
+		return false
+	case sp.kind != plain:
+		var u strings.Builder
+		return d.unescape(sp, &u, out)
+	case d.shared:
+		*out = d.s[sp.lo:sp.hi]
+	default:
+		*out = strings.Clone(d.s[sp.lo:sp.hi])
 	}
 	return true
 }
 
-func plainUTF8(s []byte) bool {
-	return !bytes.ContainsFunc(s, func(r rune) bool { return r < ' ' || r == '\\' }) && utf8.Valid(s)
-}
-
-// text decodes one string; like a line with an escape, one that is not
-// plain is unquoted by encoding/json, from its literal.
-func (d *dec) text(s *string) bool {
-	lo, hi, plain, ok := d.str()
-	if plain {
-		*s = string(d.b[lo:hi])
-		return true
-	}
-	return ok && json.Unmarshal(d.b[lo-1:hi+1], s) == nil
-}
-
-// lines decodes an array of strings into one string and substrings of it.
+// lines decodes an array of strings: its plain lines are substrings of
+// the body or of one copy of the array's text, its escaped ones of one
+// string they are unquoted into.
 func (d *dec) lines(out *[]string) bool {
 	if !d.eat('[') {
 		return false
 	}
-	offs := d.offs[:0]
+	spans, escapedBytes := d.spans[:0], 0
 	for !d.eat(']') {
-		if len(offs) > 0 && !d.eat(',') {
+		if len(spans) > 0 && !d.eat(',') {
 			return false
 		}
-		lo, hi, plain, ok := d.str()
+		sp, ok := d.str()
 		if !ok {
 			return false
 		}
-		if !plain {
-			lo = ^lo
+		if sp.kind == escaped {
+			escapedBytes += sp.hi - sp.lo
 		}
-		offs = append(offs, lo, hi)
+		spans = append(spans, sp)
 	}
-	d.offs = offs
-	*out = make([]string, len(offs)/2)
-	if len(offs) == 0 {
+	d.spans = spans
+	*out = make([]string, len(spans))
+	if len(spans) == 0 {
 		return true
 	}
-	base := max(offs[0], ^offs[0])
-	all := string(d.b[base:offs[len(offs)-1]])
-	for k := range *out {
-		if lo, hi := offs[2*k], offs[2*k+1]; lo >= 0 {
-			(*out)[k] = all[lo-base : hi-base]
-		} else if json.Unmarshal(d.b[^lo-1:hi+1], &(*out)[k]) != nil {
+	text, base := d.s, 0
+	if !d.shared {
+		base = spans[0].lo
+		text = strings.Clone(d.s[base:spans[len(spans)-1].hi])
+	}
+	var u strings.Builder
+	u.Grow(escapedBytes) // once: no line decodes longer than it is written
+	for k, sp := range spans {
+		if sp.kind == plain {
+			(*out)[k] = text[sp.lo-base : sp.hi-base]
+		} else if !d.unescape(sp, &u, &(*out)[k]) {
 			return false
 		}
 	}
@@ -325,14 +455,14 @@ func (d *dec) lines(out *[]string) bool {
 // leading zero or an overflow is not mine.
 func integer[T int | graph.NodeID](d *dec, v *T) bool {
 	lo := d.i
-	for d.i < len(d.b) && (d.b[d.i] == '-' || d.b[d.i]-'0' < 10) {
+	for d.i < len(d.s) && (d.s[d.i] == '-' || d.s[d.i]-'0' < 10) {
 		d.i++
 	}
-	digits := bytes.TrimPrefix(d.b[lo:d.i], []byte("-"))
+	digits := strings.TrimPrefix(d.s[lo:d.i], "-")
 	if len(digits) == 0 || len(digits) > 1 && digits[0] == '0' {
 		return false
 	}
-	n, err := strconv.ParseInt(string(d.b[lo:d.i]), 10, 64)
+	n, err := strconv.ParseInt(d.s[lo:d.i], 10, 64)
 	*v = T(n)
 	return err == nil && int64(*v) == n
 }

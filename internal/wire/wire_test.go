@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"slices"
@@ -24,7 +25,7 @@ func checkAgainstJSON(t *testing.T, body []byte) {
 	for _, got := range targets() {
 		want := reflect.New(reflect.TypeOf(got).Elem()).Interface()
 		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(want)
-		gotErr := Decode(body, got)
+		gotErr := Decode(string(body), got)
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 			t.Fatalf("%T of %q: error %v, encoding/json has %v", got, body, gotErr, wantErr)
 		}
@@ -38,11 +39,11 @@ func checkAgainstJSON(t *testing.T, body []byte) {
 func tookFastPath(body string, v any) bool {
 	switch v := v.(type) {
 	case *CommitRequest:
-		return fast([]byte(body), v, commitRequestFields.parse)
+		return fast(body, true, v, commitRequestFields.parse)
 	case *Checkout:
-		return fast([]byte(body), v, checkoutFields.parse)
+		return fast(body, true, v, checkoutFields.parse)
 	case *DiffResult:
-		return fast([]byte(body), v, diffResultFields.parse)
+		return fast(body, false, v, diffResultFields.parse)
 	}
 	panic("no fast path")
 }
@@ -108,6 +109,22 @@ var cases = []struct {
 	{"diff no ops", `{"a":1,"b":1,"ops":[],"added_lines":0,"removed_lines":0}`, false},
 	{"batch", `[{"id":0,"lines":["a"]},{"id":99,"lines":null,"error":"unknown","status":404},{"id":1,"lines":[]}]`, false},
 	{"empty batch", `[]`, false},
+	{"manifest header", `{"id":1,"lines":["\u0000dsv:f:40:src/pkg/a.go","src/pkg/a.go 0badc0de"]}`, true},
+	{"backslashes before quote", `{"id":1,"lines":["12345678\\\\","\\\"","\\"]}`, true},
+	{"latin-1 escapes", `{"id":1,"lines":["\u0080","\u00ff","\u00FF","a\u00e9\n"]}`, true},
+	{"DEL escape", `{"id":1,"lines":["a\u007fb","\u007F"]}`, true},
+	{"escaped commit request", `{"parent":2,"lines":["\u0000dsv:f:1:a","b\"c","d"]}`, false},
+	{"escaped diff op", `{"a":1,"b":2,"ops":[{"op":"keep","n":1},{"op":"insert","lines":["\u003cx\u003e","y\\z","w"]}],"added_lines":3,"removed_lines":0}`, false},
+}
+
+// caseBody is the body of the case named name.
+func caseBody(name string) string {
+	for _, c := range cases {
+		if c.name == name {
+			return c.body
+		}
+	}
+	panic("no case " + name)
 }
 
 // TestDecodeMatchesEncodingJSON runs the table through every target, and
@@ -121,14 +138,16 @@ func TestDecodeMatchesEncodingJSON(t *testing.T) {
 			}
 		})
 	}
-	for body, v := range map[string]any{
-		`{"parent":2,"lines":["a","b"]}`:  new(CommitRequest),
-		`{"parents":[0,3],"lines":["a"]}`: new(CommitRequest),
-		`{"parents":[],"lines":[]}`:       new(CommitRequest),
-		cases[len(cases)-4].body:          new(DiffResult),
-		cases[len(cases)-3].body:          new(DiffResult),
+	for name, v := range map[string]any{
+		"commit request":         new(CommitRequest),
+		"merge request":          new(CommitRequest),
+		"empty parents":          new(CommitRequest),
+		"escaped commit request": new(CommitRequest),
+		"diff":                   new(DiffResult),
+		"diff no ops":            new(DiffResult),
+		"escaped diff op":        new(DiffResult),
 	} {
-		if !tookFastPath(body, v) {
+		if body := caseBody(name); !tookFastPath(body, v) {
 			t.Errorf("%T fast path refused %s", v, body)
 		}
 	}
@@ -150,31 +169,45 @@ func manifest(n int) []string {
 	return lines
 }
 
-func mustMarshal(t testing.TB, v any) []byte {
+func mustMarshal(t testing.TB, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return string(b)
+}
+
+// withHeaders is lines with a versioning manifest's NUL-led header line,
+// which encoding/json writes with a \u0000 escape, before every 40.
+func withHeaders(lines []string) []string {
+	lines = slices.Clone(lines)
+	for i := 0; i < len(lines); i += 41 {
+		lines[i] = fmt.Sprintf("\x00dsv:f:40:dir%03d/part%05d.bin", i%97, i)
+	}
+	return lines
 }
 
 // TestDecodeAllocs pins the fast path's point: the number of objects a
-// decode allocates does not depend on the number of lines.
+// decode allocates does not depend on the number of lines, nor on how
+// many of them have an escape.
 func TestDecodeAllocs(t *testing.T) {
 	parent := int32(7)
 	for _, n := range []int{30, 200, 4000} {
 		lines := manifest(n)
 		for _, m := range []struct {
-			body []byte
+			body string
 			v    any
 			want float64
 		}{
-			// the lines' string and the []string
-			{mustMarshal(t, Checkout{ID: 1, Lines: lines}), new(Checkout), 2},
-			// and the parent
-			{mustMarshal(t, CommitRequest{Parent: &parent, Lines: lines}), new(CommitRequest), 3},
+			// the []string: the lines are substrings of the body
+			{mustMarshal(t, Checkout{ID: 1, Lines: lines}), new(Checkout), 1},
+			// and the one string the escaped lines are unquoted into
+			{mustMarshal(t, Checkout{ID: 1, Lines: withHeaders(lines)}), new(Checkout), 2},
+			// the []string and the parent
+			{mustMarshal(t, CommitRequest{Parent: &parent, Lines: lines}), new(CommitRequest), 2},
 			// two of three ops have an "op" and nothing else; one has lines
+			// and their own copy of them
 			{mustMarshal(t, DiffResult{Ops: []DiffOp{{Op: "keep", N: 5}, {Op: "insert", Lines: lines}, {Op: "delete", N: 2}}}), new(DiffResult), 8},
 		} {
 			Decode(m.body, m.v) // size the pooled scratch
@@ -246,5 +279,37 @@ func TestReadBody(t *testing.T) {
 	}
 	if _, err := ReadBody(strings.NewReader("hel"), 5); err == nil {
 		t.Error("a body shorter than its Content-Length read without error")
+	}
+}
+
+// stalledUpload sends ten bytes of a body and then, at its next read,
+// records the heap the reader holds by then.
+type stalledUpload struct {
+	sent bool
+	heap *runtime.MemStats
+}
+
+func (s *stalledUpload) Read(p []byte) (int, error) {
+	if !s.sent {
+		s.sent = true
+		return copy(p, "0123456789"), nil
+	}
+	runtime.GC()
+	runtime.ReadMemStats(s.heap)
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestReadBodyHoldsWhatArrived pins that a declared Content-Length is not
+// an allocation: a stalled upload that declares MaxBody and sends ten
+// bytes holds what it sent and a buffer of at most 1 MiB, not 64 MiB.
+func TestReadBodyHoldsWhatArrived(t *testing.T) {
+	var before, during runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := ReadBody(&stalledUpload{heap: &during}, MaxBody); err != io.ErrUnexpectedEOF {
+		t.Fatalf("stalled upload: %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+	if grew := int64(during.HeapAlloc) - int64(before.HeapAlloc); grew >= 2<<20 {
+		t.Fatalf("a body that declared %d bytes and sent 10 held %d bytes", MaxBody, grew)
 	}
 }

@@ -362,7 +362,8 @@ type errorResponse struct {
 }
 
 // decodeBody reads r's whole body, at most s.maxBody bytes of it so
-// that a hostile payload cannot exhaust memory, and decodes it into v.
+// that a hostile payload cannot exhaust memory, and decodes it into v: a
+// commit's lines are substrings of the body as it was read.
 // On failure it answers the request — 413 for a body over the cap, 400
 // for one that does not decode — and reports false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
