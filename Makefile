@@ -48,6 +48,7 @@ bench:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzJSONRoundTrip -fuzztime=30s ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=30s ./versioning
+	$(GO) test -run='^$$' -fuzz=FuzzManifestDiff -fuzztime=30s -fuzzminimizetime=2s ./versioning
 	$(GO) test -run='^$$' -fuzz=FuzzTenantName -fuzztime=30s ./tenant
 	$(GO) test -run='^$$' -fuzz=FuzzComputeMatchesReference -fuzztime=30s ./internal/diff
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDelta -fuzztime=30s -fuzzminimizetime=2s ./internal/store

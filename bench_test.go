@@ -376,6 +376,66 @@ func BenchmarkMyersDiff(b *testing.B) {
 	}
 }
 
+// BenchmarkManifestDiff is GET /diff's micro-baseline: the tree diff
+// versioning.DiffManifest (tree/) against diff.Compute (compute/) over
+// history-read-shaped manifests, 96 files of 30–50 lines of 48 bytes
+// with 20–60 lines replaced, inserted or deleted in at most three files
+// per step, 1, 4 and 8 steps apart. Every line is its own string, as the
+// store hands them out, so an unchanged line costs a full compare. Run
+// it at -cpu 1.
+func BenchmarkManifestDiff(b *testing.B) {
+	rng := rand.New(rand.NewSource(29))
+	line := func() string { return fmt.Sprintf("%016x %016x %014x", rng.Uint64(), rng.Uint64(), rng.Uint64()>>8) }
+	files := make([]versioning.ManifestEntry, 96)
+	for i := range files {
+		lines := make([]string, 30+rng.Intn(21))
+		for k := range lines {
+			lines[k] = line()
+		}
+		files[i] = versioning.ManifestEntry{Path: fmt.Sprintf("d%02d/f%03d.txt", i/8, i), Lines: lines}
+	}
+	distinct := func(lines []string) []string {
+		out := make([]string, len(lines))
+		for i, l := range lines {
+			out[i] = strings.Clone(l)
+		}
+		return out
+	}
+	base := distinct(versioning.EncodeManifest(files))
+	for step := 1; step <= 8; step++ {
+		touched := [3]int{rng.Intn(len(files)), rng.Intn(len(files)), rng.Intn(len(files))}
+		for e, n := 0, 20+rng.Intn(41); e < n; e++ {
+			f := &files[touched[rng.Intn(len(touched))]]
+			at := rng.Intn(len(f.Lines))
+			switch p := rng.Float64(); {
+			case p < 0.6:
+				f.Lines[at] = line()
+			case p < 0.85 || len(f.Lines) < 2:
+				f.Lines = slices.Insert(f.Lines, at, line())
+			default:
+				f.Lines = slices.Delete(f.Lines, at, at+1)
+			}
+		}
+		if step != 1 && step != 4 && step != 8 {
+			continue
+		}
+		next := distinct(versioning.EncodeManifest(files))
+		for _, k := range []struct {
+			name string
+			diff func(a, b []string) diff.Delta
+		}{{"tree", versioning.DiffManifest}, {"compute", diff.Compute}} {
+			b.Run(fmt.Sprintf("%s/steps=%d", k.name, step), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if d := k.diff(base, next); len(d.Cmds) < 2 {
+						b.Fatal("no edit in the script")
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkTreeDecomposition measures the min-degree heuristic on the
 // styleguide-scale graph.
 func BenchmarkTreeDecomposition(b *testing.B) {

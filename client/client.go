@@ -326,8 +326,10 @@ type DiffOp = wire.DiffOp
 // version B's, with summary sizes (keeps excluded).
 type DiffResult = wire.DiffResult
 
-// Diff fetches the edit script between two versions. The server caches
-// encoded diffs with a strong ETag, so hot pairs are cheap.
+// Diff fetches the edit script between two versions. Between two
+// manifests it is a tree diff (versioning.DiffManifest), minimal within
+// each file but not over the whole version. The server caches encoded
+// diffs with a strong ETag, so hot pairs are cheap.
 func (c *Client) Diff(ctx context.Context, a, b versioning.NodeID) (DiffResult, error) {
 	var out DiffResult
 	err := c.doJSON(ctx, http.MethodGet, fmt.Sprintf("%s/diff/%d/%d", c.prefix, a, b), nil, &out, true)

@@ -33,10 +33,11 @@ func buildDiffResponse(a, b versioning.NodeID, d diff.Delta) wire.DiffResult {
 
 // handleDiff serves the edit script between two versions. Both
 // endpoint checkouts go through the store's content cache and flight,
-// the Myers computation runs under a "diff.compute"
-// span, and the encoded response caches under its own kind with a
-// strong ETag — version content is immutable, so a (a, b) diff never
-// changes.
+// the script is versioning.DiffManifest's (a tree diff of two
+// manifests, minimal within each file; Myers over the whole version
+// otherwise) under a "diff.compute" span, and the encoded response
+// caches under its own kind with a strong ETag — version content is
+// immutable, so a (a, b) diff never changes.
 func (s *Server) handleDiff(tn string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
 	a64, errA := strconv.ParseInt(r.PathValue("a"), 10, 32)
 	b64, errB := strconv.ParseInt(r.PathValue("b"), 10, 32)
@@ -63,7 +64,7 @@ func (s *Server) handleDiff(tn string, repo *versioning.Repository, w http.Respo
 		bLines, err = repo.Checkout(r.Context(), b)
 		if err == nil {
 			_, dsp := trace.StartSpan(r.Context(), "diff.compute")
-			d := diff.Compute(aLines, bLines)
+			d := versioning.DiffManifest(aLines, bLines)
 			dsp.End()
 			s.diffComputed.Add(1)
 			s.finishDiff(tn, w, r, key, buildDiffResponse(a, b, d))

@@ -52,7 +52,10 @@ func TestDiffHandler(t *testing.T) {
 		var a, b wire.Checkout
 		getJSON(t, ts.URL+"/checkout/0", &a)
 		getJSON(t, ts.URL+"/checkout/1", &b)
-		got := applyWireOps(t, a.Lines, dr.Ops)
+		got, err := applyWireOps(a.Lines, dr.Ops)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(got, b.Lines) {
 			t.Fatalf("applied diff produced %q, want %q", got, b.Lines)
 		}
@@ -107,30 +110,95 @@ func TestDiffHandler(t *testing.T) {
 			t.Fatalf("revalidated diff: HTTP %d, want 304", resp2.StatusCode)
 		}
 	})
+
+	t.Run("manifests diff file by file", func(t *testing.T) {
+		before := versioning.EncodeManifest([]versioning.ManifestEntry{
+			{Path: "edit.txt", Lines: []string{"e1", "e2", "e3", "e4", "e5"}},
+			{Path: "gone.txt", Lines: []string{"x1", "x2"}},
+			{Path: "grow.txt", Lines: []string{"g1", "g2"}},
+			{Path: "same.txt", Lines: []string{"s1", "s2", "s3"}},
+		})
+		after := versioning.EncodeManifest([]versioning.ManifestEntry{
+			{Path: "edit.txt", Lines: []string{"e1", "e2", "E3", "e4", "e5"}},
+			{Path: "grow.txt", Lines: []string{"g1", "g2", "g3"}},
+			{Path: "new.txt", Lines: []string{"n1", "n2"}},
+			{Path: "same.txt", Lines: []string{"s1", "s2", "s3"}},
+		})
+		var c1, c2 wire.CommitResult
+		if code := postJSON(t, ts.URL+"/commit", wire.CommitRequest{Parent: pid(versioning.NoParent), Lines: before}, &c1); code != http.StatusOK {
+			t.Fatalf("commit: HTTP %d", code)
+		}
+		if code := postJSON(t, ts.URL+"/commit", wire.CommitRequest{Parent: pid(c1.ID), Lines: after}, &c2); code != http.StatusOK {
+			t.Fatalf("commit: HTTP %d", code)
+		}
+		var dr wire.DiffResult
+		if code := getJSON(t, fmt.Sprintf("%s/diff/%d/%d", ts.URL, c1.ID, c2.ID), &dr); code != http.StatusOK {
+			t.Fatalf("diff: HTTP %d", code)
+		}
+		got, err := applyWireOps(before, dr.Ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, after) {
+			t.Fatalf("applied diff produced %q, want %q", got, after)
+		}
+		added, removed := 0, 0
+		for _, op := range dr.Ops {
+			switch op.Op {
+			case "insert":
+				added += len(op.Lines)
+			case "delete":
+				removed += op.N
+			}
+		}
+		if dr.AddedLines != added || dr.RemovedLines != removed {
+			t.Fatalf("summary +%d -%d, script +%d -%d", dr.AddedLines, dr.RemovedLines, added, removed)
+		}
+		// e3 -> E3; grow.txt's header, whose count changed, and g3;
+		// gone.txt and new.txt whole, each a header and two lines.
+		if added != 6 || removed != 5 {
+			t.Fatalf("script +%d -%d, want +6 -5", added, removed)
+		}
+	})
 }
 
-// applyWireOps replays a wire edit script against src.
-func applyWireOps(t *testing.T, src []string, ops []wire.DiffOp) []string {
-	t.Helper()
+// applyWireOps replays a wire edit script against src. A keep or delete
+// must stay inside src, and the script must consume all of it.
+func applyWireOps(src []string, ops []wire.DiffOp) ([]string, error) {
 	var out []string
 	i := 0
 	for _, op := range ops {
 		switch op.Op {
-		case "keep":
-			if i+op.N > len(src) {
-				t.Fatalf("keep %d overruns source at %d/%d", op.N, i, len(src))
+		case "keep", "delete":
+			if op.N < 0 || op.N > len(src)-i {
+				return nil, fmt.Errorf("%s %d overruns source at %d/%d", op.Op, op.N, i, len(src))
 			}
-			out = append(out, src[i:i+op.N]...)
-			i += op.N
-		case "delete":
+			if op.Op == "keep" {
+				out = append(out, src[i:i+op.N]...)
+			}
 			i += op.N
 		case "insert":
 			out = append(out, op.Lines...)
 		default:
-			t.Fatalf("unknown wire op %q", op.Op)
+			return nil, fmt.Errorf("unknown wire op %q", op.Op)
 		}
 	}
-	return out
+	if i != len(src) {
+		return nil, fmt.Errorf("script consumed %d of %d source lines", i, len(src))
+	}
+	return out, nil
+}
+
+func TestApplyWireOpsRejectsBadScripts(t *testing.T) {
+	src := []string{"a", "b", "c"}
+	for name, ops := range map[string][]wire.DiffOp{
+		"delete past the end": {{Op: "keep", N: 2}, {Op: "delete", N: 2}},
+		"source left over":    {{Op: "keep", N: 1}, {Op: "insert", Lines: []string{"b", "c"}}},
+	} {
+		if got, err := applyWireOps(src, ops); err == nil {
+			t.Errorf("%s: %+v applied to %q gave %q, want an error", name, ops, src, got)
+		}
+	}
 }
 
 func TestCheckoutPathScope(t *testing.T) {
