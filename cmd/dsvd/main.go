@@ -190,17 +190,9 @@ func run(ctx context.Context, args []string) error {
 		if *demo > 0 {
 			return errors.New("-demo is single-repo only")
 		}
-		// Without a durable root, evicting a tenant would discard its
-		// whole committed history (there is no journal to reopen from), so
-		// an in-memory fleet never evicts.
-		mo := *maxOpen
-		if *tenantsDir == "" && mo >= 0 {
-			log.Printf("dsvd: in-memory fleet, eviction disabled (set -tenants-dir to bound open tenants with -max-open)")
-			mo = -1
-		}
 		mgr = tenant.NewManager(tenant.Options{
 			RootDir: *tenantsDir,
-			MaxOpen: mo,
+			MaxOpen: *maxOpen,
 			Repo:    ropt,
 			Tracer:  tracer,
 			Quota: tenant.Quota{
@@ -212,9 +204,9 @@ func run(ctx context.Context, args []string) error {
 		})
 		handler = serve.NewMulti(mgr, sopt)
 		if *tenantsDir != "" {
-			log.Printf("dsvd: multi-tenant fleet rooted at %s (max %d open)", *tenantsDir, mo)
+			log.Printf("dsvd: multi-tenant fleet rooted at %s (max %d open)", *tenantsDir, *maxOpen)
 		} else {
-			log.Printf("dsvd: multi-tenant fleet in memory (every tenant stays open)")
+			log.Printf("dsvd: multi-tenant fleet in memory, eviction disabled (set -tenants-dir to bound open tenants with -max-open)")
 		}
 	} else {
 		ropt.DataDir = *dataDir

@@ -67,18 +67,10 @@ func TestDiskBackendRecovery(t *testing.T) {
 		t.Fatalf("Get of a staged object = %q, %v: readable when Put returns", got, err)
 	}
 
-	// Simulate a crash mid-write: torn tmp files next to real packs.
-	tornFiles := []string{
-		filepath.Join(dir, "objects", "ab", "deadbeef.tmp123"),
-		filepath.Join(dir, "packs", "pack-77.tmp"),
-	}
-	for _, f := range tornFiles {
-		if err := os.MkdirAll(filepath.Dir(f), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(f, []byte("partial"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// Simulate a crash mid-write: a torn tmp file next to a real pack.
+	torn := filepath.Join(dir, "packs", "pack-77.tmp")
+	if err := os.WriteFile(torn, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	// "Restart": a fresh backend over the same directory.
@@ -98,19 +90,8 @@ func TestDiskBackendRecovery(t *testing.T) {
 	if _, err := rb.Get(store.KeyOf(staged)); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("reopened Get of an object no publish included = %v, want ErrNotFound", err)
 	}
-	for _, f := range tornFiles {
-		if _, err := os.Stat(f); !os.IsNotExist(err) {
-			t.Fatalf("torn tmp file %s survived reopen: %v", f, err)
-		}
-	}
-	ents, err := os.ReadDir(filepath.Join(dir, "objects"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if !e.IsDir() {
-			t.Fatalf("loose file %s: Put writes none", e.Name())
-		}
+	if _, err := os.Stat(torn); !os.IsNotExist(err) {
+		t.Fatalf("torn tmp file %s survived reopen: %v", torn, err)
 	}
 
 	// Deletes survive a reopen once they took the pack with them.
@@ -128,64 +109,81 @@ func TestDiskBackendRecovery(t *testing.T) {
 	}
 }
 
-// TestDiskBackendReadsFanOutLayout: loose objects written by hand under
-// objects/ab/cdef..., the oldest layout, are served, moved to
-// objects/<hex key> at open, and stay served.
-func TestDiskBackendReadsFanOutLayout(t *testing.T) {
+// TestDiskBackendIgnoresObjectsDir: the loose objects/ files older
+// builds wrote — flat, in the objects/ab/cdef... fan-out, or torn — are
+// neither indexed nor removed, and nothing the backend does creates
+// objects/.
+func TestDiskBackendIgnoresObjectsDir(t *testing.T) {
 	dir := t.TempDir()
-	payloads := map[store.Key][]byte{}
-	var bytesTotal int64
-	for _, s := range []string{"alpha", "beta", "gamma", "delta"} {
-		data := []byte(s)
-		k := store.KeyOf(data)
-		payloads[k] = data
-		bytesTotal += int64(len(data))
-		h := k.String()
-		if err := os.MkdirAll(filepath.Join(dir, "objects", h[:2]), 0o755); err != nil {
+	flat, fanOut := store.KeyOf([]byte("alpha")).String(), store.KeyOf([]byte("beta")).String()
+	stray := map[string][]byte{
+		filepath.Join(dir, "objects", flat):                   []byte("alpha"),
+		filepath.Join(dir, "objects", fanOut[:2], fanOut[2:]): []byte("beta"),
+		filepath.Join(dir, "objects", "ab", "cdef.tmp123"):    []byte("partial"),
+	}
+	for f, data := range stray {
+		if err := os.MkdirAll(filepath.Dir(f), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "objects", h[:2], h[2:]), data, 0o644); err != nil {
+		if err := os.WriteFile(f, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for round := 0; round < 2; round++ {
-		b, err := store.OpenDiskBackend(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := b.Stats(); st.Objects != len(payloads) || st.Bytes != bytesTotal {
-			t.Fatalf("open %d: Stats = %+v, want %d objects / %d bytes", round, st, len(payloads), bytesTotal)
-		}
-		for k, data := range payloads {
-			got, err := b.Get(k)
-			if err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("open %d: Get(%s) = %q, %v", round, k, got, err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, "objects", k.String())); err != nil {
-				t.Fatalf("open %d: object not moved to the flat layout: %v", round, err)
-			}
-		}
-		if err := b.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A new object joins them in no form: it is staged, and Close packs it.
 	b, err := store.OpenDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := []byte("epsilon")
-	if err := b.Put(store.KeyOf(fresh), fresh); err != nil {
+	if n := b.Len(); n != 0 {
+		t.Fatalf("Len = %d over a dir holding only objects/ files, want 0", n)
+	}
+	for _, data := range [][]byte{[]byte("alpha"), []byte("beta")} {
+		if _, err := b.Get(store.KeyOf(data)); !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("Get of a loose file's key = %v, want ErrNotFound", err)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for f, data := range stray {
+		if got, err := os.ReadFile(f); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("stray %s after open and Close = %q, %v; want it untouched", f, got, err)
+		}
+	}
+
+	fresh := t.TempDir()
+	b, err = store.OpenDiskBackend(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := packPayloads(6)
+	var batch []store.Object
+	for k, data := range payloads {
+		if len(batch) < 3 {
+			batch = append(batch, store.Object{Key: k, Payload: data})
+		} else if err := b.Put(k, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.PutBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for k := range payloads {
+		if err := b.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	if _, err := b.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "objects", store.KeyOf(fresh).String())); !os.IsNotExist(err) {
-		t.Fatalf("Put wrote objects/<hex key>: %v", err)
-	}
-	if ents, err := os.ReadDir(filepath.Join(dir, "packs")); err != nil || len(ents) != 1 {
-		t.Fatalf("Close left %d files under packs/ (%v), want the new object's pack", len(ents), err)
+	if _, err := os.Stat(filepath.Join(fresh, "objects")); !os.IsNotExist(err) {
+		t.Fatalf("the backend created objects/: %v", err)
 	}
 }
 

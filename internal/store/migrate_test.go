@@ -484,7 +484,7 @@ func openDiskStore(t *testing.T, dir string) (*DiskBackend, *Store) {
 }
 
 // TestDiskInstallPublishesOnePack: on disk, what one store operation adds
-// is at most one durable write, and never a loose file. A migration that
+// is at most one durable write. A migration that
 // adds several objects leaves one new pack. What a commit adds — a
 // delta, or a whole version's chunks and manifest, which the caller's
 // journal can rebuild — leaves no file at all until Close publishes
@@ -494,9 +494,7 @@ func openDiskStore(t *testing.T, dir string) (*DiskBackend, *Store) {
 func TestDiskInstallPublishesOnePack(t *testing.T) {
 	dir := t.TempDir()
 	b, s := openDiskStore(t, dir)
-	files := func() (packs, loose int) {
-		return dirFiles(t, filepath.Join(dir, "packs")), dirFiles(t, filepath.Join(dir, "objects"))
-	}
+	packs := func() int { return dirFiles(t, filepath.Join(dir, "packs")) }
 	g, contents := chainFixture(10, bigLines(400, "pack"))
 	shortcut, _ := addEdgePair(g, contents, 2, 5)
 	content := func(v graph.NodeID) ([]string, error) { return contents[v], nil }
@@ -504,8 +502,8 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 	if err := s.AddMaterialized(0, contents[0]); err != nil {
 		t.Fatal(err)
 	}
-	if packs, loose := files(); packs != 0 || loose != 0 || b.Len() < 3 {
-		t.Fatalf("a chunked root of %d objects left %d packs and %d loose files, want its objects held and no file", b.Len(), packs, loose)
+	if n := packs(); n != 0 || b.Len() < 3 {
+		t.Fatalf("a chunked root of %d objects left %d packs, want its objects held and no file", b.Len(), n)
 	}
 	rootObjects := b.Len()
 	for v := 1; v < 4; v++ {
@@ -514,8 +512,8 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if packs, loose := files(); packs != 0 || loose != 0 || b.Len() != rootObjects+3 {
-		t.Fatalf("three commits left %d packs, %d loose files and %d objects, want their three deltas held and no file", packs, loose, b.Len()-rootObjects)
+	if n := packs(); n != 0 || b.Len() != rootObjects+3 {
+		t.Fatalf("three commits left %d packs and %d objects, want their three deltas held and no file", n, b.Len()-rootObjects)
 	}
 
 	p := forwardChainPlan(g, 10)
@@ -526,8 +524,8 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 	if obj, _, _ := s.InstallTotals(); obj-objBefore != 6 {
 		t.Fatalf("the migration added %d objects, want the six new deltas", obj-objBefore)
 	}
-	if packs, loose := files(); packs != 1 || loose != 0 {
-		t.Fatalf("a migration adding six objects left %d packs and %d loose files, want one pack and nothing else", packs, loose)
+	if n := packs(); n != 1 {
+		t.Fatalf("a migration adding six objects left %d packs, want one", n)
 	}
 
 	q := p.Clone()
@@ -538,8 +536,8 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 	if err := s.Install(g, q.Clone(), content); err != nil {
 		t.Fatal(err)
 	}
-	if packs, loose := files(); packs != 1 || loose != 0 {
-		t.Fatalf("a migration adding one object and a re-install of the serving plan left %d packs and %d loose files, want no new file", packs, loose)
+	if n := packs(); n != 1 {
+		t.Fatalf("a migration adding one object and a re-install of the serving plan left %d packs, want no new file", n)
 	}
 	if ps := b.PackStats(); ps.Compactions != 0 || ps.PackedObjects != b.Len()-rootObjects-4 {
 		t.Fatalf("%+v of %d objects, want no compaction and all but the root's and the four lone objects in packs", ps, b.Len())
@@ -552,8 +550,8 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if packs, loose := files(); packs != 2 || loose != 0 {
-		t.Fatalf("Close left %d packs and %d loose files, want one more pack", packs, loose)
+	if n := packs(); n != 2 {
+		t.Fatalf("Close left %d packs, want one more pack", n)
 	}
 	// Every object held at Close is in a pack now (beside the one record
 	// the second migration's GC left dead in a pack that lives on).
@@ -648,9 +646,6 @@ func TestInterruptedPublish(t *testing.T) {
 	}
 	if n := dirFiles(t, packDir); n != 1 {
 		t.Fatalf("%d files in the pack directory after recovery, want the serving plan's one pack", n)
-	}
-	if n := dirFiles(t, filepath.Join(dir, "objects")); n != 0 {
-		t.Fatalf("rebuilding a plan the backend already held wrote %d loose files", n)
 	}
 	checkAll(t, s2, contents)
 }

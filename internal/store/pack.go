@@ -35,7 +35,7 @@ type PackStats struct {
 	Packs         int   // live (non-empty) packfiles
 	PackedObjects int   // live objects resolved from packs
 	PackReads     int64 // Gets served from a pack
-	LooseReads    int64 // Gets of objects not yet in a pack (staged, or a legacy loose file)
+	LooseReads    int64 // Gets served from the staged tier, not yet in a pack
 	Compactions   int64 // completed compaction passes
 }
 

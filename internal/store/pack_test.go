@@ -51,94 +51,11 @@ func packPayloads(n int) map[store.Key][]byte {
 	return m
 }
 
-func countLooseFiles(t *testing.T, dir string) int {
-	t.Helper()
-	n := 0
-	err := filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			n++
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// writeLoose writes data the way builds before the staged tier did, as
-// the loose file objects/<hex key>.
-func writeLoose(t *testing.T, dir string, data []byte) {
-	t.Helper()
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "objects", store.KeyOf(data).String()), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCompactFoldsLooseIntoPack: Compact folds the loose files an older
-// build left and what is staged into one pack.
-func TestCompactFoldsLooseIntoPack(t *testing.T) {
-	dir := t.TempDir()
-	payloads := packPayloads(20)
-	legacy := 0
-	for _, data := range payloads {
-		if legacy++; legacy > 10 {
-			break
-		}
-		writeLoose(t, dir, data)
-	}
-	b, err := store.OpenDiskBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	for k, data := range payloads {
-		if err := b.Put(k, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := countLooseFiles(t, dir); n != 10 {
-		t.Fatalf("%d loose files before compaction, want the 10 written by hand: Put writes none", n)
-	}
-	want := b.Stats()
-	moved, err := b.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != len(payloads) {
-		t.Fatalf("Compact moved %d objects, want %d", moved, len(payloads))
-	}
-	if got := b.Stats(); got != want {
-		t.Fatalf("Stats changed across compaction: %+v, want %+v", got, want)
-	}
-	if n := countLooseFiles(t, dir); n != 0 {
-		t.Fatalf("%d loose files survived compaction", n)
-	}
-	for k, data := range payloads {
-		got, err := b.Get(k)
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("packed Get(%s) = %q, %v", k, got, err)
-		}
-	}
-	ps := b.PackStats()
-	if ps.Packs != 1 || ps.PackedObjects != len(payloads) || ps.Compactions != 1 {
-		t.Fatalf("PackStats = %+v, want 1 pack with %d objects", ps, len(payloads))
-	}
-	if ps.PackReads < int64(len(payloads)) {
-		t.Fatalf("PackReads = %d, want >= %d", ps.PackReads, len(payloads))
-	}
-}
-
 // TestPackRecoverySpanningCompaction kills the backend (no Close) with
-// two packs published — a compaction's and a Flush's — objects staged since
-// and the debris of the nastiest crash point around them: loose files a
-// compaction folded but did not get to unlink, a torn pack tmp alongside.
-// A reopen holds every published object whole and nothing else: the
-// duplicates resolve in the pack's favor, the torn tmp is swept, and what
-// was only staged went with the process.
+// two packs published — a compaction's and a Flush's — objects staged
+// since and a torn pack tmp alongside. A reopen holds every published
+// object whole and nothing else: the torn tmp is swept, and what was only
+// staged went with the process.
 func TestPackRecoverySpanningCompaction(t *testing.T) {
 	dir := t.TempDir()
 	b, err := store.OpenDiskBackend(dir)
@@ -153,22 +70,6 @@ func TestPackRecoverySpanningCompaction(t *testing.T) {
 	}
 	if _, err := b.Compact(); err != nil {
 		t.Fatal(err)
-	}
-	// What the older layout left where a crash hit after the pack's rename
-	// and before the loose unlink: fan-out files of packed keys.
-	ndup := 0
-	for k, data := range published {
-		h := k.String()
-		d := filepath.Join(dir, "objects", h[:2])
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(d, h[2:]), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if ndup++; ndup == 4 {
-			break
-		}
 	}
 	for i := 0; i < 5; i++ {
 		data := []byte(fmt.Sprintf("post-compaction-%d", i))
@@ -213,9 +114,6 @@ func TestPackRecoverySpanningCompaction(t *testing.T) {
 		if _, err := rb.Get(k); !errors.Is(err, store.ErrNotFound) {
 			t.Fatalf("Get of an object no publish included = %v, want ErrNotFound", err)
 		}
-	}
-	if n := countLooseFiles(t, dir); n != 0 {
-		t.Fatalf("%d loose files after recovery, want none (duplicates removed, Put writes none)", n)
 	}
 	if _, err := os.Stat(tornPack); !os.IsNotExist(err) {
 		t.Fatalf("torn pack tmp survived reopen: %v", err)
@@ -464,8 +362,5 @@ func TestStagedTierUnderFire(t *testing.T) {
 		if got, err := rb.Get(k); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("reopened Get(%s) = %q, %v", k, got, err)
 		}
-	}
-	if n := countLooseFiles(t, dir); n != 0 {
-		t.Fatalf("%d loose files", n)
 	}
 }

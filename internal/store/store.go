@@ -95,13 +95,9 @@ type Stats struct {
 	InstallObjects int64 // objects newly written by successful migrations
 	InstallBytes   int64 // bytes of those objects
 
-	// Packfile read-path counters, populated when the backend publishes
-	// packs (see DiskBackend).
-	Packs         int   // live packfiles
-	PackedObjects int   // objects served from packs
-	PackReads     int64 // Gets resolved via an mmap'd pack slice
-	LooseReads    int64 // Gets of objects not yet in a pack
-	Compactions   int64 // completed compaction passes
+	// PackStats is the backend's pack tier, when it publishes packs (see
+	// DiskBackend).
+	PackStats
 }
 
 // New returns an empty Store.
@@ -151,12 +147,7 @@ func (s *Store) Stats() Stats {
 		InstallBytes:   s.installBytes.Load(),
 	}
 	if pb, ok := s.backend.(PackStatser); ok {
-		ps := pb.PackStats()
-		st.Packs = ps.Packs
-		st.PackedObjects = ps.PackedObjects
-		st.PackReads = ps.PackReads
-		st.LooseReads = ps.LooseReads
-		st.Compactions = ps.Compactions
+		st.PackStats = pb.PackStats()
 	}
 	return st
 }

@@ -148,7 +148,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	repoGauge("dsv_repo_packs", "Live packfiles in the disk backend.", func(st versioning.RepositoryStats) float64 { return float64(st.Packs) })
 	repoGauge("dsv_repo_packed_objects", "Objects served from packfiles.", func(st versioning.RepositoryStats) float64 { return float64(st.PackedObjects) })
 	repoCounter("dsv_repo_pack_reads_total", "Object reads resolved via an mmap'd pack slice.", func(st versioning.RepositoryStats) float64 { return float64(st.PackReads) })
-	repoCounter("dsv_repo_loose_reads_total", "Reads of objects not yet in a pack.", func(st versioning.RepositoryStats) float64 { return float64(st.LooseReads) })
+	repoCounter("dsv_repo_loose_reads_total", "Reads of the staged tier: objects not yet in a pack.", func(st versioning.RepositoryStats) float64 { return float64(st.LooseReads) })
 	repoCounter("dsv_repo_compactions_total", "Packfile compaction passes completed.", func(st versioning.RepositoryStats) float64 { return float64(st.Compactions) })
 	repoCounter("dsv_repo_delta_applies_total", "Edit scripts applied during reconstructions.", func(st versioning.RepositoryStats) float64 { return float64(st.DeltaApplies) })
 	repoCounter("dsv_repo_plan_retries_total", "Checkouts re-snapshotted after racing a migration.", func(st versioning.RepositoryStats) float64 { return float64(st.PlanRetries) })

@@ -158,6 +158,44 @@ func TestMultiTenantEvictionTransparentReopen(t *testing.T) {
 	}
 }
 
+// TestMultiInMemoryFleetNeverEvicts: a fleet with no durable root keeps
+// every tenant open whatever MaxOpen says. Evicting alice would discard
+// her history: her next commit would be acknowledged as id 0 again, while
+// the response cache still answered id 0 with her first commit.
+func TestMultiInMemoryFleetNeverEvicts(t *testing.T) {
+	mgr := testManager(t, "", tenant.Options{MaxOpen: 1})
+	ts := multiServer(t, mgr, Options{})
+	commit := func(name, line string) versioning.NodeID {
+		t.Helper()
+		var cr wire.CommitResult
+		if code := postJSON(t, ts.URL+"/t/"+name+"/commit", map[string]any{"parent": -1, "lines": []string{line}}, &cr); code != http.StatusOK {
+			t.Fatalf("%s commit = %d", name, code)
+		}
+		return cr.ID
+	}
+	checkout := func(id int, want string) {
+		t.Helper()
+		var co wire.Checkout
+		if code := getJSON(t, fmt.Sprintf("%s/t/alice/checkout/%d", ts.URL, id), &co); code != http.StatusOK || len(co.Lines) != 1 || co.Lines[0] != want {
+			t.Fatalf("alice checkout %d = %d %q, want %q", id, code, co.Lines, want)
+		}
+	}
+
+	if id := commit("alice", "alice first"); id != 0 {
+		t.Fatalf("alice's first commit acknowledged as %d, want 0", id)
+	}
+	checkout(0, "alice first")
+	commit("bob", "bob first") // past MaxOpen 1, but bob's arrival evicts no one
+	if id := commit("alice", "alice second"); id != 1 {
+		t.Fatalf("alice's second commit acknowledged as %d, want 1: her history was evicted", id)
+	}
+	checkout(0, "alice first")
+	checkout(1, "alice second")
+	if fs := mgr.Fleet(2); fs.Evictions != 0 || fs.Open != 2 {
+		t.Fatalf("in-memory fleet: %d evictions, %d open; want 0 and 2", fs.Evictions, fs.Open)
+	}
+}
+
 // TestCheckoutStampedeMultiTenant is TestCheckoutSingleflight through
 // /t/{tenant}/checkout/{id}: 16 identical concurrent requests cost fewer
 // backend reads than 16 solo checkouts, on a tenant's first open and

@@ -18,18 +18,18 @@ import (
 const DefaultMaxOpen = 64
 
 // Options configures a Manager. The zero value serves in-memory tenants
-// with no quotas and the default LRU bound.
+// with no quotas, all kept open.
 type Options struct {
 	// RootDir is the fleet's durable root: tenant name → RootDir/name
-	// (objects/ and packs/ plus commit journal, exactly the single-repo
-	// layout). Empty serves every tenant from memory — eviction then
-	// discards the tenant's history, so durable fleets should always set
-	// it.
+	// (packs/ plus commit journal, exactly the single-repo layout). Empty
+	// serves every tenant from memory, and then no tenant is ever evicted:
+	// there is no journal it could reopen from.
 	RootDir string
-	// MaxOpen bounds concurrently open repositories (0 = DefaultMaxOpen;
-	// negative disables eviction). Tenants in active use are never
-	// closed, so a burst wider than MaxOpen temporarily exceeds the
-	// bound instead of failing requests.
+	// MaxOpen bounds concurrently open repositories when RootDir is set
+	// (0 = DefaultMaxOpen; negative disables eviction). Tenants in active
+	// use are never closed, so a burst wider than MaxOpen temporarily
+	// exceeds the bound instead of failing requests. Without a RootDir it
+	// is ignored.
 	MaxOpen int
 	// Repo is the per-tenant RepositoryOptions template. Backend and
 	// DataDir are overridden per tenant; everything else (problem,
@@ -103,7 +103,10 @@ type Manager struct {
 
 // NewManager returns a Manager serving tenants under opt.
 func NewManager(opt Options) *Manager {
-	if opt.MaxOpen == 0 {
+	switch {
+	case opt.RootDir == "":
+		opt.MaxOpen = -1 // evicting an in-memory tenant would discard it
+	case opt.MaxOpen == 0:
 		opt.MaxOpen = DefaultMaxOpen
 	}
 	m := &Manager{

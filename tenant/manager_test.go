@@ -160,6 +160,39 @@ func TestManagerEvictionAndTransparentReopen(t *testing.T) {
 	}
 }
 
+// TestManagerInMemoryNeverEvicts: without a RootDir an evicted tenant
+// would have no journal to reopen from, so MaxOpen is ignored and every
+// tenant keeps its history.
+func TestManagerInMemoryNeverEvicts(t *testing.T) {
+	opt := testOptions("")
+	opt.MaxOpen = 1
+	m := NewManager(opt)
+	defer m.Close()
+	names := []string{"t1", "t2", "t3"}
+	for round := 0; round < 2; round++ {
+		for _, name := range names {
+			commitTo(t, m, name, versioning.NoParent, lines(fmt.Sprintf("%s v%d", name, round)))
+		}
+	}
+	if fs := m.Fleet(3); fs.Evictions != 0 || fs.Open != 3 || fs.Reopens != 0 {
+		t.Fatalf("fleet stats = %+v, want no eviction and all three open", fs)
+	}
+	ctx := context.Background()
+	for _, name := range names {
+		h, err := m.Acquire(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < 2; v++ {
+			got, err := h.Repo().Checkout(ctx, versioning.NodeID(v))
+			if want := fmt.Sprintf("%s v%d", name, v); err != nil || len(got) != 1 || got[0] != want {
+				t.Errorf("%s: Checkout(%d) = %q, %v; want %q", name, v, got, err, want)
+			}
+		}
+		h.Release()
+	}
+}
+
 func TestManagerEvictionSkipsBusyTenants(t *testing.T) {
 	opt := testOptions(t.TempDir())
 	opt.MaxOpen = 1

@@ -3,10 +3,14 @@ package versioning
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // A disk repository's backend keeps what a commit adds in memory and
@@ -14,23 +18,28 @@ import (
 // These are the crash points that rests on. "Kill" is abandoning the
 // repository without Close and opening its directory again.
 
-// dataFiles counts the files under dir's objects/ and packs/.
-func dataFiles(t *testing.T, dir string) (objects, packs int) {
+// dataFiles counts the files under dir's packs/.
+func dataFiles(t *testing.T, dir string) (packs int) {
 	t.Helper()
-	count := func(sub string) int {
-		n := 0
-		err := filepath.WalkDir(filepath.Join(dir, sub), func(_ string, d os.DirEntry, err error) error {
-			if err == nil && !d.IsDir() {
-				n++
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
+	err := filepath.WalkDir(filepath.Join(dir, "packs"), func(_ string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			packs++
 		}
-		return n
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return count("objects"), count("packs")
+	return packs
+}
+
+// assertNoObjectsDir fails if dir holds an objects/ directory, which only
+// older builds wrote.
+func assertNoObjectsDir(t *testing.T, dir string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(dir, "objects")); !os.IsNotExist(err) {
+		t.Fatalf("%s has an objects/ directory: %v", dir, err)
+	}
 }
 
 // crashDoc is version v of a document of n lines whose first own lines
@@ -79,8 +88,8 @@ func TestCrashPoints(t *testing.T) {
 	}{
 		{"nothing published", func(t *testing.T, r *Repository, dir string) [][]string {
 			acked := chain(t, r, 12, small)
-			if objects, packs := dataFiles(t, dir); objects != 0 || packs != 0 {
-				t.Fatalf("12 small commits left %d loose files and %d packs, want the journal alone", objects, packs)
+			if packs := dataFiles(t, dir); packs != 0 {
+				t.Fatalf("12 small commits left %d packs, want the journal alone", packs)
 			}
 			return acked
 		}},
@@ -99,7 +108,7 @@ func TestCrashPoints(t *testing.T) {
 			if st.Blobs != 21 || st.StoredDeltas != 0 {
 				t.Fatalf("%d versions stored whole and %d deltas, want all 21 whole", st.Blobs, st.StoredDeltas)
 			}
-			if _, packs := dataFiles(t, dir); packs != 1 || st.PackedObjects == 0 || st.PackedObjects == st.Objects {
+			if packs := dataFiles(t, dir); packs != 1 || st.PackedObjects == 0 || st.PackedObjects == st.Objects {
 				t.Fatalf("%d packs holding %d of %d objects, want one publish and a staged rest", packs, st.PackedObjects, st.Objects)
 			}
 			return acked
@@ -180,6 +189,140 @@ func TestCrashPoints(t *testing.T) {
 				t.Fatalf("Replan after the reopen: %v", err)
 			}
 			readBack()
+			assertNoObjectsDir(t, killedDir)
+			assertNoObjectsDir(t, closedDir)
 		})
 	}
+}
+
+// TestReopenFromJournalAlone: a data dir is its journal. With packs/
+// deleted and a stray objects/ tree of the kind older builds wrote
+// planted in its place, a reopen rebuilds every object the history needs
+// by replay, after a kill and after Close alike. Some stray files are
+// named by keys the repository holds but carry other bytes, so a read of
+// one would show in a checkout; none is read, and none is removed.
+func TestReopenFromJournalAlone(t *testing.T) {
+	ctx := context.Background()
+	for _, kill := range []bool{true, false} {
+		t.Run(map[bool]string{true: "kill", false: "close"}[kill], func(t *testing.T) {
+			dir := t.TempDir()
+			opt := groupOptions(dir)
+			opt.CacheEntries = -1
+			r, err := Open("journal", opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(7))
+			var oracle [][]string
+			merges := 0
+			commit := func(n int) {
+				t.Helper()
+				for ; n > 0; n-- {
+					parents, lines := journalCommit(rng, oracle)
+					id, err := r.CommitMerge(ctx, parents, lines)
+					if err != nil || id != NodeID(len(oracle)) {
+						t.Fatalf("commit %d = %d, %v", len(oracle), id, err)
+					}
+					if len(parents) > 1 {
+						merges++
+					}
+					oracle = append(oracle, lines)
+				}
+			}
+			commit(14)
+			if st := r.Stats(); st.Blobs < 2 || merges == 0 {
+				t.Fatalf("%d versions stored whole and %d merges: want both beside the root", st.Blobs, merges)
+			}
+			for _, n := range []int{13, 13, 0} {
+				if err := r.Replan(ctx); err != nil {
+					t.Fatal(err)
+				}
+				commit(n)
+			}
+			if packs := dataFiles(t, dir); packs == 0 {
+				t.Fatal("three re-plans published no pack: removing packs/ tests nothing")
+			}
+			var held []string
+			if err := r.st.Backend().Keys(func(k store.Key) error {
+				held = append(held, k.String())
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if kill {
+				r.stopMaintenance()
+			} else if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			if err := os.RemoveAll(filepath.Join(dir, "packs")); err != nil {
+				t.Fatal(err)
+			}
+			stray := map[string]string{
+				filepath.Join(dir, "objects", held[0]):                   "not the bytes of " + held[0],
+				filepath.Join(dir, "objects", held[1][:2], held[1][2:]):  "not the bytes of " + held[1],
+				filepath.Join(dir, "objects", held[2][:2], "cdef.tmp42"): "torn",
+			}
+			for f, data := range stray {
+				if err := os.MkdirAll(filepath.Dir(f), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(f, []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			r, err = Open("journal", opt)
+			if err != nil {
+				t.Fatalf("Open from the journal alone: %v", err)
+			}
+			readAll(t, r, oracle, "after the reopen")
+			assertCostMatchesPlan(t, r, "after the reopen")
+			if err := r.Replan(ctx); err != nil {
+				t.Fatal(err)
+			}
+			readAll(t, r, oracle, "after a re-plan of the reopened repository")
+			assertCostMatchesPlan(t, r, "after a re-plan of the reopened repository")
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			if err := filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d os.DirEntry, err error) error {
+				if err != nil || d.IsDir() {
+					return err
+				}
+				n++
+				if got, err := os.ReadFile(path); err != nil || string(got) != stray[path] {
+					t.Errorf("%s = %q, %v after the reopen; want the stray bytes untouched", path, got, err)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if n != len(stray) {
+				t.Fatalf("%d files under objects/, want the %d stray ones", n, len(stray))
+			}
+		})
+	}
+}
+
+// journalCommit draws the next commit of a history of one root, small
+// edits, merges and whole rewrites, which are stored whole.
+func journalCommit(rng *rand.Rand, oracle [][]string) ([]NodeID, []string) {
+	n := len(oracle)
+	if n == 0 {
+		return nil, layoutDoc(rng, 5+rng.Intn(200))
+	}
+	parents := []NodeID{NodeID(rng.Intn(n))}
+	prev := oracle[parents[0]]
+	if n%5 == 4 {
+		// A merge: the first parent's head and another's tail.
+		q := NodeID(rng.Intn(n))
+		parents = append(parents, q)
+		prev = slices.Concat(prev[:len(prev)/2], oracle[q][len(oracle[q])/2:])
+	}
+	if n%7 == 6 {
+		return parents, layoutDoc(rng, len(prev)) // its delta outweighs it
+	}
+	return parents, layoutEdit(rng, prev, 1+rng.Intn(3))
 }

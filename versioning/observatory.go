@@ -7,8 +7,8 @@ package versioning
 // and what the migration actually moved — and a per-version heat
 // tracker (internal/heat) records which versions reads touch, so the
 // plan's predictions can be compared against observed traffic. The
-// serve package renders both through GET /planz; ROADMAP item 5's
-// adaptive planner consumes the same data programmatically.
+// serve package renders both through GET /planz, and a re-plan trigger
+// that fires when a pass pays would read the same data programmatically.
 
 import (
 	"errors"

@@ -765,8 +765,8 @@ type RepositoryStats struct {
 	// Packfile read-path counters (non-zero only on disk-backed
 	// repositories: every migration that adds two or more objects
 	// publishes a pack, and so does the staged tier past 1 MiB; LooseReads
-	// counts reads of objects still waiting in memory for one, Compactions
-	// Compact calls only).
+	// counts reads of the staged tier, objects still waiting in memory for
+	// one, and Compactions Compact calls only).
 	Packs         int   `json:"packs,omitempty"`
 	PackedObjects int   `json:"packed_objects,omitempty"`
 	PackReads     int64 `json:"pack_reads,omitempty"`
