@@ -14,12 +14,8 @@
 //   - One cancellable GET per checkout: the daemon answers a repeat from
 //     its encoded-response cache and deduplicates a stampede in its
 //     store, so the client adds no batching of its own; CheckoutBatch is
-//     the explicit many-versions request.
-//   - Opt-in ETag validator cache: checkouts remember each
-//     path's last ETag and content, revalidate with If-None-Match, and
-//     turn a repeat checkout into a bodyless 304 round trip (see
-//     Options.ValidatorCacheBytes). Path-scoped checkouts and diffs
-//     revalidate too — the cache keys by exact request path.
+//     the explicit many-versions request. The client caches nothing:
+//     every call returns lines of its own response body.
 //   - One codec with the daemon (internal/wire, which also declares the
 //     messages): a commit's body is appended once into a buffer sized
 //     from its lines, a response is read in one right-sized read, and the
@@ -37,8 +33,7 @@
 // Tenant(name) returns the view of one namespace of a dsvd -multi
 // fleet, the same routes under /t/{name}. Every operation is
 // implemented once, against the view's route prefix, and all views of
-// one daemon share its connection pool, retry policy and validator
-// cache.
+// one daemon share its connection pool and retry policy.
 package client
 
 import (
@@ -49,10 +44,8 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/hotcache"
 	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/serve"
@@ -93,17 +86,8 @@ type Options struct {
 	OnTrace func(path, traceID string)
 	// OnResponse, when set, is called (on the request goroutine) with the
 	// request path and the wire size of the response body for every
-	// successful attempt. A 304 revalidation reports 0 bytes: that is
-	// the point of sending the validator.
+	// successful attempt.
 	OnResponse func(path string, bodyBytes int64)
-	// ValidatorCacheBytes enables the client-side ETag validator cache:
-	// checkouts remember each path's last response
-	// ETag and content within this byte budget, revalidate with
-	// If-None-Match, and a 304 Not Modified serves the cached lines
-	// without shipping the body again. Content is immutable per version,
-	// so a matching validator is always current. 0 disables (the
-	// default — callers opt in because cached lines are shared slices).
-	ValidatorCacheBytes int64
 }
 
 // Client is a view of one repository on a dsvd daemon: the root view
@@ -119,11 +103,6 @@ type conn struct {
 	base string
 	hc   *http.Client
 	opt  Options
-
-	// vcache is the opt-in ETag validator cache (nil when disabled);
-	// revalidated counts checkouts served from it via a 304.
-	vcache      *hotcache.Cache
-	revalidated atomic.Int64
 }
 
 // New returns the root view of the daemon at baseURL (e.g.
@@ -159,11 +138,7 @@ func New(baseURL string, opt Options) *Client {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	cn := &conn{base: strings.TrimRight(baseURL, "/"), hc: hc, opt: opt}
-	if opt.ValidatorCacheBytes > 0 {
-		cn.vcache = hotcache.New(opt.ValidatorCacheBytes, 0)
-	}
-	return &Client{conn: cn}
+	return &Client{conn: &conn{base: strings.TrimRight(baseURL, "/"), hc: hc, opt: opt}}
 }
 
 // Tenant returns the view of tenant name on a multi-tenant daemon
@@ -231,60 +206,20 @@ func (c *Client) Checkout(ctx context.Context, id versioning.NodeID) ([]string, 
 	return c.CheckoutPath(ctx, id, "")
 }
 
-// validatorEntry is one validator-cache slot: checkout content plus the
-// ETag that revalidates it.
-type validatorEntry struct {
-	etag  string
-	lines []string
-}
-
-// validatorSize approximates an entry's memory footprint for the
-// cache's byte accounting (slice headers plus string bytes).
-func validatorSize(e *validatorEntry) int64 {
-	n := int64(len(e.etag)) + 16*int64(len(e.lines))
-	for _, l := range e.lines {
-		n += int64(len(l))
-	}
-	return n
-}
-
 // CheckoutPath reconstructs version id narrowed to one manifest path
 // scope (a file or directory prefix; see versioning.FilterManifest; ""
-// is the whole version): one GET through the validator cache, keyed by
-// the exact URL path.
+// is the whole version) in one GET.
 func (c *Client) CheckoutPath(ctx context.Context, id versioning.NodeID, scope string) ([]string, error) {
 	path := fmt.Sprintf("%s/checkout/%d", c.prefix, id)
 	if scope != "" {
 		path += "?path=" + url.QueryEscape(scope)
 	}
 	var out wire.Checkout
-	cl := &call{method: http.MethodGet, path: path, out: &out, idempotent: true}
-	var cached *validatorEntry
-	if c.vcache != nil {
-		if v, ok := c.vcache.Get(path); ok {
-			cached = v.(*validatorEntry)
-			cl.ifNoneMatch = cached.etag
-		}
-	}
-	if err := c.do(ctx, cl); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, path, nil, &out, true); err != nil {
 		return nil, err
-	}
-	if cl.notModified {
-		// Only reachable when a validator was sent, so cached is set.
-		c.revalidated.Add(1)
-		return cached.lines, nil
-	}
-	if c.vcache != nil && cl.etag != "" {
-		e := &validatorEntry{etag: cl.etag, lines: out.Lines}
-		c.vcache.Put(path, e, validatorSize(e))
 	}
 	return out.Lines, nil
 }
-
-// Revalidated reports how many checkouts the validator cache answered
-// via a 304 Not Modified revalidation (0 unless ValidatorCacheBytes
-// enabled the cache).
-func (c *Client) Revalidated() int64 { return c.revalidated.Load() }
 
 // CheckoutResult is one CheckoutBatch outcome.
 type CheckoutResult struct {

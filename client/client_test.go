@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -326,8 +327,9 @@ func TestClientCommitRetriedOn5xx(t *testing.T) {
 // TestClientDefaultCheckoutIsOneGET pins the path a zero-Options client
 // takes: each Checkout is its own GET /checkout/{id}, so a repeat is
 // answered from the daemon's encoded-response cache and nothing goes
-// through POST /checkout. (TestClientValidatorCache holds the same
-// default to its 304 revalidations.)
+// through POST /checkout. The client keeps no copy: each round gets
+// lines of its own, so scribbling over one round's lines leaves the next
+// intact.
 func TestClientDefaultCheckoutIsOneGET(t *testing.T) {
 	leakCheck(t)
 	ts, src, _ := liveServer(t, 6)
@@ -339,6 +341,9 @@ func TestClientDefaultCheckoutIsOneGET(t *testing.T) {
 		lines, err := c.Checkout(ctx, 3)
 		if err != nil || !reflect.DeepEqual(lines, src.Contents[3]) {
 			t.Fatalf("Checkout(3) round %d = %v, %v", i, lines, err)
+		}
+		for j := range lines {
+			lines[j] = "scribbled"
 		}
 	}
 	sz, err := c.Statsz(ctx)
@@ -393,5 +398,37 @@ func TestClientCheckoutDiesWithItsContext(t *testing.T) {
 	await(ended, "the server's request context to end")
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled checkout returned %v, want context.Canceled", err)
+	}
+}
+
+// TestClientOnResponseBytes checks the byte hook fires for non-checkout
+// endpoints too, with the true wire size.
+func TestClientOnResponseBytes(t *testing.T) {
+	leakCheck(t)
+	ts, _, _ := liveServer(t, 3)
+	var mu sync.Mutex
+	got := map[string]int64{}
+	c := New(ts.URL, Options{
+		OnResponse: func(path string, n int64) {
+			mu.Lock()
+			got[path] += n
+			mu.Unlock()
+		},
+	})
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.Commit(ctx, 2, []string{"x", "y"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Checkout(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got["/commit"] <= 0 {
+		t.Fatalf("commit response bytes = %d, want > 0 (hook saw %v)", got["/commit"], got)
+	}
+	if got["/checkout/0"] <= 0 {
+		t.Fatalf("checkout response bytes = %d, want > 0 (hook saw %v)", got["/checkout/0"], got)
 	}
 }

@@ -20,20 +20,12 @@ type attemptError struct {
 	minDelay  time.Duration // server-provided Retry-After floor, if any
 }
 
-// call carries one logical request through the retry loop: the request
-// shape, the conditional-request validator the client-side ETag cache
-// threads in, and the per-response results (validator) it reads back
-// out after the final attempt.
+// call carries one logical request through the retry loop.
 type call struct {
 	method, path string
 	in           any  // JSON body (nil for none)
 	out          any  // 2xx response target (nil to discard)
 	idempotent   bool // safe to resend after transport/torn-body errors
-	ifNoneMatch  string
-
-	// Results of the final attempt.
-	notModified bool   // the server answered 304 Not Modified
-	etag        string // ETag header of the final response, if any
 }
 
 // doJSON performs method path with in as JSON body (nil for none),
@@ -42,11 +34,7 @@ type call struct {
 // response; non-idempotent requests (Commit) are only retried when an
 // HTTP error status proves the server did not apply them.
 func (c *Client) doJSON(ctx context.Context, method, path string, in, out any, idempotent bool) error {
-	return c.do(ctx, &call{method: method, path: path, in: in, out: out, idempotent: idempotent})
-}
-
-// do runs cl's retry loop.
-func (c *Client) do(ctx context.Context, cl *call) error {
+	cl := &call{method: method, path: path, in: in, out: out, idempotent: idempotent}
 	body, err := marshalBody(cl.in)
 	if err != nil {
 		return fmt.Errorf("dsvd: encoding %s %s: %w", cl.method, cl.path, err)
@@ -108,9 +96,6 @@ func (c *Client) attempt(ctx context.Context, cl *call, traceHeader string, body
 	if traceHeader != "" {
 		req.Header.Set(trace.HeaderTrace, traceHeader)
 	}
-	if cl.ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", cl.ifNoneMatch)
-	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		// Transport error: the caller's context expiring is terminal; a
@@ -125,13 +110,6 @@ func (c *Client) attempt(ctx context.Context, cl *call, traceHeader string, body
 		}
 	}
 	defer resp.Body.Close()
-	if cl.ifNoneMatch != "" && resp.StatusCode == http.StatusNotModified {
-		// The validator held: no body, the cached content stands.
-		cl.notModified = true
-		cl.etag = resp.Header.Get("ETag")
-		c.observeResponse(cl.path, 0)
-		return attemptError{}
-	}
 	if resp.StatusCode >= 200 && resp.StatusCode <= 299 && c.opt.OnTrace != nil {
 		if id := resp.Header.Get(trace.HeaderTraceID); id != "" {
 			c.opt.OnTrace(cl.path, id)
@@ -144,8 +122,6 @@ func (c *Client) attempt(ctx context.Context, cl *call, traceHeader string, body
 		retry := resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500
 		return attemptError{err: apiErr, retryable: retry, minDelay: retryAfterHint(resp)}
 	}
-	cl.notModified = false
-	cl.etag = resp.Header.Get("ETag")
 	// The whole body into one string sized by its Content-Length (exact
 	// on the big responses), whose lines a checkout keeps without a copy;
 	// reading to the end also leaves the keep-alive connection reusable.

@@ -20,7 +20,7 @@
 // at / or per tenant under /t/{tenant}, and /statsz + /metricsz +
 // /tracez observability; concurrent identical checkouts are
 // deduplicated once, in the store (internal/flight). repro/client is
-// the typed HTTP client (pooling, retries, validator cache): one method
+// the typed HTTP client (pooling, retries, no cache of its own): one method
 // set over per-repository views. Real git
 // histories import end to end — internal/gitimport and cmd/dsvimport
 // map commits (merges included) to versions with true parent edges

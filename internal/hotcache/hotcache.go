@@ -1,36 +1,15 @@
-// Package hotcache is the byte-accounted hot-entry cache shared by the
-// serving stack: the store's reconstructed-version cache and the HTTP
-// layer's encoded-response cache both run on it, so one budget
-// abstraction governs every cached byte on the checkout fast path.
-//
-// The cache is an LRU with a frequency-gated admission policy tuned for
-// zipf-skewed traffic. While the cache is under budget every put is
-// admitted — a cold cache fills at full speed. Once admitting an entry
-// would force an eviction, a put must instead earn its slot: the key's
-// hash has to be present in the doorkeeper (a bounded set of
-// recently-rejected first touches, the cheap half of a TinyLFU filter).
-// A one-hit-wonder therefore never evicts a hot entry — its first put is
-// rejected and only leaves a doorkeeper mark — while anything requested
-// twice inside the doorkeeper's horizon is admitted on the second
-// touch. The doorkeeper resets when it outgrows its bound, which is the
-// aging that keeps yesterday's hot set from squatting forever.
+// Package hotcache is the byte-accounted LRU shared by the serving
+// stack: the store's reconstructed-version cache and the HTTP layer's
+// encoded-response cache both run on it, so one budget abstraction
+// governs every cached byte on the checkout fast path. Every put is
+// admitted and the least recently used entries make room for it; only a
+// value larger than the whole budget is turned away.
 package hotcache
 
 import (
 	"container/list"
 	"sync"
 )
-
-// fnv64a hashes a key for the doorkeeper. Inline so the admission
-// decision does not allocate.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
 
 // Stats is a point-in-time traffic snapshot.
 type Stats struct {
@@ -39,14 +18,13 @@ type Stats struct {
 	MaxBytes  int64
 	Hits      int64
 	Misses    int64
-	Admitted  int64 // puts that entered the cache
-	Rejected  int64 // puts turned away by the admission gate
+	Rejected  int64 // puts larger than the whole byte budget
 	Evictions int64 // entries pushed out by the byte/entry budget
 }
 
-// Cache is a byte-bounded LRU with second-touch admission. All methods
-// are safe for concurrent use. A nil *Cache is valid and behaves as an
-// always-miss cache, so callers can disable caching without branching.
+// Cache is a byte-bounded LRU. All methods are safe for concurrent use.
+// A nil *Cache is valid and behaves as an always-miss cache, so callers
+// can disable caching without branching.
 type Cache struct {
 	mu         sync.Mutex
 	maxBytes   int64
@@ -55,13 +33,7 @@ type Cache struct {
 	ll         *list.List // front = most recently used
 	m          map[string]*list.Element
 
-	// door holds key hashes whose first put was rejected; a repeat put
-	// finds its hash here and is admitted. Bounded by doorCap; clearing
-	// on overflow is the aging mechanism.
-	door    map[uint64]struct{}
-	doorCap int
-
-	hits, misses, admitted, rejected, evictions int64
+	hits, misses, rejected, evictions int64
 }
 
 type entry struct {
@@ -69,11 +41,6 @@ type entry struct {
 	val  any
 	size int64
 }
-
-// defaultDoorCap bounds the doorkeeper set. 4096 first-touch marks cost
-// ~64KB and cover a popularity horizon far wider than any budget this
-// repo configures.
-const defaultDoorCap = 4096
 
 // New returns a cache bounded by maxBytes (and, when maxEntries > 0, by
 // entry count). maxBytes <= 0 returns nil: the disabled cache.
@@ -86,8 +53,6 @@ func New(maxBytes int64, maxEntries int) *Cache {
 		maxEntries: maxEntries,
 		ll:         list.New(),
 		m:          make(map[string]*list.Element),
-		door:       make(map[uint64]struct{}),
-		doorCap:    defaultDoorCap,
 	}
 }
 
@@ -108,10 +73,10 @@ func (c *Cache) Get(key string) (any, bool) {
 	return el.Value.(*entry).val, true
 }
 
-// Put offers (key, val) of the given size to the cache. An existing key
-// is updated in place (and its recency refreshed) regardless of the
-// admission gate — re-putting a cached entry is always a second touch.
-// Returns whether the value is in the cache on return.
+// Put caches (key, val) of the given size as the most recently used
+// entry, evicting from the LRU end until both budgets hold. An existing
+// key is updated in place. Returns whether the value is in the cache on
+// return: false only for a value larger than the whole byte budget.
 func (c *Cache) Put(key string, val any, size int64) bool {
 	if c == nil || size < 0 {
 		return false
@@ -132,39 +97,10 @@ func (c *Cache) Put(key string, val any, size int64) bool {
 		c.rejected++
 		return false
 	}
-	if c.needsEviction(size) && !c.secondTouch(key) {
-		c.rejected++
-		return false
-	}
-	c.admitted++
 	c.m[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
 	c.bytes += size
 	c.evictOver()
 	return true
-}
-
-// needsEviction reports whether inserting size bytes would push the
-// cache over either budget; c.mu must be held.
-func (c *Cache) needsEviction(size int64) bool {
-	if c.bytes+size > c.maxBytes {
-		return true
-	}
-	return c.maxEntries > 0 && c.ll.Len()+1 > c.maxEntries
-}
-
-// secondTouch consumes a doorkeeper mark for key, recording one when
-// absent; c.mu must be held.
-func (c *Cache) secondTouch(key string) bool {
-	h := fnv64a(key)
-	if _, ok := c.door[h]; ok {
-		delete(c.door, h)
-		return true
-	}
-	if len(c.door) >= c.doorCap {
-		clear(c.door) // aging: forget the stale first touches wholesale
-	}
-	c.door[h] = struct{}{}
-	return false
 }
 
 // evictOver drops LRU entries until both budgets hold; c.mu must be held.
@@ -205,7 +141,6 @@ func (c *Cache) Stats() Stats {
 		MaxBytes:  c.maxBytes,
 		Hits:      c.hits,
 		Misses:    c.misses,
-		Admitted:  c.admitted,
 		Rejected:  c.rejected,
 		Evictions: c.evictions,
 	}

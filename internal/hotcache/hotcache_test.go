@@ -42,31 +42,25 @@ func TestAdmitFreelyUnderBudget(t *testing.T) {
 	}
 }
 
-func TestSecondTouchAdmissionWhenFull(t *testing.T) {
+// TestFirstTouchAdmittedWhenFull: a full cache takes a new key on its
+// first put and evicts the least recently used entry for it.
+func TestFirstTouchAdmittedWhenFull(t *testing.T) {
 	c := New(100, 0)
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprint(i), i, 10)
 	}
-	// First touch of a new key with a full cache: rejected, no eviction.
-	if c.Put("new", 1, 10) {
-		t.Fatal("first-touch put admitted into a full cache")
-	}
-	if c.Len() != 10 {
-		t.Fatalf("rejected put evicted entries: Len = %d", c.Len())
-	}
-	// Second touch: admitted, evicting the LRU entry ("0").
 	if !c.Put("new", 1, 10) {
-		t.Fatal("second-touch put rejected")
+		t.Fatal("put into a full cache rejected")
 	}
 	if _, ok := c.Get("0"); ok {
-		t.Fatal("LRU entry survived a second-touch admission")
+		t.Fatal("LRU entry survived an admission into a full cache")
 	}
 	if _, ok := c.Get("new"); !ok {
 		t.Fatal("admitted entry missing")
 	}
 	st := c.Stats()
-	if st.Rejected != 1 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want 1 rejection and 1 eviction", st)
+	if st.Rejected != 0 || st.Evictions != 1 || st.Entries != 10 {
+		t.Fatalf("stats = %+v, want 0 rejections, 1 eviction, 10 entries", st)
 	}
 }
 
@@ -75,7 +69,7 @@ func TestUpdateExistingBypassesGate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprint(i), i, 10)
 	}
-	// Updating a resident key is always allowed, even growing it.
+	// Updating a resident key grows it in place.
 	if !c.Put("5", 55, 20) {
 		t.Fatal("update of resident key rejected")
 	}
@@ -94,8 +88,6 @@ func TestLRUEvictionOrder(t *testing.T) {
 	c.Put("b", 2, 10)
 	c.Put("c", 3, 10)
 	c.Get("a") // refresh a: eviction order becomes b, c, a
-	// Earn admission for d (second touch), which must evict b.
-	c.Put("d", 4, 10)
 	c.Put("d", 4, 10)
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted first (LRU)")
@@ -111,13 +103,9 @@ func TestEntryCapEvicts(t *testing.T) {
 	c := New(1<<20, 2)
 	c.Put("a", 1, 1)
 	c.Put("b", 2, 1)
-	c.Put("c", 3, 1) // over the entry cap: needs a second touch
+	c.Put("c", 3, 1) // over the entry cap: evicts a
 	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (first touch rejected)", c.Len())
-	}
-	c.Put("c", 3, 1)
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 after admission", c.Len())
+		t.Fatalf("Len = %d, want 2", c.Len())
 	}
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("LRU entry a survived entry-cap eviction")
@@ -131,21 +119,8 @@ func TestOversizedValueRejected(t *testing.T) {
 			t.Fatal("value larger than the whole budget admitted")
 		}
 	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", c.Len())
-	}
-}
-
-func TestDoorkeeperAges(t *testing.T) {
-	c := New(10, 0)
-	c.Put("hot", 1, 10) // fills the cache
-	c.doorCap = 4
-	// Five distinct first touches overflow the doorkeeper and clear it.
-	for i := 0; i < 5; i++ {
-		c.Put(fmt.Sprint(i), i, 10)
-	}
-	if len(c.door) > 4 {
-		t.Fatalf("doorkeeper grew past its cap: %d", len(c.door))
+	if st := c.Stats(); st.Entries != 0 || st.Rejected != 3 {
+		t.Fatalf("stats = %+v, want 0 entries and 3 rejections", st)
 	}
 }
 

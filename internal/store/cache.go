@@ -11,11 +11,9 @@ import (
 // immutable once committed, so entries never need invalidation — not
 // even across plan migrations — only eviction.
 //
-// It runs on the shared hotcache engine, so the budget is byte-accounted
+// It runs on the shared hotcache LRU, so the budget is byte-accounted
 // (the serving layer's encoded-response cache uses the same engine and
-// the same accounting) and admission is frequency-gated: once the cache
-// is full a version must be checked out twice before it may evict a hot
-// resident, which keeps zipf one-hit-wonders from churning the head.
+// the same accounting).
 //
 // The engine's mutex is a leaf in the store's lock order: get/put/len
 // never call back into the Store or the backend, so holding s.mu while

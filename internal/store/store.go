@@ -21,7 +21,7 @@ type Options struct {
 	// 0 = 256 entries, negative disables caching.
 	CacheEntries int
 	// CacheBytes bounds the same cache by content bytes (0 = 64 MiB).
-	// Whichever budget fills first triggers frequency-gated admission.
+	// Whichever budget fills first evicts the least recently used.
 	CacheBytes int64
 }
 
@@ -86,7 +86,7 @@ type Stats struct {
 	Checkouts      int64 // Checkout calls served
 	CacheHits      int64 // checkouts answered from the LRU
 	Coalesced      int64 // checkouts answered by a concurrent identical checkout's reconstruction
-	CacheRejected  int64 // cache puts turned away by the admission gate
+	CacheRejected  int64 // cache puts of a version larger than CacheBytes
 	CacheEvicted   int64 // cache entries evicted by the budget
 	DeltaApplies   int64 // edit scripts applied during reconstructions
 	PlanRetries    int64 // checkouts re-snapshotted after racing a migration

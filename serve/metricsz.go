@@ -91,7 +91,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		e.Gauge("dsv_respcache_max_bytes", "Byte budget of the encoded-response cache.", float64(cs.MaxBytes))
 		e.Counter("dsv_respcache_hits_total", "Checkouts answered from the encoded-response cache.", float64(cs.Hits))
 		e.Counter("dsv_respcache_misses_total", "Checkouts that had to reconstruct and encode.", float64(cs.Misses))
-		e.Counter("dsv_respcache_rejected_total", "Cache fills turned away by the admission gate.", float64(cs.Rejected))
+		e.Counter("dsv_respcache_rejected_total", "Cache fills larger than the whole byte budget.", float64(cs.Rejected))
 		e.Counter("dsv_respcache_evictions_total", "Cached responses evicted by the byte budget.", float64(cs.Evictions))
 	}
 	e.Counter("dsv_checkout_not_modified_total", "Checkouts answered 304 off a client If-None-Match validator.", float64(s.notModified.Load()))
@@ -143,7 +143,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	repoCounter("dsv_repo_checkouts_total", "Store checkouts (cache hits included).", func(st versioning.RepositoryStats) float64 { return float64(st.Checkouts) })
 	repoCounter("dsv_repo_cache_hits_total", "Checkouts served from the LRU cache.", func(st versioning.RepositoryStats) float64 { return float64(st.CacheHits) })
 	repoCounter("dsv_checkout_coalesced_total", "Store checkouts answered by a concurrent identical checkout's reconstruction.", func(st versioning.RepositoryStats) float64 { return float64(st.Coalesced) })
-	repoCounter("dsv_repo_cache_rejected_total", "Content-cache fills turned away by the admission gate.", func(st versioning.RepositoryStats) float64 { return float64(st.CacheRejected) })
+	repoCounter("dsv_repo_cache_rejected_total", "Content-cache fills of a version larger than the byte budget.", func(st versioning.RepositoryStats) float64 { return float64(st.CacheRejected) })
 	repoCounter("dsv_repo_cache_evicted_total", "Content-cache entries evicted by the byte budget.", func(st versioning.RepositoryStats) float64 { return float64(st.CacheEvicted) })
 	repoGauge("dsv_repo_packs", "Live packfiles in the disk backend.", func(st versioning.RepositoryStats) float64 { return float64(st.Packs) })
 	repoGauge("dsv_repo_packed_objects", "Objects served from packfiles.", func(st versioning.RepositoryStats) float64 { return float64(st.PackedObjects) })

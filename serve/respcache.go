@@ -22,10 +22,8 @@ import (
 // and the JSON encoder entirely and answers with one Write (or a 304,
 // if the client already holds the bytes).
 //
-// It runs on the same byte-accounted hotcache engine as the store's
-// content cache, so admission is frequency-gated once the budget is
-// full: under a zipf workload the popular head stays resident and
-// one-hit wonders cannot churn it.
+// It runs on the same byte-accounted hotcache LRU as the store's content
+// cache.
 type respCache struct {
 	hc *hotcache.Cache
 }

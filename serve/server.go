@@ -41,9 +41,8 @@
 //   - Encoded-response cache on the immutable GETs (/checkout/{id},
 //     path-scoped checkouts, /diff/{a}/{b}): the assembled JSON wire
 //     bytes are cached per (kind, tenant, request) under a byte budget
-//     (Options.RespCacheBytes) with frequency-gated admission, so a hot
-//     response is served with a single Write — no repository, store, or
-//     encoder work. Every cached response carries a strong ETag, the
+//     (Options.RespCacheBytes), an LRU, so a hot response is served
+//     with a single Write — no repository, store, or encoder work. Every cached response carries a strong ETag, the
 //     length and CRC-32C of its body, and honors If-None-Match with 304,
 //     so a revalidating client pays no body bytes at all. Version
 //     content is immutable, so entries never invalidate — only eviction

@@ -35,8 +35,9 @@ type EndpointStats struct {
 }
 
 // RespCacheStats is the encoded-response cache's /statsz entry: byte
-// footprint, hit/miss traffic, admission-gate rejections, and how many
-// checkouts were answered with a 304 off a client validator.
+// footprint, hit/miss traffic, bodies too large for the whole budget,
+// and how many checkouts were answered with a 304 off a client
+// validator.
 type RespCacheStats struct {
 	Entries     int   `json:"entries"`
 	Bytes       int64 `json:"bytes"`
