@@ -156,20 +156,13 @@ func BenchmarkLMG(b *testing.B) {
 	}
 }
 
-// BenchmarkLMGAll_Workers1 and _Workers4 are the parallel-scan ablation
-// (the candidate scan is embarrassingly parallel; on a single-core host
-// the variants coincide, on multicore the scan scales).
-func BenchmarkLMGAll_Workers1(b *testing.B) { benchLMGAll(b, 1) }
-
-// BenchmarkLMGAll_Workers4 — see BenchmarkLMGAll_Workers1.
-func BenchmarkLMGAll_Workers4(b *testing.B) { benchLMGAll(b, 4) }
-
-func benchLMGAll(b *testing.B, workers int) {
+// BenchmarkLMGAll measures Algorithm 7 at the same budget as BenchmarkLMG.
+func BenchmarkLMGAll(b *testing.B) {
 	g := styleguideScaled()
 	s := g.TotalNodeStorage() / 4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lmg.LMGAll(g, s, lmg.Options{Workers: workers}); err != nil {
+		if _, err := lmg.LMGAll(g, s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,7 +277,7 @@ func BenchmarkILP_Datasharing(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := g.TotalNodeStorage() / 3
-	seed, err := lmg.LMGAll(g, s, lmg.Options{})
+	seed, err := lmg.LMGAll(g, s)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -299,11 +292,11 @@ func BenchmarkILP_Datasharing(b *testing.B) {
 // --- portfolio-engine benchmarks ---
 
 // BenchmarkPortfolio_MSRRace measures one full MSR race (LMG, LMG-All,
-// DP-MSR concurrently; ILP excluded as it is benchmarked separately).
+// DP-MSR concurrently).
 func BenchmarkPortfolio_MSRRace(b *testing.B) {
 	g := styleguideScaled()
 	s := g.TotalNodeStorage() / 4
-	e := portfolio.New(portfolio.Options{Tuning: portfolio.Tuning{NoILP: true}})
+	e := portfolio.New(portfolio.Options{})
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -472,7 +465,6 @@ func benchRepositoryOpt(b *testing.B, opt versioning.RepositoryOptions) (*versio
 	src := repogen.GenerateRepo("bench-repo", 160, 7)
 	opt.Problem = versioning.ProblemMSR
 	opt.ReplanEvery = 40
-	opt.EngineOptions = versioning.EngineOptions{DisableILP: true}
 	repo, err := versioning.Open("bench-repo", opt)
 	if err != nil {
 		b.Fatal(err)
@@ -513,7 +505,6 @@ func BenchmarkRepositoryIngest(b *testing.B) {
 					ReplanEvery:        -1,
 					CacheEntries:       -1,
 					MaintenanceWorkers: -1,
-					EngineOptions:      versioning.EngineOptions{SolverTimeout: 5 * time.Second, DisableILP: true},
 				})
 				for v, lines := range contents {
 					if _, err := repo.Commit(ctx, parents[v], lines); err != nil {
@@ -967,12 +958,11 @@ func BenchmarkReplanPass(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			repo, err := versioning.Open("replan-pass", versioning.RepositoryOptions{
-				DataDir:       b.TempDir(),
-				Problem:       versioning.ProblemMSR,
-				ReplanEvery:   -1,
-				CacheEntries:  c.cacheEntries,
-				CacheBytes:    4 << 20,
-				EngineOptions: versioning.EngineOptions{SolverTimeout: 5 * time.Second, DisableILP: true},
+				DataDir:      b.TempDir(),
+				Problem:      versioning.ProblemMSR,
+				ReplanEvery:  -1,
+				CacheEntries: c.cacheEntries,
+				CacheBytes:   4 << 20,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -1121,10 +1111,9 @@ func BenchmarkCommitDurable(b *testing.B) {
 		b.Run(fmt.Sprintf("fsync=%t", syncWrites), func(b *testing.B) {
 			dir := b.TempDir()
 			repo, err := versioning.Open("commit-durable", versioning.RepositoryOptions{
-				DataDir:       dir,
-				SyncWrites:    syncWrites,
-				ReplanEvery:   -1,
-				EngineOptions: versioning.EngineOptions{SolverTimeout: 5 * time.Second, DisableILP: true},
+				DataDir:     dir,
+				SyncWrites:  syncWrites,
+				ReplanEvery: -1,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -1178,10 +1167,9 @@ func BenchmarkCommitDurable(b *testing.B) {
 // replay has them to put again before it sweeps what the plan added.
 func BenchmarkOpenAfterKill(b *testing.B) {
 	opt := versioning.RepositoryOptions{
-		Problem:       versioning.ProblemMSR,
-		SyncWrites:    true,
-		ReplanEvery:   -1,
-		EngineOptions: versioning.EngineOptions{SolverTimeout: 5 * time.Second, DisableILP: true},
+		Problem:     versioning.ProblemMSR,
+		SyncWrites:  true,
+		ReplanEvery: -1,
 	}
 	ctx := context.Background()
 	killedDir := b.TempDir()

@@ -26,7 +26,7 @@ func liveServer(t *testing.T, n int) (*httptest.Server, *repogen.Repo, *requestC
 	t.Helper()
 	repo := versioning.NewRepository("client-test", versioning.RepositoryOptions{
 		ReplanEvery:   4,
-		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true},
+		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second},
 	})
 	// Registered before ts so it runs after ts.Close: the repository owns
 	// a background maintenance worker that must drain or leakCheck trips.

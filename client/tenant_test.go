@@ -21,9 +21,6 @@ func liveMultiServer(t *testing.T, opt tenant.Options) *httptest.Server {
 	if opt.Repo.ReplanEvery == 0 {
 		opt.Repo.ReplanEvery = -1
 	}
-	if opt.Repo.EngineOptions == (versioning.EngineOptions{}) {
-		opt.Repo.EngineOptions = versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true}
-	}
 	mgr := tenant.NewManager(opt)
 	t.Cleanup(func() { mgr.Close() })
 	ts := httptest.NewServer(serve.NewMulti(mgr, serve.Options{}))

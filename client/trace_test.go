@@ -30,7 +30,7 @@ func TestTracePropagationThroughMulti(t *testing.T) {
 			// the trace always contains the store.read span under test.
 			CacheEntries:  -1,
 			ReplanEvery:   -1,
-			EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true},
+			EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second},
 		},
 	})
 	t.Cleanup(func() { mgr.Close() })

@@ -109,18 +109,16 @@ func run(ctx context.Context, args []string) error {
 		cache       = fs.Int("cache", 256, "checkout LRU entries (negative disables)")
 		cacheBytes  = fs.Int64("cache-bytes", 0, "checkout LRU byte budget (0 = 64 MiB)")
 		respCache   = fs.Int64("resp-cache", 0, "encoded checkout-response cache byte budget (0 = 64 MiB, negative disables)")
-		workers     = fs.Int("workers", 0, "batch checkout workers (0 = GOMAXPROCS)")
 		dataDir     = fs.String("data-dir", "", "durable storage root (objects + commit journal); empty serves from memory")
 		fsync       = fs.Bool("fsync", false, "fsync the commit journal on every commit (with -data-dir)")
 		planHistory = fs.Int("plan-history", 0, "maintenance passes retained in the plan-observatory ring served at GET /planz (0 = 64, negative disables)")
 		heatHL      = fs.Duration("heat-halflife", 0, "per-version read-heat EWMA half-life (0 = 5m default, negative disables heat tracking)")
-		timeout     = fs.Duration("timeout", 5*time.Second, "per-solver deadline inside re-planning races")
+		timeout     = fs.Duration("timeout", 5*time.Second, "per-solver deadline inside re-planning races (0 = 5s, negative = none)")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests and storage flush")
 		maxInFlight = fs.Int("max-inflight", 0, "admission control: max concurrently executing requests (0 = 4*GOMAXPROCS, negative disables)")
 		maxQueue    = fs.Int("max-queue", 0, "admission control: waiting slots before load shedding (0 = 2*max-inflight)")
 		queueWait   = fs.Duration("queue-wait", 100*time.Millisecond, "admission control: max time a request queues for a slot")
 		retryAfter  = fs.Duration("retry-after", time.Second, "Retry-After hint sent with 429 responses")
-		ilp         = fs.Bool("ilp", false, "include the exact ILP in MSR re-planning races")
 		demo        = fs.Int("demo", 0, "preload a synthetic history of N commits (single-repo mode)")
 		demoSeed    = fs.Int64("demo-seed", 42, "seed for -demo")
 
@@ -152,20 +150,16 @@ func run(ctx context.Context, args []string) error {
 	// from /tracez.
 	tracer := trace.New(trace.Options{Sample: *traceSample, Recent: *traceRecent})
 	ropt := versioning.RepositoryOptions{
-		Problem:      problem,
-		Constraint:   *constraint,
-		AutoFactor:   *autoFactor,
-		ReplanEvery:  *replanEvery,
-		CacheEntries: *cache,
-		CacheBytes:   *cacheBytes,
-		Workers:      *workers,
-		SyncWrites:   *fsync,
-		PlanHistory:  *planHistory,
-		HeatHalfLife: *heatHL,
-		EngineOptions: versioning.EngineOptions{
-			SolverTimeout: *timeout,
-			DisableILP:    !*ilp,
-		},
+		Problem:       problem,
+		Constraint:    *constraint,
+		AutoFactor:    *autoFactor,
+		ReplanEvery:   *replanEvery,
+		CacheEntries:  *cache,
+		CacheBytes:    *cacheBytes,
+		SyncWrites:    *fsync,
+		PlanHistory:   *planHistory,
+		HeatHalfLife:  *heatHL,
+		EngineOptions: versioning.EngineOptions{SolverTimeout: *timeout},
 	}
 
 	var handler *serve.Server

@@ -61,7 +61,6 @@ func TestRunHTTP(t *testing.T) {
 	repo := versioning.NewRepository("t", versioning.RepositoryOptions{
 		ReplanEvery:        -1,
 		MaintenanceWorkers: -1,
-		EngineOptions:      versioning.EngineOptions{DisableILP: true},
 	})
 	defer repo.Close()
 	ts := httptest.NewServer(serve.New(repo, serve.Options{}))

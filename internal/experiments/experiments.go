@@ -123,7 +123,7 @@ func msrSweep(g *graph.Graph, cfg Config, withILP bool) Result {
 		r, err := lmg.LMG(g, s)
 		lmgSeries.Points = append(lmgSeries.Points, point(s, r.Cost.SumRetrieval, start, err))
 		start = time.Now()
-		ra, err := lmg.LMGAll(g, s, lmg.Options{})
+		ra, err := lmg.LMGAll(g, s)
 		lmgAllSeries.Points = append(lmgAllSeries.Points, point(s, ra.Cost.SumRetrieval, start, err))
 	}
 
@@ -154,7 +154,7 @@ func msrSweep(g *graph.Graph, cfg Config, withILP bool) Result {
 		for i, s := range budgets {
 			var seed *plan.Plan
 			if !lmgAllSeries.Points[i].Infeasible {
-				if r, err := lmg.LMGAll(g, s, lmg.Options{}); err == nil {
+				if r, err := lmg.LMGAll(g, s); err == nil {
 					seed = r.Plan
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -11,17 +12,26 @@ import (
 	"repro/internal/portfolio"
 )
 
-// portfolioEngine builds an engine matching the experiment config.
+// portfolioEngine builds an engine matching the experiment config. With
+// withILP the MSR race also runs the exact ILP, last, as the OPT line the
+// default registry leaves to offline callers.
 func portfolioEngine(cfg Config, withILP bool) *portfolio.Engine {
-	return portfolio.New(portfolio.Options{
-		SolverTimeout: cfg.SolverTimeout,
-		Tuning: portfolio.Tuning{
-			Epsilon:     cfg.Epsilon,
-			MaxStates:   cfg.MaxStates,
-			MaxILPNodes: cfg.MaxILPNodes,
-			NoILP:       !withILP,
-		},
-	})
+	t := portfolio.Tuning{Epsilon: cfg.Epsilon, MaxStates: cfg.MaxStates, MaxILPNodes: cfg.MaxILPNodes}
+	race := portfolio.DefaultRegistry(t)
+	if withILP {
+		ilp, err := portfolio.Member(t, core.ProblemMSR, "ilp")
+		if err != nil {
+			panic(err)
+		}
+		serving := race
+		race = func(p core.Problem) []portfolio.Solver {
+			if p == core.ProblemMSR {
+				return slices.Concat(serving(p), []portfolio.Solver{ilp})
+			}
+			return serving(p)
+		}
+	}
+	return portfolio.New(portfolio.Options{SolverTimeout: cfg.SolverTimeout, Registry: race})
 }
 
 // portfolioSweep runs one dataset's constraint sweep through the engine

@@ -24,7 +24,7 @@ func Theorem1(ratios []graph.Cost) []Theorem1Row {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: theorem1 LMG: %v", err))
 		}
-		lmgAllRes, err := lmg.LMGAll(g, s, lmg.Options{})
+		lmgAllRes, err := lmg.LMGAll(g, s)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: theorem1 LMG-All: %v", err))
 		}

@@ -199,7 +199,6 @@ func TestReplayRoundTrip(t *testing.T) {
 	r := versioning.NewRepository("fixture", versioning.RepositoryOptions{
 		ReplanEvery:        -1,
 		MaintenanceWorkers: -1,
-		EngineOptions:      versioning.EngineOptions{DisableILP: true},
 	})
 	defer r.Close()
 	ids, err := h.Replay(ctx, func(ctx context.Context, parents []versioning.NodeID, lines []string) (versioning.NodeID, error) {

@@ -65,7 +65,7 @@ func TestGitPackLosesToVersionAwareMethods(t *testing.T) {
 		AvgNodeCost: 1_000_000, AvgDeltaCost: 8_000, BranchProb: 0.2, Seed: 9,
 	})
 	git := Solve(g, Options{Window: 10})
-	smart, err := lmg.LMGAll(g, git.Cost.Storage, lmg.Options{})
+	smart, err := lmg.LMGAll(g, git.Cost.Storage)
 	if err != nil {
 		t.Fatal(err)
 	}

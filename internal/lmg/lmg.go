@@ -15,8 +15,6 @@ import (
 	"context"
 	"errors"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/graphalg"
@@ -32,14 +30,6 @@ type Result struct {
 	Plan       *plan.Plan
 	Cost       plan.Cost
 	Iterations int // number of accepted greedy moves
-}
-
-// Options tunes LMG-All.
-type Options struct {
-	// Workers is the number of goroutines scanning move candidates.
-	// 0 means runtime.GOMAXPROCS(0). The result is deterministic
-	// regardless of worker count.
-	Workers int
 }
 
 // ratioLess reports whether ratio a = an/ad is strictly less than
@@ -170,13 +160,13 @@ func LMGContext(ctx context.Context, g *graph.Graph, s graph.Cost) (Result, erro
 // keep) storage while strictly improving the solution are taken eagerly
 // (infinite ratio), matching lines 11–12 of Algorithm 7 with a strictness
 // guard that guarantees termination.
-func LMGAll(g *graph.Graph, s graph.Cost, opt Options) (Result, error) {
-	return LMGAllContext(context.Background(), g, s, opt)
+func LMGAll(g *graph.Graph, s graph.Cost) (Result, error) {
+	return LMGAllContext(context.Background(), g, s)
 }
 
 // LMGAllContext is LMGAll under ctx: it checks ctx before every move and
 // returns ctx's error once ctx is done.
-func LMGAllContext(ctx context.Context, g *graph.Graph, s graph.Cost, opt Options) (Result, error) {
+func LMGAllContext(ctx context.Context, g *graph.Graph, s graph.Cost) (Result, error) {
 	x := graph.Extend(g)
 	t, err := initialTree(x)
 	if err != nil {
@@ -186,19 +176,12 @@ func LMGAllContext(ctx context.Context, g *graph.Graph, s graph.Cost, opt Option
 	if storage > s {
 		return Result{}, ErrInfeasible
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > x.M() {
-		workers = 1
-	}
 	iterations := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		best := scanMoves(x, t, storage, s, workers)
+		best := scanMoves(x, t, storage, s)
 		if !best.valid {
 			break
 		}
@@ -209,72 +192,39 @@ func LMGAllContext(ctx context.Context, g *graph.Graph, s graph.Cost, opt Option
 	return finish(x, t, iterations)
 }
 
-// scanMoves evaluates every candidate edge swap and returns the best
-// move. The scan is embarrassingly parallel: each worker reduces a
-// contiguous id range to its local best, and locals are reduced in range
-// order, so the result is independent of the worker count.
-func scanMoves(x *graph.Extended, t *graphalg.Tree, storage, s graph.Cost, workers int) move {
-	m := x.M()
-	evalRange := func(lo, hi int) move {
-		var best move
-		for id := lo; id < hi; id++ {
-			e := x.Edge(graph.EdgeID(id))
-			v := e.To
-			if int(v) >= x.Base.N() {
-				continue // no edges may enter v_aux
-			}
-			if t.ParentEdge[v] == int32(id) {
-				continue // no-op
-			}
-			// u must not be a descendant of v (would create a cycle).
-			if t.IsDescendant(v, e.From) {
-				continue
-			}
-			newR := t.Retrieval[e.From] + e.Retrieval
-			gain := graph.Cost(t.SubSize[v]) * (t.Retrieval[v] - newR)
-			if gain < 0 {
-				continue // line 9-10: retrieval must not worsen
-			}
-			costUp := e.Storage - x.Edge(graph.EdgeID(t.ParentEdge[v])).Storage
-			if storage+costUp > s {
-				continue
-			}
-			if gain == 0 && costUp >= 0 {
-				continue // no strict improvement: avoids swap cycles
-			}
-			c := move{edge: graph.EdgeID(id), v: v, gain: gain, costUp: costUp, valid: true}
-			if c.better(best) {
-				best = c
-			}
+// scanMoves evaluates every candidate edge swap, in edge id order, and
+// returns the best move. It runs on the caller's goroutine: a race
+// already gives each solver its own.
+func scanMoves(x *graph.Extended, t *graphalg.Tree, storage, s graph.Cost) move {
+	var best move
+	for id := 0; id < x.M(); id++ {
+		e := x.Edge(graph.EdgeID(id))
+		v := e.To
+		if int(v) >= x.Base.N() {
+			continue // no edges may enter v_aux
 		}
-		return best
-	}
-	if workers <= 1 {
-		return evalRange(0, m)
-	}
-	locals := make([]move, workers)
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
+		if t.ParentEdge[v] == int32(id) {
+			continue // no-op
 		}
-		if lo >= hi {
+		// u must not be a descendant of v (would create a cycle).
+		if t.IsDescendant(v, e.From) {
 			continue
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			locals[w] = evalRange(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var best move
-	for _, l := range locals {
-		if l.better(best) {
-			best = l
+		newR := t.Retrieval[e.From] + e.Retrieval
+		gain := graph.Cost(t.SubSize[v]) * (t.Retrieval[v] - newR)
+		if gain < 0 {
+			continue // line 9-10: retrieval must not worsen
+		}
+		costUp := e.Storage - x.Edge(graph.EdgeID(t.ParentEdge[v])).Storage
+		if storage+costUp > s {
+			continue
+		}
+		if gain == 0 && costUp >= 0 {
+			continue // no strict improvement: avoids swap cycles
+		}
+		c := move{edge: graph.EdgeID(id), v: v, gain: gain, costUp: costUp, valid: true}
+		if c.better(best) {
+			best = c
 		}
 	}
 	return best

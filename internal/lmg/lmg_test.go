@@ -68,7 +68,7 @@ func TestLMGFigure1(t *testing.T) {
 	if _, err := LMG(g, 100); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
-	if _, err := LMGAll(g, 100, Options{}); !errors.Is(err, ErrInfeasible) {
+	if _, err := LMGAll(g, 100); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -104,7 +104,7 @@ func TestHeuristicsFeasibleAndAboveOptimum(t *testing.T) {
 			}
 			for name, run := range map[string]func() (Result, error){
 				"LMG":    func() (Result, error) { return LMG(g, s) },
-				"LMGAll": func() (Result, error) { return LMGAll(g, s, Options{Workers: 1}) },
+				"LMGAll": func() (Result, error) { return LMGAll(g, s) },
 			} {
 				res, err := run()
 				if err != nil {
@@ -129,35 +129,6 @@ func TestHeuristicsFeasibleAndAboveOptimum(t *testing.T) {
 	}
 }
 
-func TestLMGAllParallelDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for it := 0; it < 20; it++ {
-		g := graph.Random(graph.RandomOptions{Nodes: 10, ExtraEdges: 30, Bidirected: true}, rng)
-		s := g.TotalNodeStorage() / 2
-		seq, err1 := LMGAll(g, s, Options{Workers: 1})
-		par, err2 := LMGAll(g, s, Options{Workers: 4})
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("it %d: error mismatch %v vs %v", it, err1, err2)
-		}
-		if err1 != nil {
-			continue
-		}
-		if seq.Cost != par.Cost {
-			t.Fatalf("it %d: sequential %+v != parallel %+v", it, seq.Cost, par.Cost)
-		}
-		for v := range seq.Plan.Materialized {
-			if seq.Plan.Materialized[v] != par.Plan.Materialized[v] {
-				t.Fatalf("it %d: plans differ at node %d", it, v)
-			}
-		}
-		for e := range seq.Plan.Stored {
-			if seq.Plan.Stored[e] != par.Plan.Stored[e] {
-				t.Fatalf("it %d: plans differ at edge %d", it, e)
-			}
-		}
-	}
-}
-
 func TestLMGAllTerminatesOnZeroCostEdges(t *testing.T) {
 	// Zero-retrieval zero-storage deltas invite infinite swap loops; the
 	// strictness guard must terminate.
@@ -166,7 +137,7 @@ func TestLMGAllTerminatesOnZeroCostEdges(t *testing.T) {
 	g.AddBiEdge(1, 2, 0, 0)
 	g.AddBiEdge(2, 3, 0, 0)
 	g.AddBiEdge(0, 3, 0, 0)
-	res, err := LMGAll(g, 40, Options{})
+	res, err := LMGAll(g, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +170,7 @@ func TestSingleNode(t *testing.T) {
 	g := graph.NewWithNodes("one", 1, 42)
 	for _, run := range []func() (Result, error){
 		func() (Result, error) { return LMG(g, 42) },
-		func() (Result, error) { return LMGAll(g, 42, Options{}) },
+		func() (Result, error) { return LMGAll(g, 42) },
 	} {
 		res, err := run()
 		if err != nil {

@@ -56,7 +56,7 @@ func checkEnginePlan(t *testing.T, g *graph.Graph, sol core.Solution) {
 // graphs in all four constrained regimes and checks every returned plan.
 func TestEnginePlanInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	e := portfolio.New(portfolio.Options{Tuning: portfolio.Tuning{NoILP: true}})
+	e := portfolio.New(portfolio.Options{})
 	ctx := context.Background()
 	for iter := 0; iter < 12; iter++ {
 		g := graph.Random(graph.RandomOptions{

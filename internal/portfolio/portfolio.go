@@ -1,9 +1,10 @@
 // Package portfolio holds the paper's solver line-up and races it. The
 // registry (DefaultRegistry) is the one place that says which solver
-// families (LMG, LMG-All, DP-MSR, DP-BMR, MP, ILP, and their Lemma 7
-// lifts) answer which of the four problem regimes, under which report
-// name and with which tuning; Member picks one of them by family for the
-// one-shot callers (versioning.SolveXXX, cmd/dsvsolve). The Engine is the
+// families (LMG, LMG-All, DP-MSR, DP-BMR, MP, and their Lemma 7 lifts)
+// answer which of the four problem regimes, under which report name and
+// with which tuning; Member picks one of them, or the exact ILP that no
+// default race runs, by family for the one-shot callers
+// (versioning.SolveXXX, cmd/dsvsolve). The Engine is the
 // runtime counterpart of the paper's Section 7 evaluation: instead of
 // comparing offline, it races every member registered for a problem
 // concurrently, with per-solver timeouts and cooperative cancellation,

@@ -48,7 +48,7 @@ func TestRaceRunsFullPortfolio(t *testing.T) {
 		name string
 		res  Result
 		want int
-	}{{"MSR", msr, 4}, {"BMR", bmr, 2}} {
+	}{{"MSR", msr, 3}, {"BMR", bmr, 2}} {
 		if len(tc.res.Reports) != tc.want {
 			t.Fatalf("%s: raced %d solvers, want %d", tc.name, len(tc.res.Reports), tc.want)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -28,16 +29,6 @@ type Tuning struct {
 	// MaxILPNodes caps branch-and-bound nodes per ILP solve (default
 	// 20000).
 	MaxILPNodes int
-	// NoILP drops the exact ILP from the MSR portfolio (it dominates run
-	// time on anything beyond datasharing scale).
-	NoILP bool
-}
-
-func (t Tuning) withDefaults() Tuning {
-	if t.MaxILPNodes == 0 {
-		t.MaxILPNodes = 20000
-	}
-	return t
 }
 
 // wrap converts a concrete solver outcome to a core.Solution, folding the
@@ -53,16 +44,15 @@ func wrap(p *plan.Plan, c plan.Cost, err, infeasible error) (core.Solution, erro
 	return core.Solution{Plan: p, Cost: c}, nil
 }
 
-// DefaultRegistry is the one declaration of the paper's solver line-up
-// (Section 7): LMG, LMG-All, DP-MSR and ILP for MSR; MP and DP-BMR for
-// BMR; the Lemma 7 binary-search lifts of the BMR members for MMR and of
+// DefaultRegistry is the one declaration of the paper's serving line-up
+// (Section 7): LMG, LMG-All and DP-MSR for MSR; MP and DP-BMR for BMR;
+// the Lemma 7 binary-search lifts of the BMR members for MMR and of
 // DP-MSR and LMG-All for BSR; and the polynomial MST/SPT baselines for
 // the unconstrained problems. The engine races a problem's members in
-// this order; Member picks one of them by family. Each closure applies
-// the tuning and folds its solver's infeasibility sentinel here, so no
-// caller repeats either.
+// this order; Member picks one of them, or the offline ILP, by family.
+// Each closure applies the tuning and folds its solver's infeasibility
+// sentinel here, so no caller repeats either.
 func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
-	t = t.withDefaults()
 	dpOpts := dptree.DefaultMSROptions(t.Epsilon, t.MaxStates)
 
 	lmgS := Solver{Name: "LMG", Family: "lmg", Solve: func(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
@@ -70,21 +60,13 @@ func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 		return wrap(r.Plan, r.Cost, err, lmg.ErrInfeasible)
 	}}
 	lmgAllS := Solver{Name: "LMG-All", Family: "lmg-all", Solve: func(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
-		r, err := lmg.LMGAllContext(ctx, g, s, lmg.Options{})
+		r, err := lmg.LMGAllContext(ctx, g, s)
 		return wrap(r.Plan, r.Cost, err, lmg.ErrInfeasible)
 	}}
 	dpMSR := Solver{Name: "DP-MSR", Family: "dp", Solve: func(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
 		r, err := dptree.MSROnGraphContext(ctx, g, s, t.Root, dpOpts)
 		return wrap(r.Plan, r.Cost, err, dptree.ErrInfeasible)
 	}}
-	ilpS := Solver{Name: "ILP", Family: "ilp", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
-		r, err := ilp.SolveMSR(g, s, ilp.Options{MaxNodes: t.MaxILPNodes})
-		return wrap(r.Plan, r.Cost, err, ilp.ErrInfeasible)
-	}}
-	msr := []Solver{lmgS, lmgAllS, dpMSR}
-	if !t.NoILP {
-		msr = append(msr, ilpS)
-	}
 
 	// MP has no sentinel of its own: its tree grows from the auxiliary
 	// root, whose edges retrieve for 0, so it comes back without a tree
@@ -119,7 +101,7 @@ func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 		core.ProblemSPT: {{Name: "SPT", Solve: func(_ context.Context, g *graph.Graph, _ graph.Cost) (core.Solution, error) {
 			return core.SPT(g, t.Root)
 		}}},
-		core.ProblemMSR: msr,
+		core.ProblemMSR: {lmgS, lmgAllS, dpMSR},
 		core.ProblemBMR: {mpS, dpBMR},
 		core.ProblemMMR: {lift(mpS, core.MMRViaBMR), lift(dpBMR, core.MMRViaBMR)},
 		core.ProblemBSR: {lift(dpMSR, core.BSRViaMSR), lift(lmgAllS, core.BSRViaMSR)},
@@ -127,10 +109,24 @@ func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 	return func(p core.Problem) []Solver { return table[p] }
 }
 
+// ilpMSR is the exact ILP for MSR, the paper's offline OPT line
+// (Section 7). No default race runs it: past datasharing's scale it
+// spends the whole deadline and returns nothing (996.ICU at 5 s).
+func ilpMSR(t Tuning) Solver {
+	nodes := t.MaxILPNodes
+	if nodes == 0 {
+		nodes = 20000
+	}
+	return Solver{Name: "ILP", Family: "ilp", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
+		r, err := ilp.SolveMSR(g, s, ilp.Options{MaxNodes: nodes})
+		return wrap(r.Plan, r.Cost, err, ilp.ErrInfeasible)
+	}}
+}
+
 // Member returns the member of DefaultRegistry(t) that family names for
-// problem p. "auto" is the Section 7.4 recommendation: LMG-All for MSR,
-// the tree DP for BMR, MMR and BSR. The MST and SPT baselines have no
-// family and answer to every name.
+// problem p, or for MSR and "ilp" the offline ILP. "auto" is the Section
+// 7.4 recommendation: LMG-All for MSR, the tree DP for BMR, MMR and BSR.
+// The MST and SPT baselines have no family and answer to every name.
 func Member(t Tuning, p core.Problem, family string) (Solver, error) {
 	if family == "auto" {
 		family = "dp"
@@ -138,8 +134,12 @@ func Member(t Tuning, p core.Problem, family string) (Solver, error) {
 			family = "lmg-all"
 		}
 	}
+	members := DefaultRegistry(t)(p)
+	if p == core.ProblemMSR {
+		members = slices.Concat(members, []Solver{ilpMSR(t)})
+	}
 	var have []string
-	for _, s := range DefaultRegistry(t)(p) {
+	for _, s := range members {
 		if s.Family == "" || s.Family == family {
 			return s, nil
 		}

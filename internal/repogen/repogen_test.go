@@ -125,7 +125,7 @@ func TestGenerateRepoCheckoutMinStorage(t *testing.T) {
 func TestGenerateRepoCheckoutUnderSolverPlans(t *testing.T) {
 	r := GenerateRepo("repo", 30, 5)
 	total := r.Graph.TotalNodeStorage()
-	res, err := lmg.LMGAll(r.Graph, total/2, lmg.Options{})
+	res, err := lmg.LMGAll(r.Graph, total/2)
 	if err != nil {
 		t.Fatal(err)
 	}

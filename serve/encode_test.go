@@ -26,7 +26,7 @@ func TestETagIsOfTheBodyAlone(t *testing.T) {
 		ReplanEvery:   -1, // the chain of commits stays the layout until Replan below
 		Problem:       versioning.ProblemMSR,
 		DataDir:       t.TempDir(),
-		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true},
+		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second},
 	}
 	repo, err := versioning.Open("etag", opt)
 	if err != nil {

@@ -19,9 +19,7 @@ import (
 // sentinelServer is a repository with one version behind a test server.
 func sentinelServer(t *testing.T) (*versioning.Repository, *httptest.Server) {
 	t.Helper()
-	repo := versioning.NewRepository("test", versioning.RepositoryOptions{
-		EngineOptions: versioning.EngineOptions{DisableILP: true},
-	})
+	repo := versioning.NewRepository("test", versioning.RepositoryOptions{})
 	t.Cleanup(func() { repo.Close() })
 	if _, err := repo.Commit(context.Background(), versioning.NoParent, []string{"root"}); err != nil {
 		t.Fatal(err)
@@ -65,7 +63,7 @@ func TestUnknownVersionSentinel(t *testing.T) {
 // declared its length, and that an undecodable body under the cap is
 // still a 400.
 func TestOversizedBodyIs413(t *testing.T) {
-	repo := versioning.NewRepository("test", versioning.RepositoryOptions{EngineOptions: versioning.EngineOptions{DisableILP: true}})
+	repo := versioning.NewRepository("test", versioning.RepositoryOptions{})
 	t.Cleanup(func() { repo.Close() })
 	s := New(repo, Options{})
 	s.maxBody = 1 << 10

@@ -56,9 +56,6 @@ func testManager(t *testing.T, root string, opt tenant.Options) *tenant.Manager 
 	if opt.Repo.ReplanEvery == 0 {
 		opt.Repo.ReplanEvery = -1
 	}
-	if opt.Repo.EngineOptions == (versioning.EngineOptions{}) {
-		opt.Repo.EngineOptions = versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true}
-	}
 	m := tenant.NewManager(opt)
 	t.Cleanup(func() { m.Close() })
 	return m
@@ -331,9 +328,9 @@ func TestMultiTenantQuota429(t *testing.T) {
 // collisions or shared state.
 func TestTwoServersCoexist(t *testing.T) {
 	repoA := versioning.NewRepository("a", versioning.RepositoryOptions{ReplanEvery: -1,
-		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true}})
+		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second}})
 	repoB := versioning.NewRepository("b", versioning.RepositoryOptions{ReplanEvery: -1,
-		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true}})
+		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second}})
 	tsA := httptest.NewServer(New(repoA, Options{}))
 	defer tsA.Close()
 	tsB := httptest.NewServer(New(repoB, Options{}))

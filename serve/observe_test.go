@@ -26,7 +26,7 @@ func TestMetricszLint(t *testing.T) {
 	t.Run("single", func(t *testing.T) {
 		repo := versioning.NewRepository("m", versioning.RepositoryOptions{
 			ReplanEvery:   -1,
-			EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true},
+			EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second},
 		})
 		srv := New(repo, Options{Tracer: trace.New(trace.Options{Sample: 1})})
 		ts := httptest.NewServer(srv)
@@ -122,7 +122,7 @@ func TestStatszTenants(t *testing.T) {
 func TestSlowRequestLog(t *testing.T) {
 	repo := versioning.NewRepository("slow", versioning.RepositoryOptions{
 		ReplanEvery:   -1,
-		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true},
+		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second},
 	})
 	srv := New(repo, Options{
 		Tracer:      trace.New(trace.Options{Sample: 1}),
@@ -163,7 +163,7 @@ func TestSlowRequestLog(t *testing.T) {
 func TestHealthzBuildInfo(t *testing.T) {
 	repo := versioning.NewRepository("b", versioning.RepositoryOptions{
 		ReplanEvery:   -1,
-		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true},
+		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second},
 	})
 	ts := httptest.NewServer(New(repo, Options{}))
 	t.Cleanup(ts.Close)

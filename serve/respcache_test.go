@@ -21,7 +21,7 @@ func respTestServer(t *testing.T, n int, opt Options) (*httptest.Server, *Server
 	t.Helper()
 	repo := versioning.NewRepository("resp", versioning.RepositoryOptions{
 		ReplanEvery:   -1,
-		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true},
+		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second},
 	})
 	srv := New(repo, opt)
 	ts := httptest.NewServer(srv)

@@ -18,9 +18,6 @@ import (
 
 func testServer(t *testing.T, opt versioning.RepositoryOptions) *httptest.Server {
 	t.Helper()
-	if opt.EngineOptions == (versioning.EngineOptions{}) && opt.Engine == nil {
-		opt.EngineOptions = versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true}
-	}
 	ts := httptest.NewServer(New(versioning.NewRepository("test", opt), Options{}))
 	t.Cleanup(ts.Close)
 	return ts
@@ -215,7 +212,7 @@ func TestServerPersistenceRestartRoundTrip(t *testing.T) {
 	opt := versioning.RepositoryOptions{
 		ReplanEvery:   5,
 		DataDir:       dir,
-		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true},
+		EngineOptions: versioning.EngineOptions{SolverTimeout: 10 * time.Second},
 	}
 	repo, err := versioning.Open("test", opt)
 	if err != nil {

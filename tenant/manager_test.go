@@ -21,9 +21,6 @@ func testOptions(root string) Options {
 		RootDir: root,
 		Repo: versioning.RepositoryOptions{
 			ReplanEvery: -1,
-			EngineOptions: versioning.EngineOptions{
-				SolverTimeout: 5 * time.Second, DisableILP: true,
-			},
 		},
 	}
 }

@@ -30,9 +30,13 @@ type (
 	SolverReport    = portfolio.Report
 )
 
-// EngineOptions configures a portfolio Engine.
+// EngineOptions configures a portfolio Engine. Its one setting is the
+// per-solver deadline: the race is the paper's serving line-up
+// (portfolio.DefaultRegistry) with the tree DPs at their defaults, and
+// never the ILP, which SolveMSR(AlgILP) reaches offline.
 type EngineOptions struct {
-	// SolverTimeout is the per-solver deadline within a race (0 = none).
+	// SolverTimeout is the per-solver deadline within a race (0 or
+	// negative = none).
 	// A solver that misses its deadline is abandoned and reported with
 	// context.DeadlineExceeded; the race still returns the best solution
 	// among the solvers that finished.
@@ -40,14 +44,9 @@ type EngineOptions struct {
 	// CacheSize has no effect: the engine keeps no result cache. It stays
 	// because benchmark/traced.go sets it (ROADMAP item 7h).
 	CacheSize int
-	// Epsilon / MaxStates / Root tune the tree DPs as in Options.
-	Epsilon   float64
-	MaxStates int
-	Root      NodeID
-	// MaxILPNodes caps branch-and-bound effort per ILP solve (default
-	// 20000); DisableILP drops the ILP from the MSR portfolio entirely.
-	MaxILPNodes int
-	DisableILP  bool
+	// DisableILP has no effect: no engine races the ILP. It stays because
+	// benchmark/stack.go and benchmark/traced.go set it (ROADMAP item 7h).
+	DisableILP bool
 }
 
 // Engine is the concurrent solver-portfolio runtime: for each Solve it
@@ -61,16 +60,7 @@ type Engine struct {
 
 // NewEngine returns a portfolio engine.
 func NewEngine(opt EngineOptions) *Engine {
-	return &Engine{p: portfolio.New(portfolio.Options{
-		SolverTimeout: opt.SolverTimeout,
-		Tuning: portfolio.Tuning{
-			Epsilon:     opt.Epsilon,
-			MaxStates:   opt.MaxStates,
-			Root:        opt.Root,
-			MaxILPNodes: opt.MaxILPNodes,
-			NoILP:       opt.DisableILP,
-		},
-	})}
+	return &Engine{p: portfolio.New(portfolio.Options{SolverTimeout: opt.SolverTimeout})}
 }
 
 // Solve races the portfolio for problem on g under the given constraint

@@ -53,6 +53,29 @@ func TestEngineRacesPortfolios(t *testing.T) {
 	}
 }
 
+// TestEngineRacesTheServingLineUp pins the MSR race to the paper's
+// serving line-up: LMG, LMG-All and DP-MSR. The ILP runs in no race, but
+// Member still resolves it for the offline callers (SolveMSR(AlgILP),
+// dsvsolve -algo ilp).
+func TestEngineRacesTheServingLineUp(t *testing.T) {
+	g := engineTestGraph()
+	res, err := NewEngine(EngineOptions{SolverTimeout: time.Second}).Solve(context.Background(), g, ProblemMSR, g.TotalNodeStorage()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raced []string
+	for _, r := range res.Reports {
+		raced = append(raced, r.Solver)
+	}
+	if want := []string{"LMG", "LMG-All", "DP-MSR"}; !reflect.DeepEqual(raced, want) {
+		t.Fatalf("MSR race ran %v, want %v", raced, want)
+	}
+	m, err := portfolio.Member(portfolio.Tuning{}, ProblemMSR, "ilp")
+	if err != nil || m.Name != "ILP" {
+		t.Fatalf("Member(MSR, ilp) = %q, %v; want the ILP", m.Name, err)
+	}
+}
+
 // TestEngineGenericSolve exercises Solve across every Problem constant.
 func TestEngineGenericSolve(t *testing.T) {
 	g := engineTestGraph()

@@ -310,6 +310,7 @@ func TestReplanFailureSurfacesAndRetries(t *testing.T) {
 	defer r.Close()
 	ctx := context.Background()
 	boom := errors.New("injected solver failure")
+	healthy := r.solve
 	r.solve = func(context.Context, *Graph, Problem, Cost) (PortfolioResult, error) {
 		return PortfolioResult{}, boom
 	}
@@ -339,7 +340,7 @@ func TestReplanFailureSurfacesAndRetries(t *testing.T) {
 	// Heal the solver; the very next commit must retry and succeed.
 	// (WaitMaintenance above synchronizes with the worker, and the next
 	// trigger orders this write before the worker's next read.)
-	r.solve = r.eng.Solve
+	r.solve = healthy
 	if _, err := r.Commit(ctx, 0, []string{"root", "healed"}); err != nil {
 		t.Fatal(err)
 	}

@@ -168,6 +168,7 @@ func TestPlanHistoryFailureRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("injected observatory failure")
+	healthy := r.solve
 	r.solve = func(context.Context, *Graph, Problem, Cost) (PortfolioResult, error) {
 		return PortfolioResult{}, boom
 	}
@@ -195,7 +196,7 @@ func TestPlanHistoryFailureRecord(t *testing.T) {
 	}
 
 	// Healed passes append completed records after the failure.
-	r.solve = r.eng.Solve
+	r.solve = healthy
 	if err := r.Replan(ctx); err != nil {
 		t.Fatal(err)
 	}

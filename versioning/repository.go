@@ -63,9 +63,6 @@ type RepositoryOptions struct {
 	CacheEntries int
 	// CacheBytes bounds the same cache by byte footprint (0 = 64 MiB).
 	CacheBytes int64
-	// Workers bounds concurrent reconstructions in CheckoutBatch
-	// (0 = runtime.GOMAXPROCS).
-	Workers int
 	// Backend is the object backend the store runs on. nil picks the
 	// default: a sharded in-memory backend (store.DefaultShards shards),
 	// or — when Open is given a DataDir — a durable disk backend rooted
@@ -93,11 +90,8 @@ type RepositoryOptions struct {
 	// ReplanEvery blocks until the re-plan finishes) — deterministic, and
 	// the right choice for tests that assert on Replans immediately.
 	MaintenanceWorkers int
-	// Engine is the portfolio engine used for re-planning. nil builds one
-	// from EngineOptions; if those are zero too, the serving defaults
-	// apply (5s solver timeout, ILP disabled).
-	Engine *Engine
-	// EngineOptions configures the engine built when Engine is nil.
+	// EngineOptions configures the re-planning engine. A SolverTimeout
+	// of 0 means 5s here; a negative one means no deadline.
 	EngineOptions EngineOptions
 	// PlanHistory bounds the plan observatory's ring of PlanRecords —
 	// one per maintenance pass, served by PlanHistory() and GET /planz
@@ -134,12 +128,11 @@ type RepositoryOptions struct {
 // slices are shared with the cache: callers must not modify them.
 type Repository struct {
 	opt   RepositoryOptions
-	eng   *Engine
 	st    *store.Store
 	start time.Time // creation/open time (Stats reports uptime)
 
 	// solve runs the portfolio race for maintenance passes. It defaults
-	// to eng.Solve; tests swap it to inject solver failures.
+	// to an Engine's Solve; tests swap it to inject solver failures.
 	solve func(ctx context.Context, g *Graph, p Problem, constraint Cost) (PortfolioResult, error)
 
 	// commitMu serializes commits, plan installs, and close. The journal
@@ -207,13 +200,9 @@ func NewRepository(name string, opt RepositoryOptions) *Repository {
 	if opt.ReplanEvery == 0 {
 		opt.ReplanEvery = 8
 	}
-	eng := opt.Engine
-	if eng == nil {
-		eo := opt.EngineOptions
-		if eo == (EngineOptions{}) {
-			eo = EngineOptions{SolverTimeout: 5 * time.Second, DisableILP: true}
-		}
-		eng = NewEngine(eo)
+	eo := opt.EngineOptions
+	if eo.SolverTimeout == 0 {
+		eo.SolverTimeout = 5 * time.Second
 	}
 	backend := opt.Backend
 	if backend == nil {
@@ -225,7 +214,6 @@ func NewRepository(name string, opt RepositoryOptions) *Repository {
 	}
 	r := &Repository{
 		opt:        opt,
-		eng:        eng,
 		start:      time.Now(),
 		st:         store.New(store.Options{Backend: backend, CacheEntries: opt.CacheEntries, CacheBytes: opt.CacheBytes}),
 		g:          NewGraph(name),
@@ -238,7 +226,7 @@ func NewRepository(name string, opt RepositoryOptions) *Repository {
 	if opt.HeatHalfLife >= 0 {
 		r.heat = heat.New(heat.Options{HalfLife: opt.HeatHalfLife})
 	}
-	r.solve = eng.Solve
+	r.solve = NewEngine(eo).Solve
 	r.startMaintenance()
 	return r
 }
@@ -606,14 +594,14 @@ type CheckoutResult struct {
 	Err   error
 }
 
-// CheckoutBatch reconstructs many versions across a bounded worker pool;
+// CheckoutBatch reconstructs many versions across GOMAXPROCS workers;
 // results are positional and duplicates are deduplicated through the
 // cache and singleflight layers.
 func (r *Repository) CheckoutBatch(ctx context.Context, ids []NodeID) []CheckoutResult {
 	for _, v := range ids {
 		r.heat.Bump(v)
 	}
-	items := r.st.CheckoutBatch(ctx, ids, r.opt.Workers)
+	items := r.st.CheckoutBatch(ctx, ids, 0)
 	out := make([]CheckoutResult, len(items))
 	for i, it := range items {
 		out[i] = CheckoutResult{Lines: it.Lines, Err: it.Err}

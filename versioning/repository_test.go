@@ -13,10 +13,9 @@ import (
 	"repro/internal/repogen"
 )
 
-// testEngineOptions keeps re-planning fast and deterministic enough for
-// CI: no ILP, generous per-solver deadline.
+// testEngineOptions gives re-planning a generous per-solver deadline.
 func testEngineOptions() EngineOptions {
-	return EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true}
+	return EngineOptions{SolverTimeout: 10 * time.Second}
 }
 
 // ingest replays a generated content-backed history through Commit.
@@ -123,7 +122,6 @@ func TestRepositoryConcurrentCheckouts(t *testing.T) {
 	r := NewRepository("conc", RepositoryOptions{
 		ReplanEvery:   10,
 		CacheEntries:  16,
-		Workers:       4,
 		EngineOptions: testEngineOptions(),
 	})
 	ingest(t, r, src)

@@ -32,7 +32,7 @@ func TestCommitSpanAccounting(t *testing.T) {
 		Backend:       slowPutBackend{store.NewMemBackend()},
 		SyncWrites:    true,
 		ReplanEvery:   -1,
-		EngineOptions: EngineOptions{SolverTimeout: 10 * time.Second, DisableILP: true},
+		EngineOptions: EngineOptions{SolverTimeout: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
