@@ -6,8 +6,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/graphalg"
@@ -69,11 +71,73 @@ var ErrInfeasible = errors.New("core: constraint infeasible")
 // MST solves Problem 1: the minimum-storage plan keeping every version
 // retrievable.
 func MST(g *graph.Graph) (Solution, error) {
-	p, _, err := plan.MinStorage(g)
+	return MSTOf(context.Background(), g)
+}
+
+// MSTOf is MST from the min-storage arborescence ctx carries for g (see
+// WithMinStorage), if any.
+func MSTOf(ctx context.Context, g *graph.Graph) (Solution, error) {
+	m, err := MinStorageOf(ctx, g)
+	if err != nil {
+		return Solution{}, err
+	}
+	p, err := plan.FromExtendedTree(m.X, m.ParentEdge)
 	if err != nil {
 		return Solution{}, err
 	}
 	return Solution{Plan: p, Cost: plan.Evaluate(g, p)}, nil
+}
+
+// MinStorage is a version graph's minimum-storage arborescence (MSA):
+// the minimum spanning arborescence of its extended graph under storage
+// weights, rooted at the auxiliary root. It is Problem 1's plan, the
+// yardstick of an automatic constraint and the tree LMG and LMG-All
+// start from. It is shared, so nothing may write to it.
+type MinStorage struct {
+	X          *graph.Extended
+	ParentEdge []int32 // per node of X; graph.None at X.Aux
+}
+
+func newMinStorage(g *graph.Graph) (*MinStorage, error) {
+	x := graph.Extend(g)
+	parents, _, err := graphalg.MinArborescence(x.Graph, x.Aux, graphalg.StorageWeight)
+	if err != nil {
+		return nil, err
+	}
+	return &MinStorage{X: x, ParentEdge: parents}, nil
+}
+
+type minStorageKey struct{}
+
+// minStorageOnce is the MSA of one graph, computed on first use.
+type minStorageOnce struct {
+	g    *graph.Graph
+	once sync.Once
+	m    *MinStorage
+	err  error
+}
+
+// WithMinStorage returns ctx carrying g's MSA, computed on the first
+// MinStorageOf(ctx, g) and shared by every one after: a plan pass
+// computes it once for its automatic constraint and for the race's LMG
+// and LMG-All, and a Lemma 7 lift once for all its probes. It lives as
+// long as ctx. If ctx already carries g's, WithMinStorage returns ctx.
+func WithMinStorage(ctx context.Context, g *graph.Graph) context.Context {
+	if h, ok := ctx.Value(minStorageKey{}).(*minStorageOnce); ok && h.g == g {
+		return ctx
+	}
+	return context.WithValue(ctx, minStorageKey{}, &minStorageOnce{g: g})
+}
+
+// MinStorageOf returns g's MSA: the one ctx carries for g (see
+// WithMinStorage), or else a fresh one.
+func MinStorageOf(ctx context.Context, g *graph.Graph) (*MinStorage, error) {
+	h, ok := ctx.Value(minStorageKey{}).(*minStorageOnce)
+	if !ok || h.g != g {
+		return newMinStorage(g)
+	}
+	h.once.Do(func() { h.m, h.err = newMinStorage(g) })
+	return h.m, h.err
 }
 
 // SPT solves Problem 2 in its classical form: materialize root and store

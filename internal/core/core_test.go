@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -65,6 +66,42 @@ func bruteBMRFunc(g *graph.Graph) BoundedFunc {
 			return Solution{}, err
 		}
 		return Solution{Plan: res.Plan, Cost: res.Cost}, nil
+	}
+}
+
+// TestMinStorageOncePerContext checks that a context from
+// WithMinStorage hands every caller for its graph one arborescence,
+// computed once, that another graph gets its own, and that MSTOf over
+// it is MST.
+func TestMinStorageOncePerContext(t *testing.T) {
+	g, other := graph.Figure1(), graph.Figure1()
+	ctx := WithMinStorage(context.Background(), g)
+	if WithMinStorage(ctx, g) != ctx {
+		t.Fatal("WithMinStorage wrapped a context that already carries g's arborescence")
+	}
+	a, err := MinStorageOf(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := MinStorageOf(ctx, g); b != a {
+		t.Fatal("second MinStorageOf computed a new arborescence")
+	}
+	if c, _ := MinStorageOf(ctx, other); c == a {
+		t.Fatal("another graph got g's arborescence")
+	}
+	if d, _ := MinStorageOf(context.Background(), g); d == a {
+		t.Fatal("a context without one shared g's arborescence")
+	}
+	sol, err := MSTOf(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mst, err := MST(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Cost != mst.Cost {
+		t.Fatalf("MST from the shared arborescence %+v, fresh %+v", sol.Cost, mst.Cost)
 	}
 }
 

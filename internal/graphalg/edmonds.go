@@ -19,9 +19,12 @@ var ErrNoArborescence = errors.New("graphalg: no spanning arborescence exists")
 // with storage weights (Algorithms 1 and 7, "minimum arborescence of
 // G_aux rooted at v_aux w.r.t. weight function s").
 //
-// It runs several times per re-plan, so the contraction levels share
-// their memory: one edge list contracted in place and one block of
-// scratch, with a level keeping only what its expansion reads. Ties break
+// A re-plan runs it twice on graphs of the history's size: once for the
+// min-storage arborescence its constraint, LMG and LMG-All share
+// (core.WithMinStorage), and once for DP-MSR's spanning tree. The
+// contraction levels share their memory: one edge list contracted in
+// place and one block of scratch, with a level keeping only what its
+// expansion reads. Ties break
 // by edge order, at every level; installed plans depend on which edges
 // come back, not only on the total (see referenceMinArborescence in the
 // tests).

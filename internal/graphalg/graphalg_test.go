@@ -210,11 +210,16 @@ func TestTreeStructures(t *testing.T) {
 	if tr.Retrieval[3] != 600 {
 		t.Fatalf("R(v4) = %d", tr.Retrieval[3])
 	}
-	if tr.TotalRetrieval() != 0+200+3000+600+3550 {
-		t.Fatalf("total retrieval %d", tr.TotalRetrieval())
+	var total, max graph.Cost
+	for _, r := range tr.Retrieval {
+		total += r
+		max = maxCost(max, r)
 	}
-	if tr.MaxRetrieval() != 3550 {
-		t.Fatalf("max retrieval %d", tr.MaxRetrieval())
+	if total != 0+200+3000+600+3550 {
+		t.Fatalf("total retrieval %d", total)
+	}
+	if max != 3550 {
+		t.Fatalf("max retrieval %d", max)
 	}
 	if tr.StorageCost() != 11450 {
 		t.Fatalf("storage %d", tr.StorageCost())
@@ -237,6 +242,13 @@ func TestTreeStructures(t *testing.T) {
 	}
 }
 
+func maxCost(a, b graph.Cost) graph.Cost {
+	if a > b {
+		return a
+	}
+	return b
+}
+
 func TestNewTreeRejectsCycle(t *testing.T) {
 	g := graph.NewWithNodes("c", 3, 1)
 	e01 := g.AddEdge(0, 1, 1, 1)
@@ -253,14 +265,63 @@ func TestNewTreeRejectsCycle(t *testing.T) {
 	}
 }
 
-func TestTreeCloneIndependence(t *testing.T) {
-	x := graph.Extend(graph.Figure1())
-	parents, _, _ := MinArborescence(x.Graph, x.Aux, StorageWeight)
-	tr, _ := NewTree(x.Graph, x.Aux, parents)
-	cl := tr.Clone()
-	cl.Reattach(4, x.AuxEdge(4))
-	if tr.Retrieval[4] == 0 {
-		t.Fatal("clone reattach leaked into original")
+// TestReattachMatchesNewTree applies random acyclic moves and checks,
+// after each, that the in-place update equals a tree built from scratch
+// on the same parent edges, and that the nodes Reattach reports are
+// exactly the ones whose values changed.
+func TestReattachMatchesNewTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for it := 0; it < 200; it++ {
+		x := graph.Extend(graph.Random(graph.RandomOptions{Nodes: 2 + rng.Intn(12), ExtraEdges: rng.Intn(30), Bidirected: rng.Intn(2) == 0}, rng))
+		parents, _, err := MinArborescence(x.Graph, x.Aux, StorageWeight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewTree(x.Graph, x.Aux, parents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mv := 0; mv < 20; mv++ {
+			id := graph.EdgeID(rng.Intn(x.M()))
+			e := x.Edge(id)
+			if tr.IsDescendant(e.To, e.From) {
+				continue
+			}
+			before := append([]int(nil), tr.SubSize...)
+			beforeR := append([]graph.Cost(nil), tr.Retrieval...)
+			subtree, path := tr.Reattach(e.To, id)
+			want, err := NewTree(x.Graph, x.Aux, tr.ParentEdge)
+			if err != nil {
+				t.Fatalf("it %d move %d: %v", it, mv, err)
+			}
+			for v := range want.Parent {
+				if tr.Parent[v] != want.Parent[v] || tr.Depth[v] != want.Depth[v] ||
+					tr.SubSize[v] != want.SubSize[v] || tr.Retrieval[v] != want.Retrieval[v] {
+					t.Fatalf("it %d move %d node %d: got (p %d d %d s %d r %d), want (p %d d %d s %d r %d)", it, mv, v,
+						tr.Parent[v], tr.Depth[v], tr.SubSize[v], tr.Retrieval[v],
+						want.Parent[v], want.Depth[v], want.SubSize[v], want.Retrieval[v])
+				}
+			}
+			reported := map[graph.NodeID]bool{}
+			for _, v := range subtree {
+				if !tr.IsDescendant(e.To, v) {
+					t.Fatalf("it %d move %d: %d reported in subtree(%d)", it, mv, v, e.To)
+				}
+				reported[v] = true
+			}
+			if len(subtree) != tr.SubSize[e.To] {
+				t.Fatalf("it %d move %d: %d subtree nodes reported, subtree has %d", it, mv, len(subtree), tr.SubSize[e.To])
+			}
+			for _, v := range path {
+				reported[v] = true
+			}
+			for v := range want.Parent {
+				changed := before[v] != tr.SubSize[v] || beforeR[v] != tr.Retrieval[v]
+				if changed && !reported[graph.NodeID(v)] {
+					t.Fatalf("it %d move %d: node %d changed but was not reported", it, mv, v)
+				}
+			}
+		}
 	}
 }
 

@@ -7,20 +7,22 @@ import (
 )
 
 // Tree is a rooted arborescence view over a graph, described by the id of
-// each node's incoming edge. It caches the derived structures the greedy
-// heuristics query on every iteration: children lists, preorder, subtree
-// sizes, Euler intervals (for O(1) descendant tests) and per-node
-// retrieval costs.
+// each node's incoming edge. It keeps the per-node values the greedy
+// heuristics query on every move — parent, depth, subtree size and
+// retrieval cost — and Reattach updates them in place, touching only
+// what the move changed.
 type Tree struct {
 	G          *graph.Graph
 	Root       graph.NodeID
 	ParentEdge []int32 // incoming edge id per node; graph.None at root
 	Parent     []graph.NodeID
-	Children   [][]graph.NodeID
-	Order      []graph.NodeID // preorder (parents before children)
-	SubSize    []int          // nodes in subtree, including self
-	tin, tout  []int32
+	Depth      []int32      // edges on the path from the root
+	SubSize    []int        // nodes in subtree, including self
 	Retrieval  []graph.Cost // R(v): path retrieval cost from root
+
+	children [][]graph.NodeID
+	childAt  []int32        // v's index in children[Parent[v]]
+	touched  []graph.NodeID // Reattach's result, reused
 }
 
 // NewTree builds a Tree from parent edges. It fails if the edges do not
@@ -35,11 +37,11 @@ func NewTree(g *graph.Graph, root graph.NodeID, parentEdge []int32) (*Tree, erro
 		Root:       root,
 		ParentEdge: append([]int32(nil), parentEdge...),
 		Parent:     make([]graph.NodeID, n),
-		Children:   make([][]graph.NodeID, n),
+		Depth:      make([]int32, n),
 		SubSize:    make([]int, n),
-		tin:        make([]int32, n),
-		tout:       make([]int32, n),
 		Retrieval:  make([]graph.Cost, n),
+		children:   make([][]graph.NodeID, n),
+		childAt:    make([]int32, n),
 	}
 	for v := 0; v < n; v++ {
 		if graph.NodeID(v) == root {
@@ -58,87 +60,41 @@ func NewTree(g *graph.Graph, root graph.NodeID, parentEdge []int32) (*Tree, erro
 			return nil, errors.New("graphalg: parent edge does not enter its node")
 		}
 		t.Parent[v] = e.From
-		t.Children[e.From] = append(t.Children[e.From], graph.NodeID(v))
+		t.childAt[v] = int32(len(t.children[e.From]))
+		t.children[e.From] = append(t.children[e.From], graph.NodeID(v))
 	}
-	if err := t.refresh(); err != nil {
-		return nil, err
+	// Preorder from the root: depths and retrieval costs parent first,
+	// then subtree sizes in reverse. A node the walk misses sits on a
+	// cycle.
+	order := append(make([]graph.NodeID, 0, n), root)
+	for i := 0; i < len(order); i++ {
+		u := order[i]
+		for _, c := range t.children[u] {
+			t.Depth[c] = t.Depth[u] + 1
+			t.Retrieval[c] = t.Retrieval[u] + g.Edge(graph.EdgeID(t.ParentEdge[c])).Retrieval
+			order = append(order, c)
+		}
+	}
+	if len(order) != n {
+		return nil, ErrNoArborescence
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		t.SubSize[v]++
+		if v != root {
+			t.SubSize[t.Parent[v]] += t.SubSize[v]
+		}
 	}
 	return t, nil
 }
 
-// refresh recomputes preorder, Euler intervals, subtree sizes and
-// retrieval costs from the Parent/Children structure.
-func (t *Tree) refresh() error {
-	n := t.G.N()
-	t.Order = t.Order[:0]
-	var clock int32
-	visited := 0
-	// Iterative DFS computing preorder and tin.
-	type frame struct {
-		node graph.NodeID
-		next int
-	}
-	frames := []frame{{t.Root, 0}}
-	t.tin[t.Root] = clock
-	clock++
-	t.Order = append(t.Order, t.Root)
-	t.Retrieval[t.Root] = 0
-	visited++
-	for len(frames) > 0 {
-		f := &frames[len(frames)-1]
-		if f.next < len(t.Children[f.node]) {
-			c := t.Children[f.node][f.next]
-			f.next++
-			t.tin[c] = clock
-			clock++
-			t.Order = append(t.Order, c)
-			t.Retrieval[c] = t.Retrieval[f.node] + t.G.Edge(graph.EdgeID(t.ParentEdge[c])).Retrieval
-			visited++
-			frames = append(frames, frame{c, 0})
-			continue
-		}
-		t.tout[f.node] = clock
-		clock++
-		frames = frames[:len(frames)-1]
-	}
-	if visited != n {
-		return ErrNoArborescence
-	}
-	// Subtree sizes in reverse preorder.
-	for i := range t.SubSize {
-		t.SubSize[i] = 1
-	}
-	for i := len(t.Order) - 1; i > 0; i-- {
-		v := t.Order[i]
-		t.SubSize[t.Parent[v]] += t.SubSize[v]
-	}
-	return nil
-}
-
 // IsDescendant reports whether v is in the subtree rooted at u (v == u
-// counts).
+// counts). It walks up from v, so it costs Depth[v] - Depth[u] steps.
 func (t *Tree) IsDescendant(u, v graph.NodeID) bool {
-	return t.tin[u] <= t.tin[v] && t.tout[v] <= t.tout[u]
-}
-
-// TotalRetrieval is Σ_v R(v).
-func (t *Tree) TotalRetrieval() graph.Cost {
-	var s graph.Cost
-	for _, r := range t.Retrieval {
-		s += r
+	for t.Depth[v] > t.Depth[u] {
+		v = t.Parent[v]
 	}
-	return s
-}
-
-// MaxRetrieval is max_v R(v).
-func (t *Tree) MaxRetrieval() graph.Cost {
-	var m graph.Cost
-	for _, r := range t.Retrieval {
-		if r > m {
-			m = r
-		}
-	}
-	return m
+	return v == u
 }
 
 // StorageCost is the total storage of the tree edges (on an extended
@@ -154,46 +110,56 @@ func (t *Tree) StorageCost() graph.Cost {
 }
 
 // Reattach replaces v's incoming edge with edge id (which must enter v)
-// and refreshes all cached structures. The caller is responsible for not
-// creating a cycle (use IsDescendant to check that the new parent is not
-// a descendant of v).
-func (t *Tree) Reattach(v graph.NodeID, id graph.EdgeID) {
+// and updates the tree in place. Retrieval and Depth shift by one
+// constant across subtree(v); SubSize changes on the old and the new
+// parent's paths up to where they meet, and nowhere else. It returns
+// the nodes whose values changed, subtree(v) and the two path segments,
+// in slices that stay valid until the next Reattach. The new parent
+// must not be in subtree(v): Reattach panics on the cycle.
+func (t *Tree) Reattach(v graph.NodeID, id graph.EdgeID) (subtree, path []graph.NodeID) {
 	e := t.G.Edge(id)
 	if e.To != v {
 		panic("graphalg: Reattach edge does not enter node")
 	}
-	old := t.Parent[v]
-	cs := t.Children[old]
-	for i, c := range cs {
-		if c == v {
-			t.Children[old] = append(cs[:i], cs[i+1:]...)
-			break
+	old, u := t.Parent[v], e.From
+	k := t.SubSize[v]
+	buf := t.touched[:0]
+	for a, b := old, u; a != b; {
+		if t.Depth[a] >= t.Depth[b] {
+			t.SubSize[a] -= k
+			buf = append(buf, a)
+			a = t.Parent[a]
+		} else {
+			if b == v {
+				panic("graphalg: Reattach would create a cycle")
+			}
+			t.SubSize[b] += k
+			buf = append(buf, b)
+			b = t.Parent[b]
 		}
 	}
-	t.Parent[v] = e.From
-	t.ParentEdge[v] = int32(id)
-	t.Children[e.From] = append(t.Children[e.From], v)
-	if err := t.refresh(); err != nil {
-		panic("graphalg: Reattach created a cycle: " + err.Error())
-	}
-}
+	np := len(buf)
 
-// Clone deep-copies the tree (sharing the underlying graph).
-func (t *Tree) Clone() *Tree {
-	c := &Tree{
-		G:          t.G,
-		Root:       t.Root,
-		ParentEdge: append([]int32(nil), t.ParentEdge...),
-		Parent:     append([]graph.NodeID(nil), t.Parent...),
-		Children:   make([][]graph.NodeID, len(t.Children)),
-		Order:      append([]graph.NodeID(nil), t.Order...),
-		SubSize:    append([]int(nil), t.SubSize...),
-		tin:        append([]int32(nil), t.tin...),
-		tout:       append([]int32(nil), t.tout...),
-		Retrieval:  append([]graph.Cost(nil), t.Retrieval...),
+	// Swap v out of old's children and append it to u's.
+	cs := t.children[old]
+	last := cs[len(cs)-1]
+	cs[t.childAt[v]] = last
+	t.childAt[last] = t.childAt[v]
+	t.children[old] = cs[:len(cs)-1]
+	t.childAt[v] = int32(len(t.children[u]))
+	t.children[u] = append(t.children[u], v)
+	t.Parent[v] = u
+	t.ParentEdge[v] = int32(id)
+
+	dr := t.Retrieval[u] + e.Retrieval - t.Retrieval[v]
+	dd := t.Depth[u] + 1 - t.Depth[v]
+	buf = append(buf, v)
+	for i := np; i < len(buf); i++ {
+		w := buf[i]
+		t.Retrieval[w] += dr
+		t.Depth[w] += dd
+		buf = append(buf, t.children[w]...)
 	}
-	for i := range t.Children {
-		c.Children[i] = append([]graph.NodeID(nil), t.Children[i]...)
-	}
-	return c
+	t.touched = buf
+	return buf[np:], buf[:np]
 }

@@ -96,7 +96,9 @@ func (e *Engine) Solve(ctx context.Context, g *graph.Graph, problem core.Problem
 	if len(solvers) == 0 {
 		return Result{}, fmt.Errorf("portfolio: no registered solver for %s", problem)
 	}
-	return e.race(ctx, solvers, g, problem, constraint)
+	// The race's LMG and LMG-All, and every probe of a Lemma 7 lift,
+	// start from one min-storage arborescence.
+	return e.race(core.WithMinStorage(ctx, g), solvers, g, problem, constraint)
 }
 
 func (e *Engine) race(ctx context.Context, solvers []Solver, g *graph.Graph, problem core.Problem, constraint graph.Cost) (Result, error) {

@@ -119,6 +119,41 @@ func TestPerSolverTimeout(t *testing.T) {
 	}
 }
 
+// TestRaceSharesMinStorage checks that the members of one race read one
+// min-storage arborescence, and that two races do not share theirs.
+func TestRaceSharesMinStorage(t *testing.T) {
+	g := testGraph(9, 10)
+	var mu sync.Mutex
+	var seen []*core.MinStorage
+	probe := Solver{Name: "probe", Solve: func(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
+		m, err := core.MinStorageOf(ctx, g)
+		if err != nil {
+			return core.Solution{}, err
+		}
+		mu.Lock()
+		seen = append(seen, m)
+		mu.Unlock()
+		return core.MST(g)
+	}}
+	e := New(Options{Registry: func(core.Problem) []Solver { return []Solver{probe, probe, probe} }})
+	for race := 0; race < 2; race++ {
+		if _, err := e.Solve(context.Background(), g, core.ProblemMSR, g.TotalNodeStorage()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(seen) != 6 {
+		t.Fatalf("%d probes ran, want 6", len(seen))
+	}
+	for i := range seen {
+		if seen[i] != seen[i/3*3] {
+			t.Fatalf("probe %d of race %d read its own arborescence", i%3, i/3)
+		}
+	}
+	if seen[0] == seen[3] {
+		t.Fatal("two races shared one arborescence")
+	}
+}
+
 // TestCancellation checks a cancelled context aborts the whole race with
 // ctx.Err().
 func TestCancellation(t *testing.T) {

@@ -82,9 +82,11 @@ func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 
 	// lift is Lemma 7: a bounded solver searched by via answers the min
 	// problem. The probe checks ctx, so a lift stops between probes even
-	// around a member that does not check it itself (MP).
+	// around a member that does not check it itself (MP). Its probes
+	// share one min-storage arborescence.
 	lift := func(s Solver, via func(*graph.Graph, graph.Cost, core.BoundedFunc) (core.Solution, error)) Solver {
 		return Solver{Name: s.Name + "+L7", Family: s.Family, Solve: func(ctx context.Context, g *graph.Graph, c graph.Cost) (core.Solution, error) {
+			ctx = core.WithMinStorage(ctx, g)
 			return via(g, c, func(bound graph.Cost) (core.Solution, error) {
 				if err := ctx.Err(); err != nil {
 					return core.Solution{}, err

@@ -34,6 +34,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Maintenance-pass trigger reasons, recorded in each PlanRecord.
@@ -246,7 +248,10 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 		r.history.append(rec)
 		return err
 	}
-	constraint, err := r.constraintFor(gSnap)
+	// One min-storage arborescence serves the whole pass: the automatic
+	// constraint and the race's LMG and LMG-All start from it.
+	ctx = core.WithMinStorage(ctx, gSnap)
+	constraint, err := r.constraintFor(ctx, gSnap)
 	if err != nil {
 		return fail(err)
 	}

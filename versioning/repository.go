@@ -611,8 +611,8 @@ func (r *Repository) CheckoutBatch(ctx context.Context, ids []NodeID) []Checkout
 
 // constraintFor resolves the regime constraint against g: the
 // configured bound, or an automatic one derived from g's
-// minimum-storage plan.
-func (r *Repository) constraintFor(g *Graph) (Cost, error) {
+// minimum-storage plan, the one ctx carries for g if any.
+func (r *Repository) constraintFor(ctx context.Context, g *Graph) (Cost, error) {
 	if r.opt.Constraint != 0 {
 		return r.opt.Constraint, nil
 	}
@@ -620,7 +620,7 @@ func (r *Repository) constraintFor(g *Graph) (Cost, error) {
 	case ProblemMST, ProblemSPT:
 		return 0, nil // unconstrained problems
 	}
-	mst, err := core.MST(g)
+	mst, err := core.MSTOf(ctx, g)
 	if err != nil {
 		return 0, fmt.Errorf("versioning: deriving auto constraint: %w", err)
 	}
