@@ -12,7 +12,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -263,10 +262,6 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
-
-// ErrNotTree reports that a graph expected to be a bidirectional tree is
-// not one.
-var ErrNotTree = errors.New("graph: not a bidirectional tree")
 
 // UnderlyingUndirectedIsTree reports whether the underlying undirected
 // graph (Section 2.2, "bidirectional tree": orientation disregarded,

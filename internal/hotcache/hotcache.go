@@ -76,26 +76,31 @@ func (c *Cache) Get(key string) (any, bool) {
 // Put caches (key, val) of the given size as the most recently used
 // entry, evicting from the LRU end until both budgets hold. An existing
 // key is updated in place. Returns whether the value is in the cache on
-// return: false only for a value larger than the whole byte budget.
+// return: false only for a value larger than the whole byte budget, which
+// also drops the key's previous value and leaves every other entry be.
 func (c *Cache) Put(key string, val any, size int64) bool {
 	if c == nil || size < 0 {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
+	el, ok := c.m[key]
+	if size > c.maxBytes {
+		// Larger than the whole budget: admitting would evict everything
+		// and still not fit.
+		if ok {
+			c.remove(el)
+		}
+		c.rejected++
+		return false
+	}
+	if ok {
 		e := el.Value.(*entry)
 		c.bytes += size - e.size
 		e.val, e.size = val, size
 		c.ll.MoveToFront(el)
 		c.evictOver()
 		return true
-	}
-	if size > c.maxBytes {
-		// Larger than the whole budget: admitting would evict everything
-		// and still not fit.
-		c.rejected++
-		return false
 	}
 	c.m[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
 	c.bytes += size
@@ -110,12 +115,17 @@ func (c *Cache) evictOver() {
 		if el == nil {
 			return
 		}
-		e := el.Value.(*entry)
-		c.ll.Remove(el)
-		delete(c.m, e.key)
-		c.bytes -= e.size
+		c.remove(el)
 		c.evictions++
 	}
+}
+
+// remove unlinks el's entry; c.mu must be held.
+func (c *Cache) remove(el *list.Element) {
+	e := el.Value.(*entry)
+	c.ll.Remove(el)
+	delete(c.m, e.key)
+	c.bytes -= e.size
 }
 
 // Len reports the number of cached entries.

@@ -112,15 +112,37 @@ func TestEntryCapEvicts(t *testing.T) {
 	}
 }
 
+// TestOversizedValueRejected: a value larger than the whole budget is
+// refused and counted, whether its key is new or already cached, and no
+// other entry is evicted for it; a cached key loses its stale value.
 func TestOversizedValueRejected(t *testing.T) {
-	c := New(10, 0)
-	for i := 0; i < 3; i++ {
-		if c.Put("big", 1, 11) {
-			t.Fatal("value larger than the whole budget admitted")
+	for _, tc := range []struct {
+		name string
+		held []string // keys cached first, 10 bytes each
+		key  string   // then put at 200 bytes, three times
+		want Stats
+	}{
+		{name: "new key", key: "big", want: Stats{Rejected: 3}},
+		{name: "cached key", held: []string{"a", "b"}, key: "a",
+			want: Stats{Entries: 1, Bytes: 10, Rejected: 3}},
+	} {
+		c := New(100, 0)
+		for _, k := range tc.held {
+			c.Put(k, 0, 10)
 		}
-	}
-	if st := c.Stats(); st.Entries != 0 || st.Rejected != 3 {
-		t.Fatalf("stats = %+v, want 0 entries and 3 rejections", st)
+		for i := 0; i < 3; i++ {
+			if c.Put(tc.key, 1, 200) {
+				t.Fatalf("%s: value larger than the whole budget admitted", tc.name)
+			}
+		}
+		st := c.Stats()
+		st.MaxBytes, st.Hits, st.Misses = 0, 0, 0
+		if st != tc.want {
+			t.Fatalf("%s: stats = %+v, want %+v", tc.name, st, tc.want)
+		}
+		if _, ok := c.Get(tc.key); ok {
+			t.Fatalf("%s: the refused key still serves a value", tc.name)
+		}
 	}
 }
 

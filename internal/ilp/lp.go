@@ -6,10 +6,7 @@
 // on all graphs except datasharing").
 package ilp
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Rel is a linear-constraint relation.
 type Rel uint8
@@ -64,9 +61,6 @@ const (
 	dantzigIt = 20000 // Dantzig iterations before switching to Bland
 	maxIt     = 200000
 )
-
-// ErrNumeric reports that the simplex exceeded its iteration budget.
-var ErrNumeric = errors.New("ilp: simplex iteration limit (numerical trouble)")
 
 // Solve runs the two-phase dense simplex. On Optimal it returns the
 // variable assignment and objective.

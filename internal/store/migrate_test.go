@@ -156,7 +156,7 @@ func TestIncrementalInstallMatchesFromScratch(t *testing.T) {
 					for _, k := range backendKeys(t, s.backend) {
 						held[k] = true
 					}
-					objBefore, bytesBefore, _ := s.InstallTotals()
+					before := s.Stats()
 					needs := s.MigrationNeeds(g, p)
 					var asked []graph.NodeID
 					if err := s.Install(g, p, countingContent(contents, &asked)); err != nil {
@@ -179,10 +179,11 @@ func TestIncrementalInstallMatchesFromScratch(t *testing.T) {
 						added++
 						addedBytes += int64(len(payload))
 					}
-					objAfter, bytesAfter, _ := s.InstallTotals()
-					if objAfter-objBefore != added || bytesAfter-bytesBefore != addedBytes {
+					after := s.Stats()
+					objs, bytes := after.MigrationObjects-before.MigrationObjects, after.MigrationBytes-before.MigrationBytes
+					if objs != added || bytes != addedBytes {
 						t.Fatalf("%s: Install reports %d objects / %d bytes written, backend gained %d / %d",
-							name, objAfter-objBefore, bytesAfter-bytesBefore, added, addedBytes)
+							name, objs, bytes, added, addedBytes)
 					}
 					checkAll(t, s, contents[:g.N()])
 				}
@@ -239,10 +240,10 @@ func TestReinstallServingPlanIsFree(t *testing.T) {
 	if err := s.Install(g, p, countingContent(contents, &asked)); err != nil {
 		t.Fatal(err)
 	}
-	if obj, _, _ := s.InstallTotals(); obj == 0 || len(asked) != 12 {
+	if obj := s.Stats().MigrationObjects; obj == 0 || len(asked) != 12 {
 		t.Fatalf("first Install wrote %d objects and asked for %d contents, want every one", obj, len(asked))
 	}
-	objBefore, bytesBefore, _ := s.InstallTotals()
+	before := s.Stats()
 	asked = nil
 	if needs := s.MigrationNeeds(g, p); len(needs) != 0 {
 		t.Fatalf("MigrationNeeds of the serving plan = %v, want none", needs)
@@ -250,10 +251,10 @@ func TestReinstallServingPlanIsFree(t *testing.T) {
 	if err := s.Install(g, p.Clone(), countingContent(contents, &asked)); err != nil {
 		t.Fatal(err)
 	}
-	objAfter, bytesAfter, _ := s.InstallTotals()
-	if objAfter != objBefore || bytesAfter != bytesBefore || len(asked) != 0 {
+	after := s.Stats()
+	if after.MigrationObjects != before.MigrationObjects || after.MigrationBytes != before.MigrationBytes || len(asked) != 0 {
 		t.Fatalf("re-installing the serving plan wrote %d objects / %d bytes and asked for %v, want nothing",
-			objAfter-objBefore, bytesAfter-bytesBefore, asked)
+			after.MigrationObjects-before.MigrationObjects, after.MigrationBytes-before.MigrationBytes, asked)
 	}
 	assertMatchesFromScratch(t, s, g, p, contents)
 	checkAll(t, s, contents)
@@ -273,7 +274,7 @@ func TestInstallAsksOnlyForTheChangedEdge(t *testing.T) {
 	q := p.Clone()
 	q.Stored[2*4] = false // 4 -> 5 ...
 	q.Stored[shortcut] = true
-	objBefore, _, _ := s.InstallTotals()
+	objBefore := s.Stats().MigrationObjects
 	var asked []graph.NodeID
 	if err := s.Install(g, q, countingContent(contents, &asked)); err != nil {
 		t.Fatal(err)
@@ -281,7 +282,7 @@ func TestInstallAsksOnlyForTheChangedEdge(t *testing.T) {
 	if slices.Sort(asked); !slices.Equal(asked, []graph.NodeID{2, 5}) {
 		t.Fatalf("Install asked for %v, want the new edge's endpoints [2 5]", asked)
 	}
-	if objAfter, _, _ := s.InstallTotals(); objAfter-objBefore != 1 {
+	if objAfter := s.Stats().MigrationObjects; objAfter-objBefore != 1 {
 		t.Fatalf("Install wrote %d objects, want the one new delta", objAfter-objBefore)
 	}
 	assertMatchesFromScratch(t, s, g, q, contents)
@@ -517,11 +518,11 @@ func TestDiskInstallPublishesOnePack(t *testing.T) {
 	}
 
 	p := forwardChainPlan(g, 10)
-	objBefore, _, _ := s.InstallTotals()
+	objBefore := s.Stats().MigrationObjects
 	if err := s.Install(g, p, content); err != nil {
 		t.Fatal(err)
 	}
-	if obj, _, _ := s.InstallTotals(); obj-objBefore != 6 {
+	if obj := s.Stats().MigrationObjects; obj-objBefore != 6 {
 		t.Fatalf("the migration added %d objects, want the six new deltas", obj-objBefore)
 	}
 	if n := packs(); n != 1 {
@@ -630,11 +631,11 @@ func TestInterruptedPublish(t *testing.T) {
 		t.Fatalf("reopened backend holds %d objects, want %d serving and %d unswapped", got, len(serving), len(added))
 	}
 	// What versioning.Open does: rebuild the serving state, then sweep.
-	objBefore, _, _ := s2.InstallTotals()
+	objBefore := s2.Stats().MigrationObjects
 	if err := s2.Install(g, p, content); err != nil {
 		t.Fatal(err)
 	}
-	if obj, _, _ := s2.InstallTotals(); obj-objBefore != int64(len(serving)) {
+	if obj := s2.Stats().MigrationObjects; obj-objBefore != int64(len(serving)) {
 		t.Fatalf("rebuilding the serving state staged %d objects, want all %d", obj-objBefore, len(serving))
 	}
 	removed, err := s2.SweepOrphans()

@@ -30,13 +30,15 @@ import (
 const packMagic = "DSVPACK1"
 
 // PackStats reports the packfile read path's state and traffic, exposed
-// by backends that implement PackStatser (today: DiskBackend).
+// by backends that implement PackStatser (today: DiskBackend). Every
+// migration that adds two or more objects publishes a pack, and so does
+// the staged tier past 1 MiB.
 type PackStats struct {
-	Packs         int   // live (non-empty) packfiles
-	PackedObjects int   // live objects resolved from packs
-	PackReads     int64 // Gets served from a pack
-	LooseReads    int64 // Gets served from the staged tier, not yet in a pack
-	Compactions   int64 // completed compaction passes
+	Packs         int   `json:"packs,omitempty"`          // live (non-empty) packfiles
+	PackedObjects int   `json:"packed_objects,omitempty"` // live objects resolved from packs
+	PackReads     int64 `json:"pack_reads,omitempty"`     // Gets served from a pack
+	LooseReads    int64 `json:"loose_reads,omitempty"`    // Gets served from the staged tier, not yet in a pack
+	Compactions   int64 `json:"compactions,omitempty"`    // completed Compact passes
 }
 
 // PackStatser is the optional Backend extension for pack bookkeeping.

@@ -74,26 +74,32 @@ type storedDelta struct {
 	from, to graph.NodeID
 }
 
-// Stats summarizes a Store.
+// Stats summarizes a Store. It is the one declaration of the store's
+// counters: versioning.RepositoryStats embeds it, so the JSON tags are
+// the keys dsvd's /stats serves them under.
 type Stats struct {
-	Objects        int   // objects in the backend (blobs, deltas, chunks, manifests)
-	Bytes          int64 // backend byte footprint
-	Blobs          int   // materialized versions
-	Deltas         int   // stored edit scripts
-	Versions       int   // versions the installed plan covers
-	CachedVersions int   // reconstructed versions currently in the LRU
-	CachedBytes    int64 // byte-accounted footprint of the LRU
-	Checkouts      int64 // Checkout calls served
-	CacheHits      int64 // checkouts answered from the LRU
-	Coalesced      int64 // checkouts answered by a concurrent identical checkout's reconstruction
-	CacheRejected  int64 // cache puts of a version larger than CacheBytes
-	CacheEvicted   int64 // cache entries evicted by the budget
-	DeltaApplies   int64 // edit scripts applied during reconstructions
-	PlanRetries    int64 // checkouts re-snapshotted after racing a migration
-	Installs       int64 // successful plan migrations
-	InstallMicros  int64 // cumulative wall time spent inside Install
-	InstallObjects int64 // objects newly written by successful migrations
-	InstallBytes   int64 // bytes of those objects
+	Objects        int   `json:"objects"`         // objects in the backend (blobs, deltas, chunks, manifests)
+	StoredBytes    int64 `json:"stored_bytes"`    // backend byte footprint
+	Blobs          int   `json:"blobs"`           // materialized versions
+	StoredDeltas   int   `json:"stored_deltas"`   // stored edit scripts
+	Versions       int   `json:"-"`               // versions the installed plan covers
+	CachedVersions int   `json:"cached_versions"` // reconstructed versions currently in the LRU
+	CachedBytes    int64 `json:"cached_bytes"`    // byte-accounted footprint of the LRU
+	Checkouts      int64 `json:"checkouts"`       // Checkout calls served
+	CacheHits      int64 `json:"cache_hits"`      // checkouts answered from the LRU
+	Coalesced      int64 `json:"coalesced"`       // checkouts answered by a concurrent identical checkout's reconstruction
+	CacheRejected  int64 `json:"cache_rejected"`  // cache puts of a version larger than CacheBytes
+	CacheEvicted   int64 `json:"cache_evicted"`   // cache entries evicted by the budget
+	DeltaApplies   int64 `json:"delta_applies"`   // edit scripts applied during reconstructions
+	PlanRetries    int64 `json:"plan_retries"`    // checkouts re-snapshotted after racing a migration
+
+	// Migrations counts successful Installs and MigrationMicros the wall
+	// time inside them; MigrationObjects and MigrationBytes total what
+	// they newly wrote to the backend.
+	Migrations       int64 `json:"migrations"`
+	MigrationMicros  int64 `json:"migration_us_total"`
+	MigrationObjects int64 `json:"migration_objects,omitempty"`
+	MigrationBytes   int64 `json:"migration_bytes,omitempty"`
 
 	// PackStats is the backend's pack tier, when it publishes packs (see
 	// DiskBackend).
@@ -127,24 +133,24 @@ func (s *Store) Stats() Stats {
 	s.mu.RUnlock()
 	cs := s.cache.stats()
 	st := Stats{
-		Objects:        bs.Objects,
-		Bytes:          bs.Bytes,
-		Blobs:          blobs,
-		Deltas:         deltas,
-		Versions:       versions,
-		CachedVersions: s.cache.len(),
-		CachedBytes:    cs.Bytes,
-		Checkouts:      s.checkouts.Load(),
-		CacheHits:      s.cacheHits.Load(),
-		Coalesced:      s.flights.Shared(),
-		CacheRejected:  cs.Rejected,
-		CacheEvicted:   cs.Evictions,
-		DeltaApplies:   s.deltaApplies.Load(),
-		PlanRetries:    s.planRetries.Load(),
-		Installs:       s.installs.Load(),
-		InstallMicros:  s.installMicros.Load(),
-		InstallObjects: s.installObjects.Load(),
-		InstallBytes:   s.installBytes.Load(),
+		Objects:          bs.Objects,
+		StoredBytes:      bs.Bytes,
+		Blobs:            blobs,
+		StoredDeltas:     deltas,
+		Versions:         versions,
+		CachedVersions:   s.cache.len(),
+		CachedBytes:      cs.Bytes,
+		Checkouts:        s.checkouts.Load(),
+		CacheHits:        s.cacheHits.Load(),
+		Coalesced:        s.flights.Shared(),
+		CacheRejected:    cs.Rejected,
+		CacheEvicted:     cs.Evictions,
+		DeltaApplies:     s.deltaApplies.Load(),
+		PlanRetries:      s.planRetries.Load(),
+		Migrations:       s.installs.Load(),
+		MigrationMicros:  s.installMicros.Load(),
+		MigrationObjects: s.installObjects.Load(),
+		MigrationBytes:   s.installBytes.Load(),
 	}
 	if pb, ok := s.backend.(PackStatser); ok {
 		st.PackStats = pb.PackStats()
@@ -458,15 +464,6 @@ func (s *Store) Install(g *graph.Graph, p *plan.Plan, content ContentFunc) error
 	s.installObjects.Add(int64(len(wrote)))
 	s.installBytes.Add(wroteBytes)
 	return nil
-}
-
-// InstallTotals reports the cumulative migration counters — objects and
-// bytes newly written by successful Installs, and the wall time inside
-// them — without building a full Stats. Callers that serialize Installs
-// (as versioning.Repository does) can difference it around one Install
-// to attribute that migration's writes.
-func (s *Store) InstallTotals() (objects, bytes, micros int64) {
-	return s.installObjects.Load(), s.installBytes.Load(), s.installMicros.Load()
 }
 
 // RetrievalDepths reports, per version, how many stored deltas the

@@ -131,7 +131,7 @@ func TestInstallCheckoutRoundTrip(t *testing.T) {
 	}
 	checkAll(t, s, r.Contents)
 	st := s.Stats()
-	if st.Blobs == 0 || st.Deltas == 0 || st.Versions != r.Graph.N() {
+	if st.Blobs == 0 || st.StoredDeltas == 0 || st.Versions != r.Graph.N() {
 		t.Fatalf("Stats = %+v", st)
 	}
 }
@@ -159,7 +159,7 @@ func TestMigrationGarbageCollects(t *testing.T) {
 		t.Fatal(err)
 	}
 	withDeltas := s.Stats()
-	if withDeltas.Deltas == 0 {
+	if withDeltas.StoredDeltas == 0 {
 		t.Fatal("MST plan stored no deltas")
 	}
 
@@ -172,8 +172,8 @@ func TestMigrationGarbageCollects(t *testing.T) {
 	}
 	checkAll(t, s, r.Contents)
 	full := s.Stats()
-	if full.Deltas != 0 {
-		t.Fatalf("materialize-all left %d delta objects", full.Deltas)
+	if full.StoredDeltas != 0 {
+		t.Fatalf("materialize-all left %d delta objects", full.StoredDeltas)
 	}
 	// Expected object count: replay every content through the same write
 	// path (chunked or whole) and count distinct keys.
@@ -199,9 +199,9 @@ func TestMigrationGarbageCollects(t *testing.T) {
 	}
 	checkAll(t, s, r.Contents)
 	back := s.Stats()
-	if back.Blobs != withDeltas.Blobs || back.Deltas != withDeltas.Deltas {
+	if back.Blobs != withDeltas.Blobs || back.StoredDeltas != withDeltas.StoredDeltas {
 		t.Fatalf("after round-trip migration Stats = %+v, want blobs/deltas %d/%d",
-			back, withDeltas.Blobs, withDeltas.Deltas)
+			back, withDeltas.Blobs, withDeltas.StoredDeltas)
 	}
 }
 
@@ -335,7 +335,7 @@ func TestChunkedBlobDedup(t *testing.T) {
 		if err := s.AddMaterialized(0, lines); err != nil {
 			t.Fatal(err)
 		}
-		return s.Stats().Bytes
+		return s.Stats().StoredBytes
 	}
 	sum := standalone(base) + standalone(edited)
 
@@ -352,7 +352,7 @@ func TestChunkedBlobDedup(t *testing.T) {
 			t.Fatalf("Checkout(%d): %v", v, err)
 		}
 	}
-	combined := s.Stats().Bytes
+	combined := s.Stats().StoredBytes
 	if combined >= sum*3/4 {
 		t.Fatalf("chunk dedup saved too little: %d combined vs %d standalone", combined, sum)
 	}

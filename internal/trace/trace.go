@@ -212,16 +212,6 @@ func FromContext(ctx context.Context) *Span {
 	return s
 }
 
-// ContextWith returns ctx carrying s. Useful for re-attaching a span
-// after crossing a context boundary (e.g. context.WithoutCancel drops
-// nothing, but fresh contexts do).
-func ContextWith(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
 // TraceID returns the ID of the trace this span belongs to ("" for nil).
 func (s *Span) TraceID() string {
 	if s == nil {

@@ -314,14 +314,16 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 	rec.Grafted = grafted
 	p.Materialized = append(p.Materialized, r.plan.Materialized[gSnap.N():]...)
 	p.Stored = append(p.Stored, r.plan.Stored[gSnap.M():]...)
-	objBefore, bytesBefore, usBefore := r.st.InstallTotals()
+	// passMu and commitMu keep every other Install out, so the counters'
+	// difference is this migration's.
+	before := r.st.Stats()
 	if err := r.st.Install(r.g, p, content); err != nil {
 		return fail(fmt.Errorf("versioning: migrating to new plan: %w", err))
 	}
-	objAfter, bytesAfter, usAfter := r.st.InstallTotals()
-	rec.MigrationObjects = objAfter - objBefore
-	rec.MigrationBytes = bytesAfter - bytesBefore
-	rec.MigrationUS = usAfter - usBefore
+	after := r.st.Stats()
+	rec.MigrationObjects = after.MigrationObjects - before.MigrationObjects
+	rec.MigrationBytes = after.MigrationBytes - before.MigrationBytes
+	rec.MigrationUS = after.MigrationMicros - before.MigrationMicros
 	cost := Evaluate(r.g, p)
 	retr := p.Retrievals(r.g)
 	rec.PredictedStorage = cost.Storage

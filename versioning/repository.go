@@ -589,10 +589,7 @@ func (r *Repository) Checkout(ctx context.Context, v NodeID) ([]string, error) {
 }
 
 // CheckoutResult is one CheckoutBatch outcome.
-type CheckoutResult struct {
-	Lines []string
-	Err   error
-}
+type CheckoutResult = store.BatchItem
 
 // CheckoutBatch reconstructs many versions across GOMAXPROCS workers;
 // results are positional and duplicates are deduplicated through the
@@ -601,12 +598,7 @@ func (r *Repository) CheckoutBatch(ctx context.Context, ids []NodeID) []Checkout
 	for _, v := range ids {
 		r.heat.Bump(v)
 	}
-	items := r.st.CheckoutBatch(ctx, ids, 0)
-	out := make([]CheckoutResult, len(items))
-	for i, it := range items {
-		out[i] = CheckoutResult{Lines: it.Lines, Err: it.Err}
-	}
-	return out
+	return r.st.CheckoutBatch(ctx, ids, 0)
 }
 
 // constraintFor resolves the regime constraint against g: the
@@ -697,15 +689,6 @@ type RepositoryStats struct {
 	AsyncReplans          int64   `json:"async_replans"`
 	ReplanFailures        int64   `json:"replan_failures,omitempty"`
 	LastReplanFailureUnix float64 `json:"last_replan_failure_unix,omitempty"`
-	// Migrations counts successful store migrations and MigrationMicros
-	// the cumulative wall time inside them — the work the background worker
-	// keeps off the commit path. MigrationObjects/MigrationBytes total
-	// what those migrations newly wrote to the backend.
-	Migrations       int64 `json:"migrations"`
-	MigrationMicros  int64 `json:"migration_us_total"`
-	MigrationObjects int64 `json:"migration_objects,omitempty"`
-	MigrationBytes   int64 `json:"migration_bytes,omitempty"`
-
 	// Plan observatory (see PlanRecord and GET /planz). PlanRecords is
 	// the lifetime pass-record count, PlanHistoryLen how many the ring
 	// retains, SolverWins installed plans per winning solver, and
@@ -736,31 +719,13 @@ type RepositoryStats struct {
 	WALBatchedCommits int64 `json:"wal_batched_commits,omitempty"`
 	WALMaxBatch       int64 `json:"wal_max_batch,omitempty"`
 
-	Objects        int   `json:"objects"` // content-addressed objects in the backend
-	StoredBytes    int64 `json:"stored_bytes"`
-	Blobs          int   `json:"blobs"`
-	StoredDeltas   int   `json:"stored_deltas"`
-	CachedVersions int   `json:"cached_versions"`
-	CachedBytes    int64 `json:"cached_bytes"`
-	Checkouts      int64 `json:"checkouts"`
-	CacheHits      int64 `json:"cache_hits"`
-	Coalesced      int64 `json:"coalesced"` // checkouts that shared a concurrent identical reconstruction
-	CacheRejected  int64 `json:"cache_rejected"`
-	CacheEvicted   int64 `json:"cache_evicted"`
-	DeltaApplies   int64 `json:"delta_applies"`
-	PlanRetries    int64 `json:"plan_retries"` // checkouts re-snapshotted after racing a migration
-
-	// Packfile read-path counters (non-zero only on disk-backed
-	// repositories: every migration that adds two or more objects
-	// publishes a pack, and so does the staged tier past 1 MiB; LooseReads
-	// counts reads of the staged tier, objects still waiting in memory for
-	// one, and Compactions Compact calls only).
-	Packs         int   `json:"packs,omitempty"`
-	PackedObjects int   `json:"packed_objects,omitempty"`
-	PackReads     int64 `json:"pack_reads,omitempty"`
-	LooseReads    int64 `json:"loose_reads,omitempty"`
-	Compactions   int64 `json:"compactions,omitempty"`
+	// The store's counters, passed through under their own JSON keys.
+	StoreStats
 }
+
+// StoreStats is the store's counter set: backend footprint, checkout
+// traffic, migrations and, on disk, the pack tier.
+type StoreStats = store.Stats
 
 // Stats reports the repository's current state and traffic counters.
 func (r *Repository) Stats() RepositoryStats {
@@ -780,29 +745,8 @@ func (r *Repository) Stats() RepositoryStats {
 		Replans:        r.replans,
 		Winner:         r.winner,
 		CommitsPending: r.sinceReplan,
-		Objects:        ss.Objects,
-		StoredBytes:    ss.Bytes,
-		Blobs:          ss.Blobs,
-		StoredDeltas:   ss.Deltas,
-		CachedVersions: ss.CachedVersions,
-		CachedBytes:    ss.CachedBytes,
-		Checkouts:      ss.Checkouts,
-		CacheHits:      ss.CacheHits,
-		Coalesced:      ss.Coalesced,
-		CacheRejected:  ss.CacheRejected,
-		CacheEvicted:   ss.CacheEvicted,
-		DeltaApplies:   ss.DeltaApplies,
-		PlanRetries:    ss.PlanRetries,
-		Packs:          ss.Packs,
-		PackedObjects:  ss.PackedObjects,
-		PackReads:      ss.PackReads,
-		LooseReads:     ss.LooseReads,
-		Compactions:    ss.Compactions,
+		StoreStats:     ss,
 	}
-	st.Migrations = ss.Installs
-	st.MigrationMicros = ss.InstallMicros
-	st.MigrationObjects = ss.InstallObjects
-	st.MigrationBytes = ss.InstallBytes
 	if r.replanErr != nil {
 		st.ReplanError = r.replanErr.Error()
 	}

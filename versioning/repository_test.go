@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -308,5 +310,63 @@ func TestSummarizeJSON(t *testing.T) {
 	}
 	if back.Problem != "MSR" || back.Constraint != 20 || len(back.Materialized) != 1 {
 		t.Fatalf("round-trip = %+v", back)
+	}
+}
+
+// TestStatsJSONKeys pins the /stats key set: the store's counters reach
+// the JSON through RepositoryStats under the keys dsvd has always served.
+// The repository is disk-backed and has migrated once, so the migration
+// and pack counters are non-zero and their omitempty keys appear.
+func TestStatsJSONKeys(t *testing.T) {
+	src := repogen.GenerateRepo("keys", 24, 5)
+	r, err := Open("keys", RepositoryOptions{
+		Problem:       ProblemMSR,
+		ReplanEvery:   -1,
+		DataDir:       t.TempDir(),
+		CacheEntries:  -1, // the checkout reads the backend's pack and staged tiers
+		EngineOptions: testEngineOptions(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+	for v := 0; v < src.Graph.N(); v++ {
+		if _, err := r.Commit(ctx, src.Parents[v], src.Contents[v]); err != nil {
+			t.Fatalf("Commit(%d): %v", v, err)
+		}
+		if v == 15 {
+			if err := r.Replan(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := r.Checkout(ctx, NodeID(src.Graph.N()-1)); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(r.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	got := slices.Sorted(maps.Keys(m))
+	want := []string{
+		"async_replans", "blobs", "cache_evicted", "cache_hits", "cache_rejected",
+		"cached_bytes", "cached_versions", "checkouts", "coalesced", "commits_pending",
+		"delta_applies", "deltas", "full_storage", "heat_reads", "heat_top_k",
+		"heat_tracked_versions", "loose_reads", "max_retrieval", "migration_bytes",
+		"migration_objects", "migration_us_total", "migrations", "name", "objects",
+		"pack_reads", "packed_objects", "packs", "plan_history_len", "plan_records",
+		"plan_retries", "predicted_max_retrieval", "predicted_storage",
+		"predicted_sum_retrieval", "problem", "race_latency_us", "replans",
+		"solver_wins", "storage", "stored_bytes", "stored_deltas", "sum_retrieval",
+		"uptime_seconds", "versions", "wal_batched_commits", "wal_batches",
+		"wal_max_batch", "winner",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Stats JSON keys:\n got %q\nwant %q", got, want)
 	}
 }
