@@ -469,14 +469,27 @@ func BenchmarkGitPackWindow(b *testing.B) {
 // benchRepository ingests a 160-commit content-backed history into a
 // plan-executing Repository (MSR regime, re-plan every 40 commits).
 func benchRepository(b *testing.B, cacheEntries int) (*versioning.Repository, *repogen.Repo) {
-	return benchRepositoryOpt(b, versioning.RepositoryOptions{CacheEntries: cacheEntries})
+	return benchRepositoryOpt(b, versioning.RepositoryOptions{CacheEntries: cacheEntries, ReplanEvery: 40})
+}
+
+// benchCheckoutRepository is benchRepository's history with no re-plan
+// cadence and one awaited Replan after the last commit: the same graph,
+// so the same installed plan, and no background pass left running on a
+// checkout benchmark's timer.
+func benchCheckoutRepository(b *testing.B, opt versioning.RepositoryOptions) (*versioning.Repository, *repogen.Repo) {
+	b.Helper()
+	opt.ReplanEvery = -1
+	repo, src := benchRepositoryOpt(b, opt)
+	if err := repo.Replan(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	return repo, src
 }
 
 func benchRepositoryOpt(b *testing.B, opt versioning.RepositoryOptions) (*versioning.Repository, *repogen.Repo) {
 	b.Helper()
 	src := repogen.GenerateRepo("bench-repo", 160, 7)
 	opt.Problem = versioning.ProblemMSR
-	opt.ReplanEvery = 40
 	repo, err := versioning.Open("bench-repo", opt)
 	if err != nil {
 		b.Fatal(err)
@@ -564,7 +577,7 @@ func benchSmallHistory(n int) ([]versioning.NodeID, [][]string) {
 // walks the plan's retrieval path and applies the stored edit scripts
 // (the LRU is disabled).
 func BenchmarkRepositoryCheckout_Path(b *testing.B) {
-	repo, src := benchRepository(b, -1)
+	repo, src := benchCheckoutRepository(b, versioning.RepositoryOptions{CacheEntries: -1})
 	ctx := context.Background()
 	n := src.Graph.N()
 	b.ResetTimer()
@@ -575,9 +588,52 @@ func BenchmarkRepositoryCheckout_Path(b *testing.B) {
 	}
 }
 
+// BenchmarkRepositoryCheckout_Manifest is history-read's store layer:
+// uncached checkouts of 64 manifests of 4,000 lines on the disk backend
+// under one MSR plan, so each call fetches a materialized ancestor's
+// chunks and applies the path's deltas. applies/op is the delta applies
+// per checkout, which B/op and allocs/op are read against.
+func BenchmarkRepositoryCheckout_Manifest(b *testing.B) {
+	const versions = 64
+	repo, err := versioning.Open("checkout-manifest", versioning.RepositoryOptions{
+		DataDir:      b.TempDir(),
+		Problem:      versioning.ProblemMSR,
+		ReplanEvery:  -1,
+		CacheEntries: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer repo.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(17))
+	contents := [][]string{benchManifest(4000)}
+	if _, err := repo.Commit(ctx, versioning.NoParent, contents[0]); err != nil {
+		b.Fatal(err)
+	}
+	for len(contents) < versions {
+		contents = benchCommitEdit(b, repo, rng, contents, 40)
+	}
+	if err := repo.Replan(ctx); err != nil {
+		b.Fatal(err)
+	}
+	before := repo.Stats().DeltaApplies
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := i % versions
+		lines, err := repo.Checkout(ctx, versioning.NodeID(v))
+		if err != nil || len(lines) != len(contents[v]) {
+			b.Fatal(len(lines), err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(repo.Stats().DeltaApplies-before)/float64(b.N), "applies/op")
+}
+
 // BenchmarkRepositoryCheckout_CacheHit measures the LRU hit path.
 func BenchmarkRepositoryCheckout_CacheHit(b *testing.B) {
-	repo, src := benchRepository(b, 256)
+	repo, src := benchCheckoutRepository(b, versioning.RepositoryOptions{CacheEntries: 256})
 	ctx := context.Background()
 	hot := versioning.NodeID(src.Graph.N() - 1)
 	if _, err := repo.Checkout(ctx, hot); err != nil {
@@ -597,7 +653,7 @@ func BenchmarkRepositoryCheckout_CacheHit(b *testing.B) {
 // path, so the numbers expose lock contention, not cache hits.
 func benchCheckoutParallel(b *testing.B, opt versioning.RepositoryOptions) {
 	opt.CacheEntries = 16
-	repo, src := benchRepositoryOpt(b, opt)
+	repo, src := benchCheckoutRepository(b, opt)
 	ctx := context.Background()
 	n := src.Graph.N()
 	b.ResetTimer()
@@ -773,7 +829,7 @@ func BenchmarkRepositoryStatsDuringReplan(b *testing.B) {
 // BenchmarkRepositoryCheckoutBatch measures reconstructing the whole
 // history through the bounded worker pool, cold cache each iteration.
 func BenchmarkRepositoryCheckoutBatch(b *testing.B) {
-	repo, src := benchRepository(b, -1)
+	repo, src := benchCheckoutRepository(b, versioning.RepositoryOptions{CacheEntries: -1})
 	ctx := context.Background()
 	ids := make([]versioning.NodeID, src.Graph.N())
 	for i := range ids {
@@ -950,6 +1006,23 @@ func benchEdit(rng *rand.Rand, prev []string, version, edits int) []string {
 	return next
 }
 
+// benchCommitEdit commits the next version of contents to repo, edits
+// lines rewritten from its parent: the last version, or in one commit in
+// five one of the 32 before it.
+func benchCommitEdit(b *testing.B, repo *versioning.Repository, rng *rand.Rand, contents [][]string, edits int) [][]string {
+	b.Helper()
+	n := len(contents)
+	p := n - 1
+	if rng.Intn(5) == 0 {
+		p -= rng.Intn(min(n, 32))
+	}
+	next := benchEdit(rng, contents[p], n, edits)
+	if _, err := repo.Commit(context.Background(), versioning.NodeID(p), next); err != nil {
+		b.Fatal(err)
+	}
+	return append(contents, next)
+}
+
 // BenchmarkReplanPass measures one maintenance pass on a disk-backed
 // repository whose serving plan already covers everything but the last
 // two commits, the repository benchmark's plan phase: 64 manifests of
@@ -986,19 +1059,7 @@ func BenchmarkReplanPass(b *testing.B) {
 			if _, err := repo.Commit(ctx, versioning.NoParent, contents[0]); err != nil {
 				b.Fatal(err)
 			}
-			commit := func() {
-				// One commit in five branches off an older version.
-				n := len(contents)
-				p := n - 1
-				if rng.Intn(5) == 0 {
-					p -= rng.Intn(min(n, 32))
-				}
-				next := benchEdit(rng, contents[p], n, c.edits)
-				contents = append(contents, next)
-				if _, err := repo.Commit(ctx, versioning.NodeID(p), next); err != nil {
-					b.Fatal(err)
-				}
-			}
+			commit := func() { contents = benchCommitEdit(b, repo, rng, contents, c.edits) }
 			for v := 1; v < c.versions; v++ {
 				commit()
 			}

@@ -183,8 +183,17 @@ search:
 // to.
 var ErrBadDelta = errors.New("diff: delta does not match source")
 
-// Apply transforms a by the delta, returning the target lines.
-func (d Delta) Apply(a []string) ([]string, error) {
+// Apply transforms a by the delta, returning the target lines in a new
+// slice of exactly their length.
+func (d Delta) Apply(a []string) ([]string, error) { return d.ApplyTo(nil, a) }
+
+// ApplyTo is Apply writing the target lines into dst from its start: it
+// returns dst[:n] when dst can hold the n lines, and a new slice of
+// exactly n otherwise. dst must not overlap a. On error any element of
+// dst's array, up to its capacity, may hold a line of a or of the delta.
+// The result is never nil, so an empty target is an empty slice
+// whichever path built it.
+func (d Delta) ApplyTo(dst, a []string) ([]string, error) {
 	// Size the output once. A keep that overruns a is left out of the
 	// count, so a bad delta cannot ask for more than a and the delta
 	// already hold; the loop below reports it.
@@ -199,8 +208,8 @@ func (d Delta) Apply(a []string) ([]string, error) {
 			ins += len(cmd.Lines)
 		}
 	}
-	var out []string
-	if keep+ins > 0 {
+	out := dst[:0]
+	if dst == nil || cap(dst) < keep+ins {
 		out = make([]string, 0, keep+ins)
 	}
 	// Counts are compared with what is left of a, never added to ai: a

@@ -174,11 +174,19 @@ func TestApplyRejectsMismatchedSource(t *testing.T) {
 	}
 }
 
-func TestApplyEmptyResultIsNil(t *testing.T) {
+// An empty target is an empty slice, never nil: a version's lines must
+// not depend on whether a plan stores its delta or materializes it, and
+// encoders tell nil from empty.
+func TestApplyEmptyResultIsEmpty(t *testing.T) {
 	for _, a := range [][]string{nil, {"a", "b"}} {
-		got, err := Compute(a, nil).Apply(a)
-		if err != nil || got != nil {
-			t.Fatalf("apply to empty target = %#v, %v; want nil, nil", got, err)
+		d := Compute(a, nil)
+		got, err := d.Apply(a)
+		if err != nil || got == nil || len(got) != 0 {
+			t.Fatalf("apply to empty target = %#v, %v; want []string{}, nil", got, err)
+		}
+		got, err = d.ApplyTo(nil, a)
+		if err != nil || got == nil || len(got) != 0 {
+			t.Fatalf("ApplyTo(nil) to empty target = %#v, %v; want []string{}, nil", got, err)
 		}
 	}
 }
@@ -397,13 +405,66 @@ func FuzzComputeMatchesReference(f *testing.F) {
 	f.Add("a\nb\na\nb\na", "b\na\nb\na\nb")
 	f.Add("1\n2\n3\n4\n5", "p\nq")
 	f.Fuzz(func(t *testing.T, sa, sb string) {
-		split := func(s string) []string {
-			if s == "" {
-				return nil
+		checkAgainstReference(t, splitLines(sa), splitLines(sb))
+	})
+}
+
+// splitLines is a fuzz string as lines; "" is no lines.
+func splitLines(s string) []string {
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, "\n")
+}
+
+// FuzzApplyToMatchesApply holds ApplyTo, writing into a dirty dst of any
+// length and capacity, to Apply: the same lines, the same error, a left
+// as it was, and dst's array reused whenever it can hold the target. The
+// script is Compute(a, b) when script is empty, and otherwise read from
+// script two bytes a command (op mod 4, where 3 is an unknown op; a
+// signed count; an insert takes that many lines of b), so most are bad.
+func FuzzApplyToMatchesApply(f *testing.F) {
+	f.Add("a\nb\nc", "a\nx\nc", []byte{}, uint8(0), uint8(0))
+	f.Add("a\nb\nc", "a\nx\nc", []byte{}, uint8(5), uint8(3))
+	f.Add("a\nb", "", []byte{}, uint8(2), uint8(0))
+	f.Add("a\nb\nc", "x\ny", []byte{0, 1, 2, 2, 1, 1, 0, 1}, uint8(1), uint8(9))
+	f.Add("a\nb\nc", "x", []byte{0, 4, 2, 1}, uint8(0), uint8(4))
+	f.Add("a", "", []byte{1, 0xff, 3, 0}, uint8(7), uint8(0))
+	f.Fuzz(func(t *testing.T, sa, sb string, script []byte, dstLen, dstSpare uint8) {
+		a, b := splitLines(sa), splitLines(sb)
+		d := Compute(a, b)
+		if len(script) > 0 {
+			d = Delta{}
+			for i := 0; i+1 < len(script); i += 2 {
+				cmd := Cmd{Op: Op(script[i] % 4), N: int(int8(script[i+1]))}
+				if cmd.Op == OpInsert {
+					cmd.Lines, cmd.N = b[:min(max(cmd.N, 0), len(b))], 0
+				}
+				d.Cmds = append(d.Cmds, cmd)
 			}
-			return strings.Split(s, "\n")
 		}
-		checkAgainstReference(t, split(sa), split(sb))
+		want, wantErr := d.Apply(a)
+		dst := make([]string, dstLen, int(dstLen)+int(dstSpare))
+		for i, full := 0, dst[:cap(dst)]; i < len(full); i++ {
+			full[i] = "dirty" + strconv.Itoa(i)
+		}
+		before := slices.Clone(a)
+		got, err := d.ApplyTo(dst, a)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("ApplyTo error %v, Apply error %v", err, wantErr)
+		}
+		if !slices.Equal(a, before) {
+			t.Fatalf("ApplyTo changed its source: %q, was %q", a, before)
+		}
+		if err != nil {
+			return
+		}
+		if got == nil || !slices.Equal(got, want) {
+			t.Fatalf("ApplyTo = %#v, Apply = %#v", got, want)
+		}
+		if len(want) > 0 && cap(dst) >= len(want) && &got[0] != &dst[:1][0] {
+			t.Fatalf("ApplyTo allocated although dst holds %d of %d lines", cap(dst), len(want))
+		}
 	})
 }
 

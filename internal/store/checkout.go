@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/diff"
 	"repro/internal/graph"
 	"repro/internal/trace"
 )
@@ -162,7 +163,14 @@ func (s *Store) fetchSnapshot(ctx context.Context, v graph.NodeID, snap pathSnap
 			return nil, fmt.Errorf("store: blob of version %d: %w", v, err)
 		}
 	}
-	// Apply the edit scripts source -> v.
+	// Apply the edit scripts source -> v. Every step but the last writes
+	// into a pooled scratch buffer, so past its base a path allocates one
+	// slice of lines, the one it returns, however many deltas it applies.
+	var sc *lineScratch
+	if len(snap.deltas) > 1 {
+		sc = lineScratchPool.Get().(*lineScratch)
+		defer sc.release()
+	}
 	for i := len(snap.deltas) - 1; i >= 0; i-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -175,13 +183,52 @@ func (s *Store) fetchSnapshot(ctx context.Context, v graph.NodeID, snap pathSnap
 		if err != nil {
 			return nil, fmt.Errorf("store: delta object %s: %w", snap.deltas[i], err)
 		}
-		base, err = d.Apply(base)
+		if i == 0 {
+			base, err = d.Apply(base)
+		} else {
+			base, err = sc.apply(i%2, d, base)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("store: applying delta %s: %w", snap.deltas[i], err)
 		}
 		s.deltaApplies.Add(1)
 	}
 	return base, nil
+}
+
+// lineScratch is the pair of buffers a retrieval path's intermediate
+// versions are applied into, alternately, so a step never writes the
+// buffer it reads. Neither is ever the cached base a path starts from or
+// the slice a checkout returns. A buffer's length is the part its last
+// step wrote; everything past it is zero.
+type lineScratch [2][]string
+
+var lineScratchPool = sync.Pool{New: func() any { return new(lineScratch) }}
+
+// apply writes d applied to src into buffer j and returns it.
+func (sc *lineScratch) apply(j int, d diff.Delta, src []string) ([]string, error) {
+	// Clear what the buffer holds first: a shorter target would leave
+	// lines of an older step past its length.
+	clear(sc[j])
+	out, err := d.ApplyTo(sc[j], src)
+	if err != nil {
+		// A failed apply may have written past the length; drop the
+		// buffer rather than clear its whole capacity.
+		sc[j] = nil
+		return nil, err
+	}
+	sc[j] = out
+	return out, nil
+}
+
+// release clears the buffers and returns them to the pool, so that a
+// pooled buffer pins no payload of the objects it was applied from.
+func (sc *lineScratch) release() {
+	for j := range sc {
+		clear(sc[j])
+		sc[j] = sc[j][:0]
+	}
+	lineScratchPool.Put(sc)
 }
 
 // BatchItem is one CheckoutBatch outcome.

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/diff"
 	"repro/internal/graph"
 	"repro/internal/plan"
+	"repro/internal/wire"
 )
 
 // countingBackend counts Get calls per key kind for singleflight tests.
@@ -232,4 +236,149 @@ func TestConcurrentInstallAndCheckout(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestEmptyVersionIsEmptyOnEveryPath: a version with no lines checks out
+// as an empty, non-nil slice whether the plan stores the deltas into it
+// or materializes it, so its wire body (and with it its ETag) does not
+// depend on the plan.
+func TestEmptyVersionIsEmptyOnEveryPath(t *testing.T) {
+	g := graph.New("to-empty")
+	contents := [][]string{{"a", "b"}, {"a"}, {}}
+	for _, c := range contents {
+		g.AddNode(diff.ByteSize(c))
+	}
+	addEdgePair(g, contents, 0, 1)
+	addEdgePair(g, contents, 1, 2)
+	content := func(v graph.NodeID) ([]string, error) { return contents[v], nil }
+	var bodies [][]byte
+	for _, p := range []*plan.Plan{forwardChainPlan(g, 3), plan.MaterializeAll(g)} {
+		s := New(Options{CacheEntries: -1})
+		if err := s.Install(g, p, content); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Checkout(t.Context(), 2)
+		if err != nil || got == nil || len(got) != 0 {
+			t.Fatalf("Checkout(empty version) = %#v, %v; want []string{}", got, err)
+		}
+		body, err := wire.Encode(wire.Checkout{ID: 2, Lines: got})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("stored-delta body %s, materialized body %s", bodies[0], bodies[1])
+	}
+}
+
+// TestLongPathFromCachedBase: a path of nine deltas from a cached base
+// goes through the pooled scratch buffers and leaves the base as it
+// was, alone and under concurrent checkouts of every version on it. The
+// cache's budget is the base's size, so it refuses every (longer)
+// version above it and each checkout walks down to the base.
+func TestLongPathFromCachedBase(t *testing.T) {
+	const n, baseV, tip = 12, 2, 11
+	g, contents := chainFixture(n, bigLines(300, "long"))
+	s := New(Options{CacheBytes: linesSize(contents[baseV])})
+	if err := s.Install(g, forwardChainPlan(g, n), func(v graph.NodeID) ([]string, error) { return contents[v], nil }); err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.Checkout(t.Context(), baseV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached, ok := s.cache.get(baseV); !ok || s.cache.len() != 1 || &cached[0] != &base[0] {
+		t.Fatalf("cache holds %d versions, want only the base", s.cache.len())
+	}
+	was := slices.Clone(base)
+	applies := s.Stats().DeltaApplies
+	got, err := s.Checkout(t.Context(), tip)
+	if err != nil || !slices.Equal(got, contents[tip]) {
+		t.Fatalf("Checkout(%d) = %d lines, %v; want the committed %d", tip, len(got), err, len(contents[tip]))
+	}
+	if d := s.Stats().DeltaApplies - applies; d != tip-baseV {
+		t.Fatalf("the path applied %d deltas, want %d from the cached base", d, tip-baseV)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 4*(tip-baseV+1); i++ {
+				v := graph.NodeID(baseV + (w+i)%(tip-baseV+1))
+				got, err := s.Checkout(context.Background(), v)
+				if err != nil || !slices.Equal(got, contents[v]) {
+					t.Errorf("Checkout(%d) = %d lines, %v; want the committed %d", v, len(got), err, len(contents[v]))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if !slices.Equal(base, was) {
+		t.Fatal("the cached base changed under checkouts built on it")
+	}
+	if st := s.Stats(); st.CachedVersions != 1 {
+		t.Fatalf("cache holds %d versions, want only the base", st.CachedVersions)
+	}
+}
+
+// TestScratchReleasePinsNothing: a buffer that took a longer step and
+// then a shorter one holds no line anywhere in its capacity once
+// released, so a pooled buffer keeps no object payload alive.
+func TestScratchReleasePinsNothing(t *testing.T) {
+	long, short := bigLines(40, "long"), bigLines(10, "short")
+	sc := new(lineScratch)
+	for j, d := range []diff.Delta{diff.Compute(nil, long), diff.Compute(nil, long), diff.Compute(nil, short)} {
+		if _, err := sc.apply(j%2, d, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc.release()
+	for j, buf := range sc {
+		if len(buf) != 0 {
+			t.Fatalf("buffer %d released with length %d", j, len(buf))
+		}
+		for i, l := range buf[:cap(buf)] {
+			if l != "" {
+				t.Fatalf("buffer %d pins %q at %d of %d", j, l, i, cap(buf))
+			}
+		}
+	}
+}
+
+// TestUncachedCheckoutAllocatesNoSlicePerStep bounds what an uncached
+// checkout of a 4,000-line version eight deltas deep allocates: the
+// base's chunks and the returned slice, not a slice per step. Eight
+// intermediate slices of 4,000 lines would add 512 KiB.
+func TestUncachedCheckoutAllocatesNoSlicePerStep(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers")
+	}
+	const n = 9
+	g, contents := chainFixture(n, bigLines(4000, "alloc"))
+	s := New(Options{CacheEntries: -1})
+	if err := s.Install(g, forwardChainPlan(g, n), func(v graph.NodeID) ([]string, error) { return contents[v], nil }); err != nil {
+		t.Fatal(err)
+	}
+	checkout := func() {
+		got, err := s.Checkout(t.Context(), n-1)
+		if err != nil || len(got) != len(contents[n-1]) {
+			t.Fatalf("Checkout = %d lines, %v", len(got), err)
+		}
+	}
+	checkout() // fill the scratch pool outside the measurement
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		checkout()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("%d bytes per checkout", perCall)
+	if perCall > 400<<10 {
+		t.Fatalf("an uncached checkout 8 deltas deep allocated %d bytes, want under %d", perCall, 400<<10)
+	}
 }

@@ -7,9 +7,8 @@
 // datastore behind the storage/recreation trade-off: the solvers in this
 // repository decide *which* versions to materialize; this package makes
 // that decision operational. Objects are keyed by the SHA-256 of their
-// canonical encoding (the same content-hash idiom as graph.Fingerprint),
-// so identical contents deduplicate across versions and plan migrations
-// are cheap set differences of keys. Large materialized blobs are split
+// canonical encoding, so identical contents deduplicate across versions
+// and plan migrations are cheap set differences of keys. Large materialized blobs are split
 // into content-defined chunks behind a manifest object, so versions
 // sharing long runs of lines share the chunk objects too.
 //
@@ -67,7 +66,11 @@ func appendLines(buf []byte, lines []string) []byte {
 // lines are substrings of one string, the payload: one allocation per
 // object, not per line, and a line kept alive keeps its object's
 // payload alive, which a cache's linesSize does not count.
-func decodeLines(b []byte) ([]string, error) {
+func decodeLines(b []byte) ([]string, error) { return appendDecodedLines(nil, b) }
+
+// appendDecodedLines is decodeLines appending the lines to dst; a nil
+// dst gets a slice of exactly the payload's line count.
+func appendDecodedLines(dst []string, b []byte) ([]string, error) {
 	all := string(b)
 	n, b, err := readUvarint(b)
 	if err != nil {
@@ -79,7 +82,9 @@ func decodeLines(b []byte) ([]string, error) {
 	if n > uint64(len(b)) {
 		return nil, fmt.Errorf("%w: line count %d exceeds payload", ErrBadObject, n)
 	}
-	lines := make([]string, 0, n)
+	if dst == nil {
+		dst = make([]string, 0, n)
+	}
 	for i := uint64(0); i < n; i++ {
 		var l uint64
 		l, b, err = readUvarint(b)
@@ -90,13 +95,13 @@ func decodeLines(b []byte) ([]string, error) {
 			return nil, fmt.Errorf("%w: truncated line", ErrBadObject)
 		}
 		at := len(all) - len(b)
-		lines = append(lines, all[at:at+int(l)])
+		dst = append(dst, all[at:at+int(l)])
 		b = b[l:]
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadObject, len(b))
 	}
-	return lines, nil
+	return dst, nil
 }
 
 // encodeLines serializes lines behind tag into a buffer sized once.
@@ -124,12 +129,12 @@ func DecodeBlob(b []byte) ([]string, error) {
 // encodeChunk serializes one run of lines from a chunked blob.
 func encodeChunk(lines []string) []byte { return encodeLines(tagChunk, lines) }
 
-// decodeChunk reverses encodeChunk.
-func decodeChunk(b []byte) ([]string, error) {
+// appendChunk reverses encodeChunk, appending the chunk's lines to dst.
+func appendChunk(dst []string, b []byte) ([]string, error) {
 	if len(b) == 0 || b[0] != tagChunk {
 		return nil, fmt.Errorf("%w: not a chunk", ErrBadObject)
 	}
-	return decodeLines(b[1:])
+	return appendDecodedLines(dst, b[1:])
 }
 
 // encodeManifest serializes the ordered chunk keys of a chunked blob,

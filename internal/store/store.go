@@ -239,11 +239,9 @@ func getBlobObject(get func(Key) ([]byte, error), k Key) ([]string, error) {
 			if err != nil {
 				return nil, err
 			}
-			cl, err := decodeChunk(cp)
-			if err != nil {
+			if lines, err = appendChunk(lines, cp); err != nil {
 				return nil, err
 			}
-			lines = append(lines, cl...)
 		}
 		return lines, nil
 	}

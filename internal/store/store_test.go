@@ -250,7 +250,7 @@ func TestCorruptObjectsRejectedNotPanic(t *testing.T) {
 			case tagBlob:
 				_, err = DecodeBlob(payload)
 			case tagChunk:
-				_, err = decodeChunk(payload)
+				_, err = appendChunk(nil, payload)
 			case tagDelta:
 				_, err = DecodeDelta(payload)
 			case tagManifest:
@@ -273,7 +273,7 @@ func TestDecodeAllocatesPerObjectNotPerLine(t *testing.T) {
 		delta := EncodeDelta(diff.Delta{Cmds: []diff.Cmd{{Op: diff.OpKeep, N: 3}, {Op: diff.OpInsert, Lines: lines}}})
 		for name, decode := range map[string]func() error{
 			"blob":  func() error { _, err := DecodeBlob(blob); return err },
-			"chunk": func() error { _, err := decodeChunk(chunk); return err },
+			"chunk": func() error { _, err := appendChunk(nil, chunk); return err },
 			"delta": func() error { _, err := DecodeDelta(delta); return err },
 		} {
 			got := testing.AllocsPerRun(10, func() {
