@@ -14,6 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -38,6 +40,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/treewidth"
 	"repro/internal/wire"
+	"repro/serve"
 	"repro/versioning"
 )
 
@@ -161,11 +164,11 @@ func benchGreedy(b *testing.B, solve func(*graph.Graph, graph.Cost) (lmg.Result,
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, msa, err := planMinStorage(g)
+			mst, err := core.MST(g)
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := msa * 3 / 2
+			s := mst.Cost.Storage * 3 / 2
 			b.ResetTimer()
 			moves := 0
 			for i := 0; i < b.N; i++ {
@@ -235,10 +238,11 @@ func BenchmarkDPMSR_GeometricTicks(b *testing.B) {
 // at twice the minimum storage, the paper's uncompressed-graph setting).
 func BenchmarkDPMSR_WithStoragePruning(b *testing.B) {
 	g := styleguideScaled()
-	_, minStorage, err := planMinStorage(g)
+	mst, err := core.MST(g)
 	if err != nil {
 		b.Fatal(err)
 	}
+	minStorage := mst.Cost.Storage
 	opt := dptree.MSROptions{Epsilon: 0.1, Geometric: true, MaxStates: 128, PruneStorage: 2 * minStorage}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -259,10 +263,11 @@ func BenchmarkDPMSR_Replan(b *testing.B) {
 	for _, versions := range []int{256, 800} {
 		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
 			g := repogen.GenerateRepo("replan", versions, 21).Graph
-			_, minStorage, err := planMinStorage(g)
+			mst, err := core.MST(g)
 			if err != nil {
 				b.Fatal(err)
 			}
+			minStorage := mst.Cost.Storage
 			opt := dptree.DefaultMSROptions(0, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -273,12 +278,6 @@ func BenchmarkDPMSR_Replan(b *testing.B) {
 			}
 		})
 	}
-}
-
-func planMinStorage(g *graph.Graph) (*graph.Graph, graph.Cost, error) {
-	x := graph.Extend(g)
-	_, total, err := graphalg.MinArborescence(x.Graph, x.Aux, graphalg.StorageWeight)
-	return g, total, err
 }
 
 // BenchmarkILP_Datasharing measures the exact solver on the only dataset
@@ -647,6 +646,36 @@ func BenchmarkRepositoryCheckout_CacheHit(b *testing.B) {
 	}
 }
 
+// BenchmarkServeCheckout_RespCacheHit is hot-read's serve layer: a
+// GET /checkout/{id} of a 256-version repository that the
+// encoded-response cache answers, through the real handler into a
+// recorder.
+func BenchmarkServeCheckout_RespCacheHit(b *testing.B) {
+	src := repogen.GenerateRepo("bench-serve", 256, 7)
+	repo := versioning.NewRepository("bench-serve", versioning.RepositoryOptions{ReplanEvery: -1})
+	ctx := context.Background()
+	for v := 0; v < src.Graph.N(); v++ {
+		if _, err := repo.Commit(ctx, src.Parents[v], src.Contents[v]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv := serve.New(repo, serve.Options{})
+	req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/checkout/%d", src.Graph.N()-1), nil)
+	get := func() {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("GET %s: HTTP %d", req.URL, w.Code)
+		}
+	}
+	get() // fill the response cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
+	}
+}
+
 // benchCheckoutParallel is the serving-daemon contention profile:
 // b.RunParallel goroutines checking out random versions with Stats polls
 // riding along. A small LRU keeps most checkouts on the reconstruction
@@ -724,7 +753,7 @@ func BenchmarkStoreCheckoutDuringMigration_SlowBackend(b *testing.B) {
 		g.AddEdge(graph.NodeID(i), graph.NodeID(i-1), rev.StorageCost(), rev.StorageCost())
 	}
 	content := func(v graph.NodeID) ([]string, error) { return contents[v], nil }
-	mst, _, err := plan.MinStorage(g)
+	mst, err := core.MST(g)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -732,10 +761,10 @@ func BenchmarkStoreCheckoutDuringMigration_SlowBackend(b *testing.B) {
 		Backend:      slowBackend{Backend: store.NewMemBackend(), latency: 500 * time.Microsecond},
 		CacheEntries: -1, // force every checkout onto the reconstruction path
 	})
-	if err := s.Install(g, mst, content); err != nil {
+	if err := s.Install(g, mst.Plan, content); err != nil {
 		b.Fatal(err)
 	}
-	plans := []*plan.Plan{plan.MaterializeAll(g), mst}
+	plans := []*plan.Plan{plan.MaterializeAll(g), mst.Plan}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -107,7 +107,7 @@ func run(ctx context.Context, args []string) error {
 		autoFactor  = fs.Float64("auto-factor", 2, "slack multiplier for automatic storage budgets")
 		replanEvery = fs.Int("replan-every", 8, "re-plan and migrate every k commits (negative: only via POST /replan)")
 		cache       = fs.Int("cache", 256, "checkout LRU entries (negative disables)")
-		cacheBytes  = fs.Int64("cache-bytes", 0, "checkout LRU byte budget (0 = 64 MiB)")
+		cacheBytes  = fs.Int64("cache-bytes", 0, "checkout LRU byte budget (0 = 64 MiB; -cache -1 disables)")
 		respCache   = fs.Int64("resp-cache", 0, "encoded checkout-response cache byte budget (0 = 64 MiB, negative disables)")
 		dataDir     = fs.String("data-dir", "", "durable storage root (objects + commit journal); empty serves from memory")
 		fsync       = fs.Bool("fsync", false, "fsync the commit journal on every commit (with -data-dir)")
@@ -140,6 +140,11 @@ func run(ctx context.Context, args []string) error {
 	if *version {
 		fmt.Println(buildinfo.Get().String())
 		return nil
+	}
+	// A negative budget is no budget at all, not the default: refuse it
+	// rather than serve 64 MiB the operator did not ask for.
+	if *cacheBytes < 0 {
+		return errors.New("-cache-bytes must not be negative; disable the checkout cache with -cache -1")
 	}
 	problem, err := core.ParseProblem(*problemStr)
 	if err != nil {

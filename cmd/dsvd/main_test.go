@@ -119,6 +119,17 @@ func TestRunRefusesSingleRepoFlagsWithMulti(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNegativeCacheBytes: a negative -cache-bytes is an error
+// that names -cache -1, not a silent 64 MiB default.
+func TestRunRefusesNegativeCacheBytes(t *testing.T) {
+	const want = "-cache-bytes must not be negative; disable the checkout cache with -cache -1"
+	for _, args := range [][]string{{"-cache-bytes", "-1"}, {"-multi", "-cache-bytes", "-4096"}} {
+		if err := run(context.Background(), args); err == nil || err.Error() != want {
+			t.Errorf("run %v: %v, want %q", args, err, want)
+		}
+	}
+}
+
 // TestRunInMemoryFleetLog: an in-memory fleet never evicts, and the
 // start-up log must not announce a -max-open bound it does not apply.
 func TestRunInMemoryFleetLog(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/plan"
 )
@@ -184,12 +185,12 @@ func TestFrontiers(t *testing.T) {
 	if sf.Points[len(sf.Points)-1].Objective != 0 {
 		t.Fatal("frontier should reach zero retrieval")
 	}
-	_, minStorage, err := plan.MinStorage(g)
+	mst, err := core.MST(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sf.Points[0].Storage != minStorage {
-		t.Fatalf("frontier starts at %d, min storage is %d", sf.Points[0].Storage, minStorage)
+	if sf.Points[0].Storage != mst.Cost.Storage {
+		t.Fatalf("frontier starts at %d, min storage is %d", sf.Points[0].Storage, mst.Cost.Storage)
 	}
 	mf, err := MaxFrontier(g, 0)
 	if err != nil {

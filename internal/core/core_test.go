@@ -9,6 +9,8 @@ import (
 	"repro/internal/bruteforce"
 	"repro/internal/dptree"
 	"repro/internal/graph"
+	"repro/internal/graphalg"
+	"repro/internal/plan"
 )
 
 func TestProblemStringRoundTrip(t *testing.T) {
@@ -73,6 +75,31 @@ func bruteBMRFunc(g *graph.Graph) BoundedFunc {
 // WithMinStorage hands every caller for its graph one arborescence,
 // computed once, that another graph gets its own, and that MSTOf over
 // it is MST.
+// TestMinStorageMatchesEdmonds: MST's plan evaluates to the total
+// weight of the min-storage arborescence, and keeps every version
+// retrievable.
+func TestMinStorageMatchesEdmonds(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for it := 0; it < 20; it++ {
+		g := graph.Random(graph.RandomOptions{Nodes: 2 + rng.Intn(10), ExtraEdges: rng.Intn(12), Bidirected: true}, rng)
+		x := graph.Extend(g)
+		_, total, err := graphalg.MinArborescence(x.Graph, x.Aux, graphalg.StorageWeight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := MST(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := plan.Evaluate(g, sol.Plan); c != sol.Cost || c.Storage != total {
+			t.Fatalf("arborescence weighs %d, MST reports %+v, plan evaluates to %+v", total, sol.Cost, c)
+		}
+		if !sol.Cost.Feasible {
+			t.Fatal("min-storage plan infeasible")
+		}
+	}
+}
+
 func TestMinStorageOncePerContext(t *testing.T) {
 	g, other := graph.Figure1(), graph.Figure1()
 	ctx := WithMinStorage(context.Background(), g)

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dptree"
 	"repro/internal/graph"
 	"repro/internal/ilp"
@@ -102,10 +103,11 @@ func scaledSpecs(cfg Config) []repogen.Spec {
 
 func msrSweep(g *graph.Graph, cfg Config, withILP bool) Result {
 	res := Result{Dataset: g.Name, XLabel: "storage", YLabel: "total retrieval"}
-	_, minStorage, err := plan.MinStorage(g)
+	mst, err := core.MST(g)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", g.Name, err))
 	}
+	minStorage := mst.Cost.Storage
 	// The paper sweeps storage budgets in a small multiple of the
 	// minimum storage (e.g. Figure 10's datasharing axis spans ≈2–4×
 	// min storage), which is also where the pruned DP concentrates its
@@ -177,11 +179,11 @@ func bmrSweep(g *graph.Graph, cfg Config) Result {
 	res := Result{Dataset: g.Name, XLabel: "max retrieval", YLabel: "storage"}
 	// Retrieval range: 0 up to the max retrieval of the min-storage
 	// tree (beyond it the constraint stops binding).
-	minPlan, _, err := plan.MinStorage(g)
+	mst, err := core.MST(g)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", g.Name, err))
 	}
-	maxR := plan.Evaluate(g, minPlan).MaxRetrieval
+	maxR := mst.Cost.MaxRetrieval
 	bounds := sweep(0, maxR, cfg.SweepPoints)
 
 	mpSeries := Series{Algorithm: "MP"}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/plan"
 	"repro/internal/portfolio"
 )
 
@@ -105,10 +104,11 @@ func portfolioSweep(g *graph.Graph, problem core.Problem, constraints []graph.Co
 func PortfolioComparison(cfg Config) []Result {
 	var out []Result
 	for _, g := range figureDatasets(cfg, "datasharing", "styleguide") {
-		_, minStorage, err := plan.MinStorage(g)
+		mst, err := core.MST(g)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", g.Name, err))
 		}
+		minStorage := mst.Cost.Storage
 		hi := 4 * minStorage
 		if total := g.TotalNodeStorage(); hi > total {
 			hi = total
@@ -119,11 +119,11 @@ func PortfolioComparison(cfg Config) []Result {
 		out = append(out, r)
 	}
 	for _, g := range figureDatasets(cfg, "styleguide", "freeCodeCamp") {
-		minPlan, _, err := plan.MinStorage(g)
+		mst, err := core.MST(g)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", g.Name, err))
 		}
-		maxR := plan.Evaluate(g, minPlan).MaxRetrieval
+		maxR := mst.Cost.MaxRetrieval
 		eng := portfolioEngine(cfg, false)
 		r := portfolioSweep(g, core.ProblemBMR, sweep(0, maxR, cfg.SweepPoints), eng)
 		r.Figure = "Portfolio (BMR race)"

@@ -1,9 +1,12 @@
 // Package hotcache is the byte-accounted LRU shared by the serving
-// stack: the store's reconstructed-version cache and the HTTP layer's
-// encoded-response cache both run on it, so one budget abstraction
-// governs every cached byte on the checkout fast path. Every put is
-// admitted and the least recently used entries make room for it; only a
-// value larger than the whole budget is turned away.
+// stack. Both cache places call it directly with their own key and value
+// types — the store maps a version id to its reconstructed lines, the
+// HTTP layer a request key struct to its encoded response — so one
+// budget abstraction governs every cached byte on the checkout fast
+// path, and a probe neither renders its key nor asserts its value's
+// type. Every put is admitted and the least recently used entries
+// make room for it; only a value larger than the whole budget is turned
+// away.
 package hotcache
 
 import (
@@ -25,52 +28,53 @@ type Stats struct {
 // Cache is a byte-bounded LRU. All methods are safe for concurrent use.
 // A nil *Cache is valid and behaves as an always-miss cache, so callers
 // can disable caching without branching.
-type Cache struct {
+type Cache[K comparable, V any] struct {
 	mu         sync.Mutex
 	maxBytes   int64
 	maxEntries int // 0 = unbounded by count
 	bytes      int64
 	ll         *list.List // front = most recently used
-	m          map[string]*list.Element
+	m          map[K]*list.Element
 
 	hits, misses, rejected, evictions int64
 }
 
-type entry struct {
-	key  string
-	val  any
+type entry[K comparable, V any] struct {
+	key  K
+	val  V
 	size int64
 }
 
 // New returns a cache bounded by maxBytes (and, when maxEntries > 0, by
 // entry count). maxBytes <= 0 returns nil: the disabled cache.
-func New(maxBytes int64, maxEntries int) *Cache {
+func New[K comparable, V any](maxBytes int64, maxEntries int) *Cache[K, V] {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return &Cache{
+	return &Cache[K, V]{
 		maxBytes:   maxBytes,
 		maxEntries: maxEntries,
 		ll:         list.New(),
-		m:          make(map[string]*list.Element),
+		m:          make(map[K]*list.Element),
 	}
 }
 
 // Get returns the value cached under key, refreshing its recency.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache[K, V]) Get(key K) (V, bool) {
+	var zero V
 	if c == nil {
-		return nil, false
+		return zero, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return zero, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
+	return el.Value.(*entry[K, V]).val, true
 }
 
 // Put caches (key, val) of the given size as the most recently used
@@ -78,7 +82,7 @@ func (c *Cache) Get(key string) (any, bool) {
 // key is updated in place. Returns whether the value is in the cache on
 // return: false only for a value larger than the whole byte budget, which
 // also drops the key's previous value and leaves every other entry be.
-func (c *Cache) Put(key string, val any, size int64) bool {
+func (c *Cache[K, V]) Put(key K, val V, size int64) bool {
 	if c == nil || size < 0 {
 		return false
 	}
@@ -95,21 +99,21 @@ func (c *Cache) Put(key string, val any, size int64) bool {
 		return false
 	}
 	if ok {
-		e := el.Value.(*entry)
+		e := el.Value.(*entry[K, V])
 		c.bytes += size - e.size
 		e.val, e.size = val, size
 		c.ll.MoveToFront(el)
 		c.evictOver()
 		return true
 	}
-	c.m[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
+	c.m[key] = c.ll.PushFront(&entry[K, V]{key: key, val: val, size: size})
 	c.bytes += size
 	c.evictOver()
 	return true
 }
 
 // evictOver drops LRU entries until both budgets hold; c.mu must be held.
-func (c *Cache) evictOver() {
+func (c *Cache[K, V]) evictOver() {
 	for c.bytes > c.maxBytes || (c.maxEntries > 0 && c.ll.Len() > c.maxEntries) {
 		el := c.ll.Back()
 		if el == nil {
@@ -121,15 +125,15 @@ func (c *Cache) evictOver() {
 }
 
 // remove unlinks el's entry; c.mu must be held.
-func (c *Cache) remove(el *list.Element) {
-	e := el.Value.(*entry)
+func (c *Cache[K, V]) remove(el *list.Element) {
+	e := el.Value.(*entry[K, V])
 	c.ll.Remove(el)
 	delete(c.m, e.key)
 	c.bytes -= e.size
 }
 
 // Len reports the number of cached entries.
-func (c *Cache) Len() int {
+func (c *Cache[K, V]) Len() int {
 	if c == nil {
 		return 0
 	}
@@ -139,7 +143,7 @@ func (c *Cache) Len() int {
 }
 
 // Stats snapshots the cache's traffic counters.
-func (c *Cache) Stats() Stats {
+func (c *Cache[K, V]) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestNilCacheIsAlwaysMiss(t *testing.T) {
-	var c *Cache
+	var c *Cache[string, int]
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("nil cache returned a hit")
 	}
@@ -20,13 +20,13 @@ func TestNilCacheIsAlwaysMiss(t *testing.T) {
 }
 
 func TestDisabledBudgetReturnsNil(t *testing.T) {
-	if New(0, 0) != nil || New(-1, 0) != nil {
+	if New[string, int](0, 0) != nil || New[string, int](-1, 0) != nil {
 		t.Fatal("non-positive budget must return the nil (disabled) cache")
 	}
 }
 
 func TestAdmitFreelyUnderBudget(t *testing.T) {
-	c := New(100, 0)
+	c := New[string, int](100, 0)
 	for i := 0; i < 10; i++ {
 		if !c.Put(fmt.Sprint(i), i, 10) {
 			t.Fatalf("put %d rejected with budget headroom", i)
@@ -36,7 +36,7 @@ func TestAdmitFreelyUnderBudget(t *testing.T) {
 		t.Fatalf("Len = %d, want 10", c.Len())
 	}
 	for i := 0; i < 10; i++ {
-		if v, ok := c.Get(fmt.Sprint(i)); !ok || v.(int) != i {
+		if v, ok := c.Get(fmt.Sprint(i)); !ok || v != i {
 			t.Fatalf("Get(%d) = %v, %v", i, v, ok)
 		}
 	}
@@ -45,7 +45,7 @@ func TestAdmitFreelyUnderBudget(t *testing.T) {
 // TestFirstTouchAdmittedWhenFull: a full cache takes a new key on its
 // first put and evicts the least recently used entry for it.
 func TestFirstTouchAdmittedWhenFull(t *testing.T) {
-	c := New(100, 0)
+	c := New[string, int](100, 0)
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprint(i), i, 10)
 	}
@@ -65,7 +65,7 @@ func TestFirstTouchAdmittedWhenFull(t *testing.T) {
 }
 
 func TestUpdateExistingBypassesGate(t *testing.T) {
-	c := New(100, 0)
+	c := New[string, int](100, 0)
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprint(i), i, 10)
 	}
@@ -73,7 +73,7 @@ func TestUpdateExistingBypassesGate(t *testing.T) {
 	if !c.Put("5", 55, 20) {
 		t.Fatal("update of resident key rejected")
 	}
-	if v, ok := c.Get("5"); !ok || v.(int) != 55 {
+	if v, ok := c.Get("5"); !ok || v != 55 {
 		t.Fatalf("updated value = %v, %v", v, ok)
 	}
 	// Growth pushed bytes to 110 > 100: the LRU entry must have gone.
@@ -83,7 +83,7 @@ func TestUpdateExistingBypassesGate(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := New(30, 0)
+	c := New[string, int](30, 0)
 	c.Put("a", 1, 10)
 	c.Put("b", 2, 10)
 	c.Put("c", 3, 10)
@@ -100,7 +100,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestEntryCapEvicts(t *testing.T) {
-	c := New(1<<20, 2)
+	c := New[string, int](1<<20, 2)
 	c.Put("a", 1, 1)
 	c.Put("b", 2, 1)
 	c.Put("c", 3, 1) // over the entry cap: evicts a
@@ -126,7 +126,7 @@ func TestOversizedValueRejected(t *testing.T) {
 		{name: "cached key", held: []string{"a", "b"}, key: "a",
 			want: Stats{Entries: 1, Bytes: 10, Rejected: 3}},
 	} {
-		c := New(100, 0)
+		c := New[string, int](100, 0)
 		for _, k := range tc.held {
 			c.Put(k, 0, 10)
 		}
@@ -147,7 +147,7 @@ func TestOversizedValueRejected(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := New(1<<16, 0)
+	c := New[string, int](1<<16, 0)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/bruteforce"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/graphalg"
 	"repro/internal/plan"
@@ -90,11 +91,11 @@ func TestHeuristicsFeasibleAndAboveOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for it := 0; it < 60; it++ {
 		g := randomInstance(rng)
-		minPlan, minStorage, err := plan.MinStorage(g)
+		mst, err := core.MST(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		minCost := plan.Evaluate(g, minPlan)
+		minCost, minStorage := mst.Cost, mst.Cost.Storage
 		// Sweep three budgets between min storage and full
 		// materialization.
 		total := g.TotalNodeStorage()
@@ -486,10 +487,11 @@ func TestLMGMovesMatchReference(t *testing.T) {
 		graphs[name] = g
 	}
 	for name, g := range graphs {
-		_, msa, err := plan.MinStorage(g)
+		mst, err := core.MST(g)
 		if err != nil {
 			t.Fatal(err)
 		}
+		msa := mst.Cost.Storage
 		for _, f := range []float64{1.1, 1.5, 2, 3, 5} {
 			matchReference(t, name, g, graph.Cost(float64(msa)*f))
 		}
@@ -522,10 +524,11 @@ func fuzzInstance(data []byte) (*graph.Graph, graph.Cost) {
 			g.AddEdge(u, v, graph.Cost(at(i+2)%8), graph.Cost(at(i+3)%8))
 		}
 	}
-	_, msa, err := plan.MinStorage(g)
+	mst, err := core.MST(g)
 	if err != nil {
 		panic(err)
 	}
+	msa := mst.Cost.Storage
 	return g, msa + (g.TotalNodeStorage()-msa)*graph.Cost(at(1)%8)/7
 }
 

@@ -64,11 +64,11 @@ func TestEnginePlanInvariants(t *testing.T) {
 			ExtraEdges: rng.Intn(8),
 			Bidirected: true,
 		}, rng)
-		minPlan, minS, err := plan.MinStorage(g)
+		mst, err := core.MST(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		minCost := plan.Evaluate(g, minPlan)
+		minCost, minS := mst.Cost, mst.Cost.Storage
 		for _, tc := range []struct {
 			problem    core.Problem
 			constraint graph.Cost

@@ -169,22 +169,6 @@ func FromExtendedTree(x *graph.Extended, parentEdge []int32) (*Plan, error) {
 	return p, nil
 }
 
-// MinStorage returns the minimum-storage feasible plan of g (Problem 1 of
-// Table 1): the minimum spanning arborescence of the extended graph under
-// storage weights.
-func MinStorage(g *graph.Graph) (*Plan, graph.Cost, error) {
-	x := graph.Extend(g)
-	parents, total, err := graphalg.MinArborescence(x.Graph, x.Aux, graphalg.StorageWeight)
-	if err != nil {
-		return nil, 0, err
-	}
-	p, err := FromExtendedTree(x, parents)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p, total, nil
-}
-
 // Frontier is a set of (storage, objective) points traced by sweeping a
 // constraint; Points are sorted by increasing storage.
 type Frontier struct {

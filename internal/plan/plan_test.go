@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -111,24 +110,6 @@ func TestFromExtendedTree(t *testing.T) {
 	bad[0] = graph.None
 	if _, err := FromExtendedTree(x, bad); err == nil {
 		t.Fatal("missing parent accepted")
-	}
-}
-
-func TestMinStorageMatchesEdmonds(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for it := 0; it < 20; it++ {
-		g := graph.Random(graph.RandomOptions{Nodes: 2 + rng.Intn(10), ExtraEdges: rng.Intn(12), Bidirected: true}, rng)
-		p, total, err := MinStorage(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := Evaluate(g, p)
-		if c.Storage != total {
-			t.Fatalf("MinStorage reports %d, plan evaluates to %d", total, c.Storage)
-		}
-		if !c.Feasible {
-			t.Fatal("min-storage plan infeasible")
-		}
 	}
 }
 

@@ -70,10 +70,11 @@ func TestDifferentialMSR(t *testing.T) {
 	ctx := context.Background()
 	for iter := 0; iter < 30; iter++ {
 		g := smallGraph(rng)
-		_, minS, err := plan.MinStorage(g)
+		mst, err := core.MST(g)
 		if err != nil {
 			t.Fatal(err)
 		}
+		minS := mst.Cost.Storage
 		span := g.TotalNodeStorage() - minS
 		s := minS + graph.Cost(rng.Int63n(span+1))
 
@@ -111,11 +112,11 @@ func TestDifferentialBMR(t *testing.T) {
 	ctx := context.Background()
 	for iter := 0; iter < 30; iter++ {
 		g := smallGraph(rng)
-		minPlan, _, err := plan.MinStorage(g)
+		mst, err := core.MST(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		maxR := plan.Evaluate(g, minPlan).MaxRetrieval
+		maxR := mst.Cost.MaxRetrieval
 		r := graph.Cost(rng.Int63n(maxR + 1))
 
 		opt, err := bruteforce.SolveBMR(g, r, 0)
@@ -140,10 +141,11 @@ func TestDifferentialMMRAndBSR(t *testing.T) {
 	ctx := context.Background()
 	for iter := 0; iter < 15; iter++ {
 		g := smallGraph(rng)
-		_, minS, err := plan.MinStorage(g)
+		mst, err := core.MST(g)
 		if err != nil {
 			t.Fatal(err)
 		}
+		minS := mst.Cost.Storage
 		s := minS + graph.Cost(rng.Int63n(g.TotalNodeStorage()-minS+1))
 		optMMR, err := bruteforce.SolveMMR(g, s, 0)
 		if err != nil {

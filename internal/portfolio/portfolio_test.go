@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/plan"
 )
 
 func testGraph(seed int64, nodes int) *graph.Graph {
@@ -22,10 +21,11 @@ func testGraph(seed int64, nodes int) *graph.Graph {
 // and materializing everything.
 func msrBudget(t *testing.T, g *graph.Graph) graph.Cost {
 	t.Helper()
-	_, minS, err := plan.MinStorage(g)
+	mst, err := core.MST(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	minS := mst.Cost.Storage
 	return minS + (g.TotalNodeStorage()-minS)/2
 }
 

@@ -24,8 +24,6 @@ type Tuning struct {
 	// MaxStates caps DP-MSR states per node (0 = the default of
 	// dptree.DefaultMSROptions, 256).
 	MaxStates int
-	// Root is the spanning-tree root for the tree DPs and SPT (default 0).
-	Root graph.NodeID
 	// MaxILPNodes caps branch-and-bound nodes per ILP solve (default
 	// 20000).
 	MaxILPNodes int
@@ -51,7 +49,8 @@ func wrap(p *plan.Plan, c plan.Cost, err, infeasible error) (core.Solution, erro
 // the unconstrained problems. The engine races a problem's members in
 // this order; Member picks one of them, or the offline ILP, by family.
 // Each closure applies the tuning and folds its solver's infeasibility
-// sentinel here, so no caller repeats either.
+// sentinel here, so no caller repeats either. The tree DPs and SPT root
+// at version 0.
 func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 	dpOpts := dptree.DefaultMSROptions(t.Epsilon, t.MaxStates)
 
@@ -64,7 +63,7 @@ func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 		return wrap(r.Plan, r.Cost, err, lmg.ErrInfeasible)
 	}}
 	dpMSR := Solver{Name: "DP-MSR", Family: "dp", Solve: func(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
-		r, err := dptree.MSROnGraphContext(ctx, g, s, t.Root, dpOpts)
+		r, err := dptree.MSROnGraphContext(ctx, g, s, 0, dpOpts)
 		return wrap(r.Plan, r.Cost, err, dptree.ErrInfeasible)
 	}}
 
@@ -76,7 +75,7 @@ func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 		return wrap(res.Plan, res.Cost, err, plan.ErrNotExtendedTree)
 	}}
 	dpBMR := Solver{Name: "DP-BMR", Family: "dp", Solve: func(ctx context.Context, g *graph.Graph, r graph.Cost) (core.Solution, error) {
-		res, err := dptree.BMROnGraphContext(ctx, g, r, t.Root)
+		res, err := dptree.BMROnGraphContext(ctx, g, r, 0)
 		return wrap(res.Plan, res.Cost, err, dptree.ErrInfeasible)
 	}}
 
@@ -101,7 +100,7 @@ func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 			return core.MST(g)
 		}}},
 		core.ProblemSPT: {{Name: "SPT", Solve: func(_ context.Context, g *graph.Graph, _ graph.Cost) (core.Solution, error) {
-			return core.SPT(g, t.Root)
+			return core.SPT(g, 0)
 		}}},
 		core.ProblemMSR: {lmgS, lmgAllS, dpMSR},
 		core.ProblemBMR: {mpS, dpBMR},

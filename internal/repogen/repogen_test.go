@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/lmg"
 	"repro/internal/mp"
@@ -107,12 +108,12 @@ func TestGenerateRepoCheckoutMinStorage(t *testing.T) {
 	if len(r.Deltas) != r.Graph.M() {
 		t.Fatalf("%d deltas for %d edges", len(r.Deltas), r.Graph.M())
 	}
-	p, _, err := plan.MinStorage(r.Graph)
+	mst, err := core.MST(r.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := graph.NodeID(0); int(v) < r.Graph.N(); v++ {
-		got, err := r.Checkout(p, v)
+		got, err := r.Checkout(mst.Plan, v)
 		if err != nil {
 			t.Fatalf("checkout %d: %v", v, err)
 		}

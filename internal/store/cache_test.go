@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,20 +11,20 @@ import (
 )
 
 // TestContentCacheNil pins the disabled-cache contract: capEntries < 0
-// returns nil, and every method on a nil cache is a safe no-op miss.
+// returns nil, and every method on the nil cache is a safe no-op miss.
 func TestContentCacheNil(t *testing.T) {
 	c := newContentCache(-1, 0)
 	if c != nil {
 		t.Fatal("capEntries < 0 should return a nil cache")
 	}
-	c.put(1, []string{"a"})
-	if _, ok := c.get(1); ok {
+	c.Put(1, []string{"a"}, 1)
+	if _, ok := c.Get(1); ok {
 		t.Fatal("nil cache returned a hit")
 	}
-	if c.len() != 0 {
+	if c.Len() != 0 {
 		t.Fatal("nil cache has nonzero len")
 	}
-	if st := c.stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("nil cache stats = %+v, want zero", st)
 	}
 }
@@ -35,12 +37,13 @@ func TestContentCacheDefaults(t *testing.T) {
 		t.Fatal("zero-value config should enable the cache")
 	}
 	for i := 0; i < 300; i++ {
-		c.put(graph.NodeID(i), []string{fmt.Sprintf("v%d", i)})
+		lines := []string{fmt.Sprintf("v%d", i)}
+		c.Put(graph.NodeID(i), lines, linesSize(lines))
 	}
-	if got := c.len(); got != 256 {
+	if got := c.Len(); got != 256 {
 		t.Fatalf("len = %d after 300 puts, want the 256 default entry cap", got)
 	}
-	if st := c.stats(); st.MaxBytes != defaultCacheBytes {
+	if st := c.Stats(); st.MaxBytes != defaultCacheBytes {
 		t.Fatalf("MaxBytes = %d, want %d", st.MaxBytes, int64(defaultCacheBytes))
 	}
 }
@@ -48,39 +51,36 @@ func TestContentCacheDefaults(t *testing.T) {
 // TestContentCacheByteBudget: a tight byte budget evicts in LRU order
 // even when the entry cap is far away.
 func TestContentCacheByteBudget(t *testing.T) {
-	line := make([]byte, 100)
-	for i := range line {
-		line[i] = 'x'
-	}
-	entrySize := linesSize([]string{string(line)}) // 116 bytes
+	lines := []string{strings.Repeat("x", 100)}
+	entrySize := linesSize(lines) // 116 bytes
 	c := newContentCache(1000, 3*entrySize)
 	for v := 0; v < 3; v++ {
-		c.put(graph.NodeID(v), []string{string(line)})
+		c.Put(graph.NodeID(v), lines, entrySize)
 	}
-	if c.len() != 3 {
-		t.Fatalf("len = %d, want 3 residents within budget", c.len())
+	if c.Len() != 3 {
+		t.Fatalf("len = %d, want 3 residents within budget", c.Len())
 	}
 	// Touch 0 and 2 so 1 is the LRU victim of a fourth version.
-	c.get(0)
-	c.get(2)
-	c.put(3, []string{string(line)})
-	if _, ok := c.get(3); !ok {
+	c.Get(0)
+	c.Get(2)
+	c.Put(3, lines, entrySize)
+	if _, ok := c.Get(3); !ok {
 		t.Fatal("put into a full cache was not admitted")
 	}
-	if _, ok := c.get(1); ok {
+	if _, ok := c.Get(1); ok {
 		t.Fatal("LRU victim 1 survived an over-budget admission")
 	}
 	for _, v := range []graph.NodeID{0, 2} {
-		if _, ok := c.get(v); !ok {
+		if _, ok := c.Get(v); !ok {
 			t.Fatalf("recently touched version %d was evicted", v)
 		}
 	}
-	if st := c.stats(); st.Bytes > st.MaxBytes {
+	if st := c.Stats(); st.Bytes > st.MaxBytes {
 		t.Fatalf("resident bytes %d exceed budget %d", st.Bytes, st.MaxBytes)
 	}
 }
 
-// TestContentCacheConcurrent hammers get/put from many goroutines; the
+// TestContentCacheConcurrent hammers Get/Put from many goroutines; the
 // race detector is the assertion.
 func TestContentCacheConcurrent(t *testing.T) {
 	c := newContentCache(64, 1<<20)
@@ -91,22 +91,23 @@ func TestContentCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				v := graph.NodeID((w*31 + i) % 100)
-				if lines, ok := c.get(v); ok {
-					if len(lines) != 1 || lines[0] != cacheKey(v) {
+				want := strconv.Itoa(int(v))
+				if lines, ok := c.Get(v); ok {
+					if len(lines) != 1 || lines[0] != want {
 						t.Errorf("version %d returned %q", v, lines)
 						return
 					}
 				} else {
-					c.put(v, []string{cacheKey(v)})
+					c.Put(v, []string{want}, linesSize([]string{want}))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if c.len() > 64 {
-		t.Fatalf("len = %d, want <= 64", c.len())
+	if c.Len() > 64 {
+		t.Fatalf("len = %d, want <= 64", c.Len())
 	}
-	st := c.stats()
+	st := c.Stats()
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Fatalf("stats = %+v, want traffic on both counters", st)
 	}

@@ -29,7 +29,7 @@ func (s *Store) Checkout(ctx context.Context, v graph.NodeID) ([]string, error) 
 	ctx, span := trace.StartSpan(ctx, "store.checkout")
 	defer span.End()
 	s.checkouts.Add(1)
-	if lines, ok := s.cache.get(v); ok {
+	if lines, ok := s.cache.Get(v); ok {
 		s.cacheHits.Add(1)
 		span.SetAttr("cache", "hit")
 		return lines, nil
@@ -38,7 +38,7 @@ func (s *Store) Checkout(ctx context.Context, v graph.NodeID) ([]string, error) 
 	lines, shared, err := s.flights.Do(ctx, v, func() ([]string, error) {
 		lines, err := s.reconstruct(ctx, v)
 		if err == nil {
-			s.cache.put(v, lines)
+			s.cache.Put(v, lines, linesSize(lines))
 		}
 		return lines, err
 	})
@@ -99,7 +99,7 @@ func (s *Store) snapshotPathLocked(ctx context.Context, v graph.NodeID) (pathSna
 	// Walk up until a cached version or a materialized blob terminates
 	// the path. Cached ancestors shortcut deep chains for free.
 	for x := v; ; {
-		if lines, ok := s.cache.get(x); ok {
+		if lines, ok := s.cache.Get(x); ok {
 			snap.base = lines
 			return snap, nil
 		}

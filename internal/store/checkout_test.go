@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,14 +157,14 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.cache.len(); n != 2 {
+	if n := s.cache.Len(); n != 2 {
 		t.Fatalf("cache holds %d entries, want cap 2", n)
 	}
 	// Most recent stays, oldest is gone.
-	if _, ok := s.cache.get(graph.NodeID(len(contents) - 1)); !ok {
+	if _, ok := s.cache.Get(graph.NodeID(len(contents) - 1)); !ok {
 		t.Fatal("most recent checkout evicted")
 	}
-	if _, ok := s.cache.get(0); ok {
+	if _, ok := s.cache.Get(0); ok {
 		t.Fatal("oldest entry survived a full sweep with cap 2")
 	}
 }
@@ -188,12 +189,12 @@ func TestConcurrentInstallAndCheckout(t *testing.T) {
 	// plan (old or new) and correct bytes. Run with -race.
 	g, contents := chainFixture(24, []string{"base"})
 	content := func(v graph.NodeID) ([]string, error) { return contents[v], nil }
-	mst, _, err := plan.MinStorage(g)
+	mst, err := core.MST(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(Options{CacheEntries: 4})
-	if err := s.Install(g, mst, content); err != nil {
+	if err := s.Install(g, mst.Plan, content); err != nil {
 		t.Fatal(err)
 	}
 	// The shortest-path tree from the middle keeps the chain's upper
@@ -203,7 +204,7 @@ func TestConcurrentInstallAndCheckout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := []*plan.Plan{plan.MaterializeAll(g), mst, spt.Plan}
+	plans := []*plan.Plan{plan.MaterializeAll(g), mst.Plan, spt.Plan}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -288,8 +289,8 @@ func TestLongPathFromCachedBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached, ok := s.cache.get(baseV); !ok || s.cache.len() != 1 || &cached[0] != &base[0] {
-		t.Fatalf("cache holds %d versions, want only the base", s.cache.len())
+	if cached, ok := s.cache.Get(baseV); !ok || s.cache.Len() != 1 || &cached[0] != &base[0] {
+		t.Fatalf("cache holds %d versions, want only the base", s.cache.Len())
 	}
 	was := slices.Clone(base)
 	applies := s.Stats().DeltaApplies
@@ -345,6 +346,34 @@ func TestScratchReleasePinsNothing(t *testing.T) {
 				t.Fatalf("buffer %d pins %q at %d of %d", j, l, i, cap(buf))
 			}
 		}
+	}
+}
+
+// TestCacheHitAllocatesNothing: a checkout the LRU answers allocates
+// nothing, for a version id of any width — the cache is keyed by the id
+// itself, not by a rendering of it.
+func TestCacheHitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := New(Options{})
+	const n = 128
+	for v := graph.NodeID(0); v < n; v++ {
+		if err := s.AddMaterialized(v, []string{"version " + strconv.Itoa(int(v))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := t.Context()
+	allocs := testing.AllocsPerRun(100, func() {
+		if lines, err := s.Checkout(ctx, n-1); err != nil || len(lines) != 1 {
+			t.Fatalf("Checkout = %q, %v", lines, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a cache hit on version %d allocated %.0f times, want 0", n-1, allocs)
+	}
+	if st := s.Stats(); st.CacheHits != st.Checkouts {
+		t.Fatalf("%d of %d checkouts hit the cache, want all", st.CacheHits, st.Checkouts)
 	}
 }
 

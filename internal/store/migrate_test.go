@@ -127,7 +127,9 @@ func TestIncrementalInstallMatchesFromScratch(t *testing.T) {
 				var p *plan.Plan
 				switch kind := rng.Intn(4); kind {
 				case 0:
-					p, _, err = plan.MinStorage(g)
+					var sol core.Solution
+					sol, err = core.MST(g)
+					p = sol.Plan
 				case 1:
 					var sol core.Solution
 					sol, err = core.SPT(g, graph.NodeID(rng.Intn(g.N())))

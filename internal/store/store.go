@@ -10,6 +10,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/graph"
 	"repro/internal/graphalg"
+	"repro/internal/hotcache"
 	"repro/internal/plan"
 )
 
@@ -43,8 +44,8 @@ type Options struct {
 // modify them.
 type Store struct {
 	backend  Backend
-	cache    *contentCache
-	maxStage int // stageLimit; tests lower it
+	cache    *hotcache.Cache[graph.NodeID, []string] // newContentCache
+	maxStage int                                     // stageLimit; tests lower it
 
 	// mu guards the installed-plan state below — pure in-memory metadata,
 	// held only for map/slice access, never across backend I/O.
@@ -131,14 +132,14 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	blobs, deltas, versions := len(s.blobs), len(s.deltas), len(s.parentEdge)
 	s.mu.RUnlock()
-	cs := s.cache.stats()
+	cs := s.cache.Stats()
 	st := Stats{
 		Objects:          bs.Objects,
 		StoredBytes:      bs.Bytes,
 		Blobs:            blobs,
 		StoredDeltas:     deltas,
 		Versions:         versions,
-		CachedVersions:   s.cache.len(),
+		CachedVersions:   cs.Entries,
 		CachedBytes:      cs.Bytes,
 		Checkouts:        s.checkouts.Load(),
 		CacheHits:        s.cacheHits.Load(),
@@ -546,7 +547,7 @@ func (s *Store) AddMaterialized(v graph.NodeID, lines []string) error {
 		s.refs[k]++
 	}
 	if lines != nil {
-		s.cache.put(v, lines)
+		s.cache.Put(v, lines, linesSize(lines))
 	}
 	return nil
 }
@@ -580,7 +581,7 @@ func (s *Store) AddVersion(v, parent graph.NodeID, e graph.EdgeID, d diff.Delta,
 	s.deltas[e] = storedDelta{key: k, from: parent, to: v}
 	s.refs[k]++
 	if lines != nil {
-		s.cache.put(v, lines)
+		s.cache.Put(v, lines, linesSize(lines))
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/diff"
 	"repro/internal/graph"
 	"repro/internal/plan"
@@ -122,11 +123,11 @@ func checkAll(t *testing.T, s *Store, contents [][]string) {
 func TestInstallCheckoutRoundTrip(t *testing.T) {
 	r, content := testRepo(t, 40, 7)
 	s := New(Options{})
-	p, _, err := plan.MinStorage(r.Graph)
+	mst, err := core.MST(r.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Install(r.Graph, p, content); err != nil {
+	if err := s.Install(r.Graph, mst.Plan, content); err != nil {
 		t.Fatal(err)
 	}
 	checkAll(t, s, r.Contents)
@@ -151,11 +152,11 @@ func TestInstallRejectsInfeasiblePlan(t *testing.T) {
 func TestMigrationGarbageCollects(t *testing.T) {
 	r, content := testRepo(t, 30, 11)
 	s := New(Options{})
-	mst, _, err := plan.MinStorage(r.Graph)
+	mst, err := core.MST(r.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Install(r.Graph, mst, content); err != nil {
+	if err := s.Install(r.Graph, mst.Plan, content); err != nil {
 		t.Fatal(err)
 	}
 	withDeltas := s.Stats()
@@ -192,7 +193,7 @@ func TestMigrationGarbageCollects(t *testing.T) {
 	}
 
 	// And back again: blobs the MST plan does not materialize must go.
-	if err := s.Install(r.Graph, mst, func(v graph.NodeID) ([]string, error) {
+	if err := s.Install(r.Graph, mst.Plan, func(v graph.NodeID) ([]string, error) {
 		return s.Checkout(t.Context(), v)
 	}); err != nil {
 		t.Fatal(err)

@@ -46,47 +46,24 @@ func (s *Server) handleDiff(tn string, repo *versioning.Repository, w http.Respo
 		return
 	}
 	a, b := versioning.NodeID(a64), versioning.NodeID(b64)
-	key := strconv.FormatInt(a64, 10) + "\x00" + strconv.FormatInt(b64, 10)
-	if e, ok := s.resp.get(respKindDiff, tn, key); ok {
-		_, sp := trace.StartSpan(r.Context(), "cache.hit")
-		sp.End()
-		// Cache hits still count toward both endpoints' read heat.
-		repo.TouchVersion(a)
-		if b != a {
-			repo.TouchVersion(b)
+	s.serveCached(repo, w, r, respKey{kind: respKindDiff, tenant: tn, a: a64, b: b64}, func() (any, error) {
+		aLines, err := repo.Checkout(r.Context(), a)
+		if err != nil {
+			return nil, err
 		}
-		s.writeEncoded(w, r, e)
-		return
-	}
-	aLines, err := repo.Checkout(r.Context(), a)
-	if err == nil && a != b {
-		var bLines []string
-		bLines, err = repo.Checkout(r.Context(), b)
-		if err == nil {
-			_, dsp := trace.StartSpan(r.Context(), "diff.compute")
-			d := versioning.DiffManifest(aLines, bLines)
-			dsp.End()
-			s.diffComputed.Add(1)
-			s.finishDiff(tn, w, r, key, buildDiffResponse(a, b, d))
-			return
+		if a == b {
+			// The empty edit script, once a itself checked out (so an
+			// unknown version is still a 404, not a vacuous success).
+			return wire.DiffResult{A: a, B: b, Ops: []wire.DiffOp{}}, nil
 		}
-	}
-	if err != nil {
-		writeJSON(w, readErrStatus(r, err), errorResponse{Error: err.Error()})
-		return
-	}
-	// a == b: the empty edit script, once a itself checked out (so an
-	// unknown version is still a 404, not a vacuous success).
-	s.finishDiff(tn, w, r, key, wire.DiffResult{A: a, B: b, Ops: []wire.DiffOp{}})
-}
-
-// finishDiff encodes, caches, and writes one diff response.
-func (s *Server) finishDiff(tn string, w http.ResponseWriter, r *http.Request, key string, resp wire.DiffResult) {
-	e, err := encodeResponse(r.Context(), resp)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	s.resp.put(respKindDiff, tn, key, e)
-	s.writeEncoded(w, r, e)
+		bLines, err := repo.Checkout(r.Context(), b)
+		if err != nil {
+			return nil, err
+		}
+		_, dsp := trace.StartSpan(r.Context(), "diff.compute")
+		d := versioning.DiffManifest(aLines, bLines)
+		dsp.End()
+		s.diffComputed.Add(1)
+		return buildDiffResponse(a, b, d), nil
+	})
 }

@@ -76,7 +76,7 @@ func TestETagIsOfTheBodyAlone(t *testing.T) {
 				}
 			}
 		}
-		if hits := srv.resp.stats().Hits; (hits == int64(len(paths))) != wantHits {
+		if hits := srv.resp.Stats().Hits; (hits == int64(len(paths))) != wantHits {
 			t.Fatalf("%s: %d response-cache hits over %d paths read twice", phase, hits, len(paths))
 		}
 	}

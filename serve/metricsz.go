@@ -85,7 +85,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	e.Counter("dsv_diff_computed_total", "Diff responses computed rather than served from the encoded-response cache.", float64(s.diffComputed.Load()))
 
 	if s.resp != nil {
-		cs := s.resp.stats()
+		cs := s.resp.Stats()
 		e.Gauge("dsv_respcache_entries", "Encoded checkout responses currently cached.", float64(cs.Entries))
 		e.Gauge("dsv_respcache_bytes", "Byte footprint of the encoded-response cache.", float64(cs.Bytes))
 		e.Gauge("dsv_respcache_max_bytes", "Byte budget of the encoded-response cache.", float64(cs.MaxBytes))

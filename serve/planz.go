@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/trace"
 	"repro/versioning"
 )
 
@@ -79,27 +78,15 @@ func (s *Server) handleLog(tn string, repo *versioning.Repository, w http.Respon
 		}
 		limit = n
 	}
-	key := strconv.FormatInt(id64, 10) + "\x00" + strconv.Itoa(limit)
-	if e, ok := s.resp.get(respKindLog, tn, key); ok {
-		_, sp := trace.StartSpan(r.Context(), "cache.hit")
-		sp.End()
-		s.writeEncoded(w, r, e)
-		return
-	}
-	entries, err := repo.Log(id, limit)
-	if err != nil {
-		writeJSON(w, checkoutErrStatus(err), errorResponse{Error: err.Error()})
-		return
-	}
-	resp := LogResponse{From: id, Entries: entries}
-	if n := len(entries); limit > 0 && n == limit && len(entries[n-1].Parents) > 0 {
-		resp.Truncated = true
-	}
-	e, err := encodeResponse(r.Context(), resp)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	s.resp.put(respKindLog, tn, key, e)
-	s.writeEncoded(w, r, e)
+	s.serveCached(repo, w, r, respKey{kind: respKindLog, tenant: tn, a: id64, b: int64(limit)}, func() (any, error) {
+		entries, err := repo.Log(id, limit)
+		if err != nil {
+			return nil, err
+		}
+		resp := LogResponse{From: id, Entries: entries}
+		if n := len(entries); limit > 0 && n == limit && len(entries[n-1].Parents) > 0 {
+			resp.Truncated = true
+		}
+		return resp, nil
+	})
 }

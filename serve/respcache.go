@@ -11,22 +11,8 @@ import (
 	"repro/internal/hotcache"
 	"repro/internal/trace"
 	"repro/internal/wire"
+	"repro/versioning"
 )
-
-// respCache caches fully assembled GET responses — full checkouts,
-// path-scoped checkouts, and diffs — as the encoded JSON wire bytes
-// plus a strong ETag, keyed by (kind, tenant, request key). Version
-// content is immutable once committed, so every cached response is
-// immutable too and entries never invalidate — only the byte budget
-// evicts them. On a hit the handler skips the repository, the store,
-// and the JSON encoder entirely and answers with one Write (or a 304,
-// if the client already holds the bytes).
-//
-// It runs on the same byte-accounted hotcache LRU as the store's content
-// cache.
-type respCache struct {
-	hc *hotcache.Cache
-}
 
 // cachedResp is one encoded response: the exact bytes written to the
 // wire and their strong validator.
@@ -35,48 +21,40 @@ type cachedResp struct {
 	etag string // strong ETag: bodyETag(body)
 }
 
+// respKey names one cached response: the endpoint kind, the tenant
+// namespace ("" in single-repo mode) and the parsed request — the
+// version id in a, the other end of a diff or a log's limit in b, and a
+// checkout's ?path= scope ("" = the whole version).
+type respKey struct {
+	kind, tenant string
+	a, b         int64
+	path         string
+}
+
+// Response-cache kinds: each cacheable endpoint owns one.
+const (
+	respKindCheckout = "co"   // GET /checkout/{a}?path={path}
+	respKindDiff     = "diff" // GET /diff/{a}/{b}
+	respKindLog      = "log"  // GET /log/{a}?limit={b}
+)
+
 // defaultRespCacheBytes bounds the encoded-response cache when the
 // caller does not (Options.RespCacheBytes == 0).
 const defaultRespCacheBytes = 64 << 20
 
-// newRespCache returns a cache with the given byte budget (0 = 64 MiB);
-// nil — always miss — when maxBytes is negative.
-func newRespCache(maxBytes int64) *respCache {
-	if maxBytes < 0 {
-		return nil
-	}
+// newRespCache returns the encoded-response cache with the given byte
+// budget (0 = 64 MiB); nil — always miss — when maxBytes is negative.
+// It holds fully assembled GET responses — checkouts, path-scoped
+// checkouts, diffs and logs — as the encoded JSON wire bytes plus a
+// strong ETag. Version content is immutable once committed, so every
+// cached response is immutable too and entries never invalidate — only
+// the byte budget evicts them. It runs on the same hotcache LRU as the
+// store's content cache.
+func newRespCache(maxBytes int64) *hotcache.Cache[respKey, *cachedResp] {
 	if maxBytes == 0 {
 		maxBytes = defaultRespCacheBytes
 	}
-	return &respCache{hc: hotcache.New(maxBytes, 0)}
-}
-
-// Response-cache kinds: each cacheable endpoint owns one, so a diff of
-// versions (3, 4) and a checkout of version 3 with ?path=4 can never
-// collide however their request keys are spelled.
-const (
-	respKindCheckout   = "co"   // GET /checkout/{id}; key = id
-	respKindPathScoped = "cop"  // GET /checkout/{id}?path=p; key = id \x00 p
-	respKindDiff       = "diff" // GET /diff/{a}/{b}; key = a \x00 b
-	respKindLog        = "log"  // GET /log/{id}; key = id \x00 limit
-)
-
-// respKey scopes a request key to its endpoint kind and tenant
-// namespace ("" in single-repo mode). NUL cannot appear in a tenant
-// name or a kind, so keys cannot collide across namespaces or kinds.
-func respKey(kind, tenant, key string) string {
-	return kind + "\x00" + tenant + "\x00" + key
-}
-
-func (c *respCache) get(kind, tenant, key string) (*cachedResp, bool) {
-	if c == nil {
-		return nil, false
-	}
-	v, ok := c.hc.Get(respKey(kind, tenant, key))
-	if !ok {
-		return nil, false
-	}
-	return v.(*cachedResp), true
+	return hotcache.New[respKey, *cachedResp](maxBytes, 0)
 }
 
 // cachedRespOverhead approximates the per-entry bookkeeping cost (key,
@@ -84,18 +62,40 @@ func (c *respCache) get(kind, tenant, key string) (*cachedResp, bool) {
 // the body itself.
 const cachedRespOverhead = 128
 
-func (c *respCache) put(kind, tenant, key string, e *cachedResp) {
-	if c == nil {
+// serveCached answers one of the immutable GETs under key. A hit skips
+// the repository, the store and the encoder: a "cache.hit" span, the
+// read heat of the versions the response names (the observatory tracks
+// demand, not store traffic) and writeEncoded. A miss asks build for
+// the response value, then encodes, caches and writes it; a build error
+// is the response instead.
+func (s *Server) serveCached(repo *versioning.Repository, w http.ResponseWriter, r *http.Request, key respKey, build func() (any, error)) {
+	if e, ok := s.resp.Get(key); ok {
+		_, sp := trace.StartSpan(r.Context(), "cache.hit")
+		sp.End()
+		switch key.kind {
+		case respKindCheckout:
+			repo.TouchVersion(versioning.NodeID(key.a))
+		case respKindDiff:
+			repo.TouchVersion(versioning.NodeID(key.a))
+			if key.b != key.a {
+				repo.TouchVersion(versioning.NodeID(key.b))
+			}
+		}
+		s.writeEncoded(w, r, e)
 		return
 	}
-	c.hc.Put(respKey(kind, tenant, key), e, int64(len(e.body))+cachedRespOverhead)
-}
-
-func (c *respCache) stats() hotcache.Stats {
-	if c == nil {
-		return hotcache.Stats{}
+	v, err := build()
+	if err != nil {
+		writeJSON(w, readErrStatus(r, err), errorResponse{Error: err.Error()})
+		return
 	}
-	return c.hc.Stats()
+	e, err := encodeResponse(r.Context(), v)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
+	s.resp.Put(key, e, int64(len(e.body))+cachedRespOverhead)
+	s.writeEncoded(w, r, e)
 }
 
 // encodeBody returns v as json.Encoder writes it, newline included,

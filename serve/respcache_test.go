@@ -71,7 +71,7 @@ func TestCheckoutRespCacheHit(t *testing.T) {
 	if err := json.Unmarshal(bodies[0], &co); err != nil || co.ID != 2 || len(co.Lines) != 3 {
 		t.Fatalf("cached body did not decode to version 2: %+v, %v", co, err)
 	}
-	cs := srv.resp.stats()
+	cs := srv.resp.Stats()
 	if cs.Hits < 2 || cs.Misses < 1 {
 		t.Fatalf("resp cache stats = %+v, want >=2 hits and >=1 miss", cs)
 	}
@@ -244,8 +244,46 @@ func TestRespCacheTenantIsolation(t *testing.T) {
 			}
 		}
 	}
-	if cs := srv.resp.stats(); cs.Hits < 2 {
+	if cs := srv.resp.Stats(); cs.Hits < 2 {
 		t.Fatalf("resp cache stats = %+v, want >=2 hits across tenants", cs)
+	}
+}
+
+// TestRespCacheProbeAllocatesNothing: a probe with the key a handler
+// builds allocates nothing for checkout, path-scoped checkout, diff and
+// log keys, at ids wide enough that a rendered key would have to be
+// allocated.
+func TestRespCacheProbeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	ts, srv := respTestServer(t, 128, Options{})
+	for _, tc := range []struct {
+		url string
+		key respKey
+	}{
+		{"/checkout/127", respKey{kind: respKindCheckout, a: 127}},
+		{"/checkout/127?path=a", respKey{kind: respKindCheckout, a: 127, path: "a"}},
+		{"/diff/100/127", respKey{kind: respKindDiff, a: 100, b: 127}},
+		{"/log/127?limit=3", respKey{kind: respKindLog, a: 127, b: 3}},
+	} {
+		resp, err := http.Get(ts.URL + tc.url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d", tc.url, resp.StatusCode)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := srv.resp.Get(tc.key); !ok {
+				t.Fatalf("GET %s cached nothing under %+v", tc.url, tc.key)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("probe for GET %s allocated %.0f times, want 0", tc.url, allocs)
+		}
 	}
 }
 
@@ -274,14 +312,14 @@ func TestRespCacheKeyIsParsedID(t *testing.T) {
 		{"/log/1", "/log/01?limit=0"},
 		{"/checkout/0?path=a", "/checkout/00?path=a"}, // scoped: not the full body's entry
 	} {
-		before := srv.resp.stats()
+		before := srv.resp.Stats()
 		etag := get(spellings[0])
 		for _, path := range spellings[1:] {
 			if got := get(path); got != etag || got == "" {
 				t.Errorf("GET %s: ETag %q, want %q of %s", path, got, etag, spellings[0])
 			}
 		}
-		after := srv.resp.stats()
+		after := srv.resp.Stats()
 		entries, misses, hits := after.Entries-before.Entries, after.Misses-before.Misses, after.Hits-before.Hits
 		if entries != 1 || misses != 1 || hits != int64(len(spellings)-1) {
 			t.Errorf("%v: %d entries, %d misses, %d hits; want 1, 1, %d", spellings, entries, misses, hits, len(spellings)-1)

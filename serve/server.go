@@ -88,6 +88,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/hotcache"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -136,7 +137,8 @@ type Server struct {
 	start   time.Time
 	maxBody int64 // request body cap: wire.MaxBody, less in tests
 
-	resp         *respCache   // encoded responses for the immutable GETs (nil = disabled)
+	// resp holds encoded responses for the immutable GETs (nil = disabled).
+	resp         *hotcache.Cache[respKey, *cachedResp]
 	notModified  atomic.Int64 // 304s answered from a client validator
 	pathScoped   atomic.Int64 // checkouts narrowed by ?path=
 	diffComputed atomic.Int64 // diff responses computed (cache hits excluded)
@@ -446,48 +448,30 @@ func (s *Server) handleCheckout(tn string, repo *versioning.Repository, w http.R
 	}
 	id := versioning.NodeID(id64)
 	// ?path= narrows a manifest checkout to one file or directory scope.
-	// Scoped responses cache under their own kind: the filtered body is
+	// A scoped response caches under its own key: the filtered body is
 	// immutable too, and a hot (version, path) pair skips both the
 	// reconstruction and the filter.
 	scope := r.URL.Query().Get("path")
-	// The key is the parsed id, not the path segment: ParseInt also takes
-	// "00", "+0" and "-0", and each spelling would be its own entry.
-	kind, key := respKindCheckout, strconv.FormatInt(id64, 10)
 	if scope != "" {
 		s.pathScoped.Add(1)
-		kind, key = respKindPathScoped, key+"\x00"+scope
 	}
-	// Hot path: the fully encoded response is cached. No repository,
-	// store, or JSON work — one header check and one Write (or a 304).
-	// The read still counts toward the version's heat: the observatory
-	// tracks demand, not store traffic.
-	if e, ok := s.resp.get(kind, tn, key); ok {
-		_, sp := trace.StartSpan(r.Context(), "cache.hit")
-		sp.End()
-		repo.TouchVersion(id)
-		s.writeEncoded(w, r, e)
-		return
-	}
-	lines, err := repo.Checkout(r.Context(), id)
-	if err != nil {
-		writeJSON(w, readErrStatus(r, err), errorResponse{Error: err.Error()})
-		return
-	}
-	if scope != "" {
-		// The full checkout went through the store's cache and flight, so
-		// concurrent scopes of one version share a single reconstruction;
-		// only the cheap filter runs per scope.
-		_, fsp := trace.StartSpan(r.Context(), "checkout.filter")
-		lines = versioning.FilterManifest(lines, scope)
-		fsp.End()
-	}
-	e, err := encodeResponse(r.Context(), wire.Checkout{ID: id, Lines: lines})
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	s.resp.put(kind, tn, key, e)
-	s.writeEncoded(w, r, e)
+	// The key is the parsed id, not the path segment: ParseInt also takes
+	// "00", "+0" and "-0", and each spelling would be its own entry.
+	s.serveCached(repo, w, r, respKey{kind: respKindCheckout, tenant: tn, a: id64, path: scope}, func() (any, error) {
+		lines, err := repo.Checkout(r.Context(), id)
+		if err != nil {
+			return nil, err
+		}
+		if scope != "" {
+			// The full checkout went through the store's cache and flight,
+			// so concurrent scopes of one version share a single
+			// reconstruction; only the cheap filter runs per scope.
+			_, fsp := trace.StartSpan(r.Context(), "checkout.filter")
+			lines = versioning.FilterManifest(lines, scope)
+			fsp.End()
+		}
+		return wire.Checkout{ID: id, Lines: lines}, nil
+	})
 }
 
 func (s *Server) handleCheckoutBatch(_ string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {

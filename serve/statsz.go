@@ -106,7 +106,7 @@ func (s *Server) StatszSnapshot() Statsz {
 		coalesced += st.Coalesced
 	}
 	if s.resp != nil {
-		cs := s.resp.stats()
+		cs := s.resp.Stats()
 		out.RespCache = &RespCacheStats{
 			Entries:     cs.Entries,
 			Bytes:       cs.Bytes,

@@ -62,6 +62,9 @@ type RepositoryOptions struct {
 	// (0 = 256, negative disables).
 	CacheEntries int
 	// CacheBytes bounds the same cache by byte footprint (0 = 64 MiB).
+	// A negative value also means 64 MiB — it does not disable the
+	// cache; CacheEntries < 0 does, and dsvd refuses a negative
+	// -cache-bytes for that reason.
 	CacheBytes int64
 	// Backend is the object backend the store runs on. nil picks the
 	// default: a sharded in-memory backend (store.DefaultShards shards),

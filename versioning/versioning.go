@@ -131,14 +131,12 @@ type Options struct {
 	// MaxStates caps DP-MSR states per node (0 = the default of
 	// dptree.DefaultMSROptions, 256).
 	MaxStates int
-	// Root is the spanning-tree root for the DP heuristics (default 0).
-	Root NodeID
 }
 
 // solve runs the registry member opt.Algorithm names for problem p; an
 // algorithm that does not solve p is an error.
 func solve(g *Graph, p Problem, constraint Cost, opt Options) (Solution, error) {
-	t := portfolio.Tuning{Epsilon: opt.Epsilon, MaxStates: opt.MaxStates, Root: opt.Root}
+	t := portfolio.Tuning{Epsilon: opt.Epsilon, MaxStates: opt.MaxStates}
 	m, err := portfolio.Member(t, p, opt.Algorithm.family())
 	if err != nil {
 		return Solution{}, err
@@ -186,7 +184,7 @@ type FrontierPoint = plan.FrontierPoint
 func MSRFrontier(g *Graph, opt Options) ([]FrontierPoint, error) {
 	o := dptree.DefaultMSROptions(opt.Epsilon, opt.MaxStates)
 	o.PruneStorage = -1
-	dp, err := dptree.MSRFrontierOnGraph(g, opt.Root, o)
+	dp, err := dptree.MSRFrontierOnGraph(g, 0, o)
 	if err != nil {
 		return nil, err
 	}
