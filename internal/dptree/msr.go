@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -21,17 +20,19 @@ import (
 // of Section 6.2.
 //
 // Run time is the number of candidates: each of the n-1 merges walks
-// |states of the parent| × |states of the child| pairs and offers up to
-// three candidates per pair, so MaxStates bounds a merge by 3·MaxStates²
+// |states of the parent| × |states of the child| pairs, each with up to
+// three candidates, so MaxStates bounds a merge by 3·MaxStates²
 // candidates, and Epsilon, Geometric and PruneStorage decide how far
-// below that the state sets stay. A parent state's independent
-// candidates are offered once per ρ-bucket, not once per pair, and no
-// pair past the prune bound is walked: with DefaultMSROptions on the
-// benchmark's replan-scale graph at 950 versions a run offers 3.1 M
-// candidates to the table (5.4 M when every pair offered its
-// independent one) and takes 114–125 ms on one 2.1 GHz Xeon core. The
-// result is deterministic: equal inputs give equal states, in equal
-// order, and equal plans.
+// below that the state sets stay. No option offers per pair: each offers
+// once per ρ-bucket run of a walk along one side (mergeChild), and a
+// pair past the prune bound is not offered. With DefaultMSROptions on
+// the benchmark's replan-scale graph at 950 versions a run offers 1.86 M
+// candidates to the tables (3.15 M when only the independent option
+// offered by runs, 5.4 M when every pair offered), radix-sorts the 0.27 M
+// the tables keep, and takes 139–153 ms on one core of a 2-vCPU Xeon
+// (169–196 ms with 3.15 M offers and comparison sorts). The result is
+// deterministic: equal inputs give equal states, in equal order, and
+// equal plans.
 type MSROptions struct {
 	// Epsilon > 0 buckets root-retrieval and total-retrieval values so
 	// that at most poly(n, 1/ε) buckets survive per node; the returned
@@ -116,6 +117,7 @@ type msrKey struct {
 type MSRDP struct {
 	tree   *BiTree
 	states []*msrState // root states sorted by sigma
+	stats  MSRStats
 }
 
 // MSRResult is one extracted solution.
@@ -403,6 +405,104 @@ func (t *msrTable) compare(a, z msrOrd) int {
 	return cmp.Compare(ca.gamma, cz.gamma)
 }
 
+// insertionSort puts order, already sorted by (σ, ρ) but for a few
+// places, in the order of compare: each element in place is compared
+// with its neighbour once.
+func (t *msrTable) insertionSort(order []msrOrd) {
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && t.compare(order[j], order[j-1]) < 0; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+}
+
+// sort puts order in the order of compare: by (σ, ρ) with
+// radixSorter.sort, then each run of equal (σ, ρ) by the rest of compare.
+func (t *msrTable) sort(order []msrOrd, rs *radixSorter) {
+	rs.sort(order)
+	t.insertionSort(order)
+}
+
+// radixCutoff is the length below which radixSorter.sort sorts by
+// insertion.
+const radixCutoff = 64
+
+// radixSorter is the scratch of an LSD radix sort on (σ, ρ).
+type radixSorter struct {
+	tmp   []msrOrd
+	count [16][256]int32
+}
+
+// sort sorts a by (σ, ρ), stably. Past radixCutoff it is an LSD radix
+// sort, a byte a pass, on the key (σ - least σ)·2^b + (ρ - least ρ), where
+// ρ - least ρ has b bits: bytes the key does not reach cost no pass, and
+// a pass whose byte is the same in every element is skipped.
+func (rs *radixSorter) sort(a []msrOrd) {
+	if len(a) < radixCutoff {
+		for i := 1; i < len(a); i++ {
+			for j := i; j > 0 && (a[j].sigma < a[j-1].sigma || a[j].sigma == a[j-1].sigma && a[j].rho < a[j-1].rho); j-- {
+				a[j], a[j-1] = a[j-1], a[j]
+			}
+		}
+		return
+	}
+	minS, maxS, minR, maxR := a[0].sigma, a[0].sigma, a[0].rho, a[0].rho
+	for _, o := range a[1:] {
+		minS, maxS = min(minS, o.sigma), max(maxS, o.sigma)
+		minR, maxR = min(minR, o.rho), max(maxR, o.rho)
+	}
+	k := radixKey{uint64(minS), uint64(minR), uint(bits.Len64(uint64(maxR) - uint64(minR)))}
+	passes := (bits.Len64(uint64(maxS)-uint64(minS)) + int(k.rhoBits) + 7) / 8 // ≤ 16
+	count := rs.count[:passes]
+	for p := range count {
+		count[p] = [256]int32{}
+	}
+	for i := range a {
+		for p := range count {
+			count[p][k.digit(&a[i], uint(8*p))]++
+		}
+	}
+	if cap(rs.tmp) < len(a) {
+		rs.tmp = make([]msrOrd, len(a))
+	}
+	src, dst := a, rs.tmp[:len(a)]
+	for p := range count {
+		at, shift := &count[p], uint(8*p)
+		if int(at[k.digit(&src[0], shift)]) == len(src) {
+			continue // every element has this byte
+		}
+		sum := int32(0)
+		for d, n := range at {
+			at[d] = sum
+			sum += n
+		}
+		for i := range src {
+			d := k.digit(&src[i], shift)
+			dst[at[d]] = src[i]
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
+}
+
+// radixKey is the key radixSorter sorts by.
+type radixKey struct {
+	minS, minR uint64
+	rhoBits    uint
+}
+
+// digit is the byte at shift of o's key, which may be wider than 64 bits.
+func (k radixKey) digit(o *msrOrd, shift uint) byte {
+	rho, sigma := uint64(o.rho)-k.minR, uint64(o.sigma)-k.minS
+	if shift <= k.rhoBits {
+		return byte(rho>>shift | sigma<<(k.rhoBits-shift))
+	}
+	return byte(sigma >> (shift - k.rhoBits))
+}
+
 // msrRun is the state of one MSRFrontier call.
 type msrRun struct {
 	t          *BiTree
@@ -410,36 +510,43 @@ type msrRun struct {
 	pruneBound graph.Cost
 	maxStates  int
 	tab        msrTable
-	ys         []msrChild  // scratch, one per child state
-	byRho      []msrRhoPos // scratch: the child states by ρ
-	order      []msrOrd    // scratch: the table's candidates, sorted by compare
-}
-
-// msrChild is what a merge's options take from a child state alone.
-type msrChild struct {
-	sigma, rho graph.Cost
-	k          int32
-	rooted     bool
-	// depRho is y.ρ + k·r(v,c): the dependent option's ρ, less x.ρ and,
-	// under a from-below x, k·x.γ.
-	depRho graph.Cost
-	// srcGamma is the γ v gets through the delta (c,v) in the source
-	// option, srcGB its bucket.
-	srcGamma graph.Cost
-	srcGB    int64
+	// Scratch, reused by every merge. The walks' lists are msrOrds: a
+	// state's position in xs or ys and the σ and ρ its candidates add to.
+	byRho       []msrOrd   // the child states by ρ
+	rootedByRho []msrOrd   // the rooted ones among them
+	depBy       []msrOrd   // the rooted child states by (k, ρ + k·r(v,c))
+	depGroups   []msrGroup // depBy cut by k
+	xByRho      []msrOrd   // the rooted parent states by ρ
+	xBy         []msrOrd   // and by (k, ρ)
+	xGroups     []msrGroup // xBy cut by k
+	order       []msrOrd   // the table's candidates, sorted by compare
+	sorter      radixSorter
+	// What the run did, for MSRStats.
+	offers      int64
+	truncations int
 }
 
 // msrOrd is a candidate's place in the table, with its (σ, ρ), which
-// decide nearly every comparison, at hand.
+// decide nearly every comparison, at hand. The walks of mergeChild use
+// it too, for a state's position and the σ and ρ it adds.
 type msrOrd struct {
 	sigma, rho graph.Cost
 	e          int32
 }
 
-// msrRhoPos is a child state's ρ and its position in ys.
-type msrRhoPos struct {
-	rho graph.Cost
-	y   int32
+// msrGroup is the states of one exact k, in ρ order.
+type msrGroup struct {
+	k     int32
+	items []msrOrd
+}
+
+// MSRStats is what a DP-MSR run did.
+type MSRStats struct {
+	// Offers is the number of candidates offered to the merges' tables.
+	Offers int64
+	// Truncations is the number of merges whose candidates the
+	// MaxStates cap cut.
+	Truncations int
 }
 
 // MSRFrontier runs DP-MSR over the whole tree and returns the handle to
@@ -479,17 +586,47 @@ func msrFrontier(ctx context.Context, t *BiTree, opt MSROptions) (*MSRDP, error)
 	}
 	// The root's states are in the order of msrTable.compare, which is by
 	// (σ, ρ) first: the order Frontier and Best walk them in.
-	return &MSRDP{tree: t, states: states[t.Root]}, nil
+	return &MSRDP{tree: t, states: states[t.Root], stats: MSRStats{Offers: r.offers, Truncations: r.truncations}}, nil
 }
 
-// within returns how many ys, from the first, give a candidate whose
-// storage less refund, base + y.σ, is inside the prune bound. ys ascend
-// in σ, so these are a prefix, and the pair loop stops at its end.
-func (r *msrRun) within(base graph.Cost) int {
+// Stats returns what the run did.
+func (d *MSRDP) Stats() MSRStats { return d.stats }
+
+// within returns how many of states, from the first, give a candidate
+// whose storage less refund, base + σ, is inside the prune bound. states
+// ascend in σ, so these are a prefix, and a walk skips every position
+// past its end.
+func (r *msrRun) within(states []*msrState, base graph.Cost) int32 {
 	if r.pruneBound < 0 {
-		return len(r.ys)
+		return int32(len(states))
 	}
-	return sort.Search(len(r.ys), func(j int) bool { return base+r.ys[j].sigma > r.pruneBound })
+	return int32(sort.Search(len(states), func(i int) bool { return base+states[i].sigma > r.pruneBound }))
+}
+
+// byK fills dst with the states of list, positions in states in ρ
+// order, ordered by exact k and so by (k, ρ), each with its σ and its
+// ρ + k·perK, and cuts it into groups by k.
+func (r *msrRun) byK(dst []msrOrd, groups []msrGroup, list []msrOrd, states []*msrState, perK graph.Cost) ([]msrOrd, []msrGroup) {
+	dst, groups = dst[:0], groups[:0]
+	for _, o := range list {
+		// σ holds k for the sort, which is stable: ρ stays ascending
+		// within each k.
+		dst = append(dst, msrOrd{sigma: graph.Cost(states[o.e].k), e: o.e})
+	}
+	r.sorter.sort(dst)
+	for lo := 0; lo < len(dst); {
+		k, hi := dst[lo].sigma, lo+1
+		for hi < len(dst) && dst[hi].sigma == k {
+			hi++
+		}
+		groups = append(groups, msrGroup{int32(k), dst[lo:hi]})
+		lo = hi
+	}
+	for i := range dst {
+		s := states[dst[i].e]
+		dst[i].sigma, dst[i].rho = s.sigma, s.rho+graph.Cost(s.k)*perK
+	}
+	return dst, groups
 }
 
 // mergeChild combines the accumulated states of v with the final states
@@ -499,13 +636,23 @@ func (r *msrRun) within(base graph.Cost) int {
 // vertex splitting (the cases are the 2·2·2 combinations of per-child
 // options on a binary node).
 //
-// Every (x, y) pair offers up to three candidates; per key (fromBelow,
+// Every (x, y) pair has up to three candidates; per key (fromBelow,
 // k-bucket, γ-bucket, ρ-bucket) the candidate that comes first by before
-// is kept. Of a candidate's key only the ρ-bucket depends on the pair:
-// the rest is fixed per x (independent, dependent) or per y (source) and
-// is computed outside the pair loop, as is all a candidate takes from y
-// alone. xs and ys are in the order of msrTable.compare, which is by σ
-// first.
+// is kept. So no pair is offered on its own: each option walks one side
+// with the other side's state fixed, along a list in which the
+// candidate's ρ ascends and the rest of its key is fixed, and offers the
+// least of each ρ-bucket run (offerRuns). The lists:
+//   - independent: all ys by ρ, per x;
+//   - dependent: the rooted ys of one exact k by ρ + k·r(v,c), per x and
+//     k, since a from-below x adds k·x.γ and a rooted one puts x.k + k
+//     in the key;
+//   - source from a rooted y: the rooted ys by ρ, per rooted x (γ is
+//     r(c,v) whatever y);
+//   - source from a from-below y: the rooted xs of one exact k by ρ, per
+//     y and k, since the candidate's ρ adds k·(r(c,v) + y.γ).
+//
+// xs and ys are in the order of msrTable.compare, which is by σ first, so
+// the prune bound keeps a prefix of either.
 func (r *msrRun) mergeChild(v, c graph.NodeID, xs, ys []*msrState) []*msrState {
 	t, b, tab := r.t, r.b, &r.tab
 	downID, sDown, rDown := t.DownEdge(c) // delta v → c
@@ -513,99 +660,87 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xs, ys []*msrState) []*msrState {
 	sv := t.G.NodeStorage(v)
 	sc := t.G.NodeStorage(c)
 
-	r.ys, r.byRho = r.ys[:0], r.byRho[:0]
+	r.byRho = r.byRho[:0]
 	for j, y := range ys {
-		src := rUp
-		if y.fromBelow {
-			src += y.gamma
-		}
-		var srcGB int64
-		if upID != graph.None {
-			srcGB = b.bucket(src)
-		}
-		r.ys = append(r.ys, msrChild{
-			sigma: y.sigma, rho: y.rho, k: y.k, rooted: !y.fromBelow,
-			depRho: y.rho + graph.Cost(y.k)*rDown, srcGamma: src, srcGB: srcGB,
-		})
-		r.byRho = append(r.byRho, msrRhoPos{y.rho, int32(j)})
+		r.byRho = append(r.byRho, msrOrd{rho: y.rho, e: int32(j)})
 	}
-	slices.SortFunc(r.byRho, func(a, z msrRhoPos) int { return cmp.Compare(a.rho, z.rho) })
+	r.sorter.sort(r.byRho)
+	r.rootedByRho = r.rootedByRho[:0]
+	below := false // has c a from-below state
+	for i, o := range r.byRho {
+		y := ys[o.e]
+		r.byRho[i].sigma = y.sigma
+		if y.fromBelow {
+			below = true
+		} else {
+			r.rootedByRho = append(r.rootedByRho, r.byRho[i])
+		}
+	}
+	if downID != graph.None {
+		r.depBy, r.depGroups = r.byK(r.depBy, r.depGroups, r.rootedByRho, ys, rDown)
+	}
+	var srcGB int64 // a rooted y's source γ-bucket
+	if upID != graph.None {
+		srcGB = b.bucket(rUp)
+	}
 
 	for xi, x := range xs {
-		cand := msrCand{x: int32(xi)}
 		refund := sv // a rooted v may still be uprooted, refunding s_v
 		if x.fromBelow {
 			refund = 0
 		}
 		xKey := msrKey{fromBelow: x.fromBelow, k: b.kBucket(x.k), gb: b.bucket(x.gamma)}
 
-		// Option 1: independent — c's subtree resolves internally. This x's
-		// candidates ascend in (σ, ρ) along ys, and those sharing a
-		// ρ-bucket share the key: only the first of each bucket can win.
-		// Along ys by ρ each bucket is one run, and its first in ys is the
-		// run's least position.
-		indep := r.within(x.sigma - refund)
-		cand.key, cand.k, cand.gamma, cand.op = xKey, x.k, x.gamma, opIndep
-		first, end := int32(-1), graph.Cost(0) // the open run: least y, end of its ρ-bucket
-		for _, e := range r.byRho {
-			if int(e.y) >= indep {
-				continue // pruned
-			}
-			if z := x.rho + e.rho; first < 0 || z >= end {
-				rb, zEnd := b.bucketEnd(z)
-				end = zEnd
-				if first < 0 || rb != cand.key.rb {
-					if first >= 0 {
-						r.offerIndep(&cand, x, first)
-					}
-					cand.key.rb, first = rb, e.y
-					continue
-				}
-			}
-			first = min(first, e.y)
-		}
-		if first >= 0 {
-			r.offerIndep(&cand, x, first)
-		}
+		// Option 1: independent — c's subtree resolves internally.
+		cand := msrCand{key: xKey, k: x.k, x: int32(xi), op: opIndep, gamma: x.gamma}
+		r.offerRuns(&cand, &cand.y, r.byRho, r.within(ys, x.sigma-refund), x.sigma, x.rho)
 
 		// Option 2: dependent — uproot a rooted child state and retrieve c
 		// (and its k_c dependents) through v via the delta (v,c). Skipped
 		// when the graph lacks that delta (synthesized direction).
-		dep := 0
 		if downID != graph.None {
-			dep = r.within(x.sigma - refund - sc + sDown)
+			cand.op = opDep
+			dep := r.within(ys, x.sigma-refund-sc+sDown)
+			for _, g := range r.depGroups {
+				rho := x.rho
+				if x.fromBelow {
+					rho += graph.Cost(g.k) * x.gamma
+				} else {
+					cand.k = x.k + g.k
+					cand.key.k = b.kBucket(cand.k)
+				}
+				r.offerRuns(&cand, &cand.y, g.items, dep, x.sigma-sc+sDown, rho)
+			}
 		}
+
 		// Option 3: source — v is retrieved from c's subtree via the delta
 		// (c,v); allowed once, while v is still rooted. All of v's current
 		// dependents (x.k nodes, v included) pay gamma. Skipped when the
-		// graph lacks the upward delta.
-		src := 0
+		// graph lacks the upward delta. Here from a rooted y; from a
+		// from-below one after this loop.
 		if !x.fromBelow && upID != graph.None {
-			src = r.within(x.sigma - sv + sUp)
+			cand = msrCand{key: msrKey{fromBelow: true, gb: srcGB}, x: int32(xi), op: opSource, gamma: rUp}
+			r.offerRuns(&cand, &cand.y, r.rootedByRho, r.within(ys, x.sigma-sv+sUp), x.sigma-sv+sUp, x.rho+graph.Cost(x.k)*rUp)
 		}
-		for j := range max(dep, src) {
-			y := &r.ys[j]
-			cand.y = int32(j)
-			if j < dep && y.rooted {
-				cand.key, cand.k, cand.gamma, cand.op = xKey, x.k, x.gamma, opDep
-				cand.sigma = x.sigma + y.sigma - sc + sDown
-				cand.rho = x.rho + y.depRho
-				if x.fromBelow {
-					cand.rho += graph.Cost(y.k) * x.gamma
-				} else {
-					cand.k = x.k + y.k
-					cand.key.k = b.kBucket(cand.k)
-				}
-				cand.key.rb = b.bucket(cand.rho)
-				tab.offer(&cand)
+	}
+	if below && upID != graph.None {
+		r.xByRho = r.xByRho[:0]
+		for i, x := range xs {
+			if !x.fromBelow {
+				r.xByRho = append(r.xByRho, msrOrd{rho: x.rho, e: int32(i)})
 			}
-			if j < src {
-				cand.key = msrKey{fromBelow: true, gb: y.srcGB}
-				cand.k, cand.gamma, cand.op = 0, y.srcGamma, opSource
-				cand.sigma = x.sigma - sv + y.sigma + sUp
-				cand.rho = x.rho + y.rho + graph.Cost(x.k)*y.srcGamma
-				cand.key.rb = b.bucket(cand.rho)
-				tab.offer(&cand)
+		}
+		r.sorter.sort(r.xByRho)
+		r.xBy, r.xGroups = r.byK(r.xBy, r.xGroups, r.xByRho, xs, 0)
+		for j, y := range ys {
+			if !y.fromBelow {
+				continue
+			}
+			gamma := rUp + y.gamma
+			cand := msrCand{key: msrKey{fromBelow: true, gb: b.bucket(gamma)}, y: int32(j), op: opSource, gamma: gamma}
+			src := r.within(xs, y.sigma-sv+sUp)
+			for _, g := range r.xGroups {
+				r.offerRuns(&cand, &cand.x, g.items, src, y.sigma-sv+sUp, y.rho+graph.Cost(g.k)*gamma)
 			}
 		}
 	}
@@ -617,9 +752,10 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xs, ys []*msrState) []*msrState {
 	for e := range tab.cands {
 		order = append(order, msrOrd{tab.cands[e].sigma, tab.cands[e].rho, int32(e)})
 	}
-	slices.SortFunc(order, tab.compare)
+	tab.sort(order, &r.sorter)
 	if r.maxStates > 0 && len(order) > r.maxStates {
 		order = tab.capStates(order, r.maxStates)
+		r.truncations++
 	}
 	r.order = order
 	// Allocated one by one: a shared slab would stay reachable as a whole
@@ -636,12 +772,49 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xs, ys []*msrState) []*msrState {
 	return kept
 }
 
-// offerIndep offers x's independent candidate with ys[y]; cand holds its
-// key and what it takes from x.
-func (r *msrRun) offerIndep(cand *msrCand, x *msrState, y int32) {
-	cand.y = y
-	cand.sigma = x.sigma + r.ys[y].sigma
-	cand.rho = x.rho + r.ys[y].rho
+// offerRuns walks items, states of one side of the merge in ascending ρ,
+// each giving the candidate (sigma + item σ, rho + item ρ) with the state
+// of the other side that cand holds; a position at or past limit is
+// pruned. Along items only the ρ-bucket of the candidate's key changes,
+// so each bucket is one run, and only the least of a run by before can
+// win: with the option and the other side fixed, the least (σ, ρ,
+// position). offerRuns offers that one, its position at at (&cand.x or
+// &cand.y). (Each of mergeChild's lists is a subsequence of xs or ys,
+// which ascend in (σ, ρ), and shifts the σ and ρ of its states alike, so
+// that is also the run's least position; comparing as before does keeps
+// the walk free of that fact.)
+func (r *msrRun) offerRuns(cand *msrCand, at *int32, items []msrOrd, limit int32, sigma, rho graph.Cost) {
+	open, end := false, graph.Cost(0) // a run is open; the end of its ρ-bucket
+	var best msrOrd                   // the open run's least candidate
+	for _, it := range items {
+		if it.e >= limit {
+			continue // pruned
+		}
+		s, z := sigma+it.sigma, rho+it.rho
+		if !open || z >= end {
+			rb, zEnd := r.b.bucketEnd(z)
+			end = zEnd
+			if !open || rb != cand.key.rb {
+				if open {
+					r.offer(cand, at, best)
+				}
+				cand.key.rb, open, best = rb, true, msrOrd{s, z, it.e}
+				continue
+			}
+		}
+		if s < best.sigma || s == best.sigma && (z < best.rho || z == best.rho && it.e < best.e) {
+			best = msrOrd{s, z, it.e}
+		}
+	}
+	if open {
+		r.offer(cand, at, best)
+	}
+}
+
+// offer enters cand with the (σ, ρ) and position of o into the table.
+func (r *msrRun) offer(cand *msrCand, at *int32, o msrOrd) {
+	cand.sigma, cand.rho, *at = o.sigma, o.rho, o.e
+	r.offers++
 	r.tab.offer(cand)
 }
 
@@ -649,10 +822,13 @@ func (r *msrRun) offerIndep(cand *msrCand, x *msrState, y int32) {
 // storage range so the DP's one-run frontier stays informative at both
 // its cheap-storage and cheap-retrieval ends: order, the candidates
 // sorted by compare (by σ first), is split into equal-rank strata, and
-// each stratum keeps its first least-ρ candidate. The cheapest rooted
-// and from-below candidates are always kept, so upstream merges never
-// lose feasibility. The kept ones are returned in order's front, still
-// sorted.
+// each stratum keeps its first least-ρ candidate. The first rooted and
+// the first from-below candidate in order, the least-storage state of
+// each kind, are always kept. That keeps this node's least storage, but
+// not every state the merges above need: those also read a state's k and
+// γ, and the prune bound may drop the anchors' extensions, so a capped
+// run can find no plan for a budget its tree can meet (ROADMAP.md, item
+// 11). The kept ones are returned in order's front, still sorted.
 func (t *msrTable) capStates(order []msrOrd, maxStates int) []msrOrd {
 	rooted, below := int32(-1), int32(-1) // the first of each kind
 	for _, o := range order {
@@ -691,13 +867,8 @@ func (t *msrTable) capStates(order []msrOrd, maxStates int) []msrOrd {
 	if !hasBelow && below >= 0 && len(out) >= 2 {
 		out[1] = msrOrd{t.cands[below].sigma, t.cands[below].rho, below}
 	}
-	// Only out[0] and out[1] can be out of place; this insertion pass
-	// moves them to theirs and compares each other neighbour once.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && t.compare(out[j], out[j-1]) < 0; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	// Only out[0] and out[1] can be out of place.
+	t.insertionSort(out)
 	return out
 }
 

@@ -1,12 +1,14 @@
 package dptree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -312,19 +314,32 @@ func daemonRun(t testing.TB, g *graph.Graph) (opt MSROptions, budget graph.Cost)
 // BenchmarkDPMSR_ReplanScale is the DP-MSR member of the first and the
 // last MSR race of the benchmark's replan-scale plan phase: the graph
 // shape of that workload at 850 and 950 versions, solved as a re-plan
-// does.
+// does (MSROnGraph's steps). offers/op is the candidates offered to the
+// merges' tables, truncations/op the merges the state cap cut.
 func BenchmarkDPMSR_ReplanScale(b *testing.B) {
 	for _, versions := range []int{850, 950} {
 		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
 			g := replanScaleGraph(versions, 21)
 			opt, budget := daemonRun(b, g)
+			var stats MSRStats
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := MSROnGraph(g, budget, 0, opt); err != nil {
+				bt, err := FromGraph(g, 0)
+				if err != nil {
 					b.Fatal(err)
 				}
+				dp, err := MSRFrontier(bt, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := dp.Best(budget); err != nil {
+					b.Fatal(err)
+				}
+				stats = dp.Stats()
 			}
+			b.ReportMetric(float64(stats.Offers), "offers/op")
+			b.ReportMetric(float64(stats.Truncations), "truncations/op")
 		})
 	}
 }
@@ -421,6 +436,88 @@ func TestGeoBucketTableReach(t *testing.T) {
 				t.Fatalf("reach %d: bucket(%d) = %d, want %d", reach, x, got, want)
 			}
 		}
+	}
+}
+
+// TestTableSortMatchesSortFunc pins the merge's sort of its table to
+// slices.SortFunc with compare on random tables: runs of equal (σ, ρ)
+// that only the rest of compare orders, σ and ρ spread past 2^32 (so the
+// radix key is wider than 64 bits) or negative, and sizes on both sides
+// of radixCutoff. Without the table, the radix sort alone is a stable
+// sort by (σ, ρ).
+func TestTableSortMatchesSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	spans := []graph.Cost{1, 4, 1000, 1 << 20, 1 << 40, math.MaxInt64 / 4}
+	sizes := []int{0, 1, 2, radixCutoff - 1, radixCutoff, radixCutoff + 1, 300, 5000}
+	var rs radixSorter
+	for it := 0; it < 400; it++ {
+		n := sizes[it%len(sizes)]
+		spanS, spanR := spans[rng.Intn(len(spans))], spans[rng.Intn(len(spans))]
+		offS, offR := graph.Cost(0), graph.Cost(0)
+		if rng.Intn(4) == 0 {
+			offS, offR = -spanS/2, -spanR/2
+		}
+		// Distinct (σ, ρ, fromBelow, k, γ), as the keys of a table are.
+		tab := &msrTable{}
+		seen := map[stateTuple]bool{}
+		for len(tab.cands) < n {
+			c := msrCand{
+				k:     int32(rng.Intn(n)),
+				gamma: graph.Cost(rng.Intn(3)),
+				sigma: offS + rng.Int63n(int64(spanS)),
+				rho:   offR + rng.Int63n(int64(spanR)),
+			}
+			c.key.fromBelow = rng.Intn(2) == 0
+			if st := (stateTuple{c.key.fromBelow, c.k, c.gamma, c.sigma, c.rho}); !seen[st] {
+				seen[st] = true
+				tab.cands = append(tab.cands, c)
+			}
+		}
+		order := make([]msrOrd, n)
+		for e := range order {
+			order[e] = msrOrd{tab.cands[e].sigma, tab.cands[e].rho, int32(e)}
+		}
+		want := slices.Clone(order)
+		slices.SortFunc(want, tab.compare)
+		got := slices.Clone(order)
+		tab.sort(got, &rs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("it %d: n %d, σ span %d, ρ span %d: table sort differs from slices.SortFunc", it, n, spanS, spanR)
+		}
+		want = slices.Clone(order)
+		slices.SortStableFunc(want, func(a, z msrOrd) int {
+			return cmp.Or(cmp.Compare(a.sigma, z.sigma), cmp.Compare(a.rho, z.rho))
+		})
+		rs.sort(order)
+		if !slices.Equal(order, want) {
+			t.Fatalf("it %d: n %d, σ span %d, ρ span %d: radix sort is not the stable sort by (σ, ρ)", it, n, spanS, spanR)
+		}
+	}
+}
+
+// TestMSRStats checks what a run reports it did: every merge offers, no
+// merge is cut without a cap, and with one the cut merges are counted.
+func TestMSRStats(t *testing.T) {
+	g := replanScaleGraph(120, 3)
+	bt := spanningTree(t, g)
+	merges := bt.N() - 1
+	for _, maxStates := range []int{0, 4, 256} {
+		opt := MSROptions{Epsilon: 0.05, Geometric: true, MaxStates: maxStates}
+		dp, err := MSRFrontier(bt, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := dp.Stats()
+		if st.Offers < int64(merges) {
+			t.Errorf("MaxStates %d: %d offers over %d merges", maxStates, st.Offers, merges)
+		}
+		switch {
+		case maxStates == 0 && st.Truncations != 0:
+			t.Errorf("uncapped run reports %d truncations", st.Truncations)
+		case maxStates == 4 && (st.Truncations == 0 || st.Truncations > merges):
+			t.Errorf("MaxStates 4: %d truncations over %d merges", st.Truncations, merges)
+		}
+		t.Logf("MaxStates %d: %+v", maxStates, st)
 	}
 }
 
