@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzManifestDiff -fuzztime=30s -fuzzminimizetime=2s ./versioning
 	$(GO) test -run='^$$' -fuzz=FuzzTenantName -fuzztime=30s ./tenant
 	$(GO) test -run='^$$' -fuzz=FuzzComputeMatchesReference -fuzztime=30s ./internal/diff
+	$(GO) test -run='^$$' -fuzz=FuzzApplyToMatchesApply -fuzztime=30s -fuzzminimizetime=2s ./internal/diff
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDelta -fuzztime=30s -fuzzminimizetime=2s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesEncodingJSON -fuzztime=30s -fuzzminimizetime=2s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeMatchesEncodingJSON -fuzztime=30s -fuzzminimizetime=2s ./internal/wire

@@ -149,7 +149,7 @@ func BenchmarkEdmonds(b *testing.B) {
 
 // BenchmarkLMG measures Algorithm 1 on the five Table 4 profiles at
 // 1.5× the min-storage arborescence, freeCodeCamp's 31,270 versions
-// included; moves/op is the greedy moves one run makes.
+// included.
 func BenchmarkLMG(b *testing.B) { benchGreedy(b, lmg.LMG) }
 
 // BenchmarkLMGAll measures Algorithm 7 as BenchmarkLMG measures
@@ -157,28 +157,24 @@ func BenchmarkLMG(b *testing.B) { benchGreedy(b, lmg.LMG) }
 // deadline has to fit.
 func BenchmarkLMGAll(b *testing.B) { benchGreedy(b, lmg.LMGAll) }
 
-func benchGreedy(b *testing.B, solve func(*graph.Graph, graph.Cost) (lmg.Result, error)) {
+func benchGreedy(b *testing.B, solve func(context.Context, *graph.Graph, graph.Cost) (core.Solution, error)) {
 	for _, name := range []string{"datasharing", "styleguide", "LeetCodeAnimation", "996.ICU", "freeCodeCamp"} {
 		b.Run(name, func(b *testing.B) {
 			g, err := repogen.Dataset(name)
 			if err != nil {
 				b.Fatal(err)
 			}
-			mst, err := core.MST(g)
+			mst, err := core.MST(context.Background(), g)
 			if err != nil {
 				b.Fatal(err)
 			}
 			s := mst.Cost.Storage * 3 / 2
 			b.ResetTimer()
-			moves := 0
 			for i := 0; i < b.N; i++ {
-				res, err := solve(g, s)
-				if err != nil {
+				if _, err := solve(context.Background(), g, s); err != nil {
 					b.Fatal(err)
 				}
-				moves = res.Iterations
 			}
-			b.ReportMetric(float64(moves), "moves/op")
 		})
 	}
 }
@@ -201,7 +197,7 @@ func BenchmarkDPBMR(b *testing.B) {
 	r := g.MaxEdgeRetrieval() * 3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dptree.BMROnGraph(g, r, 0); err != nil {
+		if _, err := dptree.BMROnGraph(context.Background(), g, r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -214,7 +210,7 @@ func benchDPMSR(b *testing.B, opt dptree.MSROptions) {
 	opt.PruneStorage = -1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dp, err := dptree.MSRFrontierOnGraph(g, 0, opt)
+		dp, err := dptree.MSRFrontierOnGraph(context.Background(), g, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,7 +234,7 @@ func BenchmarkDPMSR_GeometricTicks(b *testing.B) {
 // at twice the minimum storage, the paper's uncompressed-graph setting).
 func BenchmarkDPMSR_WithStoragePruning(b *testing.B) {
 	g := styleguideScaled()
-	mst, err := core.MST(g)
+	mst, err := core.MST(context.Background(), g)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -246,7 +242,7 @@ func BenchmarkDPMSR_WithStoragePruning(b *testing.B) {
 	opt := dptree.MSROptions{Epsilon: 0.1, Geometric: true, MaxStates: 128, PruneStorage: 2 * minStorage}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dp, err := dptree.MSRFrontierOnGraph(g, 0, opt)
+		dp, err := dptree.MSRFrontierOnGraph(context.Background(), g, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,7 +259,7 @@ func BenchmarkDPMSR_Replan(b *testing.B) {
 	for _, versions := range []int{256, 800} {
 		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
 			g := repogen.GenerateRepo("replan", versions, 21).Graph
-			mst, err := core.MST(g)
+			mst, err := core.MST(context.Background(), g)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -272,7 +268,7 @@ func BenchmarkDPMSR_Replan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dptree.MSROnGraph(g, 2*minStorage, 0, opt); err != nil {
+				if _, err := dptree.MSROnGraph(context.Background(), g, 2*minStorage, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -288,7 +284,7 @@ func BenchmarkILP_Datasharing(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := g.TotalNodeStorage() / 3
-	seed, err := lmg.LMGAll(g, s)
+	seed, err := lmg.LMGAll(context.Background(), g, s)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -753,7 +749,7 @@ func BenchmarkStoreCheckoutDuringMigration_SlowBackend(b *testing.B) {
 		g.AddEdge(graph.NodeID(i), graph.NodeID(i-1), rev.StorageCost(), rev.StorageCost())
 	}
 	content := func(v graph.NodeID) ([]string, error) { return contents[v], nil }
-	mst, err := core.MST(g)
+	mst, err := core.MST(context.Background(), g)
 	if err != nil {
 		b.Fatal(err)
 	}

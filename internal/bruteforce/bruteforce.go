@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/plan"
 )
@@ -111,16 +112,7 @@ func Enumerate(g *graph.Graph, limit int64, visit func(a Assignment)) error {
 	return nil
 }
 
-// Result is an exact optimum.
-type Result struct {
-	Plan *plan.Plan
-	Cost plan.Cost
-}
-
-// ErrInfeasible reports that no plan satisfies the constraint.
-var ErrInfeasible = errors.New("bruteforce: no feasible plan")
-
-func solve(g *graph.Graph, limit int64, better func(a Assignment) bool) (Result, error) {
+func solve(g *graph.Graph, limit int64, better func(a Assignment) bool) (core.Solution, error) {
 	var bestChoice []int32
 	err := Enumerate(g, limit, func(a Assignment) {
 		if better(a) {
@@ -128,22 +120,22 @@ func solve(g *graph.Graph, limit int64, better func(a Assignment) bool) (Result,
 		}
 	})
 	if err != nil {
-		return Result{}, err
+		return core.Solution{}, err
 	}
 	if bestChoice == nil {
-		return Result{}, ErrInfeasible
+		return core.Solution{}, core.ErrInfeasible
 	}
 	x := graph.Extend(g)
 	p, err := plan.FromExtendedTree(x, bestChoice)
 	if err != nil {
-		return Result{}, err
+		return core.Solution{}, err
 	}
-	return Result{Plan: p, Cost: plan.Evaluate(g, p)}, nil
+	return core.Solution{Plan: p, Cost: plan.Evaluate(g, p)}, nil
 }
 
 // SolveMSR returns the exact MinSum Retrieval optimum: minimize Σ R(v)
 // subject to storage ≤ s.
-func SolveMSR(g *graph.Graph, s graph.Cost, limit int64) (Result, error) {
+func SolveMSR(g *graph.Graph, s graph.Cost, limit int64) (core.Solution, error) {
 	best := graph.Infinite
 	bestStorage := graph.Infinite
 	return solve(g, limit, func(a Assignment) bool {
@@ -160,7 +152,7 @@ func SolveMSR(g *graph.Graph, s graph.Cost, limit int64) (Result, error) {
 
 // SolveMMR returns the exact MinMax Retrieval optimum: minimize max R(v)
 // subject to storage ≤ s.
-func SolveMMR(g *graph.Graph, s graph.Cost, limit int64) (Result, error) {
+func SolveMMR(g *graph.Graph, s graph.Cost, limit int64) (core.Solution, error) {
 	best := graph.Infinite
 	bestStorage := graph.Infinite
 	return solve(g, limit, func(a Assignment) bool {
@@ -177,7 +169,7 @@ func SolveMMR(g *graph.Graph, s graph.Cost, limit int64) (Result, error) {
 
 // SolveBSR returns the exact BoundedSum Retrieval optimum: minimize
 // storage subject to Σ R(v) ≤ r.
-func SolveBSR(g *graph.Graph, r graph.Cost, limit int64) (Result, error) {
+func SolveBSR(g *graph.Graph, r graph.Cost, limit int64) (core.Solution, error) {
 	best := graph.Infinite
 	bestR := graph.Infinite
 	return solve(g, limit, func(a Assignment) bool {
@@ -194,7 +186,7 @@ func SolveBSR(g *graph.Graph, r graph.Cost, limit int64) (Result, error) {
 
 // SolveBMR returns the exact BoundedMax Retrieval optimum: minimize
 // storage subject to max R(v) ≤ r.
-func SolveBMR(g *graph.Graph, r graph.Cost, limit int64) (Result, error) {
+func SolveBMR(g *graph.Graph, r graph.Cost, limit int64) (core.Solution, error) {
 	best := graph.Infinite
 	bestR := graph.Infinite
 	return solve(g, limit, func(a Assignment) bool {

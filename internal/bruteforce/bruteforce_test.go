@@ -1,6 +1,7 @@
 package bruteforce
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -99,10 +100,10 @@ func TestSolveMSRFigure1(t *testing.T) {
 
 func TestSolveInfeasible(t *testing.T) {
 	g := graph.Figure1()
-	if _, err := SolveMSR(g, 1, 0); !errors.Is(err, ErrInfeasible) {
+	if _, err := SolveMSR(g, 1, 0); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := SolveBMR(g, -1, 0); !errors.Is(err, ErrInfeasible) {
+	if _, err := SolveBMR(g, -1, 0); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -139,7 +140,7 @@ func TestSolveBSRAndMMRConsistency(t *testing.T) {
 		s := g.TotalNodeStorage() / 2
 		mmr, err := SolveMMR(g, s, 0)
 		if err != nil {
-			if errors.Is(err, ErrInfeasible) {
+			if errors.Is(err, core.ErrInfeasible) {
 				continue
 			}
 			t.Fatal(err)
@@ -185,7 +186,7 @@ func TestFrontiers(t *testing.T) {
 	if sf.Points[len(sf.Points)-1].Objective != 0 {
 		t.Fatal("frontier should reach zero retrieval")
 	}
-	mst, err := core.MST(g)
+	mst, err := core.MST(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

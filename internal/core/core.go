@@ -59,24 +59,21 @@ func ParseProblem(s string) (Problem, error) {
 	return 0, fmt.Errorf("core: unknown problem %q", s)
 }
 
-// Solution is a solver outcome.
+// Solution is a solver outcome: every solver package returns one.
 type Solution struct {
 	Plan *plan.Plan
 	Cost plan.Cost
 }
 
-// ErrInfeasible reports an unsatisfiable constraint.
+// ErrInfeasible reports an unsatisfiable constraint. It is the one
+// infeasibility error of every solver package; any other error is a
+// failure (a cancelled context, an instance too large, a bug).
 var ErrInfeasible = errors.New("core: constraint infeasible")
 
 // MST solves Problem 1: the minimum-storage plan keeping every version
-// retrievable.
-func MST(g *graph.Graph) (Solution, error) {
-	return MSTOf(context.Background(), g)
-}
-
-// MSTOf is MST from the min-storage arborescence ctx carries for g (see
-// WithMinStorage), if any.
-func MSTOf(ctx context.Context, g *graph.Graph) (Solution, error) {
+// retrievable. It reads the min-storage arborescence ctx carries for g
+// (see WithMinStorage), if any.
+func MST(ctx context.Context, g *graph.Graph) (Solution, error) {
 	m, err := MinStorageOf(ctx, g)
 	if err != nil {
 		return Solution{}, err

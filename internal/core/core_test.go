@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bruteforce"
+	"repro/internal/core"
 	"repro/internal/dptree"
 	"repro/internal/graph"
 	"repro/internal/graphalg"
@@ -14,30 +15,30 @@ import (
 )
 
 func TestProblemStringRoundTrip(t *testing.T) {
-	for p := ProblemMST; p <= ProblemBMR; p++ {
-		got, err := ParseProblem(p.String())
+	for p := core.ProblemMST; p <= core.ProblemBMR; p++ {
+		got, err := core.ParseProblem(p.String())
 		if err != nil || got != p {
 			t.Fatalf("round trip of %v failed: %v %v", p, got, err)
 		}
 	}
-	if _, err := ParseProblem("nope"); err == nil {
+	if _, err := core.ParseProblem("nope"); err == nil {
 		t.Fatal("bogus problem accepted")
 	}
-	if Problem(99).String() == "" {
+	if core.Problem(99).String() == "" {
 		t.Fatal("unknown problem should still print")
 	}
 }
 
 func TestMSTAndSPTOnFigure1(t *testing.T) {
 	g := graph.Figure1()
-	mst, err := MST(g)
+	mst, err := core.MST(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mst.Cost.Storage != 11450 {
 		t.Fatalf("MST storage %d", mst.Cost.Storage)
 	}
-	spt, err := SPT(g, 0)
+	spt, err := core.SPT(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,29 +53,16 @@ func TestMSTAndSPTOnFigure1(t *testing.T) {
 	}
 	// Unreachable root errors.
 	h := graph.NewWithNodes("u", 2, 5)
-	if _, err := SPT(h, 0); err == nil {
+	if _, err := core.SPT(h, 0); err == nil {
 		t.Fatal("SPT on disconnected graph should fail")
 	}
 }
 
 // bruteBMRFunc adapts the brute-force BMR solver to a BoundedFunc.
-func bruteBMRFunc(g *graph.Graph) BoundedFunc {
-	return func(r graph.Cost) (Solution, error) {
-		res, err := bruteforce.SolveBMR(g, r, 0)
-		if err != nil {
-			if errors.Is(err, bruteforce.ErrInfeasible) {
-				return Solution{}, ErrInfeasible
-			}
-			return Solution{}, err
-		}
-		return Solution{Plan: res.Plan, Cost: res.Cost}, nil
-	}
+func bruteBMRFunc(g *graph.Graph) core.BoundedFunc {
+	return func(r graph.Cost) (core.Solution, error) { return bruteforce.SolveBMR(g, r, 0) }
 }
 
-// TestMinStorageOncePerContext checks that a context from
-// WithMinStorage hands every caller for its graph one arborescence,
-// computed once, that another graph gets its own, and that MSTOf over
-// it is MST.
 // TestMinStorageMatchesEdmonds: MST's plan evaluates to the total
 // weight of the min-storage arborescence, and keeps every version
 // retrievable.
@@ -87,7 +75,7 @@ func TestMinStorageMatchesEdmonds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := MST(g)
+		sol, err := core.MST(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,30 +88,34 @@ func TestMinStorageMatchesEdmonds(t *testing.T) {
 	}
 }
 
+// TestMinStorageOncePerContext checks that a context from
+// WithMinStorage hands every caller for its graph one arborescence,
+// computed once, that another graph gets its own, and that MST over it
+// is MST over a fresh one.
 func TestMinStorageOncePerContext(t *testing.T) {
 	g, other := graph.Figure1(), graph.Figure1()
-	ctx := WithMinStorage(context.Background(), g)
-	if WithMinStorage(ctx, g) != ctx {
+	ctx := core.WithMinStorage(context.Background(), g)
+	if core.WithMinStorage(ctx, g) != ctx {
 		t.Fatal("WithMinStorage wrapped a context that already carries g's arborescence")
 	}
-	a, err := MinStorageOf(ctx, g)
+	a, err := core.MinStorageOf(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, _ := MinStorageOf(ctx, g); b != a {
+	if b, _ := core.MinStorageOf(ctx, g); b != a {
 		t.Fatal("second MinStorageOf computed a new arborescence")
 	}
-	if c, _ := MinStorageOf(ctx, other); c == a {
+	if c, _ := core.MinStorageOf(ctx, other); c == a {
 		t.Fatal("another graph got g's arborescence")
 	}
-	if d, _ := MinStorageOf(context.Background(), g); d == a {
+	if d, _ := core.MinStorageOf(context.Background(), g); d == a {
 		t.Fatal("a context without one shared g's arborescence")
 	}
-	sol, err := MSTOf(ctx, g)
+	sol, err := core.MST(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mst, err := MST(g)
+	mst, err := core.MST(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +131,12 @@ func TestMMRViaBMRMatchesBruteForce(t *testing.T) {
 		s := g.TotalNodeStorage() * 2 / 3
 		want, err := bruteforce.SolveMMR(g, s, 0)
 		if err != nil {
-			if errors.Is(err, bruteforce.ErrInfeasible) {
+			if errors.Is(err, core.ErrInfeasible) {
 				continue
 			}
 			t.Fatal(err)
 		}
-		got, err := MMRViaBMR(g, s, bruteBMRFunc(g))
+		got, err := core.MMRViaBMR(g, s, bruteBMRFunc(g))
 		if err != nil {
 			t.Fatalf("it %d: %v", it, err)
 		}
@@ -165,15 +157,8 @@ func TestBSRViaMSRMatchesBruteForceOnTrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		msr := func(s graph.Cost) (Solution, error) {
-			res, err := dptree.MSR(bt, s, dptree.MSROptions{})
-			if err != nil {
-				if errors.Is(err, dptree.ErrInfeasible) {
-					return Solution{}, ErrInfeasible
-				}
-				return Solution{}, err
-			}
-			return Solution{Plan: res.Plan, Cost: res.Cost}, nil
+		msr := func(s graph.Cost) (core.Solution, error) {
+			return dptree.MSR(context.Background(), bt, s, dptree.MSROptions{})
 		}
 		maxSum := g.MaxEdgeRetrieval() * graph.Cost(g.N()*g.N())
 		for _, r := range []graph.Cost{0, maxSum / 4, maxSum} {
@@ -181,7 +166,7 @@ func TestBSRViaMSRMatchesBruteForceOnTrees(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := BSRViaMSR(g, r, msr)
+			got, err := core.BSRViaMSR(g, r, msr)
 			if err != nil {
 				t.Fatalf("it %d r=%d: %v", it, r, err)
 			}
@@ -197,7 +182,7 @@ func TestBSRViaMSRMatchesBruteForceOnTrees(t *testing.T) {
 
 func TestMMRInfeasible(t *testing.T) {
 	g := graph.Figure1()
-	if _, err := MMRViaBMR(g, 1, bruteBMRFunc(g)); !errors.Is(err, ErrInfeasible) {
+	if _, err := core.MMRViaBMR(g, 1, bruteBMRFunc(g)); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -213,25 +198,16 @@ func TestMMRPipelineOnTrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bmr := func(r graph.Cost) (Solution, error) {
-			res, err := dptree.BMR(bt, r)
-			if err != nil {
-				if errors.Is(err, dptree.ErrInfeasible) {
-					return Solution{}, ErrInfeasible
-				}
-				return Solution{}, err
-			}
-			return Solution{Plan: res.Plan, Cost: res.Cost}, nil
-		}
+		bmr := func(r graph.Cost) (core.Solution, error) { return dptree.BMR(context.Background(), bt, r) }
 		s := g.TotalNodeStorage() * 2 / 3
 		want, err := bruteforce.SolveMMR(g, s, 0)
 		if err != nil {
-			if errors.Is(err, bruteforce.ErrInfeasible) {
+			if errors.Is(err, core.ErrInfeasible) {
 				continue
 			}
 			t.Fatal(err)
 		}
-		got, err := MMRViaBMR(g, s, bmr)
+		got, err := core.MMRViaBMR(g, s, bmr)
 		if err != nil {
 			t.Fatalf("it %d: %v", it, err)
 		}

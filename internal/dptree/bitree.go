@@ -19,8 +19,9 @@
 // 1 + int64(math.Log(float64(x))/math.Log1p(ε)) for every x (see
 // bucketer). A run is a pure function of its tree and options: the same
 // states, frontier and plans on every call, whatever else runs beside it.
-// Under a context (MSROnGraphContext, BMROnGraphContext) DP-MSR stops at
-// the merge and DP-BMR at the node where it sees the context done.
+// DP-MSR stops at the merge and DP-BMR at the node where it sees its
+// context done. Every entry point returns core.Solution, and a constraint
+// no plan meets is core.ErrInfeasible.
 package dptree
 
 import (

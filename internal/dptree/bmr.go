@@ -2,25 +2,16 @@ package dptree
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/plan"
 )
 
-// ErrInfeasible reports an unsatisfiable constraint.
-var ErrInfeasible = errors.New("dptree: constraint infeasible")
-
 // MaxDenseNodes caps the O(n²) DP table size; beyond it BMR returns an
 // error so callers can scale their instances deliberately.
 const MaxDenseNodes = 8192
-
-// BMRResult is the outcome of DP-BMR.
-type BMRResult struct {
-	Plan *plan.Plan
-	Cost plan.Cost
-}
 
 // BMR solves BoundedMax Retrieval exactly on a bidirectional tree
 // (Algorithm 2, Theorem 8): minimize total storage subject to
@@ -30,21 +21,19 @@ type BMRResult struct {
 // T[v] in which v is retrieved from a materialized u (u == v means v is
 // materialized); u may lie outside T[v], in which case only the last edge
 // of the retrieval path is charged to the subproblem.
-func BMR(t *BiTree, r graph.Cost) (BMRResult, error) {
-	return bmr(context.Background(), t, r)
-}
-
-// bmr is BMR, checking ctx before every node.
-func bmr(ctx context.Context, t *BiTree, r graph.Cost) (BMRResult, error) {
+//
+// It checks ctx before every node and returns ctx's error once ctx is
+// done.
+func BMR(ctx context.Context, t *BiTree, r graph.Cost) (core.Solution, error) {
 	if r < 0 {
-		return BMRResult{}, ErrInfeasible
+		return core.Solution{}, core.ErrInfeasible
 	}
 	n := t.N()
 	if n == 0 {
-		return BMRResult{Plan: plan.New(t.G), Cost: plan.Cost{Feasible: true}}, nil
+		return core.Solution{Plan: plan.New(t.G), Cost: plan.Cost{Feasible: true}}, nil
 	}
 	if n > MaxDenseNodes {
-		return BMRResult{}, fmt.Errorf("dptree: %d nodes exceeds the dense DP cap %d", n, MaxDenseNodes)
+		return core.Solution{}, fmt.Errorf("dptree: %d nodes exceeds the dense DP cap %d", n, MaxDenseNodes)
 	}
 	const inf = graph.Infinite
 	dp := make([][]graph.Cost, n)
@@ -61,7 +50,7 @@ func bmr(ctx context.Context, t *BiTree, r graph.Cost) (BMRResult, error) {
 	// Reverse preorder = children before parents.
 	for i := len(t.Order) - 1; i >= 0; i-- {
 		if err := ctx.Err(); err != nil {
-			return BMRResult{}, err
+			return core.Solution{}, err
 		}
 		v := t.Order[i]
 		for u := graph.NodeID(0); int(u) < n; u++ {
@@ -118,14 +107,14 @@ func bmr(ctx context.Context, t *BiTree, r graph.Cost) (BMRResult, error) {
 		}
 	}
 	if optVal[t.Root] >= inf {
-		return BMRResult{}, ErrInfeasible
+		return core.Solution{}, core.ErrInfeasible
 	}
 	return reconstructBMR(t, r, dp, optVal, optArg)
 }
 
 // reconstructBMR re-derives the argmin choices from the filled DP tables
 // and validates the produced plan against the DP optimum.
-func reconstructBMR(t *BiTree, r graph.Cost, dp [][]graph.Cost, optVal []graph.Cost, optArg []graph.NodeID) (BMRResult, error) {
+func reconstructBMR(t *BiTree, r graph.Cost, dp [][]graph.Cost, optVal []graph.Cost, optArg []graph.NodeID) (core.Solution, error) {
 	p := plan.New(t.G)
 	store := func(id graph.EdgeID) error {
 		if id == graph.None {
@@ -149,12 +138,12 @@ func reconstructBMR(t *BiTree, r graph.Cost, dp [][]graph.Cost, optVal []graph.C
 			sourceChild = t.ChildTowards(v, u)
 			id, _, _ := t.UpEdge(sourceChild)
 			if err := store(id); err != nil {
-				return BMRResult{}, err
+				return core.Solution{}, err
 			}
 		default:
 			id, _, _ := t.DownEdge(v)
 			if err := store(id); err != nil {
-				return BMRResult{}, err
+				return core.Solution{}, err
 			}
 		}
 		for _, w := range t.Children[v] {
@@ -170,28 +159,23 @@ func reconstructBMR(t *BiTree, r graph.Cost, dp [][]graph.Cost, optVal []graph.C
 	}
 	c := plan.Evaluate(t.G, p)
 	if !c.Feasible || c.MaxRetrieval > r {
-		return BMRResult{}, fmt.Errorf("dptree: internal error, reconstructed plan violates constraint (max %d > %d)", c.MaxRetrieval, r)
+		return core.Solution{}, fmt.Errorf("dptree: internal error, reconstructed plan violates constraint (max %d > %d)", c.MaxRetrieval, r)
 	}
 	if c.Storage != optVal[t.Root] {
-		return BMRResult{}, fmt.Errorf("dptree: internal error, plan storage %d != DP optimum %d", c.Storage, optVal[t.Root])
+		return core.Solution{}, fmt.Errorf("dptree: internal error, plan storage %d != DP optimum %d", c.Storage, optVal[t.Root])
 	}
-	return BMRResult{Plan: p, Cost: c}, nil
+	return core.Solution{Plan: p, Cost: c}, nil
 }
 
 // BMROnGraph runs the DP-BMR heuristic on an arbitrary version graph
-// (Section 6.2): extract a spanning bidirectional tree and solve exactly
-// on it. The result is optimal among plans confined to the extracted
-// tree, hence an upper bound for the graph optimum.
-func BMROnGraph(g *graph.Graph, r graph.Cost, root graph.NodeID) (BMRResult, error) {
-	return BMROnGraphContext(context.Background(), g, r, root)
-}
-
-// BMROnGraphContext is BMROnGraph under ctx: it checks ctx before every
-// node of the DP and returns ctx's error once ctx is done.
-func BMROnGraphContext(ctx context.Context, g *graph.Graph, r graph.Cost, root graph.NodeID) (BMRResult, error) {
-	t, err := FromGraph(g, root)
+// (Section 6.2): extract a spanning bidirectional tree rooted at version
+// 0 and solve exactly on it under ctx, as BMR does. The result is optimal
+// among plans confined to the extracted tree, hence an upper bound for
+// the graph optimum.
+func BMROnGraph(ctx context.Context, g *graph.Graph, r graph.Cost) (core.Solution, error) {
+	t, err := FromGraph(g, 0)
 	if err != nil {
-		return BMRResult{}, err
+		return core.Solution{}, err
 	}
-	return bmr(ctx, t, r)
+	return BMR(ctx, t, r)
 }

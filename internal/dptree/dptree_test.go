@@ -1,11 +1,13 @@
 package dptree
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bruteforce"
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -118,7 +120,7 @@ func TestBMRExactOnRandomTrees(t *testing.T) {
 		}
 		maxR := g.MaxEdgeRetrieval() * graph.Cost(g.N())
 		for _, r := range []graph.Cost{0, maxR / 3, maxR / 2, maxR} {
-			got, err := BMR(bt, r)
+			got, err := BMR(context.Background(), bt, r)
 			if err != nil {
 				t.Fatalf("it %d r=%d: %v", it, r, err)
 			}
@@ -145,7 +147,7 @@ func TestBMRMonotoneInConstraint(t *testing.T) {
 	}
 	prev := graph.Infinite
 	for r := graph.Cost(0); r <= 2000; r += 100 {
-		res, err := BMR(bt, r)
+		res, err := BMR(context.Background(), bt, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,10 +161,10 @@ func TestBMRMonotoneInConstraint(t *testing.T) {
 func TestBMRInfeasibleAndTrivial(t *testing.T) {
 	g := graph.RandomBiTree(5, 100, 10, rand.New(rand.NewSource(2)))
 	bt, _ := FromBiTreeGraph(g, 0)
-	if _, err := BMR(bt, -1); !errors.Is(err, ErrInfeasible) {
+	if _, err := BMR(context.Background(), bt, -1); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v", err)
 	}
-	res, err := BMR(bt, 0)
+	res, err := BMR(context.Background(), bt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +172,14 @@ func TestBMRInfeasibleAndTrivial(t *testing.T) {
 		t.Fatalf("BMR(0) = %d, want materialize-all %d", res.Cost.Storage, g.TotalNodeStorage())
 	}
 	// Degenerate inputs: the empty graph and a single version.
-	if res, err := BMROnGraph(graph.New("empty"), 0, 0); err != nil || !res.Cost.Feasible || res.Cost.Storage != 0 {
+	if res, err := BMROnGraph(context.Background(), graph.New("empty"), 0); err != nil || !res.Cost.Feasible || res.Cost.Storage != 0 {
 		t.Fatalf("empty graph: %+v %v", res.Cost, err)
 	}
 	one, err := FromBiTreeGraph(graph.NewWithNodes("one", 1, 3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := BMR(one, 0); err != nil || res.Cost.Storage != 3 {
+	if res, err := BMR(context.Background(), one, 0); err != nil || res.Cost.Storage != 3 {
 		t.Fatalf("single node: %+v %v", res.Cost, err)
 	}
 }
@@ -193,7 +195,7 @@ func TestMSRExactOnRandomTrees(t *testing.T) {
 		minStorage := msrMinStorage(t, g)
 		total := g.TotalNodeStorage()
 		for _, s := range []graph.Cost{minStorage, (minStorage + total) / 2, total} {
-			got, err := MSR(bt, s, MSROptions{})
+			got, err := MSR(context.Background(), bt, s, MSROptions{})
 			if err != nil {
 				t.Fatalf("it %d s=%d: %v", it, s, err)
 			}
@@ -228,7 +230,7 @@ func TestMSRFrontierMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dp, err := MSRFrontier(bt, MSROptions{})
+		dp, err := MSRFrontier(context.Background(), bt, MSROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,9 +260,9 @@ func TestMSRBucketedStaysClose(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := g.TotalNodeStorage() * 2 / 3
-		exact, err := MSR(bt, s, MSROptions{})
+		exact, err := MSR(context.Background(), bt, s, MSROptions{})
 		if err != nil {
-			if errors.Is(err, ErrInfeasible) {
+			if errors.Is(err, core.ErrInfeasible) {
 				continue
 			}
 			t.Fatal(err)
@@ -270,7 +272,7 @@ func TestMSRBucketedStaysClose(t *testing.T) {
 			{Epsilon: 0.1, Geometric: true},
 			{Epsilon: 0.5, Geometric: true, MaxStates: 64},
 		} {
-			approx, err := MSR(bt, s, opt)
+			approx, err := MSR(context.Background(), bt, s, opt)
 			if err != nil {
 				t.Fatalf("it %d opts %+v: %v", it, opt, err)
 			}
@@ -297,9 +299,9 @@ func TestMSROnGraphHeuristicProperties(t *testing.T) {
 	for it := 0; it < 30; it++ {
 		g := graph.Random(graph.RandomOptions{Nodes: 2 + rng.Intn(5), ExtraEdges: rng.Intn(6), Bidirected: true}, rng)
 		s := g.TotalNodeStorage()*2/3 + 1
-		res, err := MSROnGraph(g, s, 0, MSROptions{})
+		res, err := MSROnGraph(context.Background(), g, s, MSROptions{})
 		if err != nil {
-			if errors.Is(err, ErrInfeasible) {
+			if errors.Is(err, core.ErrInfeasible) {
 				continue // tree restriction may make the budget infeasible
 			}
 			t.Fatalf("it %d: %v", it, err)
@@ -323,7 +325,7 @@ func TestBMROnGraphHeuristicProperties(t *testing.T) {
 		g := graph.Random(graph.RandomOptions{Nodes: 2 + rng.Intn(5), ExtraEdges: rng.Intn(6), Bidirected: true}, rng)
 		maxR := g.MaxEdgeRetrieval() * graph.Cost(g.N())
 		for _, r := range []graph.Cost{0, maxR / 2} {
-			res, err := BMROnGraph(g, r, 0)
+			res, err := BMROnGraph(context.Background(), g, r)
 			if err != nil {
 				t.Fatalf("it %d: %v", it, err)
 			}
@@ -347,18 +349,18 @@ func TestMSRSingleNodeAndEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MSR(bt, 7, MSROptions{})
+	res, err := MSR(context.Background(), bt, 7, MSROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cost.Storage != 7 || res.Cost.SumRetrieval != 0 {
 		t.Fatalf("single node %+v", res.Cost)
 	}
-	if _, err := MSR(bt, 6, MSROptions{}); !errors.Is(err, ErrInfeasible) {
+	if _, err := MSR(context.Background(), bt, 6, MSROptions{}); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v", err)
 	}
 	empty := graph.New("empty")
-	dp, err := MSRFrontierOnGraph(empty, 0, MSROptions{})
+	dp, err := MSRFrontierOnGraph(context.Background(), empty, MSROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +410,7 @@ func TestExtractSpanningTreeFallback(t *testing.T) {
 	if roots != 1 {
 		t.Fatalf("%d roots, want 1 (phantom-linked forest)", roots)
 	}
-	res, err := MSROnGraph(d, 26, 0, MSROptions{})
+	res, err := MSROnGraph(context.Background(), d, 26, MSROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,14 +440,14 @@ func TestSynthesizedEdgeNeverChosen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BMR(bt, 100)
+	res, err := BMR(context.Background(), bt, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Plan.Materialized[0] || res.Cost.Storage != 1_000_001 {
 		t.Fatalf("BMR chose an unrealizable plan: %+v", res.Cost)
 	}
-	msr, err := MSR(bt, graph.Infinite/2, MSROptions{})
+	msr, err := MSR(context.Background(), bt, graph.Infinite/2, MSROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

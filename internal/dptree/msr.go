@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/plan"
 )
@@ -118,12 +119,6 @@ type MSRDP struct {
 	tree   *BiTree
 	states []*msrState // root states sorted by sigma
 	stats  MSRStats
-}
-
-// MSRResult is one extracted solution.
-type MSRResult struct {
-	Plan *plan.Plan
-	Cost plan.Cost
 }
 
 // bucketer maps γ and ρ values to the discretization buckets of the DP's
@@ -550,13 +545,9 @@ type MSRStats struct {
 }
 
 // MSRFrontier runs DP-MSR over the whole tree and returns the handle to
-// extract solutions for any storage constraint.
-func MSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
-	return msrFrontier(context.Background(), t, opt)
-}
-
-// msrFrontier is MSRFrontier, checking ctx before every merge.
-func msrFrontier(ctx context.Context, t *BiTree, opt MSROptions) (*MSRDP, error) {
+// extract solutions for any storage constraint. It checks ctx before
+// every merge and returns ctx's error once ctx is done.
+func MSRFrontier(ctx context.Context, t *BiTree, opt MSROptions) (*MSRDP, error) {
 	n := t.N()
 	if n == 0 {
 		return &MSRDP{tree: t}, nil
@@ -578,7 +569,7 @@ func msrFrontier(ctx context.Context, t *BiTree, opt MSROptions) (*MSRDP, error)
 			if len(cur) == 0 {
 				// Only the PruneStorage bound can empty a state set: no
 				// partial solution fits, so no full solution can either.
-				return nil, fmt.Errorf("%w: storage prune bound %d unreachable at node %d", ErrInfeasible, r.pruneBound, v)
+				return nil, core.ErrInfeasible
 			}
 			states[c] = nil // children states stay reachable via chains
 		}
@@ -887,9 +878,9 @@ func (d *MSRDP) Frontier() *plan.Frontier {
 }
 
 // Best extracts the minimum-retrieval solution with storage ≤ s.
-func (d *MSRDP) Best(s graph.Cost) (MSRResult, error) {
+func (d *MSRDP) Best(s graph.Cost) (core.Solution, error) {
 	if d.tree.N() == 0 {
-		return MSRResult{Plan: plan.New(d.tree.G), Cost: plan.Cost{Feasible: true}}, nil
+		return core.Solution{Plan: plan.New(d.tree.G), Cost: plan.Cost{Feasible: true}}, nil
 	}
 	var chosen *msrState
 	for _, st := range d.states {
@@ -901,25 +892,25 @@ func (d *MSRDP) Best(s graph.Cost) (MSRResult, error) {
 		}
 	}
 	if chosen == nil {
-		return MSRResult{}, ErrInfeasible
+		return core.Solution{}, core.ErrInfeasible
 	}
 	return d.extract(chosen)
 }
 
-func (d *MSRDP) extract(root *msrState) (MSRResult, error) {
+func (d *MSRDP) extract(root *msrState) (core.Solution, error) {
 	p := plan.New(d.tree.G)
 	if err := d.reconstruct(p, d.tree.Root, root, true); err != nil {
-		return MSRResult{}, err
+		return core.Solution{}, err
 	}
 	c := plan.Evaluate(d.tree.G, p)
 	if !c.Feasible {
-		return MSRResult{}, errors.New("dptree: internal error, reconstructed MSR plan infeasible")
+		return core.Solution{}, errors.New("dptree: internal error, reconstructed MSR plan infeasible")
 	}
 	if c.Storage != root.sigma || c.SumRetrieval > root.rho {
-		return MSRResult{}, fmt.Errorf("dptree: internal error, plan (σ=%d, ρ=%d) does not match state (σ=%d, ρ=%d)",
+		return core.Solution{}, fmt.Errorf("dptree: internal error, plan (σ=%d, ρ=%d) does not match state (σ=%d, ρ=%d)",
 			c.Storage, c.SumRetrieval, root.sigma, root.rho)
 	}
-	return MSRResult{Plan: p, Cost: c}, nil
+	return core.Solution{Plan: p, Cost: c}, nil
 }
 
 // reconstruct walks a state chain, storing the deltas its merge decisions
@@ -960,49 +951,37 @@ func (d *MSRDP) reconstruct(p *plan.Plan, v graph.NodeID, final *msrState, keep 
 }
 
 // MSR solves MinSum Retrieval on a bidirectional tree under storage
-// constraint s. With zero options the answer is exact; with Epsilon /
-// MaxStates it is the Section 6.2 heuristic.
-func MSR(t *BiTree, s graph.Cost, opt MSROptions) (MSRResult, error) {
+// constraint s, checking ctx as MSRFrontier does. With zero options the
+// answer is exact; with Epsilon / MaxStates it is the Section 6.2
+// heuristic.
+func MSR(ctx context.Context, t *BiTree, s graph.Cost, opt MSROptions) (core.Solution, error) {
 	if opt.PruneStorage == 0 {
 		opt.PruneStorage = s
 	}
-	dp, err := MSRFrontier(t, opt)
+	dp, err := MSRFrontier(ctx, t, opt)
 	if err != nil {
-		return MSRResult{}, err
+		return core.Solution{}, err
 	}
 	return dp.Best(s)
 }
 
 // MSROnGraph runs the DP-MSR heuristic on an arbitrary version graph
-// (Section 6.2): extract a spanning bidirectional tree rooted at root and
-// run the tree DP on it.
-func MSROnGraph(g *graph.Graph, s graph.Cost, root graph.NodeID, opt MSROptions) (MSRResult, error) {
-	return MSROnGraphContext(context.Background(), g, s, root, opt)
+// (Section 6.2): extract a spanning bidirectional tree rooted at version
+// 0 and run MSR on it.
+func MSROnGraph(ctx context.Context, g *graph.Graph, s graph.Cost, opt MSROptions) (core.Solution, error) {
+	t, err := FromGraph(g, 0)
+	if err != nil {
+		return core.Solution{}, err
+	}
+	return MSR(ctx, t, s, opt)
 }
 
-// MSROnGraphContext is MSROnGraph under ctx: it checks ctx before every
-// merge of the DP and returns ctx's error once ctx is done.
-func MSROnGraphContext(ctx context.Context, g *graph.Graph, s graph.Cost, root graph.NodeID, opt MSROptions) (MSRResult, error) {
-	if opt.PruneStorage == 0 {
-		opt.PruneStorage = s
-	}
-	t, err := FromGraph(g, root)
-	if err != nil {
-		return MSRResult{}, err
-	}
-	dp, err := msrFrontier(ctx, t, opt)
-	if err != nil {
-		return MSRResult{}, err
-	}
-	return dp.Best(s)
-}
-
-// MSRFrontierOnGraph extracts a spanning bidirectional tree and returns
-// the full DP frontier handle.
-func MSRFrontierOnGraph(g *graph.Graph, root graph.NodeID, opt MSROptions) (*MSRDP, error) {
-	t, err := FromGraph(g, root)
+// MSRFrontierOnGraph extracts a spanning bidirectional tree rooted at
+// version 0 and returns the full DP frontier handle.
+func MSRFrontierOnGraph(ctx context.Context, g *graph.Graph, opt MSROptions) (*MSRDP, error) {
+	t, err := FromGraph(g, 0)
 	if err != nil {
 		return nil, err
 	}
-	return MSRFrontier(t, opt)
+	return MSRFrontier(ctx, t, opt)
 }

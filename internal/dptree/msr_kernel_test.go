@@ -2,6 +2,7 @@ package dptree
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/diff"
 	"repro/internal/graph"
 	"repro/internal/graphalg"
@@ -84,7 +86,7 @@ func sameError(got, want error) bool {
 	if got == nil || want == nil {
 		return got == nil && want == nil
 	}
-	return got.Error() == want.Error() && errors.Is(got, ErrInfeasible) == errors.Is(want, ErrInfeasible)
+	return got.Error() == want.Error() && errors.Is(got, core.ErrInfeasible) == errors.Is(want, core.ErrInfeasible)
 }
 
 // checkAgainstReference runs both kernels on bt and compares everything a
@@ -92,7 +94,7 @@ func sameError(got, want error) bool {
 // and the plan Best extracts at each of the budgets.
 func checkAgainstReference(t *testing.T, label string, bt *BiTree, opt MSROptions, budgets []graph.Cost) {
 	t.Helper()
-	got, gotErr := MSRFrontier(bt, opt)
+	got, gotErr := MSRFrontier(context.Background(), bt, opt)
 	want, wantErr := referenceMSRFrontier(bt, opt)
 	if !sameError(gotErr, wantErr) {
 		t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
@@ -329,7 +331,7 @@ func BenchmarkDPMSR_ReplanScale(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				dp, err := MSRFrontier(bt, opt)
+				dp, err := MSRFrontier(context.Background(), bt, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -352,11 +354,11 @@ func TestMergeKernelMatchesReferenceAtReplanScale(t *testing.T) {
 
 	// MSROnGraph, the re-plan's entry point, is that run: same tree, the
 	// prune bound filled in from the budget.
-	got, err := MSROnGraph(g, budget, 0, DefaultMSROptions(0, 0))
+	got, err := MSROnGraph(context.Background(), g, budget, DefaultMSROptions(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := MSRFrontier(bt, opt)
+	dp, err := MSRFrontier(context.Background(), bt, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +505,7 @@ func TestMSRStats(t *testing.T) {
 	merges := bt.N() - 1
 	for _, maxStates := range []int{0, 4, 256} {
 		opt := MSROptions{Epsilon: 0.05, Geometric: true, MaxStates: maxStates}
-		dp, err := MSRFrontier(bt, opt)
+		dp, err := MSRFrontier(context.Background(), bt, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,7 +530,7 @@ func TestMSRConcurrentRuns(t *testing.T) {
 	type instance struct {
 		g      *graph.Graph
 		budget graph.Cost
-		want   MSRResult
+		want   core.Solution
 	}
 	opt := DefaultMSROptions(0, 0)
 	instances := make([][]instance, workers)
@@ -536,7 +538,7 @@ func TestMSRConcurrentRuns(t *testing.T) {
 		for c := 0; c < calls; c++ {
 			g := replanScaleGraph(10+2*c+w, int64(100*w+c))
 			budget := 2 * minStorage(t, g)
-			want, err := MSROnGraph(g, budget, 0, opt)
+			want, err := MSROnGraph(context.Background(), g, budget, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -549,7 +551,7 @@ func TestMSRConcurrentRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for c, in := range instances[w] {
-				got, err := MSROnGraph(in.g, in.budget, 0, opt)
+				got, err := MSROnGraph(context.Background(), in.g, in.budget, opt)
 				if err != nil {
 					t.Errorf("worker %d call %d: %v", w, c, err)
 					return
@@ -592,7 +594,7 @@ func TestMSRRetainedHeap(t *testing.T) {
 		return after.HeapAlloc - before.HeapAlloc
 	}
 	want := retained(referenceMSRFrontier)
-	got := retained(MSRFrontier)
+	got := retained(func(t *BiTree, opt MSROptions) (*MSRDP, error) { return MSRFrontier(context.Background(), t, opt) })
 	t.Logf("retained heap: kernel %d B, reference %d B", got, want)
 	if got > want+want/10 {
 		t.Fatalf("a finished run retains %d B, the reference kernel %d B", got, want)

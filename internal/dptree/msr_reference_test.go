@@ -2,11 +2,11 @@ package dptree
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -84,7 +84,7 @@ func referenceMSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
 		for _, c := range t.Children[v] {
 			cur = referenceMergeChild(t, v, c, cur, states[c], b, pruneBound, opt.MaxStates)
 			if len(cur) == 0 {
-				return nil, fmt.Errorf("%w: storage prune bound %d unreachable at node %d", ErrInfeasible, pruneBound, v)
+				return nil, core.ErrInfeasible
 			}
 			states[c] = nil
 		}

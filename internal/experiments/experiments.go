@@ -8,6 +8,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -103,7 +105,8 @@ func scaledSpecs(cfg Config) []repogen.Spec {
 
 func msrSweep(g *graph.Graph, cfg Config, withILP bool) Result {
 	res := Result{Dataset: g.Name, XLabel: "storage", YLabel: "total retrieval"}
-	mst, err := core.MST(g)
+	ctx := context.Background()
+	mst, err := core.MST(ctx, g)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", g.Name, err))
 	}
@@ -122,31 +125,29 @@ func msrSweep(g *graph.Graph, cfg Config, withILP bool) Result {
 	lmgAllSeries := Series{Algorithm: "LMG-All"}
 	for _, s := range budgets {
 		start := time.Now()
-		r, err := lmg.LMG(g, s)
-		lmgSeries.Points = append(lmgSeries.Points, point(s, r.Cost.SumRetrieval, start, err))
+		r, err := lmg.LMG(ctx, g, s)
+		lmgSeries.Points = append(lmgSeries.Points, point(s, r.Cost.SumRetrieval, ms(start), err))
 		start = time.Now()
-		ra, err := lmg.LMGAll(g, s)
-		lmgAllSeries.Points = append(lmgAllSeries.Points, point(s, ra.Cost.SumRetrieval, start, err))
+		ra, err := lmg.LMGAll(ctx, g, s)
+		lmgAllSeries.Points = append(lmgAllSeries.Points, point(s, ra.Cost.SumRetrieval, ms(start), err))
 	}
 
 	// DP-MSR computes the whole frontier in one run; its run time is
 	// reported once for the sweep (the horizontal line of Figure 11).
 	dpSeries := Series{Algorithm: "DP-MSR"}
 	start := time.Now()
-	dp, err := dptree.MSRFrontierOnGraph(g, 0, dptree.MSROptions{
+	dp, err := dptree.MSRFrontierOnGraph(ctx, g, dptree.MSROptions{
 		Epsilon: cfg.Epsilon, Geometric: true, MaxStates: cfg.MaxStates,
 		PruneStorage: budgets[len(budgets)-1],
 	})
 	dpMillis := ms(start)
 	for _, s := range budgets {
-		if err != nil {
-			dpSeries.Points = append(dpSeries.Points, Point{Constraint: s, Infeasible: true, Millis: dpMillis})
-			continue
+		var best core.Solution
+		berr := err
+		if berr == nil {
+			best, berr = dp.Best(s)
 		}
-		best, berr := dp.Best(s)
-		p := point(s, best.Cost.SumRetrieval, start, berr)
-		p.Millis = dpMillis
-		dpSeries.Points = append(dpSeries.Points, p)
+		dpSeries.Points = append(dpSeries.Points, point(s, best.Cost.SumRetrieval, dpMillis, berr))
 	}
 
 	res.Series = append(res.Series, lmgSeries, lmgAllSeries, dpSeries)
@@ -156,13 +157,13 @@ func msrSweep(g *graph.Graph, cfg Config, withILP bool) Result {
 		for i, s := range budgets {
 			var seed *plan.Plan
 			if !lmgAllSeries.Points[i].Infeasible {
-				if r, err := lmg.LMGAll(g, s); err == nil {
+				if r, err := lmg.LMGAll(ctx, g, s); err == nil {
 					seed = r.Plan
 				}
 			}
 			start := time.Now()
 			r, err := ilp.SolveMSR(g, s, ilp.Options{MaxNodes: cfg.MaxILPNodes, Incumbent: seed})
-			p := point(s, r.Cost.SumRetrieval, start, err)
+			p := point(s, r.Cost.SumRetrieval, ms(start), err)
 			// A truncated branch-and-bound incumbent is a certified
 			// upper bound, not a proven optimum; mark it so tables
 			// render "≤x" (the paper's Gurobi proved these instances,
@@ -179,7 +180,8 @@ func bmrSweep(g *graph.Graph, cfg Config) Result {
 	res := Result{Dataset: g.Name, XLabel: "max retrieval", YLabel: "storage"}
 	// Retrieval range: 0 up to the max retrieval of the min-storage
 	// tree (beyond it the constraint stops binding).
-	mst, err := core.MST(g)
+	ctx := context.Background()
+	mst, err := core.MST(ctx, g)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", g.Name, err))
 	}
@@ -191,22 +193,28 @@ func bmrSweep(g *graph.Graph, cfg Config) Result {
 	for _, r := range bounds {
 		start := time.Now()
 		m, err := mp.Solve(g, r)
-		mpSeries.Points = append(mpSeries.Points, point(r, m.Cost.Storage, start, err))
+		mpSeries.Points = append(mpSeries.Points, point(r, m.Cost.Storage, ms(start), err))
 		start = time.Now()
-		d, err := dptree.BMROnGraph(g, r, 0)
-		dpSeries.Points = append(dpSeries.Points, point(r, d.Cost.Storage, start, err))
+		d, err := dptree.BMROnGraph(ctx, g, r)
+		dpSeries.Points = append(dpSeries.Points, point(r, d.Cost.Storage, ms(start), err))
 	}
 	res.Series = append(res.Series, mpSeries, dpSeries)
 	return res
 }
 
-func point(c, obj graph.Cost, start time.Time, err error) Point {
-	p := Point{Constraint: c, Millis: ms(start)}
-	if err != nil {
+// point is one sample at constraint c taking millis: objective obj, or,
+// given err, Infeasible for core.ErrInfeasible and Failed for any other
+// error (a timeout, an instance past a solver's size cap).
+func point(c, obj graph.Cost, millis float64, err error) Point {
+	p := Point{Constraint: c, Millis: millis}
+	switch {
+	case errors.Is(err, core.ErrInfeasible):
 		p.Infeasible = true
-		return p
+	case err != nil:
+		p.Failed = true
+	default:
+		p.Objective = obj
 	}
-	p.Objective = obj
 	return p
 }
 
@@ -430,14 +438,14 @@ func RenderTreewidths(rows []TreewidthRow) string {
 }
 
 // Winner returns the algorithm with the best (lowest) objective at the
-// largest constraint of the sweep, used by tests to check the paper's
-// qualitative claims.
+// largest constraint of the sweep, among those with one there, used by
+// tests to check the paper's qualitative claims.
 func Winner(r Result) string {
 	best := ""
 	bestObj := graph.Infinite
 	for _, s := range r.Series {
 		p := s.Points[len(s.Points)-1]
-		if !p.Infeasible && p.Objective < bestObj {
+		if !p.Infeasible && !p.Failed && p.Objective < bestObj {
 			best, bestObj = s.Algorithm, p.Objective
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dptree"
 	"repro/internal/graph"
 )
 
@@ -49,6 +50,9 @@ func checkSweep(t *testing.T, results []Result, algorithms ...string) {
 					last := s.Points[len(s.Points)-1]
 					if last.Infeasible {
 						t.Fatalf("%s/%s/%s: infeasible at loosest constraint", r.Figure, r.Dataset, want)
+					}
+					if last.Failed {
+						t.Fatalf("%s/%s/%s: failed at loosest constraint", r.Figure, r.Dataset, want)
 					}
 				}
 			}
@@ -129,6 +133,34 @@ func TestFigure13(t *testing.T) {
 	}
 }
 
+// TestBMRSweepPastDenseCap checks that a solver error other than
+// infeasibility shows as a failed point: DP-BMR refuses a chain one
+// version past its dense table's cap at every bound, while MP answers
+// every one of them.
+func TestBMRSweepPastDenseCap(t *testing.T) {
+	g := graph.New("chain")
+	for v := 0; v <= dptree.MaxDenseNodes; v++ {
+		g.AddNode(100)
+		if v > 0 {
+			g.AddEdge(graph.NodeID(v-1), graph.NodeID(v), 10, 10)
+		}
+	}
+	r := bmrSweep(g, Config{SweepPoints: 3})
+	for _, s := range r.Series {
+		for _, p := range s.Points {
+			switch {
+			case s.Algorithm == "DP-BMR" && (!p.Failed || p.Infeasible):
+				t.Fatalf("DP-BMR at %d: %+v, want failed", p.Constraint, p)
+			case s.Algorithm == "MP" && (p.Failed || p.Infeasible):
+				t.Fatalf("MP at %d: %+v, want a plan", p.Constraint, p)
+			}
+		}
+	}
+	if w := Winner(r); w != "MP" {
+		t.Fatalf("winner %q, want MP", w)
+	}
+}
+
 func TestTheorem1Experiment(t *testing.T) {
 	rows := Theorem1([]graph.Cost{10, 50})
 	if len(rows) != 2 {
@@ -176,6 +208,11 @@ func TestSweepAndWinner(t *testing.T) {
 	}}
 	if Winner(r) != "B" {
 		t.Fatal("winner wrong")
+	}
+	// A failed point has no objective, so it wins nothing.
+	r.Series = append(r.Series, Series{Algorithm: "C", Points: []Point{{Failed: true}}})
+	if Winner(r) != "B" {
+		t.Fatal("a failed last point won")
 	}
 	SortSeries(&r)
 	if r.Series[0].Algorithm != "A" {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -63,31 +62,13 @@ func portfolioSweep(g *graph.Graph, problem core.Problem, constraints []graph.Co
 		r, err := eng.Solve(context.Background(), g, problem, c)
 		var wall float64
 		for _, rep := range r.Reports {
-			p := Point{Constraint: c, Millis: float64(rep.Duration.Microseconds()) / 1000}
-			switch {
-			case errors.Is(rep.Err, core.ErrInfeasible):
-				p.Infeasible = true
-			case rep.Err != nil: // timeout or solver failure, not infeasibility
-				p.Failed = true
-			default:
-				p.Objective = portfolio.Objective(problem, rep.Cost)
-			}
-			if p.Millis > wall {
-				wall = p.Millis
-			}
+			millis := float64(rep.Duration.Microseconds()) / 1000
+			p := point(c, portfolio.Objective(problem, rep.Cost), millis, rep.Err)
+			wall = max(wall, p.Millis)
 			s := series(rep.Solver)
 			s.Points = append(s.Points, p)
 		}
-		bp := Point{Constraint: c, Millis: wall}
-		switch {
-		case errors.Is(err, core.ErrInfeasible):
-			bp.Infeasible = true
-		case err != nil:
-			bp.Failed = true
-		default:
-			bp.Objective = portfolio.Objective(problem, r.Solution.Cost)
-		}
-		best.Points = append(best.Points, bp)
+		best.Points = append(best.Points, point(c, portfolio.Objective(problem, r.Solution.Cost), wall, err))
 	}
 	for _, name := range order {
 		res.Series = append(res.Series, *bySolver[name])
@@ -104,7 +85,7 @@ func portfolioSweep(g *graph.Graph, problem core.Problem, constraints []graph.Co
 func PortfolioComparison(cfg Config) []Result {
 	var out []Result
 	for _, g := range figureDatasets(cfg, "datasharing", "styleguide") {
-		mst, err := core.MST(g)
+		mst, err := core.MST(context.Background(), g)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", g.Name, err))
 		}
@@ -119,7 +100,7 @@ func PortfolioComparison(cfg Config) []Result {
 		out = append(out, r)
 	}
 	for _, g := range figureDatasets(cfg, "styleguide", "freeCodeCamp") {
-		mst, err := core.MST(g)
+		mst, err := core.MST(context.Background(), g)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", g.Name, err))
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -20,11 +21,11 @@ func Theorem1(ratios []graph.Cost) []Theorem1Row {
 		b := ratio
 		c := b * ratio
 		g, s := reductions.AdversarialLMG(1_000_000*ratio, b, c)
-		lmgRes, err := lmg.LMG(g, s)
+		lmgRes, err := lmg.LMG(context.Background(), g, s)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: theorem1 LMG: %v", err))
 		}
-		lmgAllRes, err := lmg.LMGAll(g, s)
+		lmgAllRes, err := lmg.LMGAll(context.Background(), g, s)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: theorem1 LMG-All: %v", err))
 		}
@@ -32,7 +33,7 @@ func Theorem1(ratios []graph.Cost) []Theorem1Row {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: theorem1 OPT: %v", err))
 		}
-		dp, err := dptree.MSROnGraph(g, s, 0, dptree.MSROptions{})
+		dp, err := dptree.MSROnGraph(context.Background(), g, s, dptree.MSROptions{})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: theorem1 DP: %v", err))
 		}

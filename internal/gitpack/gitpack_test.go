@@ -1,6 +1,7 @@
 package gitpack
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestGitPackLosesToVersionAwareMethods(t *testing.T) {
 		AvgNodeCost: 1_000_000, AvgDeltaCost: 8_000, BranchProb: 0.2, Seed: 9,
 	})
 	git := Solve(g, Options{Window: 10})
-	smart, err := lmg.LMGAll(g, git.Cost.Storage)
+	smart, err := lmg.LMGAll(context.Background(), g, git.Cost.Storage)
 	if err != nil {
 		t.Fatal(err)
 	}

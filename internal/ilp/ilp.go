@@ -1,10 +1,10 @@
 package ilp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/plan"
 )
@@ -22,17 +22,13 @@ type Options struct {
 
 // Result is an exact (or best-found) MSR solution.
 type Result struct {
-	Plan *plan.Plan
-	Cost plan.Cost
+	core.Solution
 	// Proven reports whether optimality was proven before hitting
 	// MaxNodes.
 	Proven bool
 	// Nodes is the number of branch-and-bound nodes explored.
 	Nodes int
 }
-
-// ErrInfeasible reports that no plan satisfies the storage constraint.
-var ErrInfeasible = errors.New("ilp: storage constraint infeasible")
 
 const intTol = 1e-5
 
@@ -50,7 +46,7 @@ const intTol = 1e-5
 // is on fractional I_e; bounds come from the LP relaxation.
 func SolveMSR(g *graph.Graph, s graph.Cost, opt Options) (Result, error) {
 	if g.N() == 0 {
-		return Result{Plan: plan.New(g), Cost: plan.Cost{Feasible: true}, Proven: true}, nil
+		return Result{Solution: core.Solution{Plan: plan.New(g), Cost: plan.Cost{Feasible: true}}, Proven: true}, nil
 	}
 	x := graph.Extend(g)
 	mEdges := x.M()
@@ -209,9 +205,9 @@ func SolveMSR(g *graph.Graph, s graph.Cost, opt Options) (Result, error) {
 		if incomplete {
 			return Result{Nodes: nodes}, fmt.Errorf("ilp: no incumbent within %d nodes", nodes)
 		}
-		return Result{Nodes: nodes}, ErrInfeasible
+		return Result{Nodes: nodes}, core.ErrInfeasible
 	}
-	return Result{Plan: best, Cost: bestCost, Proven: !incomplete, Nodes: nodes}, nil
+	return Result{Solution: core.Solution{Plan: best, Cost: bestCost}, Proven: !incomplete, Nodes: nodes}, nil
 }
 
 func cloneFixed(m map[int]float64) map[int]float64 {

@@ -26,7 +26,6 @@ package lmg
 
 import (
 	"context"
-	"errors"
 	"math/bits"
 
 	"repro/internal/core"
@@ -34,17 +33,6 @@ import (
 	"repro/internal/graphalg"
 	"repro/internal/plan"
 )
-
-// ErrInfeasible reports that even the minimum-storage plan exceeds the
-// storage constraint.
-var ErrInfeasible = errors.New("lmg: storage constraint below minimum storage")
-
-// Result is the outcome of a greedy run.
-type Result struct {
-	Plan       *plan.Plan
-	Cost       plan.Cost
-	Iterations int // number of accepted greedy moves
-}
 
 // ratioLess reports whether ratio a = an/ad is strictly less than
 // b = bn/bd. All numerators/denominators must be positive. Comparison is
@@ -102,15 +90,12 @@ func (m move) better(cur move) bool {
 
 // LMG runs Algorithm 1: repeatedly materialize the version with the best
 // retrieval-reduction per storage-increase ratio until the storage
-// constraint S would be violated or no move improves the solution.
-func LMG(g *graph.Graph, s graph.Cost) (Result, error) {
-	return LMGContext(context.Background(), g, s)
-}
-
-// LMGContext is LMG under ctx: it checks ctx before every move and
-// returns ctx's error once ctx is done. It starts from the min-storage
-// arborescence ctx carries for g (core.WithMinStorage), if any.
-func LMGContext(ctx context.Context, g *graph.Graph, s graph.Cost) (Result, error) {
+// constraint S would be violated or no move improves the solution. It
+// checks ctx before every move and returns ctx's error once ctx is done,
+// and starts from the min-storage arborescence ctx carries for g
+// (core.WithMinStorage), if any. A budget below the min storage is
+// core.ErrInfeasible.
+func LMG(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
 	return run(ctx, g, s, false)
 }
 
@@ -120,39 +105,32 @@ func LMGContext(ctx context.Context, g *graph.Graph, s graph.Cost) (Result, erro
 // keep) storage while strictly improving the solution are taken eagerly
 // (infinite ratio), matching lines 11–12 of Algorithm 7 with a strictness
 // guard that guarantees termination.
-func LMGAll(g *graph.Graph, s graph.Cost) (Result, error) {
-	return LMGAllContext(context.Background(), g, s)
-}
-
-// LMGAllContext is LMGAll under ctx, as LMGContext is LMG.
-func LMGAllContext(ctx context.Context, g *graph.Graph, s graph.Cost) (Result, error) {
+func LMGAll(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
 	return run(ctx, g, s, true)
 }
 
 // run is the move loop of both heuristics: all selects LMG-All's
 // candidates and filter over LMG's.
-func run(ctx context.Context, g *graph.Graph, s graph.Cost, all bool) (Result, error) {
+func run(ctx context.Context, g *graph.Graph, s graph.Cost, all bool) (core.Solution, error) {
 	gr, err := start(ctx, g, s, all)
 	if err != nil {
-		return Result{}, err
+		return core.Solution{}, err
 	}
-	iterations := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return Result{}, err
+			return core.Solution{}, err
 		}
 		m, ok := gr.best()
 		if !ok {
 			break
 		}
 		gr.apply(m)
-		iterations++
 	}
 	p, err := plan.FromExtendedTree(gr.x, gr.t.ParentEdge[:g.N()])
 	if err != nil {
-		return Result{}, err
+		return core.Solution{}, err
 	}
-	return Result{Plan: p, Cost: plan.Evaluate(g, p), Iterations: iterations}, nil
+	return core.Solution{Plan: p, Cost: plan.Evaluate(g, p)}, nil
 }
 
 // start builds the tree of g's min-storage arborescence and its
@@ -169,7 +147,7 @@ func start(ctx context.Context, g *graph.Graph, s graph.Cost, all bool) (*greedy
 	}
 	storage := t.StorageCost()
 	if storage > s {
-		return nil, ErrInfeasible
+		return nil, core.ErrInfeasible
 	}
 	gr := &greedy{x: x, t: t, all: all, storage: storage, budget: s,
 		ready: newQueue(x.M(), false), aside: newQueue(x.M(), true)}

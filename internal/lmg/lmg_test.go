@@ -41,7 +41,7 @@ func TestTheorem1LMGArbitrarilyBad(t *testing.T) {
 		t.Fatal("adversarial instance must satisfy the triangle inequality")
 	}
 	s := graph.Cost(1_000_000 + 99 + 10_000)
-	res, err := LMG(g, s)
+	res, err := LMG(context.Background(), g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestTheorem1LMGArbitrarilyBad(t *testing.T) {
 func TestLMGFigure1(t *testing.T) {
 	g := graph.Figure1()
 	// Generous budget: everything materialized, retrieval 0.
-	res, err := LMG(g, g.TotalNodeStorage())
+	res, err := LMG(context.Background(), g, g.TotalNodeStorage())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestLMGFigure1(t *testing.T) {
 		t.Fatalf("unconstrained LMG retrieval %d", res.Cost.SumRetrieval)
 	}
 	// Infeasible budget.
-	if _, err := LMG(g, 100); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("err = %v, want ErrInfeasible", err)
+	if _, err := LMG(context.Background(), g, 100); !errors.Is(err, core.ErrInfeasible) {
+		t.Fatalf("err = %v, want core.ErrInfeasible", err)
 	}
-	if _, err := LMGAll(g, 100); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("err = %v, want ErrInfeasible", err)
+	if _, err := LMGAll(context.Background(), g, 100); !errors.Is(err, core.ErrInfeasible) {
+		t.Fatalf("err = %v, want core.ErrInfeasible", err)
 	}
 }
 
@@ -91,7 +91,7 @@ func TestHeuristicsFeasibleAndAboveOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for it := 0; it < 60; it++ {
 		g := randomInstance(rng)
-		mst, err := core.MST(g)
+		mst, err := core.MST(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,9 +108,9 @@ func TestHeuristicsFeasibleAndAboveOptimum(t *testing.T) {
 			if err != nil {
 				t.Fatalf("it %d: %v", it, err)
 			}
-			for name, run := range map[string]func() (Result, error){
-				"LMG":    func() (Result, error) { return LMG(g, s) },
-				"LMGAll": func() (Result, error) { return LMGAll(g, s) },
+			for name, run := range map[string]func() (core.Solution, error){
+				"LMG":    func() (core.Solution, error) { return LMG(context.Background(), g, s) },
+				"LMGAll": func() (core.Solution, error) { return LMGAll(context.Background(), g, s) },
 			} {
 				res, err := run()
 				if err != nil {
@@ -143,7 +143,7 @@ func TestLMGAllTerminatesOnZeroCostEdges(t *testing.T) {
 	g.AddBiEdge(1, 2, 0, 0)
 	g.AddBiEdge(2, 3, 0, 0)
 	g.AddBiEdge(0, 3, 0, 0)
-	res, err := LMGAll(g, 40)
+	res, err := LMGAll(context.Background(), g, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +174,9 @@ func TestRatioLess(t *testing.T) {
 
 func TestSingleNode(t *testing.T) {
 	g := graph.NewWithNodes("one", 1, 42)
-	for _, run := range []func() (Result, error){
-		func() (Result, error) { return LMG(g, 42) },
-		func() (Result, error) { return LMGAll(g, 42) },
+	for _, run := range []func() (core.Solution, error){
+		func() (core.Solution, error) { return LMG(context.Background(), g, 42) },
+		func() (core.Solution, error) { return LMGAll(context.Background(), g, 42) },
 	} {
 		res, err := run()
 		if err != nil {
@@ -307,16 +307,16 @@ func (t *referenceTree) reattach(v graph.NodeID, id graph.EdgeID) {
 
 // referenceRun is the reference move loop: scan picks the best move of
 // each round. It returns the moves made and the final result.
-func referenceRun(g *graph.Graph, s graph.Cost, scan func(*graph.Extended, *referenceTree, graph.Cost, graph.Cost) (move, bool)) ([]move, Result, error) {
+func referenceRun(g *graph.Graph, s graph.Cost, scan func(*graph.Extended, *referenceTree, graph.Cost, graph.Cost) (move, bool)) ([]move, core.Solution, error) {
 	x := graph.Extend(g)
 	parents, _, err := graphalg.MinArborescence(x.Graph, x.Aux, graphalg.StorageWeight)
 	if err != nil {
-		return nil, Result{}, err
+		return nil, core.Solution{}, err
 	}
 	t := newReferenceTree(x.Graph, x.Aux, parents)
 	storage := t.storageCost()
 	if storage > s {
-		return nil, Result{}, ErrInfeasible
+		return nil, core.Solution{}, core.ErrInfeasible
 	}
 	var moves []move
 	for {
@@ -330,13 +330,13 @@ func referenceRun(g *graph.Graph, s graph.Cost, scan func(*graph.Extended, *refe
 	}
 	p, err := plan.FromExtendedTree(x, t.parentEdge[:g.N()])
 	if err != nil {
-		return nil, Result{}, err
+		return nil, core.Solution{}, err
 	}
-	return moves, Result{Plan: p, Cost: plan.Evaluate(g, p), Iterations: len(moves)}, nil
+	return moves, core.Solution{Plan: p, Cost: plan.Evaluate(g, p)}, nil
 }
 
 // referenceLMG is Algorithm 1 as a node loop per move.
-func referenceLMG(g *graph.Graph, s graph.Cost) ([]move, Result, error) {
+func referenceLMG(g *graph.Graph, s graph.Cost) ([]move, core.Solution, error) {
 	return referenceRun(g, s, func(x *graph.Extended, t *referenceTree, storage, s graph.Cost) (move, bool) {
 		var best move
 		found := false
@@ -362,7 +362,7 @@ func referenceLMG(g *graph.Graph, s graph.Cost) ([]move, Result, error) {
 }
 
 // referenceLMGAll is Algorithm 7 as a scan of every edge per move.
-func referenceLMGAll(g *graph.Graph, s graph.Cost) ([]move, Result, error) {
+func referenceLMGAll(g *graph.Graph, s graph.Cost) ([]move, core.Solution, error) {
 	return referenceRun(g, s, func(x *graph.Extended, t *referenceTree, storage, s graph.Cost) (move, bool) {
 		var best move
 		found := false
@@ -432,8 +432,8 @@ func matchReference(t testing.TB, name string, g *graph.Graph, s graph.Cost) int
 	for _, alg := range []struct {
 		name string
 		all  bool
-		ref  func(*graph.Graph, graph.Cost) ([]move, Result, error)
-		run  func(*graph.Graph, graph.Cost) (Result, error)
+		ref  func(*graph.Graph, graph.Cost) ([]move, core.Solution, error)
+		run  func(context.Context, *graph.Graph, graph.Cost) (core.Solution, error)
 	}{
 		{"LMG", false, referenceLMG, LMG},
 		{"LMG-All", true, referenceLMGAll, LMGAll},
@@ -459,7 +459,7 @@ func matchReference(t testing.TB, name string, g *graph.Graph, s graph.Cost) int
 					name, alg.name, s, i, got, want, len(gotMoves), len(wantMoves))
 			}
 		}
-		res, err := alg.run(g, s)
+		res, err := alg.run(context.Background(), g, s)
 		if !errors.Is(err, wantErr) {
 			t.Fatalf("%s %s s=%d: error %v, reference %v", name, alg.name, s, err, wantErr)
 		}
@@ -487,7 +487,7 @@ func TestLMGMovesMatchReference(t *testing.T) {
 		graphs[name] = g
 	}
 	for name, g := range graphs {
-		mst, err := core.MST(g)
+		mst, err := core.MST(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -524,7 +524,7 @@ func fuzzInstance(data []byte) (*graph.Graph, graph.Cost) {
 			g.AddEdge(u, v, graph.Cost(at(i+2)%8), graph.Cost(at(i+3)%8))
 		}
 	}
-	mst, err := core.MST(g)
+	mst, err := core.MST(context.Background(), g)
 	if err != nil {
 		panic(err)
 	}

@@ -14,15 +14,10 @@ package mp
 import (
 	"container/heap"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/plan"
 )
-
-// Result is the outcome of an MP run.
-type Result struct {
-	Plan *plan.Plan
-	Cost plan.Cost
-}
 
 type item struct {
 	edge    graph.EdgeID
@@ -52,8 +47,9 @@ func (q *pq) Pop() interface{} {
 	return it
 }
 
-// Solve runs MP on g under max-retrieval constraint r.
-func Solve(g *graph.Graph, r graph.Cost) (Result, error) {
+// Solve runs MP on g under max-retrieval constraint r. A negative r is
+// core.ErrInfeasible.
+func Solve(g *graph.Graph, r graph.Cost) (core.Solution, error) {
 	x := graph.Extend(g)
 	n := x.N()
 	inTree := make([]bool, n)
@@ -92,13 +88,13 @@ func Solve(g *graph.Graph, r graph.Cost) (Result, error) {
 		add(e.To)
 	}
 	if joined < n {
-		// Cannot happen on extended graphs with r ≥ 0 (auxiliary edges
-		// always admissible) but kept for defensive clarity.
-		return Result{}, plan.ErrNotExtendedTree
+		// Only a negative r leaves a version out: it rules out even the
+		// auxiliary edges, which retrieve for 0.
+		return core.Solution{}, core.ErrInfeasible
 	}
 	p, err := plan.FromExtendedTree(x, parentEdge[:g.N()])
 	if err != nil {
-		return Result{}, err
+		return core.Solution{}, err
 	}
-	return Result{Plan: p, Cost: plan.Evaluate(g, p)}, nil
+	return core.Solution{Plan: p, Cost: plan.Evaluate(g, p)}, nil
 }

@@ -64,7 +64,7 @@ func TestEnginePlanInvariants(t *testing.T) {
 			ExtraEdges: rng.Intn(8),
 			Bidirected: true,
 		}, rng)
-		mst, err := core.MST(g)
+		mst, err := core.MST(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func TestDifferentialMSR(t *testing.T) {
 	ctx := context.Background()
 	for iter := 0; iter < 30; iter++ {
 		g := smallGraph(rng)
-		mst, err := core.MST(g)
+		mst, err := core.MST(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestDifferentialBMR(t *testing.T) {
 	ctx := context.Background()
 	for iter := 0; iter < 30; iter++ {
 		g := smallGraph(rng)
-		mst, err := core.MST(g)
+		mst, err := core.MST(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestDifferentialMMRAndBSR(t *testing.T) {
 	ctx := context.Background()
 	for iter := 0; iter < 15; iter++ {
 		g := smallGraph(rng)
-		mst, err := core.MST(g)
+		mst, err := core.MST(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}

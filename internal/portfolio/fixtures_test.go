@@ -38,7 +38,7 @@ func TestAdversarialFixtures(t *testing.T) {
 	ss := reductions.SubsetSumToMSR(reductions.SubsetSum{Values: []graph.Cost{7, 5, 4, 3}, Target: 9}, 10_000)
 	fixtures = append(fixtures, fixture{"subsetsum", ss.G, core.ProblemMSR, ss.Constraint, 0})
 
-	oracle := map[core.Problem]func(*graph.Graph, graph.Cost, int64) (bruteforce.Result, error){
+	oracle := map[core.Problem]func(*graph.Graph, graph.Cost, int64) (core.Solution, error){
 		core.ProblemMSR: bruteforce.SolveMSR, core.ProblemBMR: bruteforce.SolveBMR,
 	}
 	e := New(Options{})

@@ -9,9 +9,12 @@
 // comparing offline, it races every member registered for a problem
 // concurrently, with per-solver timeouts and cooperative cancellation,
 // and returns the best feasible solution found plus a per-solver report
-// (cost, wall time, error). Every Solve is a race: the version graph
-// grows with each commit, so an instance does not come back to be
-// remembered.
+// (cost, wall time, error). Every solver package returns core.Solution
+// and reports a constraint it cannot meet as core.ErrInfeasible, so the
+// registry lists most members as they are and the engine tells an
+// infeasible member from a failed one with errors.Is. Every Solve is a
+// race: the version graph grows with each commit, so an instance does
+// not come back to be remembered.
 package portfolio
 
 import (

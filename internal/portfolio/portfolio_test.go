@@ -8,8 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bruteforce"
 	"repro/internal/core"
+	"repro/internal/dptree"
 	"repro/internal/graph"
+	"repro/internal/ilp"
+	"repro/internal/lmg"
+	"repro/internal/mp"
 )
 
 func testGraph(seed int64, nodes int) *graph.Graph {
@@ -21,7 +26,7 @@ func testGraph(seed int64, nodes int) *graph.Graph {
 // and materializing everything.
 func msrBudget(t *testing.T, g *graph.Graph) graph.Cost {
 	t.Helper()
-	mst, err := core.MST(g)
+	mst, err := core.MST(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +138,7 @@ func TestRaceSharesMinStorage(t *testing.T) {
 		mu.Lock()
 		seen = append(seen, m)
 		mu.Unlock()
-		return core.MST(g)
+		return core.MST(context.Background(), g)
 	}}
 	e := New(Options{Registry: func(core.Problem) []Solver { return []Solver{probe, probe, probe} }})
 	for race := 0; race < 2; race++ {
@@ -235,13 +240,83 @@ func TestCancelInsideSolver(t *testing.T) {
 	}
 }
 
-// TestInfeasibleAggregation checks that a constraint no solver can meet
-// comes back as core.ErrInfeasible.
+// TestInfeasibleAggregation checks the solver contract: at a constraint
+// nothing meets, every registry member, the ILP, each solver package's
+// entry point and the engine's race return core.ErrInfeasible
+// themselves, and at a generous one each returns a valid plan within it.
 func TestInfeasibleAggregation(t *testing.T) {
 	g := testGraph(5, 8)
+	ctx := context.Background()
+	mst, err := core.MST(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No plan stores less than the min storage or retrieves for less
+	// than 0; materializing every version meets any budget of its
+	// storage and any retrieval bound of 0 or more.
+	tight := map[core.Problem]graph.Cost{
+		core.ProblemMSR: mst.Cost.Storage - 1, core.ProblemMMR: mst.Cost.Storage - 1,
+		core.ProblemBMR: -1, core.ProblemBSR: -1,
+	}
+	loose := map[core.Problem]graph.Cost{
+		core.ProblemMSR: g.TotalNodeStorage(), core.ProblemMMR: g.TotalNodeStorage(),
+		core.ProblemBMR: mst.Cost.MaxRetrieval, core.ProblemBSR: mst.Cost.SumRetrieval,
+	}
+	type call struct {
+		name    string
+		problem core.Problem
+		solve   func(graph.Cost) (core.Solution, error)
+	}
+	onG := func(solve func(context.Context, *graph.Graph, graph.Cost) (core.Solution, error)) func(graph.Cost) (core.Solution, error) {
+		return func(c graph.Cost) (core.Solution, error) { return solve(ctx, g, c) }
+	}
+	var calls []call
 	e := New(Options{})
-	if _, err := e.Solve(context.Background(), g, core.ProblemMSR, 0); !errors.Is(err, core.ErrInfeasible) {
-		t.Fatalf("err = %v, want core.ErrInfeasible", err)
+	for _, p := range []core.Problem{core.ProblemMSR, core.ProblemBMR, core.ProblemMMR, core.ProblemBSR} {
+		for _, s := range DefaultRegistry(Tuning{})(p) {
+			calls = append(calls, call{p.String() + "/" + s.Name, p, onG(s.Solve)})
+		}
+		calls = append(calls, call{p.String() + "/engine", p, func(c graph.Cost) (core.Solution, error) {
+			r, err := e.Solve(ctx, g, p, c)
+			return r.Solution, err
+		}})
+	}
+	ilpMember, err := Member(Tuning{}, core.ProblemMSR, "ilp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dpOpts := dptree.DefaultMSROptions(0, 0)
+	calls = append(calls,
+		call{"MSR/" + ilpMember.Name, core.ProblemMSR, onG(ilpMember.Solve)},
+		call{"lmg.LMG", core.ProblemMSR, onG(lmg.LMG)},
+		call{"lmg.LMGAll", core.ProblemMSR, onG(lmg.LMGAll)},
+		call{"dptree.MSROnGraph", core.ProblemMSR, func(c graph.Cost) (core.Solution, error) { return dptree.MSROnGraph(ctx, g, c, dpOpts) }},
+		call{"dptree.BMROnGraph", core.ProblemBMR, onG(dptree.BMROnGraph)},
+		call{"mp.Solve", core.ProblemBMR, func(c graph.Cost) (core.Solution, error) { return mp.Solve(g, c) }},
+		call{"ilp.SolveMSR", core.ProblemMSR, func(c graph.Cost) (core.Solution, error) {
+			r, err := ilp.SolveMSR(g, c, ilp.Options{})
+			return r.Solution, err
+		}},
+		call{"bruteforce.SolveMSR", core.ProblemMSR, func(c graph.Cost) (core.Solution, error) { return bruteforce.SolveMSR(g, c, 0) }},
+		call{"bruteforce.SolveMMR", core.ProblemMMR, func(c graph.Cost) (core.Solution, error) { return bruteforce.SolveMMR(g, c, 0) }},
+		call{"bruteforce.SolveBSR", core.ProblemBSR, func(c graph.Cost) (core.Solution, error) { return bruteforce.SolveBSR(g, c, 0) }},
+		call{"bruteforce.SolveBMR", core.ProblemBMR, func(c graph.Cost) (core.Solution, error) { return bruteforce.SolveBMR(g, c, 0) }},
+	)
+	for _, c := range calls {
+		if _, err := c.solve(tight[c.problem]); !errors.Is(err, core.ErrInfeasible) {
+			t.Errorf("%s at %d: err = %v, want core.ErrInfeasible", c.name, tight[c.problem], err)
+		}
+		sol, err := c.solve(loose[c.problem])
+		if err != nil {
+			t.Errorf("%s at %d: %v", c.name, loose[c.problem], err)
+			continue
+		}
+		if err := sol.Plan.Validate(g); err != nil {
+			t.Errorf("%s at %d: %v", c.name, loose[c.problem], err)
+		}
+		if err := checkConstraint(c.problem, loose[c.problem], sol.Cost); err != nil {
+			t.Errorf("%s at %d: %v", c.name, loose[c.problem], err)
+		}
 	}
 }
 

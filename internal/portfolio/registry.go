@@ -2,7 +2,6 @@ package portfolio
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/lmg"
 	"repro/internal/mp"
-	"repro/internal/plan"
 )
 
 // Tuning parameterizes the default registry's solvers.
@@ -29,55 +27,29 @@ type Tuning struct {
 	MaxILPNodes int
 }
 
-// wrap converts a concrete solver outcome to a core.Solution, folding the
-// solver's infeasibility sentinel into core.ErrInfeasible so the engine
-// can aggregate across solver families.
-func wrap(p *plan.Plan, c plan.Cost, err, infeasible error) (core.Solution, error) {
-	if err != nil {
-		if infeasible != nil && errors.Is(err, infeasible) {
-			return core.Solution{}, core.ErrInfeasible
-		}
-		return core.Solution{}, err
-	}
-	return core.Solution{Plan: p, Cost: c}, nil
-}
-
 // DefaultRegistry is the one declaration of the paper's serving line-up
 // (Section 7): LMG, LMG-All and DP-MSR for MSR; MP and DP-BMR for BMR;
 // the Lemma 7 binary-search lifts of the BMR members for MMR and of
 // DP-MSR and LMG-All for BSR; and the polynomial MST/SPT baselines for
 // the unconstrained problems. The engine races a problem's members in
 // this order; Member picks one of them, or the offline ILP, by family.
-// Each closure applies the tuning and folds its solver's infeasibility
-// sentinel here, so no caller repeats either. The tree DPs and SPT root
-// at version 0.
+// Every member returns core.Solution and reports a constraint it cannot
+// meet as core.ErrInfeasible, so LMG, LMG-All and DP-BMR are listed as
+// they are; a closure is left only where a member needs the tuning
+// (DP-MSR), takes no context (MP) or takes no constraint (the
+// baselines). The tree DPs and SPT root at version 0.
 func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 	dpOpts := dptree.DefaultMSROptions(t.Epsilon, t.MaxStates)
 
-	lmgS := Solver{Name: "LMG", Family: "lmg", Solve: func(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
-		r, err := lmg.LMGContext(ctx, g, s)
-		return wrap(r.Plan, r.Cost, err, lmg.ErrInfeasible)
-	}}
-	lmgAllS := Solver{Name: "LMG-All", Family: "lmg-all", Solve: func(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
-		r, err := lmg.LMGAllContext(ctx, g, s)
-		return wrap(r.Plan, r.Cost, err, lmg.ErrInfeasible)
-	}}
+	lmgS := Solver{Name: "LMG", Family: "lmg", Solve: lmg.LMG}
+	lmgAllS := Solver{Name: "LMG-All", Family: "lmg-all", Solve: lmg.LMGAll}
 	dpMSR := Solver{Name: "DP-MSR", Family: "dp", Solve: func(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
-		r, err := dptree.MSROnGraphContext(ctx, g, s, 0, dpOpts)
-		return wrap(r.Plan, r.Cost, err, dptree.ErrInfeasible)
+		return dptree.MSROnGraph(ctx, g, s, dpOpts)
 	}}
-
-	// MP has no sentinel of its own: its tree grows from the auxiliary
-	// root, whose edges retrieve for 0, so it comes back without a tree
-	// (plan.ErrNotExtendedTree) exactly when the bound is negative.
 	mpS := Solver{Name: "MP", Family: "mp", Solve: func(_ context.Context, g *graph.Graph, r graph.Cost) (core.Solution, error) {
-		res, err := mp.Solve(g, r)
-		return wrap(res.Plan, res.Cost, err, plan.ErrNotExtendedTree)
+		return mp.Solve(g, r)
 	}}
-	dpBMR := Solver{Name: "DP-BMR", Family: "dp", Solve: func(ctx context.Context, g *graph.Graph, r graph.Cost) (core.Solution, error) {
-		res, err := dptree.BMROnGraphContext(ctx, g, r, 0)
-		return wrap(res.Plan, res.Cost, err, dptree.ErrInfeasible)
-	}}
+	dpBMR := Solver{Name: "DP-BMR", Family: "dp", Solve: dptree.BMROnGraph}
 
 	// lift is Lemma 7: a bounded solver searched by via answers the min
 	// problem. The probe checks ctx, so a lift stops between probes even
@@ -96,8 +68,8 @@ func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 	}
 
 	table := map[core.Problem][]Solver{
-		core.ProblemMST: {{Name: "MST", Solve: func(_ context.Context, g *graph.Graph, _ graph.Cost) (core.Solution, error) {
-			return core.MST(g)
+		core.ProblemMST: {{Name: "MST", Solve: func(ctx context.Context, g *graph.Graph, _ graph.Cost) (core.Solution, error) {
+			return core.MST(ctx, g)
 		}}},
 		core.ProblemSPT: {{Name: "SPT", Solve: func(_ context.Context, g *graph.Graph, _ graph.Cost) (core.Solution, error) {
 			return core.SPT(g, 0)
@@ -120,7 +92,7 @@ func ilpMSR(t Tuning) Solver {
 	}
 	return Solver{Name: "ILP", Family: "ilp", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
 		r, err := ilp.SolveMSR(g, s, ilp.Options{MaxNodes: nodes})
-		return wrap(r.Plan, r.Cost, err, ilp.ErrInfeasible)
+		return r.Solution, err
 	}}
 }
 

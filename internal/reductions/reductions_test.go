@@ -1,6 +1,7 @@
 package reductions
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestAdversarialLMGScalesUnboundedly(t *testing.T) {
 		if g.GeneralizedTriangleViolations() != 0 {
 			t.Fatalf("ratio %d: triangle inequality violated", ratio)
 		}
-		res, err := lmg.LMG(g, s)
+		res, err := lmg.LMG(context.Background(), g, s)
 		if err != nil {
 			t.Fatal(err)
 		}

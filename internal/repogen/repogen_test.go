@@ -1,6 +1,7 @@
 package repogen
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -108,7 +109,7 @@ func TestGenerateRepoCheckoutMinStorage(t *testing.T) {
 	if len(r.Deltas) != r.Graph.M() {
 		t.Fatalf("%d deltas for %d edges", len(r.Deltas), r.Graph.M())
 	}
-	mst, err := core.MST(r.Graph)
+	mst, err := core.MST(context.Background(), r.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestGenerateRepoCheckoutMinStorage(t *testing.T) {
 func TestGenerateRepoCheckoutUnderSolverPlans(t *testing.T) {
 	r := GenerateRepo("repo", 30, 5)
 	total := r.Graph.TotalNodeStorage()
-	res, err := lmg.LMGAll(r.Graph, total/2)
+	res, err := lmg.LMGAll(context.Background(), r.Graph, total/2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,7 +189,7 @@ func TestConcurrentInstallAndCheckout(t *testing.T) {
 	// plan (old or new) and correct bytes. Run with -race.
 	g, contents := chainFixture(24, []string{"base"})
 	content := func(v graph.NodeID) ([]string, error) { return contents[v], nil }
-	mst, err := core.MST(g)
+	mst, err := core.MST(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func TestIncrementalInstallMatchesFromScratch(t *testing.T) {
 				switch kind := rng.Intn(4); kind {
 				case 0:
 					var sol core.Solution
-					sol, err = core.MST(g)
+					sol, err = core.MST(context.Background(), g)
 					p = sol.Plan
 				case 1:
 					var sol core.Solution
@@ -138,11 +138,11 @@ func TestIncrementalInstallMatchesFromScratch(t *testing.T) {
 					p = plan.MaterializeAll(g)
 				default:
 					var mst core.Solution
-					if mst, err = core.MST(g); err != nil {
+					if mst, err = core.MST(context.Background(), g); err != nil {
 						break
 					}
-					var res lmg.Result
-					res, err = lmg.LMG(g, mst.Cost.Storage+graph.Cost(rng.Int63n(int64(2*mst.Cost.Storage))))
+					var res core.Solution
+					res, err = lmg.LMG(context.Background(), g, mst.Cost.Storage+graph.Cost(rng.Int63n(int64(2*mst.Cost.Storage))))
 					p = res.Plan
 				}
 				if err != nil {

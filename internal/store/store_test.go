@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -123,7 +124,7 @@ func checkAll(t *testing.T, s *Store, contents [][]string) {
 func TestInstallCheckoutRoundTrip(t *testing.T) {
 	r, content := testRepo(t, 40, 7)
 	s := New(Options{})
-	mst, err := core.MST(r.Graph)
+	mst, err := core.MST(context.Background(), r.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestInstallRejectsInfeasiblePlan(t *testing.T) {
 func TestMigrationGarbageCollects(t *testing.T) {
 	r, content := testRepo(t, 30, 11)
 	s := New(Options{})
-	mst, err := core.MST(r.Graph)
+	mst, err := core.MST(context.Background(), r.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}

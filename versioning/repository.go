@@ -615,7 +615,7 @@ func (r *Repository) constraintFor(ctx context.Context, g *Graph) (Cost, error) 
 	case ProblemMST, ProblemSPT:
 		return 0, nil // unconstrained problems
 	}
-	mst, err := core.MSTOf(ctx, g)
+	mst, err := core.MST(ctx, g)
 	if err != nil {
 		return 0, fmt.Errorf("versioning: deriving auto constraint: %w", err)
 	}

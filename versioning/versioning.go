@@ -146,7 +146,7 @@ func solve(g *Graph, p Problem, constraint Cost, opt Options) (Solution, error) 
 
 // MinStoragePlan solves Problem 1 (Table 1): the cheapest plan keeping
 // every version retrievable.
-func MinStoragePlan(g *Graph) (Solution, error) { return core.MST(g) }
+func MinStoragePlan(g *Graph) (Solution, error) { return core.MST(context.Background(), g) }
 
 // ShortestPathPlan solves Problem 2: materialize root and store the
 // shortest-retrieval-path tree from it.
@@ -184,7 +184,7 @@ type FrontierPoint = plan.FrontierPoint
 func MSRFrontier(g *Graph, opt Options) ([]FrontierPoint, error) {
 	o := dptree.DefaultMSROptions(opt.Epsilon, opt.MaxStates)
 	o.PruneStorage = -1
-	dp, err := dptree.MSRFrontierOnGraph(g, 0, o)
+	dp, err := dptree.MSRFrontierOnGraph(context.Background(), g, o)
 	if err != nil {
 		return nil, err
 	}
