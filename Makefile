@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesEncodingJSON -fuzztime=30s -fuzzminimizetime=2s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeMatchesEncodingJSON -fuzztime=30s -fuzzminimizetime=2s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzMergeKernelMatchesReference -fuzztime=30s -fuzzminimizetime=2s ./internal/dptree
+	$(GO) test -run='^$$' -fuzz=FuzzBMRMatchesReference -fuzztime=30s -fuzzminimizetime=2s ./internal/dptree
 	$(GO) test -run='^$$' -fuzz=FuzzLMGAllMatchesReference -fuzztime=30s -fuzzminimizetime=2s ./internal/lmg
 
 # Coverage for the storage + versioning + tenant core with the CI floor

@@ -191,7 +191,10 @@ func BenchmarkMP(b *testing.B) {
 	}
 }
 
-// BenchmarkDPBMR measures the exact O(n²) tree DP.
+// BenchmarkDPBMR measures the exact tree DP (Algorithm 2) end to end on
+// the scaled styleguide graph at three times its largest delta retrieval:
+// spanning-tree extraction, the DP over each version's retrieval ball and
+// the reconstruction.
 func BenchmarkDPBMR(b *testing.B) {
 	g := styleguideScaled()
 	r := g.MaxEdgeRetrieval() * 3

@@ -1,10 +1,10 @@
 // Package dptree implements the paper's dynamic programs on bidirectional
-// trees: DP-BMR, the exact O(n²) algorithm for BoundedMax Retrieval
-// (Section 4, Algorithm 2), and DP-MSR, the FPTAS-style DP for MinSum
-// Retrieval (Sections 5.1 and 6.2) with the practical speedups described
-// in Section 6.2 (storage pruning, geometric discretization, dominance
-// pruning). It also provides the tree-extraction heuristics that make
-// both DPs applicable to arbitrary version graphs (Section 6.2).
+// trees: DP-BMR, the exact algorithm for BoundedMax Retrieval (Section 4,
+// Algorithm 2), and DP-MSR, the FPTAS-style DP for MinSum Retrieval
+// (Sections 5.1 and 6.2) with the practical speedups described in Section
+// 6.2 (storage pruning, geometric discretization, dominance pruning). It
+// also provides the tree-extraction heuristics that make both DPs
+// applicable to arbitrary version graphs (Section 6.2).
 //
 // What DP-MSR costs: one merge per tree edge, each walking every pair of
 // (accumulated state of the parent, final state of the child) and offering
@@ -27,7 +27,6 @@ package dptree
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/graphalg"
@@ -47,53 +46,42 @@ type dirEdge struct {
 	retr    graph.Cost
 }
 
-// BiTree is a rooted bidirectional tree over (a spanning tree of) a
-// version graph. For every non-root node v it keeps the delta in both
-// directions between v and its parent. Directions missing from the
-// original graph are synthesized with the mirrored costs (the
+// BiTree is a bidirectional tree over (a spanning tree of) a version
+// graph, rooted at version 0. For every non-root node v it keeps the
+// delta in both directions between v and its parent. Directions missing
+// from the original graph are synthesized with the mirrored costs (the
 // tree-extraction step of Section 6.2 does this implicitly); plans that
 // end up storing a synthesized delta are rejected with
 // ErrSynthesizedEdge.
 type BiTree struct {
 	G        *graph.Graph
-	Root     graph.NodeID
 	Parent   []graph.NodeID
 	Children [][]graph.NodeID
 	Order    []graph.NodeID // preorder
 	down     []dirEdge      // parent(v) → v
 	up       []dirEdge      // v → parent(v)
-
-	depth    []int32
-	anc      [][]graph.NodeID // binary lifting table
-	upSum    []graph.Cost     // Σ r of up edges from v to root
-	downSum  []graph.Cost     // Σ r of down edges from root to v
-	tin, tou []int32          // Euler intervals for subtree tests
 }
 
 // FromParents builds a BiTree over g from a parent assignment (parent of
-// root is graph.None; every other node has exactly one parent, forming a
-// spanning tree). For each tree edge the cheapest delta (by s+r, ties by
-// id) in each direction is selected.
-func FromParents(g *graph.Graph, root graph.NodeID, parent []graph.NodeID) (*BiTree, error) {
+// version 0 is graph.None; every other node has exactly one parent,
+// forming a spanning tree). For each tree edge the cheapest delta (by
+// s+r, ties by id) in each direction is selected.
+func FromParents(g *graph.Graph, parent []graph.NodeID) (*BiTree, error) {
 	n := g.N()
 	if len(parent) != n {
 		return nil, fmt.Errorf("dptree: parent vector has length %d, want %d", len(parent), n)
 	}
 	t := &BiTree{
 		G:        g,
-		Root:     root,
 		Parent:   append([]graph.NodeID(nil), parent...),
 		Children: make([][]graph.NodeID, n),
 		down:     make([]dirEdge, n),
 		up:       make([]dirEdge, n),
 	}
-	for v := 0; v < n; v++ {
-		if graph.NodeID(v) == root {
-			if parent[v] != graph.None {
-				return nil, errors.New("dptree: root has a parent")
-			}
-			continue
-		}
+	if n > 0 && parent[0] != graph.None {
+		return nil, errors.New("dptree: version 0 has a parent")
+	}
+	for v := 1; v < n; v++ {
 		p := parent[v]
 		if p < 0 || int(p) >= n {
 			return nil, fmt.Errorf("dptree: node %d has invalid parent %d", v, p)
@@ -123,8 +111,8 @@ func FromParents(g *graph.Graph, root graph.NodeID, parent []graph.NodeID) (*BiT
 }
 
 // FromBiTreeGraph builds a BiTree from a graph whose underlying
-// undirected graph is a tree, rooted at root.
-func FromBiTreeGraph(g *graph.Graph, root graph.NodeID) (*BiTree, error) {
+// undirected graph is a tree.
+func FromBiTreeGraph(g *graph.Graph) (*BiTree, error) {
 	if !g.UnderlyingUndirectedIsTree() {
 		return nil, ErrNotBiTree
 	}
@@ -134,8 +122,8 @@ func FromBiTreeGraph(g *graph.Graph, root graph.NodeID) (*BiTree, error) {
 		parent[i] = graph.None
 	}
 	visited := make([]bool, n)
-	stack := []graph.NodeID{root}
-	visited[root] = true
+	stack := []graph.NodeID{0}
+	visited[0] = true
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -161,7 +149,7 @@ func FromBiTreeGraph(g *graph.Graph, root graph.NodeID) (*BiTree, error) {
 			return nil, ErrNotBiTree
 		}
 	}
-	return FromParents(g, root, parent)
+	return FromParents(g, parent)
 }
 
 // cheapest returns the min-(s+r) delta from u to v in g.
@@ -181,16 +169,14 @@ func cheapest(g *graph.Graph, u, v graph.NodeID) (dirEdge, bool) {
 	return best, found
 }
 
-// index computes preorder, depths, lifting tables and prefix path costs.
+// index computes the preorder, refusing a parent assignment with a cycle
+// or one that does not span the graph.
 func (t *BiTree) index() error {
 	n := t.G.N()
 	t.Order = make([]graph.NodeID, 0, n)
-	t.depth = make([]int32, n)
-	t.upSum = make([]graph.Cost, n)
-	t.downSum = make([]graph.Cost, n)
-	stack := []graph.NodeID{t.Root}
+	stack := []graph.NodeID{0}
 	seen := make([]bool, n)
-	seen[t.Root] = true
+	seen[0] = true
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -200,97 +186,58 @@ func (t *BiTree) index() error {
 				return errors.New("dptree: parent assignment has a cycle")
 			}
 			seen[c] = true
-			t.depth[c] = t.depth[v] + 1
-			t.upSum[c] = t.upSum[v] + t.up[c].retr
-			t.downSum[c] = t.downSum[v] + t.down[c].retr
 			stack = append(stack, c)
 		}
 	}
 	if len(t.Order) != n {
 		return errors.New("dptree: parent assignment does not span the graph")
 	}
-	// Euler intervals via a second pass: preorder position and subtree
-	// extent. Preorder guarantees each subtree occupies a contiguous
-	// block only if children are visited consecutively, which the stack
-	// DFS above ensures per branch; compute intervals explicitly instead.
-	t.tin = make([]int32, n)
-	t.tou = make([]int32, n)
-	var clock int32
-	type frame struct {
-		node graph.NodeID
-		next int
-	}
-	frames := []frame{{t.Root, 0}}
-	t.tin[t.Root] = clock
-	clock++
-	for len(frames) > 0 {
-		f := &frames[len(frames)-1]
-		if f.next < len(t.Children[f.node]) {
-			c := t.Children[f.node][f.next]
-			f.next++
-			t.tin[c] = clock
-			clock++
-			frames = append(frames, frame{c, 0})
-			continue
-		}
-		t.tou[f.node] = clock
-		clock++
-		frames = frames[:len(frames)-1]
-	}
-	logN := 1
-	for 1<<logN < n {
-		logN++
-	}
-	t.anc = make([][]graph.NodeID, logN+1)
-	base := make([]graph.NodeID, n)
-	for v := 0; v < n; v++ {
-		if t.Parent[v] == graph.None {
-			base[v] = graph.NodeID(v)
-		} else {
-			base[v] = t.Parent[v]
-		}
-	}
-	t.anc[0] = base
-	for k := 1; k <= logN; k++ {
-		prev := t.anc[k-1]
-		cur := make([]graph.NodeID, n)
-		for v := 0; v < n; v++ {
-			cur[v] = prev[prev[v]]
-		}
-		t.anc[k] = cur
-	}
 	return nil
 }
 
-// LCA returns the lowest common ancestor of u and v.
-func (t *BiTree) LCA(u, v graph.NodeID) graph.NodeID {
-	if t.depth[u] < t.depth[v] {
-		u, v = v, u
-	}
-	diff := uint32(t.depth[u] - t.depth[v])
-	for diff != 0 {
-		k := bits.TrailingZeros32(diff)
-		u = t.anc[k][u]
-		diff &= diff - 1
-	}
-	if u == v {
-		return u
-	}
-	for k := len(t.anc) - 1; k >= 0; k-- {
-		if t.anc[k][u] != t.anc[k][v] {
-			u = t.anc[k][u]
-			v = t.anc[k][v]
-		}
-	}
-	return t.Parent[u]
+// ballEntry is one version u of v's retrieval ball, with where the tree
+// path u → v enters v: via is v itself when u == v, v's child on the path
+// when u lies below v, and graph.None when u lies outside v's subtree
+// (the path ends with the down edge parent(v) → v).
+type ballEntry struct{ u, via graph.NodeID }
+
+// ballStep is a version x the ball walk has reached at retrieval cost
+// cost. from is the child it came up from (v itself at the start), or
+// graph.None once the walk has gone down.
+type ballStep struct {
+	x, via, from graph.NodeID
+	cost         graph.Cost
 }
 
-// PathRetrieval returns R(u,v): the retrieval cost of the unique directed
-// path u → v in the tree (up edges from u to the LCA, then down edges to
-// v).
-func (t *BiTree) PathRetrieval(u, v graph.NodeID) graph.Cost {
-	l := t.LCA(u, v)
-	return (t.upSum[u] - t.upSum[l]) + (t.downSum[v] - t.downSum[l])
+// ball returns in out, v first, every version u with R(u, v) ≤ r, where
+// R(u, v) is the retrieval cost of the tree path u → v. It walks
+// backwards from v along retrieval paths: to the parent of x at the cost
+// of x's down edge, into a child c at the cost of c's up edge; once the
+// walk has gone down it never goes up again. The order depends only on
+// the tree, v and r. stack is scratch, returned for reuse.
+func (t *BiTree) ball(v graph.NodeID, r graph.Cost, out []ballEntry, stack []ballStep) ([]ballEntry, []ballStep) {
+	out = out[:0]
+	stack = append(stack[:0], ballStep{v, v, v, 0})
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		out = append(out, ballEntry{s.x, s.via})
+		for _, c := range t.Children[s.x] {
+			via := s.via
+			if via == v { // only v's own step has via v
+				via = c
+			}
+			if cost := s.cost + t.up[c].retr; c != s.from && cost <= r {
+				stack = append(stack, ballStep{c, via, graph.None, cost})
+			}
+		}
+		if p := t.Parent[s.x]; s.from != graph.None && p != graph.None {
+			if cost := s.cost + t.down[s.x].retr; cost <= r {
+				stack = append(stack, ballStep{p, graph.None, s.x, cost})
+			}
+		}
+	}
+	return out, stack
 }
 
 // DownEdge returns the delta parent(v) → v.
@@ -308,46 +255,27 @@ func (t *BiTree) UpEdge(v graph.NodeID) (id graph.EdgeID, storage, retrieval gra
 // N returns the number of nodes.
 func (t *BiTree) N() int { return t.G.N() }
 
-// InSubtree reports whether u lies in the subtree rooted at v (u == v
-// counts).
-func (t *BiTree) InSubtree(v, u graph.NodeID) bool {
-	return t.tin[v] <= t.tin[u] && t.tou[u] <= t.tou[v]
-}
-
-// ChildTowards returns the child of v on the path from v to its
-// descendant u (u must lie strictly inside v's subtree).
-func (t *BiTree) ChildTowards(v, u graph.NodeID) graph.NodeID {
-	diff := uint32(t.depth[u] - t.depth[v] - 1)
-	for diff != 0 {
-		k := bits.TrailingZeros32(diff)
-		u = t.anc[k][u]
-		diff &= diff - 1
-	}
-	return u
-}
-
 // FromGraph is step 1 of the DP heuristics on an arbitrary version graph
-// (Section 6.2): the BiTree over ExtractSpanningTree's parents, rooted at
-// root. An empty graph gives an empty tree, which both DPs answer with
-// the empty plan.
-func FromGraph(g *graph.Graph, root graph.NodeID) (*BiTree, error) {
+// (Section 6.2): the BiTree over ExtractSpanningTree's parents. An empty
+// graph gives an empty tree, which both DPs answer with the empty plan.
+func FromGraph(g *graph.Graph) (*BiTree, error) {
 	if g.N() == 0 {
 		return &BiTree{G: g}, nil
 	}
-	parent, err := ExtractSpanningTree(g, root)
+	parent, err := ExtractSpanningTree(g)
 	if err != nil {
 		return nil, err
 	}
-	return FromParents(g, root, parent)
+	return FromParents(g, parent)
 }
 
 // ExtractSpanningTree computes the spanning-tree parent assignment used
 // by the DP heuristics on general graphs (Section 6.2, step 1): a minimum
-// arborescence of g rooted at root under s+r weights, falling back to an
-// undirected Prim tree on min-(s+r) skeleton weights when g is not
-// root-reachable.
-func ExtractSpanningTree(g *graph.Graph, root graph.NodeID) ([]graph.NodeID, error) {
-	if parents, _, err := graphalg.MinArborescence(g, root, graphalg.SumWeight); err == nil {
+// arborescence of g rooted at version 0 under s+r weights, falling back to
+// an undirected Prim tree on min-(s+r) skeleton weights when version 0
+// does not reach every version.
+func ExtractSpanningTree(g *graph.Graph) ([]graph.NodeID, error) {
+	if parents, _, err := graphalg.MinArborescence(g, 0, graphalg.SumWeight); err == nil {
 		out := make([]graph.NodeID, g.N())
 		for v := range out {
 			if parents[v] == graph.None {
@@ -382,7 +310,7 @@ func ExtractSpanningTree(g *graph.Graph, root graph.NodeID) ([]graph.NodeID, err
 		parent[i] = graph.None
 		key[i] = inf
 	}
-	key[root] = 0
+	key[0] = 0
 	for it := 0; it < n; it++ {
 		best := graph.NodeID(graph.None)
 		bestKey := inf
@@ -393,12 +321,11 @@ func ExtractSpanningTree(g *graph.Graph, root graph.NodeID) ([]graph.NodeID, err
 		}
 		if best == graph.NodeID(graph.None) {
 			// Disconnected graph: start the next component, hanging its
-			// root off the global root by a phantom (never-storable)
-			// link.
+			// root off version 0 by a phantom (never-storable) link.
 			for v := 0; v < n; v++ {
 				if !inTree[v] {
 					best = graph.NodeID(v)
-					parent[best] = root
+					parent[best] = 0
 					break
 				}
 			}

@@ -11,101 +11,12 @@ import (
 	"repro/internal/graph"
 )
 
-// naivePathRetrieval walks the unique undirected tree path from u to v,
-// summing directed retrieval costs, as an oracle for PathRetrieval.
-func naivePathRetrieval(t *BiTree, u, v graph.NodeID) graph.Cost {
-	// Climb both to the root recording paths.
-	pathUp := func(x graph.NodeID) []graph.NodeID {
-		var p []graph.NodeID
-		for x != graph.None {
-			p = append(p, x)
-			x = t.Parent[x]
-		}
-		return p
-	}
-	pu, pv := pathUp(u), pathUp(v)
-	onPV := map[graph.NodeID]bool{}
-	for _, x := range pv {
-		onPV[x] = true
-	}
-	var lca graph.NodeID
-	for _, x := range pu {
-		if onPV[x] {
-			lca = x
-			break
-		}
-	}
-	var cost graph.Cost
-	for x := u; x != lca; x = t.Parent[x] {
-		_, _, r := t.UpEdge(x)
-		cost += r
-	}
-	// Down from lca to v: collect the path then descend.
-	var down []graph.NodeID
-	for x := v; x != lca; x = t.Parent[x] {
-		down = append(down, x)
-	}
-	for i := len(down) - 1; i >= 0; i-- {
-		_, _, r := t.DownEdge(down[i])
-		cost += r
-	}
-	return cost
-}
-
-func TestBiTreePathRetrieval(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for it := 0; it < 15; it++ {
-		g := graph.RandomBiTree(2+rng.Intn(14), 100, 20, rng)
-		bt, err := FromBiTreeGraph(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := graph.NodeID(0); int(u) < g.N(); u++ {
-			for v := graph.NodeID(0); int(v) < g.N(); v++ {
-				want := naivePathRetrieval(bt, u, v)
-				if got := bt.PathRetrieval(u, v); got != want {
-					t.Fatalf("it %d: R(%d,%d) = %d, want %d", it, u, v, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestBiTreeStructureQueries(t *testing.T) {
-	// Path 0-1-2-3 rooted at 0.
-	g := graph.RandomBiTree(1, 10, 5, rand.New(rand.NewSource(1)))
-	_ = g
-	chain := graph.New("chain")
-	for i := 0; i < 4; i++ {
-		chain.AddNode(10)
-	}
-	for i := 0; i < 3; i++ {
-		chain.AddBiEdge(graph.NodeID(i), graph.NodeID(i+1), 1, 2)
-	}
-	bt, err := FromBiTreeGraph(chain, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bt.InSubtree(1, 3) || bt.InSubtree(3, 1) || !bt.InSubtree(0, 0) {
-		t.Fatal("InSubtree wrong")
-	}
-	if bt.ChildTowards(0, 3) != 1 || bt.ChildTowards(1, 2) != 2 {
-		t.Fatal("ChildTowards wrong")
-	}
-	if bt.LCA(3, 3) != 3 || bt.LCA(0, 3) != 0 {
-		t.Fatal("LCA wrong")
-	}
-	if bt.PathRetrieval(3, 0) != 6 || bt.PathRetrieval(0, 3) != 6 {
-		t.Fatalf("chain path costs %d %d", bt.PathRetrieval(3, 0), bt.PathRetrieval(0, 3))
-	}
-}
-
 func TestFromBiTreeGraphRejectsNonTrees(t *testing.T) {
 	g := graph.NewWithNodes("cyc", 3, 5)
 	g.AddBiEdge(0, 1, 1, 1)
 	g.AddBiEdge(1, 2, 1, 1)
 	g.AddBiEdge(2, 0, 1, 1)
-	if _, err := FromBiTreeGraph(g, 0); !errors.Is(err, ErrNotBiTree) {
+	if _, err := FromBiTreeGraph(g); !errors.Is(err, ErrNotBiTree) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -114,7 +25,7 @@ func TestBMRExactOnRandomTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for it := 0; it < 40; it++ {
 		g := graph.RandomBiTree(2+rng.Intn(6), 60, 12, rng)
-		bt, err := FromBiTreeGraph(g, 0)
+		bt, err := FromBiTreeGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +52,7 @@ func TestBMRExactOnRandomTrees(t *testing.T) {
 func TestBMRMonotoneInConstraint(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g := graph.RandomBiTree(40, 1000, 50, rng)
-	bt, err := FromBiTreeGraph(g, 0)
+	bt, err := FromBiTreeGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +71,7 @@ func TestBMRMonotoneInConstraint(t *testing.T) {
 
 func TestBMRInfeasibleAndTrivial(t *testing.T) {
 	g := graph.RandomBiTree(5, 100, 10, rand.New(rand.NewSource(2)))
-	bt, _ := FromBiTreeGraph(g, 0)
+	bt, _ := FromBiTreeGraph(g)
 	if _, err := BMR(context.Background(), bt, -1); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v", err)
 	}
@@ -175,7 +86,7 @@ func TestBMRInfeasibleAndTrivial(t *testing.T) {
 	if res, err := BMROnGraph(context.Background(), graph.New("empty"), 0); err != nil || !res.Cost.Feasible || res.Cost.Storage != 0 {
 		t.Fatalf("empty graph: %+v %v", res.Cost, err)
 	}
-	one, err := FromBiTreeGraph(graph.NewWithNodes("one", 1, 3), 0)
+	one, err := FromBiTreeGraph(graph.NewWithNodes("one", 1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +99,7 @@ func TestMSRExactOnRandomTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for it := 0; it < 40; it++ {
 		g := graph.RandomBiTree(2+rng.Intn(6), 60, 12, rng)
-		bt, err := FromBiTreeGraph(g, 0)
+		bt, err := FromBiTreeGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +137,7 @@ func TestMSRFrontierMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for it := 0; it < 15; it++ {
 		g := graph.RandomBiTree(2+rng.Intn(5), 40, 8, rng)
-		bt, err := FromBiTreeGraph(g, 0)
+		bt, err := FromBiTreeGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +166,7 @@ func TestMSRBucketedStaysClose(t *testing.T) {
 	for it := 0; it < 25; it++ {
 		n := 2 + rng.Intn(7)
 		g := graph.RandomBiTree(n, 80, 15, rng)
-		bt, err := FromBiTreeGraph(g, 0)
+		bt, err := FromBiTreeGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +256,7 @@ func TestBMROnGraphHeuristicProperties(t *testing.T) {
 
 func TestMSRSingleNodeAndEmpty(t *testing.T) {
 	one := graph.NewWithNodes("one", 1, 7)
-	bt, err := FromBiTreeGraph(one, 0)
+	bt, err := FromBiTreeGraph(one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +287,7 @@ func TestExtractSpanningTreeFallback(t *testing.T) {
 	g := graph.NewWithNodes("f", 3, 10)
 	g.AddEdge(0, 1, 1, 1)
 	g.AddEdge(2, 1, 1, 1)
-	parent, err := ExtractSpanningTree(g, 0)
+	parent, err := ExtractSpanningTree(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +308,7 @@ func TestExtractSpanningTreeFallback(t *testing.T) {
 	d := graph.NewWithNodes("d", 4, 10)
 	d.AddBiEdge(0, 1, 3, 3)
 	d.AddBiEdge(2, 3, 3, 3)
-	dparent, err := ExtractSpanningTree(d, 0)
+	dparent, err := ExtractSpanningTree(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +347,7 @@ func TestSynthesizedEdgeNeverChosen(t *testing.T) {
 	g.AddNode(1_000_000) // node 0: expensive
 	g.AddNode(1)         // node 1: cheap
 	g.AddEdge(0, 1, 1, 1)
-	bt, err := FromParents(g, 0, []graph.NodeID{graph.None, 0})
+	bt, err := FromParents(g, []graph.NodeID{graph.None, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -577,7 +577,7 @@ func MSRFrontier(ctx context.Context, t *BiTree, opt MSROptions) (*MSRDP, error)
 	}
 	// The root's states are in the order of msrTable.compare, which is by
 	// (σ, ρ) first: the order Frontier and Best walk them in.
-	return &MSRDP{tree: t, states: states[t.Root], stats: MSRStats{Offers: r.offers, Truncations: r.truncations}}, nil
+	return &MSRDP{tree: t, states: states[0], stats: MSRStats{Offers: r.offers, Truncations: r.truncations}}, nil
 }
 
 // Stats returns what the run did.
@@ -899,7 +899,7 @@ func (d *MSRDP) Best(s graph.Cost) (core.Solution, error) {
 
 func (d *MSRDP) extract(root *msrState) (core.Solution, error) {
 	p := plan.New(d.tree.G)
-	if err := d.reconstruct(p, d.tree.Root, root, true); err != nil {
+	if err := d.reconstruct(p, 0, root, true); err != nil {
 		return core.Solution{}, err
 	}
 	c := plan.Evaluate(d.tree.G, p)
@@ -969,7 +969,7 @@ func MSR(ctx context.Context, t *BiTree, s graph.Cost, opt MSROptions) (core.Sol
 // (Section 6.2): extract a spanning bidirectional tree rooted at version
 // 0 and run MSR on it.
 func MSROnGraph(ctx context.Context, g *graph.Graph, s graph.Cost, opt MSROptions) (core.Solution, error) {
-	t, err := FromGraph(g, 0)
+	t, err := FromGraph(g)
 	if err != nil {
 		return core.Solution{}, err
 	}
@@ -979,7 +979,7 @@ func MSROnGraph(ctx context.Context, g *graph.Graph, s graph.Cost, opt MSROption
 // MSRFrontierOnGraph extracts a spanning bidirectional tree rooted at
 // version 0 and returns the full DP frontier handle.
 func MSRFrontierOnGraph(ctx context.Context, g *graph.Graph, opt MSROptions) (*MSRDP, error) {
-	t, err := FromGraph(g, 0)
+	t, err := FromGraph(g)
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func randomTree(t *testing.T, rng *rand.Rand, n, shape int, maxNode, maxEdge gra
 			g.AddEdge(graph.NodeID(v), graph.NodeID(p), cost(maxEdge), cost(maxEdge))
 		}
 	}
-	bt, err := FromParents(g, 0, parent)
+	bt, err := FromParents(g, parent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +172,50 @@ func TestMergeKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// fuzzBytes returns a reader of data's bytes that reads zeros past the end.
+func fuzzBytes(data []byte) func() int {
+	return func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+}
+
+// fuzzTree decodes a tree of n versions from next: each version reads its
+// parent, which deltas exist and its costs, node costs in [1, maxNode] and
+// delta costs in [1, maxEdge].
+func fuzzTree(t *testing.T, next func() int, n int, maxNode, maxEdge graph.Cost) *BiTree {
+	t.Helper()
+	cost := func(max graph.Cost) graph.Cost {
+		return 1 + graph.Cost(next()|next()<<8|next()<<16)%max
+	}
+	g := graph.New("fuzz")
+	parent := make([]graph.NodeID, n)
+	parent[0] = graph.None
+	g.AddNode(cost(maxNode))
+	for v := 1; v < n; v++ {
+		p, edges := graph.NodeID(next()%v), next()
+		parent[v] = p
+		g.AddNode(cost(maxNode))
+		// Each direction is left out one time in four, so FromParents
+		// synthesizes it or, with both gone, links a phantom.
+		if edges&3 != 3 {
+			g.AddEdge(p, graph.NodeID(v), cost(maxEdge), cost(maxEdge))
+		}
+		if edges&12 != 12 {
+			g.AddEdge(graph.NodeID(v), p, cost(maxEdge), cost(maxEdge))
+		}
+	}
+	bt, err := FromParents(g, parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bt
+}
+
 // FuzzMergeKernelMatchesReference decodes its bytes into a tree and a
 // tuning and runs both kernels on them. The header bytes pick the number
 // of versions (at most 40, at most 10 without a state cap), the mode, the
@@ -184,14 +228,7 @@ func FuzzMergeKernelMatchesReference(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 0, 3, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{25, 1, 1, 2, 1, 2, 0xff, 0x80, 0x10, 0x07, 0x3f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
+		next := fuzzBytes(data)
 		ranges := []graph.Cost{3, 10, 1000, 1_000_000}
 		n, mode, maxStates, prune := next(), next(), []int{0, 4, 16, 256}[next()%4], next()
 		maxNode, maxEdge := ranges[next()%4], ranges[next()%4]
@@ -200,30 +237,8 @@ func FuzzMergeKernelMatchesReference(f *testing.F) {
 		} else {
 			n = 1 + n%40
 		}
-		cost := func(max graph.Cost) graph.Cost {
-			return 1 + graph.Cost(next()|next()<<8|next()<<16)%max
-		}
-		g := graph.New("fuzz")
-		parent := make([]graph.NodeID, n)
-		parent[0] = graph.None
-		g.AddNode(cost(maxNode))
-		for v := 1; v < n; v++ {
-			p, edges := graph.NodeID(next()%v), next()
-			parent[v] = p
-			g.AddNode(cost(maxNode))
-			// Each direction is left out one time in four, so FromParents
-			// synthesizes it or, with both gone, links a phantom.
-			if edges&3 != 3 {
-				g.AddEdge(p, graph.NodeID(v), cost(maxEdge), cost(maxEdge))
-			}
-			if edges&12 != 12 {
-				g.AddEdge(graph.NodeID(v), p, cost(maxEdge), cost(maxEdge))
-			}
-		}
-		bt, err := FromParents(g, 0, parent)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bt := fuzzTree(t, next, n, maxNode, maxEdge)
+		g := bt.G
 		mst := minStorage(t, g)
 		m := kernelModes[mode%len(kernelModes)]
 		opt := m.opt
@@ -293,11 +308,11 @@ func replanScaleGraph(versions int, seed int64) *graph.Graph {
 // spanningTree is the tree MSROnGraph runs the DP on.
 func spanningTree(t testing.TB, g *graph.Graph) *BiTree {
 	t.Helper()
-	parent, err := ExtractSpanningTree(g, 0)
+	parent, err := ExtractSpanningTree(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := FromParents(g, 0, parent)
+	bt, err := FromParents(g, parent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +342,7 @@ func BenchmarkDPMSR_ReplanScale(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bt, err := FromGraph(g, 0)
+				bt, err := FromGraph(g)
 				if err != nil {
 					b.Fatal(err)
 				}

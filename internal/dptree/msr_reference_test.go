@@ -90,7 +90,7 @@ func referenceMSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
 		}
 		states[v] = cur
 	}
-	root := states[t.Root]
+	root := states[0]
 	sort.Slice(root, func(i, j int) bool {
 		if root[i].sigma != root[j].sigma {
 			return root[i].sigma < root[j].sigma

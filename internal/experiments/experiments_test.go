@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/dptree"
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -133,31 +135,22 @@ func TestFigure13(t *testing.T) {
 	}
 }
 
-// TestBMRSweepPastDenseCap checks that a solver error other than
-// infeasibility shows as a failed point: DP-BMR refuses a chain one
-// version past its dense table's cap at every bound, while MP answers
-// every one of them.
-func TestBMRSweepPastDenseCap(t *testing.T) {
-	g := graph.New("chain")
-	for v := 0; v <= dptree.MaxDenseNodes; v++ {
-		g.AddNode(100)
-		if v > 0 {
-			g.AddEdge(graph.NodeID(v-1), graph.NodeID(v), 10, 10)
+// TestPoint checks how a solver's error becomes a sweep point: none gives
+// the objective, core.ErrInfeasible (wrapped or not) Infeasible, and any
+// other error, a deadline say, Failed.
+func TestPoint(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want Point
+	}{
+		{nil, Point{Constraint: 5, Objective: 7, Millis: 1}},
+		{core.ErrInfeasible, Point{Constraint: 5, Millis: 1, Infeasible: true}},
+		{fmt.Errorf("lmg: %w", core.ErrInfeasible), Point{Constraint: 5, Millis: 1, Infeasible: true}},
+		{context.DeadlineExceeded, Point{Constraint: 5, Millis: 1, Failed: true}},
+	} {
+		if got := point(5, 7, 1, c.err); got != c.want {
+			t.Fatalf("point(err %v) = %+v, want %+v", c.err, got, c.want)
 		}
-	}
-	r := bmrSweep(g, Config{SweepPoints: 3})
-	for _, s := range r.Series {
-		for _, p := range s.Points {
-			switch {
-			case s.Algorithm == "DP-BMR" && (!p.Failed || p.Infeasible):
-				t.Fatalf("DP-BMR at %d: %+v, want failed", p.Constraint, p)
-			case s.Algorithm == "MP" && (p.Failed || p.Infeasible):
-				t.Fatalf("MP at %d: %+v, want a plan", p.Constraint, p)
-			}
-		}
-	}
-	if w := Winner(r); w != "MP" {
-		t.Fatalf("winner %q, want MP", w)
 	}
 }
 

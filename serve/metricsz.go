@@ -94,7 +94,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		e.Counter("dsv_respcache_rejected_total", "Cache fills larger than the whole byte budget.", float64(cs.Rejected))
 		e.Counter("dsv_respcache_evictions_total", "Cached responses evicted by the byte budget.", float64(cs.Evictions))
 	}
-	e.Counter("dsv_checkout_not_modified_total", "Checkouts answered 304 off a client If-None-Match validator.", float64(s.notModified.Load()))
+	e.Counter("dsv_checkout_not_modified_total", "304s answered off a client If-None-Match validator by a cached GET (/checkout, /diff, /log), with or without the response cache.", float64(s.notModified.Load()))
 
 	e.Counter("dsv_slow_requests_logged_total", "Slow-request log lines emitted.", float64(s.slowLogged.Load()))
 	e.Counter("dsv_slow_requests_suppressed_total", "Slow requests over the threshold whose log line was rate-limited away.", float64(s.slowSuppressed.Load()))

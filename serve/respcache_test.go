@@ -154,6 +154,13 @@ func TestRespCacheDisabled(t *testing.T) {
 	if resp2.StatusCode != http.StatusNotModified {
 		t.Fatalf("If-None-Match on disabled cache: HTTP %d, want 304", resp2.StatusCode)
 	}
+	var sz Statsz
+	if code := getJSON(t, ts.URL+"/statsz", &sz); code != http.StatusOK {
+		t.Fatalf("statsz: HTTP %d", code)
+	}
+	if sz.RespCache != nil || sz.NotModified != 1 {
+		t.Fatalf("statsz with the cache off: resp_cache %+v, not_modified %d, want none and 1", sz.RespCache, sz.NotModified)
+	}
 }
 
 func TestRespCacheStatszAndMetricsz(t *testing.T) {

@@ -35,18 +35,15 @@ type EndpointStats struct {
 }
 
 // RespCacheStats is the encoded-response cache's /statsz entry: byte
-// footprint, hit/miss traffic, bodies too large for the whole budget,
-// and how many checkouts were answered with a 304 off a client
-// validator.
+// footprint, hit/miss traffic and bodies too large for the whole budget.
 type RespCacheStats struct {
-	Entries     int   `json:"entries"`
-	Bytes       int64 `json:"bytes"`
-	MaxBytes    int64 `json:"max_bytes"`
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Rejected    int64 `json:"rejected"`
-	Evictions   int64 `json:"evictions"`
-	NotModified int64 `json:"not_modified"`
+	Entries   int   `json:"entries"`
+	Bytes     int64 `json:"bytes"`
+	MaxBytes  int64 `json:"max_bytes"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Rejected  int64 `json:"rejected"`
+	Evictions int64 `json:"evictions"`
 }
 
 // Statsz is the /statsz response: the server-side observability surface
@@ -70,6 +67,10 @@ type Statsz struct {
 	// RespCache is the encoded-response cache's state and traffic
 	// (absent when the cache is disabled).
 	RespCache *RespCacheStats `json:"resp_cache,omitempty"`
+	// NotModified counts every 304 answered off a client If-None-Match
+	// validator by a cached GET (/checkout, /diff, /log), whether or not
+	// the response cache is on.
+	NotModified int64 `json:"not_modified"`
 	// Repo is the single repository's full stats — plan costs, WAL
 	// batching (wal_batches/wal_max_batch), maintenance counters, store
 	// cache traffic — in single-repo mode; zero in multi mode.
@@ -93,6 +94,7 @@ func (s *Server) StatszSnapshot() Statsz {
 		GoVersion:     runtime.Version(),
 		Admission:     s.adm.stats(),
 		Endpoints:     make(map[string]EndpointStats),
+		NotModified:   s.notModified.Load(),
 	}
 	if s.mgr != nil {
 		fleet := s.mgr.Fleet(5)
@@ -108,14 +110,13 @@ func (s *Server) StatszSnapshot() Statsz {
 	if s.resp != nil {
 		cs := s.resp.Stats()
 		out.RespCache = &RespCacheStats{
-			Entries:     cs.Entries,
-			Bytes:       cs.Bytes,
-			MaxBytes:    cs.MaxBytes,
-			Hits:        cs.Hits,
-			Misses:      cs.Misses,
-			Rejected:    cs.Rejected,
-			Evictions:   cs.Evictions,
-			NotModified: s.notModified.Load(),
+			Entries:   cs.Entries,
+			Bytes:     cs.Bytes,
+			MaxBytes:  cs.MaxBytes,
+			Hits:      cs.Hits,
+			Misses:    cs.Misses,
+			Rejected:  cs.Rejected,
+			Evictions: cs.Evictions,
 		}
 	}
 	s.epMu.Lock()
