@@ -1095,6 +1095,7 @@ func BenchmarkReplanPass(b *testing.B) {
 				b.Fatal(err)
 			}
 			before := repo.Stats()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()

@@ -13,8 +13,12 @@
 // candidate costs one ρ-bucket lookup and one probe of the run's flat,
 // pointer-free candidate table, and of a parent state's independent
 // candidates only the first of each ρ-bucket is offered at all, as no
-// later one can win; nothing is allocated per candidate, and only the
-// states that survive a merge (at most MaxStates) go to the heap.
+// later one can win; nothing is allocated per candidate. The states that
+// survive a merge (at most MaxStates) hold no pointers either: their
+// values go to a pooled buffer per node, returned once the parent has
+// merged the node, and how each came about to one record in a log that
+// is compacted to what the unmerged nodes' states reach whenever it has
+// doubled, and at the end to what the root's states reach.
 // Geometric buckets come from a table built once per run that equals
 // 1 + int64(math.Log(float64(x))/math.Log1p(ε)) for every x (see
 // bucketer). A run is a pure function of its tree and options: the same

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -30,10 +31,13 @@ import (
 // the benchmark's replan-scale graph at 950 versions a run offers 1.86 M
 // candidates to the tables (3.15 M when only the independent option
 // offered by runs, 5.4 M when every pair offered), radix-sorts the 0.27 M
-// the tables keep, and takes 139–153 ms on one core of a 2-vCPU Xeon
-// (169–196 ms with 3.15 M offers and comparison sorts). The result is
-// deterministic: equal inputs give equal states, in equal order, and
-// equal plans.
+// the tables keep, and takes a median 134 ms on one core of a 2-vCPU
+// Xeon, against 156 ms when each surviving state was a heap object
+// chained to others by pointers (12 alternating pairs). It allocates
+// 3,337 times and 5.4 MB (157,300 times and 13.1 MB with chained
+// states); its log peaks at 33,447 records (0.4 MB), and the handle
+// keeps 5,135. The result is deterministic: equal inputs give equal
+// states, in equal order, and equal plans.
 type MSROptions struct {
 	// Epsilon > 0 buckets root-retrieval and total-retrieval values so
 	// that at most poly(n, 1/ε) buckets survive per node; the returned
@@ -78,8 +82,9 @@ const (
 	opSource
 )
 
-// msrState is a partial solution on the already-merged portion of a
-// subtree: node v plus the subtrees of its first merged children.
+// msrVal is a state's value, what a merge reads of it: a partial solution
+// on the already-merged portion of a subtree, node v plus the subtrees of
+// its first merged children.
 //
 // Invariants (fromBelow == false, "rooted"): v is locally materialized
 // (sigma includes s_v); k counts the nodes whose retrieval path passes
@@ -91,17 +96,51 @@ const (
 // descendant at exact cost gamma (already counted in rho); the
 // configuration of the merged portion is final except that later children
 // may still attach as dependents at cost k_c·(edge + gamma) each.
-type msrState struct {
-	fromBelow bool
-	k         int32
-	gamma     graph.Cost
-	sigma     graph.Cost
-	rho       graph.Cost
+type msrVal struct {
+	gamma, sigma, rho graph.Cost
+	k                 int32
+	fromBelow         bool
+}
 
-	prev      *msrState // state of v before this merge step
-	child     *msrState // merged child state
-	childNode graph.NodeID
-	op        msrOp
+// noRec is the log index of a node's initial state (v materialized,
+// alone), which no merge made and so has no record.
+const noRec int32 = -1
+
+// msrRec records how a state came about: the merge of child node c into
+// v, with the option op, from v's state prev and c's state child (log
+// indices, noRec for an initial state). tag packs c, op and whether the
+// child state is from below, which reconstruction needs and the child's
+// own record does not hold. A record holds no pointer, so the log is one
+// slab the collector never scans.
+type msrRec struct {
+	prev, child int32
+	tag         uint32 // c<<3 | op<<1 | child state's fromBelow
+}
+
+// maxMSRNodes is the most nodes a record's tag can name.
+const maxMSRNodes = 1 << 29
+
+func newMSRRec(prev, child int32, c graph.NodeID, op msrOp, childBelow bool) msrRec {
+	tag := uint32(c)<<3 | uint32(op)<<1
+	if childBelow {
+		tag |= 1
+	}
+	return msrRec{prev: prev, child: child, tag: tag}
+}
+
+func (r msrRec) childNode() graph.NodeID { return graph.NodeID(r.tag >> 3) }
+func (r msrRec) op() msrOp               { return msrOp(r.tag >> 1 & 3) }
+func (r msrRec) childBelow() bool        { return r.tag&1 != 0 }
+
+// msrList is one node's states, in the order of msrTable.compare: their
+// values, and the log index of the first one's record. A merge appends
+// its survivors' records to the log in that order, so the i-th state's
+// record is base+i; an initial list, one state with no record, has base
+// noRec.
+type msrList struct {
+	vals []msrVal
+	base int32
+	node graph.NodeID
 }
 
 type msrKey struct {
@@ -116,9 +155,10 @@ type msrKey struct {
 // LMG and LMG-All, the DP algorithm returns a whole spectrum of solutions
 // at once", Section 7.2).
 type MSRDP struct {
-	tree   *BiTree
-	states []*msrState // root states sorted by sigma
-	stats  MSRStats
+	tree  *BiTree
+	root  msrList  // the root's states, sorted by sigma
+	log   []msrRec // the records the root's states reach
+	stats MSRStats
 }
 
 // bucketer maps γ and ρ values to the discretization buckets of the DP's
@@ -230,12 +270,7 @@ func (b *bucketer) bucket(x graph.Cost) int64 {
 		if x >= b.geoLimit {
 			return b.geoBucket(x)
 		}
-		l := bits.Len64(uint64(x))
-		bkt := b.geoCell[l<<6|int(uint64(x)<<7>>l)&63]
-		for x >= b.geoStep[bkt] {
-			bkt++
-		}
-		return int64(bkt)
+		return int64(b.geoLookup(x))
 	case b.linearTick > 0:
 		return int64(float64(x) / b.linearTick)
 	default:
@@ -243,15 +278,26 @@ func (b *bucketer) bucket(x graph.Cost) int64 {
 	}
 }
 
+// geoLookup is the table's answer for 0 < x < geoLimit.
+func (b *bucketer) geoLookup(x graph.Cost) int32 {
+	l := bits.Len64(uint64(x))
+	bkt := b.geoCell[l<<6|int(uint64(x)<<7>>l)&63]
+	for x >= b.geoStep[bkt] {
+		bkt++
+	}
+	return bkt
+}
+
 // bucketEnd returns x's bucket and an end past x below which every value
 // from x on has that bucket: the next step of the geometric table, or
-// x+1 where the bucketer knows no step.
+// x+1 where the bucketer knows no step. The walks call it once per run,
+// so the table's case, nearly every call, skips bucket's switch.
 func (b *bucketer) bucketEnd(x graph.Cost) (int64, graph.Cost) {
-	bkt := b.bucket(x)
 	if b.geoLog > 0 && x > 0 && x < b.geoLimit {
-		return bkt, b.geoStep[bkt]
+		bkt := b.geoLookup(x)
+		return int64(bkt), b.geoStep[bkt]
 	}
-	return bkt, x + 1
+	return b.bucket(x), x + 1
 }
 
 // kBucket merges dependency counts geometrically in heuristic mode; the
@@ -273,8 +319,8 @@ func (b *bucketer) kBucket(k int32) int32 {
 // with the pair it comes from as positions (x in the merge's xs, y in its
 // ys) instead of pointers. So the table a run reuses for every merge
 // holds no pointers: writing it needs no write barrier and the collector
-// never scans it. The survivors get their prev and child pointers when
-// they are copied out.
+// never scans it. The survivors' records take the positions as log
+// indices when they are copied out.
 type msrCand struct {
 	key               msrKey
 	k                 int32
@@ -305,7 +351,8 @@ func (c *msrCand) before(d *msrCand) bool {
 // msrTable is the candidate set of one merge step: an open-addressing
 // index over a dense array of candidates in first-insertion order. A run
 // owns one table and reuses it for every merge, so a merge allocates
-// nothing per candidate; only the survivors are copied out to the heap.
+// nothing per candidate; only the survivors are copied out, to the run's
+// value lists and log.
 type msrTable struct {
 	index []int32 // 0 = empty, else 1 + position in cands
 	shift uint    // 64 - log2(len(index))
@@ -326,10 +373,28 @@ func (k msrKey) hash() uint64 {
 }
 
 // offer enters c under its key unless the key holds a candidate that wins
-// over it.
+// over it. The key's home slot settles most offers: it is empty, or holds
+// the key.
 func (t *msrTable) offer(c *msrCand) {
-	mask := uint64(len(t.index) - 1)
 	i := c.key.hash() >> t.shift
+	if e := t.index[i]; e == 0 {
+		if 2*(len(t.cands)+1) <= len(t.index) {
+			t.cands = append(t.cands, *c)
+			t.index[i] = int32(len(t.cands))
+			return
+		}
+	} else if d := &t.cands[e-1]; d.key == c.key {
+		if c.before(d) {
+			*d = *c
+		}
+		return
+	}
+	t.probe(c, i)
+}
+
+// probe is offer past the home slot i.
+func (t *msrTable) probe(c *msrCand, i uint64) {
+	mask := uint64(len(t.index) - 1)
 	for ; t.index[i] != 0; i = (i + 1) & mask {
 		if d := &t.cands[t.index[i]-1]; d.key == c.key {
 			if c.before(d) {
@@ -516,9 +581,21 @@ type msrRun struct {
 	xGroups     []msrGroup // xBy cut by k
 	order       []msrOrd   // the table's candidates, sorted by compare
 	sorter      radixSorter
+	// The log of the survivors' records, and the value buffers the lists
+	// not in use go back to. pending is the lists of the finished nodes
+	// no parent has merged yet, leaves aside (a leaf's list is made when
+	// its parent merges it); live is how many records the last
+	// compaction kept, and remap its scratch.
+	log     []msrRec
+	free    [][]msrVal
+	pending []msrList
+	live    int
+	remap   []int32
 	// What the run did, for MSRStats.
 	offers      int64
 	truncations int
+	peakLog     int
+	compactions int
 }
 
 // msrOrd is a candidate's place in the table, with its (σ, ρ), which
@@ -542,7 +619,23 @@ type MSRStats struct {
 	// Truncations is the number of merges whose candidates the
 	// MaxStates cap cut.
 	Truncations int
+	// PeakLog is the most records the reconstruction log held.
+	PeakLog int
+	// Compactions is the number of times the log was compacted between
+	// merges; the last compaction, from the root's states, is not
+	// counted.
+	Compactions int
 }
+
+const (
+	// The log is compacted once it holds twice the records the last
+	// compaction kept, and at least msrLogFloor: a compaction costs about
+	// the records it reads, at most twice those appended since the last
+	// one, and the log holds at most twice what the last compaction
+	// kept, or the floor.
+	msrLogGrowth = 2
+	msrLogFloor  = 256
+)
 
 // MSRFrontier runs DP-MSR over the whole tree and returns the handle to
 // extract solutions for any storage constraint. It checks ctx before
@@ -552,32 +645,158 @@ func MSRFrontier(ctx context.Context, t *BiTree, opt MSROptions) (*MSRDP, error)
 	if n == 0 {
 		return &MSRDP{tree: t}, nil
 	}
+	if n > maxMSRNodes {
+		return nil, fmt.Errorf("dptree: DP-MSR takes at most %d nodes, the tree has %d", maxMSRNodes, n)
+	}
 	r := &msrRun{t: t, b: newBucketer(opt, t), pruneBound: opt.PruneStorage, maxStates: opt.MaxStates, tab: newMSRTable()}
 	if r.pruneBound == 0 {
 		r.pruneBound = -1 // frontier mode: no pruning by default
 	}
-	states := make([][]*msrState, n)
 	// Reverse preorder: children are processed before their parents.
+	// index() pushes v's children in order, so each child finishes right
+	// after its own subtree and the first child first: when v is reached,
+	// its non-leaf children's lists are the top of pending, in order.
 	for i := len(t.Order) - 1; i >= 0; i-- {
 		v := t.Order[i]
-		cur := []*msrState{{k: 1, sigma: t.G.NodeStorage(v), rho: 0, op: opInit}}
+		if len(t.Children[v]) == 0 && i > 0 {
+			continue
+		}
+		top := len(r.pending)
+		for _, c := range t.Children[v] {
+			if len(t.Children[c]) > 0 {
+				top--
+			}
+		}
+		next := top
+		cur := r.initList(v)
 		for _, c := range t.Children[v] {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cur = r.mergeChild(v, c, cur, states[c])
-			if len(cur) == 0 {
+			var ys msrList
+			if len(t.Children[c]) == 0 {
+				ys = r.initList(c)
+			} else {
+				ys, r.pending[next] = r.pending[next], msrList{base: noRec}
+				next++
+				if ys.node != c {
+					panic("dptree: DP-MSR merges out of preorder")
+				}
+			}
+			kept := r.mergeChild(v, c, cur, ys)
+			r.putVals(cur.vals)
+			r.putVals(ys.vals)
+			cur = kept
+			if len(cur.vals) == 0 {
 				// Only the PruneStorage bound can empty a state set: no
 				// partial solution fits, so no full solution can either.
 				return nil, core.ErrInfeasible
 			}
-			states[c] = nil // children states stay reachable via chains
+			if len(r.log) > math.MaxInt32 {
+				return nil, fmt.Errorf("dptree: DP-MSR log past %d records", math.MaxInt32)
+			}
+			r.peakLog = max(r.peakLog, len(r.log))
+			if len(r.log) >= max(msrLogFloor, msrLogGrowth*r.live) {
+				r.pending = append(r.pending, cur)
+				r.compact()
+				cur = r.pending[len(r.pending)-1]
+				r.pending = r.pending[:len(r.pending)-1]
+				r.compactions++
+			}
 		}
-		states[v] = cur
+		r.pending = append(r.pending[:top], cur)
 	}
 	// The root's states are in the order of msrTable.compare, which is by
-	// (σ, ρ) first: the order Frontier and Best walk them in.
-	return &MSRDP{tree: t, states: states[0], stats: MSRStats{Offers: r.offers, Truncations: r.truncations}}, nil
+	// (σ, ρ) first: the order Frontier and Best walk them in. The handle
+	// keeps them and the records they reach, in buffers of their own size.
+	r.compact()
+	root := r.pending[0]
+	return &MSRDP{
+		tree:  t,
+		root:  msrList{vals: slices.Clone(root.vals), base: root.base},
+		log:   slices.Clone(r.log),
+		stats: MSRStats{Offers: r.offers, Truncations: r.truncations, PeakLog: r.peakLog, Compactions: r.compactions},
+	}, nil
+}
+
+// initList is v's states before any merge: v's initial state alone.
+func (r *msrRun) initList(v graph.NodeID) msrList {
+	return msrList{vals: append(r.getVals(), msrVal{k: 1, sigma: r.t.G.NodeStorage(v)}), base: noRec, node: v}
+}
+
+// getVals returns an empty value buffer, from the pool if it has one.
+func (r *msrRun) getVals() []msrVal {
+	if n := len(r.free); n > 0 {
+		buf := r.free[n-1]
+		r.free = r.free[:n-1]
+		return buf
+	}
+	return nil
+}
+
+// putVals returns buf, which no list uses any more, to the pool.
+func (r *msrRun) putVals(buf []msrVal) {
+	if cap(buf) > 0 {
+		r.free = append(r.free, buf[:0])
+	}
+}
+
+// compact drops the log's records that no pending list reaches, slides
+// the others down in order and renumbers the records' indices and the
+// lists' bases. A record's prev and child precede it in the log, so one
+// sweep from the top marks everything the lists reach, and one from the
+// bottom moves each kept record after those it points to have moved.
+func (r *msrRun) compact() {
+	n := len(r.log)
+	if cap(r.remap) < n {
+		r.remap = make([]int32, n)
+	}
+	mark := r.remap[:n]
+	clear(mark)
+	for _, l := range r.pending {
+		if l.base != noRec {
+			for i := range l.vals {
+				mark[l.base+int32(i)] = 1
+			}
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		if mark[i] == 0 {
+			continue
+		}
+		rec := r.log[i]
+		if rec.prev != noRec {
+			mark[rec.prev] = 1
+		}
+		if rec.child != noRec {
+			mark[rec.child] = 1
+		}
+	}
+	// mark[i] becomes record i's new index as the sweep passes it; the
+	// indices it reads, prev and child, lie behind it.
+	w := int32(0)
+	for i := 0; i < n; i++ {
+		if mark[i] == 0 {
+			continue
+		}
+		rec := r.log[i]
+		if rec.prev != noRec {
+			rec.prev = mark[rec.prev]
+		}
+		if rec.child != noRec {
+			rec.child = mark[rec.child]
+		}
+		r.log[w], mark[i] = rec, w
+		w++
+	}
+	r.log = r.log[:w]
+	r.live = int(w)
+	// A list's records are contiguous and all kept, so they stay so.
+	for i := range r.pending {
+		if l := &r.pending[i]; l.base != noRec {
+			l.base = mark[l.base]
+		}
+	}
 }
 
 // Stats returns what the run did.
@@ -587,7 +806,7 @@ func (d *MSRDP) Stats() MSRStats { return d.stats }
 // whose storage less refund, base + σ, is inside the prune bound. states
 // ascend in σ, so these are a prefix, and a walk skips every position
 // past its end.
-func (r *msrRun) within(states []*msrState, base graph.Cost) int32 {
+func (r *msrRun) within(states []msrVal, base graph.Cost) int32 {
 	if r.pruneBound < 0 {
 		return int32(len(states))
 	}
@@ -597,7 +816,7 @@ func (r *msrRun) within(states []*msrState, base graph.Cost) int32 {
 // byK fills dst with the states of list, positions in states in ρ
 // order, ordered by exact k and so by (k, ρ), each with its σ and its
 // ρ + k·perK, and cuts it into groups by k.
-func (r *msrRun) byK(dst []msrOrd, groups []msrGroup, list []msrOrd, states []*msrState, perK graph.Cost) ([]msrOrd, []msrGroup) {
+func (r *msrRun) byK(dst []msrOrd, groups []msrGroup, list []msrOrd, states []msrVal, perK graph.Cost) ([]msrOrd, []msrGroup) {
 	dst, groups = dst[:0], groups[:0]
 	for _, o := range list {
 		// σ holds k for the sort, which is stable: ρ stays ascending
@@ -614,7 +833,7 @@ func (r *msrRun) byK(dst []msrOrd, groups []msrGroup, list []msrOrd, states []*m
 		lo = hi
 	}
 	for i := range dst {
-		s := states[dst[i].e]
+		s := &states[dst[i].e]
 		dst[i].sigma, dst[i].rho = s.sigma, s.rho+graph.Cost(s.k)*perK
 	}
 	return dst, groups
@@ -644,12 +863,13 @@ func (r *msrRun) byK(dst []msrOrd, groups []msrGroup, list []msrOrd, states []*m
 //
 // xs and ys are in the order of msrTable.compare, which is by σ first, so
 // the prune bound keeps a prefix of either.
-func (r *msrRun) mergeChild(v, c graph.NodeID, xs, ys []*msrState) []*msrState {
+func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 	t, b, tab := r.t, r.b, &r.tab
 	downID, sDown, rDown := t.DownEdge(c) // delta v → c
 	upID, sUp, rUp := t.UpEdge(c)         // delta c → v
 	sv := t.G.NodeStorage(v)
 	sc := t.G.NodeStorage(c)
+	xs, ys := xl.vals, yl.vals
 
 	r.byRho = r.byRho[:0]
 	for j, y := range ys {
@@ -659,7 +879,7 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xs, ys []*msrState) []*msrState {
 	r.rootedByRho = r.rootedByRho[:0]
 	below := false // has c a from-below state
 	for i, o := range r.byRho {
-		y := ys[o.e]
+		y := &ys[o.e]
 		r.byRho[i].sigma = y.sigma
 		if y.fromBelow {
 			below = true
@@ -675,7 +895,8 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xs, ys []*msrState) []*msrState {
 		srcGB = b.bucket(rUp)
 	}
 
-	for xi, x := range xs {
+	for xi := range xs {
+		x := &xs[xi]
 		refund := sv // a rooted v may still be uprooted, refunding s_v
 		if x.fromBelow {
 			refund = 0
@@ -723,7 +944,8 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xs, ys []*msrState) []*msrState {
 		}
 		r.sorter.sort(r.xByRho)
 		r.xBy, r.xGroups = r.byK(r.xBy, r.xGroups, r.xByRho, xs, 0)
-		for j, y := range ys {
+		for j := range ys {
+			y := &ys[j]
 			if !y.fromBelow {
 				continue
 			}
@@ -749,15 +971,11 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xs, ys []*msrState) []*msrState {
 		r.truncations++
 	}
 	r.order = order
-	// Allocated one by one: a shared slab would stay reachable as a whole
-	// through any single state a later chain keeps.
-	kept := make([]*msrState, len(order))
-	for i, o := range order {
+	kept := msrList{vals: r.getVals(), base: int32(len(r.log)), node: v}
+	for _, o := range order {
 		s := &tab.cands[o.e]
-		kept[i] = &msrState{
-			fromBelow: s.key.fromBelow, k: s.k, gamma: s.gamma, sigma: s.sigma, rho: s.rho,
-			prev: xs[s.x], child: ys[s.y], childNode: c, op: s.op,
-		}
+		kept.vals = append(kept.vals, msrVal{gamma: s.gamma, sigma: s.sigma, rho: s.rho, k: s.k, fromBelow: s.key.fromBelow})
+		r.log = append(r.log, newMSRRec(xl.base+s.x, yl.base+s.y, c, s.op, ys[s.y].fromBelow))
 	}
 	tab.cands = tab.cands[:0]
 	return kept
@@ -868,7 +1086,7 @@ func (t *msrTable) capStates(order []msrOrd, maxStates int) []msrOrd {
 func (d *MSRDP) Frontier() *plan.Frontier {
 	f := &plan.Frontier{}
 	best := graph.Infinite
-	for _, s := range d.states { // sorted by sigma
+	for _, s := range d.root.vals { // sorted by sigma
 		if s.rho < best {
 			best = s.rho
 			f.Add(s.sigma, s.rho)
@@ -882,24 +1100,28 @@ func (d *MSRDP) Best(s graph.Cost) (core.Solution, error) {
 	if d.tree.N() == 0 {
 		return core.Solution{Plan: plan.New(d.tree.G), Cost: plan.Cost{Feasible: true}}, nil
 	}
-	var chosen *msrState
-	for _, st := range d.states {
+	chosen := -1
+	for i, st := range d.root.vals {
 		if st.sigma > s {
 			continue
 		}
-		if chosen == nil || st.rho < chosen.rho || (st.rho == chosen.rho && st.sigma < chosen.sigma) {
-			chosen = st
+		if chosen < 0 {
+			chosen = i
+		} else if c := &d.root.vals[chosen]; st.rho < c.rho || (st.rho == c.rho && st.sigma < c.sigma) {
+			chosen = i
 		}
 	}
-	if chosen == nil {
+	if chosen < 0 {
 		return core.Solution{}, core.ErrInfeasible
 	}
 	return d.extract(chosen)
 }
 
-func (d *MSRDP) extract(root *msrState) (core.Solution, error) {
+// extract builds the plan of the root's i-th state.
+func (d *MSRDP) extract(i int) (core.Solution, error) {
+	root := d.root.vals[i]
 	p := plan.New(d.tree.G)
-	if err := d.reconstruct(p, 0, root, true); err != nil {
+	if err := d.reconstruct(p, 0, d.root.base+int32(i), root.fromBelow, true); err != nil {
 		return core.Solution{}, err
 	}
 	c := plan.Evaluate(d.tree.G, p)
@@ -913,38 +1135,34 @@ func (d *MSRDP) extract(root *msrState) (core.Solution, error) {
 	return core.Solution{Plan: p, Cost: c}, nil
 }
 
-// reconstruct walks a state chain, storing the deltas its merge decisions
-// imply. keep reports whether v keeps its own materialization when the
-// final mode is rooted (false when the parent uprooted v).
-func (d *MSRDP) reconstruct(p *plan.Plan, v graph.NodeID, final *msrState, keep bool) error {
-	if !final.fromBelow && keep {
+// reconstruct walks the records from final, v's last state (from below
+// or not), back to v's initial state, storing the deltas their merge
+// decisions imply. keep reports whether v keeps its own materialization
+// when the final mode is rooted (false when the parent uprooted v).
+func (d *MSRDP) reconstruct(p *plan.Plan, v graph.NodeID, final int32, fromBelow, keep bool) error {
+	if !fromBelow && keep {
 		p.Materialized[v] = true
 	}
-	for s := final; s.op != opInit; s = s.prev {
-		c := s.childNode
-		switch s.op {
-		case opIndep:
-			if err := d.reconstruct(p, c, s.child, true); err != nil {
-				return err
-			}
+	for i := final; i != noRec; i = d.log[i].prev {
+		rec := d.log[i]
+		c, keepChild := rec.childNode(), true
+		switch rec.op() {
 		case opDep:
 			id, _, _ := d.tree.DownEdge(c)
 			if id == graph.None {
 				return ErrSynthesizedEdge
 			}
 			p.Stored[id] = true
-			if err := d.reconstruct(p, c, s.child, false); err != nil {
-				return err
-			}
+			keepChild = false
 		case opSource:
 			id, _, _ := d.tree.UpEdge(c)
 			if id == graph.None {
 				return ErrSynthesizedEdge
 			}
 			p.Stored[id] = true
-			if err := d.reconstruct(p, c, s.child, true); err != nil {
-				return err
-			}
+		}
+		if err := d.reconstruct(p, c, rec.child, rec.childBelow(), keepChild); err != nil {
+			return err
 		}
 	}
 	return nil

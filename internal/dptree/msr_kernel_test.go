@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/diff"
@@ -75,8 +79,8 @@ type stateTuple struct {
 }
 
 func tuples(d *MSRDP) []stateTuple {
-	out := make([]stateTuple, len(d.states))
-	for i, s := range d.states {
+	out := make([]stateTuple, len(d.root.vals))
+	for i, s := range d.root.vals {
 		out[i] = stateTuple{s.fromBelow, s.k, s.gamma, s.sigma, s.rho}
 	}
 	return out
@@ -95,13 +99,14 @@ func sameError(got, want error) bool {
 func checkAgainstReference(t *testing.T, label string, bt *BiTree, opt MSROptions, budgets []graph.Cost) {
 	t.Helper()
 	got, gotErr := MSRFrontier(context.Background(), bt, opt)
-	want, wantErr := referenceMSRFrontier(bt, opt)
+	wantRoot, wantErr := referenceMSRFrontier(bt, opt)
 	if !sameError(gotErr, wantErr) {
 		t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
 	}
 	if gotErr != nil {
 		return
 	}
+	want := logForm(bt, wantRoot)
 	if g, w := tuples(got), tuples(want); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: root states differ\n got %v\nwant %v", label, g, w)
 	}
@@ -228,26 +233,33 @@ func FuzzMergeKernelMatchesReference(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 0, 3, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{25, 1, 1, 2, 1, 2, 0xff, 0x80, 0x10, 0x07, 0x3f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := fuzzBytes(data)
-		ranges := []graph.Cost{3, 10, 1000, 1_000_000}
-		n, mode, maxStates, prune := next(), next(), []int{0, 4, 16, 256}[next()%4], next()
-		maxNode, maxEdge := ranges[next()%4], ranges[next()%4]
-		if maxStates == 0 {
-			n = 1 + n%10
-		} else {
-			n = 1 + n%40
-		}
-		bt := fuzzTree(t, next, n, maxNode, maxEdge)
-		g := bt.G
-		mst := minStorage(t, g)
-		m := kernelModes[mode%len(kernelModes)]
-		opt := m.opt
-		opt.MaxStates = maxStates
-		opt.PruneStorage = []graph.Cost{-1, 1, mst, mst + mst/2, 2 * mst}[prune%5]
-		budgets := []graph.Cost{mst - 1, mst, mst + mst/2, 2 * mst, g.TotalNodeStorage()}
-		label := fmt.Sprintf("n %d %s states %d prune %d", n, m.name, maxStates, opt.PruneStorage)
+		bt, opt, budgets, label := fuzzKernelCase(t, data)
 		checkAgainstReference(t, label, bt, opt, budgets)
 	})
+}
+
+// fuzzKernelCase decodes FuzzMergeKernelMatchesReference's bytes.
+func fuzzKernelCase(t *testing.T, data []byte) (bt *BiTree, opt MSROptions, budgets []graph.Cost, label string) {
+	t.Helper()
+	next := fuzzBytes(data)
+	ranges := []graph.Cost{3, 10, 1000, 1_000_000}
+	n, mode, maxStates, prune := next(), next(), []int{0, 4, 16, 256}[next()%4], next()
+	maxNode, maxEdge := ranges[next()%4], ranges[next()%4]
+	if maxStates == 0 {
+		n = 1 + n%10
+	} else {
+		n = 1 + n%40
+	}
+	bt = fuzzTree(t, next, n, maxNode, maxEdge)
+	g := bt.G
+	mst := minStorage(t, g)
+	m := kernelModes[mode%len(kernelModes)]
+	opt = m.opt
+	opt.MaxStates = maxStates
+	opt.PruneStorage = []graph.Cost{-1, 1, mst, mst + mst/2, 2 * mst}[prune%5]
+	budgets = []graph.Cost{mst - 1, mst, mst + mst/2, 2 * mst, g.TotalNodeStorage()}
+	label = fmt.Sprintf("n %d %s states %d prune %d", n, m.name, maxStates, opt.PruneStorage)
+	return bt, opt, budgets, label
 }
 
 // replanScaleGraph builds a history shaped like the benchmark's
@@ -332,7 +344,8 @@ func daemonRun(t testing.TB, g *graph.Graph) (opt MSROptions, budget graph.Cost)
 // last MSR race of the benchmark's replan-scale plan phase: the graph
 // shape of that workload at 850 and 950 versions, solved as a re-plan
 // does (MSROnGraph's steps). offers/op is the candidates offered to the
-// merges' tables, truncations/op the merges the state cap cut.
+// merges' tables, truncations/op the merges the state cap cut, and
+// peak_log_bytes/op the most bytes the reconstruction log's records held.
 func BenchmarkDPMSR_ReplanScale(b *testing.B) {
 	for _, versions := range []int{850, 950} {
 		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
@@ -357,6 +370,7 @@ func BenchmarkDPMSR_ReplanScale(b *testing.B) {
 			}
 			b.ReportMetric(float64(stats.Offers), "offers/op")
 			b.ReportMetric(float64(stats.Truncations), "truncations/op")
+			b.ReportMetric(float64(stats.PeakLog)*float64(unsafe.Sizeof(msrRec{})), "peak_log_bytes/op")
 		})
 	}
 }
@@ -536,6 +550,92 @@ func TestMSRStats(t *testing.T) {
 		}
 		t.Logf("MaxStates %d: %+v", maxStates, st)
 	}
+	// The log compacts on the replan-scale graph, not on a tree too small
+	// to reach msrLogFloor.
+	for _, c := range []struct {
+		versions int
+		compacts bool
+	}{{950, true}, {3, false}} {
+		g := replanScaleGraph(c.versions, 21)
+		opt, _ := daemonRun(t, g)
+		dp, err := MSRFrontier(context.Background(), spanningTree(t, g), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := dp.Stats()
+		if st.PeakLog < len(dp.log) || st.PeakLog == 0 || (st.Compactions > 0) != c.compacts {
+			t.Errorf("%d versions: %+v, %d records kept", c.versions, st, len(dp.log))
+		}
+		t.Logf("%d versions: %+v", c.versions, st)
+	}
+}
+
+// reachable counts the records the root's states of d reach.
+func reachable(d *MSRDP) int {
+	seen := make([]bool, len(d.log))
+	var stack []int32
+	for i := range d.root.vals {
+		if at := d.root.base + int32(i); at != noRec {
+			stack = append(stack, at)
+		}
+	}
+	n := 0
+	for len(stack) > 0 {
+		at := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[at] {
+			continue
+		}
+		seen[at] = true
+		n++
+		for _, next := range []int32{d.log[at].prev, d.log[at].child} {
+			if next != noRec {
+				stack = append(stack, next)
+			}
+		}
+	}
+	return n
+}
+
+// TestMSRLogCompacts runs the daemon's DP on the replan-scale graph,
+// whose log compacts between merges: the handle keeps exactly the
+// records its root's states reach, and its plans are the reference's.
+// The committed fuzz seed seed-log-compacts compacts too, so the fuzz
+// corpus keeps a tree that does.
+func TestMSRLogCompacts(t *testing.T) {
+	g := replanScaleGraph(950, 21)
+	opt, budget := daemonRun(t, g)
+	bt := spanningTree(t, g)
+	dp, err := MSRFrontier(context.Background(), bt, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := dp.Stats()
+	if st.Compactions == 0 {
+		t.Fatalf("no compaction: %+v", st)
+	}
+	if n := reachable(dp); n != len(dp.log) {
+		t.Fatalf("the handle keeps %d records, its root's states reach %d", len(dp.log), n)
+	}
+	t.Logf("%+v, %d records kept", st, len(dp.log))
+	checkAgainstReference(t, "replan-scale 950", bt, opt, []graph.Cost{budget / 2, budget})
+
+	corpus, err := os.ReadFile("testdata/fuzz/FuzzMergeKernelMatchesReference/seed-log-compacts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(corpus), "\n")
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, opt, _, label := fuzzKernelCase(t, []byte(data))
+	if dp, err = MSRFrontier(context.Background(), bt, opt); err != nil {
+		t.Fatal(err)
+	}
+	if st := dp.Stats(); st.Compactions == 0 {
+		t.Fatalf("seed-log-compacts (%s) does not compact: %+v", label, st)
+	}
 }
 
 // TestMSRConcurrentRuns guards against scratch shared between runs: the
@@ -580,15 +680,17 @@ func TestMSRConcurrentRuns(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMSRRetainedHeap guards against the run's scratch outliving it: the
-// heap a finished *MSRDP keeps alive is its chained states, as it was
-// with the reference kernel. Survivors allocated in one slab per merge,
-// or stale prev/child pointers in reused table slots, show here.
+// TestMSRRetainedHeap guards against the run's scratch outliving it: a
+// finished *MSRDP keeps its root's values and the log records they
+// reach, no more heap than the reference kernel's root states and the
+// chains of states behind them. A handle that kept the run's pooled value
+// buffers, its table or its log's headroom, or a log compacted from more
+// than the root's states, shows here.
 func TestMSRRetainedHeap(t *testing.T) {
 	g := replanScaleGraph(800, 21)
 	opt, _ := daemonRun(t, g)
 	bt := spanningTree(t, g)
-	retained := func(run func(*BiTree, MSROptions) (*MSRDP, error)) uint64 {
+	retained := func(run func() (any, error)) uint64 {
 		var before, after runtime.MemStats
 		// Twice: what a sync.Pool holds (diff's scratch, from generating
 		// the graph) survives one collection and would be freed, and
@@ -596,20 +698,20 @@ func TestMSRRetainedHeap(t *testing.T) {
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		dp, err := run(bt, opt)
+		kept, err := run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(dp)
+		runtime.KeepAlive(kept)
 		if after.HeapAlloc < before.HeapAlloc {
 			return 0
 		}
 		return after.HeapAlloc - before.HeapAlloc
 	}
-	want := retained(referenceMSRFrontier)
-	got := retained(func(t *BiTree, opt MSROptions) (*MSRDP, error) { return MSRFrontier(context.Background(), t, opt) })
+	want := retained(func() (any, error) { return referenceMSRFrontier(bt, opt) })
+	got := retained(func() (any, error) { return MSRFrontier(context.Background(), bt, opt) })
 	t.Logf("retained heap: kernel %d B, reference %d B", got, want)
 	if got > want+want/10 {
 		t.Fatalf("a finished run retains %d B, the reference kernel %d B", got, want)

@@ -10,10 +10,25 @@ import (
 	"repro/internal/graph"
 )
 
-// The DP-MSR kernel before the table-driven buckets and the flat state
-// table, kept as the oracle the differential tests in msr_kernel_test.go
-// compare the kernel against: same root states, frontier, plans and
-// errors.
+// The DP-MSR kernel before the table-driven buckets, the flat state
+// table and the reconstruction log, kept as the oracle the differential
+// tests in msr_kernel_test.go compare the kernel against: same root
+// states, frontier, plans and errors.
+
+// msrState is the reference kernel's state: its value, and the states it
+// came from as pointers, a chain per node that reconstruction walks.
+type msrState struct {
+	fromBelow bool
+	k         int32
+	gamma     graph.Cost
+	sigma     graph.Cost
+	rho       graph.Cost
+
+	prev      *msrState // state of v before this merge step
+	child     *msrState // merged child state
+	childNode graph.NodeID
+	op        msrOp
+}
 
 type referenceBucketer struct {
 	linearTick float64
@@ -66,11 +81,12 @@ func (b referenceBucketer) kBucket(k int32) int32 {
 }
 
 // referenceMSRFrontier is MSRFrontier's loop over referenceMergeChild,
-// including the final sort by (σ, ρ) the old kernel ended with.
-func referenceMSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
+// including the final sort by (σ, ρ) the old kernel ended with. It
+// returns the root's states, whose chains hold the whole run.
+func referenceMSRFrontier(t *BiTree, opt MSROptions) ([]*msrState, error) {
 	n := t.N()
 	if n == 0 {
-		return &MSRDP{tree: t}, nil
+		return nil, nil
 	}
 	b := newReferenceBucketer(opt, t)
 	pruneBound := opt.PruneStorage
@@ -97,7 +113,42 @@ func referenceMSRFrontier(t *BiTree, opt MSROptions) (*MSRDP, error) {
 		}
 		return root[i].rho < root[j].rho
 	})
-	return &MSRDP{tree: t, states: root}, nil
+	return root, nil
+}
+
+// logForm turns the reference's root states and their chains into the
+// kernel's handle: the root's values, and a log with one record per state
+// the root's states reach, theirs last and in order.
+func logForm(t *BiTree, root []*msrState) *MSRDP {
+	d := &MSRDP{tree: t, root: msrList{base: noRec}}
+	at := map[*msrState]int32{}
+	var index func(s *msrState) int32
+	index = func(s *msrState) int32 {
+		if s.op == opInit {
+			return noRec
+		}
+		if i, ok := at[s]; ok {
+			return i
+		}
+		prev, child := index(s.prev), index(s.child)
+		d.log = append(d.log, newMSRRec(prev, child, s.childNode, s.op, s.child.fromBelow))
+		at[s] = int32(len(d.log) - 1)
+		return at[s]
+	}
+	for _, s := range root {
+		if s.op != opInit {
+			index(s.prev)
+			index(s.child)
+		}
+	}
+	d.root.base = int32(len(d.log))
+	for _, s := range root {
+		if index(s) == noRec {
+			d.root.base = noRec // a one-node tree's initial state, its only one
+		}
+		d.root.vals = append(d.root.vals, msrVal{gamma: s.gamma, sigma: s.sigma, rho: s.rho, k: s.k, fromBelow: s.fromBelow})
+	}
+	return d
 }
 
 // referenceMergeChild is mergeChild as it stood before the flat-table

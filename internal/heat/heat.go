@@ -4,8 +4,8 @@
 // observed-workload half of the plan observatory: the planner predicts
 // each version's recreation cost, the tracker records which versions
 // traffic actually touches, and /planz renders both side by side so an
-// operator (or, eventually, an adaptive planner — ROADMAP item 5) can
-// see where prediction and reality diverge.
+// operator (or, eventually, an adaptive planner — ROADMAP item 3, step
+// 4) can see where prediction and reality diverge.
 //
 // Scores decay continuously with a configurable half-life: a bump adds
 // 1 to the version's score, and a score s observed t seconds later
