@@ -1034,21 +1034,93 @@ func benchEdit(rng *rand.Rand, prev []string, version, edits int) []string {
 	return next
 }
 
-// benchCommitEdit commits the next version of contents to repo, edits
-// lines rewritten from its parent: the last version, or in one commit in
-// five one of the 32 before it.
-func benchCommitEdit(b *testing.B, repo *versioning.Repository, rng *rand.Rand, contents [][]string, edits int) [][]string {
-	b.Helper()
+// benchNextVersion returns the next version of contents and its parent:
+// edits lines rewritten from the last version, or in one commit in five
+// from one of the 32 before it.
+func benchNextVersion(rng *rand.Rand, contents [][]string, edits int) (int, []string) {
 	n := len(contents)
 	p := n - 1
 	if rng.Intn(5) == 0 {
 		p -= rng.Intn(min(n, 32))
 	}
-	next := benchEdit(rng, contents[p], n, edits)
+	return p, benchEdit(rng, contents[p], n, edits)
+}
+
+// benchCommitEdit commits the next version of contents to repo
+// (benchNextVersion) and returns contents with it appended.
+func benchCommitEdit(b *testing.B, repo *versioning.Repository, rng *rand.Rand, contents [][]string, edits int) [][]string {
+	b.Helper()
+	p, next := benchNextVersion(rng, contents, edits)
 	if _, err := repo.Commit(context.Background(), versioning.NodeID(p), next); err != nil {
 		b.Fatal(err)
 	}
 	return append(contents, next)
+}
+
+// replanPassCase is a repository BenchmarkReplanPass re-plans: versions
+// commits of a lines-line manifest, edits lines each, behind a cache of
+// cacheEntries versions (-1: none).
+type replanPassCase struct {
+	name                   string
+	versions, lines, edits int
+	cacheEntries           int
+}
+
+var replanPassCases = []replanPassCase{
+	{"versions=64/lines=4000", 64, 4000, 40, 16},
+	{"versions=800/lines=30", 800, 30, 2, -1},
+}
+
+// history returns the case's commits, each version's parent and
+// contents (the root's parent is versioning.NoParent).
+func (c replanPassCase) history() ([]versioning.NodeID, [][]string) {
+	rng := rand.New(rand.NewSource(17))
+	parents := []versioning.NodeID{versioning.NoParent}
+	contents := [][]string{benchManifest(c.lines)}
+	for len(contents) < c.versions {
+		p, next := benchNextVersion(rng, contents, c.edits)
+		parents, contents = append(parents, versioning.NodeID(p)), append(contents, next)
+	}
+	return parents, contents
+}
+
+// prepare opens a disk-backed repository in dir and brings it to where
+// the timed pass starts: every commit of the history but the last two, a
+// Replan, then the last two. It returns the repository and its stats
+// before the pass.
+func (c replanPassCase) prepare(tb testing.TB, dir string, parents []versioning.NodeID, contents [][]string) (*versioning.Repository, versioning.RepositoryStats) {
+	tb.Helper()
+	repo, err := versioning.Open("replan-pass", versioning.RepositoryOptions{
+		DataDir:      dir,
+		Problem:      versioning.ProblemMSR,
+		ReplanEvery:  -1,
+		CacheEntries: c.cacheEntries,
+		CacheBytes:   4 << 20,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx := context.Background()
+	commit := func(v int) {
+		if _, err := repo.Commit(ctx, parents[v], contents[v]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for v := 0; v < len(contents)-2; v++ {
+		commit(v)
+	}
+	if err := repo.Replan(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	commit(len(contents) - 2)
+	commit(len(contents) - 1)
+	return repo, repo.Stats()
+}
+
+// replanPassCounts is what one pass did: the versions it checked out and
+// the objects its migration reports having written.
+func replanPassCounts(before, after versioning.RepositoryStats) (contents, objects int64) {
+	return after.Checkouts - before.Checkouts, after.MigrationObjects - before.MigrationObjects
 }
 
 // BenchmarkReplanPass measures one maintenance pass on a disk-backed
@@ -1056,64 +1128,72 @@ func benchCommitEdit(b *testing.B, repo *versioning.Repository, rng *rand.Rand, 
 // two commits, the repository benchmark's plan phase: 64 manifests of
 // about 4,000 lines behind a cache a third their size (history-read)
 // and 800 documents of 30 lines with no cache (replan-scale, which is in
-// memory there). Each iteration commits two versions off the clock and
-// times Replan: solver race, preload, migration. contents/pass is how
-// many versions the pass checked out and objects/pass how many objects
-// its migration reports having written.
+// memory there). Each iteration times Replan (solver race, preload,
+// migration) on the same repository: off the clock it builds a fresh one
+// from the same commits (replanPassCase.prepare), so the graph's size
+// and the layout the pass starts from do not depend on b.N, and closes
+// and deletes it after. contents/pass is how many versions the pass checked out and
+// objects/pass how many objects its migration reports having written;
+// TestReplanPassRepeats checks they are the same at every b.N.
 func BenchmarkReplanPass(b *testing.B) {
-	for _, c := range []struct {
-		name                   string
-		versions, lines, edits int
-		cacheEntries           int
-	}{
-		{"versions=64/lines=4000", 64, 4000, 40, 16},
-		{"versions=800/lines=30", 800, 30, 2, -1},
-	} {
+	for _, c := range replanPassCases {
 		b.Run(c.name, func(b *testing.B) {
-			repo, err := versioning.Open("replan-pass", versioning.RepositoryOptions{
-				DataDir:      b.TempDir(),
-				Problem:      versioning.ProblemMSR,
-				ReplanEvery:  -1,
-				CacheEntries: c.cacheEntries,
-				CacheBytes:   4 << 20,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer repo.Close()
-			ctx := context.Background()
-			rng := rand.New(rand.NewSource(17))
-			contents := [][]string{benchManifest(c.lines)}
-			if _, err := repo.Commit(ctx, versioning.NoParent, contents[0]); err != nil {
-				b.Fatal(err)
-			}
-			commit := func() { contents = benchCommitEdit(b, repo, rng, contents, c.edits) }
-			for v := 1; v < c.versions; v++ {
-				commit()
-			}
-			if err := repo.Replan(ctx); err != nil {
-				b.Fatal(err)
-			}
-			before := repo.Stats()
+			parents, contents := c.history()
+			ctx, tmp := context.Background(), b.TempDir()
+			var passContents, passObjects int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				commit()
-				commit()
-				// The commits checked their parents out; the pass must not
-				// be charged for those.
-				before.Checkouts += 2
+				dir := filepath.Join(tmp, fmt.Sprint(i))
+				repo, before := c.prepare(b, dir, parents, contents)
 				b.StartTimer()
 				if err := repo.Replan(ctx); err != nil {
 					b.Fatal(err)
 				}
+				b.StopTimer()
+				n, o := replanPassCounts(before, repo.Stats())
+				passContents, passObjects = passContents+n, passObjects+o
+				if err := repo.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if err := os.RemoveAll(dir); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 			}
 			b.StopTimer()
-			after := repo.Stats()
-			b.ReportMetric(float64(after.Checkouts-before.Checkouts)/float64(b.N), "contents/pass")
-			b.ReportMetric(float64(after.MigrationObjects-before.MigrationObjects)/float64(b.N), "objects/pass")
+			b.ReportMetric(float64(passContents)/float64(b.N), "contents/pass")
+			b.ReportMetric(float64(passObjects)/float64(b.N), "objects/pass")
 		})
+	}
+}
+
+// TestReplanPassRepeats checks that BenchmarkReplanPass times the same
+// pass at every b.N: contents/pass and objects/pass come out equal at
+// -benchtime 1x and 5x, here as one pass against the mean of five.
+func TestReplanPassRepeats(t *testing.T) {
+	for _, c := range replanPassCases {
+		parents, contents := c.history()
+		pass := func() (int64, int64) {
+			repo, before := c.prepare(t, t.TempDir(), parents, contents)
+			defer repo.Close()
+			if err := repo.Replan(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			return replanPassCounts(before, repo.Stats())
+		}
+		one, oneObjects := pass()
+		var five, fiveObjects int64
+		for i := 0; i < 5; i++ {
+			n, o := pass()
+			five, fiveObjects = five+n, fiveObjects+o
+		}
+		if 5*one != five || 5*oneObjects != fiveObjects {
+			t.Errorf("%s: contents/pass %d at 1x, %.1f at 5x; objects/pass %d at 1x, %.1f at 5x",
+				c.name, one, float64(five)/5, oneObjects, float64(fiveObjects)/5)
+		}
+		t.Logf("%s: contents/pass %d, objects/pass %d", c.name, one, oneObjects)
 	}
 }
 

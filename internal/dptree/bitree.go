@@ -6,19 +6,22 @@
 // also provides the tree-extraction heuristics that make both DPs
 // applicable to arbitrary version graphs (Section 6.2).
 //
-// What DP-MSR costs: one merge per tree edge, each walking every pair of
-// (accumulated state of the parent, final state of the child) and offering
-// up to three candidates per pair — so at most 3·MaxStates² candidates per
-// merge once MaxStates caps the state sets, n-1 merges per run. A
-// candidate costs one ρ-bucket lookup and one probe of the run's flat,
-// pointer-free candidate table, and of a parent state's independent
-// candidates only the first of each ρ-bucket is offered at all, as no
-// later one can win; nothing is allocated per candidate. The states that
-// survive a merge (at most MaxStates) hold no pointers either: their
-// values go to a pooled buffer per node, returned once the parent has
-// merged the node, and how each came about to one record in a log that
-// is compacted to what the unmerged nodes' states reach whenever it has
-// doubled, and at the end to what the root's states reach.
+// What DP-MSR costs: one merge per tree edge, n-1 merges per run, each
+// over every pair of (accumulated state of the parent, final state of the
+// child) with up to three candidates per pair — so at most 3·MaxStates²
+// candidates per merge once MaxStates caps the state sets. No candidate
+// is offered per pair: each option walks one side of the merge with the
+// other side's state fixed, and offers only the least of each ρ-bucket
+// run, as no other in it can win. The run's flat, pointer-free candidate
+// table keeps a row per candidate class (a key less its ρ-bucket): a walk
+// looks its class up once, and each offer indexes the class's row by
+// ρ-bucket, hashing and comparing no key; nothing is allocated per
+// candidate. The states that survive a merge (at most MaxStates) hold no
+// pointers either: their values go to a pooled buffer per node, returned
+// once the parent has merged the node, and how each came about to one
+// record in a log that is compacted to what the unmerged nodes' states
+// reach whenever it has doubled, and at the end to what the root's states
+// reach.
 // Geometric buckets come from a table built once per run that equals
 // 1 + int64(math.Log(float64(x))/math.Log1p(ε)) for every x (see
 // bucketer). A run is a pure function of its tree and options: the same

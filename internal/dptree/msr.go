@@ -30,14 +30,13 @@ import (
 // pair past the prune bound is not offered. With DefaultMSROptions on
 // the benchmark's replan-scale graph at 950 versions a run offers 1.86 M
 // candidates to the tables (3.15 M when only the independent option
-// offered by runs, 5.4 M when every pair offered), radix-sorts the 0.27 M
-// the tables keep, and takes a median 134 ms on one core of a 2-vCPU
-// Xeon, against 156 ms when each surviving state was a heap object
-// chained to others by pointers (12 alternating pairs). It allocates
-// 3,337 times and 5.4 MB (157,300 times and 13.1 MB with chained
-// states); its log peaks at 33,447 records (0.4 MB), and the handle
-// keeps 5,135. The result is deterministic: equal inputs give equal
-// states, in equal order, and equal plans.
+// offered by runs, 5.4 M when every pair offered), whose rows keep 0.27 M
+// (MSRStats.Keys), radix-sorts those, and takes a median 137 ms on one
+// core of a 2-vCPU Xeon, against 151 ms when the table found each
+// candidate by hashing its key (8 alternating pairs). It allocates 3,507
+// times and 5.4 MB; its log peaks at 33,447 records (0.4 MB), and the
+// handle keeps 5,135. The result is deterministic: equal inputs give
+// equal states, in equal order, and equal plans.
 type MSROptions struct {
 	// Epsilon > 0 buckets root-retrieval and total-retrieval values so
 	// that at most poly(n, 1/ε) buckets survive per node; the returned
@@ -348,95 +347,188 @@ func (c *msrCand) before(d *msrCand) bool {
 	return c.op < d.op
 }
 
-// msrTable is the candidate set of one merge step: an open-addressing
-// index over a dense array of candidates in first-insertion order. A run
-// owns one table and reuses it for every merge, so a merge allocates
-// nothing per candidate; only the survivors are copied out, to the run's
-// value lists and log.
+// msrTable is the candidate set of one merge step: a dense array of
+// candidates in first-insertion order, and a row per candidate class that
+// finds a key's candidate by its ρ-bucket. A class is a key less its
+// ρ-bucket, what a walk of offerRuns holds fixed, so a walk's class is
+// looked up once, and each of its offers, in ascending ρ-bucket, indexes
+// the class's row: successive offers go to adjacent slots, and none
+// hashes or compares a key. A row is made of pages of msrPageSize
+// consecutive ρ-buckets, kept by page number, so a sparse row (ε = 0,
+// where the ρ-bucket is ρ itself) costs a page per occupied stretch, not
+// its span. A run owns one table and reuses it for every merge, so a
+// merge allocates nothing per candidate; only the survivors are copied
+// out, to the run's value lists and log.
 type msrTable struct {
-	index []int32 // 0 = empty, else 1 + position in cands
-	shift uint    // 64 - log2(len(index))
-	cands []msrCand
+	// classes finds a class's row by open addressing: 0 is empty, else 1
+	// + the row's place in rows. It has at least twice the slots the
+	// merge's classes take.
+	classes []int32
+	rows    []msrRow
+	pages   []msrPage
+	cands   []msrCand
 }
 
-func newMSRTable() msrTable {
-	const logSize = 10
-	return msrTable{index: make([]int32, 1<<logSize), shift: 64 - logSize}
+// msrPageBits sets the page size of a row: 2^msrPageBits ρ-buckets.
+const (
+	msrPageBits = 5
+	msrPageSize = 1 << msrPageBits
+)
+
+// msrClass is a key less its ρ-bucket.
+type msrClass struct {
+	fromBelow bool
+	k         int32
+	gb        int64
 }
 
-func (k msrKey) hash() uint64 {
-	h := uint64(k.rb)*0x9E3779B97F4A7C15 ^ uint64(k.gb)*0xC2B2AE3D27D4EB4F ^ uint64(uint32(k.k))<<1
-	if k.fromBelow {
+func (k msrKey) class() msrClass { return msrClass{k.fromBelow, k.k, k.gb} }
+
+// home is c's first slot in an index of 2^(64-shift) slots.
+func (c msrClass) home(shift int) int {
+	h := uint64(c.gb)*0x9E3779B97F4A7C15 ^ uint64(uint32(c.k))<<1
+	if c.fromBelow {
 		h ^= 1
 	}
-	return h * 0x9E3779B97F4A7C15
+	return int(h * 0xC2B2AE3D27D4EB4F >> shift)
+}
+
+// msrPage is msrPageSize consecutive ρ-buckets of one row: 0 is empty,
+// else 1 + the position of the bucket's candidate in cands.
+type msrPage [msrPageSize]int32
+
+// msrRow is one class's row: its pages in ascending page number, the
+// ρ-bucket shifted right by msrPageBits, and the number and place in
+// msrTable.pages of the page looked up last (num noPage: none yet), where
+// the row's next walk starts.
+type msrRow struct {
+	class msrClass
+	pages []msrPageRef
+	num   int64
+	page  int32
+}
+
+type msrPageRef struct {
+	num  int64
+	page int32 // place in msrTable.pages
+}
+
+// msrCursor is a walk's place in the table: its class's row, and the
+// page it is at and that page's number.
+type msrCursor struct {
+	row  int32
+	num  int64
+	page *msrPage
+}
+
+// noPage is the page number of no page: no ρ-bucket shifted right by
+// msrPageBits is as small.
+const noPage = math.MinInt64
+
+func newMSRTable() msrTable {
+	return msrTable{classes: make([]int32, 64)}
+}
+
+// row returns the place of c's row, adding an empty one if the merge has
+// none.
+func (t *msrTable) row(c msrClass) int32 {
+	if 2*(len(t.rows)+1) > len(t.classes) {
+		t.classes = make([]int32, 2*len(t.classes))
+		for r := range t.rows {
+			t.classes[t.find(t.rows[r].class)] = int32(r + 1)
+		}
+	}
+	i := t.find(c)
+	if t.classes[i] != 0 {
+		return t.classes[i] - 1
+	}
+	r := int32(len(t.rows))
+	t.classes[i] = r + 1
+	if len(t.rows) < cap(t.rows) {
+		// Reuse the page list of an earlier merge's row.
+		t.rows = t.rows[:r+1]
+		t.rows[r].class, t.rows[r].pages, t.rows[r].num = c, t.rows[r].pages[:0], noPage
+	} else {
+		t.rows = append(t.rows, msrRow{class: c, num: noPage})
+	}
+	return r
+}
+
+// find returns the slot of classes that holds c's row, or else the empty
+// slot that ends c's probe sequence.
+func (t *msrTable) find(c msrClass) int {
+	mask := len(t.classes) - 1
+	i := c.home(bits.LeadingZeros64(uint64(mask)))
+	for t.classes[i] != 0 && t.rows[t.classes[i]-1].class != c {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// cursor is a walk's place before its first offer: at row r's page
+// looked up last, so a walk that starts there reads no page list.
+func (t *msrTable) cursor(r int32) msrCursor {
+	row := &t.rows[r]
+	if row.num == noPage {
+		return msrCursor{row: r, num: noPage}
+	}
+	return msrCursor{row: r, num: row.num, page: &t.pages[row.page]}
+}
+
+// page returns page num of row r, adding an empty one if the row has
+// none.
+func (t *msrTable) page(r int32, num int64) *msrPage {
+	row := &t.rows[r]
+	lo, hi := 0, len(row.pages)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if row.pages[m].num < num {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	row.num = num
+	if lo < len(row.pages) && row.pages[lo].num == num {
+		row.page = row.pages[lo].page
+		return &t.pages[row.page]
+	}
+	t.pages = append(t.pages, msrPage{})
+	row.page = int32(len(t.pages) - 1)
+	row.pages = slices.Insert(row.pages, lo, msrPageRef{num, row.page})
+	return &t.pages[row.page]
 }
 
 // offer enters c under its key unless the key holds a candidate that wins
-// over it. The key's home slot settles most offers: it is empty, or holds
-// the key.
-func (t *msrTable) offer(c *msrCand) {
-	i := c.key.hash() >> t.shift
-	if e := t.index[i]; e == 0 {
-		if 2*(len(t.cands)+1) <= len(t.index) {
-			t.cands = append(t.cands, *c)
-			t.index[i] = int32(len(t.cands))
-			return
-		}
-	} else if d := &t.cands[e-1]; d.key == c.key {
-		if c.before(d) {
-			*d = *c
-		}
-		return
+// over it. cur is the walk's place, in the row of c's class.
+func (t *msrTable) offer(c *msrCand, cur *msrCursor) {
+	rb := c.key.rb
+	if num := rb >> msrPageBits; num != cur.num {
+		cur.page, cur.num = t.page(cur.row, num), num
 	}
-	t.probe(c, i)
-}
-
-// probe is offer past the home slot i.
-func (t *msrTable) probe(c *msrCand, i uint64) {
-	mask := uint64(len(t.index) - 1)
-	for ; t.index[i] != 0; i = (i + 1) & mask {
-		if d := &t.cands[t.index[i]-1]; d.key == c.key {
-			if c.before(d) {
-				*d = *c
-			}
-			return
-		}
-	}
-	if 2*(len(t.cands)+1) > len(t.index) {
-		t.grow()
-		t.offer(c)
-		return
-	}
-	t.cands = append(t.cands, *c)
-	t.index[i] = int32(len(t.cands))
-}
-
-func (t *msrTable) grow() {
-	t.index = make([]int32, 2*len(t.index))
-	t.shift--
-	mask := uint64(len(t.index) - 1)
-	for e := range t.cands {
-		i := t.cands[e].key.hash() >> t.shift
-		for t.index[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.index[i] = int32(e + 1)
+	slot := &cur.page[rb&(msrPageSize-1)]
+	if *slot == 0 {
+		t.cands = append(t.cands, *c)
+		*slot = int32(len(t.cands))
+	} else if d := &t.cands[*slot-1]; c.before(d) {
+		*d = *c
 	}
 }
 
-// clearIndex empties the index for the next merge. It zeroes each key's
-// probe sequence from its home slot up to the first empty one, which
-// clears every occupied slot of the cluster: the cost is in the number of
-// candidates, not in the size of the index, which stays at the largest
-// any merge of the run has needed.
-func (t *msrTable) clearIndex() {
-	mask := uint64(len(t.index) - 1)
-	for e := range t.cands {
-		for i := t.cands[e].key.hash() >> t.shift; t.index[i] != 0; i = (i + 1) & mask {
-			t.index[i] = 0
+// reset empties the table for the next merge. Its cost is in the
+// candidates the merge made, not in the size of classes: each class's
+// probe sequence is zeroed from its home up to the first empty slot,
+// which clears every occupied slot of its cluster, and the pages, which
+// are zeroed when taken, are dropped.
+func (t *msrTable) reset() {
+	mask := len(t.classes) - 1
+	shift := bits.LeadingZeros64(uint64(mask))
+	for r := range t.rows {
+		for i := t.rows[r].class.home(shift); t.classes[i] != 0; i = (i + 1) & mask {
+			t.classes[i] = 0
 		}
 	}
+	t.rows, t.pages, t.cands = t.rows[:0], t.pages[:0], t.cands[:0]
 }
 
 // compare orders candidates, given by their places a and z, by (σ, ρ),
@@ -593,6 +685,7 @@ type msrRun struct {
 	remap   []int32
 	// What the run did, for MSRStats.
 	offers      int64
+	keys        int64
 	truncations int
 	peakLog     int
 	compactions int
@@ -616,6 +709,9 @@ type msrGroup struct {
 type MSRStats struct {
 	// Offers is the number of candidates offered to the merges' tables.
 	Offers int64
+	// Keys is the number of candidates the tables kept, one per key
+	// offered, before the MaxStates cap.
+	Keys int64
 	// Truncations is the number of merges whose candidates the
 	// MaxStates cap cut.
 	Truncations int
@@ -715,7 +811,7 @@ func MSRFrontier(ctx context.Context, t *BiTree, opt MSROptions) (*MSRDP, error)
 		tree:  t,
 		root:  msrList{vals: slices.Clone(root.vals), base: root.base},
 		log:   slices.Clone(r.log),
-		stats: MSRStats{Offers: r.offers, Truncations: r.truncations, PeakLog: r.peakLog, Compactions: r.compactions},
+		stats: MSRStats{Offers: r.offers, Keys: r.keys, Truncations: r.truncations, PeakLog: r.peakLog, Compactions: r.compactions},
 	}, nil
 }
 
@@ -850,8 +946,9 @@ func (r *msrRun) byK(dst []msrOrd, groups []msrGroup, list []msrOrd, states []ms
 // k-bucket, γ-bucket, ρ-bucket) the candidate that comes first by before
 // is kept. So no pair is offered on its own: each option walks one side
 // with the other side's state fixed, along a list in which the
-// candidate's ρ ascends and the rest of its key is fixed, and offers the
-// least of each ρ-bucket run (offerRuns). The lists:
+// candidate's ρ ascends and the rest of its key, its class, is fixed, and
+// offers the least of each ρ-bucket run (offerRuns) to the class's row,
+// looked up once per walk (msrTable.row). The lists:
 //   - independent: all ys by ρ, per x;
 //   - dependent: the rooted ys of one exact k by ρ + k·r(v,c), per x and
 //     k, since a from-below x adds k·x.γ and a rooted one puts x.k + k
@@ -890,9 +987,11 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 	if downID != graph.None {
 		r.depBy, r.depGroups = r.byK(r.depBy, r.depGroups, r.rootedByRho, ys, rDown)
 	}
-	var srcGB int64 // a rooted y's source γ-bucket
+	var srcGB int64 // a rooted y's source γ-bucket, and its row
+	var srcRow int32
 	if upID != graph.None {
 		srcGB = b.bucket(rUp)
+		srcRow = tab.row(msrClass{fromBelow: true, gb: srcGB})
 	}
 
 	for xi := range xs {
@@ -902,10 +1001,11 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 			refund = 0
 		}
 		xKey := msrKey{fromBelow: x.fromBelow, k: b.kBucket(x.k), gb: b.bucket(x.gamma)}
+		xRow := tab.row(xKey.class())
 
 		// Option 1: independent — c's subtree resolves internally.
 		cand := msrCand{key: xKey, k: x.k, x: int32(xi), op: opIndep, gamma: x.gamma}
-		r.offerRuns(&cand, &cand.y, r.byRho, r.within(ys, x.sigma-refund), x.sigma, x.rho)
+		r.offerRuns(&cand, &cand.y, xRow, r.byRho, r.within(ys, x.sigma-refund), x.sigma, x.rho)
 
 		// Option 2: dependent — uproot a rooted child state and retrieve c
 		// (and its k_c dependents) through v via the delta (v,c). Skipped
@@ -913,15 +1013,20 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 		if downID != graph.None {
 			cand.op = opDep
 			dep := r.within(ys, x.sigma-refund-sc+sDown)
+			row := xRow
 			for _, g := range r.depGroups {
 				rho := x.rho
 				if x.fromBelow {
 					rho += graph.Cost(g.k) * x.gamma
 				} else {
+					// The class, and so the row, changes with the k-bucket.
 					cand.k = x.k + g.k
-					cand.key.k = b.kBucket(cand.k)
+					if kb := b.kBucket(cand.k); kb != cand.key.k {
+						cand.key.k = kb
+						row = tab.row(cand.key.class())
+					}
 				}
-				r.offerRuns(&cand, &cand.y, g.items, dep, x.sigma-sc+sDown, rho)
+				r.offerRuns(&cand, &cand.y, row, g.items, dep, x.sigma-sc+sDown, rho)
 			}
 		}
 
@@ -932,7 +1037,7 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 		// from-below one after this loop.
 		if !x.fromBelow && upID != graph.None {
 			cand = msrCand{key: msrKey{fromBelow: true, gb: srcGB}, x: int32(xi), op: opSource, gamma: rUp}
-			r.offerRuns(&cand, &cand.y, r.rootedByRho, r.within(ys, x.sigma-sv+sUp), x.sigma-sv+sUp, x.rho+graph.Cost(x.k)*rUp)
+			r.offerRuns(&cand, &cand.y, srcRow, r.rootedByRho, r.within(ys, x.sigma-sv+sUp), x.sigma-sv+sUp, x.rho+graph.Cost(x.k)*rUp)
 		}
 	}
 	if below && upID != graph.None {
@@ -951,16 +1056,15 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 			}
 			gamma := rUp + y.gamma
 			cand := msrCand{key: msrKey{fromBelow: true, gb: b.bucket(gamma)}, y: int32(j), op: opSource, gamma: gamma}
-			src := r.within(xs, y.sigma-sv+sUp)
+			src, row := r.within(xs, y.sigma-sv+sUp), tab.row(cand.key.class())
 			for _, g := range r.xGroups {
-				r.offerRuns(&cand, &cand.x, g.items, src, y.sigma-sv+sUp, y.rho+graph.Cost(g.k)*gamma)
+				r.offerRuns(&cand, &cand.x, row, g.items, src, y.sigma-sv+sUp, y.rho+graph.Cost(g.k)*gamma)
 			}
 		}
 	}
 
-	// The index is done with; the candidates stay in place, ordered
-	// through r.order.
-	tab.clearIndex()
+	// The candidates stay in place, ordered through r.order.
+	r.keys += int64(len(tab.cands))
 	order := r.order[:0]
 	for e := range tab.cands {
 		order = append(order, msrOrd{tab.cands[e].sigma, tab.cands[e].rho, int32(e)})
@@ -977,7 +1081,7 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 		kept.vals = append(kept.vals, msrVal{gamma: s.gamma, sigma: s.sigma, rho: s.rho, k: s.k, fromBelow: s.key.fromBelow})
 		r.log = append(r.log, newMSRRec(xl.base+s.x, yl.base+s.y, c, s.op, ys[s.y].fromBelow))
 	}
-	tab.cands = tab.cands[:0]
+	tab.reset()
 	return kept
 }
 
@@ -988,13 +1092,15 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 // so each bucket is one run, and only the least of a run by before can
 // win: with the option and the other side fixed, the least (σ, ρ,
 // position). offerRuns offers that one, its position at at (&cand.x or
-// &cand.y). (Each of mergeChild's lists is a subsequence of xs or ys,
+// &cand.y), into row, the table's row of the class cand holds fixed.
+// (Each of mergeChild's lists is a subsequence of xs or ys,
 // which ascend in (σ, ρ), and shifts the σ and ρ of its states alike, so
 // that is also the run's least position; comparing as before does keeps
 // the walk free of that fact.)
-func (r *msrRun) offerRuns(cand *msrCand, at *int32, items []msrOrd, limit int32, sigma, rho graph.Cost) {
+func (r *msrRun) offerRuns(cand *msrCand, at *int32, row int32, items []msrOrd, limit int32, sigma, rho graph.Cost) {
 	open, end := false, graph.Cost(0) // a run is open; the end of its ρ-bucket
 	var best msrOrd                   // the open run's least candidate
+	cur := r.tab.cursor(row)
 	for _, it := range items {
 		if it.e >= limit {
 			continue // pruned
@@ -1005,7 +1111,7 @@ func (r *msrRun) offerRuns(cand *msrCand, at *int32, items []msrOrd, limit int32
 			end = zEnd
 			if !open || rb != cand.key.rb {
 				if open {
-					r.offer(cand, at, best)
+					r.offer(cand, at, best, &cur)
 				}
 				cand.key.rb, open, best = rb, true, msrOrd{s, z, it.e}
 				continue
@@ -1016,15 +1122,16 @@ func (r *msrRun) offerRuns(cand *msrCand, at *int32, items []msrOrd, limit int32
 		}
 	}
 	if open {
-		r.offer(cand, at, best)
+		r.offer(cand, at, best, &cur)
 	}
 }
 
-// offer enters cand with the (σ, ρ) and position of o into the table.
-func (r *msrRun) offer(cand *msrCand, at *int32, o msrOrd) {
+// offer enters cand with the (σ, ρ) and position of o into the table,
+// at the walk's place cur.
+func (r *msrRun) offer(cand *msrCand, at *int32, o msrOrd, cur *msrCursor) {
 	cand.sigma, cand.rho, *at = o.sigma, o.rho, o.e
 	r.offers++
-	r.tab.offer(cand)
+	r.tab.offer(cand, cur)
 }
 
 // capStates keeps maxStates of the candidates, stratified across the

@@ -343,11 +343,13 @@ func daemonRun(t testing.TB, g *graph.Graph) (opt MSROptions, budget graph.Cost)
 // BenchmarkDPMSR_ReplanScale is the DP-MSR member of the first and the
 // last MSR race of the benchmark's replan-scale plan phase: the graph
 // shape of that workload at 850 and 950 versions, solved as a re-plan
-// does (MSROnGraph's steps). offers/op is the candidates offered to the
-// merges' tables, truncations/op the merges the state cap cut, and
+// does (MSROnGraph's steps), and at 300 versions, the size of the
+// benchmark's hot-read plan pass. offers/op is the candidates offered to
+// the merges' tables, keys/op the candidates the tables kept before the
+// state cap, truncations/op the merges the cap cut, and
 // peak_log_bytes/op the most bytes the reconstruction log's records held.
 func BenchmarkDPMSR_ReplanScale(b *testing.B) {
-	for _, versions := range []int{850, 950} {
+	for _, versions := range []int{300, 850, 950} {
 		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
 			g := replanScaleGraph(versions, 21)
 			opt, budget := daemonRun(b, g)
@@ -369,6 +371,7 @@ func BenchmarkDPMSR_ReplanScale(b *testing.B) {
 				stats = dp.Stats()
 			}
 			b.ReportMetric(float64(stats.Offers), "offers/op")
+			b.ReportMetric(float64(stats.Keys), "keys/op")
 			b.ReportMetric(float64(stats.Truncations), "truncations/op")
 			b.ReportMetric(float64(stats.PeakLog)*float64(unsafe.Sizeof(msrRec{})), "peak_log_bytes/op")
 		})
@@ -526,8 +529,9 @@ func TestTableSortMatchesSortFunc(t *testing.T) {
 	}
 }
 
-// TestMSRStats checks what a run reports it did: every merge offers, no
-// merge is cut without a cap, and with one the cut merges are counted.
+// TestMSRStats checks what a run reports it did: every merge offers and
+// keeps at most what it offers, no merge is cut without a cap, and with
+// one the cut merges are counted.
 func TestMSRStats(t *testing.T) {
 	g := replanScaleGraph(120, 3)
 	bt := spanningTree(t, g)
@@ -539,8 +543,8 @@ func TestMSRStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := dp.Stats()
-		if st.Offers < int64(merges) {
-			t.Errorf("MaxStates %d: %d offers over %d merges", maxStates, st.Offers, merges)
+		if st.Offers < int64(merges) || st.Keys < int64(merges) || st.Keys > st.Offers {
+			t.Errorf("MaxStates %d: %d offers and %d keys over %d merges", maxStates, st.Offers, st.Keys, merges)
 		}
 		switch {
 		case maxStates == 0 && st.Truncations != 0:
@@ -551,11 +555,13 @@ func TestMSRStats(t *testing.T) {
 		t.Logf("MaxStates %d: %+v", maxStates, st)
 	}
 	// The log compacts on the replan-scale graph, not on a tree too small
-	// to reach msrLogFloor.
+	// to reach msrLogFloor. The keys the 950-version run keeps are pinned:
+	// the table keeps one candidate per key offered whatever its layout.
 	for _, c := range []struct {
 		versions int
 		compacts bool
-	}{{950, true}, {3, false}} {
+		keys     int64
+	}{{950, true, 271_641}, {3, false, 0}} {
 		g := replanScaleGraph(c.versions, 21)
 		opt, _ := daemonRun(t, g)
 		dp, err := MSRFrontier(context.Background(), spanningTree(t, g), opt)
@@ -565,6 +571,9 @@ func TestMSRStats(t *testing.T) {
 		st := dp.Stats()
 		if st.PeakLog < len(dp.log) || st.PeakLog == 0 || (st.Compactions > 0) != c.compacts {
 			t.Errorf("%d versions: %+v, %d records kept", c.versions, st, len(dp.log))
+		}
+		if c.keys > 0 && st.Keys != c.keys {
+			t.Errorf("%d versions: %d keys, want %d", c.versions, st.Keys, c.keys)
 		}
 		t.Logf("%d versions: %+v", c.versions, st)
 	}
@@ -715,5 +724,90 @@ func TestMSRRetainedHeap(t *testing.T) {
 	t.Logf("retained heap: kernel %d B, reference %d B", got, want)
 	if got > want+want/10 {
 		t.Fatalf("a finished run retains %d B, the reference kernel %d B", got, want)
+	}
+}
+
+// TestMSRTableMatchesMap offers random walks to one table over many
+// merges and checks it against a map from key to the candidate that
+// comes first by before: each merge's table holds exactly the map's
+// candidates, in the order their keys were first offered, and nothing of
+// an earlier merge. A walk holds its class and offers in ascending
+// ρ-bucket, as offerRuns does, from a random start, so rows grow below
+// and above their first slot and page; ρ-buckets come from exact ρ in the
+// millions, linear ticks and geometric ticks, and a merge has one, a few
+// or hundreds of classes.
+func TestMSRTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	geo := &bucketer{geoLog: math.Log1p(0.05)}
+	geo.buildGeoTable(1 << 40)
+	// A walk starts at base + [0, spread) and steps up by at most step,
+	// so walks of one class meet in the same buckets.
+	modes := []struct {
+		name               string
+		b                  *bucketer
+		base, spread, step graph.Cost
+	}{
+		{"exact", &bucketer{}, 3_000_000, 3_000, 60},
+		{"linear", &bucketer{linearTick: 37.5}, 0, 100_000, 4_000},
+		{"geometric", geo, 0, 1 << 30, 1 << 25},
+	}
+	for _, mode := range modes {
+		tab := newMSRTable() // each mode's third merge grows its class index
+		grewBelow, grewAbove := false, false
+		for merge := 0; merge < 60; merge++ {
+			classes := []int{1, 4, 300}[merge%3]
+			want := map[msrKey]msrCand{}
+			var firsts []msrKey        // keys in the order first offered
+			first := map[int32]int64{} // each row's first page
+			for walk := 0; walk < 4*classes+20; walk++ {
+				// Classes that share all but their k or all but their γ-bucket,
+				// so the class index's probes meet near twins.
+				k, gb := int32(rng.Intn(classes)), int64(0)
+				if rng.Intn(2) == 0 {
+					k, gb = 0, int64(rng.Intn(classes))
+				}
+				cand := msrCand{key: msrKey{fromBelow: rng.Intn(2) == 0, k: k, gb: gb}, op: msrOp(rng.Intn(4))}
+				cur := tab.cursor(tab.row(cand.key.class()))
+				rho := mode.base + rng.Int63n(mode.spread)
+				for step := rng.Intn(12); step >= 0; step-- {
+					rho += rng.Int63n(mode.step + 1)
+					cand.key.rb = mode.b.bucket(rho)
+					// Narrow σ, ρ and positions, so ties go to the rest of
+					// before.
+					cand.sigma, cand.rho = rng.Int63n(4), rho-rng.Int63n(2)
+					cand.x, cand.y, cand.k, cand.gamma = int32(rng.Intn(4)), int32(rng.Intn(4)), int32(rng.Intn(9)), rng.Int63n(9)
+					tab.offer(&cand, &cur)
+					if _, ok := first[cur.row]; !ok {
+						first[cur.row] = cur.num
+					}
+					if d, ok := want[cand.key]; !ok {
+						want[cand.key] = cand
+						firsts = append(firsts, cand.key)
+					} else if cand.before(&d) {
+						want[cand.key] = cand
+					}
+				}
+			}
+			if len(tab.cands) != len(firsts) {
+				t.Fatalf("%s merge %d: table holds %d candidates, the map %d", mode.name, merge, len(tab.cands), len(firsts))
+			}
+			for e, key := range firsts {
+				if got := tab.cands[e]; got != want[key] {
+					t.Fatalf("%s merge %d: candidate %d is %+v, the map's %+v", mode.name, merge, e, got, want[key])
+				}
+			}
+			for r, f := range first {
+				pages := tab.rows[r].pages
+				grewBelow = grewBelow || pages[0].num < f
+				grewAbove = grewAbove || pages[len(pages)-1].num > f
+			}
+			tab.reset()
+			if len(tab.cands) != 0 || len(tab.rows) != 0 || slices.ContainsFunc(tab.classes, func(e int32) bool { return e != 0 }) {
+				t.Fatalf("%s merge %d: reset leaves %d candidates and %d rows", mode.name, merge, len(tab.cands), len(tab.rows))
+			}
+		}
+		if !grewBelow || !grewAbove {
+			t.Errorf("%s: rows grew below their first page %v, above %v", mode.name, grewBelow, grewAbove)
+		}
 	}
 }

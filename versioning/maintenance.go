@@ -251,7 +251,9 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 	// One min-storage arborescence serves the whole pass: the automatic
 	// constraint and the race's LMG and LMG-All start from it.
 	ctx = core.WithMinStorage(ctx, gSnap)
+	constraintStart := time.Now()
 	constraint, err := r.constraintFor(ctx, gSnap)
+	rec.ConstraintUS = time.Since(constraintStart).Microseconds()
 	if err != nil {
 		return fail(err)
 	}

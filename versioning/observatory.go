@@ -100,10 +100,14 @@ type PlanRecord struct {
 	MigrationBytes   int64 `json:"migration_bytes,omitempty"`
 	MigrationUS      int64 `json:"migration_us,omitempty"`
 
-	// SolveUS is the solver race, PreloadUS the checkouts of the
-	// PreloadVersions contents the migration needed, run between the
-	// race and the install step; with MigrationUS they account for
-	// TotalUS up to snapshot, constraint and publication.
+	// ConstraintUS is the pass's storage constraint (constraintFor): for
+	// an automatic one, the min-storage arborescence, which the race's
+	// LMG and LMG-All then start from. SolveUS is the solver race,
+	// PreloadUS the checkouts of the PreloadVersions contents the
+	// migration needed, run between the race and the install step; with
+	// MigrationUS they account for TotalUS up to snapshot and
+	// publication.
+	ConstraintUS    int64 `json:"constraint_us"`
 	SolveUS         int64 `json:"solve_us"`
 	PreloadUS       int64 `json:"preload_us"`
 	PreloadVersions int   `json:"preload_versions"`

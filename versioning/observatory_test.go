@@ -12,6 +12,38 @@ import (
 	"time"
 )
 
+// TestPlanRecordTimesConstraint checks that a pass with an automatic
+// constraint records the time its min-storage arborescence took, inside
+// the pass's total. The history is long enough for that to take whole
+// microseconds.
+func TestPlanRecordTimesConstraint(t *testing.T) {
+	r := NewRepository("constraint", RepositoryOptions{
+		Problem:            ProblemMSR,
+		ReplanEvery:        -1,
+		MaintenanceWorkers: -1,
+		EngineOptions:      testEngineOptions(),
+	})
+	defer r.Close()
+	ctx := context.Background()
+	if _, err := r.Commit(ctx, NoParent, []string{"root"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 400; i++ {
+		if _, err := r.Commit(ctx, NodeID(i-1-i%3), []string{"root", fmt.Sprintf("line %d", i), fmt.Sprintf("tail %d", i%7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Replan(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hist, _ := r.PlanHistory()
+	rec := hist[len(hist)-1]
+	if rec.Constraint <= 0 || rec.ConstraintUS <= 0 || rec.ConstraintUS > rec.TotalUS {
+		t.Fatalf("auto-constrained pass: constraint %d took %d µs of the pass's %d µs", rec.Constraint, rec.ConstraintUS, rec.TotalUS)
+	}
+	t.Logf("constraint_us %d, solve_us %d, total_us %d", rec.ConstraintUS, rec.SolveUS, rec.TotalUS)
+}
+
 // TestPlanHistoryRecordsPasses pins the shape of a healthy PlanRecord:
 // every completed pass lands in the ring with its trigger, a winner, a
 // non-empty race report, predicted costs, and timings.
@@ -59,8 +91,8 @@ func TestPlanHistoryRecordsPasses(t *testing.T) {
 		if rec.TotalUS <= 0 || rec.SolveUS < 0 || rec.UnixMS <= 0 {
 			t.Fatalf("record %d has bogus timings: %+v", i, rec)
 		}
-		if rec.PreloadUS < 0 || rec.SolveUS+rec.PreloadUS+rec.MigrationUS > rec.TotalUS {
-			t.Fatalf("record %d: solve + preload + migration exceed the pass: %+v", i, rec)
+		if rec.PreloadUS < 0 || rec.ConstraintUS < 0 || rec.ConstraintUS+rec.SolveUS+rec.PreloadUS+rec.MigrationUS > rec.TotalUS {
+			t.Fatalf("record %d: constraint + solve + preload + migration exceed the pass: %+v", i, rec)
 		}
 		winnerRaced := false
 		for _, rep := range rec.Reports {
