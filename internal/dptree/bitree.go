@@ -16,8 +16,16 @@
 // table keeps a row per candidate class (a key less its ρ-bucket): a walk
 // looks its class up once, and each offer indexes the class's row by
 // ρ-bucket, hashing and comparing no key; nothing is allocated per
-// candidate. The states that survive a merge (at most MaxStates) hold no
-// pointers either: their values go to a pooled buffer per node, returned
+// candidate. Before the cap, one sweep over the sorted table drops every
+// candidate that another of its kind dominates, no worse in σ, in ρ and
+// in k (rooted) or γ (from below), which is all a later merge reads: the
+// state sets are Pareto sets, as in Nemhauser and Ullmann's DP, and the
+// cap's slots go to states that can still win. Uncapped, exact mode's
+// Best is unchanged by it, and FuzzMergeKernelMatchesReference checks
+// that the bucketed modes' never gets dearer; capped, it keeps feasible
+// budgets the cap alone lost (ROADMAP.md, item 11). The states that
+// survive a merge (at most MaxStates) hold no pointers either: their
+// values go to a pooled buffer per node, returned
 // once the parent has merged the node, and how each came about to one
 // record in a log that is compacted to what the unmerged nodes' states
 // reach whenever it has doubled, and at the end to what the root's states

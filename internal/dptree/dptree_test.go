@@ -9,6 +9,7 @@ import (
 	"repro/internal/bruteforce"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/repogen"
 )
 
 func TestFromBiTreeGraphRejectsNonTrees(t *testing.T) {
@@ -227,6 +228,32 @@ func TestMSROnGraphHeuristicProperties(t *testing.T) {
 		if res.Cost.SumRetrieval < opt.Cost.SumRetrieval {
 			t.Fatalf("it %d: heuristic %d beats optimum %d", it, res.Cost.SumRetrieval, opt.Cost.SumRetrieval)
 		}
+	}
+}
+
+// TestMSRTable4BudgetsFeasible is ROADMAP item 11's repro: two budgets
+// the spanning tree admits but the serving tuning once called infeasible,
+// because the state cap kept a node's least-storage states but dropped
+// what its ancestors' merges needed of them. 996.ICU is asked for 1.5×
+// its min storage and LeetCodeAnimation for exactly its min storage.
+func TestMSRTable4BudgetsFeasible(t *testing.T) {
+	for _, c := range []struct {
+		dataset string
+		times   float64
+	}{{"996.ICU", 1.5}, {"LeetCodeAnimation", 1}} {
+		g, err := repogen.Dataset(c.dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := graph.Cost(c.times * float64(minStorage(t, g)))
+		sol, err := MSROnGraph(context.Background(), g, s, DefaultMSROptions(0, 0))
+		if err != nil {
+			t.Fatalf("%s at %g× its min storage (%d): %v", c.dataset, c.times, s, err)
+		}
+		if !sol.Cost.Feasible || sol.Cost.Storage > s {
+			t.Fatalf("%s at %g× its min storage (%d): plan %+v", c.dataset, c.times, s, sol.Cost)
+		}
+		t.Logf("%s at %g×: storage %d of %d, ΣR %d", c.dataset, c.times, sol.Cost.Storage, s, sol.Cost.SumRetrieval)
 	}
 }
 

@@ -27,16 +27,19 @@ import (
 // candidates, and Epsilon, Geometric and PruneStorage decide how far
 // below that the state sets stay. No option offers per pair: each offers
 // once per ρ-bucket run of a walk along one side (mergeChild), and a
-// pair past the prune bound is not offered. With DefaultMSROptions on
-// the benchmark's replan-scale graph at 950 versions a run offers 1.86 M
-// candidates to the tables (3.15 M when only the independent option
-// offered by runs, 5.4 M when every pair offered), whose rows keep 0.27 M
-// (MSRStats.Keys), radix-sorts those, and takes a median 137 ms on one
-// core of a 2-vCPU Xeon, against 151 ms when the table found each
-// candidate by hashing its key (8 alternating pairs). It allocates 3,507
-// times and 5.4 MB; its log peaks at 33,447 records (0.4 MB), and the
-// handle keeps 5,135. The result is deterministic: equal inputs give
-// equal states, in equal order, and equal plans.
+// pair past the prune bound is not offered. Before the cap a merge drops
+// every candidate another of its kind dominates (undominated), which
+// keeps the state sets, and so every later merge's walks, small: with
+// DefaultMSROptions on the benchmark's replan-scale graph at 950
+// versions a run offers 0.86 M candidates to the tables (1.86 M without
+// the sweep, 5.4 M when every pair offered), whose rows keep 0.20 M
+// (MSRStats.Keys), radix-sorts those, drops 0.07 M of them as dominated
+// (MSRStats.Dominated), cuts 283 of its 949 merges at the cap (514
+// without the sweep), and takes a median 72 ms on one core of a 2-vCPU
+// Xeon, against 121 ms without the sweep (6 alternating pairs). It
+// allocates 3,513 times and 4.0 MB; its log peaks at 22,935 records
+// (0.3 MB), and the handle keeps 5,377. The result is deterministic:
+// equal inputs give equal states, in equal order, and equal plans.
 type MSROptions struct {
 	// Epsilon > 0 buckets root-retrieval and total-retrieval values so
 	// that at most poly(n, 1/ε) buckets survive per node; the returned
@@ -673,6 +676,8 @@ type msrRun struct {
 	xGroups     []msrGroup // xBy cut by k
 	order       []msrOrd   // the table's candidates, sorted by compare
 	sorter      radixSorter
+	rootedStair []msrStep // undominated's staircases, one per kind
+	belowStair  []msrStep
 	// The log of the survivors' records, and the value buffers the lists
 	// not in use go back to. pending is the lists of the finished nodes
 	// no parent has merged yet, leaves aside (a leaf's list is made when
@@ -686,6 +691,7 @@ type msrRun struct {
 	// What the run did, for MSRStats.
 	offers      int64
 	keys        int64
+	dominated   int64
 	truncations int
 	peakLog     int
 	compactions int
@@ -710,8 +716,10 @@ type MSRStats struct {
 	// Offers is the number of candidates offered to the merges' tables.
 	Offers int64
 	// Keys is the number of candidates the tables kept, one per key
-	// offered, before the MaxStates cap.
+	// offered, before the dominance sweep and the MaxStates cap.
 	Keys int64
+	// Dominated is the number of those the dominance sweep dropped.
+	Dominated int64
 	// Truncations is the number of merges whose candidates the
 	// MaxStates cap cut.
 	Truncations int
@@ -811,7 +819,7 @@ func MSRFrontier(ctx context.Context, t *BiTree, opt MSROptions) (*MSRDP, error)
 		tree:  t,
 		root:  msrList{vals: slices.Clone(root.vals), base: root.base},
 		log:   slices.Clone(r.log),
-		stats: MSRStats{Offers: r.offers, Keys: r.keys, Truncations: r.truncations, PeakLog: r.peakLog, Compactions: r.compactions},
+		stats: MSRStats{Offers: r.offers, Keys: r.keys, Dominated: r.dominated, Truncations: r.truncations, PeakLog: r.peakLog, Compactions: r.compactions},
 	}, nil
 }
 
@@ -958,6 +966,8 @@ func (r *msrRun) byK(dst []msrOrd, groups []msrGroup, list []msrOrd, states []ms
 //   - source from a from-below y: the rooted xs of one exact k by ρ, per
 //     y and k, since the candidate's ρ adds k·(r(c,v) + y.γ).
 //
+// The table, sorted by compare, loses the candidates another of their
+// kind dominates (undominated), and the rest are capped (capStates).
 // xs and ys are in the order of msrTable.compare, which is by σ first, so
 // the prune bound keeps a prefix of either.
 func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
@@ -1070,6 +1080,7 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 		order = append(order, msrOrd{tab.cands[e].sigma, tab.cands[e].rho, int32(e)})
 	}
 	tab.sort(order, &r.sorter)
+	order = r.undominated(order)
 	if r.maxStates > 0 && len(order) > r.maxStates {
 		order = tab.capStates(order, r.maxStates)
 		r.truncations++
@@ -1082,6 +1093,61 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 		r.log = append(r.log, newMSRRec(xl.base+s.x, yl.base+s.y, c, s.op, ys[s.y].fromBelow))
 	}
 	tab.reset()
+	return kept
+}
+
+// msrStep is one step of a staircase of undominated: a kept candidate's
+// k (rooted) or γ (from below), and its ρ.
+type msrStep struct {
+	at, rho graph.Cost
+}
+
+// undominated drops from order, sorted by compare, every candidate that a
+// candidate of the same kind dominates, and returns the rest, still in
+// order, in order's front. A rooted candidate is dominated by one with σ,
+// ρ and k all at most its own, a from-below one by one with σ, ρ and γ all
+// at most its own. Those are all a later merge reads of a state of each
+// kind (a rooted state's γ is 0, a from-below state's k is 0 and unread),
+// every option's σ and ρ grow with them, and the prune bound refunds the
+// same s_v to every state of a kind: whatever a dominated state leads to,
+// the state that dominates it leads to as cheap or cheaper.
+//
+// A candidate's dominators all come before it in compare's order, and no
+// two candidates of a table agree on kind, σ, ρ and k or γ, so one sweep
+// that checks each candidate against the kept ones before it finds them
+// all. Per kind the kept ones are summed up by a staircase: the (k or γ,
+// ρ) of those no other kept one beats on both, by k or γ ascending and so
+// by ρ strictly descending. The candidate is dominated exactly when the
+// last step at or below its k or γ has a ρ at most its own. The first
+// candidate of each kind is never dropped, so capStates' anchors survive.
+func (r *msrRun) undominated(order []msrOrd) []msrOrd {
+	r.rootedStair, r.belowStair = r.rootedStair[:0], r.belowStair[:0]
+	kept := order[:0]
+	for _, o := range order {
+		c := &r.tab.cands[o.e]
+		stair, at := &r.rootedStair, graph.Cost(c.k)
+		if c.key.fromBelow {
+			stair, at = &r.belowStair, c.gamma
+		}
+		s := *stair
+		// s[i] is the first step at or past at, s[p] the last at or below.
+		i, found := slices.BinarySearchFunc(s, at, func(st msrStep, at graph.Cost) int { return cmp.Compare(st.at, at) })
+		p := i - 1
+		if found {
+			p = i
+		}
+		if p >= 0 && s[p].rho <= o.rho {
+			continue
+		}
+		// The candidate's step replaces those it beats on both.
+		j := i
+		for j < len(s) && s[j].rho >= o.rho {
+			j++
+		}
+		*stair = slices.Replace(s, i, j, msrStep{at, o.rho})
+		kept = append(kept, o)
+	}
+	r.dominated += int64(len(order) - len(kept))
 	return kept
 }
 
@@ -1140,11 +1206,14 @@ func (r *msrRun) offer(cand *msrCand, at *int32, o msrOrd, cur *msrCursor) {
 // sorted by compare (by σ first), is split into equal-rank strata, and
 // each stratum keeps its first least-ρ candidate. The first rooted and
 // the first from-below candidate in order, the least-storage state of
-// each kind, are always kept. That keeps this node's least storage, but
-// not every state the merges above need: those also read a state's k and
-// γ, and the prune bound may drop the anchors' extensions, so a capped
-// run can find no plan for a budget its tree can meet (ROADMAP.md, item
-// 11). The kept ones are returned in order's front, still sorted.
+// each kind, are always kept. order holds no dominated candidate
+// (undominated runs first), so no slot goes to a state another one beats
+// on everything the merges above read; TestMSRTable4BudgetsFeasible
+// holds two budgets that need this. The cap still judges a state by σ
+// and ρ alone, so it may drop the one state of a small k or γ a budget
+// needs, and a capped run can then call a budget its tree meets
+// infeasible (ROADMAP.md, item 11). The kept ones are returned in order's
+// front, still sorted.
 func (t *msrTable) capStates(order []msrOrd, maxStates int) []msrOrd {
 	rooted, below := int32(-1), int32(-1) // the first of each kind
 	for _, o := range order {

@@ -99,7 +99,7 @@ func sameError(got, want error) bool {
 func checkAgainstReference(t *testing.T, label string, bt *BiTree, opt MSROptions, budgets []graph.Cost) {
 	t.Helper()
 	got, gotErr := MSRFrontier(context.Background(), bt, opt)
-	wantRoot, wantErr := referenceMSRFrontier(bt, opt)
+	wantRoot, wantErr := referenceMSRFrontier(bt, opt, true, nil)
 	if !sameError(gotErr, wantErr) {
 		t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
 	}
@@ -227,7 +227,8 @@ func fuzzTree(t *testing.T, next func() int, n int, maxNode, maxEdge graph.Cost)
 // state cap, the prune bound and the two cost ranges; then each version
 // reads its parent, which deltas exist and its costs. The narrow ranges
 // (costs 1–3) make exact (σ, ρ) ties, and with them the tie-break,
-// common; bytes past the end read as zero.
+// common; bytes past the end read as zero. An uncapped case also checks
+// that the dominance rule costs no objective (checkDominanceCostsNothing).
 func FuzzMergeKernelMatchesReference(f *testing.F) {
 	f.Add([]byte{39, 2, 3, 0, 0, 0})
 	f.Add([]byte{9, 0, 0, 0, 3, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -235,7 +236,61 @@ func FuzzMergeKernelMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bt, opt, budgets, label := fuzzKernelCase(t, data)
 		checkAgainstReference(t, label, bt, opt, budgets)
+		if opt.MaxStates == 0 {
+			checkDominanceCostsNothing(t, label, bt, opt, budgets)
+		}
 	})
+}
+
+// checkDominanceCostsNothing runs the reference with and without the
+// dominance rule on bt, uncapped, and checks that the rule never costs
+// an objective: at each of the budgets and at every root σ of either run,
+// Best's ΣR with the rule is the same in exact mode and never higher in a
+// bucketed one, and a budget the run without the rule meets the run with
+// it meets too. It also checks the invariants the rule relies on over
+// every state each merge keeps: a rooted state's γ and a from-below
+// state's k are 0.
+func checkDominanceCostsNothing(t *testing.T, label string, bt *BiTree, opt MSROptions, budgets []graph.Cost) {
+	t.Helper()
+	exact := opt.Epsilon == 0
+	invariants := func(states []*msrState) {
+		for _, s := range states {
+			if s.fromBelow && s.k != 0 || !s.fromBelow && s.gamma != 0 {
+				t.Fatalf("%s: state %+v: a rooted state has γ 0, a from-below one k 0", label, *s)
+			}
+		}
+	}
+	withRoot, withErr := referenceMSRFrontier(bt, opt, true, invariants)
+	withoutRoot, withoutErr := referenceMSRFrontier(bt, opt, false, invariants)
+	if withErr != nil && withoutErr == nil || exact && (withErr == nil) != (withoutErr == nil) {
+		t.Fatalf("%s: with dominance %v, without %v", label, withErr, withoutErr)
+	}
+	if withoutErr != nil {
+		return
+	}
+	with, without := logForm(bt, withRoot), logForm(bt, withoutRoot)
+	for _, s := range withRoot {
+		budgets = append(budgets, s.sigma)
+	}
+	for _, s := range withoutRoot {
+		budgets = append(budgets, s.sigma)
+	}
+	for _, s := range budgets {
+		w, wErr := with.Best(s)
+		o, oErr := without.Best(s)
+		switch {
+		case oErr != nil && !errors.Is(oErr, core.ErrInfeasible), wErr != nil && !errors.Is(wErr, core.ErrInfeasible):
+			t.Fatalf("%s: Best(%d): with dominance %v, without %v", label, s, wErr, oErr)
+		case oErr != nil:
+			if exact && wErr == nil {
+				t.Fatalf("%s: Best(%d): exact run feasible only with dominance", label, s)
+			}
+		case wErr != nil:
+			t.Fatalf("%s: Best(%d) infeasible with dominance, ΣR %d without", label, s, o.Cost.SumRetrieval)
+		case w.Cost.SumRetrieval > o.Cost.SumRetrieval, exact && w.Cost.SumRetrieval != o.Cost.SumRetrieval:
+			t.Fatalf("%s: Best(%d): ΣR %d with dominance, %d without", label, s, w.Cost.SumRetrieval, o.Cost.SumRetrieval)
+		}
+	}
 }
 
 // fuzzKernelCase decodes FuzzMergeKernelMatchesReference's bytes.
@@ -346,8 +401,9 @@ func daemonRun(t testing.TB, g *graph.Graph) (opt MSROptions, budget graph.Cost)
 // does (MSROnGraph's steps), and at 300 versions, the size of the
 // benchmark's hot-read plan pass. offers/op is the candidates offered to
 // the merges' tables, keys/op the candidates the tables kept before the
-// state cap, truncations/op the merges the cap cut, and
-// peak_log_bytes/op the most bytes the reconstruction log's records held.
+// dominance sweep and the state cap, dominated/op those the sweep
+// dropped, truncations/op the merges the cap cut, and peak_log_bytes/op
+// the most bytes the reconstruction log's records held.
 func BenchmarkDPMSR_ReplanScale(b *testing.B) {
 	for _, versions := range []int{300, 850, 950} {
 		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
@@ -372,6 +428,7 @@ func BenchmarkDPMSR_ReplanScale(b *testing.B) {
 			}
 			b.ReportMetric(float64(stats.Offers), "offers/op")
 			b.ReportMetric(float64(stats.Keys), "keys/op")
+			b.ReportMetric(float64(stats.Dominated), "dominated/op")
 			b.ReportMetric(float64(stats.Truncations), "truncations/op")
 			b.ReportMetric(float64(stats.PeakLog)*float64(unsafe.Sizeof(msrRec{})), "peak_log_bytes/op")
 		})
@@ -530,8 +587,9 @@ func TestTableSortMatchesSortFunc(t *testing.T) {
 }
 
 // TestMSRStats checks what a run reports it did: every merge offers and
-// keeps at most what it offers, no merge is cut without a cap, and with
-// one the cut merges are counted.
+// keeps at most what it offers, the dominance sweep keeps at least one of
+// a merge's candidates, no merge is cut without a cap, and with one the
+// cut merges are counted.
 func TestMSRStats(t *testing.T) {
 	g := replanScaleGraph(120, 3)
 	bt := spanningTree(t, g)
@@ -543,8 +601,8 @@ func TestMSRStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := dp.Stats()
-		if st.Offers < int64(merges) || st.Keys < int64(merges) || st.Keys > st.Offers {
-			t.Errorf("MaxStates %d: %d offers and %d keys over %d merges", maxStates, st.Offers, st.Keys, merges)
+		if st.Offers < int64(merges) || st.Keys < int64(merges) || st.Keys > st.Offers || st.Keys-st.Dominated < int64(merges) {
+			t.Errorf("MaxStates %d: %d offers, %d keys and %d dominated over %d merges", maxStates, st.Offers, st.Keys, st.Dominated, merges)
 		}
 		switch {
 		case maxStates == 0 && st.Truncations != 0:
@@ -555,13 +613,14 @@ func TestMSRStats(t *testing.T) {
 		t.Logf("MaxStates %d: %+v", maxStates, st)
 	}
 	// The log compacts on the replan-scale graph, not on a tree too small
-	// to reach msrLogFloor. The keys the 950-version run keeps are pinned:
-	// the table keeps one candidate per key offered whatever its layout.
+	// to reach msrLogFloor. The keys the 950-version run keeps, and those
+	// of them the dominance sweep drops, are pinned: the table keeps one
+	// candidate per key offered whatever its layout.
 	for _, c := range []struct {
-		versions int
-		compacts bool
-		keys     int64
-	}{{950, true, 271_641}, {3, false, 0}} {
+		versions        int
+		compacts        bool
+		keys, dominated int64
+	}{{950, true, 199_522, 71_515}, {3, false, 0, 0}} {
 		g := replanScaleGraph(c.versions, 21)
 		opt, _ := daemonRun(t, g)
 		dp, err := MSRFrontier(context.Background(), spanningTree(t, g), opt)
@@ -572,8 +631,8 @@ func TestMSRStats(t *testing.T) {
 		if st.PeakLog < len(dp.log) || st.PeakLog == 0 || (st.Compactions > 0) != c.compacts {
 			t.Errorf("%d versions: %+v, %d records kept", c.versions, st, len(dp.log))
 		}
-		if c.keys > 0 && st.Keys != c.keys {
-			t.Errorf("%d versions: %d keys, want %d", c.versions, st.Keys, c.keys)
+		if c.keys > 0 && (st.Keys != c.keys || st.Dominated != c.dominated) {
+			t.Errorf("%d versions: %d keys, %d dominated, want %d and %d", c.versions, st.Keys, st.Dominated, c.keys, c.dominated)
 		}
 		t.Logf("%d versions: %+v", c.versions, st)
 	}
@@ -719,7 +778,7 @@ func TestMSRRetainedHeap(t *testing.T) {
 		}
 		return after.HeapAlloc - before.HeapAlloc
 	}
-	want := retained(func() (any, error) { return referenceMSRFrontier(bt, opt) })
+	want := retained(func() (any, error) { return referenceMSRFrontier(bt, opt, true, nil) })
 	got := retained(func() (any, error) { return MSRFrontier(context.Background(), bt, opt) })
 	t.Logf("retained heap: kernel %d B, reference %d B", got, want)
 	if got > want+want/10 {

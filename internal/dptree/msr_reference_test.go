@@ -13,7 +13,9 @@ import (
 // The DP-MSR kernel before the table-driven buckets, the flat state
 // table and the reconstruction log, kept as the oracle the differential
 // tests in msr_kernel_test.go compare the kernel against: same root
-// states, frontier, plans and errors.
+// states, frontier, plans and errors. With dominance off it is also the
+// DP as it stood before it dropped dominated states, the baseline the
+// rule is checked never to lose to.
 
 // msrState is the reference kernel's state: its value, and the states it
 // came from as pointers, a chain per node that reconstruction walks.
@@ -82,8 +84,10 @@ func (b referenceBucketer) kBucket(k int32) int32 {
 
 // referenceMSRFrontier is MSRFrontier's loop over referenceMergeChild,
 // including the final sort by (σ, ρ) the old kernel ended with. It
-// returns the root's states, whose chains hold the whole run.
-func referenceMSRFrontier(t *BiTree, opt MSROptions) ([]*msrState, error) {
+// returns the root's states, whose chains hold the whole run. dominance
+// applies referenceUndominated to every merge, as the kernel does; visit,
+// if not nil, sees the states every merge keeps.
+func referenceMSRFrontier(t *BiTree, opt MSROptions, dominance bool, visit func([]*msrState)) ([]*msrState, error) {
 	n := t.N()
 	if n == 0 {
 		return nil, nil
@@ -98,9 +102,12 @@ func referenceMSRFrontier(t *BiTree, opt MSROptions) ([]*msrState, error) {
 		v := t.Order[i]
 		cur := []*msrState{{k: 1, sigma: t.G.NodeStorage(v), rho: 0, op: opInit}}
 		for _, c := range t.Children[v] {
-			cur = referenceMergeChild(t, v, c, cur, states[c], b, pruneBound, opt.MaxStates)
+			cur = referenceMergeChild(t, v, c, cur, states[c], b, pruneBound, opt.MaxStates, dominance)
 			if len(cur) == 0 {
 				return nil, core.ErrInfeasible
+			}
+			if visit != nil {
+				visit(cur)
 			}
 			states[c] = nil
 		}
@@ -152,9 +159,10 @@ func logForm(t *BiTree, root []*msrState) *MSRDP {
 }
 
 // referenceMergeChild is mergeChild as it stood before the flat-table
-// kernel, verbatim: a Go map from key to a heap state per accepted
-// candidate, two bucket calls and a kBucket per candidate.
-func referenceMergeChild(t *BiTree, v, c graph.NodeID, xs, ys []*msrState, b referenceBucketer, pruneBound graph.Cost, maxStates int) []*msrState {
+// kernel: a Go map from key to a heap state per accepted candidate, two
+// bucket calls and a kBucket per candidate, then, with dominance, the
+// naive dominance filter before the cap.
+func referenceMergeChild(t *BiTree, v, c graph.NodeID, xs, ys []*msrState, b referenceBucketer, pruneBound graph.Cost, maxStates int, dominance bool) []*msrState {
 	downID, sDown, rDown := t.DownEdge(c) // delta v → c
 	upID, sUp, rUp := t.UpEdge(c)         // delta c → v
 	sv := t.G.NodeStorage(v)
@@ -226,12 +234,39 @@ func referenceMergeChild(t *BiTree, v, c graph.NodeID, xs, ys []*msrState, b ref
 	for _, s := range best {
 		out = append(out, s)
 	}
+	if dominance {
+		out = referenceUndominated(out)
+	}
 	if maxStates > 0 && len(out) > maxStates {
 		out = referenceCapStates(out, maxStates)
 	}
 	// Deterministic order for reproducible runs.
 	sort.Slice(out, func(i, j int) bool { return referenceStateLess(out[i], out[j]) })
 	return out
+}
+
+// referenceUndominated drops, comparing every state with every other,
+// each state that another of the same kind dominates: a rooted one by a
+// rooted one with σ, ρ and k all at most its own, a from-below one by a
+// from-below one with σ, ρ and γ all at most its own.
+func referenceUndominated(states []*msrState) []*msrState {
+	var out []*msrState
+	for _, s := range states {
+		if !slices.ContainsFunc(states, func(d *msrState) bool { return d != s && referenceDominates(d, s) }) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func referenceDominates(d, s *msrState) bool {
+	if d.fromBelow != s.fromBelow || d.sigma > s.sigma || d.rho > s.rho {
+		return false
+	}
+	if s.fromBelow {
+		return d.gamma <= s.gamma
+	}
+	return d.k <= s.k
 }
 
 // referenceStateOrder orders states by (σ, ρ), then rooted before
