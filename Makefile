@@ -45,19 +45,22 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
+# Fuzz smoke: every fuzz target for FUZZTIME each (CI runs it at 20s).
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzJSONRoundTrip -fuzztime=30s ./internal/graph
-	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=30s ./versioning
-	$(GO) test -run='^$$' -fuzz=FuzzManifestDiff -fuzztime=30s -fuzzminimizetime=2s ./versioning
-	$(GO) test -run='^$$' -fuzz=FuzzTenantName -fuzztime=30s ./tenant
-	$(GO) test -run='^$$' -fuzz=FuzzComputeMatchesReference -fuzztime=30s ./internal/diff
-	$(GO) test -run='^$$' -fuzz=FuzzApplyToMatchesApply -fuzztime=30s -fuzzminimizetime=2s ./internal/diff
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeDelta -fuzztime=30s -fuzzminimizetime=2s ./internal/store
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesEncodingJSON -fuzztime=30s -fuzzminimizetime=2s ./internal/wire
-	$(GO) test -run='^$$' -fuzz=FuzzEncodeMatchesEncodingJSON -fuzztime=30s -fuzzminimizetime=2s ./internal/wire
-	$(GO) test -run='^$$' -fuzz=FuzzMergeKernelMatchesReference -fuzztime=30s -fuzzminimizetime=2s ./internal/dptree
-	$(GO) test -run='^$$' -fuzz=FuzzBMRMatchesReference -fuzztime=30s -fuzzminimizetime=2s ./internal/dptree
-	$(GO) test -run='^$$' -fuzz=FuzzLMGAllMatchesReference -fuzztime=30s -fuzzminimizetime=2s ./internal/lmg
+	$(GO) test -run='^$$' -fuzz=FuzzJSONRoundTrip -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./versioning
+	$(GO) test -run='^$$' -fuzz=FuzzManifestDiff -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./versioning
+	$(GO) test -run='^$$' -fuzz=FuzzTenantName -fuzztime=$(FUZZTIME) ./tenant
+	$(GO) test -run='^$$' -fuzz=FuzzComputeMatchesReference -fuzztime=$(FUZZTIME) ./internal/diff
+	$(GO) test -run='^$$' -fuzz=FuzzApplyToMatchesApply -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/diff
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeDelta -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesEncodingJSON -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzEncodeMatchesEncodingJSON -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzMergeKernelMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/dptree
+	$(GO) test -run='^$$' -fuzz=FuzzBMRMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/dptree
+	$(GO) test -run='^$$' -fuzz=FuzzLMGAllMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/lmg
 
 # Coverage for the storage + versioning + tenant core with the CI floor
 # applied.

@@ -153,7 +153,7 @@ func TestBSRViaMSRMatchesBruteForceOnTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for it := 0; it < 20; it++ {
 		g := graph.RandomBiTree(2+rng.Intn(5), 50, 10, rng)
-		bt, err := dptree.FromBiTreeGraph(g)
+		bt, err := dptree.FromGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestMMRPipelineOnTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for it := 0; it < 20; it++ {
 		g := graph.RandomBiTree(2+rng.Intn(5), 50, 10, rng)
-		bt, err := dptree.FromBiTreeGraph(g)
+		bt, err := dptree.FromGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}

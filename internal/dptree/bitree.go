@@ -51,9 +51,6 @@ import (
 // direction the original graph does not provide.
 var ErrSynthesizedEdge = errors.New("dptree: plan requires a delta missing from the graph")
 
-// ErrNotBiTree reports that the input is not a bidirectional tree.
-var ErrNotBiTree = errors.New("dptree: input is not a bidirectional tree")
-
 // dirEdge is one direction of a tree edge.
 type dirEdge struct {
 	id      graph.EdgeID // id in the original graph, or graph.None if synthesized
@@ -123,48 +120,6 @@ func FromParents(g *graph.Graph, parent []graph.NodeID) (*BiTree, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// FromBiTreeGraph builds a BiTree from a graph whose underlying
-// undirected graph is a tree.
-func FromBiTreeGraph(g *graph.Graph) (*BiTree, error) {
-	if !g.UnderlyingUndirectedIsTree() {
-		return nil, ErrNotBiTree
-	}
-	n := g.N()
-	parent := make([]graph.NodeID, n)
-	for i := range parent {
-		parent[i] = graph.None
-	}
-	visited := make([]bool, n)
-	stack := []graph.NodeID{0}
-	visited[0] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, id := range g.Out(v) {
-			w := g.Edge(id).To
-			if !visited[w] {
-				visited[w] = true
-				parent[w] = v
-				stack = append(stack, w)
-			}
-		}
-		for _, id := range g.In(v) {
-			w := g.Edge(id).From
-			if !visited[w] {
-				visited[w] = true
-				parent[w] = v
-				stack = append(stack, w)
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		if !visited[v] {
-			return nil, ErrNotBiTree
-		}
-	}
-	return FromParents(g, parent)
 }
 
 // cheapest returns the min-(s+r) delta from u to v in g.

@@ -20,7 +20,7 @@ func TestBallOnChain(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		chain.AddBiEdge(graph.NodeID(i), graph.NodeID(i+1), 1, 2)
 	}
-	bt, err := FromBiTreeGraph(chain)
+	bt, err := FromGraph(chain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,21 +12,11 @@ import (
 	"repro/internal/repogen"
 )
 
-func TestFromBiTreeGraphRejectsNonTrees(t *testing.T) {
-	g := graph.NewWithNodes("cyc", 3, 5)
-	g.AddBiEdge(0, 1, 1, 1)
-	g.AddBiEdge(1, 2, 1, 1)
-	g.AddBiEdge(2, 0, 1, 1)
-	if _, err := FromBiTreeGraph(g); !errors.Is(err, ErrNotBiTree) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestBMRExactOnRandomTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for it := 0; it < 40; it++ {
 		g := graph.RandomBiTree(2+rng.Intn(6), 60, 12, rng)
-		bt, err := FromBiTreeGraph(g)
+		bt, err := FromGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +43,7 @@ func TestBMRExactOnRandomTrees(t *testing.T) {
 func TestBMRMonotoneInConstraint(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g := graph.RandomBiTree(40, 1000, 50, rng)
-	bt, err := FromBiTreeGraph(g)
+	bt, err := FromGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +62,7 @@ func TestBMRMonotoneInConstraint(t *testing.T) {
 
 func TestBMRInfeasibleAndTrivial(t *testing.T) {
 	g := graph.RandomBiTree(5, 100, 10, rand.New(rand.NewSource(2)))
-	bt, _ := FromBiTreeGraph(g)
+	bt, _ := FromGraph(g)
 	if _, err := BMR(context.Background(), bt, -1); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v", err)
 	}
@@ -87,7 +77,7 @@ func TestBMRInfeasibleAndTrivial(t *testing.T) {
 	if res, err := BMROnGraph(context.Background(), graph.New("empty"), 0); err != nil || !res.Cost.Feasible || res.Cost.Storage != 0 {
 		t.Fatalf("empty graph: %+v %v", res.Cost, err)
 	}
-	one, err := FromBiTreeGraph(graph.NewWithNodes("one", 1, 3))
+	one, err := FromGraph(graph.NewWithNodes("one", 1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +90,7 @@ func TestMSRExactOnRandomTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for it := 0; it < 40; it++ {
 		g := graph.RandomBiTree(2+rng.Intn(6), 60, 12, rng)
-		bt, err := FromBiTreeGraph(g)
+		bt, err := FromGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +128,7 @@ func TestMSRFrontierMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for it := 0; it < 15; it++ {
 		g := graph.RandomBiTree(2+rng.Intn(5), 40, 8, rng)
-		bt, err := FromBiTreeGraph(g)
+		bt, err := FromGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +157,7 @@ func TestMSRBucketedStaysClose(t *testing.T) {
 	for it := 0; it < 25; it++ {
 		n := 2 + rng.Intn(7)
 		g := graph.RandomBiTree(n, 80, 15, rng)
-		bt, err := FromBiTreeGraph(g)
+		bt, err := FromGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,6 +247,49 @@ func TestMSRTable4BudgetsFeasible(t *testing.T) {
 	}
 }
 
+// TestSpanningTreeHoldsMSA pins that FromGraph's tree holds the min-storage
+// arborescence of every Table 4 graph: each MSA delta is a tree edge with
+// the MSA's own id and direction. So when DP-MSR answers infeasible at
+// exactly the MSA's storage, the state cap lost the plan, not the tree.
+func TestSpanningTreeHoldsMSA(t *testing.T) {
+	for _, spec := range repogen.Table4Specs() {
+		g, err := repogen.Dataset(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bt, err := FromGraph(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msa, err := core.MinStorageOf(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := 0
+		for v := 0; v < g.N(); v++ {
+			id := graph.EdgeID(msa.ParentEdge[v])
+			if msa.X.IsAuxEdge(id) {
+				continue
+			}
+			e := g.Edge(id)
+			switch {
+			case bt.Parent[e.To] == e.From:
+				if down, _, _ := bt.DownEdge(e.To); down != id {
+					t.Fatalf("%s: MSA delta %d (%d→%d) is not the tree's, which stores %d", spec.Name, id, e.From, e.To, down)
+				}
+			case bt.Parent[e.From] == e.To:
+				if up, _, _ := bt.UpEdge(e.From); up != id {
+					t.Fatalf("%s: MSA delta %d (%d→%d) is not the tree's, which stores %d", spec.Name, id, e.From, e.To, up)
+				}
+			default:
+				t.Fatalf("%s: MSA delta %d (%d→%d) joins no tree edge", spec.Name, id, e.From, e.To)
+			}
+			held++
+		}
+		t.Logf("%s: all %d MSA deltas are tree edges", spec.Name, held)
+	}
+}
+
 func TestBMROnGraphHeuristicProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for it := 0; it < 30; it++ {
@@ -283,7 +316,7 @@ func TestBMROnGraphHeuristicProperties(t *testing.T) {
 
 func TestMSRSingleNodeAndEmpty(t *testing.T) {
 	one := graph.NewWithNodes("one", 1, 7)
-	bt, err := FromBiTreeGraph(one)
+	bt, err := FromGraph(one)
 	if err != nil {
 		t.Fatal(err)
 	}

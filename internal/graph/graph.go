@@ -263,54 +263,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// UnderlyingUndirectedIsTree reports whether the underlying undirected
-// graph (Section 2.2, "bidirectional tree": orientation disregarded,
-// parallel/antiparallel edges merged) is a tree spanning all nodes.
-func (g *Graph) UnderlyingUndirectedIsTree() bool {
-	n := g.N()
-	if n == 0 {
-		return true
-	}
-	type pair struct{ a, b NodeID }
-	seen := make(map[pair]bool, g.M())
-	adj := make([][]NodeID, n)
-	undirected := 0
-	for _, e := range g.edges {
-		a, b := e.From, e.To
-		if a > b {
-			a, b = b, a
-		}
-		p := pair{a, b}
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		undirected++
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-	if undirected != n-1 {
-		return false
-	}
-	// n-1 undirected edges + connected ⇒ tree.
-	visited := make([]bool, n)
-	stack := []NodeID{0}
-	visited[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range adj[v] {
-			if !visited[w] {
-				visited[w] = true
-				count++
-				stack = append(stack, w)
-			}
-		}
-	}
-	return count == n
-}
-
 // GeneralizedTriangleViolations counts violations of the generalized
 // triangle inequality of Section 2.2: s_u + s_{u,v} ≥ s_v for every delta
 // (u,v), and r_{u,w} + r_{w,v} ≥ r_{u,v} for every composable delta pair.

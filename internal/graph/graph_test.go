@@ -235,57 +235,6 @@ func TestERDeltas(t *testing.T) {
 	}
 }
 
-func TestUnderlyingUndirectedIsTree(t *testing.T) {
-	tree := RandomBiTree(15, 100, 10, rand.New(rand.NewSource(3)))
-	if !tree.UnderlyingUndirectedIsTree() {
-		t.Fatal("RandomBiTree not recognized as tree")
-	}
-	notTree := tree.Clone()
-	notTree.AddBiEdge(0, 14, 1, 1)
-	if notTree.UnderlyingUndirectedIsTree() {
-		t.Fatal("cycle not detected")
-	}
-	// Disconnected graph.
-	disc := NewWithNodes("d", 4, 1)
-	disc.AddBiEdge(0, 1, 1, 1)
-	disc.AddBiEdge(2, 3, 1, 1)
-	if disc.UnderlyingUndirectedIsTree() {
-		t.Fatal("disconnected graph accepted as tree")
-	}
-	// Chain is a tree even though unidirectional.
-	if !Chain(5, 10, 1, 1).UnderlyingUndirectedIsTree() {
-		t.Fatal("chain should be a tree")
-	}
-	if !New("empty").UnderlyingUndirectedIsTree() {
-		t.Fatal("empty graph should be a (trivial) tree")
-	}
-}
-
-func TestBidirectional(t *testing.T) {
-	g := Figure1()
-	parent := []NodeID{None, 0, 0, 1, 2}
-	bt := Bidirectional(g, parent)
-	if !bt.UnderlyingUndirectedIsTree() {
-		t.Fatal("Bidirectional output not a tree")
-	}
-	if bt.M() != 8 {
-		t.Fatalf("bitree has %d edges, want 8", bt.M())
-	}
-	// Reverse deltas synthesized from the forward ones when absent.
-	foundRev := false
-	for _, e := range bt.Edges() {
-		if e.From == 1 && e.To == 0 {
-			foundRev = true
-			if e.Storage != 200 || e.Retrieval != 200 {
-				t.Fatalf("synthesized reverse edge %+v", e)
-			}
-		}
-	}
-	if !foundRev {
-		t.Fatal("missing synthesized reverse delta")
-	}
-}
-
 func TestGeneralizedTriangleViolations(t *testing.T) {
 	// Figure 2 adversarial chain satisfies the triangle inequality
 	// (checked in the paper's proof of Theorem 1).

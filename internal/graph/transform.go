@@ -62,53 +62,3 @@ func ERDeltas(g *Graph, p float64, cost ERDeltaCost, rng *rand.Rand) *Graph {
 	}
 	return out
 }
-
-// Bidirectional returns a bidirectional-tree version graph built from the
-// undirected skeleton of the given parent assignment: for every tree edge
-// {u,v} both deltas present in g between u and v are copied (cheapest in
-// each direction); a missing reverse delta is synthesized from the forward
-// one, matching the tree-extraction step of the DP heuristics (Section
-// 6.2, step 2).
-//
-// parent[v] = None marks the root(s); otherwise parent[v] is v's parent
-// node. The returned graph keeps g's node set and materialization costs.
-func Bidirectional(g *Graph, parent []NodeID) *Graph {
-	out := New(g.Name + "-bitree")
-	for v := NodeID(0); int(v) < g.N(); v++ {
-		out.AddNode(g.NodeStorage(v))
-	}
-	best := func(u, v NodeID) (Edge, bool) {
-		found := false
-		var b Edge
-		for _, id := range g.Out(u) {
-			e := g.Edge(id)
-			if e.To != v {
-				continue
-			}
-			if !found || e.Storage+e.Retrieval < b.Storage+b.Retrieval {
-				b, found = e, true
-			}
-		}
-		return b, found
-	}
-	for v := NodeID(0); int(v) < g.N(); v++ {
-		u := parent[v]
-		if u == None {
-			continue
-		}
-		fwd, fok := best(u, v)
-		rev, rok := best(v, u)
-		switch {
-		case fok && rok:
-		case fok:
-			rev = Edge{From: v, To: u, Storage: fwd.Storage, Retrieval: fwd.Retrieval}
-		case rok:
-			fwd = Edge{From: u, To: v, Storage: rev.Storage, Retrieval: rev.Retrieval}
-		default:
-			panic("graph: Bidirectional parent edge missing from graph")
-		}
-		out.AddEdge(u, v, fwd.Storage, fwd.Retrieval)
-		out.AddEdge(v, u, rev.Storage, rev.Retrieval)
-	}
-	return out
-}

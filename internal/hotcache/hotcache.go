@@ -14,15 +14,16 @@ import (
 	"sync"
 )
 
-// Stats is a point-in-time traffic snapshot.
+// Stats is a point-in-time traffic snapshot. The JSON tags are the keys
+// of /statsz's resp_cache entry (serve.RespCacheStats).
 type Stats struct {
-	Entries   int
-	Bytes     int64
-	MaxBytes  int64
-	Hits      int64
-	Misses    int64
-	Rejected  int64 // puts larger than the whole byte budget
-	Evictions int64 // entries pushed out by the byte/entry budget
+	Entries   int   `json:"entries"`
+	Bytes     int64 `json:"bytes"`
+	MaxBytes  int64 `json:"max_bytes"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Rejected  int64 `json:"rejected"`  // puts larger than the whole byte budget
+	Evictions int64 `json:"evictions"` // entries pushed out by the byte/entry budget
 }
 
 // Cache is a byte-bounded LRU. All methods are safe for concurrent use.

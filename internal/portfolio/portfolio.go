@@ -66,9 +66,7 @@ type Options struct {
 	// SolverTimeout is the per-solver deadline within a race. 0 means no
 	// deadline (solvers still inherit the caller's ctx).
 	SolverTimeout time.Duration
-	// Tuning parameterizes the default registry.
-	Tuning Tuning
-	// Registry overrides the solver registry (nil = DefaultRegistry(Tuning)).
+	// Registry overrides the solver registry (nil = DefaultRegistry(Tuning{})).
 	Registry func(p core.Problem) []Solver
 }
 
@@ -83,7 +81,7 @@ type Engine struct {
 func New(opts Options) *Engine {
 	e := &Engine{opts: opts, registry: opts.Registry}
 	if e.registry == nil {
-		e.registry = DefaultRegistry(opts.Tuning)
+		e.registry = DefaultRegistry(Tuning{})
 	}
 	return e
 }

@@ -1,9 +1,8 @@
 // Package treewidth computes tree decompositions of the underlying
 // undirected graph of a version graph (Section 5.2). It provides the
 // min-degree and min-fill elimination heuristics, a degeneracy-style
-// lower bound, validity checking, and conversion to nice tree
-// decompositions (Definition 12: leaf / introduce / forget / join nodes)
-// — the substrate of the bounded-treewidth DP of Section 5.3.
+// lower bound and validity checking. The bounded-treewidth DP of Section
+// 5.3, which would run over these decompositions, is not built.
 //
 // The paper's footnote 7 observes that real version graphs have low
 // treewidth (datasharing 2, styleguide 3, leetcode 6); the same holds for

@@ -99,49 +99,15 @@ func TestDatasetTreewidthsAreLow(t *testing.T) {
 	}
 }
 
-func TestNiceDecomposition(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for it := 0; it < 20; it++ {
-		g := graph.Random(graph.RandomOptions{Nodes: 2 + rng.Intn(12), ExtraEdges: rng.Intn(15), Bidirected: true}, rng)
-		d := Decompose(g, MinDegree)
-		nd := MakeNice(d)
-		if err := nd.Validate(); err != nil {
-			t.Fatalf("it %d: %v", it, err)
-		}
-		if nd.Width() != d.Width() {
-			t.Fatalf("it %d: nice width %d != width %d", it, nd.Width(), d.Width())
-		}
-		if len(nd.Nodes[nd.Root].Bag) != 0 {
-			t.Fatalf("it %d: root bag not empty", it)
-		}
-		// Every graph vertex must be introduced/forgotten consistently:
-		// collect vertices over all bags.
-		seen := map[graph.NodeID]bool{}
-		for _, n := range nd.Nodes {
-			for _, v := range n.Bag {
-				seen[v] = true
-			}
-		}
-		if len(seen) != g.N() {
-			t.Fatalf("it %d: nice decomposition covers %d of %d vertices", it, len(seen), g.N())
-		}
-	}
-}
-
 func TestNiceOnSingleNodeAndEmpty(t *testing.T) {
 	one := graph.NewWithNodes("one", 1, 1)
 	d := Decompose(one, MinFill)
 	if err := d.Validate(one); err != nil {
 		t.Fatal(err)
 	}
-	nd := MakeNice(d)
-	if err := nd.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	empty := graph.New("empty")
 	de := Decompose(empty, MinDegree)
-	ne := MakeNice(de)
-	if err := ne.Validate(); err != nil {
+	if err := de.Validate(empty); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -157,9 +123,5 @@ func TestDisconnectedGraph(t *testing.T) {
 	}
 	if d.Width() != 1 {
 		t.Fatalf("forest width %d", d.Width())
-	}
-	nd := MakeNice(d)
-	if err := nd.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

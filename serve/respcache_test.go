@@ -201,6 +201,29 @@ func TestRespCacheStatszAndMetricsz(t *testing.T) {
 	}
 }
 
+// TestRespCacheStatszWireKeys pins resp_cache's JSON keys on the wire:
+// decoding into Statsz would not notice a renamed or untagged field.
+func TestRespCacheStatszWireKeys(t *testing.T) {
+	ts, _ := respTestServer(t, 1, Options{})
+	var raw map[string]any
+	if code := getJSON(t, ts.URL+"/statsz", &raw); code != http.StatusOK {
+		t.Fatalf("statsz: HTTP %d", code)
+	}
+	rc, ok := raw["resp_cache"].(map[string]any)
+	if !ok {
+		t.Fatalf("statsz resp_cache = %v, want an object", raw["resp_cache"])
+	}
+	want := []string{"entries", "bytes", "max_bytes", "hits", "misses", "rejected", "evictions"}
+	for _, k := range want {
+		if _, ok := rc[k]; !ok {
+			t.Errorf("resp_cache lacks key %q", k)
+		}
+	}
+	if len(rc) != len(want) {
+		t.Errorf("resp_cache has %d keys %v, want exactly %v", len(rc), rc, want)
+	}
+}
+
 // containsLine reports whether any exposition line starts with prefix.
 func containsLine(expo, prefix string) bool {
 	for len(expo) > 0 {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/hotcache"
 	"repro/internal/metrics"
 	"repro/tenant"
 	"repro/versioning"
@@ -36,15 +37,7 @@ type EndpointStats struct {
 
 // RespCacheStats is the encoded-response cache's /statsz entry: byte
 // footprint, hit/miss traffic and bodies too large for the whole budget.
-type RespCacheStats struct {
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	MaxBytes  int64 `json:"max_bytes"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Rejected  int64 `json:"rejected"`
-	Evictions int64 `json:"evictions"`
-}
+type RespCacheStats = hotcache.Stats
 
 // Statsz is the /statsz response: the server-side observability surface
 // the client and the repository benchmark read. Repo is populated in
@@ -109,15 +102,7 @@ func (s *Server) StatszSnapshot() Statsz {
 	}
 	if s.resp != nil {
 		cs := s.resp.Stats()
-		out.RespCache = &RespCacheStats{
-			Entries:   cs.Entries,
-			Bytes:     cs.Bytes,
-			MaxBytes:  cs.MaxBytes,
-			Hits:      cs.Hits,
-			Misses:    cs.Misses,
-			Rejected:  cs.Rejected,
-			Evictions: cs.Evictions,
-		}
+		out.RespCache = &cs
 	}
 	s.epMu.Lock()
 	names := make([]string, 0, len(s.endpoints))

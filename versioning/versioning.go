@@ -169,8 +169,10 @@ func SolveMMR(g *Graph, s Cost, opt Options) (Solution, error) {
 }
 
 // SolveBSR minimizes storage subject to total retrieval ≤ r, via the
-// Lemma 7 binary search over the MSR solver opt names (Auto: DP-MSR,
-// which is monotone in the budget, unlike the greedies).
+// Lemma 7 binary search over the MSR solver opt names (Auto: DP-MSR).
+// The search is a heuristic: capped DP-MSR is not monotone in its budget
+// (a larger budget can return a higher ΣR), so the bisection may stop
+// above the least storage that meets r. ROADMAP.md, item 4.
 func SolveBSR(g *Graph, r Cost, opt Options) (Solution, error) {
 	return solve(g, ProblemBSR, r, opt)
 }
