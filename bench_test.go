@@ -267,7 +267,7 @@ func BenchmarkDPMSR_Replan(b *testing.B) {
 				b.Fatal(err)
 			}
 			minStorage := mst.Cost.Storage
-			opt := dptree.DefaultMSROptions(0, 0)
+			opt := dptree.DefaultMSROptions()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -326,16 +326,6 @@ func BenchmarkPortfolio_BMRRace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Solve(ctx, g, core.ProblemBMR, r); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPortfolio_Comparison regenerates the engine-backed Section 7
-// solver-comparison panels end to end.
-func BenchmarkPortfolio_Comparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(experiments.PortfolioComparison(benchConfig())) == 0 {
-			b.Fatal("no panels")
 		}
 	}
 }

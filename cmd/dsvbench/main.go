@@ -1,18 +1,14 @@
 // Command dsvbench regenerates the paper's evaluation (Section 7): the
 // Table 4 dataset overview, the MSR figures 10–12, the BMR figure 13, the
 // Theorem 1 adversarial-LMG demonstration and the footnote-7 treewidth
-// measurements.
-//
-// It also renders the solver-portfolio comparison (-exp portfolio): the
-// same head-to-head methodology, but produced by racing all solvers
-// concurrently through the portfolio engine, with an optional per-solver
-// -timeout.
+// measurements. Each figure runs its solvers one after another, so the
+// per-point times are each solver's own; the race the daemon runs on one
+// instance is dsvsolve -portfolio.
 //
 // Usage:
 //
 //	dsvbench -exp all -scale 0.12 -points 6
 //	dsvbench -exp fig10 -scale 1 -points 10 -ilp=false
-//	dsvbench -exp portfolio -scale 0.12 -timeout 2s
 package main
 
 import (
@@ -26,25 +22,23 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: all|table4|fig10|fig11|fig12|fig13|thm1|treewidth|portfolio")
+		exp      = flag.String("exp", "all", "experiment: all|table4|fig10|fig11|fig12|fig13|thm1|treewidth")
 		scale    = flag.Float64("scale", 0.12, "dataset size scale (1.0 = full Table 4 sizes)")
 		points   = flag.Int("points", 6, "constraint samples per curve")
 		epsilon  = flag.Float64("epsilon", 0.05, "DP-MSR approximation parameter")
 		states   = flag.Int("maxstates", 512, "DP-MSR per-node state cap")
 		ilp      = flag.Bool("ilp", true, "compute the exact OPT line where affordable")
 		ilpNodes = flag.Int("ilpnodes", 20000, "branch-and-bound node cap per OPT point")
-		timeout  = flag.Duration("timeout", 0, "per-solver deadline in the portfolio race (0 = none)")
 	)
 	flag.Parse()
 
 	cfg := experiments.Config{
-		Scale:         *scale,
-		SweepPoints:   *points,
-		Epsilon:       *epsilon,
-		MaxStates:     *states,
-		ILP:           *ilp,
-		MaxILPNodes:   *ilpNodes,
-		SolverTimeout: *timeout,
+		Scale:       *scale,
+		SweepPoints: *points,
+		Epsilon:     *epsilon,
+		MaxStates:   *states,
+		ILP:         *ilp,
+		MaxILPNodes: *ilpNodes,
 	}
 
 	run := func(name string) bool { return *exp == "all" || *exp == name }
@@ -72,7 +66,6 @@ func main() {
 		{"fig11", experiments.Figure11},
 		{"fig12", experiments.Figure12},
 		{"fig13", experiments.Figure13},
-		{"portfolio", experiments.PortfolioComparison},
 	}
 	for _, fig := range figures {
 		if !run(fig.name) {

@@ -105,7 +105,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		sol = res.Solution
 	} else {
-		m, err := portfolio.Member(portfolio.Tuning{}, problem, *algo)
+		m, err := portfolio.Member(problem, *algo)
 		if err != nil {
 			return err
 		}

@@ -56,7 +56,7 @@ func fixture(t *testing.T) (path string, g *versioning.Graph, constraint map[cor
 // families lists what -algo accepts for p: auto plus the registry's.
 func families(p core.Problem) []string {
 	out := []string{"auto"}
-	for _, s := range portfolio.DefaultRegistry(portfolio.Tuning{})(p) {
+	for _, s := range portfolio.DefaultRegistry(p) {
 		out = append(out, s.Family)
 	}
 	return out
@@ -195,7 +195,7 @@ func TestJSONAndPortfolioOutputs(t *testing.T) {
 		for _, line := range strings.Split(table, "\n")[1:] {
 			got = append(got, strings.Fields(line)[0])
 		}
-		for _, s := range portfolio.DefaultRegistry(portfolio.Tuning{})(p) {
+		for _, s := range portfolio.DefaultRegistry(p) {
 			names = append(names, s.Name)
 		}
 		if strings.Join(got, " ") != strings.Join(names, " ") {

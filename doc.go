@@ -31,7 +31,6 @@
 // tracker (internal/heat) follows per-version read heat, and GET
 // /planz exposes both next to an explanation of the installed plan.
 // The paper's evaluation
-// is regenerated by cmd/dsvbench (including the engine-backed solver
-// comparison, -exp portfolio) and by the benchmarks in bench_test.go.
+// is regenerated by cmd/dsvbench and by the benchmarks in bench_test.go.
 // See README.md for an overview.
 package repro

@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("%d dataset versions; materializing all of them costs %.1f TB.\n",
 		g.N(), tb(everything))
 
-	pts, err := versioning.MSRFrontier(g, versioning.Options{Epsilon: 0.05, MaxStates: 256})
+	pts, err := versioning.MSRFrontier(g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -236,7 +236,7 @@ func TestMSRTable4BudgetsFeasible(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := graph.Cost(c.times * float64(minStorage(t, g)))
-		sol, err := MSROnGraph(context.Background(), g, s, DefaultMSROptions(0, 0))
+		sol, err := MSROnGraph(context.Background(), g, s, DefaultMSROptions())
 		if err != nil {
 			t.Fatalf("%s at %g× its min storage (%d): %v", c.dataset, c.times, s, err)
 		}

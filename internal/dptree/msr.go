@@ -59,20 +59,13 @@ type MSROptions struct {
 	PruneStorage graph.Cost
 }
 
-// DefaultMSROptions is the tuning DP-MSR runs with wherever a caller has
-// not chosen one — dsvd's re-plans, the portfolio's DP-MSR solver and
-// dsvsolve: ε = 0.05 on geometric ticks, at most 256 states per node (the
-// paper evaluates ε = 0.05 and 0.1, Section 7.1). A non-zero epsilon or
-// maxStates replaces the respective default.
-func DefaultMSROptions(epsilon float64, maxStates int) MSROptions {
-	opt := MSROptions{Epsilon: 0.05, Geometric: true, MaxStates: 256}
-	if epsilon != 0 {
-		opt.Epsilon = epsilon
-	}
-	if maxStates != 0 {
-		opt.MaxStates = maxStates
-	}
-	return opt
+// DefaultMSROptions is the tuning DP-MSR runs with everywhere but the
+// paper figures, which take theirs from dsvbench's flags — dsvd's
+// re-plans, the portfolio's DP-MSR solver, dsvsolve and
+// versioning.MSRFrontier: ε = 0.05 on geometric ticks, at most 256
+// states per node (the paper evaluates ε = 0.05 and 0.1, Section 7.1).
+func DefaultMSROptions() MSROptions {
+	return MSROptions{Epsilon: 0.05, Geometric: true, MaxStates: 256}
 }
 
 type msrOp uint8

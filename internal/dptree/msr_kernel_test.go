@@ -390,7 +390,7 @@ func spanningTree(t testing.TB, g *graph.Graph) *BiTree {
 // and prune bound at twice the minimum storage.
 func daemonRun(t testing.TB, g *graph.Graph) (opt MSROptions, budget graph.Cost) {
 	budget = 2 * minStorage(t, g)
-	opt = DefaultMSROptions(0, 0)
+	opt = DefaultMSROptions()
 	opt.PruneStorage = budget
 	return opt, budget
 }
@@ -443,7 +443,7 @@ func TestMergeKernelMatchesReferenceAtReplanScale(t *testing.T) {
 
 	// MSROnGraph, the re-plan's entry point, is that run: same tree, the
 	// prune bound filled in from the budget.
-	got, err := MSROnGraph(context.Background(), g, budget, DefaultMSROptions(0, 0))
+	got, err := MSROnGraph(context.Background(), g, budget, DefaultMSROptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,7 +715,7 @@ func TestMSRConcurrentRuns(t *testing.T) {
 		budget graph.Cost
 		want   core.Solution
 	}
-	opt := DefaultMSROptions(0, 0)
+	opt := DefaultMSROptions()
 	instances := make([][]instance, workers)
 	for w := range instances {
 		for c := 0; c < calls; c++ {

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -22,13 +21,12 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/lmg"
 	"repro/internal/mp"
-	"repro/internal/plan"
 	"repro/internal/repogen"
 	"repro/internal/treewidth"
 )
 
-// Config scales the evaluation. The defaults (via Default) keep every
-// experiment laptop-fast; Scale=1 reproduces the full Table 4 sizes.
+// Config scales the evaluation; dsvbench's flag defaults keep every
+// experiment laptop-fast, and Scale=1 reproduces the full Table 4 sizes.
 type Config struct {
 	// Scale multiplies dataset sizes (1.0 = the paper's node counts).
 	Scale float64
@@ -42,14 +40,6 @@ type Config struct {
 	ILP bool
 	// MaxILPNodes bounds the branch-and-bound effort per sweep point.
 	MaxILPNodes int
-	// SolverTimeout is the per-solver deadline inside the portfolio
-	// race (0 = none); it only affects PortfolioComparison.
-	SolverTimeout time.Duration
-}
-
-// Default is the CI-friendly configuration.
-func Default() Config {
-	return Config{Scale: 0.12, SweepPoints: 6, Epsilon: 0.05, MaxStates: 512, ILP: true, MaxILPNodes: 600}
 }
 
 // Point is one sweep sample of one algorithm.
@@ -121,15 +111,27 @@ func msrSweep(g *graph.Graph, cfg Config, withILP bool) Result {
 	}
 	budgets := sweep(minStorage, hi, cfg.SweepPoints)
 
+	// seeds[i] is the cheapest plan any series found at budgets[i]. The
+	// OPT line starts its search from it, so a bound it prints is never
+	// above a plan the same row shows.
+	seeds := make([]core.Solution, len(budgets))
+	keep := func(i int, sol core.Solution, err error) {
+		if err == nil && (seeds[i].Plan == nil || sol.Cost.SumRetrieval < seeds[i].Cost.SumRetrieval) {
+			seeds[i] = sol
+		}
+	}
+
 	lmgSeries := Series{Algorithm: "LMG"}
 	lmgAllSeries := Series{Algorithm: "LMG-All"}
-	for _, s := range budgets {
+	for i, s := range budgets {
 		start := time.Now()
 		r, err := lmg.LMG(ctx, g, s)
 		lmgSeries.Points = append(lmgSeries.Points, point(s, r.Cost.SumRetrieval, ms(start), err))
+		keep(i, r, err)
 		start = time.Now()
 		ra, err := lmg.LMGAll(ctx, g, s)
 		lmgAllSeries.Points = append(lmgAllSeries.Points, point(s, ra.Cost.SumRetrieval, ms(start), err))
+		keep(i, ra, err)
 	}
 
 	// DP-MSR computes the whole frontier in one run; its run time is
@@ -141,13 +143,14 @@ func msrSweep(g *graph.Graph, cfg Config, withILP bool) Result {
 		PruneStorage: budgets[len(budgets)-1],
 	})
 	dpMillis := ms(start)
-	for _, s := range budgets {
+	for i, s := range budgets {
 		var best core.Solution
 		berr := err
 		if berr == nil {
 			best, berr = dp.Best(s)
 		}
 		dpSeries.Points = append(dpSeries.Points, point(s, best.Cost.SumRetrieval, dpMillis, berr))
+		keep(i, best, berr)
 	}
 
 	res.Series = append(res.Series, lmgSeries, lmgAllSeries, dpSeries)
@@ -155,14 +158,8 @@ func msrSweep(g *graph.Graph, cfg Config, withILP bool) Result {
 	if withILP && cfg.ILP {
 		optSeries := Series{Algorithm: "OPT(ILP)"}
 		for i, s := range budgets {
-			var seed *plan.Plan
-			if !lmgAllSeries.Points[i].Infeasible {
-				if r, err := lmg.LMGAll(ctx, g, s); err == nil {
-					seed = r.Plan
-				}
-			}
 			start := time.Now()
-			r, err := ilp.SolveMSR(g, s, ilp.Options{MaxNodes: cfg.MaxILPNodes, Incumbent: seed})
+			r, err := ilp.SolveMSR(g, s, ilp.Options{MaxNodes: cfg.MaxILPNodes, Incumbent: seeds[i].Plan})
 			p := point(s, r.Cost.SumRetrieval, ms(start), err)
 			// A truncated branch-and-bound incumbent is a certified
 			// upper bound, not a proven optimum; mark it so tables
@@ -450,9 +447,4 @@ func Winner(r Result) string {
 		}
 	}
 	return best
-}
-
-// SortSeries orders series by name for deterministic rendering.
-func SortSeries(r *Result) {
-	sort.Slice(r.Series, func(i, j int) bool { return r.Series[i].Algorithm < r.Series[j].Algorithm })
 }

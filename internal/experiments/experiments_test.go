@@ -77,8 +77,10 @@ func TestFigure10(t *testing.T) {
 	}
 	results := Figure10(tinyConfig())
 	checkSweep(t, results, "LMG", "LMG-All", "DP-MSR")
-	// The datasharing panel carries the ILP OPT line; no algorithm may
-	// beat it where both are feasible.
+	// The datasharing panel carries the ILP OPT line. Where it has an
+	// objective, proven or a bound, no other series may beat it: a proven
+	// optimum is the least objective there is, and a bound comes from a
+	// search seeded with the cheapest plan the row shows.
 	for _, r := range results {
 		if r.Dataset != "datasharing" {
 			continue
@@ -95,9 +97,14 @@ func TestFigure10(t *testing.T) {
 		for _, s := range r.Series {
 			for i, p := range s.Points {
 				o := opt.Points[i]
-				if !p.Infeasible && !o.Infeasible && !o.Bound && p.Objective < o.Objective {
-					t.Fatalf("%s beats proven OPT at point %d: %d < %d", s.Algorithm, i, p.Objective, o.Objective)
+				if p.Infeasible || p.Failed || o.Infeasible || o.Failed || p.Objective >= o.Objective {
+					continue
 				}
+				kind := "proven OPT"
+				if o.Bound {
+					kind = "OPT's bound"
+				}
+				t.Fatalf("%s beats %s at budget %d: %d < %d", s.Algorithm, kind, p.Constraint, p.Objective, o.Objective)
 			}
 		}
 	}
@@ -206,9 +213,5 @@ func TestSweepAndWinner(t *testing.T) {
 	r.Series = append(r.Series, Series{Algorithm: "C", Points: []Point{{Failed: true}}})
 	if Winner(r) != "B" {
 		t.Fatal("a failed last point won")
-	}
-	SortSeries(&r)
-	if r.Series[0].Algorithm != "A" {
-		t.Fatal("sort wrong")
 	}
 }

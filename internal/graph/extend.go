@@ -44,6 +44,3 @@ func (x *Extended) AuxEdge(v NodeID) EdgeID {
 	}
 	return EdgeID(x.baseEdges) + EdgeID(v)
 }
-
-// BaseEdges returns the number of non-auxiliary edges.
-func (x *Extended) BaseEdges() int { return x.baseEdges }

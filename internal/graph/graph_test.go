@@ -127,7 +127,7 @@ func TestExtend(t *testing.T) {
 			t.Fatalf("aux edge for %d = %+v", v, e)
 		}
 	}
-	for id := EdgeID(0); int(id) < x.BaseEdges(); id++ {
+	for id := EdgeID(0); int(id) < g.M(); id++ {
 		if x.IsAuxEdge(id) {
 			t.Fatalf("base edge %d flagged aux", id)
 		}

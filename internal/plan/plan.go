@@ -186,17 +186,3 @@ func (f *Frontier) Add(storage, objective graph.Cost) {
 	f.Points = append(f.Points, FrontierPoint{storage, objective})
 	sort.Slice(f.Points, func(i, j int) bool { return f.Points[i].Storage < f.Points[j].Storage })
 }
-
-// ObjectiveAt returns the best objective among points with storage ≤ s,
-// or (0, false) if none qualifies.
-func (f *Frontier) ObjectiveAt(s graph.Cost) (graph.Cost, bool) {
-	best := graph.Infinite
-	ok := false
-	for _, pt := range f.Points {
-		if pt.Storage <= s && pt.Objective < best {
-			best = pt.Objective
-			ok = true
-		}
-	}
-	return best, ok
-}

@@ -121,15 +121,6 @@ func TestFrontier(t *testing.T) {
 	if f.Points[0].Storage != 5 || f.Points[2].Storage != 10 {
 		t.Fatal("frontier not sorted")
 	}
-	if o, ok := f.ObjectiveAt(7); !ok || o != 200 {
-		t.Fatalf("ObjectiveAt(7) = %d,%v", o, ok)
-	}
-	if o, ok := f.ObjectiveAt(100); !ok || o != 100 {
-		t.Fatalf("ObjectiveAt(100) = %d,%v", o, ok)
-	}
-	if _, ok := f.ObjectiveAt(1); ok {
-		t.Fatal("ObjectiveAt below min storage should fail")
-	}
 }
 
 func TestPlanCloneIndependence(t *testing.T) {

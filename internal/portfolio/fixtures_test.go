@@ -54,7 +54,7 @@ func TestAdversarialFixtures(t *testing.T) {
 				t.Fatal(err)
 			}
 			objective := map[string]graph.Cost{}
-			for i, s := range DefaultRegistry(Tuning{})(f.problem) {
+			for i, s := range DefaultRegistry(f.problem) {
 				rep := res.Reports[i]
 				if rep.Solver != s.Name || rep.Err != nil {
 					t.Fatalf("report %d = %+v, want a plan from %s", i, rep, s.Name)

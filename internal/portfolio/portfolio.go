@@ -1,8 +1,8 @@
 // Package portfolio holds the paper's solver line-up and races it. The
 // registry (DefaultRegistry) is the one place that says which solver
 // families (LMG, LMG-All, DP-MSR, DP-BMR, MP, and their Lemma 7 lifts)
-// answer which of the four problem regimes, under which report name and
-// with which tuning; Member picks one of them, or the exact ILP that no
+// answer which of the four problem regimes and under which report name;
+// Member picks one of them, or the exact ILP that no
 // default race runs, by family for the one-shot callers
 // (versioning.SolveXXX, cmd/dsvsolve). The Engine is the
 // runtime counterpart of the paper's Section 7 evaluation: instead of
@@ -66,7 +66,7 @@ type Options struct {
 	// SolverTimeout is the per-solver deadline within a race. 0 means no
 	// deadline (solvers still inherit the caller's ctx).
 	SolverTimeout time.Duration
-	// Registry overrides the solver registry (nil = DefaultRegistry(Tuning{})).
+	// Registry overrides the solver registry (nil = DefaultRegistry).
 	Registry func(p core.Problem) []Solver
 }
 
@@ -81,7 +81,7 @@ type Engine struct {
 func New(opts Options) *Engine {
 	e := &Engine{opts: opts, registry: opts.Registry}
 	if e.registry == nil {
-		e.registry = DefaultRegistry(Tuning{})
+		e.registry = DefaultRegistry
 	}
 	return e
 }

@@ -101,11 +101,10 @@ func TestPerSolverTimeout(t *testing.T) {
 		<-ctx.Done()
 		return core.Solution{}, ctx.Err()
 	}}
-	reg := DefaultRegistry(Tuning{})
 	e := New(Options{
 		SolverTimeout: 30 * time.Millisecond,
 		Registry: func(p core.Problem) []Solver {
-			return append([]Solver{stuck}, reg(p)...)
+			return append([]Solver{stuck}, DefaultRegistry(p)...)
 		},
 	})
 	start := time.Now()
@@ -207,7 +206,7 @@ func TestCancelInsideSolver(t *testing.T) {
 		{core.ProblemMSR, "lmg", msrBudget(t, g), 2},
 		{core.ProblemMSR, "lmg-all", msrBudget(t, g), 2},
 	} {
-		m, err := Member(Tuning{}, tc.problem, tc.family)
+		m, err := Member(tc.problem, tc.family)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +272,7 @@ func TestInfeasibleAggregation(t *testing.T) {
 	var calls []call
 	e := New(Options{})
 	for _, p := range []core.Problem{core.ProblemMSR, core.ProblemBMR, core.ProblemMMR, core.ProblemBSR} {
-		for _, s := range DefaultRegistry(Tuning{})(p) {
+		for _, s := range DefaultRegistry(p) {
 			calls = append(calls, call{p.String() + "/" + s.Name, p, onG(s.Solve)})
 		}
 		calls = append(calls, call{p.String() + "/engine", p, func(c graph.Cost) (core.Solution, error) {
@@ -281,11 +280,11 @@ func TestInfeasibleAggregation(t *testing.T) {
 			return r.Solution, err
 		}})
 	}
-	ilpMember, err := Member(Tuning{}, core.ProblemMSR, "ilp")
+	ilpMember, err := Member(core.ProblemMSR, "ilp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpOpts := dptree.DefaultMSROptions(0, 0)
+	dpOpts := dptree.DefaultMSROptions()
 	calls = append(calls,
 		call{"MSR/" + ilpMember.Name, core.ProblemMSR, onG(ilpMember.Solve)},
 		call{"lmg.LMG", core.ProblemMSR, onG(lmg.LMG)},

@@ -3,7 +3,6 @@ package portfolio
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -14,19 +13,6 @@ import (
 	"repro/internal/mp"
 )
 
-// Tuning parameterizes the default registry's solvers.
-type Tuning struct {
-	// Epsilon is the DP-MSR approximation parameter (0 = the default of
-	// dptree.DefaultMSROptions, 0.05).
-	Epsilon float64
-	// MaxStates caps DP-MSR states per node (0 = the default of
-	// dptree.DefaultMSROptions, 256).
-	MaxStates int
-	// MaxILPNodes caps branch-and-bound nodes per ILP solve (default
-	// 20000).
-	MaxILPNodes int
-}
-
 // DefaultRegistry is the one declaration of the paper's serving line-up
 // (Section 7): LMG, LMG-All and DP-MSR for MSR; MP and DP-BMR for BMR;
 // the Lemma 7 binary-search lifts of the BMR members for MMR and of
@@ -35,11 +21,12 @@ type Tuning struct {
 // this order; Member picks one of them, or the offline ILP, by family.
 // Every member returns core.Solution and reports a constraint it cannot
 // meet as core.ErrInfeasible, so LMG, LMG-All and DP-BMR are listed as
-// they are; a closure is left only where a member needs the tuning
-// (DP-MSR), takes no context (MP) or takes no constraint (the
-// baselines). The tree DPs and SPT root at version 0.
-func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
-	dpOpts := dptree.DefaultMSROptions(t.Epsilon, t.MaxStates)
+// they are; a closure is left only where a member needs options
+// (DP-MSR, at dptree.DefaultMSROptions), takes no context (MP) or takes
+// no constraint (the baselines). The tree DPs and SPT root at version 0.
+// Every call builds its own table, so no caller shares another's.
+func DefaultRegistry(p core.Problem) []Solver {
+	dpOpts := dptree.DefaultMSROptions()
 
 	lmgS := Solver{Name: "LMG", Family: "lmg", Solve: lmg.LMG}
 	lmgAllS := Solver{Name: "LMG-All", Family: "lmg-all", Solve: lmg.LMGAll}
@@ -79,37 +66,32 @@ func DefaultRegistry(t Tuning) func(p core.Problem) []Solver {
 		core.ProblemMMR: {lift(mpS, core.MMRViaBMR), lift(dpBMR, core.MMRViaBMR)},
 		core.ProblemBSR: {lift(dpMSR, core.BSRViaMSR), lift(lmgAllS, core.BSRViaMSR)},
 	}
-	return func(p core.Problem) []Solver { return table[p] }
+	return table[p]
 }
 
 // ilpMSR is the exact ILP for MSR, the paper's offline OPT line
 // (Section 7). No default race runs it: past datasharing's scale it
-// spends the whole deadline and returns nothing (996.ICU at 5 s).
-func ilpMSR(t Tuning) Solver {
-	nodes := t.MaxILPNodes
-	if nodes == 0 {
-		nodes = 20000
-	}
-	return Solver{Name: "ILP", Family: "ilp", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
-		r, err := ilp.SolveMSR(g, s, ilp.Options{MaxNodes: nodes})
-		return r.Solution, err
-	}}
-}
+// spends the whole deadline and returns nothing (996.ICU at 5 s). It
+// stops after 20,000 branch-and-bound nodes.
+var ilpMSR = Solver{Name: "ILP", Family: "ilp", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
+	r, err := ilp.SolveMSR(g, s, ilp.Options{MaxNodes: 20000})
+	return r.Solution, err
+}}
 
-// Member returns the member of DefaultRegistry(t) that family names for
+// Member returns the member of DefaultRegistry that family names for
 // problem p, or for MSR and "ilp" the offline ILP. "auto" is the Section
 // 7.4 recommendation: LMG-All for MSR, the tree DP for BMR, MMR and BSR.
 // The MST and SPT baselines have no family and answer to every name.
-func Member(t Tuning, p core.Problem, family string) (Solver, error) {
+func Member(p core.Problem, family string) (Solver, error) {
 	if family == "auto" {
 		family = "dp"
 		if p == core.ProblemMSR {
 			family = "lmg-all"
 		}
 	}
-	members := DefaultRegistry(t)(p)
+	members := DefaultRegistry(p)
 	if p == core.ProblemMSR {
-		members = slices.Concat(members, []Solver{ilpMSR(t)})
+		members = append(members, ilpMSR)
 	}
 	var have []string
 	for _, s := range members {

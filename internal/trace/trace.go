@@ -89,14 +89,6 @@ func (t *Tracer) Recorder() *Recorder {
 	return t.rec
 }
 
-// SampleRate reports the configured local sampling fraction.
-func (t *Tracer) SampleRate() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.sample
-}
-
 // ctxKey keys the current *Span in a context. The zero-size type keeps
 // context lookups allocation-free.
 type ctxKey struct{}

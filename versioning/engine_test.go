@@ -70,7 +70,7 @@ func TestEngineRacesTheServingLineUp(t *testing.T) {
 	if want := []string{"LMG", "LMG-All", "DP-MSR"}; !reflect.DeepEqual(raced, want) {
 		t.Fatalf("MSR race ran %v, want %v", raced, want)
 	}
-	m, err := portfolio.Member(portfolio.Tuning{}, ProblemMSR, "ilp")
+	m, err := portfolio.Member(ProblemMSR, "ilp")
 	if err != nil || m.Name != "ILP" {
 		t.Fatalf("Member(MSR, ilp) = %q, %v; want the ILP", m.Name, err)
 	}
@@ -122,38 +122,32 @@ func TestEngineInfeasible(t *testing.T) {
 	}
 }
 
-// TestDPMSRTuningSharedWithPortfolio checks that the one-shot solver and
-// the portfolio's DP-MSR run the DP with the same tuning: same plan with
-// the defaults and with both knobs overridden.
-func TestDPMSRTuningSharedWithPortfolio(t *testing.T) {
+// TestSolveMSRDPTreeMatchesRace checks that the one-shot solver and the
+// race's DP-MSR are one DP: SolveMSR(AlgDPTree) and the registry's DP-MSR
+// member return the same plan.
+func TestSolveMSRDPTreeMatchesRace(t *testing.T) {
 	g := GenerateRepo("tuning", 120, 5).Graph
 	min, err := MinStoragePlan(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := 2 * min.Cost.Storage
-	for _, opt := range []Options{
-		{Algorithm: AlgDPTree},
-		{Algorithm: AlgDPTree, Epsilon: 0.3, MaxStates: 16},
-	} {
-		want, err := SolveMSR(g, budget, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got Solution
-		solvers := portfolio.DefaultRegistry(portfolio.Tuning{Epsilon: opt.Epsilon, MaxStates: opt.MaxStates})(ProblemMSR)
-		for _, s := range solvers {
-			if s.Name == "DP-MSR" {
-				if got, err = s.Solve(context.Background(), g, budget); err != nil {
-					t.Fatal(err)
-				}
+	want, err := SolveMSR(g, budget, Options{Algorithm: AlgDPTree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Solution
+	for _, s := range portfolio.DefaultRegistry(ProblemMSR) {
+		if s.Name == "DP-MSR" {
+			if got, err = s.Solve(context.Background(), g, budget); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if got.Plan == nil {
-			t.Fatal("no DP-MSR solver in the MSR portfolio")
-		}
-		if got.Cost != want.Cost || !reflect.DeepEqual(got.Plan, want.Plan) {
-			t.Fatalf("ε=%v states=%d: portfolio DP-MSR cost %+v, SolveMSR(AlgDPTree) %+v", opt.Epsilon, opt.MaxStates, got.Cost, want.Cost)
-		}
+	}
+	if got.Plan == nil {
+		t.Fatal("no DP-MSR solver in the MSR portfolio")
+	}
+	if got.Cost != want.Cost || !reflect.DeepEqual(got.Plan, want.Plan) {
+		t.Fatalf("portfolio DP-MSR cost %+v, SolveMSR(AlgDPTree) %+v", got.Cost, want.Cost)
 	}
 }

@@ -122,22 +122,16 @@ func (a Algorithm) family() string {
 	return names[a]
 }
 
-// Options tunes solving.
+// Options selects the solver. DP-MSR runs at dptree.DefaultMSROptions,
+// as it does in the race.
 type Options struct {
 	Algorithm Algorithm
-	// Epsilon is the DP-MSR approximation parameter (0 = the default of
-	// dptree.DefaultMSROptions, 0.05).
-	Epsilon float64
-	// MaxStates caps DP-MSR states per node (0 = the default of
-	// dptree.DefaultMSROptions, 256).
-	MaxStates int
 }
 
 // solve runs the registry member opt.Algorithm names for problem p; an
 // algorithm that does not solve p is an error.
 func solve(g *Graph, p Problem, constraint Cost, opt Options) (Solution, error) {
-	t := portfolio.Tuning{Epsilon: opt.Epsilon, MaxStates: opt.MaxStates}
-	m, err := portfolio.Member(t, p, opt.Algorithm.family())
+	m, err := portfolio.Member(p, opt.Algorithm.family())
 	if err != nil {
 		return Solution{}, err
 	}
@@ -182,9 +176,9 @@ type FrontierPoint = plan.FrontierPoint
 
 // MSRFrontier traces the whole storage/retrieval trade-off curve in a
 // single DP-MSR run (Section 7.2: "the DP algorithm returns a whole
-// spectrum of solutions at once").
-func MSRFrontier(g *Graph, opt Options) ([]FrontierPoint, error) {
-	o := dptree.DefaultMSROptions(opt.Epsilon, opt.MaxStates)
+// spectrum of solutions at once"), at dptree.DefaultMSROptions.
+func MSRFrontier(g *Graph) ([]FrontierPoint, error) {
+	o := dptree.DefaultMSROptions()
 	o.PruneStorage = -1
 	dp, err := dptree.MSRFrontierOnGraph(context.Background(), g, o)
 	if err != nil {

@@ -70,7 +70,7 @@ func TestBaselinesAndFrontier(t *testing.T) {
 	if err != nil || !spt.Cost.Feasible {
 		t.Fatalf("SPT: %+v %v", spt.Cost, err)
 	}
-	pts, err := MSRFrontier(g, Options{})
+	pts, err := MSRFrontier(g)
 	if err != nil {
 		t.Fatal(err)
 	}
