@@ -55,15 +55,19 @@
 // Observability: -trace-sample samples that fraction of requests into
 // end-to-end traces (clients can force one with an X-DSV-Trace
 // header regardless of the rate); the flight recorder keeps the last
-// traces plus per-endpoint tail outliers at GET /tracez, and SIGQUIT
-// dumps the same snapshot to the log. GET /metricsz serves every
-// internal histogram and counter in Prometheus text format,
-// -slow-log logs requests over a threshold with their trace IDs, and
-// -debug-addr serves net/http/pprof on a separate listener. -version
-// prints the embedded build identity and exits.
+// 512 traces plus per-endpoint tail outliers at GET /tracez, and SIGQUIT
+// dumps the same snapshot to the log, with the plan observatory's vital
+// signs (one line per open tenant, in name order, under -multi). The
+// observatory runs at fixed sizes: GET /planz keeps the last 64 plan
+// passes, and read heat decays with a 5-minute half-life. GET /metricsz
+// serves every internal histogram and counter in Prometheus text
+// format, -slow-log logs requests over a threshold with their trace
+// IDs, and -debug-addr serves net/http/pprof on a separate listener.
+// -version prints the embedded build identity and exits.
 //
-// -demo N preloads a seeded synthetic history of N commits so /checkout
-// and /plan have something to serve immediately (single-repo mode only).
+// -demo N preloads a synthetic history of N commits (seed 42) so
+// /checkout and /plan have something to serve immediately (single-repo
+// mode only).
 package main
 
 import (
@@ -82,6 +86,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/serve"
 	"repro/tenant"
@@ -97,6 +102,9 @@ func main() {
 	}
 }
 
+// demoSeed seeds the synthetic history -demo preloads.
+const demoSeed = 42
+
 // run serves until ctx is cancelled, then drains and flushes storage.
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("dsvd", flag.ExitOnError)
@@ -111,20 +119,16 @@ func run(ctx context.Context, args []string) error {
 		respCache   = fs.Int64("resp-cache", 0, "encoded checkout-response cache byte budget (0 = 64 MiB, negative disables)")
 		dataDir     = fs.String("data-dir", "", "durable storage root (objects + commit journal); empty serves from memory")
 		fsync       = fs.Bool("fsync", false, "fsync the commit journal on every commit (with -data-dir)")
-		planHistory = fs.Int("plan-history", 0, "maintenance passes retained in the plan-observatory ring served at GET /planz (0 = 64, negative disables)")
-		heatHL      = fs.Duration("heat-halflife", 0, "per-version read-heat EWMA half-life (0 = 5m default, negative disables heat tracking)")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-solver deadline inside re-planning races (0 = 5s, negative = none)")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests and storage flush")
 		maxInFlight = fs.Int("max-inflight", 0, "admission control: max concurrently executing requests (0 = 4*GOMAXPROCS, negative disables)")
 		maxQueue    = fs.Int("max-queue", 0, "admission control: waiting slots before load shedding (0 = 2*max-inflight)")
 		queueWait   = fs.Duration("queue-wait", 100*time.Millisecond, "admission control: max time a request queues for a slot")
 		retryAfter  = fs.Duration("retry-after", time.Second, "Retry-After hint sent with 429 responses")
-		demo        = fs.Int("demo", 0, "preload a synthetic history of N commits (single-repo mode)")
-		demoSeed    = fs.Int64("demo-seed", 42, "seed for -demo")
+		demo        = fs.Int("demo", 0, "preload a synthetic history of N commits, seed 42 (single-repo mode)")
 
 		version     = fs.Bool("version", false, "print the embedded build identity and exit")
 		traceSample = fs.Float64("trace-sample", 0, "fraction of requests traced end-to-end (0 traces only client-forced requests; see /tracez)")
-		traceRecent = fs.Int("trace-recent", 0, "completed traces retained by the flight recorder ring (0 = default)")
 		slowLog     = fs.Duration("slow-log", 0, "log requests slower than this with their trace IDs (0 disables)")
 		debugAddr   = fs.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables)")
 
@@ -153,7 +157,7 @@ func run(ctx context.Context, args []string) error {
 	// The tracer is constructed even at sample rate 0 so a client can
 	// always force a trace with an X-DSV-Trace header and read it back
 	// from /tracez.
-	tracer := trace.New(trace.Options{Sample: *traceSample, Recent: *traceRecent})
+	tracer := trace.New(trace.Options{Sample: *traceSample})
 	ropt := versioning.RepositoryOptions{
 		Problem:       problem,
 		Constraint:    *constraint,
@@ -162,8 +166,6 @@ func run(ctx context.Context, args []string) error {
 		CacheEntries:  *cache,
 		CacheBytes:    *cacheBytes,
 		SyncWrites:    *fsync,
-		PlanHistory:   *planHistory,
-		HeatHalfLife:  *heatHL,
 		EngineOptions: versioning.EngineOptions{SolverTimeout: *timeout},
 	}
 
@@ -217,14 +219,14 @@ func run(ctx context.Context, args []string) error {
 			log.Printf("dsvd: durable storage in %s (%d versions recovered)", *dataDir, repo.Versions())
 		}
 		if *demo > 0 && repo.Versions() == 0 {
-			src := versioning.GenerateRepo("dsvd-demo", *demo, *demoSeed)
+			src := versioning.GenerateRepo("dsvd-demo", *demo, demoSeed)
 			ctx := context.Background()
 			for v := 0; v < src.Graph.N(); v++ {
 				if _, err := repo.Commit(ctx, src.Parents[v], src.Contents[v]); err != nil {
 					return fmt.Errorf("preloading demo commit %d: %w", v, err)
 				}
 			}
-			log.Printf("dsvd: preloaded %d demo commits (seed %d)", *demo, *demoSeed)
+			log.Printf("dsvd: preloaded %d demo commits (seed %d)", *demo, demoSeed)
 		}
 		handler = serve.New(repo, sopt)
 	}
@@ -251,7 +253,9 @@ func run(ctx context.Context, args []string) error {
 				log.Printf("dsvd: plan observatory: %s", repo.PlanContext())
 			}
 			if mgr != nil {
-				for name, st := range mgr.OpenStats() {
+				stats := mgr.OpenStats()
+				for _, name := range metrics.SortedKeys(stats) {
+					st := stats[name]
 					log.Printf("dsvd: plan observatory [%s]: replans=%d winner=%q records=%d failures=%d",
 						name, st.Replans, st.Winner, st.PlanRecords, st.ReplanFailures)
 				}

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -147,6 +148,47 @@ func TestRunInMemoryFleetLog(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "eviction disabled") || strings.Contains(out, "max 7 open") {
 		t.Fatalf("start-up log contradicts itself:\n%s", out)
+	}
+}
+
+// TestSIGQUITDumpsTenantsInNameOrder: under -multi the SIGQUIT dump
+// writes one plan-observatory line per open tenant, sorted by name, so
+// two dumps can be diffed.
+func TestSIGQUITDumpsTenantsInNameOrder(t *testing.T) {
+	var buf lockedBuffer
+	log.SetOutput(&buf)
+	defer log.SetOutput(os.Stderr)
+
+	c, stop := boot(t, "-multi")
+	names := []string{"frank", "carol", "alice", "eve", "dave", "bob"}
+	for _, name := range names {
+		if _, err := c.Tenant(name).Commit(context.Background(), versioning.NoParent, []string{name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGQUIT); err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "dsvd: plan observatory ["
+	var got []string
+	for deadline := time.Now().Add(10 * time.Second); len(got) < len(names); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("SIGQUIT dumped %d tenant lines, want %d:\n%s", len(got), len(names), buf.String())
+		}
+		got = got[:0]
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if _, rest, ok := strings.Cut(line, prefix); ok {
+				got = append(got, rest[:strings.IndexByte(rest, ']')])
+			}
+		}
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(names)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("SIGQUIT dump tenant order = %v, want %v", got, want)
 	}
 }
 

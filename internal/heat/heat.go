@@ -7,12 +7,13 @@
 // operator (or, eventually, an adaptive planner — ROADMAP item 3, step
 // 4) can see where prediction and reality diverge.
 //
-// Scores decay continuously with a configurable half-life: a bump adds
-// 1 to the version's score, and a score s observed t seconds later
-// reads s·2^(−t/halfLife). Decay is applied lazily on access, so an
-// idle version costs nothing. Bumps take one shard mutex each — versions
-// hash across shards, so concurrent readers of different versions
-// rarely contend — and a snapshot locks each shard once.
+// Scores decay continuously with a fixed half-life (DefaultHalfLife, 5
+// minutes): a bump adds 1 to the version's score, and a score s
+// observed t seconds later reads s·2^(−t/halfLife). Decay is applied
+// lazily on access, so an idle version costs nothing. Bumps take one
+// shard mutex each — versions hash across shards, so concurrent readers
+// of different versions rarely contend — and a snapshot locks each
+// shard once.
 package heat
 
 import (
@@ -23,12 +24,13 @@ import (
 	"time"
 )
 
-// DefaultHalfLife is the decay half-life when Options.HalfLife is 0.
+// DefaultHalfLife is the score decay half-life of every Tracker New
+// returns.
 const DefaultHalfLife = 5 * time.Minute
 
-// defaultShards is the shard count when Options.Shards is 0. Versions
-// are dense small integers, so id % shards spreads adjacent hot
-// versions across different mutexes.
+// defaultShards is the shard count of every Tracker New returns.
+// Versions are dense small integers, so id % shards spreads adjacent
+// hot versions across different mutexes.
 const defaultShards = 16
 
 // maxPerShard bounds a shard's entry map; when exceeded, entries whose
@@ -39,16 +41,6 @@ const (
 	maxPerShard = 4096
 	coldScore   = 0.01
 )
-
-// Options configures a Tracker.
-type Options struct {
-	// HalfLife is the score decay half-life (0 = DefaultHalfLife).
-	HalfLife time.Duration
-	// Shards is the shard count (0 = 16).
-	Shards int
-	// Now overrides the clock, for deterministic decay tests.
-	Now func() time.Time
-}
 
 // Entry is one version's heat in a snapshot.
 type Entry struct {
@@ -69,9 +61,7 @@ type shard struct {
 }
 
 // Tracker is a sharded, decaying per-version read counter. All methods
-// are safe for concurrent use; a nil *Tracker is a valid no-op tracker
-// (Bump does nothing, snapshots are empty), so callers can disable heat
-// tracking without branching.
+// are safe for concurrent use.
 type Tracker struct {
 	halfLife float64 // seconds
 	now      func() time.Time
@@ -79,21 +69,15 @@ type Tracker struct {
 	bumps    atomic.Int64
 }
 
-// New returns a Tracker with the given options.
-func New(opt Options) *Tracker {
-	hl := opt.HalfLife
-	if hl <= 0 {
-		hl = DefaultHalfLife
-	}
-	n := opt.Shards
-	if n <= 0 {
-		n = defaultShards
-	}
-	now := opt.Now
-	if now == nil {
-		now = time.Now
-	}
-	t := &Tracker{halfLife: hl.Seconds(), now: now, shards: make([]shard, n)}
+// New returns an empty Tracker decaying at DefaultHalfLife.
+func New() *Tracker {
+	return newTracker(DefaultHalfLife, defaultShards, time.Now)
+}
+
+// newTracker is New with the half-life, shard count and clock given, so
+// tests can run decay on a fake clock.
+func newTracker(halfLife time.Duration, shards int, now func() time.Time) *Tracker {
+	t := &Tracker{halfLife: halfLife.Seconds(), now: now, shards: make([]shard, shards)}
 	for i := range t.shards {
 		t.shards[i].m = make(map[int32]*slot)
 	}
@@ -111,9 +95,6 @@ func (t *Tracker) decayed(s *slot, nowNanos int64) float64 {
 
 // Bump records one read of version v.
 func (t *Tracker) Bump(v int32) {
-	if t == nil {
-		return
-	}
 	sh := &t.shards[uint32(v)%uint32(len(t.shards))]
 	now := t.now().UnixNano()
 	sh.mu.Lock()
@@ -139,17 +120,11 @@ func (t *Tracker) Bump(v int32) {
 // Bumps reports the total reads recorded since the tracker was created
 // (pruning never subtracts).
 func (t *Tracker) Bumps() int64 {
-	if t == nil {
-		return 0
-	}
 	return t.bumps.Load()
 }
 
 // Tracked reports how many versions currently hold a heat entry.
 func (t *Tracker) Tracked() int {
-	if t == nil {
-		return 0
-	}
 	n := 0
 	for i := range t.shards {
 		sh := &t.shards[i]
@@ -164,7 +139,7 @@ func (t *Tracker) Tracked() int {
 // first (ties broken by lower version id for deterministic output).
 // k <= 0 returns nil.
 func (t *Tracker) TopK(k int) []Entry {
-	if t == nil || k <= 0 {
+	if k <= 0 {
 		return nil
 	}
 	now := t.now().UnixNano()

@@ -34,7 +34,7 @@ func (c *fakeClock) advance(d time.Duration) {
 // long-idle version falls below the cold threshold and out of TopK.
 func TestDecayHalfLife(t *testing.T) {
 	clk := newFakeClock()
-	tr := New(Options{HalfLife: time.Minute, Now: clk.now})
+	tr := newTracker(time.Minute, defaultShards, clk.now)
 	tr.Bump(0)
 
 	clk.advance(time.Minute)
@@ -69,7 +69,7 @@ func TestDecayHalfLife(t *testing.T) {
 // rather than resetting it, and that Reads counts raw bumps undecayed.
 func TestBumpAccumulates(t *testing.T) {
 	clk := newFakeClock()
-	tr := New(Options{HalfLife: time.Minute, Now: clk.now})
+	tr := newTracker(time.Minute, defaultShards, clk.now)
 	tr.Bump(7)
 	clk.advance(time.Minute)
 	tr.Bump(7) // 0.5 decayed + 1
@@ -90,7 +90,7 @@ func TestBumpAccumulates(t *testing.T) {
 // version-id tie-breaks and the k truncation.
 func TestTopKOrdering(t *testing.T) {
 	clk := newFakeClock()
-	tr := New(Options{HalfLife: time.Minute, Now: clk.now})
+	tr := newTracker(time.Minute, defaultShards, clk.now)
 	for v := int32(0); v < 8; v++ {
 		for i := int32(0); i <= v; i++ {
 			tr.Bump(v) // version v gets v+1 bumps
@@ -106,7 +106,7 @@ func TestTopKOrdering(t *testing.T) {
 		}
 	}
 	// Equal scores break ties toward the lower id.
-	tr2 := New(Options{HalfLife: time.Minute, Now: clk.now})
+	tr2 := newTracker(time.Minute, defaultShards, clk.now)
 	tr2.Bump(5)
 	tr2.Bump(2)
 	if top := tr2.TopK(2); top[0].Version != 2 || top[1].Version != 5 {
@@ -114,21 +114,11 @@ func TestTopKOrdering(t *testing.T) {
 	}
 }
 
-// TestNilTracker pins the nil-receiver contract RepositoryOptions
-// relies on to disable heat tracking without branching.
-func TestNilTracker(t *testing.T) {
-	var tr *Tracker
-	tr.Bump(1) // must not panic
-	if tr.Bumps() != 0 || tr.Tracked() != 0 || tr.TopK(5) != nil {
-		t.Fatal("nil tracker leaked state")
-	}
-}
-
 // TestPruneColdEntries fills one shard past its bound, lets everything
 // go cold, and checks the next insert prunes the dead weight.
 func TestPruneColdEntries(t *testing.T) {
 	clk := newFakeClock()
-	tr := New(Options{HalfLife: time.Second, Shards: 1, Now: clk.now})
+	tr := newTracker(time.Second, 1, clk.now)
 	for v := int32(0); v < maxPerShard; v++ {
 		tr.Bump(v)
 	}
@@ -149,7 +139,7 @@ func TestPruneColdEntries(t *testing.T) {
 // from many goroutines (run with -race). Correctness here is "no race,
 // no panic, totals add up".
 func TestConcurrentBumpSnapshot(t *testing.T) {
-	tr := New(Options{HalfLife: time.Hour})
+	tr := newTracker(time.Hour, defaultShards, time.Now)
 	const workers, bumpsEach = 8, 2000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -237,20 +237,15 @@ type BatchItem struct {
 	Err   error
 }
 
-// CheckoutBatch reconstructs many versions across a bounded worker pool
-// (workers <= 0 means runtime.GOMAXPROCS). Only min(workers, len(ids))
+// CheckoutBatch reconstructs many versions across a pool of
+// runtime.GOMAXPROCS(0) workers. Only min(GOMAXPROCS, len(ids))
 // goroutines ever exist, so an arbitrarily large batch cannot exhaust
 // memory. Results are positional; duplicates within a batch are
 // deduplicated through the cache and singleflight layers. A ctx
 // cancellation marks not-yet-dispatched items with ctx.Err().
-func (s *Store) CheckoutBatch(ctx context.Context, ids []graph.NodeID, workers int) []BatchItem {
+func (s *Store) CheckoutBatch(ctx context.Context, ids []graph.NodeID) []BatchItem {
 	out := make([]BatchItem, len(ids))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(ids))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -123,7 +123,7 @@ func TestCheckoutBatch(t *testing.T) {
 	for i := range contents {
 		ids = append(ids, graph.NodeID(i), graph.NodeID(len(contents)-1-i)) // duplicates on purpose
 	}
-	out := s.CheckoutBatch(context.Background(), ids, 4)
+	out := s.CheckoutBatch(context.Background(), ids)
 	if len(out) != len(ids) {
 		t.Fatalf("got %d results, want %d", len(out), len(ids))
 	}
@@ -141,7 +141,7 @@ func TestCheckoutBatchCancellation(t *testing.T) {
 	s, contents := chainStore(t, 10, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := s.CheckoutBatch(ctx, []graph.NodeID{0, graph.NodeID(len(contents) - 1)}, 1)
+	out := s.CheckoutBatch(ctx, []graph.NodeID{0, graph.NodeID(len(contents) - 1)})
 	for i, item := range out {
 		if item.Err == nil {
 			t.Fatalf("item %d succeeded under cancelled ctx", i)

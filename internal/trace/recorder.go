@@ -1,6 +1,6 @@
-// The flight recorder: a bounded ring of recently completed traces
+// The flight recorder: a ring of the 512 most recently completed traces
 // plus an always-retained set of tail outliers — the slowest trace per
-// root name over the current and previous retention windows — so a
+// root name over the current and previous one-minute windows — so a
 // burst of fast requests cannot flush the one slow commit an operator
 // is hunting out of /tracez.
 package trace
@@ -75,12 +75,6 @@ type Recorder struct {
 }
 
 func newRecorder(recent int, window time.Duration) *Recorder {
-	if recent <= 0 {
-		recent = defaultRecent
-	}
-	if window <= 0 {
-		window = defaultWindow
-	}
 	return &Recorder{
 		ring:     make([]TraceData, recent),
 		window:   window,

@@ -47,17 +47,10 @@ type Options struct {
 	// send HeaderTrace. 0 disables locally-initiated traces (forced
 	// traces still record); 1 traces everything.
 	Sample float64
-	// Recent is the flight-recorder ring size (completed traces kept).
-	// 0 means 512.
-	Recent int
-	// OutlierWindow is how long the slowest trace per root name is
-	// retained beyond the ring. 0 means one minute.
-	OutlierWindow time.Duration
-	// MaxSpans caps spans recorded per trace; further spans are counted
-	// in TraceData.Dropped. 0 means 256.
-	MaxSpans int
 }
 
+// defaultMaxSpans caps spans recorded per trace; further spans are
+// counted in TraceData.Dropped.
 const defaultMaxSpans = 256
 
 // Tracer decides sampling and owns the flight recorder. A nil *Tracer
@@ -68,16 +61,13 @@ type Tracer struct {
 	rec      *Recorder
 }
 
-// New builds a Tracer with its flight recorder.
+// New builds a Tracer with its flight recorder: the last 512 traces
+// plus the slowest per root name over a one-minute window.
 func New(opt Options) *Tracer {
-	ms := opt.MaxSpans
-	if ms <= 0 {
-		ms = defaultMaxSpans
-	}
 	return &Tracer{
 		sample:   opt.Sample,
-		maxSpans: ms,
-		rec:      newRecorder(opt.Recent, opt.OutlierWindow),
+		maxSpans: defaultMaxSpans,
+		rec:      newRecorder(defaultRecent, defaultWindow),
 	}
 }
 

@@ -127,7 +127,8 @@ func TestDisabledAllocationFree(t *testing.T) {
 
 // TestMaxSpans: past the cap, child spans are counted, not stored.
 func TestMaxSpans(t *testing.T) {
-	tr := New(Options{Sample: 1, MaxSpans: 2})
+	tr := New(Options{Sample: 1})
+	tr.maxSpans = 2
 	ctx, root := tr.StartRequest(context.Background(), "r", "")
 	for i := 0; i < 5; i++ {
 		_, s := StartSpan(ctx, "child")
@@ -162,7 +163,8 @@ func TestEndAfterRoot(t *testing.T) {
 // TestRecorderRing pins ring semantics: capacity bounds Recent, the
 // snapshot is newest first, and Recorded counts evicted traces too.
 func TestRecorderRing(t *testing.T) {
-	tr := New(Options{Sample: 1, Recent: 4})
+	tr := New(Options{Sample: 1})
+	tr.rec = newRecorder(4, defaultWindow)
 	var last string
 	for i := 0; i < 10; i++ {
 		_, root := tr.StartRequest(context.Background(), "op", "")
@@ -184,7 +186,8 @@ func TestRecorderRing(t *testing.T) {
 // TestRecorderOutliers: the slowest trace per root name survives ring
 // eviction and is findable by ID.
 func TestRecorderOutliers(t *testing.T) {
-	tr := New(Options{Sample: 1, Recent: 2, OutlierWindow: time.Hour})
+	tr := New(Options{Sample: 1})
+	tr.rec = newRecorder(2, time.Hour)
 	_, slow := tr.StartRequest(context.Background(), "commit", "")
 	time.Sleep(5 * time.Millisecond)
 	slow.End()

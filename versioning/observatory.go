@@ -117,8 +117,10 @@ type PlanRecord struct {
 	Failed bool   `json:"failed,omitempty"`
 }
 
-// planHistory is a bounded ring of PlanRecords. A nil *planHistory is a
-// valid disabled history: appends drop, snapshots are empty.
+// planHistoryLen is how many PlanRecords a repository's ring keeps.
+const planHistoryLen = 64
+
+// planHistory is a bounded ring of PlanRecords.
 type planHistory struct {
 	mu    sync.Mutex
 	buf   []PlanRecord
@@ -128,16 +130,10 @@ type planHistory struct {
 }
 
 func newPlanHistory(capacity int) *planHistory {
-	if capacity <= 0 {
-		return nil
-	}
 	return &planHistory{buf: make([]PlanRecord, capacity)}
 }
 
 func (h *planHistory) append(rec PlanRecord) {
-	if h == nil {
-		return
-	}
 	h.mu.Lock()
 	h.total++
 	rec.Seq = h.total
@@ -152,9 +148,6 @@ func (h *planHistory) append(rec PlanRecord) {
 // snapshot returns the live records oldest-first plus the lifetime
 // total (total − len(records) is how many the ring evicted).
 func (h *planHistory) snapshot() ([]PlanRecord, int64) {
-	if h == nil {
-		return nil, 0
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make([]PlanRecord, 0, h.n)
@@ -169,18 +162,12 @@ func (h *planHistory) snapshot() ([]PlanRecord, int64) {
 }
 
 func (h *planHistory) size() int {
-	if h == nil {
-		return 0
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.n
 }
 
 func (h *planHistory) lifetime() int64 {
-	if h == nil {
-		return 0
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.total
@@ -189,17 +176,15 @@ func (h *planHistory) lifetime() int64 {
 // VersionHeat is one version's decayed read heat (see internal/heat).
 type VersionHeat = heat.Entry
 
-// PlanHistory returns the retained plan records oldest-first, plus the
-// lifetime total of records ever appended. Empty until the first
-// maintenance pass, and always empty when RepositoryOptions.PlanHistory
-// is negative.
+// PlanHistory returns the retained plan records oldest-first (the
+// newest 64 at most), plus the lifetime total of records ever appended.
+// Empty until the first maintenance pass.
 func (r *Repository) PlanHistory() ([]PlanRecord, int64) {
 	return r.history.snapshot()
 }
 
 // HeatTopK returns the k hottest versions by decayed read score,
-// hottest first. Nil when heat tracking is disabled or nothing has been
-// read yet.
+// hottest first. Nil when nothing has been read yet.
 func (r *Repository) HeatTopK(k int) []VersionHeat {
 	return r.heat.TopK(k)
 }

@@ -150,13 +150,13 @@ func TestPlanHistoryRecordsPasses(t *testing.T) {
 	}
 }
 
-// TestPlanHistoryRingBounds overflows a tiny ring and checks eviction
-// keeps the newest records with contiguous Seq numbers.
+// TestPlanHistoryRingBounds overflows the ring a repository serves and
+// checks eviction keeps the newest planHistoryLen (64) records with
+// contiguous Seq numbers, while the lifetime total counts every pass.
 func TestPlanHistoryRingBounds(t *testing.T) {
-	const capacity, passes = 4, 11
+	const passes = planHistoryLen + 7
 	r := NewRepository("ring", RepositoryOptions{
 		ReplanEvery:   -1, // manual passes only
-		PlanHistory:   capacity,
 		EngineOptions: testEngineOptions(),
 	})
 	defer r.Close()
@@ -176,11 +176,11 @@ func TestPlanHistoryRingBounds(t *testing.T) {
 	if total != passes {
 		t.Fatalf("lifetime total = %d, want %d", total, passes)
 	}
-	if len(hist) != capacity {
-		t.Fatalf("ring holds %d records, want the %d-record bound", len(hist), capacity)
+	if len(hist) != 64 {
+		t.Fatalf("ring holds %d records, want the 64-record bound", len(hist))
 	}
 	for i, rec := range hist {
-		want := int64(passes - capacity + i + 1)
+		want := int64(passes - len(hist) + i + 1)
 		if rec.Seq != want {
 			t.Fatalf("ring[%d].Seq = %d, want %d (oldest-first, newest retained)", i, rec.Seq, want)
 		}
@@ -238,30 +238,6 @@ func TestPlanHistoryFailureRecord(t *testing.T) {
 	}
 }
 
-// TestPlanHistoryDisabled pins PlanHistory < 0: no ring exists, and the
-// accessors stay empty without branching at call sites.
-func TestPlanHistoryDisabled(t *testing.T) {
-	r := NewRepository("nohist", RepositoryOptions{
-		ReplanEvery:   -1,
-		PlanHistory:   -1,
-		EngineOptions: testEngineOptions(),
-	})
-	defer r.Close()
-	ctx := context.Background()
-	if _, err := r.Commit(ctx, NoParent, []string{"root"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Replan(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if hist, total := r.PlanHistory(); len(hist) != 0 || total != 0 {
-		t.Fatalf("disabled history recorded: %d records, total %d", len(hist), total)
-	}
-	if st := r.Stats(); st.PlanRecords != 0 || st.PlanHistoryLen != 0 {
-		t.Fatalf("disabled history leaked into Stats: %+v", st)
-	}
-}
-
 // TestHeatTracksCheckouts pins the read-heat pipeline: checkouts bump
 // the tracker, TouchVersion covers cache-served reads, TopK orders by
 // traffic, and Stats carries the aggregate counters.
@@ -307,23 +283,6 @@ func TestHeatTracksCheckouts(t *testing.T) {
 			st.HeatReads, st.HeatTrackedVersions, len(st.HeatTopK))
 	}
 
-	// HeatHalfLife < 0 disables tracking entirely.
-	r2 := NewRepository("noheat", RepositoryOptions{
-		ReplanEvery:   -1,
-		HeatHalfLife:  -1,
-		EngineOptions: testEngineOptions(),
-	})
-	defer r2.Close()
-	if _, err := r2.Commit(ctx, NoParent, []string{"root"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r2.Checkout(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	r2.TouchVersion(0)
-	if top := r2.HeatTopK(10); top != nil {
-		t.Fatalf("disabled heat tracker returned %+v", top)
-	}
 }
 
 // TestLogAncestry pins the /log walk: first-parent chains back to the
@@ -389,11 +348,11 @@ func TestObservatoryUnderHammer(t *testing.T) {
 	const capacity = 8
 	r := NewRepository("obs-hammer", RepositoryOptions{
 		ReplanEvery:   2, // migrate constantly
-		PlanHistory:   capacity,
 		CacheEntries:  8,
 		EngineOptions: testEngineOptions(),
 	})
 	defer r.Close()
+	r.history = newPlanHistory(capacity) // a small ring, so the hammer overflows it
 	ctx := context.Background()
 	if _, err := r.Commit(ctx, NoParent, []string{"root"}); err != nil {
 		t.Fatal(err)

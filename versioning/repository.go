@@ -96,13 +96,6 @@ type RepositoryOptions struct {
 	// EngineOptions configures the re-planning engine. A SolverTimeout
 	// of 0 means 5s here; a negative one means no deadline.
 	EngineOptions EngineOptions
-	// PlanHistory bounds the plan observatory's ring of PlanRecords —
-	// one per maintenance pass, served by PlanHistory() and GET /planz
-	// (0 = 64, negative disables recording).
-	PlanHistory int
-	// HeatHalfLife is the decay half-life of the per-version read-heat
-	// tracker (0 = heat.DefaultHalfLife, negative disables tracking).
-	HeatHalfLife time.Duration
 }
 
 // Repository is the plan-executing storage runtime: a live datastore in
@@ -168,8 +161,8 @@ type Repository struct {
 
 	// Plan observatory (observatory.go): the bounded pass-record ring,
 	// the per-version read-heat tracker, and the race-duration
-	// histogram. All three are internally synchronized (and nil-safe
-	// where disabling is allowed), so they sit outside the lock order.
+	// histogram. All three are internally synchronized, so they sit
+	// outside the lock order.
 	history  *planHistory
 	heat     *heat.Tracker
 	raceHist metrics.Histogram
@@ -211,10 +204,6 @@ func NewRepository(name string, opt RepositoryOptions) *Repository {
 	if backend == nil {
 		backend = store.NewShardedMemBackend(0)
 	}
-	histCap := opt.PlanHistory
-	if histCap == 0 {
-		histCap = 64
-	}
 	r := &Repository{
 		opt:        opt,
 		start:      time.Now(),
@@ -223,11 +212,9 @@ func NewRepository(name string, opt RepositoryOptions) *Repository {
 		plan:       plan.New(NewGraph(name)),
 		planCost:   PlanCost{Feasible: true},
 		constraint: opt.Constraint,
-		history:    newPlanHistory(histCap),
+		history:    newPlanHistory(planHistoryLen),
+		heat:       heat.New(),
 		solverWins: make(map[string]int64),
-	}
-	if opt.HeatHalfLife >= 0 {
-		r.heat = heat.New(heat.Options{HalfLife: opt.HeatHalfLife})
 	}
 	r.solve = NewEngine(eo).Solve
 	r.startMaintenance()
@@ -601,7 +588,7 @@ func (r *Repository) CheckoutBatch(ctx context.Context, ids []NodeID) []Checkout
 	for _, v := range ids {
 		r.heat.Bump(v)
 	}
-	return r.st.CheckoutBatch(ctx, ids, 0)
+	return r.st.CheckoutBatch(ctx, ids)
 }
 
 // constraintFor resolves the regime constraint against g: the

@@ -178,9 +178,7 @@ type FrontierPoint = plan.FrontierPoint
 // single DP-MSR run (Section 7.2: "the DP algorithm returns a whole
 // spectrum of solutions at once"), at dptree.DefaultMSROptions.
 func MSRFrontier(g *Graph) ([]FrontierPoint, error) {
-	o := dptree.DefaultMSROptions()
-	o.PruneStorage = -1
-	dp, err := dptree.MSRFrontierOnGraph(context.Background(), g, o)
+	dp, err := dptree.MSRFrontierOnGraph(context.Background(), g, dptree.DefaultMSROptions())
 	if err != nil {
 		return nil, err
 	}
