@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint size test benchmark-test benchmark-smoke race bench fuzz cover serve serve-durable
+.PHONY: all build vet lint size test examples benchmark-test benchmark-smoke race bench fuzz cover serve serve-durable
 
 all: vet build test
 
@@ -33,6 +33,15 @@ size:
 
 test:
 	$(GO) test ./...
+
+# Examples: run each one once; an example exits non-zero when a step
+# fails. gitrepo's second act imports a git checkout, which -import-src ""
+# skips.
+examples:
+	@set -e; for ex in quickstart mlpipeline datalake serving; do \
+		echo "== examples/$$ex"; $(GO) run ./examples/$$ex; \
+	done; \
+	echo "== examples/gitrepo"; $(GO) run ./examples/gitrepo -import-src ""
 
 # The repository benchmark is a nested module (benchmark/go.mod), which
 # ./... does not reach.

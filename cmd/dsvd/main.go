@@ -57,12 +57,13 @@
 // header regardless of the rate); the flight recorder keeps the last
 // 512 traces plus per-endpoint tail outliers at GET /tracez, and SIGQUIT
 // dumps the same snapshot to the log, with the plan observatory's vital
-// signs (one line per open tenant, in name order, under -multi). The
-// observatory runs at fixed sizes: GET /planz keeps the last 64 plan
-// passes, and read heat decays with a 5-minute half-life. GET /metricsz
-// serves every internal histogram and counter in Prometheus text
-// format, -slow-log logs requests over a threshold with their trace
-// IDs, and -debug-addr serves net/http/pprof on a separate listener.
+// signs (one line per repository, or per open tenant under -multi, in
+// name order). The observatory runs at fixed sizes: GET /planz keeps
+// the last 64 plan passes, and read heat decays with a 5-minute
+// half-life. GET /metricsz serves the /statsz snapshot in Prometheus
+// text format, -slow-log logs requests over a threshold with their
+// trace IDs, and -debug-addr serves net/http/pprof on a separate
+// listener.
 // -version prints the embedded build identity and exits.
 //
 // -demo N preloads a synthetic history of N commits (seed 42) so
@@ -249,16 +250,13 @@ func run(ctx context.Context, args []string) error {
 				continue
 			}
 			log.Printf("dsvd: flight recorder dump: %s", buf)
-			if repo != nil {
-				log.Printf("dsvd: plan observatory: %s", repo.PlanContext())
+			z := handler.StatszSnapshot()
+			repos := z.Tenants
+			if mgr == nil {
+				repos = map[string]versioning.RepositoryStats{z.Repo.Name: z.Repo}
 			}
-			if mgr != nil {
-				stats := mgr.OpenStats()
-				for _, name := range metrics.SortedKeys(stats) {
-					st := stats[name]
-					log.Printf("dsvd: plan observatory [%s]: replans=%d winner=%q records=%d failures=%d",
-						name, st.Replans, st.Winner, st.PlanRecords, st.ReplanFailures)
-				}
+			for _, name := range metrics.SortedKeys(repos) {
+				log.Printf("dsvd: plan observatory [%s]: %s", name, repos[name].PlanContext())
 			}
 		}
 	}()

@@ -166,30 +166,63 @@ func TestSIGQUITDumpsTenantsInNameOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := syscall.Kill(os.Getpid(), syscall.SIGQUIT); err != nil {
-		t.Fatal(err)
-	}
-	const prefix = "dsvd: plan observatory ["
-	var got []string
-	for deadline := time.Now().Add(10 * time.Second); len(got) < len(names); time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("SIGQUIT dumped %d tenant lines, want %d:\n%s", len(got), len(names), buf.String())
-		}
-		got = got[:0]
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if _, rest, ok := strings.Cut(line, prefix); ok {
-				got = append(got, rest[:strings.IndexByte(rest, ']')])
-			}
-		}
-	}
+	lines := sigquitVitals(t, &buf, len(names))
 	if err := stop(); err != nil {
 		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range lines {
+		got = append(got, line[:strings.IndexByte(line, ']')])
 	}
 	want := slices.Clone(names)
 	slices.Sort(want)
 	if !slices.Equal(got, want) {
 		t.Fatalf("SIGQUIT dump tenant order = %v, want %v", got, want)
 	}
+}
+
+// TestSIGQUITDumpsSingleRepoVitals: a single-repo daemon dumps the same
+// vitals line as a tenant, under the repository's own name.
+func TestSIGQUITDumpsSingleRepoVitals(t *testing.T) {
+	var buf lockedBuffer
+	log.SetOutput(&buf)
+	defer log.SetOutput(os.Stderr)
+
+	c, stop := boot(t)
+	if _, err := c.Commit(context.Background(), versioning.NoParent, []string{"a"}); err != nil {
+		t.Fatal(err)
+	}
+	got := sigquitVitals(t, &buf, 1)
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	const want = `dsvd]: replans=0 winner="" pending=1 history=0 failures=0`
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("SIGQUIT dump %q, want [%q]", got, want)
+	}
+}
+
+// sigquitVitals sends the process SIGQUIT and waits until the log holds
+// n plan-observatory lines; it returns each line after its "[".
+func sigquitVitals(t *testing.T, buf *lockedBuffer, n int) []string {
+	t.Helper()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGQUIT); err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "dsvd: plan observatory ["
+	var got []string
+	for deadline := time.Now().Add(10 * time.Second); len(got) < n; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("SIGQUIT dumped %d plan-observatory lines, want %d:\n%s", len(got), n, buf.String())
+		}
+		got = got[:0]
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if _, rest, ok := strings.Cut(line, prefix); ok {
+				got = append(got, rest)
+			}
+		}
+	}
+	return got
 }
 
 // lockedBuffer is a bytes.Buffer the daemon's goroutines can log into.

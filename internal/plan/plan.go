@@ -94,12 +94,14 @@ func (p *Plan) Retrievals(g *graph.Graph) []graph.Cost {
 	return dist
 }
 
-// Cost summarizes a plan's quality.
+// Cost summarizes a plan's quality: the storage, total-retrieval and
+// max-retrieval objectives of the paper's Table 1. Its JSON keys are the
+// ones every plan report (PlanSummary, the /planz race reports) carries.
 type Cost struct {
-	Storage      graph.Cost
-	SumRetrieval graph.Cost
-	MaxRetrieval graph.Cost
-	Feasible     bool // every version retrievable
+	Storage      graph.Cost `json:"storage"`
+	SumRetrieval graph.Cost `json:"sum_retrieval"`
+	MaxRetrieval graph.Cost `json:"max_retrieval"`
+	Feasible     bool       `json:"feasible"` // every version retrievable
 }
 
 // Evaluate computes the full cost summary of p on g.

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"net/http"
-	"runtime"
 	"strconv"
-	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/metrics"
@@ -14,11 +12,13 @@ import (
 // handleMetricsz renders the whole serving surface — process identity,
 // admission control, per-endpoint counters and latency histograms,
 // repository/WAL/maintenance stats (per open tenant in multi mode),
-// and fleet gauges — in Prometheus text exposition format. Everything
-// here is assembled from the same snapshots /statsz serves; this
-// endpoint only changes the encoding so standard scrapers can ingest
-// it. The format is pinned by metrics.Lint (TestMetricszLint).
+// and fleet gauges — in Prometheus text exposition format. It renders
+// one StatszSnapshot, the snapshot /statsz serves, so the two endpoints
+// differ only in encoding; it reads directly only what /statsz does not
+// carry (build identity, slow-log and trace counters, per-tenant
+// activity). The format is pinned by metrics.Lint (TestMetricszLint).
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
+	z := s.StatszSnapshot()
 	var e metrics.Expo
 
 	bi := buildinfo.Get()
@@ -27,12 +27,10 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		metrics.L("version", bi.Version),
 		metrics.L("go_version", bi.GoVersion),
 		metrics.L("revision", bi.Revision))
-	e.Gauge("dsv_uptime_seconds", "Seconds since the serving layer started.",
-		time.Since(s.start).Seconds())
-	e.Gauge("dsv_goroutines", "Live goroutines in the process.",
-		float64(runtime.NumGoroutine()))
+	e.Gauge("dsv_uptime_seconds", "Seconds since the serving layer started.", z.UptimeSeconds)
+	e.Gauge("dsv_goroutines", "Live goroutines in the process.", float64(z.Goroutines))
 
-	adm := s.adm.stats()
+	adm := z.Admission
 	e.Gauge("dsv_admission_capacity", "Admission slots (0 = limiter disabled).", float64(adm.Capacity))
 	e.Gauge("dsv_admission_in_flight", "Requests currently holding an admission slot.", float64(adm.InFlight))
 	e.Gauge("dsv_admission_queue_len", "Requests currently queued for a slot.", float64(adm.QueueLen))
@@ -44,48 +42,25 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	e.Counter("dsv_admission_rejected_total", rejectedHelp, float64(adm.RejectedWait), metrics.L("reason", "wait_timeout"))
 	e.Counter("dsv_admission_rejected_total", rejectedHelp, float64(adm.RejectedCanceled), metrics.L("reason", "canceled"))
 
-	// Per-endpoint traffic. Snapshot under epMu first, then emit
-	// metric-major so each family stays contiguous across endpoints.
-	type epRow struct {
-		name                                 string
-		requests, errors, rejected, inFlight int64
-		latency                              metrics.Snapshot
+	// Per-endpoint traffic, metric-major so each family stays contiguous
+	// across endpoints.
+	endpoints := metrics.SortedKeys(z.Endpoints)
+	endpointFamily := func(emit func(string, string, float64, ...metrics.Label), name, help string, get func(EndpointStats) int64) {
+		for _, ep := range endpoints {
+			emit(name, help, float64(get(z.Endpoints[ep])), metrics.L("endpoint", ep))
+		}
 	}
-	s.epMu.Lock()
-	names := metrics.SortedKeys(s.endpoints)
-	rows := make([]epRow, 0, len(names))
-	for _, name := range names {
-		ep := s.endpoints[name]
-		rows = append(rows, epRow{
-			name:     name,
-			requests: ep.requests.Load(),
-			errors:   ep.errors.Load(),
-			rejected: ep.rejected.Load(),
-			inFlight: ep.inFlight.Load(),
-			latency:  ep.latency.Snapshot(),
-		})
+	endpointFamily(e.Counter, "dsv_requests_total", "Requests handled, including rejected ones.", func(es EndpointStats) int64 { return es.Requests })
+	endpointFamily(e.Counter, "dsv_request_errors_total", "Handler responses with status >= 400 (admission 429s excluded).", func(es EndpointStats) int64 { return es.Errors })
+	endpointFamily(e.Counter, "dsv_requests_rejected_total", "Requests shed by admission control before reaching the handler.", func(es EndpointStats) int64 { return es.Rejected })
+	endpointFamily(e.Gauge, "dsv_requests_in_flight", "Requests currently executing in the handler.", func(es EndpointStats) int64 { return es.InFlight })
+	for _, ep := range endpoints {
+		e.Histogram("dsv_request_duration_seconds", "Handler latency (admission wait included).", z.Endpoints[ep].Histogram, metrics.L("endpoint", ep))
 	}
-	s.epMu.Unlock()
-	for _, row := range rows {
-		e.Counter("dsv_requests_total", "Requests handled, including rejected ones.", float64(row.requests), metrics.L("endpoint", row.name))
-	}
-	for _, row := range rows {
-		e.Counter("dsv_request_errors_total", "Handler responses with status >= 400 (admission 429s excluded).", float64(row.errors), metrics.L("endpoint", row.name))
-	}
-	for _, row := range rows {
-		e.Counter("dsv_requests_rejected_total", "Requests shed by admission control before reaching the handler.", float64(row.rejected), metrics.L("endpoint", row.name))
-	}
-	for _, row := range rows {
-		e.Gauge("dsv_requests_in_flight", "Requests currently executing in the handler.", float64(row.inFlight), metrics.L("endpoint", row.name))
-	}
-	for _, row := range rows {
-		e.Histogram("dsv_request_duration_seconds", "Handler latency (admission wait included).", row.latency, metrics.L("endpoint", row.name))
-	}
-	e.Counter("dsv_checkout_path_scoped_total", "Checkout requests narrowed to a path scope (?path=).", float64(s.pathScoped.Load()))
-	e.Counter("dsv_diff_computed_total", "Diff responses computed rather than served from the encoded-response cache.", float64(s.diffComputed.Load()))
+	e.Counter("dsv_checkout_path_scoped_total", "Checkout requests narrowed to a path scope (?path=).", float64(z.Endpoints["checkout"].PathScoped))
+	e.Counter("dsv_diff_computed_total", "Diff responses computed rather than served from the encoded-response cache.", float64(z.Endpoints["diff"].Computed))
 
-	if s.resp != nil {
-		cs := s.resp.Stats()
+	if cs := z.RespCache; cs != nil {
 		e.Gauge("dsv_respcache_entries", "Encoded checkout responses currently cached.", float64(cs.Entries))
 		e.Gauge("dsv_respcache_bytes", "Byte footprint of the encoded-response cache.", float64(cs.Bytes))
 		e.Gauge("dsv_respcache_max_bytes", "Byte budget of the encoded-response cache.", float64(cs.MaxBytes))
@@ -94,7 +69,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		e.Counter("dsv_respcache_rejected_total", "Cache fills larger than the whole byte budget.", float64(cs.Rejected))
 		e.Counter("dsv_respcache_evictions_total", "Cached responses evicted by the byte budget.", float64(cs.Evictions))
 	}
-	e.Counter("dsv_checkout_not_modified_total", "304s answered off a client If-None-Match validator by a cached GET (/checkout, /diff, /log), with or without the response cache.", float64(s.notModified.Load()))
+	e.Counter("dsv_checkout_not_modified_total", "304s answered off a client If-None-Match validator by a cached GET (/checkout, /diff, /log), with or without the response cache.", float64(z.NotModified))
 
 	e.Counter("dsv_slow_requests_logged_total", "Slow-request log lines emitted.", float64(s.slowLogged.Load()))
 	e.Counter("dsv_slow_requests_suppressed_total", "Slow requests over the threshold whose log line was rate-limited away.", float64(s.slowSuppressed.Load()))
@@ -111,12 +86,11 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	}
 	var repos []repoRow
 	if s.mgr != nil {
-		stats := s.mgr.OpenStats()
-		for _, name := range metrics.SortedKeys(stats) {
-			repos = append(repos, repoRow{labels: []metrics.Label{metrics.L("tenant", name)}, st: stats[name]})
+		for _, name := range metrics.SortedKeys(z.Tenants) {
+			repos = append(repos, repoRow{labels: []metrics.Label{metrics.L("tenant", name)}, st: z.Tenants[name]})
 		}
 	} else {
-		repos = append(repos, repoRow{st: s.repo.Stats()})
+		repos = append(repos, repoRow{st: z.Repo})
 	}
 	repoGauge := func(name, help string, get func(versioning.RepositoryStats) float64) {
 		for _, row := range repos {
@@ -191,8 +165,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	repoCounter("dsv_wal_batched_commits_total", "Commits that rode a group-commit batch.", func(st versioning.RepositoryStats) float64 { return float64(st.WALBatchedCommits) })
 	repoGauge("dsv_wal_max_batch", "Largest group-commit batch observed.", func(st versioning.RepositoryStats) float64 { return float64(st.WALMaxBatch) })
 
-	if s.mgr != nil {
-		fs := s.mgr.Fleet(1)
+	if fs := z.Fleet; fs != nil {
 		e.Gauge("dsv_fleet_tenants", "Namespaces touched since boot.", float64(fs.Tenants))
 		e.Gauge("dsv_fleet_open", "Currently open tenant repositories.", float64(fs.Open))
 		e.Gauge("dsv_fleet_max_open", "Open-repository LRU bound.", float64(fs.MaxOpen))

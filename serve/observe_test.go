@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +85,92 @@ func lintMetricsz(t *testing.T, base string) (families, series int, text string)
 		t.Fatalf("metricsz lint: %v\n%s", err, text)
 	}
 	return families, series, text
+}
+
+// TestMetricszAgreesWithStatsz: /metricsz renders the /statsz snapshot,
+// so after the same traffic the numbers both report are equal, in both
+// serving modes. Neither scrape moves a number compared here.
+func TestMetricszAgreesWithStatsz(t *testing.T) {
+	for _, mode := range []struct {
+		name   string
+		base   func(t *testing.T) string // URL prefix of the repository routes
+		labels map[string]string         // repository name -> its series' labels
+	}{
+		{"single", func(t *testing.T) string {
+			repo := versioning.NewRepository("m", versioning.RepositoryOptions{ReplanEvery: -1})
+			ts := httptest.NewServer(New(repo, Options{}))
+			t.Cleanup(ts.Close)
+			return ts.URL
+		}, map[string]string{"m": ""}},
+		{"multi", func(t *testing.T) string {
+			ts := multiServer(t, testManager(t, "", tenant.Options{}), Options{})
+			mustPost(t, ts.URL+"/t/bob/commit", map[string]any{"parent": -1, "lines": []string{"b"}})
+			return ts.URL + "/t/alice"
+		}, map[string]string{"alice": `{tenant="alice"}`, "bob": `{tenant="bob"}`}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			base := mode.base(t)
+			root := strings.TrimSuffix(base, "/t/alice")
+			mustPost(t, base+"/commit", map[string]any{"parent": -1, "lines": []string{"a"}})
+			mustPost(t, base+"/commit", map[string]any{"parent": 0, "lines": []string{"a", "b"}})
+			for i := 0; i < 3; i++ {
+				mustGet(t, base+"/checkout/1")
+			}
+			mustGet(t, base+"/diff/0/1")
+			req, _ := http.NewRequest("GET", base+"/checkout/1", nil)
+			req.Header.Set("If-None-Match", "*")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotModified {
+				t.Fatalf("If-None-Match: HTTP %d, want 304", resp.StatusCode)
+			}
+
+			var z Statsz
+			if code := getJSON(t, root+"/statsz", &z); code != http.StatusOK {
+				t.Fatalf("statsz: HTTP %d", code)
+			}
+			_, _, text := lintMetricsz(t, root)
+			samples := map[string]float64{}
+			for _, line := range strings.Split(text, "\n") {
+				if i := strings.LastIndexByte(line, ' '); i > 0 && line[0] != '#' {
+					v, err := strconv.ParseFloat(line[i+1:], 64)
+					if err != nil {
+						t.Fatalf("sample %q: %v", line, err)
+					}
+					samples[line[:i]] = v
+				}
+			}
+			agree := func(series string, want float64) {
+				t.Helper()
+				if got, ok := samples[series]; !ok || got != want || want == 0 {
+					t.Errorf("%s = %v (present %v), /statsz says %v (must be > 0)", series, got, ok, want)
+				}
+			}
+			for _, ep := range []string{"commit", "checkout", "diff"} {
+				es := z.Endpoints[ep]
+				agree(`dsv_requests_total{endpoint="`+ep+`"}`, float64(es.Requests))
+				agree(`dsv_request_duration_seconds_count{endpoint="`+ep+`"}`, float64(es.Latency.Count))
+			}
+			if z.RespCache == nil {
+				t.Fatal("statsz has no resp_cache")
+			}
+			agree("dsv_respcache_hits_total", float64(z.RespCache.Hits))
+			agree("dsv_checkout_not_modified_total", float64(z.NotModified))
+			repos := z.Tenants
+			if repos == nil {
+				repos = map[string]versioning.RepositoryStats{z.Repo.Name: z.Repo}
+			}
+			if len(repos) != len(mode.labels) {
+				t.Fatalf("statsz repositories %v, want %v", metrics.SortedKeys(repos), mode.labels)
+			}
+			for name, labels := range mode.labels {
+				agree("dsv_repo_versions"+labels, float64(repos[name].Versions))
+			}
+		})
+	}
 }
 
 // TestStatszTenants pins the multi-mode /statsz per-tenant section:

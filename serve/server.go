@@ -303,7 +303,7 @@ func (s *Server) maybeLogSlow(name string, status int, d time.Duration, span *tr
 	// request's tenant is on its trace, not known here.
 	planCtx := "mode=multi"
 	if s.repo != nil {
-		planCtx = s.repo.PlanContext()
+		planCtx = s.repo.Stats().PlanContext()
 	}
 	s.logf("serve: slow request endpoint=%s status=%d duration_us=%d threshold=%s trace_id=%q suppressed=%d plan[%s]",
 		name, status, d.Microseconds(), s.slowReq, span.TraceID(), suppressed, planCtx)

@@ -3,7 +3,6 @@ package serve
 import (
 	"net/http"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/hotcache"
@@ -33,6 +32,9 @@ type EndpointStats struct {
 	// from the encoded-response cache (diff endpoint only).
 	Computed int64                  `json:"computed,omitempty"`
 	Latency  metrics.LatencySummary `json:"latency"`
+	// Histogram is the raw snapshot Latency summarizes, for in-process
+	// consumers (/metricsz renders it as a Prometheus histogram).
+	Histogram metrics.Snapshot `json:"-"`
 }
 
 // RespCacheStats is the encoded-response cache's /statsz entry: byte
@@ -105,20 +107,15 @@ func (s *Server) StatszSnapshot() Statsz {
 		out.RespCache = &cs
 	}
 	s.epMu.Lock()
-	names := make([]string, 0, len(s.endpoints))
-	for name := range s.endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ep := s.endpoints[name]
+	for name, ep := range s.endpoints {
 		es := EndpointStats{
-			Requests: ep.requests.Load(),
-			Errors:   ep.errors.Load(),
-			Rejected: ep.rejected.Load(),
-			InFlight: ep.inFlight.Load(),
-			Latency:  ep.latency.Summary(),
+			Requests:  ep.requests.Load(),
+			Errors:    ep.errors.Load(),
+			Rejected:  ep.rejected.Load(),
+			InFlight:  ep.inFlight.Load(),
+			Histogram: ep.latency.Snapshot(),
 		}
+		es.Latency = es.Histogram.Summary()
 		if name == "checkout" {
 			es.Coalesced = coalesced
 			es.PathScoped = s.pathScoped.Load()

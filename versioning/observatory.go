@@ -23,11 +23,8 @@ import (
 // in-process original).
 type SolverRaceReport struct {
 	Solver string `json:"solver"`
-	// Cost of the solver's plan; valid only when Err is empty.
-	Storage      Cost `json:"storage,omitempty"`
-	SumRetrieval Cost `json:"sum_retrieval,omitempty"`
-	MaxRetrieval Cost `json:"max_retrieval,omitempty"`
-	Feasible     bool `json:"feasible,omitempty"`
+	// The cost of the solver's plan; nil when Err is set.
+	*PlanCost
 	// DurationUS is the solver's wall time within the race, whether it
 	// won, lost, errored, or timed out.
 	DurationUS int64  `json:"duration_us"`
@@ -47,10 +44,7 @@ func raceReports(reports []SolverReport) []SolverRaceReport {
 			rr.Err = rep.Err.Error()
 			rr.Infeasible = errors.Is(rep.Err, ErrInfeasible)
 		} else {
-			rr.Storage = rep.Cost.Storage
-			rr.SumRetrieval = rep.Cost.SumRetrieval
-			rr.MaxRetrieval = rep.Cost.MaxRetrieval
-			rr.Feasible = rep.Cost.Feasible
+			rr.PlanCost = &rep.Cost
 		}
 		out = append(out, rr)
 	}
@@ -278,13 +272,4 @@ func (r *Repository) Log(v NodeID, limit int) ([]LogEntry, error) {
 		cur = ps[0]
 	}
 	return out, nil
-}
-
-// PlanContext is a one-line summary of the repository's plan state for
-// log lines (the slow-request log and the SIGQUIT dump attach it to
-// give stalls their planning context).
-func (r *Repository) PlanContext() string {
-	r.stateMu.RLock()
-	defer r.stateMu.RUnlock()
-	return fmt.Sprintf("replans=%d winner=%q pending=%d history=%d", r.replans, r.winner, r.sinceReplan, r.history.size())
 }

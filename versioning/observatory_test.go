@@ -2,9 +2,12 @@ package versioning
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,8 +133,8 @@ func TestPlanHistoryRecordsPasses(t *testing.T) {
 	if st.PredictedStorage <= 0 {
 		t.Fatalf("Stats lost the last predicted cost: %+v", st)
 	}
-	if !strings.Contains(r.PlanContext(), "winner=") {
-		t.Fatalf("PlanContext = %q, want the plan vitals", r.PlanContext())
+	if vitals := st.PlanContext(); !strings.Contains(vitals, "winner=") || !strings.Contains(vitals, "failures=0") {
+		t.Fatalf("PlanContext = %q, want the plan vitals", vitals)
 	}
 
 	// A pass over an unchanged repository solves to the serving plan: it
@@ -238,6 +241,60 @@ func TestPlanHistoryFailureRecord(t *testing.T) {
 	}
 }
 
+// TestRaceReportJSONKeys pins the keys of a /planz race report: a member
+// that answered carries its plan's cost, and a failed one its error and
+// no cost keys.
+func TestRaceReportJSONKeys(t *testing.T) {
+	r := NewRepository("racekeys", RepositoryOptions{ReplanEvery: -1, EngineOptions: testEngineOptions()})
+	defer r.Close()
+	ctx := context.Background()
+	if _, err := r.Commit(ctx, NoParent, []string{"root"}); err != nil {
+		t.Fatal(err)
+	}
+	healthy := r.solve
+	r.solve = func(ctx context.Context, g *Graph, p Problem, c Cost) (PortfolioResult, error) {
+		res, err := healthy(ctx, g, p, c)
+		res.Reports = []SolverReport{
+			{Solver: res.Winner, Cost: res.Solution.Cost, Duration: time.Millisecond},
+			{Solver: "refuses", Err: fmt.Errorf("bound: %w", ErrInfeasible), Duration: time.Millisecond},
+			{Solver: "breaks", Err: errors.New("injected solver failure"), Duration: time.Millisecond},
+		}
+		return res, err
+	}
+	if err := r.Replan(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hist, _ := r.PlanHistory()
+	b, err := json.Marshal(hist[len(hist)-1].Reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []map[string]any
+	if err := json.Unmarshal(b, &reports); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"duration_us", "feasible", "max_retrieval", "solver", "storage", "sum_retrieval"},
+		{"duration_us", "error", "infeasible", "solver"},
+		{"duration_us", "error", "solver"},
+	}
+	if len(reports) != len(want) {
+		t.Fatalf("race reports %s, want %d members", b, len(want))
+	}
+	for i, rep := range reports {
+		if got := slices.Sorted(maps.Keys(rep)); !slices.Equal(got, want[i]) {
+			t.Errorf("report %d keys %q, want %q", i, got, want[i])
+		}
+	}
+	var decoded []SolverRaceReport
+	if err := json.Unmarshal(b, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if decoded[0].PlanCost == nil || !decoded[0].Feasible || decoded[1].PlanCost != nil || decoded[2].PlanCost != nil {
+		t.Fatalf("decoded race reports %+v: want a cost on the answering member only", decoded)
+	}
+}
+
 // TestHeatTracksCheckouts pins the read-heat pipeline: checkouts bump
 // the tracker, TouchVersion covers cache-served reads, TopK orders by
 // traffic, and Stats carries the aggregate counters.
@@ -283,6 +340,33 @@ func TestHeatTracksCheckouts(t *testing.T) {
 			st.HeatReads, st.HeatTrackedVersions, len(st.HeatTopK))
 	}
 
+}
+
+// TestHeatIgnoresUnknownVersions: a read of a version the repository
+// never held is a 404, not traffic, so it leaves no heat entry (and so
+// no /planz heat or dsv_version_heat series) behind.
+func TestHeatIgnoresUnknownVersions(t *testing.T) {
+	r := NewRepository("heat-unknown", RepositoryOptions{ReplanEvery: -1, EngineOptions: testEngineOptions()})
+	defer r.Close()
+	ctx := context.Background()
+	if _, err := r.Commit(ctx, NoParent, []string{"root"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []NodeID{-1, 7, 1 << 30} {
+		if _, err := r.Checkout(ctx, v); !errors.Is(err, ErrUnknownVersion) {
+			t.Fatalf("Checkout(%d) = %v, want ErrUnknownVersion", v, err)
+		}
+	}
+	for i, res := range r.CheckoutBatch(ctx, []NodeID{42, 0, 43}) {
+		if wantErr := i != 1; (res.Err != nil) != wantErr || (wantErr && !errors.Is(res.Err, ErrUnknownVersion)) {
+			t.Fatalf("CheckoutBatch item %d: err %v", i, res.Err)
+		}
+	}
+	st := r.Stats()
+	if st.HeatTrackedVersions != 1 || st.HeatReads != 1 || len(st.HeatTopK) != 1 || st.HeatTopK[0].Version != 0 {
+		t.Fatalf("heat after unknown reads: tracked %d reads %d top %+v, want only version 0 read once",
+			st.HeatTrackedVersions, st.HeatReads, st.HeatTopK)
+	}
 }
 
 // TestLogAncestry pins the /log walk: first-parent chains back to the
@@ -433,8 +517,7 @@ func TestObservatoryUnderHammer(t *testing.T) {
 				}
 				_ = r.HeatTopK(5)
 				_ = r.Explain()
-				_ = r.PlanContext()
-				_ = r.Stats()
+				_ = r.Stats().PlanContext()
 			}
 		}()
 	}

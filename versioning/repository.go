@@ -573,9 +573,13 @@ func (r *Repository) applyChild(v, parent NodeID, d diff.Delta, lines []string, 
 }
 
 // Checkout reconstructs version v's full content under the current plan.
+// A read of a version the repository never held leaves no heat.
 func (r *Repository) Checkout(ctx context.Context, v NodeID) ([]string, error) {
-	r.heat.Bump(v)
-	return r.st.Checkout(ctx, v)
+	lines, err := r.st.Checkout(ctx, v)
+	if !errors.Is(err, ErrUnknownVersion) {
+		r.heat.Bump(v)
+	}
+	return lines, err
 }
 
 // CheckoutResult is one CheckoutBatch outcome.
@@ -585,10 +589,13 @@ type CheckoutResult = store.BatchItem
 // results are positional and duplicates are deduplicated through the
 // cache and singleflight layers.
 func (r *Repository) CheckoutBatch(ctx context.Context, ids []NodeID) []CheckoutResult {
-	for _, v := range ids {
-		r.heat.Bump(v)
+	out := r.st.CheckoutBatch(ctx, ids)
+	for i, v := range ids {
+		if !errors.Is(out[i].Err, ErrUnknownVersion) {
+			r.heat.Bump(v)
+		}
 	}
-	return r.st.CheckoutBatch(ctx, ids)
+	return out
 }
 
 // constraintFor resolves the regime constraint against g: the
@@ -640,10 +647,7 @@ func (r *Repository) Summary() PlanSummary {
 		Problem:      r.opt.Problem.String(),
 		Constraint:   r.constraint,
 		Winner:       r.winner,
-		Storage:      r.planCost.Storage,
-		SumRetrieval: r.planCost.SumRetrieval,
-		MaxRetrieval: r.planCost.MaxRetrieval,
-		Feasible:     r.planCost.Feasible,
+		PlanCost:     r.planCost,
 		Versions:     r.g.N(),
 		Deltas:       r.g.M(),
 		Materialized: make([]NodeID, 0, len(r.plan.Materialized)),
@@ -711,6 +715,14 @@ type RepositoryStats struct {
 
 	// The store's counters, passed through under their own JSON keys.
 	StoreStats
+}
+
+// PlanContext is the plan vitals as one line, for logs: the slow-request
+// log and dsvd's SIGQUIT dump attach it to give stalls their planning
+// context.
+func (st RepositoryStats) PlanContext() string {
+	return fmt.Sprintf("replans=%d winner=%q pending=%d history=%d failures=%d",
+		st.Replans, st.Winner, st.CommitsPending, st.PlanHistoryLen, st.ReplanFailures)
 }
 
 // StoreStats is the store's counter set: backend footprint, checkout

@@ -6,14 +6,11 @@ package versioning
 // /plan endpoint, so scripted pipelines can consume either
 // interchangeably.
 type PlanSummary struct {
-	Graph        string   `json:"graph"`
-	Problem      string   `json:"problem"`
-	Constraint   Cost     `json:"constraint"`
-	Winner       string   `json:"winner,omitempty"` // portfolio races only
-	Storage      Cost     `json:"storage"`
-	SumRetrieval Cost     `json:"sum_retrieval"`
-	MaxRetrieval Cost     `json:"max_retrieval"`
-	Feasible     bool     `json:"feasible"`
+	Graph      string `json:"graph"`
+	Problem    string `json:"problem"`
+	Constraint Cost   `json:"constraint"`
+	Winner     string `json:"winner,omitempty"` // portfolio races only
+	PlanCost
 	Versions     int      `json:"versions"`
 	Deltas       int      `json:"deltas"`
 	Materialized []NodeID `json:"materialized"`
@@ -24,15 +21,11 @@ type PlanSummary struct {
 // and constraint. The Materialized and StoredDeltas slices are always
 // non-nil so the JSON encodes [] rather than null.
 func Summarize(g *Graph, p *Plan, problem Problem, constraint Cost) PlanSummary {
-	c := Evaluate(g, p)
 	s := PlanSummary{
 		Graph:        g.Name,
 		Problem:      problem.String(),
 		Constraint:   constraint,
-		Storage:      c.Storage,
-		SumRetrieval: c.SumRetrieval,
-		MaxRetrieval: c.MaxRetrieval,
-		Feasible:     c.Feasible,
+		PlanCost:     Evaluate(g, p),
 		Versions:     g.N(),
 		Deltas:       g.M(),
 		Materialized: make([]NodeID, 0, g.N()),
