@@ -279,16 +279,12 @@ func (c *Client) Plan(ctx context.Context) (versioning.PlanSummary, error) {
 }
 
 // Planz fetches the plan observatory snapshot: maintenance-pass
-// history with per-solver race reports, the current plan's
-// explanation, and the read-heat top-k. topK bounds the heat list; 0
-// uses the server default.
+// history with per-solver race reports and the current plan's
+// explanation. topK has no effect; it stays because benchmark/driver.go's
+// repoAPI names this signature (ROADMAP item 7h).
 func (c *Client) Planz(ctx context.Context, topK int) (serve.Planz, error) {
-	path := c.prefix + "/planz"
-	if topK > 0 {
-		path = fmt.Sprintf("%s?topk=%d", path, topK)
-	}
 	var out serve.Planz
-	err := c.doJSON(ctx, http.MethodGet, path, nil, &out, true)
+	err := c.doJSON(ctx, http.MethodGet, c.prefix+"/planz", nil, &out, true)
 	return out, err
 }
 

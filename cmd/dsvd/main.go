@@ -58,12 +58,11 @@
 // 512 traces plus per-endpoint tail outliers at GET /tracez, and SIGQUIT
 // dumps the same snapshot to the log, with the plan observatory's vital
 // signs (one line per repository, or per open tenant under -multi, in
-// name order). The observatory runs at fixed sizes: GET /planz keeps
-// the last 64 plan passes, and read heat decays with a 5-minute
-// half-life. GET /metricsz serves the /statsz snapshot in Prometheus
-// text format, -slow-log logs requests over a threshold with their
-// trace IDs, and -debug-addr serves net/http/pprof on a separate
-// listener.
+// name order). The observatory runs at a fixed size: GET /planz keeps
+// the last 64 plan passes. GET /metricsz serves the /statsz snapshot
+// in Prometheus text format, -slow-log logs requests over a threshold
+// with their trace IDs, and -debug-addr serves net/http/pprof on a
+// separate listener.
 // -version prints the embedded build identity and exits.
 //
 // -demo N preloads a synthetic history of N commits (seed 42) so

@@ -27,9 +27,8 @@
 // and manifest-per-version content, which GET /diff/{a}/{b}, GET
 // /log/{id} ancestry, and path-scoped checkouts (?path=) then serve.
 // The planner itself is observable: every maintenance pass is recorded
-// in a bounded ring with its full solver-race report, a sharded EWMA
-// tracker (internal/heat) follows per-version read heat, and GET
-// /planz exposes both next to an explanation of the installed plan.
+// in a bounded ring with its full solver-race report, and GET /planz
+// exposes it next to an explanation of the installed plan.
 // The paper's evaluation
 // is regenerated by cmd/dsvbench and by the benchmarks in bench_test.go.
 // See README.md for an overview.

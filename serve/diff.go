@@ -46,7 +46,7 @@ func (s *Server) handleDiff(tn string, repo *versioning.Repository, w http.Respo
 		return
 	}
 	a, b := versioning.NodeID(a64), versioning.NodeID(b64)
-	s.serveCached(repo, w, r, respKey{kind: respKindDiff, tenant: tn, a: a64, b: b64}, func() (any, error) {
+	s.serveCached(w, r, respKey{kind: respKindDiff, tenant: tn, a: a64, b: b64}, func() (any, error) {
 		aLines, err := repo.Checkout(r.Context(), a)
 		if err != nil {
 			return nil, err

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 
 	"repro/internal/buildinfo"
 	"repro/internal/metrics"
@@ -135,8 +134,8 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	repoCounter("dsv_migration_bytes_total", "Bytes newly written to the backend by store migrations.", func(st versioning.RepositoryStats) float64 { return float64(st.MigrationBytes) })
 	repoGauge("dsv_repo_last_replan_failure_timestamp_seconds", "Unix time of the most recent failed re-plan pass (0 = never).", func(st versioning.RepositoryStats) float64 { return st.LastReplanFailureUnix })
 
-	// Plan observatory: pass records, the latest prediction, per-solver
-	// race outcomes, and the read-heat top-k. Families are emitted
+	// Plan observatory: pass records, the latest prediction and
+	// per-solver race outcomes. Families are emitted
 	// metric-major like everything above; the labeled loops below keep
 	// each family contiguous across repositories and label values.
 	repoCounter("dsv_plan_records_total", "Maintenance-pass records appended to the plan observatory.", func(st versioning.RepositoryStats) float64 { return float64(st.PlanRecords) })
@@ -152,14 +151,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, row := range repos {
 		e.Histogram("dsv_plan_race_duration_seconds", "Wall time of the portfolio solver race per maintenance pass.", row.st.RaceDurations, row.labels...)
-	}
-	repoCounter("dsv_heat_reads_total", "Version reads recorded by the heat tracker.", func(st versioning.RepositoryStats) float64 { return float64(st.HeatReads) })
-	repoGauge("dsv_heat_tracked_versions", "Versions currently holding a heat entry.", func(st versioning.RepositoryStats) float64 { return float64(st.HeatTrackedVersions) })
-	for _, row := range repos {
-		for _, h := range row.st.HeatTopK {
-			e.Gauge("dsv_version_heat", "Decayed read heat of the hottest versions (top-k per repository).", h.Score,
-				append(append([]metrics.Label(nil), row.labels...), metrics.L("version", strconv.Itoa(int(h.Version))))...)
-		}
 	}
 	repoCounter("dsv_wal_batches_total", "Group-commit batches written to the journal.", func(st versioning.RepositoryStats) float64 { return float64(st.WALBatches) })
 	repoCounter("dsv_wal_batched_commits_total", "Commits that rode a group-commit batch.", func(st versioning.RepositoryStats) float64 { return float64(st.WALBatchedCommits) })

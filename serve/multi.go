@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -64,15 +65,18 @@ func acquireErrStatus(err error) int {
 }
 
 // handleFleetz serves the aggregate fleet snapshot. topk bounds the
-// per-dimension tenant lists (default 5, capped at 100).
+// per-dimension tenant lists (absent or 0 means 5, capped at 100); a
+// value that is not an integer ≥ 0 is a 400, like /log's ?limit=.
 func (s *Server) handleFleetz(w http.ResponseWriter, r *http.Request) {
 	topK := 5
 	if v := r.URL.Query().Get("topk"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			topK = n
-			if topK > 100 {
-				topK = 100
-			}
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad topk %q", v)})
+			return
+		}
+		if n > 0 {
+			topK = min(n, 100)
 		}
 	}
 	writeJSON(w, http.StatusOK, s.mgr.Fleet(topK))

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -425,5 +426,31 @@ func TestMultiTenantConcurrentChurnRace(t *testing.T) {
 	}
 	if len(fleet.TopByObjects) > 3 {
 		t.Errorf("topk=3 returned %d entries", len(fleet.TopByObjects))
+	}
+}
+
+// TestFleetzTopK pins /fleetz's ?topk=: absent and 0 list the default
+// 5 tenants, values above 100 cap there, and anything that is not an
+// integer ≥ 0 is a 400 rather than a silent default.
+func TestFleetzTopK(t *testing.T) {
+	mgr := testManager(t, "", tenant.Options{})
+	ts := multiServer(t, mgr, Options{})
+	for i := 0; i < 7; i++ {
+		mustPost(t, fmt.Sprintf("%s/t/t%d/commit", ts.URL, i), map[string]any{"parent": -1, "lines": []string{"x"}})
+	}
+	for q, want := range map[string]int{"": 5, "?topk=0": 5, "?topk=2": 2, "?topk=1000": 7} {
+		var fleet tenant.FleetStats
+		if code := getJSON(t, ts.URL+"/fleetz"+q, &fleet); code != http.StatusOK {
+			t.Fatalf("/fleetz%s: HTTP %d", q, code)
+		}
+		if len(fleet.TopByObjects) != want {
+			t.Errorf("/fleetz%s listed %d tenants, want %d", q, len(fleet.TopByObjects), want)
+		}
+	}
+	for _, q := range []string{"abc", "-1", "2.5"} {
+		var er errorResponse
+		if code := getJSON(t, ts.URL+"/fleetz?topk="+q, &er); code != http.StatusBadRequest || !strings.Contains(er.Error, "bad topk") {
+			t.Errorf("/fleetz?topk=%s: HTTP %d %q, want 400 bad topk", q, code, er.Error)
+		}
 	}
 }

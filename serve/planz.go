@@ -9,32 +9,21 @@ import (
 )
 
 // Planz is GET /planz: the plan observatory snapshot for one
-// repository — the retained maintenance-pass records oldest-first, the
-// current plan's explanation, and the hottest versions by decayed read
-// score. History is empty until the first maintenance pass runs;
-// HistoryTotal counts every record ever appended, so
-// HistoryTotal − len(History) is how many the bounded ring evicted.
+// repository — the retained maintenance-pass records oldest-first and
+// the current plan's explanation. History is empty until the first
+// maintenance pass runs; HistoryTotal counts every record ever
+// appended, so HistoryTotal − len(History) is how many the bounded
+// ring evicted.
 type Planz struct {
 	Tenant       string                     `json:"tenant,omitempty"`
 	Current      versioning.PlanExplanation `json:"current"`
 	History      []versioning.PlanRecord    `json:"history"`
 	HistoryTotal int64                      `json:"history_total"`
-	Heat         []versioning.VersionHeat   `json:"heat,omitempty"`
 }
 
-// handlePlanz renders the plan observatory. topk bounds the heat list
-// (default 10, capped at 100, 0 disables it). Not cached: history and
-// heat change with every pass and read.
+// handlePlanz renders the plan observatory. Not cached: the history
+// and the explanation change with every pass and commit.
 func (s *Server) handlePlanz(tn string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
-	topK := 10
-	if v := r.URL.Query().Get("topk"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			topK = n
-			if topK > 100 {
-				topK = 100
-			}
-		}
-	}
 	hist, total := repo.PlanHistory()
 	if hist == nil {
 		hist = []versioning.PlanRecord{}
@@ -44,7 +33,6 @@ func (s *Server) handlePlanz(tn string, repo *versioning.Repository, w http.Resp
 		Current:      repo.Explain(),
 		History:      hist,
 		HistoryTotal: total,
-		Heat:         repo.HeatTopK(topK),
 	})
 }
 
@@ -78,7 +66,7 @@ func (s *Server) handleLog(tn string, repo *versioning.Repository, w http.Respon
 		}
 		limit = n
 	}
-	s.serveCached(repo, w, r, respKey{kind: respKindLog, tenant: tn, a: id64, b: int64(limit)}, func() (any, error) {
+	s.serveCached(w, r, respKey{kind: respKindLog, tenant: tn, a: id64, b: int64(limit)}, func() (any, error) {
 		entries, err := repo.Log(id, limit)
 		if err != nil {
 			return nil, err

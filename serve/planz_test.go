@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,8 +16,8 @@ import (
 )
 
 // seedPlanzServer boots a single-repo server with deterministic inline
-// maintenance, a short commit chain, and some skewed checkout traffic,
-// so /planz has history and heat to serve.
+// maintenance, a short commit chain, and some checkout traffic, so
+// /planz has history to serve.
 func seedPlanzServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	ts := testServer(t, versioning.RepositoryOptions{ReplanEvery: 4, MaintenanceWorkers: -1})
@@ -31,8 +33,7 @@ func seedPlanzServer(t *testing.T) *httptest.Server {
 }
 
 // TestPlanzEndpoint pins the /planz payload: recorded passes with race
-// reports oldest-first, the current-plan explanation, and a heat top-k
-// ordered by traffic.
+// reports oldest-first and the current-plan explanation.
 func TestPlanzEndpoint(t *testing.T) {
 	ts := seedPlanzServer(t)
 	var pz Planz
@@ -56,23 +57,46 @@ func TestPlanzEndpoint(t *testing.T) {
 	if len(pz.Current.DepthHistogram) == 0 {
 		t.Fatalf("current plan explanation missing depth histogram: %+v", pz.Current)
 	}
-	if len(pz.Heat) == 0 || pz.Heat[0].Version != 2 || pz.Heat[0].Reads != 4 {
-		t.Fatalf("heat top-k = %+v, want version 2 hottest with 4 reads", pz.Heat)
-	}
 	if pz.Tenant != "" {
 		t.Fatalf("single-repo planz carries tenant %q", pz.Tenant)
 	}
+}
 
-	// ?topk bounds the heat list; topk=0 disables it.
-	var one Planz
-	getJSON(t, ts.URL+"/planz?topk=1", &one)
-	if len(one.Heat) != 1 {
-		t.Fatalf("topk=1 returned %d heat entries", len(one.Heat))
+// TestPlanzJSONKeys pins the top-level /planz keys after read traffic
+// (checkouts, some answered by the response cache, and a diff) and a
+// manual re-plan: reads leave no trace in the payload, and multi mode
+// adds only the tenant name.
+func TestPlanzJSONKeys(t *testing.T) {
+	planzKeys := func(t *testing.T, base, prefix string) []string {
+		t.Helper()
+		mustPost(t, base+prefix+"/commit", map[string]any{"parent": -1, "lines": []string{"root"}})
+		for i := 1; i < 4; i++ {
+			mustPost(t, base+prefix+"/commit", map[string]any{"parent": i - 1, "lines": []string{"root", fmt.Sprintf("v%d", i)}})
+		}
+		for i := 0; i < 3; i++ {
+			mustGet(t, base+prefix+"/checkout/2")
+		}
+		mustGet(t, base+prefix+"/diff/0/3")
+		mustPost(t, base+prefix+"/replan", nil)
+		var sz Statsz
+		getJSON(t, base+"/statsz", &sz)
+		if sz.RespCache == nil || sz.RespCache.Hits < 2 {
+			t.Fatalf("statsz resp_cache = %+v, want the repeated checkouts answered from it", sz.RespCache)
+		}
+		var m map[string]any
+		if code := getJSON(t, base+prefix+"/planz", &m); code != http.StatusOK {
+			t.Fatalf("%s/planz: HTTP %d", prefix, code)
+		}
+		return slices.Sorted(maps.Keys(m))
 	}
-	var none Planz
-	getJSON(t, ts.URL+"/planz?topk=0", &none)
-	if len(none.Heat) != 0 {
-		t.Fatalf("topk=0 returned %d heat entries", len(none.Heat))
+
+	ts := testServer(t, versioning.RepositoryOptions{ReplanEvery: -1})
+	if got, want := planzKeys(t, ts.URL, ""), []string{"current", "history", "history_total"}; !slices.Equal(got, want) {
+		t.Errorf("single-mode /planz keys = %q, want %q", got, want)
+	}
+	mts := multiServer(t, testManager(t, "", tenant.Options{}), Options{})
+	if got, want := planzKeys(t, mts.URL, "/t/alice"), []string{"current", "history", "history_total", "tenant"}; !slices.Equal(got, want) {
+		t.Errorf("multi-mode /planz keys = %q, want %q", got, want)
 	}
 }
 
@@ -97,7 +121,7 @@ func TestPlanzEmptyHistoryJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &pz); err != nil {
 		t.Fatal(err)
 	}
-	if pz.HistoryTotal != 0 || len(pz.Heat) != 0 {
+	if pz.HistoryTotal != 0 {
 		t.Fatalf("fresh planz = %+v, want empty observatory", pz)
 	}
 }
@@ -201,8 +225,9 @@ func TestPlanzAndLogTenantRoutes(t *testing.T) {
 	}
 }
 
-// TestMetricszObservatorySeries pins the new /metricsz families: they
-// appear with traffic behind them and the whole exposition still lints.
+// TestMetricszObservatorySeries pins the observatory's /metricsz
+// families: they appear with traffic behind them, the whole exposition
+// still lints, and reads export no per-version series.
 func TestMetricszObservatorySeries(t *testing.T) {
 	ts := seedPlanzServer(t)
 	_, _, text := lintMetricsz(t, ts.URL)
@@ -217,12 +242,14 @@ func TestMetricszObservatorySeries(t *testing.T) {
 		"dsv_migration_objects_total",
 		"dsv_migration_bytes_total",
 		"dsv_repo_last_replan_failure_timestamp_seconds",
-		"dsv_heat_reads_total",
-		"dsv_heat_tracked_versions",
-		`dsv_version_heat{version="2"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %s in exposition", want)
+		}
+	}
+	for _, gone := range []string{"dsv_heat", "dsv_version_heat"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("exposition still carries %s", gone)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/hotcache"
 	"repro/internal/trace"
 	"repro/internal/wire"
-	"repro/versioning"
 )
 
 // cachedResp is one encoded response: the exact bytes written to the
@@ -63,24 +62,13 @@ func newRespCache(maxBytes int64) *hotcache.Cache[respKey, *cachedResp] {
 const cachedRespOverhead = 128
 
 // serveCached answers one of the immutable GETs under key. A hit skips
-// the repository, the store and the encoder: a "cache.hit" span, the
-// read heat of the versions the response names (the observatory tracks
-// demand, not store traffic) and writeEncoded. A miss asks build for
-// the response value, then encodes, caches and writes it; a build error
-// is the response instead.
-func (s *Server) serveCached(repo *versioning.Repository, w http.ResponseWriter, r *http.Request, key respKey, build func() (any, error)) {
+// the repository, the store and the encoder: a "cache.hit" span and
+// writeEncoded. A miss asks build for the response value, then
+// encodes, caches and writes it; a build error is the response instead.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key respKey, build func() (any, error)) {
 	if e, ok := s.resp.Get(key); ok {
 		_, sp := trace.StartSpan(r.Context(), "cache.hit")
 		sp.End()
-		switch key.kind {
-		case respKindCheckout:
-			repo.TouchVersion(versioning.NodeID(key.a))
-		case respKindDiff:
-			repo.TouchVersion(versioning.NodeID(key.a))
-			if key.b != key.a {
-				repo.TouchVersion(versioning.NodeID(key.b))
-			}
-		}
 		s.writeEncoded(w, r, e)
 		return
 	}

@@ -15,7 +15,7 @@
 //	POST /checkout       {"ids": [0, 3, 7]} -> list of wire.Checkout, one per id
 //	POST /replan         force a portfolio re-plan now
 //	GET  /plan           -> versioning.PlanSummary
-//	GET  /planz          -> Planz: plan history, current-plan explanation, heat top-k
+//	GET  /planz          -> Planz: plan history and current-plan explanation
 //	GET  /stats          -> versioning.RepositoryStats
 //	GET  /statsz         -> Statsz: per-endpoint latency/throughput counters
 //	GET  /metricsz       -> Prometheus text exposition of every counter/histogram
@@ -457,7 +457,7 @@ func (s *Server) handleCheckout(tn string, repo *versioning.Repository, w http.R
 	}
 	// The key is the parsed id, not the path segment: ParseInt also takes
 	// "00", "+0" and "-0", and each spelling would be its own entry.
-	s.serveCached(repo, w, r, respKey{kind: respKindCheckout, tenant: tn, a: id64, path: scope}, func() (any, error) {
+	s.serveCached(w, r, respKey{kind: respKindCheckout, tenant: tn, a: id64, path: scope}, func() (any, error) {
 		lines, err := repo.Checkout(r.Context(), id)
 		if err != nil {
 			return nil, err

@@ -4,18 +4,15 @@ package versioning
 // planner decided and why. Every maintenance pass (background, inline,
 // or manual Replan) appends a PlanRecord to a bounded ring — the
 // trigger, the full per-solver race report, the predicted plan cost,
-// and what the migration actually moved — and a per-version heat
-// tracker (internal/heat) records which versions reads touch, so the
-// plan's predictions can be compared against observed traffic. The
-// serve package renders both through GET /planz, and a re-plan trigger
-// that fires when a pass pays would read the same data programmatically.
+// and what the migration actually moved. The serve package renders the
+// ring and the current plan's explanation through GET /planz, and a
+// re-plan trigger that fires when a pass pays would read the same data
+// programmatically.
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"repro/internal/heat"
 )
 
 // SolverRaceReport is one solver's outcome within a maintenance pass's
@@ -79,7 +76,7 @@ type PlanRecord struct {
 
 	// Predicted* is the installed plan's evaluated cost over the full
 	// live graph (solved snapshot + grafted tail) — the planner's
-	// prediction that /planz lets operators hold against observed heat.
+	// prediction that /planz lets operators hold against what reads cost.
 	PredictedStorage      Cost `json:"predicted_storage,omitempty"`
 	PredictedSumRetrieval Cost `json:"predicted_sum_retrieval,omitempty"`
 	PredictedMaxRetrieval Cost `json:"predicted_max_retrieval,omitempty"`
@@ -167,28 +164,11 @@ func (h *planHistory) lifetime() int64 {
 	return h.total
 }
 
-// VersionHeat is one version's decayed read heat (see internal/heat).
-type VersionHeat = heat.Entry
-
 // PlanHistory returns the retained plan records oldest-first (the
 // newest 64 at most), plus the lifetime total of records ever appended.
 // Empty until the first maintenance pass.
 func (r *Repository) PlanHistory() ([]PlanRecord, int64) {
 	return r.history.snapshot()
-}
-
-// HeatTopK returns the k hottest versions by decayed read score,
-// hottest first. Nil when nothing has been read yet.
-func (r *Repository) HeatTopK(k int) []VersionHeat {
-	return r.heat.TopK(k)
-}
-
-// TouchVersion records one read of version v in the heat tracker
-// without reconstructing anything. Serving layers call it when they
-// answer a read for v from their own caches (e.g. an encoded-response
-// hit) that never reaches Checkout.
-func (r *Repository) TouchVersion(v NodeID) {
-	r.heat.Bump(v)
 }
 
 // PlanExplanation renders the currently installed plan for operators:

@@ -295,58 +295,11 @@ func TestRaceReportJSONKeys(t *testing.T) {
 	}
 }
 
-// TestHeatTracksCheckouts pins the read-heat pipeline: checkouts bump
-// the tracker, TouchVersion covers cache-served reads, TopK orders by
-// traffic, and Stats carries the aggregate counters.
-func TestHeatTracksCheckouts(t *testing.T) {
-	r := NewRepository("heat", RepositoryOptions{
-		ReplanEvery:   -1,
-		CacheEntries:  -1,
-		EngineOptions: testEngineOptions(),
-	})
-	defer r.Close()
-	ctx := context.Background()
-	if _, err := r.Commit(ctx, NoParent, []string{"root"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < 4; i++ {
-		if _, err := r.Commit(ctx, NodeID(i-1), []string{"root", fmt.Sprintf("v%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := r.Checkout(ctx, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := r.Checkout(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	r.TouchVersion(0) // a cache-layer read that never reached Checkout
-
-	top := r.HeatTopK(10)
-	if len(top) != 2 {
-		t.Fatalf("HeatTopK = %+v, want versions 2 and 0", top)
-	}
-	if top[0].Version != 2 || top[0].Reads != 5 {
-		t.Fatalf("hottest = %+v, want version 2 with 5 reads", top[0])
-	}
-	if top[1].Version != 0 || top[1].Reads != 2 {
-		t.Fatalf("second = %+v, want version 0 with 2 reads (checkout + touch)", top[1])
-	}
-	st := r.Stats()
-	if st.HeatReads != 7 || st.HeatTrackedVersions != 2 || len(st.HeatTopK) != 2 {
-		t.Fatalf("Stats heat counters = reads %d tracked %d topk %d, want 7/2/2",
-			st.HeatReads, st.HeatTrackedVersions, len(st.HeatTopK))
-	}
-
-}
-
-// TestHeatIgnoresUnknownVersions: a read of a version the repository
-// never held is a 404, not traffic, so it leaves no heat entry (and so
-// no /planz heat or dsv_version_heat series) behind.
-func TestHeatIgnoresUnknownVersions(t *testing.T) {
-	r := NewRepository("heat-unknown", RepositoryOptions{ReplanEvery: -1, EngineOptions: testEngineOptions()})
+// TestCheckoutUnknownVersions: a read of a version the repository never
+// held fails with ErrUnknownVersion, item by item in a batch, and
+// leaves the versions it does hold readable.
+func TestCheckoutUnknownVersions(t *testing.T) {
+	r := NewRepository("unknown", RepositoryOptions{ReplanEvery: -1, EngineOptions: testEngineOptions()})
 	defer r.Close()
 	ctx := context.Background()
 	if _, err := r.Commit(ctx, NoParent, []string{"root"}); err != nil {
@@ -361,11 +314,6 @@ func TestHeatIgnoresUnknownVersions(t *testing.T) {
 		if wantErr := i != 1; (res.Err != nil) != wantErr || (wantErr && !errors.Is(res.Err, ErrUnknownVersion)) {
 			t.Fatalf("CheckoutBatch item %d: err %v", i, res.Err)
 		}
-	}
-	st := r.Stats()
-	if st.HeatTrackedVersions != 1 || st.HeatReads != 1 || len(st.HeatTopK) != 1 || st.HeatTopK[0].Version != 0 {
-		t.Fatalf("heat after unknown reads: tracked %d reads %d top %+v, want only version 0 read once",
-			st.HeatTrackedVersions, st.HeatReads, st.HeatTopK)
 	}
 }
 
@@ -426,8 +374,7 @@ func TestLogAncestry(t *testing.T) {
 
 // TestObservatoryUnderHammer races the observatory read paths against
 // commits, checkouts, and constant background maintenance (run with
-// -race). The ring bound and the heat tracker's totals must hold under
-// concurrency.
+// -race). The ring bound must hold under concurrency.
 func TestObservatoryUnderHammer(t *testing.T) {
 	const capacity = 8
 	r := NewRepository("obs-hammer", RepositoryOptions{
@@ -471,7 +418,7 @@ func TestObservatoryUnderHammer(t *testing.T) {
 			}
 		}(w)
 	}
-	// Readers bump heat; observers poll every observatory surface.
+	// Readers check out; observers poll every observatory surface.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -515,7 +462,6 @@ func TestObservatoryUnderHammer(t *testing.T) {
 						return
 					}
 				}
-				_ = r.HeatTopK(5)
 				_ = r.Explain()
 				_ = r.Stats().PlanContext()
 			}
@@ -551,7 +497,7 @@ func TestObservatoryUnderHammer(t *testing.T) {
 	if len(hist) > capacity {
 		t.Fatalf("final ring holds %d records (bound %d)", len(hist), capacity)
 	}
-	if r.Stats().HeatReads == 0 {
-		t.Fatal("no heat recorded under the hammer")
+	if r.Stats().Checkouts == 0 {
+		t.Fatal("no checkout served under the hammer")
 	}
 }

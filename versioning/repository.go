@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/diff"
 	"repro/internal/graph"
-	"repro/internal/heat"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/store"
@@ -159,12 +158,10 @@ type Repository struct {
 	replanFailures    atomic.Int64 // failed passes (sync or async)
 	lastReplanFailure atomic.Int64 // unix nanos of the last failed pass (0 = never)
 
-	// Plan observatory (observatory.go): the bounded pass-record ring,
-	// the per-version read-heat tracker, and the race-duration
-	// histogram. All three are internally synchronized, so they sit
-	// outside the lock order.
+	// Plan observatory (observatory.go): the bounded pass-record ring
+	// and the race-duration histogram. Both are internally
+	// synchronized, so they sit outside the lock order.
 	history  *planHistory
-	heat     *heat.Tracker
 	raceHist metrics.Histogram
 
 	// stateMu guards the serving metadata below.
@@ -213,7 +210,6 @@ func NewRepository(name string, opt RepositoryOptions) *Repository {
 		planCost:   PlanCost{Feasible: true},
 		constraint: opt.Constraint,
 		history:    newPlanHistory(planHistoryLen),
-		heat:       heat.New(),
 		solverWins: make(map[string]int64),
 	}
 	r.solve = NewEngine(eo).Solve
@@ -573,13 +569,8 @@ func (r *Repository) applyChild(v, parent NodeID, d diff.Delta, lines []string, 
 }
 
 // Checkout reconstructs version v's full content under the current plan.
-// A read of a version the repository never held leaves no heat.
 func (r *Repository) Checkout(ctx context.Context, v NodeID) ([]string, error) {
-	lines, err := r.st.Checkout(ctx, v)
-	if !errors.Is(err, ErrUnknownVersion) {
-		r.heat.Bump(v)
-	}
-	return lines, err
+	return r.st.Checkout(ctx, v)
 }
 
 // CheckoutResult is one CheckoutBatch outcome.
@@ -589,13 +580,7 @@ type CheckoutResult = store.BatchItem
 // results are positional and duplicates are deduplicated through the
 // cache and singleflight layers.
 func (r *Repository) CheckoutBatch(ctx context.Context, ids []NodeID) []CheckoutResult {
-	out := r.st.CheckoutBatch(ctx, ids)
-	for i, v := range ids {
-		if !errors.Is(out[i].Err, ErrUnknownVersion) {
-			r.heat.Bump(v)
-		}
-	}
-	return out
+	return r.st.CheckoutBatch(ctx, ids)
 }
 
 // constraintFor resolves the regime constraint against g: the
@@ -700,12 +685,6 @@ type RepositoryStats struct {
 	// consumers (/metricsz renders it as a Prometheus histogram).
 	RaceLatency   *metrics.LatencySummary `json:"race_latency_us,omitempty"`
 	RaceDurations metrics.Snapshot        `json:"-"`
-	// Read-heat tracker: versions currently tracked, lifetime bumps,
-	// and the decayed top-k (10) hottest versions.
-	HeatTrackedVersions int           `json:"heat_tracked_versions,omitempty"`
-	HeatReads           int64         `json:"heat_reads,omitempty"`
-	HeatTopK            []VersionHeat `json:"heat_top_k,omitempty"`
-
 	// Journal batching (zero without DataDir): batches written, commits
 	// that rode them, and the largest batch observed.
 	// batched_commits / batches is the mean fsync amortization.
@@ -773,9 +752,6 @@ func (r *Repository) Stats() RepositoryStats {
 		sum := st.RaceDurations.Summary()
 		st.RaceLatency = &sum
 	}
-	st.HeatTrackedVersions = r.heat.Tracked()
-	st.HeatReads = r.heat.Bumps()
-	st.HeatTopK = r.heat.TopK(10)
 	if r.wal != nil {
 		st.WALBatches = r.wal.batches.Load()
 		st.WALBatchedCommits = r.wal.batchedRecs.Load()

@@ -356,8 +356,7 @@ func TestStatsJSONKeys(t *testing.T) {
 	want := []string{
 		"async_replans", "blobs", "cache_evicted", "cache_hits", "cache_rejected",
 		"cached_bytes", "cached_versions", "checkouts", "coalesced", "commits_pending",
-		"delta_applies", "deltas", "full_storage", "heat_reads", "heat_top_k",
-		"heat_tracked_versions", "loose_reads", "max_retrieval", "migration_bytes",
+		"delta_applies", "deltas", "full_storage", "loose_reads", "max_retrieval", "migration_bytes",
 		"migration_objects", "migration_us_total", "migrations", "name", "objects",
 		"pack_reads", "packed_objects", "packs", "plan_history_len", "plan_records",
 		"plan_retries", "predicted_max_retrieval", "predicted_storage",
