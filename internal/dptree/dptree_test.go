@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/bruteforce"
 	"repro/internal/core"
@@ -244,6 +245,40 @@ func TestMSRTable4BudgetsFeasible(t *testing.T) {
 			t.Fatalf("%s at %g× its min storage (%d): plan %+v", c.dataset, c.times, s, sol.Cost)
 		}
 		t.Logf("%s at %g×: storage %d of %d, ΣR %d", c.dataset, c.times, sol.Cost.Storage, s, sol.Cost.SumRetrieval)
+	}
+}
+
+// TestMSRDeadlineInsideMerge runs uncapped DP-MSR on LeetCodeAnimation
+// at 1.5× its min storage, whose big merges each offer millions of
+// candidates and run for seconds to minutes, so the deadline lands
+// inside one. The run must end with the deadline's error within a
+// second of it. The test bounds its own wait, since a run that checks
+// ctx only between merges does not return for minutes.
+func TestMSRDeadlineInsideMerge(t *testing.T) {
+	g, err := repogen.Dataset("LeetCodeAnimation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := graph.Cost(1.5 * float64(minStorage(t, g)))
+	const deadline, grace = 1500 * time.Millisecond, time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := MSROnGraph(ctx, g, s, MSROptions{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		if late := time.Since(start) - deadline; late > grace {
+			t.Fatalf("returned %v after its deadline", late)
+		}
+	case <-time.After(deadline + grace):
+		t.Fatalf("still running %v after its deadline", grace)
 	}
 }
 

@@ -653,6 +653,9 @@ func (k radixKey) digit(o *msrOrd, shift uint) byte {
 
 // msrRun is the state of one MSRFrontier call.
 type msrRun struct {
+	// offerRuns checks ctx every msrCheckEvery offers; its error in err stops the merge.
+	ctx        context.Context
+	err        error
 	t          *BiTree
 	b          *bucketer
 	pruneBound graph.Cost
@@ -732,11 +735,15 @@ const (
 	// kept, or the floor.
 	msrLogGrowth = 2
 	msrLogFloor  = 256
+	// An uncapped merge offers millions, for minutes (LeetCodeAnimation's
+	// at 1.5× the MSA); a few thousand offers take milliseconds.
+	msrCheckEvery = 4096
 )
 
 // MSRFrontier runs DP-MSR over the whole tree and returns the handle to
 // extract solutions for any storage constraint. It checks ctx before
-// every merge and returns ctx's error once ctx is done.
+// every merge and every msrCheckEvery offers within one, and returns
+// ctx's error once ctx is done.
 func MSRFrontier(ctx context.Context, t *BiTree, opt MSROptions) (*MSRDP, error) {
 	n := t.N()
 	if n == 0 {
@@ -745,7 +752,7 @@ func MSRFrontier(ctx context.Context, t *BiTree, opt MSROptions) (*MSRDP, error)
 	if n > maxMSRNodes {
 		return nil, fmt.Errorf("dptree: DP-MSR takes at most %d nodes, the tree has %d", maxMSRNodes, n)
 	}
-	r := &msrRun{t: t, b: newBucketer(opt, t), pruneBound: opt.PruneStorage, maxStates: opt.MaxStates, tab: newMSRTable()}
+	r := &msrRun{ctx: ctx, t: t, b: newBucketer(opt, t), pruneBound: opt.PruneStorage, maxStates: opt.MaxStates, tab: newMSRTable()}
 	if r.pruneBound == 0 {
 		r.pruneBound = -1 // frontier mode: no pruning by default
 	}
@@ -785,9 +792,10 @@ func MSRFrontier(ctx context.Context, t *BiTree, opt MSROptions) (*MSRDP, error)
 			r.putVals(ys.vals)
 			cur = kept
 			if len(cur.vals) == 0 {
-				// Only the PruneStorage bound can empty a state set: no
-				// partial solution fits, so no full solution can either.
-				return nil, core.ErrInfeasible
+				// A cancelled merge returns no states. Otherwise only the
+				// PruneStorage bound can empty a state set: no partial
+				// solution fits, so no full solution can either.
+				return nil, cmp.Or(r.err, core.ErrInfeasible)
 			}
 			if len(r.log) > math.MaxInt32 {
 				return nil, fmt.Errorf("dptree: DP-MSR log past %d records", math.MaxInt32)
@@ -997,7 +1005,7 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 		srcRow = tab.row(msrClass{fromBelow: true, gb: srcGB})
 	}
 
-	for xi := range xs {
+	for xi := 0; xi < len(xs) && r.err == nil; xi++ {
 		x := &xs[xi]
 		refund := sv // a rooted v may still be uprooted, refunding s_v
 		if x.fromBelow {
@@ -1052,7 +1060,7 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 		}
 		r.sorter.sort(r.xByRho)
 		r.xBy, r.xGroups = r.byK(r.xBy, r.xGroups, r.xByRho, xs, 0)
-		for j := range ys {
+		for j := 0; j < len(ys) && r.err == nil; j++ {
 			y := &ys[j]
 			if !y.fromBelow {
 				continue
@@ -1066,6 +1074,9 @@ func (r *msrRun) mergeChild(v, c graph.NodeID, xl, yl msrList) msrList {
 		}
 	}
 
+	if r.err != nil {
+		return msrList{}
+	}
 	// The candidates stay in place, ordered through r.order.
 	r.keys += int64(len(tab.cands))
 	order := r.order[:0]
@@ -1171,6 +1182,11 @@ func (r *msrRun) offerRuns(cand *msrCand, at *int32, row int32, items []msrOrd, 
 			if !open || rb != cand.key.rb {
 				if open {
 					r.offer(cand, at, best, &cur)
+					if r.offers%msrCheckEvery == 0 {
+						if r.err = r.ctx.Err(); r.err != nil {
+							return
+						}
+					}
 				}
 				cand.key.rb, open, best = rb, true, msrOrd{s, z, it.e}
 				continue

@@ -105,9 +105,13 @@ type Cost struct {
 }
 
 // Evaluate computes the full cost summary of p on g.
-func Evaluate(g *graph.Graph, p *Plan) Cost {
+func Evaluate(g *graph.Graph, p *Plan) Cost { return EvaluateWith(g, p, p.Retrievals(g)) }
+
+// EvaluateWith is Evaluate given retr, p.Retrievals(g), for a caller
+// that keeps those too: the shortest-path search runs once.
+func EvaluateWith(g *graph.Graph, p *Plan, retr []graph.Cost) Cost {
 	c := Cost{Storage: p.StorageCost(g), Feasible: true}
-	for _, r := range p.Retrievals(g) {
+	for _, r := range retr {
 		if r >= graph.Infinite {
 			c.Feasible = false
 			c.SumRetrieval = graph.Infinite

@@ -1,18 +1,16 @@
 package versioning
 
-// Background plan maintenance. The ReplanEvery re-solve and store
-// migration used to run inside Commit under commitMu, which put a full
-// portfolio solver race on the commit critical path every k commits —
-// the dominant source of commit tail latency under load. Now Commit
-// only bumps sinceReplan and pokes a trigger; a per-repository worker
-// (started in NewRepository, drained in Close) runs the pass:
+// Background plan maintenance. A pass races the whole portfolio, so it
+// stays off the commit path: Commit only bumps sinceReplan and pokes a
+// trigger, and a per-repository worker (started in NewRepository,
+// drained in Close) runs the pass:
 //
 //  1. snapshot — clone the version graph under the state read lock, so
 //     the solver sees a frozen problem while commits keep appending to
 //     the live graph;
-//  2. solve — race the portfolio against the snapshot with no
-//     repository locks held;
-//  3. precompute — reconstruct the contents the migration will need
+//  2. decide — resolve the constraint and race the portfolio against
+//     the snapshot, with no store and no lock;
+//  3. preload — reconstruct the contents the migration will need
 //     (store.MigrationNeeds: versions the winning plan newly
 //     materializes and the endpoints of deltas it newly stores; what the
 //     serving plan already holds is taken over by key) through the
@@ -20,7 +18,8 @@ package versioning
 //  4. install — under commitMu, graft the incremental entries of the
 //     versions committed during the solve onto the solved plan, migrate
 //     the store, and publish the new serving state under a brief
-//     stateMu write lock.
+//     stateMu write lock;
+//  5. record — append the pass's PlanRecord to the observatory ring.
 //
 // Only step 4 excludes commits, and it is pure object I/O over
 // precomputed contents. Triggers coalesce (a pass already underway
@@ -36,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 )
 
 // Maintenance-pass trigger reasons, recorded in each PlanRecord.
@@ -214,11 +214,11 @@ func (r *Repository) runPass(ctx context.Context, trigger string) error {
 	return err
 }
 
-// replanAndInstall is the pass body: snapshot, solve, precompute,
-// install, publish. Every pass that gets as far as sizing its snapshot
-// appends a PlanRecord to the observatory ring — successes with the
-// race report, prediction, and migration totals; failures with the
-// error and whatever race context produced it.
+// replanAndInstall is the pass body: snapshot, decide, preload,
+// install, record. Every pass with a non-empty snapshot appends a
+// PlanRecord to the observatory ring — successes with the race report,
+// prediction, and migration totals; failures with the error and
+// whatever race context produced it.
 func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error {
 	if r.isClosed() {
 		return ErrClosed
@@ -234,12 +234,11 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 		r.stateMu.Unlock()
 		return nil
 	}
-	rec := PlanRecord{
-		UnixMS:   passStart.UnixMilli(),
-		Trigger:  trigger,
-		Versions: gSnap.N(),
-		Deltas:   gSnap.M(),
-		Problem:  r.opt.Problem.String(),
+	p, rec, err := decide(ctx, gSnap, r.opt, r.solve)
+	rec.UnixMS = passStart.UnixMilli()
+	rec.Trigger = trigger
+	if rec.Reports != nil { // the race ran
+		r.raceHist.Observe(time.Duration(rec.SolveUS) * time.Microsecond)
 	}
 	fail := func(err error) error {
 		rec.Err = err.Error()
@@ -248,27 +247,9 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 		r.history.append(rec)
 		return err
 	}
-	// One min-storage arborescence serves the whole pass: the automatic
-	// constraint and the race's LMG and LMG-All start from it.
-	ctx = core.WithMinStorage(ctx, gSnap)
-	constraintStart := time.Now()
-	constraint, err := r.constraintFor(ctx, gSnap)
-	rec.ConstraintUS = time.Since(constraintStart).Microseconds()
 	if err != nil {
 		return fail(err)
 	}
-	rec.Constraint = constraint
-	solveStart := time.Now()
-	res, solveErr := r.solve(ctx, gSnap, r.opt.Problem, constraint)
-	solveDur := time.Since(solveStart)
-	rec.SolveUS = solveDur.Microseconds()
-	rec.Winner = res.Winner
-	rec.Reports = raceReports(res.Reports)
-	r.raceHist.Observe(solveDur)
-	if solveErr != nil {
-		return fail(fmt.Errorf("versioning: re-plan %s(%d): %w", r.opt.Problem, constraint, solveErr))
-	}
-	p := res.Solution.Plan
 
 	// Precompute the contents the migration will ask for through the
 	// normal concurrent checkout path, so the install step under commitMu
@@ -312,8 +293,7 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 	// roots and whole appends, stored forward deltas), so the installed
 	// plan covers the full live graph and those versions' storage is
 	// untouched.
-	grafted := r.g.N() - gSnap.N()
-	rec.Grafted = grafted
+	rec.Grafted = r.g.N() - gSnap.N()
 	p.Materialized = append(p.Materialized, r.plan.Materialized[gSnap.N():]...)
 	p.Stored = append(p.Stored, r.plan.Stored[gSnap.M():]...)
 	// passMu and commitMu keep every other Install out, so the counters'
@@ -326,8 +306,8 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 	rec.MigrationObjects = after.MigrationObjects - before.MigrationObjects
 	rec.MigrationBytes = after.MigrationBytes - before.MigrationBytes
 	rec.MigrationUS = after.MigrationMicros - before.MigrationMicros
-	cost := Evaluate(r.g, p)
 	retr := p.Retrievals(r.g)
+	cost := plan.EvaluateWith(r.g, p, retr)
 	rec.PredictedStorage = cost.Storage
 	rec.PredictedSumRetrieval = cost.SumRetrieval
 	rec.PredictedMaxRetrieval = cost.MaxRetrieval
@@ -335,15 +315,65 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 	r.plan = p
 	r.planCost = cost
 	r.retr = retr
-	r.constraint = constraint
-	r.winner = res.Winner
-	r.replans++
-	r.sinceReplan = grafted
+	r.installed = rec
+	r.sinceReplan = rec.Grafted
 	r.replanErr = nil
-	r.lastPredicted = cost
-	r.solverWins[res.Winner]++
+	r.solverWins[rec.Winner]++
 	r.stateMu.Unlock()
 	rec.TotalUS = time.Since(passStart).Microseconds()
 	r.history.append(rec)
 	return nil
+}
+
+// decide is a pass's decision on snap: it resolves the regime's
+// constraint, races solve under it and returns the winner's plan (nil on
+// error) and a record of the decision as far as it got. It touches no
+// store and takes no lock.
+func decide(ctx context.Context, snap *Graph, opt RepositoryOptions, solve func(context.Context, *Graph, Problem, Cost) (PortfolioResult, error)) (*Plan, PlanRecord, error) {
+	rec := PlanRecord{Versions: snap.N(), Deltas: snap.M(), Problem: opt.Problem.String()}
+	// One min-storage arborescence serves the whole decision: the
+	// automatic constraint and the race's LMG and LMG-All start from it.
+	ctx = core.WithMinStorage(ctx, snap)
+	start := time.Now()
+	constraint, err := constraintFor(ctx, snap, opt)
+	rec.Constraint, rec.ConstraintUS = constraint, time.Since(start).Microseconds()
+	if err != nil {
+		return nil, rec, err
+	}
+	start = time.Now()
+	res, err := solve(ctx, snap, opt.Problem, constraint)
+	rec.SolveUS = time.Since(start).Microseconds()
+	rec.Winner = res.Winner
+	rec.Reports = raceReports(res.Reports)
+	if err != nil {
+		return nil, rec, fmt.Errorf("versioning: re-plan %s(%d): %w", opt.Problem, constraint, err)
+	}
+	return res.Solution.Plan, rec, nil
+}
+
+// constraintFor resolves opt's regime constraint against g: the
+// configured bound, or an automatic one derived from g's
+// minimum-storage plan, the one ctx carries for g if any.
+func constraintFor(ctx context.Context, g *Graph, opt RepositoryOptions) (Cost, error) {
+	if opt.Constraint != 0 {
+		return opt.Constraint, nil
+	}
+	switch opt.Problem {
+	case ProblemMST, ProblemSPT:
+		return 0, nil // unconstrained problems
+	}
+	mst, err := core.MST(ctx, g)
+	if err != nil {
+		return 0, fmt.Errorf("versioning: deriving auto constraint: %w", err)
+	}
+	switch opt.Problem {
+	case ProblemMSR, ProblemMMR:
+		return Cost(float64(mst.Cost.Storage) * opt.AutoFactor), nil
+	case ProblemBSR:
+		return mst.Cost.SumRetrieval, nil
+	case ProblemBMR:
+		return mst.Cost.MaxRetrieval, nil
+	default:
+		return 0, fmt.Errorf("versioning: no auto constraint for %s", opt.Problem)
+	}
 }

@@ -6,11 +6,15 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/portfolio"
 	"repro/internal/repogen"
 )
 
@@ -420,5 +424,92 @@ func TestWaitMaintenanceCloseUnblocks(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("WaitMaintenance hung across Close")
+	}
+}
+
+// decideGraph is a seeded version graph with merge deltas, the shape a
+// pass's snapshot has.
+func decideGraph(seed int64) *Graph {
+	return repogen.Generate(repogen.Spec{Name: "decide", Commits: 300, ExtraBiEdges: 40,
+		AvgNodeCost: 10_000, AvgDeltaCost: 400, BranchProb: 0.2, Seed: seed})
+}
+
+// TestDecide drives a pass's decision with no repository, store or lock:
+// under every regime and the serving engine, the plan decide returns
+// fits the snapshot, meets the constraint it recorded, evaluated here
+// rather than taken from a solver's report, and is the winner's.
+func TestDecide(t *testing.T) {
+	solve := NewEngine(testEngineOptions()).Solve
+	for seed := int64(1); seed <= 3; seed++ {
+		snap := decideGraph(seed)
+		for _, problem := range []Problem{ProblemMSR, ProblemMMR, ProblemBSR, ProblemBMR, ProblemMST, ProblemSPT} {
+			name := fmt.Sprintf("seed %d %s", seed, problem)
+			p, rec, err := decide(context.Background(), snap, RepositoryOptions{Problem: problem, AutoFactor: 2}, solve)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := p.Validate(snap); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, c := Evaluate(snap, p), rec.Constraint
+			var bound Cost // what the regime's constraint bounds
+			switch problem {
+			case ProblemMSR, ProblemMMR:
+				bound = got.Storage
+			case ProblemBSR:
+				bound = got.SumRetrieval
+			case ProblemBMR:
+				bound = got.MaxRetrieval
+			}
+			if constrained := problem != ProblemMST && problem != ProblemSPT; constrained != (c > 0) || bound > c {
+				t.Fatalf("%s: plan %+v against constraint %d", name, got, c)
+			}
+			if rec.Versions != snap.N() || rec.Deltas != snap.M() || rec.Problem != problem.String() {
+				t.Fatalf("%s: record sizes %d/%d %s, snapshot %d/%d", name, rec.Versions, rec.Deltas, rec.Problem, snap.N(), snap.M())
+			}
+			i := slices.IndexFunc(rec.Reports, func(rr SolverRaceReport) bool { return rr.Solver == rec.Winner })
+			if i < 0 || rec.Reports[i].Err != "" || *rec.Reports[i].PlanCost != got {
+				t.Fatalf("%s: winner %q, reports %+v, plan %+v", name, rec.Winner, rec.Reports, got)
+			}
+		}
+	}
+}
+
+// TestDecideFailures races members that all fail, in the three ways a
+// race can: every member infeasible, every member erring, and the
+// caller's ctx cancelled. decide returns the race's error and no plan.
+func TestDecideFailures(t *testing.T) {
+	snap := decideGraph(1)
+	boom := errors.New("injected member failure")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name   string
+		ctx    context.Context
+		member error // what every member returns; nil returns its ctx's error
+		want   error
+	}{
+		{"infeasible", context.Background(), ErrInfeasible, ErrInfeasible},
+		{"failing", context.Background(), boom, boom},
+		{"cancelled", cancelled, nil, context.Canceled},
+	} {
+		fake := portfolio.Solver{Solve: func(ctx context.Context, _ *graph.Graph, _ graph.Cost) (core.Solution, error) {
+			if tc.member == nil {
+				return core.Solution{}, ctx.Err()
+			}
+			return core.Solution{}, tc.member
+		}}
+		e := portfolio.New(portfolio.Options{Registry: func(core.Problem) []portfolio.Solver {
+			a, b := fake, fake
+			a.Name, b.Name = "a", "b"
+			return []portfolio.Solver{a, b}
+		}})
+		p, rec, err := decide(tc.ctx, snap, RepositoryOptions{Problem: ProblemMSR, AutoFactor: 2}, e.Solve)
+		if !errors.Is(err, tc.want) || p != nil {
+			t.Fatalf("%s: plan %v, err %v, want %v", tc.name, p, err, tc.want)
+		}
+		if rec.Constraint <= 0 || len(rec.Reports) != 2 || rec.Winner != "" {
+			t.Fatalf("%s: record %+v", tc.name, rec)
+		}
 	}
 }

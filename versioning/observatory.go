@@ -32,7 +32,7 @@ type SolverRaceReport struct {
 }
 
 // raceReports converts the engine's in-process race reports to the
-// exportable form.
+// exportable form; never nil, so a nil PlanRecord.Reports means no race.
 func raceReports(reports []SolverReport) []SolverRaceReport {
 	out := make([]SolverRaceReport, 0, len(reports))
 	for _, rep := range reports {
@@ -150,12 +150,6 @@ func (h *planHistory) snapshot() ([]PlanRecord, int64) {
 		out = append(out, h.buf[(start+i)%len(h.buf)])
 	}
 	return out, h.total
-}
-
-func (h *planHistory) size() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
 }
 
 func (h *planHistory) lifetime() int64 {

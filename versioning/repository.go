@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/diff"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -165,23 +164,22 @@ type Repository struct {
 	raceHist metrics.Histogram
 
 	// stateMu guards the serving metadata below.
-	stateMu     sync.RWMutex
-	g           *Graph
-	plan        *Plan
-	planCost    PlanCost
-	retr        []Cost // R(v) per version under the current plan
-	constraint  Cost   // bound resolved at the last re-plan (Summary shows it)
-	winner      string
-	replans     int
+	stateMu  sync.RWMutex
+	g        *Graph
+	plan     *Plan
+	planCost PlanCost
+	retr     []Cost // R(v) per version under the current plan
+	// installed is the record of the pass that installed plan: Summary
+	// and Stats report its Constraint (opt.Constraint before the first
+	// pass), Winner and Predicted*.
+	installed   PlanRecord
 	sinceReplan int
 	replanErr   error
 	// parents records every version's committed parents (primary
-	// first), the ancestry Log serves; lastPredicted is the plan cost
-	// the latest successful pass evaluated at install time; solverWins
-	// counts installed plans per winning solver.
-	parents       [][]NodeID
-	lastPredicted PlanCost
-	solverWins    map[string]int64
+	// first), the ancestry Log serves; solverWins counts installed
+	// plans per winning solver, and so all of them (Stats' Replans).
+	parents    [][]NodeID
+	solverWins map[string]int64
 }
 
 // NewRepository returns an empty in-memory repository named name. For a
@@ -208,7 +206,7 @@ func NewRepository(name string, opt RepositoryOptions) *Repository {
 		g:          NewGraph(name),
 		plan:       plan.New(NewGraph(name)),
 		planCost:   PlanCost{Feasible: true},
-		constraint: opt.Constraint,
+		installed:  PlanRecord{Constraint: opt.Constraint},
 		history:    newPlanHistory(planHistoryLen),
 		solverWins: make(map[string]int64),
 	}
@@ -583,33 +581,6 @@ func (r *Repository) CheckoutBatch(ctx context.Context, ids []NodeID) []Checkout
 	return r.st.CheckoutBatch(ctx, ids)
 }
 
-// constraintFor resolves the regime constraint against g: the
-// configured bound, or an automatic one derived from g's
-// minimum-storage plan, the one ctx carries for g if any.
-func (r *Repository) constraintFor(ctx context.Context, g *Graph) (Cost, error) {
-	if r.opt.Constraint != 0 {
-		return r.opt.Constraint, nil
-	}
-	switch r.opt.Problem {
-	case ProblemMST, ProblemSPT:
-		return 0, nil // unconstrained problems
-	}
-	mst, err := core.MST(ctx, g)
-	if err != nil {
-		return 0, fmt.Errorf("versioning: deriving auto constraint: %w", err)
-	}
-	switch r.opt.Problem {
-	case ProblemMSR, ProblemMMR:
-		return Cost(float64(mst.Cost.Storage) * r.opt.AutoFactor), nil
-	case ProblemBSR:
-		return mst.Cost.SumRetrieval, nil
-	case ProblemBMR:
-		return mst.Cost.MaxRetrieval, nil
-	default:
-		return 0, fmt.Errorf("versioning: no auto constraint for %s", r.opt.Problem)
-	}
-}
-
 // Plan returns a copy of the currently installed plan.
 func (r *Repository) Plan() *Plan {
 	r.stateMu.RLock()
@@ -627,19 +598,8 @@ func (r *Repository) Plan() *Plan {
 func (r *Repository) Summary() PlanSummary {
 	r.stateMu.RLock()
 	defer r.stateMu.RUnlock()
-	s := PlanSummary{
-		Graph:        r.g.Name,
-		Problem:      r.opt.Problem.String(),
-		Constraint:   r.constraint,
-		Winner:       r.winner,
-		PlanCost:     r.planCost,
-		Versions:     r.g.N(),
-		Deltas:       r.g.M(),
-		Materialized: make([]NodeID, 0, len(r.plan.Materialized)),
-		StoredDeltas: make([]EdgeID, 0, len(r.plan.Stored)),
-	}
-	s.Materialized = append(s.Materialized, r.plan.MaterializedNodes()...)
-	s.StoredDeltas = append(s.StoredDeltas, r.plan.StoredEdges()...)
+	s := summarize(r.g, r.plan, r.opt.Problem, r.installed.Constraint, r.planCost)
+	s.Winner = r.installed.Winner
 	return s
 }
 
@@ -723,8 +683,7 @@ func (r *Repository) Stats() RepositoryStats {
 		SumRetrieval:   r.planCost.SumRetrieval,
 		MaxRetrieval:   r.planCost.MaxRetrieval,
 		FullStorage:    r.g.TotalNodeStorage(),
-		Replans:        r.replans,
-		Winner:         r.winner,
+		Winner:         r.installed.Winner,
 		CommitsPending: r.sinceReplan,
 		StoreStats:     ss,
 	}
@@ -736,17 +695,18 @@ func (r *Repository) Stats() RepositoryStats {
 	if ns := r.lastReplanFailure.Load(); ns != 0 {
 		st.LastReplanFailureUnix = float64(ns) / float64(time.Second)
 	}
-	st.PredictedStorage = r.lastPredicted.Storage
-	st.PredictedSumRetrieval = r.lastPredicted.SumRetrieval
-	st.PredictedMaxRetrieval = r.lastPredicted.MaxRetrieval
+	st.PredictedStorage = r.installed.PredictedStorage
+	st.PredictedSumRetrieval = r.installed.PredictedSumRetrieval
+	st.PredictedMaxRetrieval = r.installed.PredictedMaxRetrieval
 	if len(r.solverWins) > 0 {
 		st.SolverWins = make(map[string]int64, len(r.solverWins))
 		for k, v := range r.solverWins {
 			st.SolverWins[k] = v
+			st.Replans += int(v)
 		}
 	}
 	st.PlanRecords = r.history.lifetime()
-	st.PlanHistoryLen = r.history.size()
+	st.PlanHistoryLen = int(min(st.PlanRecords, planHistoryLen)) // what the ring retains
 	st.RaceDurations = r.raceHist.Snapshot()
 	if st.RaceDurations.Count > 0 {
 		sum := st.RaceDurations.Summary()

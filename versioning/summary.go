@@ -21,11 +21,16 @@ type PlanSummary struct {
 // and constraint. The Materialized and StoredDeltas slices are always
 // non-nil so the JSON encodes [] rather than null.
 func Summarize(g *Graph, p *Plan, problem Problem, constraint Cost) PlanSummary {
+	return summarize(g, p, problem, constraint, Evaluate(g, p))
+}
+
+// summarize is Summarize given p's cost on g.
+func summarize(g *Graph, p *Plan, problem Problem, constraint Cost, cost PlanCost) PlanSummary {
 	s := PlanSummary{
 		Graph:        g.Name,
 		Problem:      problem.String(),
 		Constraint:   constraint,
-		PlanCost:     Evaluate(g, p),
+		PlanCost:     cost,
 		Versions:     g.N(),
 		Deltas:       g.M(),
 		Materialized: make([]NodeID, 0, g.N()),
