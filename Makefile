@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint size test examples benchmark-test benchmark-smoke race bench fuzz cover serve serve-durable
+.PHONY: all build vet lint size test examples benchmark-test benchmark-smoke race bench fuzz fuzz-check cover serve serve-durable
 
 all: vet build test
 
@@ -70,6 +70,18 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMergeKernelMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/dptree
 	$(GO) test -run='^$$' -fuzz=FuzzBMRMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/dptree
 	$(GO) test -run='^$$' -fuzz=FuzzLMGAllMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/lmg
+
+# Fuzz lists: the fuzz target above and nightly's matrix each name every
+# func Fuzz* in a _test.go file, and no other (CI's lint job runs it).
+fuzz-check:
+	@have=$$(grep -rhoE --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz[A-Za-z0-9_]+' . | sed 's/^func //' | sort -u); \
+	for list in Makefile .github/workflows/nightly.yml; do \
+		named=$$(grep -oE '(-fuzz=|- target: )Fuzz[A-Za-z0-9_]+' $$list | sed 's/.*Fuzz/Fuzz/' | sort -u); \
+		for f in $$have; do echo "$$named" | grep -qx -- "$$f" || { echo "  $$f: a fuzz test, not in $$list"; bad=1; }; done; \
+		for f in $$named; do echo "$$have" | grep -qx -- "$$f" || { echo "  $$f: in $$list, no such fuzz test"; bad=1; }; done; \
+	done; \
+	echo "fuzz targets: $$(echo "$$have" | wc -l)"; \
+	[ -z "$$bad" ]
 
 # Coverage for the storage + versioning + tenant core with the CI floor
 # applied.

@@ -5,8 +5,9 @@
 //     sized for many concurrent requests to one daemon.
 //   - Per-request timeouts: every attempt runs under its own deadline
 //     derived from the caller's context.
-//   - Retry with exponential backoff + jitter on transport errors, 429
-//     and 5xx responses, honoring the server's Retry-After hint. Commits
+//   - Retry with exponential backoff + jitter (50ms doubling to at most
+//     2s) on transport errors, 429 and 5xx responses, never sooner than
+//     the server's Retry-After hint. Commits
 //     are never retried after a transport error once the request may
 //     have reached the server (a commit is not idempotent), but any
 //     received error status means the commit did not apply, so those
@@ -64,12 +65,6 @@ type Options struct {
 	// MaxRetries bounds retries after the first attempt (0 = 3;
 	// negative disables retrying).
 	MaxRetries int
-	// RetryBaseDelay seeds the exponential backoff (0 = 50ms); jitter of
-	// up to one base delay is added per attempt.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the backoff (0 = 2s). A larger server
-	// Retry-After hint overrides the cap.
-	RetryMaxDelay time.Duration
 	// CoalesceWindow has no effect: every Checkout is its own GET. It
 	// stays because benchmark/driver.go sets it (ROADMAP item 7h).
 	CoalesceWindow time.Duration
@@ -100,9 +95,10 @@ type Client struct {
 
 // conn is what every view of one daemon shares.
 type conn struct {
-	base string
-	hc   *http.Client
-	opt  Options
+	base      string
+	hc        *http.Client
+	opt       Options
+	retryBase time.Duration // backoff's first step: retryBaseDelay, less in tests
 }
 
 // New returns the root view of the daemon at baseURL (e.g.
@@ -116,12 +112,6 @@ func New(baseURL string, opt Options) *Client {
 	}
 	if opt.MaxRetries < 0 {
 		opt.MaxRetries = 0
-	}
-	if opt.RetryBaseDelay <= 0 {
-		opt.RetryBaseDelay = 50 * time.Millisecond
-	}
-	if opt.RetryMaxDelay <= 0 {
-		opt.RetryMaxDelay = 2 * time.Second
 	}
 	var hc *http.Client
 	if opt.HTTPClient != nil {
@@ -138,7 +128,7 @@ func New(baseURL string, opt Options) *Client {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	return &Client{conn: &conn{base: strings.TrimRight(baseURL, "/"), hc: hc, opt: opt}}
+	return &Client{conn: &conn{base: strings.TrimRight(baseURL, "/"), hc: hc, opt: opt, retryBase: retryBaseDelay}}
 }
 
 // Tenant returns the view of tenant name on a multi-tenant daemon

@@ -149,7 +149,8 @@ func TestClientRetries5xxBurst(t *testing.T) {
 		fmt.Fprint(w, `{"id":5,"lines":["ok"]}`)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{RetryBaseDelay: time.Millisecond, MaxRetries: 3})
+	c := New(ts.URL, Options{MaxRetries: 3})
+	c.retryBase = time.Millisecond
 	defer c.Close()
 	lines, err := c.Checkout(context.Background(), 5)
 	if err != nil || !reflect.DeepEqual(lines, []string{"ok"}) {
@@ -168,7 +169,8 @@ func TestClientRetryBudgetBounded(t *testing.T) {
 		http.Error(w, `{"error":"down"}`, http.StatusInternalServerError)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{RetryBaseDelay: time.Millisecond, MaxRetries: 2})
+	c := New(ts.URL, Options{MaxRetries: 2})
+	c.retryBase = time.Millisecond
 	defer c.Close()
 	_, err := c.Checkout(context.Background(), 0)
 	var apiErr *APIError
@@ -192,7 +194,8 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 		fmt.Fprint(w, `{"id":0,"lines":["ok"]}`)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond})
+	c := New(ts.URL, Options{})
+	c.retryBase = time.Millisecond
 	defer c.Close()
 	start := time.Now()
 	if _, err := c.Checkout(context.Background(), 0); err != nil {
@@ -200,6 +203,32 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < time.Second {
 		t.Fatalf("retried after %v, want >= 1s from Retry-After", elapsed)
+	}
+}
+
+// TestBackoffDefaults pins the one setting backoff runs at: a client
+// built with zero Options waits 50ms, plus up to 50ms of jitter, before
+// its first retry, twice that before the next, at most 2s plus jitter
+// however many retries in, and a longer server Retry-After raises it.
+func TestBackoffDefaults(t *testing.T) {
+	c := New("http://127.0.0.1:1", Options{})
+	defer c.Close()
+	const base, ceiling = 50 * time.Millisecond, 2 * time.Second
+	within := func(what string, d, lo, hi time.Duration) {
+		t.Helper()
+		if d < lo || d > hi {
+			t.Fatalf("%s waits %s, want %s to %s", what, d, lo, hi)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		within("first retry", c.backoff(0, 0), base, 2*base)
+		within("second retry", c.backoff(1, 0), 2*base, 3*base)
+		within("sixth retry", c.backoff(5, 0), 32*base, 33*base)
+		for _, attempt := range []int{6, 10, 63} {
+			within(fmt.Sprintf("retry %d", attempt+1), c.backoff(attempt, 0), ceiling, ceiling+base)
+		}
+		within("first retry after Retry-After: 3", c.backoff(0, 3*time.Second), 3*time.Second, 3*time.Second)
+		within("retry 11 after Retry-After: 3", c.backoff(10, 3*time.Second), 3*time.Second, 3*time.Second)
 	}
 }
 
@@ -217,7 +246,8 @@ func TestClientPerRequestTimeout(t *testing.T) {
 		fmt.Fprint(w, `{"id":0,"lines":["fast"]}`)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{RequestTimeout: 60 * time.Millisecond, RetryBaseDelay: time.Millisecond})
+	c := New(ts.URL, Options{RequestTimeout: 60 * time.Millisecond})
+	c.retryBase = time.Millisecond
 	defer c.Close()
 	lines, err := c.Checkout(context.Background(), 0)
 	if err != nil || !reflect.DeepEqual(lines, []string{"fast"}) {
@@ -248,7 +278,8 @@ func TestClientTornResponse(t *testing.T) {
 		fmt.Fprint(w, `{"id":0,"lines":["whole"]}`)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{RetryBaseDelay: time.Millisecond})
+	c := New(ts.URL, Options{})
+	c.retryBase = time.Millisecond
 	defer c.Close()
 	lines, err := c.Checkout(context.Background(), 0)
 	if err != nil || !reflect.DeepEqual(lines, []string{"whole"}) || calls.Load() != 2 {
@@ -270,7 +301,8 @@ func TestClientCommitTooLargeNotRetried(t *testing.T) {
 		http.Error(w, `{"error":"bad commit request: http: request body too large"}`, http.StatusRequestEntityTooLarge)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{RetryBaseDelay: time.Millisecond})
+	c := New(ts.URL, Options{})
+	c.retryBase = time.Millisecond
 	defer c.Close()
 	_, err := c.Commit(context.Background(), versioning.NoParent, []string{"x"})
 	var apiErr *APIError
@@ -290,7 +322,8 @@ func TestClientCommitNotRetriedOnTransportError(t *testing.T) {
 		panic(http.ErrAbortHandler) // connection dropped mid-request
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{RetryBaseDelay: time.Millisecond})
+	c := New(ts.URL, Options{})
+	c.retryBase = time.Millisecond
 	defer c.Close()
 	_, err := c.Commit(context.Background(), versioning.NoParent, []string{"x"})
 	if err == nil {
@@ -313,7 +346,8 @@ func TestClientCommitRetriedOn5xx(t *testing.T) {
 		fmt.Fprint(w, `{"id":0,"versions":1}`)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, Options{RetryBaseDelay: time.Millisecond})
+	c := New(ts.URL, Options{})
+	c.retryBase = time.Millisecond
 	defer c.Close()
 	cr, err := c.Commit(context.Background(), versioning.NoParent, []string{"x"})
 	if err != nil || cr.Versions != 1 {

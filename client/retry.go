@@ -151,15 +151,21 @@ func retryAfterHint(resp *http.Response) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
+// Backoff runs at one setting: its first step and its cap (see backoff).
+const (
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+)
+
 // backoff computes the pause before retry attempt+1: exponential with
 // jitter of up to one base delay, capped, and floored by the server's
 // Retry-After hint. The top-level rand functions are concurrency-safe.
 func (c *Client) backoff(attempt int, minDelay time.Duration) time.Duration {
-	d := c.opt.RetryBaseDelay << uint(attempt)
-	if d > c.opt.RetryMaxDelay || d <= 0 {
-		d = c.opt.RetryMaxDelay
+	d := c.retryBase << uint(attempt)
+	if d > retryMaxDelay || d <= 0 {
+		d = retryMaxDelay
 	}
-	d += time.Duration(rand.Int63n(int64(c.opt.RetryBaseDelay) + 1))
+	d += time.Duration(rand.Int63n(int64(c.retryBase) + 1))
 	if d < minDelay {
 		d = minDelay
 	}

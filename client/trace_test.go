@@ -153,7 +153,8 @@ func TestTraceHeaderStableAcrossRetries(t *testing.T) {
 		w.Write([]byte(`{"versions":1}`))
 	}))
 	t.Cleanup(ts.Close)
-	c := New(ts.URL, Options{TraceSample: 1, RetryBaseDelay: time.Millisecond})
+	c := New(ts.URL, Options{TraceSample: 1})
+	c.retryBase = time.Millisecond
 	defer c.Close()
 	if _, err := c.Healthz(context.Background()); err != nil {
 		t.Fatal(err)

@@ -44,11 +44,11 @@
 // every open repository's journal and backend are flushed, all within
 // the -drain deadline.
 //
-// Serving is hardened for real traffic: admission control bounds
-// concurrent requests (-max-inflight, -max-queue, -queue-wait) and
-// sheds overload with 429 + Retry-After; concurrent checkouts of the
-// same version share one reconstruction, deduplicated once, in each
-// repository's store (/statsz reports the followers as
+// Serving is hardened for real traffic: admission control runs
+// 4×GOMAXPROCS requests at once, queues twice that for at most 100ms
+// each, and sheds the rest with 429 + Retry-After: 1; concurrent
+// checkouts of the same version share one reconstruction, deduplicated
+// once, in each repository's store (/statsz reports the followers as
 // endpoints.checkout.coalesced); per-endpoint latency/throughput
 // counters are served at /statsz.
 //
@@ -121,10 +121,6 @@ func run(ctx context.Context, args []string) error {
 		fsync       = fs.Bool("fsync", false, "fsync the commit journal on every commit (with -data-dir)")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-solver deadline inside re-planning races (0 = 5s, negative = none)")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests and storage flush")
-		maxInFlight = fs.Int("max-inflight", 0, "admission control: max concurrently executing requests (0 = 4*GOMAXPROCS, negative disables)")
-		maxQueue    = fs.Int("max-queue", 0, "admission control: waiting slots before load shedding (0 = 2*max-inflight)")
-		queueWait   = fs.Duration("queue-wait", 100*time.Millisecond, "admission control: max time a request queues for a slot")
-		retryAfter  = fs.Duration("retry-after", time.Second, "Retry-After hint sent with 429 responses")
 		demo        = fs.Int("demo", 0, "preload a synthetic history of N commits, seed 42 (single-repo mode)")
 
 		version     = fs.Bool("version", false, "print the embedded build identity and exit")
@@ -138,7 +134,7 @@ func run(ctx context.Context, args []string) error {
 		quotaObj   = fs.Int("quota-max-objects", 0, "per-tenant cap on content-addressed objects (0 = unlimited)")
 		quotaBytes = fs.Int64("quota-max-bytes", 0, "per-tenant cap on logical bytes (0 = unlimited)")
 		quotaRate  = fs.Float64("quota-commit-rate", 0, "per-tenant commit token-bucket refill rate per second (0 = unlimited)")
-		quotaBurst = fs.Int("quota-commit-burst", 0, "per-tenant commit token-bucket capacity (0 = max(1, rate))")
+		quotaBurst = fs.Int("quota-commit-burst", 0, "per-tenant commit token-bucket capacity (0 = max(1, rate rounded down))")
 	)
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 and -h exits 0, as flag.Parse did
 	if *version {
@@ -173,10 +169,6 @@ func run(ctx context.Context, args []string) error {
 	var mgr *tenant.Manager
 	var repo *versioning.Repository
 	sopt := serve.Options{
-		MaxInFlight:    *maxInFlight,
-		MaxQueue:       *maxQueue,
-		QueueWait:      *queueWait,
-		RetryAfter:     *retryAfter,
 		Tracer:         tracer,
 		SlowRequest:    *slowLog,
 		RespCacheBytes: *respCache,

@@ -24,7 +24,7 @@ func main() {
 	repo := versioning.NewRepository("serving-example", versioning.RepositoryOptions{
 		ReplanEvery: 8,
 	})
-	srv := serve.New(repo, serve.Options{MaxInFlight: 32})
+	srv := serve.New(repo, serve.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -2,66 +2,52 @@ package serve
 
 import (
 	"context"
-	"runtime"
 	"sync/atomic"
 	"time"
 )
 
-// limiter is the bounded admission controller: MaxInFlight requests
-// execute concurrently, up to MaxQueue more wait at most QueueWait for
-// a slot, and everything beyond that is shed immediately. Shedding at
-// the door keeps tail latency bounded under overload — the alternative
+// Admission runs at one setting. Capacity is 4×GOMAXPROCS execution
+// slots (newServer), the queue holds twice that, a queued request waits
+// at most queueWait, and a shed one is told to come back in
+// retryAfterHeader seconds.
+const (
+	queueWait        = 100 * time.Millisecond
+	retryAfterHeader = "1"
+)
+
+// limiter is the bounded admission controller: capacity requests
+// execute concurrently, up to cap(queue) more wait at most wait for a
+// slot, and everything beyond that is shed immediately. Shedding at the
+// door keeps tail latency bounded under overload — the alternative
 // (unbounded goroutines all contending for the store) makes every
 // request slow instead of making excess requests fail fast.
 type limiter struct {
-	sem      chan struct{} // execution slots; nil disables limiting
-	queue    chan struct{} // waiting slots
-	wait     time.Duration
-	capacity int
+	sem   chan struct{} // execution slots
+	queue chan struct{} // waiting slots
+	wait  time.Duration
 
 	accepted      atomic.Int64
 	queued        atomic.Int64 // accepted requests that had to wait
 	rejectedFull  atomic.Int64 // shed because the queue was full
-	rejectedSlow  atomic.Int64 // shed after waiting QueueWait
+	rejectedSlow  atomic.Int64 // shed after waiting its full wait
 	rejectedOther atomic.Int64 // caller gave up (context canceled) while queued
-
-	retryAfterHeader string // precomputed whole-seconds Retry-After value
 }
 
-func newLimiter(opt Options) *limiter {
-	l := &limiter{wait: opt.QueueWait}
-	if l.wait <= 0 {
-		l.wait = 100 * time.Millisecond
+// newLimiter returns a limiter with capacity execution slots and
+// queueCap waiting slots; serving uses 4×GOMAXPROCS, 2× that and
+// queueWait, tests smaller ones.
+func newLimiter(capacity, queueCap int, wait time.Duration) *limiter {
+	return &limiter{
+		sem:   make(chan struct{}, capacity),
+		queue: make(chan struct{}, queueCap),
+		wait:  wait,
 	}
-	retryAfter := opt.RetryAfter
-	if retryAfter <= 0 {
-		retryAfter = time.Second
-	}
-	l.retryAfterHeader = retryAfterSeconds(retryAfter)
-	if opt.MaxInFlight < 0 {
-		return l // limiter disabled
-	}
-	l.capacity = opt.MaxInFlight
-	if l.capacity == 0 {
-		l.capacity = 4 * runtime.GOMAXPROCS(0)
-	}
-	maxQueue := opt.MaxQueue
-	if maxQueue == 0 {
-		maxQueue = 2 * l.capacity
-	}
-	l.sem = make(chan struct{}, l.capacity)
-	l.queue = make(chan struct{}, maxQueue)
-	return l
 }
 
 // acquire claims an execution slot, waiting in the bounded queue when
 // the server is at capacity. It reports false when the request must be
 // shed (queue full, queue wait exceeded, or caller canceled).
 func (l *limiter) acquire(ctx context.Context) bool {
-	if l.sem == nil {
-		l.accepted.Add(1)
-		return true
-	}
 	select {
 	case l.sem <- struct{}{}:
 		l.accepted.Add(1)
@@ -92,15 +78,11 @@ func (l *limiter) acquire(ctx context.Context) bool {
 	}
 }
 
-func (l *limiter) release() {
-	if l.sem != nil {
-		<-l.sem
-	}
-}
+func (l *limiter) release() { <-l.sem }
 
 // AdmissionStats snapshots the limiter for /statsz.
 type AdmissionStats struct {
-	Capacity int   `json:"capacity"` // 0 = limiter disabled
+	Capacity int   `json:"capacity"`
 	InFlight int   `json:"in_flight"`
 	QueueLen int   `json:"queue_len"`
 	QueueCap int   `json:"queue_cap"`
@@ -115,7 +97,10 @@ type AdmissionStats struct {
 
 func (l *limiter) stats() AdmissionStats {
 	s := AdmissionStats{
-		Capacity:          l.capacity,
+		Capacity:          cap(l.sem),
+		InFlight:          len(l.sem),
+		QueueLen:          len(l.queue),
+		QueueCap:          cap(l.queue),
 		Accepted:          l.accepted.Load(),
 		Queued:            l.queued.Load(),
 		RejectedQueueFull: l.rejectedFull.Load(),
@@ -123,10 +108,5 @@ func (l *limiter) stats() AdmissionStats {
 		RejectedCanceled:  l.rejectedOther.Load(),
 	}
 	s.Rejected = s.RejectedQueueFull + s.RejectedWait + s.RejectedCanceled
-	if l.sem != nil {
-		s.InFlight = len(l.sem)
-		s.QueueLen = len(l.queue)
-		s.QueueCap = cap(l.queue)
-	}
 	return s
 }

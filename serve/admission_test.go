@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,7 +52,8 @@ func slowRepo(t *testing.T, n int, delay time.Duration) (*versioning.Repository,
 
 func TestAdmissionShedsOverload(t *testing.T) {
 	repo, _ := slowRepo(t, 8, 80*time.Millisecond)
-	srv := New(repo, Options{MaxInFlight: 2, MaxQueue: 1, QueueWait: 10 * time.Millisecond, RetryAfter: 3 * time.Second})
+	srv := New(repo, Options{})
+	srv.adm = newLimiter(2, 1, 10*time.Millisecond)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -85,9 +86,8 @@ func TestAdmissionShedsOverload(t *testing.T) {
 	if ok.Load() == 0 || shed.Load() == 0 {
 		t.Fatalf("want both successes and shed requests, got ok=%d shed=%d", ok.Load(), shed.Load())
 	}
-	ra, _ := retryAfter.Load().(string)
-	if secs, err := strconv.Atoi(ra); err != nil || secs < 3 {
-		t.Fatalf("Retry-After = %q, want >= 3 whole seconds", ra)
+	if ra, _ := retryAfter.Load().(string); ra != "1" {
+		t.Fatalf("Retry-After = %q, want 1", ra)
 	}
 	st := srv.StatszSnapshot()
 	if st.Admission.Rejected != shed.Load() {
@@ -105,10 +105,11 @@ func TestAdmissionShedsOverload(t *testing.T) {
 }
 
 func TestAdmissionQueueAdmitsBurst(t *testing.T) {
-	// With a deep queue and a generous wait, a burst larger than
-	// MaxInFlight must fully succeed — the queue absorbs it.
+	// With a deep queue and a generous wait, a burst larger than the
+	// capacity must fully succeed — the queue absorbs it.
 	repo, _ := slowRepo(t, 4, 20*time.Millisecond)
-	srv := New(repo, Options{MaxInFlight: 1, MaxQueue: 16, QueueWait: 5 * time.Second})
+	srv := New(repo, Options{})
+	srv.adm = newLimiter(1, 16, 5*time.Second)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	var wg sync.WaitGroup
@@ -134,6 +135,45 @@ func TestAdmissionQueueAdmitsBurst(t *testing.T) {
 	}
 	if st.Admission.Rejected != 0 {
 		t.Fatalf("burst within queue capacity was shed: %+v", st.Admission)
+	}
+}
+
+// TestAdmissionDefaults pins the one setting admission runs at:
+// 4×GOMAXPROCS slots, a queue of twice that, 100ms of waiting, and a
+// request shed by a full limiter told Retry-After: 1.
+func TestAdmissionDefaults(t *testing.T) {
+	repo, _ := slowRepo(t, 1, 0)
+	srv := New(repo, Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	var st Statsz
+	if code := getJSON(t, ts.URL+"/statsz", &st); code != http.StatusOK {
+		t.Fatalf("/statsz: HTTP %d", code)
+	}
+	slots := 4 * runtime.GOMAXPROCS(0)
+	if st.Admission.Capacity != slots || st.Admission.QueueCap != 2*slots || srv.adm.wait != 100*time.Millisecond {
+		t.Fatalf("admission = %+v, wait %s; want capacity %d, queue_cap %d, wait 100ms",
+			st.Admission, srv.adm.wait, slots, 2*slots)
+	}
+	// Hold every slot and every queue place: the next request is shed
+	// at the door.
+	for i := 0; i < slots; i++ {
+		srv.adm.sem <- struct{}{}
+	}
+	for i := 0; i < 2*slots; i++ {
+		srv.adm.queue <- struct{}{}
+	}
+	resp, err := http.Get(ts.URL + "/checkout/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("request past a full limiter: HTTP %d, Retry-After %q; want 429 and 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if got := srv.StatszSnapshot().Admission; got.RejectedQueueFull != 1 || got.InFlight != slots || got.QueueLen != 2*slots {
+		t.Fatalf("admission after the shed request = %+v", got)
 	}
 }
 
@@ -168,7 +208,8 @@ func stampede(t *testing.T, url string, n int) {
 // the store's (internal/flight), reported through the repository stats.
 func TestCheckoutSingleflight(t *testing.T) {
 	repo, sb := slowRepo(t, 1, 50*time.Millisecond)
-	srv := New(repo, Options{MaxInFlight: -1})
+	srv := New(repo, Options{})
+	srv.adm = newLimiter(16, 0, 0) // a slot for every request of the stampede
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	before := sb.gets.Load()

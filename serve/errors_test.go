@@ -122,3 +122,48 @@ func TestUnknownParentSentinel(t *testing.T) {
 		t.Fatalf("merge onto missing parent: HTTP %d, want 422", code)
 	}
 }
+
+// TestCanceledRequestIs408: a request whose own context has ended is
+// the client giving up, not a server fault. Commits, merges, re-plans
+// and batch items answer 408 for it, as the single reads do.
+func TestCanceledRequestIs408(t *testing.T) {
+	repo := versioning.NewRepository("test", versioning.RepositoryOptions{ReplanEvery: -1, CacheEntries: -1})
+	t.Cleanup(func() { repo.Close() })
+	for v := 0; v < 3; v++ {
+		parent := versioning.NodeID(v - 1)
+		if _, err := repo.Commit(context.Background(), parent, []string{"a", strings.Repeat("b", v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(repo, Options{RespCacheBytes: -1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	serveCanceled := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequestWithContext(ctx, method, path, strings.NewReader(body)))
+		return rec
+	}
+	for _, tc := range []struct{ method, path, body string }{
+		{"POST", "/commit", `{"parent":2,"lines":["x"]}`},
+		{"POST", "/commit", `{"parents":[1,2],"lines":["x"]}`},
+		{"POST", "/replan", ""},
+		{"GET", "/checkout/2", ""},
+	} {
+		if rec := serveCanceled(tc.method, tc.path, tc.body); rec.Code != http.StatusRequestTimeout {
+			t.Errorf("%s %s under a canceled request: HTTP %d %s, want 408", tc.method, tc.path, rec.Code, rec.Body)
+		}
+	}
+	rec := serveCanceled("POST", "/checkout", `{"ids":[0,2]}`)
+	var batch []wire.Checkout
+	if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("batch checkout under a canceled request: HTTP %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	for _, item := range batch {
+		if item.Status != http.StatusRequestTimeout {
+			t.Errorf("batch item %d under a canceled request: status %d %q, want 408", item.ID, item.Status, item.Error)
+		}
+	}
+	if repo.Versions() != 3 {
+		t.Fatalf("canceled commits left %d versions, want 3", repo.Versions())
+	}
+}

@@ -30,7 +30,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	e.Gauge("dsv_goroutines", "Live goroutines in the process.", float64(z.Goroutines))
 
 	adm := z.Admission
-	e.Gauge("dsv_admission_capacity", "Admission slots (0 = limiter disabled).", float64(adm.Capacity))
+	e.Gauge("dsv_admission_capacity", "Admission slots (4 x GOMAXPROCS).", float64(adm.Capacity))
 	e.Gauge("dsv_admission_in_flight", "Requests currently holding an admission slot.", float64(adm.InFlight))
 	e.Gauge("dsv_admission_queue_len", "Requests currently queued for a slot.", float64(adm.QueueLen))
 	e.Gauge("dsv_admission_queue_cap", "Admission queue capacity.", float64(adm.QueueCap))

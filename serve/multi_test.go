@@ -215,7 +215,8 @@ func TestCheckoutStampedeMultiTenant(t *testing.T) {
 		MaxOpen: 1,
 		Repo:    versioning.RepositoryOptions{CacheEntries: -1}, // every checkout reconstructs or follows
 	})
-	srv := NewMulti(mgr, Options{MaxInFlight: -1, RespCacheBytes: -1}) // ...and none is answered above the store
+	srv := NewMulti(mgr, Options{RespCacheBytes: -1}) // ...and none is answered above the store
+	srv.adm = newLimiter(16, 0, 0)                    // a slot for every request of a stampede
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 

@@ -26,11 +26,12 @@
 //
 // Hardening beyond the bare handlers:
 //
-//   - Admission control: at most Options.MaxInFlight requests execute at
-//     once; a bounded queue absorbs bursts and overflow is rejected with
-//     429 + Retry-After instead of letting goroutines and latency pile
-//     up unbounded. Probes (/healthz, /statsz, /fleetz) bypass the
-//     limiter so operators can observe an overloaded server.
+//   - Admission control: at most 4×GOMAXPROCS requests execute at once;
+//     a queue of twice that absorbs bursts for at most 100ms each, and
+//     overflow is rejected with 429 + Retry-After: 1 instead of letting
+//     goroutines and latency pile up unbounded. Probes (/healthz,
+//     /statsz, /fleetz) bypass the limiter so operators can observe an
+//     overloaded server.
 //   - No serving-side checkout state: a stampede on one version is
 //     deduplicated once, in the store (store.Checkout runs one
 //     reconstruction per version at a time through internal/flight and
@@ -82,6 +83,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -99,17 +101,10 @@ import (
 // Options tunes the serving hardening. The zero value gives sensible
 // production defaults.
 type Options struct {
-	// MaxInFlight bounds concurrently executing requests (admission
-	// control). 0 picks 4×GOMAXPROCS; negative disables the limiter.
-	MaxInFlight int
-	// MaxQueue bounds requests waiting for an execution slot before the
-	// server sheds load with 429 (0 = 2×MaxInFlight).
-	MaxQueue int
-	// QueueWait caps how long a queued request waits for a slot before
-	// being rejected (0 = 100ms).
-	QueueWait time.Duration
-	// RetryAfter is the hint sent with 429 responses (0 = 1s; rounded up
-	// to whole seconds for the Retry-After header).
+	// QueueWait and RetryAfter have no effect: a queued request waits at
+	// most 100ms and a 429 says Retry-After: 1 (see admission.go). They
+	// stay because benchmark/stack.go sets them (ROADMAP item 7h).
+	QueueWait  time.Duration
 	RetryAfter time.Duration
 	// Tracer enables request tracing on the rate-limited endpoints (the
 	// probes are never traced). nil disables tracing entirely; a tracer
@@ -205,9 +200,10 @@ func (s *Server) routes(prefix string, with func(http.ResponseWriter, *http.Requ
 
 // newServer builds the mode-independent core.
 func newServer(opt Options) *Server {
+	slots := 4 * runtime.GOMAXPROCS(0)
 	return &Server{
 		mux:       http.NewServeMux(),
-		adm:       newLimiter(opt),
+		adm:       newLimiter(slots, 2*slots, queueWait),
 		start:     time.Now(),
 		maxBody:   wire.MaxBody,
 		resp:      newRespCache(opt.RespCacheBytes),
@@ -248,7 +244,7 @@ func (s *Server) handle(name, pattern string, h http.HandlerFunc, limited bool) 
 			if !ok {
 				ep.requests.Add(1)
 				ep.rejected.Add(1)
-				w.Header().Set("Retry-After", s.adm.retryAfterHeader)
+				w.Header().Set("Retry-After", retryAfterHeader)
 				writeJSON(w, http.StatusTooManyRequests,
 					errorResponse{Error: "server overloaded, retry later"})
 				span.SetAttrInt("status", http.StatusTooManyRequests)
@@ -424,7 +420,7 @@ func (s *Server) handleCommit(tn string, repo *versioning.Repository, w http.Res
 		} else if errors.Is(err, versioning.ErrUnknownParent) {
 			status = http.StatusUnprocessableEntity
 		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		writeJSON(w, requestErrStatus(r, err, status), errorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, wire.CommitResult{ID: id, Versions: repo.Versions()})
@@ -485,7 +481,7 @@ func (s *Server) handleCheckoutBatch(_ string, repo *versioning.Repository, w ht
 		out[i] = wire.Checkout{ID: req.IDs[i], Lines: res.Lines}
 		if res.Err != nil {
 			out[i].Error = res.Err.Error()
-			out[i].Status = checkoutErrStatus(res.Err)
+			out[i].Status = readErrStatus(r, res.Err)
 		}
 	}
 	// One body through the encoder the single checkouts use, failed items
@@ -498,8 +494,7 @@ func (s *Server) handleCheckoutBatch(_ string, repo *versioning.Repository, w ht
 	writeBody(w, body)
 }
 
-// checkoutErrStatus maps a read error to its HTTP status, shared by the
-// direct handlers and the per-item batch statuses.
+// checkoutErrStatus maps a read error to its HTTP status.
 func checkoutErrStatus(err error) int {
 	if errors.Is(err, versioning.ErrUnknownVersion) {
 		return http.StatusNotFound
@@ -508,12 +503,18 @@ func checkoutErrStatus(err error) int {
 }
 
 // readErrStatus is checkoutErrStatus for a read made under the request's
-// own context: the request giving up is a 408, not a server fault.
+// own context.
 func readErrStatus(r *http.Request, err error) int {
+	return requestErrStatus(r, err, checkoutErrStatus(err))
+}
+
+// requestErrStatus is status unless err is the request's own context
+// ending: the client giving up is a 408, not a server fault.
+func requestErrStatus(r *http.Request, err error, status int) int {
 	if cerr := r.Context().Err(); cerr != nil && errors.Is(err, cerr) {
 		return http.StatusRequestTimeout
 	}
-	return checkoutErrStatus(err)
+	return status
 }
 
 func (s *Server) handleReplan(_ string, repo *versioning.Repository, w http.ResponseWriter, r *http.Request) {
@@ -522,7 +523,7 @@ func (s *Server) handleReplan(_ string, repo *versioning.Repository, w http.Resp
 		if errors.Is(err, versioning.ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		writeJSON(w, requestErrStatus(r, err, status), errorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, repo.Summary())

@@ -314,6 +314,32 @@ func TestManagerQuotaCommitRate(t *testing.T) {
 	}
 }
 
+// TestManagerQuotaDefaultBurst: with no CommitBurst the bucket holds
+// the rate rounded down, so at 2.5 commits/s two commits pass at once
+// and the third waits.
+func TestManagerQuotaDefaultBurst(t *testing.T) {
+	opt := testOptions("")
+	opt.Quota = Quota{CommitsPerSec: 2.5}
+	m := NewManager(opt)
+	defer m.Close()
+	now := time.Unix(1000, 0)
+	m.now = func() time.Time { return now }
+	h, err := m.Acquire(context.Background(), "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	for i := 0; i < 2; i++ {
+		if err := m.CheckCommit("alice", h.Repo()); err != nil {
+			t.Fatalf("commit %d within the default burst refused: %v", i, err)
+		}
+	}
+	var qe *QuotaError
+	if err := m.CheckCommit("alice", h.Repo()); !errors.As(err, &qe) {
+		t.Fatalf("third immediate commit: %v, want a QuotaError", err)
+	}
+}
+
 func TestManagerQuotaCapacity(t *testing.T) {
 	opt := testOptions("")
 	opt.Quota = Quota{MaxObjects: 1}

@@ -80,7 +80,8 @@ type Quota struct {
 	MaxLogicalBytes int64
 	// CommitsPerSec refills the per-tenant commit token bucket.
 	CommitsPerSec float64
-	// CommitBurst is the bucket capacity (0 = max(1, ceil(CommitsPerSec))).
+	// CommitBurst is the bucket capacity (0 = max(1, CommitsPerSec
+	// rounded down)).
 	CommitBurst int
 }
 
