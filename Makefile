@@ -18,15 +18,17 @@ lint: vet
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping"; fi
 
-# Size: the two figures a simplicity PR is accepted on (ROADMAP item 6),
-# non-test Go lines outside benchmark/ and dsvd's flag count. The figures
-# gate nothing; what fails is a flag that `dsvd -h` prints and README's
-# flag tables do not list, or the reverse.
+# Size: the figures a simplicity PR is accepted on (ROADMAP item 6),
+# non-test Go lines outside benchmark/ and each command's flag count, read
+# from its -h. The figures gate nothing; what fails is a flag that
+# `dsvd -h` prints and README's flag tables do not list, or the reverse.
 size:
 	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@for c in cmd/*/; do c=$${c%/}; \
+		echo "$${c#cmd/} flags: $$($(GO) run ./$$c -h 2>&1 | sed -n 's/^  \(-[a-z-]*\).*/\1/p' | wc -l)"; \
+	done
 	@have=$$($(GO) run ./cmd/dsvd -h 2>&1 | sed -n 's/^  \(-[a-z-]*\).*/\1/p'); \
 	doc=$$(grep '^| `-' README.md | cut -d'|' -f2 | grep -o '`-[a-z-]*`' | tr -d '`'); \
-	echo "dsvd flags: $$(echo "$$have" | wc -l)"; \
 	for f in $$have; do echo "$$doc" | grep -qx -- "$$f" || { echo "  $$f: in dsvd -h, not in README's flag tables"; bad=1; }; done; \
 	for f in $$doc; do echo "$$have" | grep -qx -- "$$f" || { echo "  $$f: in README's flag tables, not in dsvd -h"; bad=1; }; done; \
 	[ -z "$$bad" ]

@@ -5,8 +5,11 @@
 //	go test -bench=. -benchmem
 //
 // Figure-level benchmarks execute the same sweeps as cmd/dsvbench at a
-// reduced scale (DESIGN.md §4.3 explains the scaling substitution); the
-// reported metric is the wall time to regenerate the whole panel set.
+// reduced scale: the datasets are repogen's synthetic stand-ins for the
+// paper's GitHub repositories, and every dataset but datasharing keeps
+// its cost model but 5 % of its Table 4 commits (at least 24) and extra
+// deltas; the reported metric is the wall time to regenerate the whole
+// panel set.
 package repro_test
 
 import (
@@ -31,7 +34,6 @@ import (
 	"repro/internal/gitpack"
 	"repro/internal/graph"
 	"repro/internal/graphalg"
-	"repro/internal/ilp"
 	"repro/internal/lmg"
 	"repro/internal/mp"
 	"repro/internal/plan"
@@ -45,10 +47,7 @@ import (
 )
 
 func benchConfig() experiments.Config {
-	// ILP is benchmarked separately (BenchmarkILP_Datasharing): a
-	// branch-and-bound point inside a sweep would dominate every other
-	// number in the figure benchmarks.
-	return experiments.Config{Scale: 0.05, SweepPoints: 5, Epsilon: 0.1, MaxStates: 128, ILP: false}
+	return experiments.Config{Scale: 0.05, SweepPoints: 5, Epsilon: 0.1, MaxStates: 128}
 }
 
 // BenchmarkTable4_Datasets regenerates the Table 4 dataset overview.
@@ -62,7 +61,7 @@ func BenchmarkTable4_Datasets(b *testing.B) {
 }
 
 // BenchmarkFigure10_MSRNatural regenerates Figure 10 (LMG vs LMG-All vs
-// DP-MSR vs ILP-OPT on natural graphs).
+// DP-MSR on natural graphs).
 func BenchmarkFigure10_MSRNatural(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if len(experiments.Figure10(benchConfig())) == 0 {
@@ -74,10 +73,8 @@ func BenchmarkFigure10_MSRNatural(b *testing.B) {
 // BenchmarkFigure11_MSRCompressed regenerates Figure 11 (MSR on
 // randomly-compressed graphs).
 func BenchmarkFigure11_MSRCompressed(b *testing.B) {
-	cfg := benchConfig()
-	cfg.ILP = false
 	for i := 0; i < b.N; i++ {
-		if len(experiments.Figure11(cfg)) == 0 {
+		if len(experiments.Figure11(benchConfig())) == 0 {
 			b.Fatal("no panels")
 		}
 	}
@@ -86,10 +83,8 @@ func BenchmarkFigure11_MSRCompressed(b *testing.B) {
 // BenchmarkFigure12_MSRER regenerates Figure 12 (MSR on compressed
 // Erdős–Rényi graphs).
 func BenchmarkFigure12_MSRER(b *testing.B) {
-	cfg := benchConfig()
-	cfg.ILP = false
 	for i := 0; i < b.N; i++ {
-		if len(experiments.Figure12(cfg)) == 0 {
+		if len(experiments.Figure12(benchConfig())) == 0 {
 			b.Fatal("no panels")
 		}
 	}
@@ -276,26 +271,6 @@ func BenchmarkDPMSR_Replan(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkILP_Datasharing measures the exact solver on the only dataset
-// the paper could solve to optimality.
-func BenchmarkILP_Datasharing(b *testing.B) {
-	g, err := repogen.Dataset("datasharing")
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := g.TotalNodeStorage() / 3
-	seed, err := lmg.LMGAll(context.Background(), g, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ilp.SolveMSR(g, s, ilp.Options{MaxNodes: 150, Incumbent: seed.Plan}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -3,17 +3,21 @@
 // Theorem 1 adversarial-LMG demonstration and the footnote-7 treewidth
 // measurements. Each figure runs its solvers one after another, so the
 // per-point times are each solver's own; the race the daemon runs on one
-// instance is dsvsolve -portfolio.
+// instance is dsvsolve -portfolio. The paper's OPT line in Figures 10 and
+// 11 (Gurobi on the Appendix D ILP) is not reproduced: the MSR figures
+// draw LMG, LMG-All and DP-MSR.
 //
 // Usage:
 //
 //	dsvbench -exp all -scale 0.12 -points 6
-//	dsvbench -exp fig10 -scale 1 -points 10 -ilp=false
+//	dsvbench -exp fig10 -scale 1 -points 10
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -21,41 +25,51 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "dsvbench: %v\n", err)
+		os.Exit(2)
+	}
+}
+
+// run regenerates the experiments args select and prints them to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dsvbench", flag.ContinueOnError)
 	var (
-		exp      = flag.String("exp", "all", "experiment: all|table4|fig10|fig11|fig12|fig13|thm1|treewidth")
-		scale    = flag.Float64("scale", 0.12, "dataset size scale (1.0 = full Table 4 sizes)")
-		points   = flag.Int("points", 6, "constraint samples per curve")
-		epsilon  = flag.Float64("epsilon", 0.05, "DP-MSR approximation parameter")
-		states   = flag.Int("maxstates", 512, "DP-MSR per-node state cap")
-		ilp      = flag.Bool("ilp", true, "compute the exact OPT line where affordable")
-		ilpNodes = flag.Int("ilpnodes", 20000, "branch-and-bound node cap per OPT point")
+		exp     = fs.String("exp", "all", "experiment: all|table4|fig10|fig11|fig12|fig13|thm1|treewidth")
+		scale   = fs.Float64("scale", 0.12, "dataset size scale (1.0 = full Table 4 sizes)")
+		points  = fs.Int("points", 6, "constraint samples per curve")
+		epsilon = fs.Float64("epsilon", 0.05, "DP-MSR approximation parameter")
+		states  = fs.Int("maxstates", 512, "DP-MSR per-node state cap")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := experiments.Config{
 		Scale:       *scale,
 		SweepPoints: *points,
 		Epsilon:     *epsilon,
 		MaxStates:   *states,
-		ILP:         *ilp,
-		MaxILPNodes: *ilpNodes,
 	}
 
 	run := func(name string) bool { return *exp == "all" || *exp == name }
 	ran := false
 	if run("table4") {
-		fmt.Println("== Table 4: dataset overview ==")
-		fmt.Println(experiments.RenderStats(experiments.Table4(cfg)))
+		fmt.Fprintln(stdout, "== Table 4: dataset overview ==")
+		fmt.Fprintln(stdout, experiments.RenderStats(experiments.Table4(cfg)))
 		ran = true
 	}
 	if run("thm1") {
-		fmt.Println("== Theorem 1: LMG is arbitrarily bad on adversarial chains ==")
-		fmt.Println(experiments.RenderTheorem1(experiments.Theorem1([]graph.Cost{10, 30, 100, 300})))
+		fmt.Fprintln(stdout, "== Theorem 1: LMG is arbitrarily bad on adversarial chains ==")
+		fmt.Fprintln(stdout, experiments.RenderTheorem1(experiments.Theorem1([]graph.Cost{10, 30, 100, 300})))
 		ran = true
 	}
 	if run("treewidth") {
-		fmt.Println("== Footnote 7: dataset treewidth (heuristic upper bounds, MMD lower bound) ==")
-		fmt.Println(experiments.RenderTreewidths(experiments.Treewidths(cfg)))
+		fmt.Fprintln(stdout, "== Footnote 7: dataset treewidth (heuristic upper bounds, MMD lower bound) ==")
+		fmt.Fprintln(stdout, experiments.RenderTreewidths(experiments.Treewidths(cfg)))
 		ran = true
 	}
 	figures := []struct {
@@ -72,13 +86,13 @@ func main() {
 			continue
 		}
 		for _, r := range fig.f(cfg) {
-			fmt.Println(experiments.Render(r))
+			fmt.Fprintln(stdout, experiments.Render(r))
 		}
 		ran = true
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "dsvbench: unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
+	return nil
 }

@@ -12,7 +12,7 @@
 //
 // Problems: MST, SPT, MSR, MMR, BSR, BMR (Table 1 of the paper).
 // -algo selects one member of the portfolio registry for the problem, in
-// all four regimes: lmg, lmg-all, dp, ilp for MSR; mp, dp for BMR and,
+// all four regimes: lmg, lmg-all, dp for MSR; mp, dp for BMR and,
 // through the Lemma 7 binary search, for MMR; dp, lmg-all for BSR. "auto"
 // picks the paper's recommendation (Section 7.4: LMG-All for MSR, the
 // tree DP otherwise); a family that does not solve the problem is an
@@ -61,7 +61,7 @@ func run(args []string, stdout io.Writer) error {
 		in         = fs.String("in", "", "input graph JSON (required)")
 		problemStr = fs.String("problem", "MSR", "MST|SPT|MSR|MMR|BSR|BMR")
 		constraint = fs.Int64("constraint", 0, "storage bound (MSR/MMR) or retrieval bound (BSR/BMR)")
-		algo       = fs.String("algo", "auto", "auto|lmg|lmg-all|dp|mp|ilp")
+		algo       = fs.String("algo", "auto", "auto|lmg|lmg-all|dp|mp")
 		race       = fs.Bool("portfolio", false, "race every applicable solver concurrently and report each")
 		timeout    = fs.Duration("timeout", 0, "per-solver deadline inside the portfolio race (0 = none)")
 		verbose    = fs.Bool("v", false, "print the full plan")

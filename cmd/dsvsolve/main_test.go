@@ -18,7 +18,7 @@ import (
 // algorithms maps the registry's families to the public constants.
 var algorithms = map[string]versioning.Algorithm{
 	"auto": versioning.Auto, "lmg": versioning.AlgLMG, "lmg-all": versioning.AlgLMGAll,
-	"dp": versioning.AlgDPTree, "mp": versioning.AlgMP, "ilp": versioning.AlgILP,
+	"dp": versioning.AlgDPTree, "mp": versioning.AlgMP,
 }
 
 var regimes = []core.Problem{core.ProblemMSR, core.ProblemMMR, core.ProblemBSR, core.ProblemBMR}
@@ -131,13 +131,21 @@ func TestAlgoSelectsTheRegistryMember(t *testing.T) {
 }
 
 // TestUnknownFamilyNamesTheOffer checks a family that does not solve the
-// problem is an error listing the ones that do.
+// problem is an error listing the ones that do: mp for BSR, and ilp,
+// which no regime has.
 func TestUnknownFamilyNamesTheOffer(t *testing.T) {
 	path, _, constraint := fixture(t)
-	for _, algo := range []string{"bogus", "mp"} {
-		_, err := dsvsolve("-in", path, "-problem", "BSR", "-constraint", fmt.Sprint(constraint[core.ProblemBSR]), "-algo", algo)
-		if err == nil || !strings.Contains(err.Error(), "dp, lmg-all") {
-			t.Errorf("-problem BSR -algo %s: err = %v, want one naming dp, lmg-all", algo, err)
+	for _, tc := range []struct {
+		problem     core.Problem
+		algo, offer string
+	}{
+		{core.ProblemBSR, "bogus", "dp, lmg-all"},
+		{core.ProblemBSR, "mp", "dp, lmg-all"},
+		{core.ProblemMSR, "ilp", "lmg, lmg-all, dp"},
+	} {
+		_, err := dsvsolve("-in", path, "-problem", tc.problem.String(), "-constraint", fmt.Sprint(constraint[tc.problem]), "-algo", tc.algo)
+		if err == nil || !strings.Contains(err.Error(), tc.offer) {
+			t.Errorf("-problem %s -algo %s: err = %v, want one naming %s", tc.problem, tc.algo, err, tc.offer)
 		}
 	}
 }

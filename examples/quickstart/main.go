@@ -46,7 +46,6 @@ func main() {
 		{"LMG (VLDB'15 baseline)", versioning.AlgLMG},
 		{"LMG-All (Section 6.1)", versioning.AlgLMGAll},
 		{"DP-MSR (Section 6.2)", versioning.AlgDPTree},
-		{"exact ILP (Appendix D)", versioning.AlgILP},
 	} {
 		sol, err := versioning.SolveMSR(g, budget, versioning.Options{Algorithm: a.algo})
 		if err != nil {

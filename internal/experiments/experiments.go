@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dptree"
 	"repro/internal/graph"
-	"repro/internal/ilp"
 	"repro/internal/lmg"
 	"repro/internal/mp"
 	"repro/internal/repogen"
@@ -36,10 +35,6 @@ type Config struct {
 	// freeCodeCamp).
 	Epsilon   float64
 	MaxStates int
-	// ILP enables the OPT line on datasharing-scale graphs.
-	ILP bool
-	// MaxILPNodes bounds the branch-and-bound effort per sweep point.
-	MaxILPNodes int
 }
 
 // Point is one sweep sample of one algorithm.
@@ -53,9 +48,6 @@ type Point struct {
 	// which asserts the constraint is mathematically unsatisfiable for
 	// that solver.
 	Failed bool
-	// Bound marks an objective that is a certified upper bound but not a
-	// proven optimum (a truncated branch-and-bound incumbent).
-	Bound bool
 }
 
 // Series is one algorithm's curve.
@@ -93,7 +85,9 @@ func scaledSpecs(cfg Config) []repogen.Spec {
 	return specs
 }
 
-func msrSweep(g *graph.Graph, cfg Config, withILP bool) Result {
+// msrSweep runs LMG, LMG-All and DP-MSR on g at cfg.SweepPoints storage
+// budgets from g's minimum storage up.
+func msrSweep(g *graph.Graph, cfg Config) Result {
 	res := Result{Dataset: g.Name, XLabel: "storage", YLabel: "total retrieval"}
 	ctx := context.Background()
 	mst, err := core.MST(ctx, g)
@@ -111,27 +105,15 @@ func msrSweep(g *graph.Graph, cfg Config, withILP bool) Result {
 	}
 	budgets := sweep(minStorage, hi, cfg.SweepPoints)
 
-	// seeds[i] is the cheapest plan any series found at budgets[i]. The
-	// OPT line starts its search from it, so a bound it prints is never
-	// above a plan the same row shows.
-	seeds := make([]core.Solution, len(budgets))
-	keep := func(i int, sol core.Solution, err error) {
-		if err == nil && (seeds[i].Plan == nil || sol.Cost.SumRetrieval < seeds[i].Cost.SumRetrieval) {
-			seeds[i] = sol
-		}
-	}
-
 	lmgSeries := Series{Algorithm: "LMG"}
 	lmgAllSeries := Series{Algorithm: "LMG-All"}
-	for i, s := range budgets {
+	for _, s := range budgets {
 		start := time.Now()
 		r, err := lmg.LMG(ctx, g, s)
 		lmgSeries.Points = append(lmgSeries.Points, point(s, r.Cost.SumRetrieval, ms(start), err))
-		keep(i, r, err)
 		start = time.Now()
 		ra, err := lmg.LMGAll(ctx, g, s)
 		lmgAllSeries.Points = append(lmgAllSeries.Points, point(s, ra.Cost.SumRetrieval, ms(start), err))
-		keep(i, ra, err)
 	}
 
 	// DP-MSR computes the whole frontier in one run; its run time is
@@ -143,33 +125,16 @@ func msrSweep(g *graph.Graph, cfg Config, withILP bool) Result {
 		PruneStorage: budgets[len(budgets)-1],
 	})
 	dpMillis := ms(start)
-	for i, s := range budgets {
+	for _, s := range budgets {
 		var best core.Solution
 		berr := err
 		if berr == nil {
 			best, berr = dp.Best(s)
 		}
 		dpSeries.Points = append(dpSeries.Points, point(s, best.Cost.SumRetrieval, dpMillis, berr))
-		keep(i, best, berr)
 	}
 
 	res.Series = append(res.Series, lmgSeries, lmgAllSeries, dpSeries)
-
-	if withILP && cfg.ILP {
-		optSeries := Series{Algorithm: "OPT(ILP)"}
-		for i, s := range budgets {
-			start := time.Now()
-			r, err := ilp.SolveMSR(g, s, ilp.Options{MaxNodes: cfg.MaxILPNodes, Incumbent: seeds[i].Plan})
-			p := point(s, r.Cost.SumRetrieval, ms(start), err)
-			// A truncated branch-and-bound incumbent is a certified
-			// upper bound, not a proven optimum; mark it so tables
-			// render "≤x" (the paper's Gurobi proved these instances,
-			// our stdlib solver certifies smaller ones — DESIGN.md §4.2).
-			p.Bound = err == nil && !r.Proven
-			optSeries.Points = append(optSeries.Points, p)
-		}
-		res.Series = append(res.Series, optSeries)
-	}
 	return res
 }
 
@@ -278,11 +243,12 @@ func figureDatasets(cfg Config, names ...string) []*graph.Graph {
 }
 
 // Figure10 reproduces "Performance of MSR algorithms on natural graphs":
-// LMG vs LMG-All vs DP-MSR (and ILP OPT on datasharing).
+// LMG vs LMG-All vs DP-MSR. The paper's OPT line (Gurobi on the Appendix
+// D ILP) is not reproduced.
 func Figure10(cfg Config) []Result {
 	var out []Result
 	for _, g := range figureDatasets(cfg, "datasharing", "styleguide", "996.ICU", "freeCodeCamp") {
-		r := msrSweep(g, cfg, g.Name == "datasharing")
+		r := msrSweep(g, cfg)
 		r.Figure = "Figure 10 (MSR, natural)"
 		out = append(out, r)
 	}
@@ -297,7 +263,7 @@ func Figure11(cfg Config) []Result {
 	for i, g := range figureDatasets(cfg, "datasharing", "styleguide", "996.ICU") {
 		c := graph.Compress(g, rand.New(rand.NewSource(int64(2000+i))))
 		c.Name = g.Name
-		r := msrSweep(c, cfg, g.Name == "datasharing")
+		r := msrSweep(c, cfg)
 		r.Figure = "Figure 11 (MSR, compressed)"
 		out = append(out, r)
 	}
@@ -326,7 +292,7 @@ func Figure12(cfg Config) []Result {
 	for i, g := range panels {
 		c := graph.Compress(g, rand.New(rand.NewSource(int64(3000+i))))
 		c.Name = g.Name
-		r := msrSweep(c, cfg, false)
+		r := msrSweep(c, cfg)
 		r.Figure = "Figure 12 (MSR, compressed ER)"
 		out = append(out, r)
 	}
@@ -403,8 +369,6 @@ func Render(r Result) string {
 				fmt.Fprintf(&b, " | %16s %9.2f", "err", p.Millis)
 			case p.Infeasible:
 				fmt.Fprintf(&b, " | %16s %9.2f", "—", p.Millis)
-			case p.Bound:
-				fmt.Fprintf(&b, " | %16s %9.2f", fmt.Sprintf("≤%d", p.Objective), p.Millis)
 			default:
 				fmt.Fprintf(&b, " | %16d %9.2f", p.Objective, p.Millis)
 			}

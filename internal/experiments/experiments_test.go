@@ -3,15 +3,17 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/bruteforce"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
 
 func tinyConfig() Config {
-	return Config{Scale: 0.02, SweepPoints: 4, Epsilon: 0.2, MaxStates: 64, ILP: true, MaxILPNodes: 1500}
+	return Config{Scale: 0.02, SweepPoints: 4, Epsilon: 0.2, MaxStates: 64}
 }
 
 func TestTable4(t *testing.T) {
@@ -69,52 +71,54 @@ func checkSweep(t *testing.T, results []Result, algorithms ...string) {
 }
 
 func TestFigure10(t *testing.T) {
-	if raceDetectorEnabled {
-		// The ILP OPT line is single-threaded branch-and-bound, ~20x
-		// slower under the race detector; it would blow the package past
-		// the go test timeout without adding race coverage.
-		t.Skip("skipping the ILP-heavy sweep under -race")
-	}
-	results := Figure10(tinyConfig())
-	checkSweep(t, results, "LMG", "LMG-All", "DP-MSR")
-	// The datasharing panel carries the ILP OPT line. Where it has an
-	// objective, proven or a bound, no other series may beat it: a proven
-	// optimum is the least objective there is, and a bound comes from a
-	// search seeded with the cheapest plan the row shows.
-	for _, r := range results {
-		if r.Dataset != "datasharing" {
-			continue
-		}
-		var opt *Series
-		for i := range r.Series {
-			if r.Series[i].Algorithm == "OPT(ILP)" {
-				opt = &r.Series[i]
-			}
-		}
-		if opt == nil {
-			t.Fatal("datasharing panel missing OPT(ILP)")
-		}
-		for _, s := range r.Series {
-			for i, p := range s.Points {
-				o := opt.Points[i]
-				if p.Infeasible || p.Failed || o.Infeasible || o.Failed || p.Objective >= o.Objective {
-					continue
-				}
-				kind := "proven OPT"
-				if o.Bound {
-					kind = "OPT's bound"
-				}
-				t.Fatalf("%s beats %s at budget %d: %d < %d", s.Algorithm, kind, p.Constraint, p.Objective, o.Objective)
-			}
-		}
-	}
+	checkSweep(t, Figure10(tinyConfig()), "LMG", "LMG-All", "DP-MSR")
 }
 
 func TestFigure11And12(t *testing.T) {
+	checkSweep(t, Figure11(tinyConfig()), "LMG", "LMG-All", "DP-MSR")
+	checkSweep(t, Figure12(tinyConfig()), "LMG", "LMG-All", "DP-MSR")
+}
+
+// TestMSRSweepNeverBeatsBruteforce runs msrSweep's LMG, LMG-All and
+// DP-MSR series on Figure 1 and on seeded random graphs small enough for
+// the bruteforce oracle, and checks that at every budget no series
+// reports a total retrieval below the proven MSR optimum there.
+func TestMSRSweepNeverBeatsBruteforce(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	graphs := []*graph.Graph{graph.Figure1()}
+	for i := 0; i < 20; i++ {
+		graphs = append(graphs, graph.Random(graph.RandomOptions{
+			Nodes:       3 + rng.Intn(6),
+			ExtraEdges:  rng.Intn(5),
+			Bidirected:  i%2 == 0,
+			MaxNodeCost: 400,
+			MaxEdgeCost: 60,
+		}, rng))
+	}
 	cfg := tinyConfig()
-	cfg.ILP = false // the OPT line is exercised by TestFigure10
-	checkSweep(t, Figure11(cfg), "LMG", "LMG-All", "DP-MSR")
-	checkSweep(t, Figure12(cfg), "LMG", "LMG-All", "DP-MSR")
+	cfg.SweepPoints = 6
+	for gi, g := range graphs {
+		r := msrSweep(g, cfg)
+		if len(r.Series) != 3 {
+			t.Fatalf("graph %d: %d series, want LMG, LMG-All and DP-MSR", gi, len(r.Series))
+		}
+		for i, budget := range r.Series[0].Points {
+			opt, err := bruteforce.SolveMSR(g, budget.Constraint, 0)
+			if err != nil {
+				t.Fatalf("graph %d at %d: oracle: %v", gi, budget.Constraint, err)
+			}
+			for _, s := range r.Series {
+				p := s.Points[i]
+				if p.Failed {
+					t.Fatalf("graph %d: %s failed at budget %d", gi, s.Algorithm, p.Constraint)
+				}
+				if !p.Infeasible && p.Objective < opt.Cost.SumRetrieval {
+					t.Fatalf("graph %d: %s reports %d at budget %d, below the optimum %d",
+						gi, s.Algorithm, p.Objective, p.Constraint, opt.Cost.SumRetrieval)
+				}
+			}
+		}
+	}
 }
 
 func TestFigure13(t *testing.T) {

@@ -1,8 +1,8 @@
 package graph
 
 // Extended is a version graph augmented with the auxiliary root v_aux used
-// by LMG (Algorithm 1), LMG-All (Algorithm 7), the ILP of Appendix D and
-// the brute-force oracle: for every version v an edge (v_aux, v) with
+// by LMG (Algorithm 1), LMG-All (Algorithm 7) and the brute-force
+// oracle: for every version v an edge (v_aux, v) with
 // storage cost s_v and retrieval cost 0 represents materializing v, so any
 // storage plan corresponds to a spanning arborescence of the extended
 // graph rooted at v_aux.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bruteforce"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/ilp"
 	"repro/internal/plan"
 )
 
@@ -61,9 +60,8 @@ func checkReport(t *testing.T, iter int, problem core.Problem, constraint graph.
 	}
 }
 
-// TestDifferentialMSR cross-checks LMG, LMG-All, DP-MSR and ILP against
-// the bruteforce MSR optimum on seeded random graphs, and asserts the
-// proven ILP matches it exactly.
+// TestDifferentialMSR cross-checks LMG, LMG-All and DP-MSR against the
+// bruteforce MSR optimum on seeded random graphs.
 func TestDifferentialMSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	e := New(Options{})
@@ -88,18 +86,6 @@ func TestDifferentialMSR(t *testing.T) {
 		}
 		for _, rep := range res.Reports {
 			checkReport(t, iter, core.ProblemMSR, s, rep, opt.Cost)
-		}
-
-		exact, err := ilp.SolveMSR(g, s, ilp.Options{})
-		if err != nil {
-			t.Fatalf("iter %d: ilp: %v", iter, err)
-		}
-		if !exact.Proven {
-			t.Fatalf("iter %d: ilp did not prove optimality on a %d-node graph", iter, g.N())
-		}
-		if exact.Cost.SumRetrieval != opt.Cost.SumRetrieval {
-			t.Fatalf("iter %d: ilp optimum %d != bruteforce optimum %d",
-				iter, exact.Cost.SumRetrieval, opt.Cost.SumRetrieval)
 		}
 	}
 }

@@ -2,10 +2,9 @@
 // registry (DefaultRegistry) is the one place that says which solver
 // families (LMG, LMG-All, DP-MSR, DP-BMR, MP, and their Lemma 7 lifts)
 // answer which of the four problem regimes and under which report name;
-// Member picks one of them, or the exact ILP that no
-// default race runs, by family for the one-shot callers
-// (versioning.SolveXXX, cmd/dsvsolve). The Engine is the
-// runtime counterpart of the paper's Section 7 evaluation: instead of
+// Member picks one of them by family for the one-shot callers
+// (versioning.SolveXXX, cmd/dsvsolve). The Engine is the runtime
+// counterpart of the paper's Section 7 evaluation: instead of
 // comparing offline, it races every member registered for a problem
 // concurrently, with per-solver timeouts and cooperative cancellation,
 // and returns the best feasible solution found plus a per-solver report

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dptree"
 	"repro/internal/graph"
-	"repro/internal/ilp"
 	"repro/internal/lmg"
 	"repro/internal/mp"
 )
@@ -240,7 +239,7 @@ func TestCancelInsideSolver(t *testing.T) {
 }
 
 // TestInfeasibleAggregation checks the solver contract: at a constraint
-// nothing meets, every registry member, the ILP, each solver package's
+// nothing meets, every registry member, each solver package's
 // entry point and the engine's race return core.ErrInfeasible
 // themselves, and at a generous one each returns a valid plan within it.
 func TestInfeasibleAggregation(t *testing.T) {
@@ -280,22 +279,13 @@ func TestInfeasibleAggregation(t *testing.T) {
 			return r.Solution, err
 		}})
 	}
-	ilpMember, err := Member(core.ProblemMSR, "ilp")
-	if err != nil {
-		t.Fatal(err)
-	}
 	dpOpts := dptree.DefaultMSROptions()
 	calls = append(calls,
-		call{"MSR/" + ilpMember.Name, core.ProblemMSR, onG(ilpMember.Solve)},
 		call{"lmg.LMG", core.ProblemMSR, onG(lmg.LMG)},
 		call{"lmg.LMGAll", core.ProblemMSR, onG(lmg.LMGAll)},
 		call{"dptree.MSROnGraph", core.ProblemMSR, func(c graph.Cost) (core.Solution, error) { return dptree.MSROnGraph(ctx, g, c, dpOpts) }},
 		call{"dptree.BMROnGraph", core.ProblemBMR, onG(dptree.BMROnGraph)},
 		call{"mp.Solve", core.ProblemBMR, func(c graph.Cost) (core.Solution, error) { return mp.Solve(g, c) }},
-		call{"ilp.SolveMSR", core.ProblemMSR, func(c graph.Cost) (core.Solution, error) {
-			r, err := ilp.SolveMSR(g, c, ilp.Options{})
-			return r.Solution, err
-		}},
 		call{"bruteforce.SolveMSR", core.ProblemMSR, func(c graph.Cost) (core.Solution, error) { return bruteforce.SolveMSR(g, c, 0) }},
 		call{"bruteforce.SolveMMR", core.ProblemMMR, func(c graph.Cost) (core.Solution, error) { return bruteforce.SolveMMR(g, c, 0) }},
 		call{"bruteforce.SolveBSR", core.ProblemBSR, func(c graph.Cost) (core.Solution, error) { return bruteforce.SolveBSR(g, c, 0) }},

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dptree"
 	"repro/internal/graph"
-	"repro/internal/ilp"
 	"repro/internal/lmg"
 	"repro/internal/mp"
 )
@@ -18,7 +17,7 @@ import (
 // the Lemma 7 binary-search lifts of the BMR members for MMR and of
 // DP-MSR and LMG-All for BSR; and the polynomial MST/SPT baselines for
 // the unconstrained problems. The engine races a problem's members in
-// this order; Member picks one of them, or the offline ILP, by family.
+// this order; Member picks one of them by family.
 // Every member returns core.Solution and reports a constraint it cannot
 // meet as core.ErrInfeasible, so LMG, LMG-All and DP-BMR are listed as
 // they are; a closure is left only where a member needs options
@@ -69,19 +68,10 @@ func DefaultRegistry(p core.Problem) []Solver {
 	return table[p]
 }
 
-// ilpMSR is the exact ILP for MSR, the paper's offline OPT line
-// (Section 7). No default race runs it: past datasharing's scale it
-// spends the whole deadline and returns nothing (996.ICU at 5 s). It
-// stops after 20,000 branch-and-bound nodes.
-var ilpMSR = Solver{Name: "ILP", Family: "ilp", Solve: func(_ context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
-	r, err := ilp.SolveMSR(g, s, ilp.Options{MaxNodes: 20000})
-	return r.Solution, err
-}}
-
 // Member returns the member of DefaultRegistry that family names for
-// problem p, or for MSR and "ilp" the offline ILP. "auto" is the Section
-// 7.4 recommendation: LMG-All for MSR, the tree DP for BMR, MMR and BSR.
-// The MST and SPT baselines have no family and answer to every name.
+// problem p. "auto" is the Section 7.4 recommendation: LMG-All for MSR,
+// the tree DP for BMR, MMR and BSR. The MST and SPT baselines have no
+// family and answer to every name.
 func Member(p core.Problem, family string) (Solver, error) {
 	if family == "auto" {
 		family = "dp"
@@ -89,12 +79,8 @@ func Member(p core.Problem, family string) (Solver, error) {
 			family = "lmg-all"
 		}
 	}
-	members := DefaultRegistry(p)
-	if p == core.ProblemMSR {
-		members = append(members, ilpMSR)
-	}
 	var have []string
-	for _, s := range members {
+	for _, s := range DefaultRegistry(p) {
 		if s.Family == "" || s.Family == family {
 			return s, nil
 		}

@@ -246,8 +246,9 @@ type SubsetSumGraph struct {
 // materialized set rather than its value sum. Weighting the retrieval of
 // edge (v₀,v_i) by a_i makes the MSR objective Σ_{i∉A} a_i, so the MSR
 // optimum under S = N + n + T is exactly the subset-sum optimum (the
-// storage argument is unchanged: S-feasibility ⇔ Σ_A a_i ≤ T). See
-// DESIGN.md.
+// storage argument is unchanged: S-feasibility ⇔ Σ_A a_i ≤ T).
+// TestSubsetSumToMSR checks the bruteforce MSR optimum equals
+// Σ a_i minus the best subset sum on random instances.
 func SubsetSumToMSR(ss SubsetSum, n graph.Cost) SubsetSumGraph {
 	g := graph.New("subsetsum")
 	root := g.AddNode(n)

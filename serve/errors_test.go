@@ -125,7 +125,8 @@ func TestUnknownParentSentinel(t *testing.T) {
 
 // TestCanceledRequestIs408: a request whose own context has ended is
 // the client giving up, not a server fault. Commits, merges, re-plans
-// and batch items answer 408 for it, as the single reads do.
+// and batch items answer 408 for it, as the single reads do, and the
+// abandoned re-plan is not counted as a failed one.
 func TestCanceledRequestIs408(t *testing.T) {
 	repo := versioning.NewRepository("test", versioning.RepositoryOptions{ReplanEvery: -1, CacheEntries: -1})
 	t.Cleanup(func() { repo.Close() })
@@ -165,5 +166,10 @@ func TestCanceledRequestIs408(t *testing.T) {
 	}
 	if repo.Versions() != 3 {
 		t.Fatalf("canceled commits left %d versions, want 3", repo.Versions())
+	}
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	if rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), "replan_failures") {
+		t.Fatalf("/stats after a canceled re-plan: HTTP %d %s, want no replan_failures", rec.Code, rec.Body)
 	}
 }

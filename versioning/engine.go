@@ -32,8 +32,7 @@ type (
 
 // EngineOptions configures a portfolio Engine. Its one setting is the
 // per-solver deadline: the race is the paper's serving line-up
-// (portfolio.DefaultRegistry) with the tree DPs at their defaults, and
-// never the ILP, which SolveMSR(AlgILP) reaches offline.
+// (portfolio.DefaultRegistry) with the tree DPs at their defaults.
 type EngineOptions struct {
 	// SolverTimeout is the per-solver deadline within a race (0 or
 	// negative = none).
@@ -44,8 +43,9 @@ type EngineOptions struct {
 	// CacheSize has no effect: the engine keeps no result cache. It stays
 	// because benchmark/traced.go sets it (ROADMAP item 7h).
 	CacheSize int
-	// DisableILP has no effect: no engine races the ILP. It stays because
-	// benchmark/stack.go and benchmark/traced.go set it (ROADMAP item 7h).
+	// DisableILP has no effect: the repository has no ILP. It stays
+	// because benchmark/stack.go and benchmark/traced.go set it (ROADMAP
+	// item 7h).
 	DisableILP bool
 }
 

@@ -26,10 +26,14 @@ package versioning
 // absorbs later requests), a failed pass leaves the previous plan
 // serving and surfaces through Stats().ReplanError, and — because
 // failure does not reset sinceReplan — the next commit re-triggers a
-// retry instead of waiting out another ReplanEvery window.
+// retry instead of waiting out another ReplanEvery window. A pass that
+// is called off — its own context ends, or the repository closes under
+// it — is not a failure: it leaves the previous plan serving and records
+// nothing.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -201,7 +205,7 @@ func (r *Repository) runPass(ctx context.Context, trigger string) error {
 	r.passMu.Lock()
 	defer r.passMu.Unlock()
 	err := r.replanAndInstall(ctx, trigger)
-	if err != nil {
+	if err != nil && !calledOff(ctx, err) {
 		r.replanFailures.Add(1)
 		r.lastReplanFailure.Store(time.Now().UnixNano())
 		r.stateMu.Lock()
@@ -214,11 +218,20 @@ func (r *Repository) runPass(ctx context.Context, trigger string) error {
 	return err
 }
 
+// calledOff reports whether a pass that returned err ended because it
+// was called off rather than because it failed: its own ctx ended (a
+// caller gave up, or Close cancelled the worker) or the repository
+// closed. A race whose members all miss SolverTimeout under a live ctx
+// is a failure.
+func calledOff(ctx context.Context, err error) bool {
+	return ctx.Err() != nil || errors.Is(err, ErrClosed)
+}
+
 // replanAndInstall is the pass body: snapshot, decide, preload,
-// install, record. Every pass with a non-empty snapshot appends a
-// PlanRecord to the observatory ring — successes with the race report,
-// prediction, and migration totals; failures with the error and
-// whatever race context produced it.
+// install, record. Every pass with a non-empty snapshot that is not
+// called off appends a PlanRecord to the observatory ring — successes
+// with the race report, prediction, and migration totals; failures with
+// the error and whatever race context produced it.
 func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error {
 	if r.isClosed() {
 		return ErrClosed
@@ -241,6 +254,9 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 		r.raceHist.Observe(time.Duration(rec.SolveUS) * time.Microsecond)
 	}
 	fail := func(err error) error {
+		if calledOff(ctx, err) {
+			return err
+		}
 		rec.Err = err.Error()
 		rec.Failed = true
 		rec.TotalUS = time.Since(passStart).Microseconds()

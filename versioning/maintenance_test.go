@@ -427,6 +427,86 @@ func TestWaitMaintenanceCloseUnblocks(t *testing.T) {
 	}
 }
 
+// TestCalledOffPassIsNoFailure: a pass that ends because it was called
+// off is not a re-plan failure. A Replan whose context is already
+// cancelled, a background pass that Close cancels inside its solve, and a
+// manual pass that finds the repository closed at its install step each
+// leave ReplanFailures 0, no ReplanError and no failed PlanRecord.
+func TestCalledOffPassIsNoFailure(t *testing.T) {
+	ctx := context.Background()
+	open := func(every int) *Repository {
+		r := NewRepository("calledoff", RepositoryOptions{ReplanEvery: every, EngineOptions: testEngineOptions()})
+		if _, err := r.Commit(ctx, NoParent, []string{"a"}); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	noFailure := func(r *Repository, what string) {
+		t.Helper()
+		if st := r.Stats(); st.ReplanFailures != 0 || st.ReplanError != "" || st.LastReplanFailureUnix != 0 {
+			t.Errorf("%s: ReplanFailures %d, ReplanError %q, LastReplanFailureUnix %v; want none",
+				what, st.ReplanFailures, st.ReplanError, st.LastReplanFailureUnix)
+		}
+		hist, _ := r.PlanHistory()
+		for _, rec := range hist {
+			if rec.Failed {
+				t.Errorf("%s: failed PlanRecord %q", what, rec.Err)
+			}
+		}
+	}
+
+	r := open(-1)
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := r.Replan(canceled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Replan under a cancelled context: %v, want context.Canceled", err)
+	}
+	noFailure(r, "cancelled Replan")
+	r.Close()
+
+	// The background pass blocks in its solve until Close cancels it.
+	r = open(2)
+	started := make(chan struct{}, 8)
+	r.solve = func(ctx context.Context, g *Graph, p Problem, c Cost) (PortfolioResult, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		return PortfolioResult{}, ctx.Err()
+	}
+	if _, err := r.Commit(ctx, 0, []string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	noFailure(r, "background pass cancelled by Close")
+
+	// The manual pass solves with a live context, but Close lands before
+	// its install step.
+	r = open(-1)
+	if _, err := r.Commit(ctx, 0, []string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	healthy := r.solve
+	release := make(chan struct{})
+	r.solve = func(ctx context.Context, g *Graph, p Problem, c Cost) (PortfolioResult, error) {
+		started <- struct{}{}
+		<-release
+		return healthy(ctx, g, p, c)
+	}
+	done := make(chan error, 1)
+	go func() { done <- r.Replan(ctx) }()
+	<-started
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-done; !errors.Is(err, ErrClosed) {
+		t.Fatalf("Replan closed under its solve: %v, want ErrClosed", err)
+	}
+	noFailure(r, "manual pass closed before install")
+}
+
 // decideGraph is a seeded version graph with merge deltas, the shape a
 // pass's snapshot has.
 func decideGraph(seed int64) *Graph {

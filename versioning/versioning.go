@@ -16,8 +16,8 @@
 //
 // using the paper's algorithms: the LMG baseline, the LMG-All greedy, the
 // DP-MSR and DP-BMR tree dynamic programs applied through spanning-tree
-// extraction, the MP baseline, an exact ILP, and binary-search reductions
-// between the bounded and min variants (Lemma 7).
+// extraction, the MP baseline, and binary-search reductions between the
+// bounded and min variants (Lemma 7).
 //
 // Quick start:
 //
@@ -110,12 +110,11 @@ const (
 	AlgLMGAll
 	AlgDPTree
 	AlgMP
-	AlgILP
 )
 
 // family is the name the registry knows the algorithm by.
 func (a Algorithm) family() string {
-	names := [...]string{"auto", "lmg", "lmg-all", "dp", "mp", "ilp"}
+	names := [...]string{"auto", "lmg", "lmg-all", "dp", "mp"}
 	if a < 0 || int(a) >= len(names) {
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
