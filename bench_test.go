@@ -1248,63 +1248,99 @@ func dataDirFiles(b *testing.B, dir string) map[string]bool {
 
 // BenchmarkCommitDurable measures what an acknowledged commit costs a
 // disk repository: child commits that rewrite 40 lines of a 200-line
-// document (a 2 KB delta), with the journal fsynced per commit
-// (dsvd -fsync) and without. files/op is the files the data directory
-// gained per commit and fsyncs/op what making them and the journal
-// durable takes: one per journal batch when it is synced, two per pack
-// (file and directory), one per loose object file.
+// document (a 2 KB delta), with the journal fsynced before every
+// acknowledgment (dsvd -fsync) and without, by 1, 4 and 16 committers
+// that each grow their own chain on one repository. Each commit writes
+// its journal record under the commit lock; with fsync, commits waiting
+// together share one fsync. batches/op is the journal's durability
+// points per commit (wal_batches: fsyncs with fsync, record writes
+// without it), files/op the files the data directory gained per commit,
+// and fsyncs/op what making them and the journal durable takes: one per
+// journal fsync, two per pack (file and directory), one per loose
+// object file.
 func BenchmarkCommitDurable(b *testing.B) {
 	for _, syncWrites := range []bool{true, false} {
-		b.Run(fmt.Sprintf("fsync=%t", syncWrites), func(b *testing.B) {
-			dir := b.TempDir()
-			repo, err := versioning.Open("commit-durable", versioning.RepositoryOptions{
-				DataDir:     dir,
-				SyncWrites:  syncWrites,
-				ReplanEvery: -1,
+		for _, committers := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("fsync=%t/committers=%d", syncWrites, committers), func(b *testing.B) {
+				benchCommitDurable(b, syncWrites, committers)
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer repo.Close()
-			ctx := context.Background()
-			rng := rand.New(rand.NewSource(29))
-			doc := benchManifest(200)
-			if _, err := repo.Commit(ctx, versioning.NoParent, doc); err != nil {
-				b.Fatal(err)
-			}
-			next := make([][]string, b.N)
-			for i := range next {
-				doc = benchEdit(rng, doc, i+1, 40)
-				next[i] = doc
-			}
-			files, batches := dataDirFiles(b, dir), repo.Stats().WALBatches
-			b.ResetTimer()
-			for i, lines := range next {
-				if _, err := repo.Commit(ctx, versioning.NodeID(i), lines); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			created, fsyncs := 0, int64(0)
-			if syncWrites {
-				fsyncs = repo.Stats().WALBatches - batches
-			}
-			for f := range dataDirFiles(b, dir) {
-				if files[f] {
-					continue
-				}
-				created++
-				switch filepath.Dir(f) {
-				case "packs":
-					fsyncs += 2
-				case "objects":
-					fsyncs++
-				}
-			}
-			b.ReportMetric(float64(created)/float64(b.N), "files/op")
-			b.ReportMetric(float64(fsyncs)/float64(b.N), "fsyncs/op")
-		})
+		}
 	}
+}
+
+func benchCommitDurable(b *testing.B, syncWrites bool, committers int) {
+	dir := b.TempDir()
+	repo, err := versioning.Open("commit-durable", versioning.RepositoryOptions{
+		DataDir:     dir,
+		SyncWrites:  syncWrites,
+		ReplanEvery: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer repo.Close()
+	ctx := context.Background()
+	roots := make([]versioning.NodeID, committers)
+	chains := make([][][]string, committers)
+	for c := range chains {
+		rng := rand.New(rand.NewSource(29 + int64(c)))
+		doc := benchManifest(200)
+		doc[0] = fmt.Sprintf("committer %d", c)
+		if roots[c], err = repo.Commit(ctx, versioning.NoParent, doc); err != nil {
+			b.Fatal(err)
+		}
+		chains[c] = make([][]string, b.N/committers)
+		if c < b.N%committers {
+			chains[c] = append(chains[c], nil)
+		}
+		for i := range chains[c] {
+			doc = benchEdit(rng, doc, i+1, 40)
+			chains[c][i] = doc
+		}
+	}
+	files, batches := dataDirFiles(b, dir), repo.Stats().WALBatches
+	errs := make(chan error, committers)
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for c, chain := range chains {
+		wg.Add(1)
+		go func(parent versioning.NodeID, chain [][]string) {
+			defer wg.Done()
+			for _, lines := range chain {
+				var err error
+				if parent, err = repo.Commit(ctx, parent, lines); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(roots[c], chain)
+	}
+	wg.Wait()
+	b.StopTimer()
+	close(errs)
+	for err := range errs {
+		b.Fatal(err)
+	}
+	points := repo.Stats().WALBatches - batches
+	created, fsyncs := 0, int64(0)
+	if syncWrites {
+		fsyncs = points
+	}
+	for f := range dataDirFiles(b, dir) {
+		if files[f] {
+			continue
+		}
+		created++
+		switch filepath.Dir(f) {
+		case "packs":
+			fsyncs += 2
+		case "objects":
+			fsyncs++
+		}
+	}
+	b.ReportMetric(float64(points)/float64(b.N), "batches/op")
+	b.ReportMetric(float64(created)/float64(b.N), "files/op")
+	b.ReportMetric(float64(fsyncs)/float64(b.N), "fsyncs/op")
 }
 
 // BenchmarkOpenAfterKill measures versioning.Open on the data directory

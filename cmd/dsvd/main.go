@@ -34,10 +34,10 @@
 // journals, and a restart replays the journals so the full committed
 // history survives a kill. A commit's one durable write is its journal
 // record: the backend keeps the delta in memory and packs it with others
-// later. Concurrent commits share journal writes: one leader writes —
-// and with -fsync, fsyncs — the whole batch while later commits gather
-// for the next, and each is acknowledged only after its batch is
-// durable. Plan
+// later. Each commit writes its record under the commit lock; with
+// -fsync, concurrent commits share fsyncs — one leader syncs every
+// record written so far while later commits gather for the next — and
+// each is acknowledged only after its record is durable. Plan
 // maintenance (the -replan-every re-solve and store migration) runs in a
 // background worker so it never sits on the commit path. SIGINT and
 // SIGTERM trigger a graceful shutdown: in-flight requests drain, then

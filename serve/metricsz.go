@@ -152,9 +152,9 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	for _, row := range repos {
 		e.Histogram("dsv_plan_race_duration_seconds", "Wall time of the portfolio solver race per maintenance pass.", row.st.RaceDurations, row.labels...)
 	}
-	repoCounter("dsv_wal_batches_total", "Group-commit batches written to the journal.", func(st versioning.RepositoryStats) float64 { return float64(st.WALBatches) })
-	repoCounter("dsv_wal_batched_commits_total", "Commits that rode a group-commit batch.", func(st versioning.RepositoryStats) float64 { return float64(st.WALBatchedCommits) })
-	repoGauge("dsv_wal_max_batch", "Largest group-commit batch observed.", func(st versioning.RepositoryStats) float64 { return float64(st.WALMaxBatch) })
+	repoCounter("dsv_wal_batches_total", "Journal durability points: fsyncs with -fsync, record writes without it.", func(st versioning.RepositoryStats) float64 { return float64(st.WALBatches) })
+	repoCounter("dsv_wal_batched_commits_total", "Commits covered by a journal durability point.", func(st versioning.RepositoryStats) float64 { return float64(st.WALBatchedCommits) })
+	repoGauge("dsv_wal_max_batch", "Most commits one journal durability point covered.", func(st versioning.RepositoryStats) float64 { return float64(st.WALMaxBatch) })
 
 	if fs := z.Fleet; fs != nil {
 		e.Gauge("dsv_fleet_tenants", "Namespaces touched since boot.", float64(fs.Tenants))

@@ -66,16 +66,17 @@ type Statsz struct {
 	// validator by a cached GET (/checkout, /diff, /log), whether or not
 	// the response cache is on.
 	NotModified int64 `json:"not_modified"`
-	// Repo is the single repository's full stats — plan costs, WAL
-	// batching (wal_batches/wal_max_batch), maintenance counters, store
-	// cache traffic — in single-repo mode; zero in multi mode.
+	// Repo is the single repository's full stats — plan costs, journal
+	// durability points (wal_batches/wal_max_batch), maintenance
+	// counters, store cache traffic — in single-repo mode; zero in multi
+	// mode.
 	Repo versioning.RepositoryStats `json:"repo"`
 	// Fleet is the aggregate multi-tenant view: open/eviction/quota
 	// counters plus top-k tenants by size and activity.
 	Fleet *tenant.FleetStats `json:"fleet,omitempty"`
 	// Tenants maps every currently open tenant to its full
 	// RepositoryStats — the same per-repo detail Repo carries in
-	// single mode, WAL batching and maintenance counters included.
+	// single mode, journal and maintenance counters included.
 	// Evicted tenants are absent; their last-known sizes live in Fleet.
 	Tenants map[string]versioning.RepositoryStats `json:"tenants,omitempty"`
 }

@@ -196,10 +196,10 @@ func (f *flakyBackend) Put(k store.Key, data []byte) error {
 }
 
 // TestRepositoryFailedCommitRollsBackJournal pins the write-ahead
-// rollback: a commit whose apply fails (backend Put error) must unstage
-// its frame before any batch leader writes it — otherwise the next
-// commit reuses the version id, replay sees a duplicate, and the data
-// dir becomes permanently unopenable.
+// rollback: a commit whose apply fails (backend Put error) must write
+// no journal record — otherwise the next commit reuses the version id,
+// replay sees a duplicate, and the data dir becomes permanently
+// unopenable.
 func TestRepositoryFailedCommitRollsBackJournal(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := store.OpenDiskBackend(dir)
@@ -240,7 +240,7 @@ func TestRepositoryFailedCommitRollsBackJournal(t *testing.T) {
 	}
 	defer r2.Close()
 	if got := r2.Versions(); got != 2 {
-		t.Fatalf("reopened repository has %d versions, want 2 — the unstaged frame leaked into a batch", got)
+		t.Fatalf("reopened repository has %d versions, want 2 — the failed commit's record reached the journal", got)
 	}
 	got, err := r2.Checkout(ctx, 1)
 	if err != nil || !reflect.DeepEqual(got, []string{"v0", "v1-kept"}) {
@@ -512,9 +512,9 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 
 // TestGroupCommitBatching releases concurrent committers together and
 // holds the journal to what no scheduler can break: every acknowledged
-// commit rode exactly one batch, no batch was written for nothing, and a
-// kill right after the last acknowledgment loses none. That a batch
-// really carries several records when they are sealed behind a leader is
+// commit rode exactly one fsync, no fsync was spent on nothing, and a
+// kill right after the last acknowledgment loses none. That one fsync
+// really covers several records when they are written ahead of it is
 // pinned without a timer at the journal layer
 // (TestGroupCommitJournalPrefixReplay).
 func TestGroupCommitBatching(t *testing.T) {
@@ -574,7 +574,7 @@ func TestGroupCommitBatching(t *testing.T) {
 }
 
 // frame is the journal's on-disk framing of one record, written out
-// independently of wal.stage: uvarint payload length, little-endian
+// independently of wal.append: uvarint payload length, little-endian
 // CRC32C of the payload, payload.
 func frame(rec walRecord) []byte {
 	payload := rec.encode()
@@ -584,14 +584,14 @@ func frame(rec walRecord) []byte {
 }
 
 // TestGroupCommitJournalPrefixReplay pins the on-disk contract at the
-// journal layer: a batch is the records' frames back to back, so EVERY
-// byte prefix of a batched journal (a crash can cut a batch
-// anywhere) replays to an in-order prefix of the sealed records — never
-// a hole, a reorder, or a half-record.
+// journal layer: the journal is the records' frames back to back, so
+// EVERY byte prefix of it (a crash can cut it anywhere) replays to an
+// in-order prefix of the appended records — never a hole, a reorder, or
+// a half-record.
 func TestGroupCommitJournalPrefixReplay(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "batched.wal")
-	w, recs, _, err := openWAL(path, false)
+	w, recs, _, err := openWAL(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,13 +608,14 @@ func TestGroupCommitJournalPrefixReplay(t *testing.T) {
 			nodeStorage: Cost(7 * (i + 1)),
 			lines:       []string{fmt.Sprintf("record %d", i), "shared tail"},
 		}
-		w.stage(want[i])
-		w.seal()
+		if _, err := w.append(context.Background(), want[i]); err != nil {
+			t.Fatal(err)
+		}
 		frames = append(frames, frame(want[i])...)
 	}
-	// One leader writes all five records as a single batch: whatever is
-	// sealed when a leader takes the journal rides its one write, with no
-	// timer holding the batch open.
+	// One fsync covers all five records: whatever is written when a
+	// leader takes the journal rides its one sync, with no timer holding
+	// the batch open.
 	if err := w.waitDurable(context.Background(), n); err != nil {
 		t.Fatal(err)
 	}
@@ -644,7 +645,7 @@ func TestGroupCommitJournalPrefixReplay(t *testing.T) {
 		}
 		w2.Close()
 		if len(got) > n {
-			t.Fatalf("cut at %d bytes replayed %d records, more than were sealed", cut, len(got))
+			t.Fatalf("cut at %d bytes replayed %d records, more than were appended", cut, len(got))
 		}
 		for i, rec := range got {
 			if !reflect.DeepEqual(rec, want[i]) {
@@ -662,6 +663,63 @@ func TestGroupCommitJournalPrefixReplay(t *testing.T) {
 	}
 	if prev != n {
 		t.Fatalf("full journal replayed %d records, want %d", prev, n)
+	}
+}
+
+// TestFailedFsyncIsSticky: the journal cannot tell what a failed fsync
+// left on the disk, so the failure is sticky — every later wait and
+// append returns the same error instead of acknowledging on top of it.
+func TestFailedFsyncIsSticky(t *testing.T) {
+	w, _, _, err := openWAL(filepath.Join(t.TempDir(), "sticky.wal"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	seq, err := w.append(ctx, walRecord{v: 0, parent: NoParent, nodeStorage: 2, lines: []string{"v0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.f.Close() // the fsync fails
+	first := w.waitDurable(ctx, seq)
+	if first == nil {
+		t.Fatal("waitDurable over a closed file succeeded")
+	}
+	if err := w.waitDurable(ctx, seq); err != first {
+		t.Fatalf("second waitDurable = %v, want the first failure %v", err, first)
+	}
+	if _, err := w.append(ctx, walRecord{v: 1, parent: NoParent, nodeStorage: 2, lines: []string{"v1"}}); err != first {
+		t.Fatalf("append after a failed fsync = %v, want the first failure %v", err, first)
+	}
+}
+
+// TestWaitAfterCloseAcknowledges: Close syncs every written record, so a
+// commit that wrote before Close and waits after it is acknowledged, and
+// its journal reopens with the record.
+func TestWaitAfterCloseAcknowledges(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "closed.wal")
+	w, _, _, err := openWAL(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rec := walRecord{v: 0, parent: NoParent, nodeStorage: 7, lines: []string{"written", "before close"}}
+	seq, err := w.append(ctx, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.waitDurable(ctx, seq); err != nil {
+		t.Fatalf("waitDurable after Close = %v, want the record acknowledged", err)
+	}
+	w2, recs, truncated, err := openWAL(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2.Close()
+	if len(recs) != 1 || truncated != 0 || !reflect.DeepEqual(recs[0], rec) {
+		t.Fatalf("reopened journal replayed %d records (%d bytes truncated), want the one written before Close", len(recs), truncated)
 	}
 }
 

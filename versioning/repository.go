@@ -78,10 +78,11 @@ type RepositoryOptions struct {
 	// Close. Off, a process kill loses nothing (the OS has the bytes); a
 	// machine crash may lose the most recent commits.
 	SyncWrites bool
-	// GroupCommit has no effect: every durable commit rides a journal
-	// batch (see wal) and is acknowledged only after its batch is durable;
-	// a batch write failure closes the repository for writes. The field
-	// stays because benchmark/stack.go sets it (ROADMAP item 7h).
+	// GroupCommit has no effect: every durable commit is acknowledged
+	// only after its journal record is durable, and with SyncWrites
+	// concurrent commits share one fsync (see wal); a failed journal
+	// write or fsync closes the repository for writes. The field stays
+	// because benchmark/stack.go sets it (ROADMAP item 7h).
 	GroupCommit bool
 	// MaintenanceWorkers sets where plan maintenance (the ReplanEvery
 	// re-solve + store migration) runs. 0 or positive: in one background
@@ -116,10 +117,11 @@ type RepositoryOptions struct {
 // proceeds concurrently with even the longest re-plan. Commit computes
 // its Myers diffs before taking commitMu and waits for journal
 // durability after releasing it, so concurrent commits only serialize
-// on the short id-assign/stage/apply step; re-plans run in a background
-// maintenance worker (see maintenance.go) and only take commitMu for
-// the store migration and publication. Returned and committed line
-// slices are shared with the cache: callers must not modify them.
+// on the short id-assign/apply/journal-write step; re-plans run in a
+// background maintenance worker (see maintenance.go) and only take
+// commitMu for the store migration and publication. Returned and
+// committed line slices are shared with the cache: callers must not
+// modify them.
 type Repository struct {
 	opt   RepositoryOptions
 	st    *store.Store
@@ -337,11 +339,11 @@ func (r *Repository) Versions() int {
 // The commit pipeline is three phases. Diffing runs before commitMu:
 // version contents are immutable and ids only grow, so the parent read
 // here is still exact inside the critical section. Under commitMu the
-// version id is assigned, the journal record staged, and the store and
-// serving state updated. Durability (waiting for the record's journal
-// batch) happens after the lock is released, so concurrent commits
-// overlap their diffs and fsyncs and only serialize on the short middle
-// step.
+// version id is assigned, the store and serving state updated, and the
+// journal record written. Durability (waiting for an fsync that covers
+// the record) happens after the lock is released, so concurrent commits
+// overlap their diffs and share fsyncs and only serialize on the short
+// middle step.
 func (r *Repository) Commit(ctx context.Context, parent NodeID, lines []string) (NodeID, error) {
 	if parent == NoParent {
 		return r.commit(ctx, nil, lines)
@@ -418,23 +420,34 @@ func (r *Repository) commit(ctx context.Context, parents []NodeID, lines []strin
 	// r.g is stable here: mutations require commitMu, which we hold.
 	v := NodeID(r.g.N())
 	rec.v = v
-	var apply func() error
+	_, asp := trace.StartSpan(ctx, "commit.apply")
+	var err error
 	if parent == NoParent {
-		apply = func() error { return r.applyRoot(v, lines, rec.nodeStorage) }
+		err = r.applyRoot(v, lines, rec.nodeStorage)
 	} else {
-		apply = func() error { return r.applyChild(v, parent, rec.delta, lines, rec) }
+		err = r.applyChild(v, parent, rec.delta, lines, rec)
 	}
-	wait, err := r.commitJournaled(ctx, rec, apply)
-	r.commitMu.Unlock()
+	asp.End()
 	if err != nil {
+		r.commitMu.Unlock()
 		return 0, err
 	}
-	if wait != nil {
-		if err := wait(); err != nil {
-			// The batch write failed after the version was applied: the
-			// journal and the live state may diverge, so the repository
-			// closes itself rather than acknowledge commits it cannot
-			// prove durable. Reads keep serving.
+	if r.wal == nil {
+		r.commitMu.Unlock()
+	} else {
+		// The record is written only once apply succeeded, so a failed
+		// commit leaves no ghost in the journal (a duplicate version id
+		// would make replay reject the whole journal).
+		seq, err := r.wal.append(ctx, rec)
+		r.commitMu.Unlock()
+		if err == nil {
+			err = r.wal.waitDurable(ctx, seq)
+		}
+		if err != nil {
+			// The version is applied but its record may not be durable:
+			// the journal and the live state may diverge, so the repository
+			// closes itself rather than acknowledge commits it cannot prove
+			// durable. Reads keep serving.
 			r.Close()
 			return 0, fmt.Errorf("versioning: journaling commit %d: %w (repository closed)", v, err)
 		}
@@ -443,32 +456,6 @@ func (r *Repository) commit(ctx context.Context, parents []NodeID, lines []strin
 	r.maybeReplan(ctx)
 	mspan.End()
 	return v, nil
-}
-
-// commitJournaled runs one commit write-ahead under commitMu: the
-// journal record is staged before apply runs and sealed after it, so an
-// acknowledged commit is always recoverable; if apply fails the staged
-// frame — never written — is discarded in memory, so a failed commit
-// leaves no ghost in the journal (a duplicate version id would make
-// replay reject the whole journal). The returned wait function blocks
-// until the record's batch is durable; callers must invoke it after
-// releasing commitMu. It is nil for a repository without a journal.
-func (r *Repository) commitJournaled(ctx context.Context, rec walRecord, apply func() error) (wait func() error, err error) {
-	applySpanned := func() error {
-		_, sp := trace.StartSpan(ctx, "commit.apply")
-		defer sp.End()
-		return apply()
-	}
-	if r.wal == nil {
-		return nil, applySpanned()
-	}
-	frame := r.wal.stage(rec)
-	if err := applySpanned(); err != nil {
-		r.wal.unstage(frame)
-		return nil, err
-	}
-	seq := r.wal.seal()
-	return func() error { return r.wal.waitDurable(ctx, seq) }, nil
 }
 
 // applyRoot publishes root version v with the given content; commitMu is
@@ -645,9 +632,10 @@ type RepositoryStats struct {
 	// consumers (/metricsz renders it as a Prometheus histogram).
 	RaceLatency   *metrics.LatencySummary `json:"race_latency_us,omitempty"`
 	RaceDurations metrics.Snapshot        `json:"-"`
-	// Journal batching (zero without DataDir): batches written, commits
-	// that rode them, and the largest batch observed.
-	// batched_commits / batches is the mean fsync amortization.
+	// Journal durability points (zero without DataDir): fsyncs with
+	// SyncWrites, record writes without it; the commits they covered; and
+	// the most commits one covered. batched_commits / batches is the mean
+	// fsync amortization.
 	WALBatches        int64 `json:"wal_batches,omitempty"`
 	WALBatchedCommits int64 `json:"wal_batched_commits,omitempty"`
 	WALMaxBatch       int64 `json:"wal_max_batch,omitempty"`

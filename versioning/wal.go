@@ -176,134 +176,113 @@ func walUvarint(b []byte) (uint64, []byte, error) {
 
 // wal is an append-only commit journal open for writing.
 //
-// Every write is a batch (stage/seal/unstage/waitDurable): each committer
-// stages its framed record into a shared in-memory buffer, and the first
-// committer to need durability becomes the batch leader — it writes (and,
-// in fsync mode, syncs) every sealed record in one syscall while later
-// committers ride the next batch. A lone committer finds no flush in
-// progress, leads, and writes its one record. A batch on disk is
-// indistinguishable from the same records written one by one, so a crash
-// tears at most the final record of the final batch, and replay
-// (openWAL) serves the longest intact prefix.
+// The repository appends each record under commitMu once the commit
+// has applied, as one Write, so records reach the file in version order
+// and a failed commit writes nothing. Only the fsync is shared
+// (waitDurable): the first committer to need one syncs every record
+// written so far while later committers ride the next sync. A crash
+// tears at most the final record, and replay (openWAL) serves the
+// longest intact prefix.
 type wal struct {
 	f    *os.File
-	sync bool // fsync every batch (otherwise only on Close)
+	sync bool // fsync before a commit is acknowledged (otherwise only on Close)
 
-	// Staging and sealing are additionally serialized by the repository's
-	// commitMu, so the pending buffer is always a sealed prefix plus at
-	// most one unsealed tail frame (the commit currently applying).
-	mu         sync.Mutex
-	cond       *sync.Cond
-	pend       []byte // staged frames not yet written
-	sealedLen  int    // bytes of pend that are sealed (flushable)
-	sealedRecs int    // records inside the sealed prefix
-	sealedSeq  uint64 // total records ever sealed (durability sequence)
-	durableSeq uint64 // total records written (+synced in fsync mode)
-	flushing   bool   // a leader is writing; followers wait on cond
-	failed     error  // sticky batch-write failure: the journal is poisoned
+	mu      sync.Mutex
+	cond    *sync.Cond
+	written uint64 // records written to f
+	synced  uint64 // records covered by a finished fsync
+	syncing bool   // a leader is at fsync; other waiters wait on cond
+	failed  error  // sticky write or fsync failure: the journal is poisoned
 
-	batches     atomic.Int64 // completed non-empty batch writes
-	batchedRecs atomic.Int64 // records written through batches
-	maxBatch    atomic.Int64 // largest batch (records)
+	// Durability points: fsyncs with sync, record writes without it.
+	batches     atomic.Int64 // durability points reached
+	batchedRecs atomic.Int64 // records they covered
+	maxBatch    atomic.Int64 // most records one of them covered
 }
 
-// stage appends rec's framed bytes to the pending batch without sealing
-// them, returning the frame length for a possible unstage. The record
-// is invisible to leaders until seal.
-func (w *wal) stage(rec walRecord) int {
+// append frames rec and writes it as one Write, returning the sequence
+// number to waitDurable on. A failure is sticky: the journal cannot tell
+// which bytes reached the file, so it refuses every later write.
+func (w *wal) append(ctx context.Context, rec walRecord) (uint64, error) {
 	payload := rec.encode()
 	buf := binary.AppendUvarint(nil, uint64(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
 	buf = append(buf, payload...)
 	w.mu.Lock()
-	w.pend = append(w.pend, buf...)
-	w.mu.Unlock()
-	return len(buf)
+	defer w.mu.Unlock()
+	if w.failed != nil {
+		return 0, w.failed
+	}
+	_, span := trace.StartSpan(ctx, "wal.write")
+	_, err := w.f.Write(buf)
+	span.End()
+	if err != nil {
+		w.failed = fmt.Errorf("versioning: writing journal record: %w", err)
+		return 0, w.failed
+	}
+	w.written++
+	if !w.sync {
+		w.count(1)
+	}
+	return w.written, nil
 }
 
-// seal marks the staged tail frame flushable and returns the sequence
-// number the committer must waitDurable on.
-func (w *wal) seal() uint64 {
-	w.mu.Lock()
-	w.sealedLen = len(w.pend)
-	w.sealedRecs++
-	w.sealedSeq++
-	seq := w.sealedSeq
-	w.mu.Unlock()
-	return seq
-}
-
-// unstage discards the unsealed tail frame after a failed apply: the
-// bytes never reached the file (leaders only write the sealed prefix),
-// so rolling back a failed commit is purely in-memory and cannot itself
-// fail.
-func (w *wal) unstage(frameLen int) {
-	w.mu.Lock()
-	w.pend = w.pend[:len(w.pend)-frameLen]
-	w.mu.Unlock()
-}
-
-// waitDurable blocks until sealed record seq is written (and fsynced,
-// in fsync mode). The first waiter that finds no flush in progress
-// becomes the leader and writes the whole sealed batch; everyone else
-// waits for a leader's broadcast. A write failure is sticky: the
-// journal cannot tell which bytes of a torn batch reached the disk, so
-// it refuses all further writes and every waiter gets the error.
+// waitDurable blocks until record seq is fsynced; without sync it
+// returns at once. The first waiter that finds no fsync in progress
+// leads one for every record written so far; everyone else waits for a
+// leader's broadcast. A failed fsync is sticky.
 func (w *wal) waitDurable(ctx context.Context, seq uint64) error {
+	if !w.sync {
+		return nil
+	}
 	_, span := trace.StartSpan(ctx, "wal.wait")
 	defer span.End()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.durableSeq < seq {
+	for w.synced < seq {
 		if w.failed != nil {
 			return w.failed
 		}
-		if w.flushing {
+		if w.syncing {
 			w.cond.Wait()
 			continue
 		}
-		w.flushLocked(ctx)
+		w.syncing = true
+		upto := w.written
+		// w.mu is released across the fsync, so commits keep appending
+		// while the leader is at the syscall: that wait, not a timer, is
+		// what fills the next sync.
+		w.mu.Unlock()
+		_, ssp := trace.StartSpan(ctx, "wal.fsync")
+		err := w.f.Sync()
+		ssp.End()
+		w.mu.Lock()
+		w.syncing = false
+		if err != nil {
+			w.failed = fmt.Errorf("versioning: syncing journal: %w", err)
+		} else {
+			w.markSynced(upto)
+		}
+		w.cond.Broadcast()
 	}
 	return nil
 }
 
-// flushLocked writes the sealed batch as one syscall. w.mu is held on
-// entry and exit but released across the file I/O, so commits keep
-// staging (and sealing into the next batch) while the leader is at the
-// syscall: that wait, not a timer, is what fills a batch.
-func (w *wal) flushLocked(ctx context.Context) {
-	w.flushing = true
-	buf := w.pend[:w.sealedLen:w.sealedLen]
-	recs := w.sealedRecs
-	rest := w.pend[w.sealedLen:]
-	w.pend = append([]byte(nil), rest...)
-	w.sealedLen = 0
-	w.sealedRecs = 0
-	w.mu.Unlock()
-	var err error
-	if len(buf) > 0 {
-		_, wsp := trace.StartSpan(ctx, "wal.write")
-		_, err = w.f.Write(buf)
-		wsp.End()
-		if err == nil && w.sync {
-			_, ssp := trace.StartSpan(ctx, "wal.fsync")
-			err = w.f.Sync()
-			ssp.End()
-		}
+// markSynced records an fsync that covered every record up to upto.
+func (w *wal) markSynced(upto uint64) {
+	if w.sync && upto > w.synced {
+		w.count(upto - w.synced)
 	}
-	w.mu.Lock()
-	w.flushing = false
-	if err != nil {
-		w.failed = fmt.Errorf("versioning: writing journal batch: %w", err)
-	} else if recs > 0 {
-		w.durableSeq += uint64(recs)
-		w.batches.Add(1)
-		w.batchedRecs.Add(int64(recs))
-		if int64(recs) > w.maxBatch.Load() {
-			w.maxBatch.Store(int64(recs))
-		}
+	w.synced = upto
+}
+
+// count records one durability point covering recs records.
+func (w *wal) count(recs uint64) {
+	w.batches.Add(1)
+	w.batchedRecs.Add(int64(recs))
+	if int64(recs) > w.maxBatch.Load() {
+		w.maxBatch.Store(int64(recs))
 	}
-	w.cond.Broadcast()
 }
 
 // openWAL opens (creating if needed) the journal at path, returns every
@@ -379,25 +358,26 @@ func openWAL(path string, syncEvery bool) (w *wal, recs []walRecord, truncated i
 	return w, recs, truncated, nil
 }
 
-// Close writes out any sealed batch, then syncs and closes the journal
-// (commits are already excluded by the repository's closed flag, so
-// nothing new can stage underneath).
+// Close waits out an fsync in flight, syncs and closes the journal, and
+// marks every written record synced, so a commit that wrote before Close
+// and waits after it is still acknowledged (commits are already excluded
+// by the repository's closed flag, so nothing new appends underneath).
 func (w *wal) Close() error {
 	w.mu.Lock()
-	for w.failed == nil && (w.flushing || w.sealedLen > 0) {
-		if w.flushing {
-			w.cond.Wait()
-			continue
-		}
-		w.flushLocked(context.Background())
+	defer w.mu.Unlock()
+	for w.syncing {
+		w.cond.Wait()
 	}
-	ferr := w.failed
-	w.mu.Unlock()
-	if ferr != nil {
+	if w.failed != nil {
 		w.f.Close()
-		return ferr
+		return w.failed
 	}
 	err := w.f.Sync()
+	if err != nil {
+		w.failed = fmt.Errorf("versioning: syncing journal: %w", err)
+	} else {
+		w.markSynced(w.written)
+	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}

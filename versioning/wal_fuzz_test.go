@@ -18,17 +18,18 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(walMagic)
 	f.Add(append(append([]byte{}, walMagic...), 0xff, 0xff, 0xff, 0xff, 0xff))
 	// written builds a seed journal the way commits do: every record
-	// staged and sealed, one leader writing them as a single batch.
+	// appended, one fsync covering them all.
 	seedDir := f.TempDir()
 	written := func(name string, recs ...walRecord) []byte {
 		path := filepath.Join(seedDir, name)
-		w, _, _, err := openWAL(path, false)
+		w, _, _, err := openWAL(path, true)
 		if err != nil {
 			f.Fatal(err)
 		}
 		for _, rec := range recs {
-			w.stage(rec)
-			w.seal()
+			if _, err := w.append(context.Background(), rec); err != nil {
+				f.Fatal(err)
+			}
 		}
 		if err := w.waitDurable(context.Background(), uint64(len(recs))); err != nil {
 			f.Fatal(err)
