@@ -276,7 +276,7 @@ func BenchmarkDPMSR_Replan(b *testing.B) {
 
 // --- portfolio-engine benchmarks ---
 
-// BenchmarkPortfolio_MSRRace measures one full MSR race (LMG, LMG-All,
+// BenchmarkPortfolio_MSRRace measures one full MSR race (LMG-All and
 // DP-MSR concurrently).
 func BenchmarkPortfolio_MSRRace(b *testing.B) {
 	g := styleguideScaled()

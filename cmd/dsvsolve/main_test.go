@@ -17,7 +17,7 @@ import (
 
 // algorithms maps the registry's families to the public constants.
 var algorithms = map[string]versioning.Algorithm{
-	"auto": versioning.Auto, "lmg": versioning.AlgLMG, "lmg-all": versioning.AlgLMGAll,
+	"auto": versioning.Auto, "lmg-all": versioning.AlgLMGAll,
 	"dp": versioning.AlgDPTree, "mp": versioning.AlgMP,
 }
 
@@ -131,8 +131,8 @@ func TestAlgoSelectsTheRegistryMember(t *testing.T) {
 }
 
 // TestUnknownFamilyNamesTheOffer checks a family that does not solve the
-// problem is an error listing the ones that do: mp for BSR, and ilp,
-// which no regime has.
+// problem is an error listing the ones that do: mp for BSR, and ilp
+// and lmg, which no regime has.
 func TestUnknownFamilyNamesTheOffer(t *testing.T) {
 	path, _, constraint := fixture(t)
 	for _, tc := range []struct {
@@ -141,7 +141,8 @@ func TestUnknownFamilyNamesTheOffer(t *testing.T) {
 	}{
 		{core.ProblemBSR, "bogus", "dp, lmg-all"},
 		{core.ProblemBSR, "mp", "dp, lmg-all"},
-		{core.ProblemMSR, "ilp", "lmg, lmg-all, dp"},
+		{core.ProblemMSR, "ilp", "lmg-all, dp"},
+		{core.ProblemMSR, "lmg", "lmg-all, dp"},
 	} {
 		_, err := dsvsolve("-in", path, "-problem", tc.problem.String(), "-constraint", fmt.Sprint(constraint[tc.problem]), "-algo", tc.algo)
 		if err == nil || !strings.Contains(err.Error(), tc.offer) {

@@ -1,6 +1,6 @@
 // Quickstart: build the paper's Figure 1 version graph by hand, inspect
 // the trivial plans (materialize everything vs. minimum storage), and
-// solve MinSum Retrieval under a storage budget with three algorithms.
+// solve MinSum Retrieval under a storage budget with two algorithms.
 package main
 
 import (
@@ -43,7 +43,6 @@ func main() {
 		name string
 		algo versioning.Algorithm
 	}{
-		{"LMG (VLDB'15 baseline)", versioning.AlgLMG},
 		{"LMG-All (Section 6.1)", versioning.AlgLMGAll},
 		{"DP-MSR (Section 6.2)", versioning.AlgDPTree},
 	} {

@@ -116,8 +116,8 @@ type minStorageOnce struct {
 
 // WithMinStorage returns ctx carrying g's MSA, computed on the first
 // MinStorageOf(ctx, g) and shared by every one after: a plan pass
-// computes it once for its automatic constraint and for the race's LMG
-// and LMG-All, and a Lemma 7 lift once for all its probes. It lives as
+// computes it once for its automatic constraint and for the race's
+// LMG-All, and a Lemma 7 lift once for all its probes. It lives as
 // long as ctx. If ctx already carries g's, WithMinStorage returns ctx.
 func WithMinStorage(ctx context.Context, g *graph.Graph) context.Context {
 	if h, ok := ctx.Value(minStorageKey{}).(*minStorageOnce); ok && h.g == g {

@@ -20,7 +20,7 @@ var ErrNoArborescence = errors.New("graphalg: no spanning arborescence exists")
 // G_aux rooted at v_aux w.r.t. weight function s").
 //
 // A re-plan runs it twice on graphs of the history's size: once for the
-// min-storage arborescence its constraint, LMG and LMG-All share
+// min-storage arborescence its constraint and LMG-All share
 // (core.WithMinStorage), and once for DP-MSR's spanning tree. The
 // contraction levels share their memory: one edge list contracted in
 // place and one block of scratch, with a level keeping only what its

@@ -60,8 +60,8 @@ func checkReport(t *testing.T, iter int, problem core.Problem, constraint graph.
 	}
 }
 
-// TestDifferentialMSR cross-checks LMG, LMG-All and DP-MSR against the
-// bruteforce MSR optimum on seeded random graphs.
+// TestDifferentialMSR cross-checks the MSR race's members, LMG-All and
+// DP-MSR, against the bruteforce MSR optimum on seeded random graphs.
 func TestDifferentialMSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	e := New(Options{})

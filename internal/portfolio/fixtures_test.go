@@ -8,6 +8,7 @@ import (
 	"repro/internal/bruteforce"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/lmg"
 	"repro/internal/reductions"
 )
 
@@ -15,8 +16,9 @@ import (
 // hardness constructions (Section 3): every member's plan is valid and
 // within the constraint, the winner is the best of the reports and never
 // beats the exact optimum. On Theorem 1's chains both greedies end a
-// factor c/b from the optimum and DP-MSR — the chain is a tree — is the
-// member that rescues the race.
+// factor c/b from the optimum (LMG, which the race does not run, called
+// on its own) and DP-MSR — the chain is a tree — is the member that
+// rescues the race.
 func TestAdversarialFixtures(t *testing.T) {
 	type fixture struct {
 		name       string
@@ -87,6 +89,11 @@ func TestAdversarialFixtures(t *testing.T) {
 			if f.gap == 0 {
 				return
 			}
+			l, err := lmg.LMG(ctx, f.g, f.constraint)
+			if err != nil {
+				t.Fatalf("LMG: %v", err)
+			}
+			objective["LMG"] = l.Cost.SumRetrieval
 			for _, greedy := range []string{"LMG", "LMG-All"} {
 				if objective[greedy] != f.gap*exact {
 					t.Errorf("%s ends at Σ R = %d, want c/b = %d times the optimum %d", greedy, objective[greedy], f.gap, exact)

@@ -1,6 +1,6 @@
 // Package portfolio holds the paper's solver line-up and races it. The
 // registry (DefaultRegistry) is the one place that says which solver
-// families (LMG, LMG-All, DP-MSR, DP-BMR, MP, and their Lemma 7 lifts)
+// families (LMG-All, DP-MSR, DP-BMR, MP, and their Lemma 7 lifts)
 // answer which of the four problem regimes and under which report name;
 // Member picks one of them by family for the one-shot callers
 // (versioning.SolveXXX, cmd/dsvsolve). The Engine is the runtime
@@ -96,8 +96,8 @@ func (e *Engine) Solve(ctx context.Context, g *graph.Graph, problem core.Problem
 	if len(solvers) == 0 {
 		return Result{}, fmt.Errorf("portfolio: no registered solver for %s", problem)
 	}
-	// The race's LMG and LMG-All, and every probe of a Lemma 7 lift,
-	// start from one min-storage arborescence.
+	// The race's LMG-All, and every probe of a Lemma 7 lift, start from
+	// one min-storage arborescence.
 	return e.race(core.WithMinStorage(ctx, g), solvers, g, problem, constraint)
 }
 

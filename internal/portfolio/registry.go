@@ -13,21 +13,21 @@ import (
 )
 
 // DefaultRegistry is the one declaration of the paper's serving line-up
-// (Section 7): LMG, LMG-All and DP-MSR for MSR; MP and DP-BMR for BMR;
+// (Section 7): LMG-All and DP-MSR for MSR; MP and DP-BMR for BMR;
 // the Lemma 7 binary-search lifts of the BMR members for MMR and of
 // DP-MSR and LMG-All for BSR; and the polynomial MST/SPT baselines for
 // the unconstrained problems. The engine races a problem's members in
-// this order; Member picks one of them by family.
+// this order; Member picks one of them by family. LMG is not raced: it
+// never beats the MSR winner (TestLMGNeverBeatsTheMSRRace).
 // Every member returns core.Solution and reports a constraint it cannot
-// meet as core.ErrInfeasible, so LMG, LMG-All and DP-BMR are listed as
-// they are; a closure is left only where a member needs options
-// (DP-MSR, at dptree.DefaultMSROptions), takes no context (MP) or takes
-// no constraint (the baselines). The tree DPs and SPT root at version 0.
+// meet as core.ErrInfeasible, so LMG-All and DP-BMR are listed as they
+// are; a closure is left only where a member needs options (DP-MSR, at
+// dptree.DefaultMSROptions), takes no context (MP) or takes no
+// constraint (the baselines). The tree DPs and SPT root at version 0.
 // Every call builds its own table, so no caller shares another's.
 func DefaultRegistry(p core.Problem) []Solver {
 	dpOpts := dptree.DefaultMSROptions()
 
-	lmgS := Solver{Name: "LMG", Family: "lmg", Solve: lmg.LMG}
 	lmgAllS := Solver{Name: "LMG-All", Family: "lmg-all", Solve: lmg.LMGAll}
 	dpMSR := Solver{Name: "DP-MSR", Family: "dp", Solve: func(ctx context.Context, g *graph.Graph, s graph.Cost) (core.Solution, error) {
 		return dptree.MSROnGraph(ctx, g, s, dpOpts)
@@ -60,7 +60,7 @@ func DefaultRegistry(p core.Problem) []Solver {
 		core.ProblemSPT: {{Name: "SPT", Solve: func(_ context.Context, g *graph.Graph, _ graph.Cost) (core.Solution, error) {
 			return core.SPT(g, 0)
 		}}},
-		core.ProblemMSR: {lmgS, lmgAllS, dpMSR},
+		core.ProblemMSR: {lmgAllS, dpMSR},
 		core.ProblemBMR: {mpS, dpBMR},
 		core.ProblemMMR: {lift(mpS, core.MMRViaBMR), lift(dpBMR, core.MMRViaBMR)},
 		core.ProblemBSR: {lift(dpMSR, core.BSRViaMSR), lift(lmgAllS, core.BSRViaMSR)},

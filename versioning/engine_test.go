@@ -54,24 +54,40 @@ func TestEngineRacesPortfolios(t *testing.T) {
 	}
 }
 
-// TestEngineRacesTheServingLineUp pins the MSR race to the paper's
-// serving line-up: LMG, LMG-All and DP-MSR, the only families Member
-// resolves for MSR.
+// TestEngineRacesTheServingLineUp pins every regime's race to the
+// paper's serving line-up, by report name: LMG-All and DP-MSR for MSR,
+// MP and DP-BMR for BMR, and the Lemma 7 lifts for MMR and BSR. LMG is
+// not raced, and Member names what MSR has for a family it lacks.
 func TestEngineRacesTheServingLineUp(t *testing.T) {
 	g := engineTestGraph()
-	res, err := NewEngine(EngineOptions{SolverTimeout: time.Second}).Solve(context.Background(), g, ProblemMSR, g.TotalNodeStorage()/2)
-	if err != nil {
-		t.Fatal(err)
+	e := NewEngine(EngineOptions{SolverTimeout: time.Second})
+	total := g.TotalNodeStorage()
+	for _, tc := range []struct {
+		problem    Problem
+		constraint Cost
+		want       []string
+	}{
+		{ProblemMSR, total / 2, []string{"LMG-All", "DP-MSR"}},
+		{ProblemBMR, g.MaxEdgeRetrieval() * 2, []string{"MP", "DP-BMR"}},
+		{ProblemMMR, total / 2, []string{"MP+L7", "DP-BMR+L7"}},
+		{ProblemBSR, total, []string{"DP-MSR+L7", "LMG-All+L7"}},
+	} {
+		res, err := e.Solve(context.Background(), g, tc.problem, tc.constraint)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.problem, err)
+		}
+		var raced []string
+		for _, r := range res.Reports {
+			raced = append(raced, r.Solver)
+		}
+		if !reflect.DeepEqual(raced, tc.want) {
+			t.Errorf("%s race ran %v, want %v", tc.problem, raced, tc.want)
+		}
 	}
-	var raced []string
-	for _, r := range res.Reports {
-		raced = append(raced, r.Solver)
-	}
-	if want := []string{"LMG", "LMG-All", "DP-MSR"}; !reflect.DeepEqual(raced, want) {
-		t.Fatalf("MSR race ran %v, want %v", raced, want)
-	}
-	if _, err := portfolio.Member(ProblemMSR, "ilp"); err == nil || !strings.Contains(err.Error(), "lmg, lmg-all, dp") {
-		t.Fatalf("Member(MSR, ilp) err = %v, want one naming lmg, lmg-all, dp", err)
+	for _, family := range []string{"ilp", "lmg"} {
+		if _, err := portfolio.Member(ProblemMSR, family); err == nil || !strings.Contains(err.Error(), "(have lmg-all, dp)") {
+			t.Errorf("Member(MSR, %s) err = %v, want one naming lmg-all, dp", family, err)
+		}
 	}
 }
 

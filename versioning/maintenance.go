@@ -348,7 +348,7 @@ func (r *Repository) replanAndInstall(ctx context.Context, trigger string) error
 func decide(ctx context.Context, snap *Graph, opt RepositoryOptions, solve func(context.Context, *Graph, Problem, Cost) (PortfolioResult, error)) (*Plan, PlanRecord, error) {
 	rec := PlanRecord{Versions: snap.N(), Deltas: snap.M(), Problem: opt.Problem.String()}
 	// One min-storage arborescence serves the whole decision: the
-	// automatic constraint and the race's LMG and LMG-All start from it.
+	// automatic constraint and the race's LMG-All start from it.
 	ctx = core.WithMinStorage(ctx, snap)
 	start := time.Now()
 	constraint, err := constraintFor(ctx, snap, opt)

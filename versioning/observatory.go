@@ -93,7 +93,7 @@ type PlanRecord struct {
 
 	// ConstraintUS is the pass's storage constraint (constraintFor): for
 	// an automatic one, the min-storage arborescence, which the race's
-	// LMG and LMG-All then start from. SolveUS is the solver race,
+	// LMG-All then starts from. SolveUS is the solver race,
 	// PreloadUS the checkouts of the PreloadVersions contents the
 	// migration needed, run between the race and the install step; with
 	// MigrationUS they account for TotalUS up to snapshot and

@@ -14,10 +14,10 @@
 //   - BSR — minimize storage under a total-retrieval budget,
 //   - BMR — minimize storage under a maximum-retrieval budget,
 //
-// using the paper's algorithms: the LMG baseline, the LMG-All greedy, the
-// DP-MSR and DP-BMR tree dynamic programs applied through spanning-tree
-// extraction, the MP baseline, and binary-search reductions between the
-// bounded and min variants (Lemma 7).
+// using the paper's algorithms: the LMG-All greedy, the DP-MSR and DP-BMR
+// tree dynamic programs applied through spanning-tree extraction, the MP
+// baseline, and binary-search reductions between the bounded and min
+// variants (Lemma 7).
 //
 // Quick start:
 //
@@ -106,7 +106,6 @@ type Algorithm int
 // BMR/MMR/BSR.
 const (
 	Auto Algorithm = iota
-	AlgLMG
 	AlgLMGAll
 	AlgDPTree
 	AlgMP
@@ -114,7 +113,7 @@ const (
 
 // family is the name the registry knows the algorithm by.
 func (a Algorithm) family() string {
-	names := [...]string{"auto", "lmg", "lmg-all", "dp", "mp"}
+	names := [...]string{"auto", "lmg-all", "dp", "mp"}
 	if a < 0 || int(a) >= len(names) {
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}

@@ -16,7 +16,7 @@ func TestQuickstartFlow(t *testing.T) {
 	g.AddBiEdge(v0, v1, 50, 60)
 	g.AddBiEdge(v1, v2, 40, 45)
 
-	for _, algo := range []Algorithm{Auto, AlgLMG, AlgLMGAll, AlgDPTree} {
+	for _, algo := range []Algorithm{Auto, AlgLMGAll, AlgDPTree} {
 		sol, err := SolveMSR(g, 1500, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatalf("algo %d: %v", algo, err)
