@@ -61,6 +61,7 @@ FUZZTIME ?= 30s
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzJSONRoundTrip -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run='^$$' -fuzz=FuzzMinArborescenceMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/graphalg
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./versioning
 	$(GO) test -run='^$$' -fuzz=FuzzManifestDiff -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./versioning
 	$(GO) test -run='^$$' -fuzz=FuzzTenantName -fuzztime=$(FUZZTIME) ./tenant

@@ -131,15 +131,46 @@ func styleguideScaled() *graph.Graph {
 }
 
 // BenchmarkEdmonds measures the minimum-arborescence substrate every
-// heuristic initializes from.
+// heuristic initializes from, on the extended graph with storage weights:
+// styleguide's profile at 250 commits, and a fork-heavy history of 2,000
+// versions (forkGraph), whose contraction nests a cycle per level.
 func BenchmarkEdmonds(b *testing.B) {
-	x := graph.Extend(styleguideScaled())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := graphalg.MinArborescence(x.Graph, x.Aux, graphalg.StorageWeight); err != nil {
-			b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		g    func() *graph.Graph
+	}{
+		{"graph=styleguide", styleguideScaled},
+		{"graph=fork/versions=2000", func() *graph.Graph { return forkGraph(2000) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			x := graph.Extend(c.g())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := graphalg.MinArborescence(x.Graph, x.Aux, graphalg.StorageWeight); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// forkGraph is the version graph a repository builds from the fork-heavy
+// history of the given size (replanPassCase.history with fork set): each
+// version costs its byte size stored whole, and each commit adds the
+// Myers deltas to and from its parent.
+func forkGraph(versions int) *graph.Graph {
+	parents, contents := replanPassCase{versions: versions, lines: 200, edits: 10, fork: true}.history()
+	g := graph.New("fork")
+	for v, lines := range contents {
+		g.AddNode(diff.ByteSize(lines))
+		if p := parents[v]; p != versioning.NoParent {
+			fwd, rev := diff.Compute(contents[p], lines).StorageCost(), diff.Compute(lines, contents[p]).StorageCost()
+			g.AddEdge(p, graph.NodeID(v), fwd, fwd)
+			g.AddEdge(graph.NodeID(v), p, rev, rev)
 		}
 	}
+	return g
 }
 
 // BenchmarkLMG measures Algorithm 1 on the five Table 4 profiles at
@@ -1024,16 +1055,23 @@ func benchCommitEdit(b *testing.B, repo *versioning.Repository, rng *rand.Rand, 
 
 // replanPassCase is a repository BenchmarkReplanPass re-plans: versions
 // commits of a lines-line manifest, edits lines each, behind a cache of
-// cacheEntries versions (-1: none).
+// cacheEntries versions (-1: none). A fork history is shaped like the
+// busiest tenant of the repository benchmark's fleet-write: a chain of
+// forkChain versions, then children of its last seven, the later ones
+// likelier, each rewriting 1 to edits lines.
 type replanPassCase struct {
 	name                   string
 	versions, lines, edits int
 	cacheEntries           int
+	fork                   bool
 }
 
+const forkChain = 8
+
 var replanPassCases = []replanPassCase{
-	{"versions=64/lines=4000", 64, 4000, 40, 16},
-	{"versions=800/lines=30", 800, 30, 2, -1},
+	{"versions=64/lines=4000", 64, 4000, 40, 16, false},
+	{"versions=800/lines=30", 800, 30, 2, -1, false},
+	{"versions=600/lines=200/fork", 600, 200, 10, 16, true},
 }
 
 // history returns the case's commits, each version's parent and
@@ -1042,8 +1080,20 @@ func (c replanPassCase) history() ([]versioning.NodeID, [][]string) {
 	rng := rand.New(rand.NewSource(17))
 	parents := []versioning.NodeID{versioning.NoParent}
 	contents := [][]string{benchManifest(c.lines)}
+	fork := rand.NewZipf(rng, 1.2, 1, forkChain-2)
 	for len(contents) < c.versions {
-		p, next := benchNextVersion(rng, contents, c.edits)
+		var p int
+		var next []string
+		switch {
+		case !c.fork:
+			p, next = benchNextVersion(rng, contents, c.edits)
+		case len(contents) < forkChain:
+			p = len(contents) - 1
+			next = benchEdit(rng, contents[p], len(contents), 1+rng.Intn(c.edits))
+		default:
+			p = forkChain - 1 - int(fork.Uint64())
+			next = benchEdit(rng, contents[p], len(contents), 1+rng.Intn(c.edits))
+		}
 		parents, contents = append(parents, versioning.NodeID(p)), append(contents, next)
 	}
 	return parents, contents
@@ -1091,9 +1141,11 @@ func replanPassCounts(before, after versioning.RepositoryStats) (contents, objec
 // BenchmarkReplanPass measures one maintenance pass on a disk-backed
 // repository whose serving plan already covers everything but the last
 // two commits, the repository benchmark's plan phase: 64 manifests of
-// about 4,000 lines behind a cache a third their size (history-read)
-// and 800 documents of 30 lines with no cache (replan-scale, which is in
-// memory there). Each iteration times Replan (solver race, preload,
+// about 4,000 lines behind a cache a third their size (history-read),
+// 800 documents of 30 lines with no cache (replan-scale, which is in
+// memory there) and 600 documents of 200 lines forked from a few versions
+// (fleet-write's busiest tenant, whose minimum arborescences contract a
+// cycle per level). Each iteration times Replan (solver race, preload,
 // migration) on the same repository: off the clock it builds a fresh one
 // from the same commits (replanPassCase.prepare), so the graph's size
 // and the layout the pass starts from do not depend on b.N, and closes

@@ -20,6 +20,7 @@ import (
 // returns, so the rewrite is pinned to it edge for edge, not only on the
 // total: a different tie-break would move installed plans.
 func referenceMinArborescence(g *graph.Graph, root graph.NodeID, w graphalg.Weight) (parentEdge []int32, total graph.Cost, err error) {
+	referenceLevels = 0
 	n := g.N()
 	type arbEdge struct {
 		u, v int
@@ -35,6 +36,7 @@ func referenceMinArborescence(g *graph.Graph, root graph.NodeID, w graphalg.Weig
 	var solve func(n, root int, edges []arbEdge) ([]int32, error)
 	solve = func(n, root int, edges []arbEdge) ([]int32, error) {
 		const none = -1
+		referenceLevels++
 		// 1. Cheapest incoming edge per node.
 		best := make([]int, n)
 		for i := range best {
@@ -187,6 +189,10 @@ func referenceMinArborescence(g *graph.Graph, root graph.NodeID, w graphalg.Weig
 	return parentEdge, total, nil
 }
 
+// referenceLevels is how many contraction levels the last
+// referenceMinArborescence call ran.
+var referenceLevels int
+
 // requireSameArborescence runs both kernels on g from root under each
 // weight and requires the same error or the same edge into every node.
 // It returns how many nodes ended up with an edge dearer than their
@@ -222,7 +228,8 @@ func requireSameArborescence(t *testing.T, name string, g *graph.Graph, root gra
 // the graphs re-plans run it on (natural histories whose reverse edges
 // make a 2-cycle out of almost every pair, so contraction runs many
 // levels deep), on the paper's reduction graphs (unit weights: every
-// choice is a tie) and on graphs that leave nodes unreachable.
+// choice is a tie), on graphs that leave nodes unreachable and on
+// fork-heavy histories, which contract one cycle per level.
 func TestMinArborescenceMatchesReference(t *testing.T) {
 	broken := 0
 	for seed := int64(1); seed <= 12; seed++ {
@@ -287,4 +294,127 @@ func TestMinArborescenceMatchesReference(t *testing.T) {
 	if infeasible < 50 || infeasible > 350 {
 		t.Fatalf("%d of 400 sparse graphs are infeasible: the mix covers one side only", infeasible)
 	}
+
+	// Fork-heavy histories: many children of a few versions, whose
+	// reverse deltas are often cheaper than their forward ones. Each
+	// parent and its cheapest child make a 2-cycle, and contracting it
+	// leaves the next child the cheapest way in, so the cycles nest one
+	// inside the next, hundreds deep.
+	for seed := int64(1); seed <= 4; seed++ {
+		g := forkHistory(rand.New(rand.NewSource(seed)), 8, 150*int(seed), 7)
+		x := graph.Extend(g)
+		requireSameArborescence(t, fmt.Sprintf("fork seed %d, extended", seed), x.Graph, x.Aux)
+		requireSameArborescence(t, fmt.Sprintf("fork seed %d, from its root", seed), g, 0)
+		referenceMinArborescence(x.Graph, x.Aux, graphalg.StorageWeight)
+		if referenceLevels < g.N()/3 {
+			t.Fatalf("fork seed %d contracted %d levels deep on %d versions: the forks did not nest", seed, referenceLevels, g.N())
+		}
+	}
+}
+
+// forkHistory is a version graph shaped like a fork-heavy repository: a
+// chain of chain versions, then children versions, each a child of one of
+// the chain's last `last` versions (the later ones likelier). A delta's
+// storage and retrieval cost a few dozen units, and its reverse is cheaper
+// than its forward delta about half the time; a version stored whole costs
+// a hundred times more.
+func forkHistory(rng *rand.Rand, chain, children, last int) *graph.Graph {
+	g := graph.New("fork")
+	delta := func(u, v graph.NodeID) {
+		f := 10 + graph.Cost(rng.Intn(40))
+		r := f + graph.Cost(rng.Intn(21)) - 10
+		g.AddEdge(u, v, f, f)
+		g.AddEdge(v, u, r, r)
+	}
+	for v := 0; v < chain+children; v++ {
+		g.AddNode(3000 + graph.Cost(rng.Intn(100)))
+		switch {
+		case v == 0:
+		case v < chain:
+			delta(graph.NodeID(v-1), graph.NodeID(v))
+		default:
+			p := chain - 1 - min(rng.Intn(last), rng.Intn(last))
+			delta(graph.NodeID(p), graph.NodeID(v))
+		}
+	}
+	return g
+}
+
+// randomTieGraph is a digraph on at most maxN nodes whose edge costs take
+// a handful of values, so that ties decide most choices, with parallel
+// edges and, for about a fifth of the graphs, too few edges to reach
+// every node.
+func randomTieGraph(rng *rand.Rand, maxN int) *graph.Graph {
+	n := 1 + rng.Intn(maxN)
+	g := graph.NewWithNodes("ties", n, 1+graph.Cost(rng.Intn(3)))
+	weights := 1 + rng.Intn(4)
+	m := n + rng.Intn(3*n)
+	if rng.Intn(5) == 0 {
+		m = rng.Intn(n)
+	}
+	for i := 0; i < m; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v {
+			continue
+		}
+		for k := 1 + rng.Intn(3)/2; k > 0; k-- {
+			g.AddEdge(graph.NodeID(u), graph.NodeID(v), graph.Cost(rng.Intn(weights)), graph.Cost(rng.Intn(weights)))
+		}
+	}
+	return g
+}
+
+// TestMinArborescenceTieHeavy is a randomized differential against the
+// reference: 2,400 graphs of up to 60 nodes with at most four distinct
+// costs, rooted at a node and, extended, at the auxiliary root.
+func TestMinArborescenceTieHeavy(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	infeasible := 0
+	for it := 0; it < 2400; it++ {
+		g := randomTieGraph(rng, 60)
+		root := graph.NodeID(rng.Intn(g.N()))
+		if _, _, err := referenceMinArborescence(g, root, graphalg.StorageWeight); err != nil {
+			infeasible++
+		}
+		requireSameArborescence(t, fmt.Sprintf("ties %d", it), g, root)
+		if it%2 == 0 {
+			x := graph.Extend(g)
+			requireSameArborescence(t, fmt.Sprintf("ties %d, extended", it), x.Graph, x.Aux)
+		}
+	}
+	if infeasible < 300 || infeasible > 2100 {
+		t.Fatalf("%d of 2400 tie-heavy graphs are infeasible: the mix covers one side only", infeasible)
+	}
+}
+
+// FuzzMinArborescenceMatchesReference decodes a graph of at most 32 nodes
+// from the input, with costs 0-7 so that ties dominate, and requires the
+// kernel to return the reference's edges, total and error under every
+// weight. The first byte picks the node count, the second the root (a
+// value past the last node roots the extended graph at its auxiliary
+// node), and every further three bytes an edge: tail, head, and its
+// storage (low three bits) and retrieval (next three) costs.
+func FuzzMinArborescenceMatchesReference(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 1, 0x09, 1, 2, 0x12, 2, 1, 0x00})
+	f.Add([]byte{4, 9, 0, 1, 0x3f, 1, 0, 0x00, 1, 2, 0x01, 2, 1, 0x01, 2, 3, 0x07, 3, 2, 0x07})
+	f.Add([]byte{5, 1, 0, 1, 1, 1, 2, 1, 2, 0, 1, 3, 4, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])%32
+		g := graph.NewWithNodes("fuzz", n, 1+graph.Cost(data[0]>>5))
+		for e := data[2:]; len(e) >= 3; e = e[3:] {
+			u, v := int(e[0])%n, int(e[1])%n
+			if u != v {
+				g.AddEdge(graph.NodeID(u), graph.NodeID(v), graph.Cost(e[2]&7), graph.Cost(e[2]>>3&7))
+			}
+		}
+		if root := int(data[1]); root < n {
+			requireSameArborescence(t, "fuzz", g, graph.NodeID(root))
+		} else {
+			x := graph.Extend(g)
+			requireSameArborescence(t, "fuzz, extended", x.Graph, x.Aux)
+		}
+	})
 }
